@@ -122,7 +122,7 @@ fn time_recompute(m: &TransformerModel, prompt: &[usize], n: usize, trials: usiz
         let mut rng = TensorRng::seed_from(0); // greedy ignores it
         let t0 = Instant::now();
         for _ in 0..n {
-            let (logits, _) = m.forward_tape(&tokens, SectionToggles::all(), None, &mut report);
+            let (logits, _) = m.forward(&tokens, SectionToggles::all(), None, &mut report);
             // The engine's own sampling, so both paths share one greedy
             // definition (NaN guard included).
             tokens.push(attn_infer::sampling::sample_token(

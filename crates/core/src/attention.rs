@@ -202,6 +202,58 @@ impl AttentionWeights {
     }
 }
 
+/// Borrowed view of one attention block's parameters: built per call from
+/// wherever the parameters already live (`attn_model`'s `Param`s, an
+/// [`AttentionWeights`]), so neither a training forward nor a decoded token
+/// pays a `hidden × hidden` weight-snapshot clone per layer.
+#[derive(Clone, Copy)]
+pub struct AttentionWeightsRef<'a> {
+    /// Model width.
+    pub hidden: usize,
+    /// Head count (must divide `hidden`).
+    pub heads: usize,
+    /// Query projection, `hidden × hidden`.
+    pub wq: &'a Matrix,
+    /// Key projection.
+    pub wk: &'a Matrix,
+    /// Value projection.
+    pub wv: &'a Matrix,
+    /// Output projection.
+    pub wo: &'a Matrix,
+    /// Query bias.
+    pub bq: &'a [f32],
+    /// Key bias.
+    pub bk: &'a [f32],
+    /// Value bias.
+    pub bv: &'a [f32],
+    /// Output bias.
+    pub bo: &'a [f32],
+}
+
+impl AttentionWeightsRef<'_> {
+    /// Per-head width.
+    pub fn head_dim(&self) -> usize {
+        self.hidden / self.heads
+    }
+}
+
+impl<'a> From<&'a AttentionWeights> for AttentionWeightsRef<'a> {
+    fn from(w: &'a AttentionWeights) -> Self {
+        Self {
+            hidden: w.hidden,
+            heads: w.heads,
+            wq: &w.wq,
+            wk: &w.wk,
+            wv: &w.wv,
+            wo: &w.wo,
+            bq: &w.bq,
+            bk: &w.bk,
+            bv: &w.bv,
+            bo: &w.bo,
+        }
+    }
+}
+
 /// Activations cached for the backward pass and for propagation studies.
 ///
 /// All values are post-correction when protection ran, raw otherwise.
@@ -296,227 +348,243 @@ impl ProtectedAttention {
     }
 
     /// Run the protected attention pipeline with an explicit per-execution
-    /// [`ForwardCtx`] — the entry point shared by the sequential and
-    /// batched paths.
+    /// [`ForwardCtx`] — see the free [`forward`] this delegates to
+    /// (borrowing the owned weights).
     ///
     /// # Panics
     /// Panics if `x.cols() != hidden`.
-    #[allow(clippy::needless_range_loop)] // head index drives several buffers
     pub fn forward_ctx(&self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> AttnForward {
-        let w = &self.weights;
-        assert_eq!(x.cols(), w.hidden, "input width mismatch");
-        let seq = x.rows();
-        let heads = w.heads;
-        let d = w.head_dim();
-        let scale = 1.0 / (d as f32).sqrt();
-        let mask = ctx.mask;
+        forward(&(&self.weights).into(), &self.config, x, ctx)
+    }
+}
 
-        let s_as = GuardedSection::begin(
-            SectionId::AttentionScore,
-            &self.config,
-            ctx.toggles.s_as,
-            ctx.report,
-        );
-        let s_cl = GuardedSection::begin(
-            SectionId::ContextLayer,
-            &self.config,
-            ctx.toggles.s_cl,
-            ctx.report,
-        );
-        let s_o =
-            GuardedSection::begin(SectionId::Output, &self.config, ctx.toggles.s_o, ctx.report);
-        // Non-GEMM scope: screens the per-head softmax outputs (the one
-        // nonlinearity inside attention) and heals from the cached scores.
-        let op_guard = GuardedSection::guard_step(&self.config);
+/// Run the protected attention pipeline on `x` (`seq × hidden`) over
+/// borrowed weights — the one training/prefill forward, the full-sequence
+/// counterpart of [`crate::decode::decode_step`]. `ctx` carries the mask,
+/// per-execution section toggles, the fault-injection hook, and the report;
+/// an unprotected run is `config` = [`ProtectionConfig::off`], not a
+/// different function.
+///
+/// # Panics
+/// Panics if `x.cols() != hidden`.
+#[allow(clippy::needless_range_loop)] // head index drives several buffers
+pub fn forward(
+    w: &AttentionWeightsRef<'_>,
+    config: &ProtectionConfig,
+    x: &Matrix,
+    ctx: &mut ForwardCtx<'_, '_>,
+) -> AttnForward {
+    assert_eq!(x.cols(), w.hidden, "input width mismatch");
+    let seq = x.rows();
+    let heads = w.heads;
+    let d = w.head_dim();
+    let scale = 1.0 / (d as f32).sqrt();
+    let mask = ctx.mask;
 
-        // ------------------------------------------------ section S_AS
-        // X enters the section through fused encode-and-multiply: its
-        // column-checksum projections accumulate inside each projection
-        // GEMM's packing pass, and Q and K inherit the riding checksums —
-        // no standalone encode sweep over X, no augmented copy.
-        let mut q = s_as.gemm_encode_cols(x, &s_as.operand(&w.wq));
-        let mut k = s_as.gemm_encode_cols(x, &s_as.operand(&w.wk));
-        q.add_bias(&w.bq);
-        k.add_bias(&w.bk);
+    let s_as = GuardedSection::begin(
+        SectionId::AttentionScore,
+        config,
+        ctx.toggles.s_as,
+        ctx.report,
+    );
+    let s_cl = GuardedSection::begin(
+        SectionId::ContextLayer,
+        config,
+        ctx.toggles.s_cl,
+        ctx.report,
+    );
+    let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
+    // Non-GEMM scope: screens the per-head softmax outputs (the one
+    // nonlinearity inside attention) and heals from the cached scores.
+    let op_guard = GuardedSection::guard_step(config);
+
+    // ------------------------------------------------ section S_AS
+    // X enters the section through fused encode-and-multiply: its
+    // column-checksum projections accumulate inside each projection
+    // GEMM's packing pass, and Q and K inherit the riding checksums —
+    // no standalone encode sweep over X, no augmented copy.
+    let mut q = s_as.gemm_encode_cols(x, &s_as.operand(w.wq));
+    let mut k = s_as.gemm_encode_cols(x, &s_as.operand(w.wk));
+    q.add_bias(w.bq);
+    k.add_bias(w.bk);
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::Q,
+            head: None,
+        },
+        &mut q,
+    );
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::K,
+            head: None,
+        },
+        &mut k,
+    );
+
+    let heal_q = |q: &mut CheckedMatrix, report: &mut AbftReport| {
+        s_as.heal_operand_cols(report, q, usize::MAX, |r, c| {
+            replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
+        });
+    };
+    let heal_k = |k: &mut CheckedMatrix, report: &mut AbftReport| {
+        s_as.heal_operand_cols(report, k, usize::MAX, |r, c| {
+            replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
+        });
+    };
+    // Heal the source operands lazily at the first delayed detection: Q
+    // and K are cached for backward, where an uncorrected 0D extreme
+    // value would re-poison the gradients — and the exact refinement of
+    // AS below needs clean operands to replay against. Under immediate
+    // (Separate) verification they are healed right here instead.
+    let mut qk_healed = s_as.immediate();
+    if s_as.active() && s_as.immediate() {
+        heal_q(&mut q, ctx.report);
+        heal_k(&mut k, ctx.report);
+    }
+
+    let mut scores_cache = Vec::with_capacity(heads);
+    let mut ap_mats: Vec<Matrix> = Vec::with_capacity(heads);
+    for h in 0..heads {
+        let qh = q.slice_cols(h * d, (h + 1) * d);
+        let kh = k.slice_cols(h * d, (h + 1) * d);
+        let mut as_h = s_as.gemm_nt(&qh, &kh);
+        as_h.scale_inplace(scale);
         ctx.fire(
             FaultSite {
-                op: AttnOp::Q,
-                head: None,
+                op: AttnOp::AS,
+                head: Some(h),
             },
-            &mut q,
-        );
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::K,
-                head: None,
-            },
-            &mut k,
+            &mut as_h,
         );
 
-        let heal_q = |q: &mut CheckedMatrix, report: &mut AbftReport| {
-            s_as.heal_operand_cols(report, q, usize::MAX, |r, c| {
-                replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
-            });
-        };
-        let heal_k = |k: &mut CheckedMatrix, report: &mut AbftReport| {
-            s_as.heal_operand_cols(report, k, usize::MAX, |r, c| {
-                replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
-            });
-        };
-        // Heal the source operands lazily at the first delayed detection: Q
-        // and K are cached for backward, where an uncorrected 0D extreme
-        // value would re-poison the gradients — and the exact refinement of
-        // AS below needs clean operands to replay against. Under immediate
-        // (Separate) verification they are healed right here instead.
-        let mut qk_healed = s_as.immediate();
-        if s_as.active() && s_as.immediate() {
-            heal_q(&mut q, ctx.report);
-            heal_k(&mut k, ctx.report);
-        }
-
-        let mut scores_cache = Vec::with_capacity(heads);
-        let mut ap_mats: Vec<Matrix> = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let qh = q.slice_cols(h * d, (h + 1) * d);
-            let kh = k.slice_cols(h * d, (h + 1) * d);
-            let mut as_h = s_as.gemm_nt(&qh, &kh);
-            as_h.scale_inplace(scale);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::AS,
-                    head: Some(h),
-                },
-                &mut as_h,
-            );
-
-            let mut det = s_as.detect(&mut as_h, h);
-            if det.detections() > 0 {
-                if !qk_healed {
-                    qk_healed = true;
-                    heal_q(&mut q, ctx.report);
-                    heal_k(&mut k, ctx.report);
-                }
-                let lo = h * d;
-                det.refine(&mut as_h, |r, c| {
-                    replay_nn(&q.logical_row(r)[lo..lo + d], |kk| {
-                        k.logical_row(c)[lo + kk]
-                    }) * scale
-                });
+        let mut det = s_as.detect(&mut as_h, h);
+        if det.detections() > 0 {
+            if !qk_healed {
+                qk_healed = true;
+                heal_q(&mut q, ctx.report);
+                heal_k(&mut k, ctx.report);
             }
-            det.absorb(ctx.report);
-
-            // Leave the checksummed region: mask + softmax are nonlinear.
-            // AP stays plain here; its re-encoding rides inside the fused
-            // `AP·V` GEMM that re-enters S_CL below. The cached post-mask
-            // scores double as the op guard's preserved input: rows whose
-            // probabilities fail the sum-to-one screen recompute from them.
-            let ap_m = s_cl.exit_cols(&as_h, |as_mat| {
-                if let Some(m) = mask {
-                    apply_additive_mask(as_mat, m);
-                }
-                scores_cache.push(as_mat.clone());
-                softmax_rows_checked_inplace(as_mat, &op_guard);
-            });
-            ap_mats.push(ap_m);
-        }
-
-        // ------------------------------------------------ section S_CL
-        let x_plain = s_cl.operand(x);
-        let mut cl_blocks = Vec::with_capacity(heads);
-        let mut v_cols: Vec<Matrix> = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let wv_h = w.wv.submatrix(0, w.hidden, h * d, (h + 1) * d);
-            let bv_h = &w.bv[h * d..(h + 1) * d];
-            // W_V's per-head slice enters through the row-side fused
-            // encode: its row-checksum projections accumulate inside the
-            // `X·W_V` packing pass and ride into V.
-            let mut v_h = s_cl.gemm_encode_rows(&x_plain, &wv_h);
-            v_h.add_bias(bv_h);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::V,
-                    head: Some(h),
-                },
-                &mut v_h,
-            );
-
-            let heal_v = |v_h: &mut CheckedMatrix, report: &mut AbftReport| {
-                s_cl.heal_operand_rows(report, v_h, h, |r, c| {
-                    replay_nn(x.row(r), |kk| wv_h[(kk, c)]) + bv_h[c]
-                });
-            };
-            if s_cl.active() && s_cl.immediate() && v_h.has_row_checksums() {
-                heal_v(&mut v_h, ctx.report);
-            }
-
-            // AP re-enters the checksummed region inside the fused GEMM:
-            // its column encoding (the old standalone re-encode sweep
-            // after softmax) accumulates in this product's packing pass.
-            let mut cl_h = s_cl.gemm_encode_cols(&ap_mats[h], &v_h);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::CL,
-                    head: Some(h),
-                },
-                &mut cl_h,
-            );
-            let mut det = s_cl.detect(&mut cl_h, h);
-            if det.detections() > 0 {
-                if v_h.has_row_checksums() {
-                    // Heal the cached V the same way Q/K are healed.
-                    heal_v(&mut v_h, ctx.report);
-                }
-                let ap = &ap_mats[h];
-                det.refine(&mut cl_h, |r, c| replay_nn(ap.row(r), |kk| v_h.get(kk, c)));
-            }
-            det.absorb(ctx.report);
-            v_cols.push(v_h.logical());
-            cl_blocks.push(cl_h.drop_row_checksums());
-        }
-        let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
-
-        // ------------------------------------------------ section S_O
-        // CL is inherited from S_CL: ride its checksums when present,
-        // fused-encode on entry when S_O is active but S_CL was skipped.
-        let mut o = s_o.gemm_adopt_cols(&cl_merged, &s_o.operand(&w.wo));
-        o.add_bias(&w.bo);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::O,
-                head: None,
-            },
-            &mut o,
-        );
-        let mut det = s_o.detect(&mut o, usize::MAX);
-        if det.fixes() > 0 {
-            det.refine(&mut o, |r, c| {
-                replay_nn(cl_merged.logical_row(r), |kk| w.wo[(kk, c)]) + w.bo[c]
+            let lo = h * d;
+            det.refine(&mut as_h, |r, c| {
+                replay_nn(&q.logical_row(r)[lo..lo + d], |kk| {
+                    k.logical_row(c)[lo + kk]
+                }) * scale
             });
         }
         det.absorb(ctx.report);
-        ctx.report.absorb_op_guard(op_guard.take_stats());
 
-        // Assemble caches (all post-correction).
-        let q_mat = q.logical();
-        let k_mat = k.logical();
-        let mut v_mat = Matrix::zeros(seq, w.hidden);
-        for (h, vh) in v_cols.iter().enumerate() {
-            for r in 0..seq {
-                v_mat.row_mut(r)[h * d..(h + 1) * d].copy_from_slice(vh.row(r));
+        // Leave the checksummed region: mask + softmax are nonlinear.
+        // AP stays plain here; its re-encoding rides inside the fused
+        // `AP·V` GEMM that re-enters S_CL below. The cached post-mask
+        // scores double as the op guard's preserved input: rows whose
+        // probabilities fail the sum-to-one screen recompute from them.
+        let ap_m = s_cl.exit_cols(&as_h, |as_mat| {
+            if let Some(m) = mask {
+                apply_additive_mask(as_mat, m);
             }
-        }
-        AttnForward {
-            output: o.logical(),
-            cache: AttnCache {
-                x: x.clone(),
-                q: q_mat,
-                k: k_mat,
-                v: v_mat,
-                scores: scores_cache,
-                ap: ap_mats,
-                cl: cl_merged.logical(),
+            scores_cache.push(as_mat.clone());
+            softmax_rows_checked_inplace(as_mat, &op_guard);
+        });
+        ap_mats.push(ap_m);
+    }
+
+    // ------------------------------------------------ section S_CL
+    let x_plain = s_cl.operand(x);
+    let mut cl_blocks = Vec::with_capacity(heads);
+    let mut v_cols: Vec<Matrix> = Vec::with_capacity(heads);
+    for h in 0..heads {
+        let wv_h = w.wv.submatrix(0, w.hidden, h * d, (h + 1) * d);
+        let bv_h = &w.bv[h * d..(h + 1) * d];
+        // W_V's per-head slice enters through the row-side fused
+        // encode: its row-checksum projections accumulate inside the
+        // `X·W_V` packing pass and ride into V.
+        let mut v_h = s_cl.gemm_encode_rows(&x_plain, &wv_h);
+        v_h.add_bias(bv_h);
+        ctx.fire(
+            FaultSite {
+                op: AttnOp::V,
+                head: Some(h),
             },
+            &mut v_h,
+        );
+
+        let heal_v = |v_h: &mut CheckedMatrix, report: &mut AbftReport| {
+            s_cl.heal_operand_rows(report, v_h, h, |r, c| {
+                replay_nn(x.row(r), |kk| wv_h[(kk, c)]) + bv_h[c]
+            });
+        };
+        if s_cl.active() && s_cl.immediate() && v_h.has_row_checksums() {
+            heal_v(&mut v_h, ctx.report);
         }
+
+        // AP re-enters the checksummed region inside the fused GEMM:
+        // its column encoding (the old standalone re-encode sweep
+        // after softmax) accumulates in this product's packing pass.
+        let mut cl_h = s_cl.gemm_encode_cols(&ap_mats[h], &v_h);
+        ctx.fire(
+            FaultSite {
+                op: AttnOp::CL,
+                head: Some(h),
+            },
+            &mut cl_h,
+        );
+        let mut det = s_cl.detect(&mut cl_h, h);
+        if det.detections() > 0 {
+            if v_h.has_row_checksums() {
+                // Heal the cached V the same way Q/K are healed.
+                heal_v(&mut v_h, ctx.report);
+            }
+            let ap = &ap_mats[h];
+            det.refine(&mut cl_h, |r, c| replay_nn(ap.row(r), |kk| v_h.get(kk, c)));
+        }
+        det.absorb(ctx.report);
+        v_cols.push(v_h.logical());
+        cl_blocks.push(cl_h.drop_row_checksums());
+    }
+    let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
+
+    // ------------------------------------------------ section S_O
+    // CL is inherited from S_CL: ride its checksums when present,
+    // fused-encode on entry when S_O is active but S_CL was skipped.
+    let mut o = s_o.gemm_adopt_cols(&cl_merged, &s_o.operand(w.wo));
+    o.add_bias(w.bo);
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::O,
+            head: None,
+        },
+        &mut o,
+    );
+    let mut det = s_o.detect(&mut o, usize::MAX);
+    if det.fixes() > 0 {
+        det.refine(&mut o, |r, c| {
+            replay_nn(cl_merged.logical_row(r), |kk| w.wo[(kk, c)]) + w.bo[c]
+        });
+    }
+    det.absorb(ctx.report);
+    ctx.report.absorb_op_guard(op_guard.take_stats());
+
+    // Assemble caches (all post-correction).
+    let q_mat = q.logical();
+    let k_mat = k.logical();
+    let mut v_mat = Matrix::zeros(seq, w.hidden);
+    for (h, vh) in v_cols.iter().enumerate() {
+        for r in 0..seq {
+            v_mat.row_mut(r)[h * d..(h + 1) * d].copy_from_slice(vh.row(r));
+        }
+    }
+    AttnForward {
+        output: o.logical(),
+        cache: AttnCache {
+            x: x.clone(),
+            q: q_mat,
+            k: k_mat,
+            v: v_mat,
+            scores: scores_cache,
+            ap: ap_mats,
+            cl: cl_merged.logical(),
+        },
     }
 }
 

@@ -36,7 +36,7 @@
 //!
 //! attn-lint: hot-path
 
-use crate::attention::{AttentionWeights, AttnOp, FaultSite, ProtectedAttention};
+use crate::attention::{AttentionWeightsRef, AttnOp, FaultSite, ProtectedAttention};
 use crate::checked::CheckedMatrix;
 use crate::checksum::weight;
 use crate::config::{AbftConfig, ProtectionConfig};
@@ -663,59 +663,6 @@ fn row_checksum_blocked(row: &[f32]) -> (f32, f32) {
         ws += pws;
     }
     (s, ws)
-}
-
-/// Borrowed view of one attention block's parameters, for the decode hot
-/// path: one of these is built per step from wherever the parameters
-/// already live (`attn_model`'s `Param`s, an [`AttentionWeights`]), so a
-/// decoded token never pays a `hidden × hidden` weight-snapshot clone per
-/// layer.
-#[derive(Clone, Copy)]
-pub struct AttentionWeightsRef<'a> {
-    /// Model width.
-    pub hidden: usize,
-    /// Head count (must divide `hidden`).
-    pub heads: usize,
-    /// Query projection, `hidden × hidden`.
-    pub wq: &'a Matrix,
-    /// Key projection.
-    pub wk: &'a Matrix,
-    /// Value projection.
-    pub wv: &'a Matrix,
-    /// Output projection.
-    pub wo: &'a Matrix,
-    /// Query bias.
-    pub bq: &'a [f32],
-    /// Key bias.
-    pub bk: &'a [f32],
-    /// Value bias.
-    pub bv: &'a [f32],
-    /// Output bias.
-    pub bo: &'a [f32],
-}
-
-impl AttentionWeightsRef<'_> {
-    /// Per-head width.
-    pub fn head_dim(&self) -> usize {
-        self.hidden / self.heads
-    }
-}
-
-impl<'a> From<&'a AttentionWeights> for AttentionWeightsRef<'a> {
-    fn from(w: &'a AttentionWeights) -> Self {
-        Self {
-            hidden: w.hidden,
-            heads: w.heads,
-            wq: &w.wq,
-            wk: &w.wk,
-            wv: &w.wv,
-            wo: &w.wo,
-            bq: &w.bq,
-            bk: &w.bk,
-            bv: &w.bv,
-            bo: &w.bo,
-        }
-    }
 }
 
 impl ProtectedAttention {

@@ -22,14 +22,15 @@
 //!   strings encoded GEMMs, exit-and-re-encode steps, fault-hook taps,
 //!   delayed detection points, and exact-replay refinement into reusable
 //!   protection sections; [`ForwardCtx`] threads the per-execution state
-//!   (mask, toggles, hook, report) through sequential and batched paths.
+//!   (mask, toggles, hook, report) through every layer of one execution.
 //! * [`policy`] — [`ProtectionPolicy`]: single owner of the per-section
 //!   frequency gates (paper §4.5), handing out per-execution
 //!   [`attention::SectionToggles`].
 //! * [`attention`] — the three protection sections `S_AS`, `S_CL`, `S_O`
 //!   with checksum passing across the six attention GEMMs (paper §4.4,
 //!   Fig 5), built on [`section`], including fault-injection hooks for
-//!   campaigns.
+//!   campaigns. One forward ([`attention::forward`]) over borrowed weights;
+//!   callers that batch (trainer, decode engine) fan it out per item.
 //! * [`adaptive`] — Poisson reliability model, fault coverage (FC), fault
 //!   coverage efficiency (FCE), and the greedy detection-frequency
 //!   optimizer of paper Algorithm 1.
@@ -56,7 +57,6 @@
 
 pub mod adaptive;
 pub mod attention;
-pub mod batched;
 pub mod checked;
 pub mod checksum;
 pub mod config;

@@ -44,7 +44,7 @@
 //!   `K`, `V`) through their inherited checksums once a delayed detection
 //!   fires, because the backward pass reuses them.
 //! * [`ForwardCtx`] — the per-execution state (mask, section toggles, fault
-//!   hook, report) threaded through sequential and batched forward paths.
+//!   hook, report) threaded through every layer of one execution.
 //!
 //! # Example: one section over a two-GEMM chain
 //!
@@ -93,9 +93,9 @@ use attn_tensor::Matrix;
 /// attention mask, the per-execution [`SectionToggles`] handed out by a
 /// [`ProtectionPolicy`](crate::policy::ProtectionPolicy), the optional
 /// fault-injection hook, and the report the run writes into — so layer code
-/// threads a single `&mut ForwardCtx` instead of a parameter list. The
-/// batched path builds one per item, which is what makes per-item hooks and
-/// toggles possible.
+/// threads a single `&mut ForwardCtx` instead of a parameter list. Callers
+/// that fan a batch out (trainer, decode engine) build one per item, which
+/// is what keeps hooks and reports local to their item.
 pub struct ForwardCtx<'a, 'h> {
     /// Additive attention mask (`seq × seq`), e.g. causal or local-banded.
     pub mask: Option<&'a Matrix>,

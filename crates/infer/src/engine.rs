@@ -60,7 +60,7 @@ impl DecodeEngine {
             model.config.num_classes, model.config.vocab,
             "DecodeEngine requires an LM-shaped head (num_classes == vocab)"
         );
-        let protection = model.blocks[0].attn.protection;
+        let protection = *model.protection();
         Self {
             model,
             policy: ProtectionPolicy::new(protection),
@@ -155,13 +155,7 @@ impl DecodeEngine {
         inject: Option<&InjectionSpec>,
     ) -> usize {
         let toggles = self.policy.next_toggles();
-        let protection = self
-            .model
-            .blocks
-            .first()
-            .map(|b| b.attn.protection)
-            .unwrap_or_else(ProtectionConfig::off);
-        let op_guard = GuardedSection::guard_step(&protection);
+        let op_guard = GuardedSection::guard_step(self.model.protection());
         let token = sample_token_checked(&session.logits, sampling, &mut session.rng, &op_guard);
         session.report.absorb_op_guard(op_guard.take_stats());
         session.tokens.push(token);
@@ -210,15 +204,11 @@ impl DecodeEngine {
         }
         let toggles = self.policy.next_toggles();
         let model = &self.model;
-        let protection = model
-            .blocks
-            .first()
-            .map(|b| b.attn.protection)
-            .unwrap_or_else(ProtectionConfig::off);
+        let protection = model.protection();
         let run = |(s, op): &mut (&mut DecodeSession, StepOp)| -> usize {
             let token = match *op {
                 StepOp::Gen => {
-                    let op_guard = GuardedSection::guard_step(&protection);
+                    let op_guard = GuardedSection::guard_step(protection);
                     let t = sample_token_checked(&s.logits, sampling, &mut s.rng, &op_guard);
                     s.report.absorb_op_guard(op_guard.take_stats());
                     t
@@ -339,7 +329,7 @@ mod tests {
             let (full, _) =
                 engine
                     .model()
-                    .forward_tape(&session.tokens, SectionToggles::none(), None, &mut r);
+                    .forward(&session.tokens, SectionToggles::none(), None, &mut r);
             assert_eq!(
                 bits(session.logits()),
                 bits(&full),
@@ -405,6 +395,24 @@ mod tests {
         for (s, &t) in sessions.iter().zip(&toks) {
             assert_eq!(*s.tokens.last().unwrap(), t);
         }
+    }
+
+    #[test]
+    fn zero_layer_model_serves_under_its_own_protection() {
+        // No block to borrow a config from: construction must not index
+        // one, and the model-level guards must still run.
+        let mut rng = TensorRng::seed_from(18);
+        let mut cfg = ModelConfig::gpt2();
+        cfg.hidden = 32;
+        cfg.heads = 2;
+        cfg.layers = 0;
+        cfg.vocab = 48;
+        cfg.num_classes = 48;
+        let model = TransformerModel::new(cfg, ProtectionConfig::full(), &mut rng);
+        let mut engine = DecodeEngine::new(model);
+        let mut s = engine.open_session(&[3, 11], 1);
+        let _ = engine.step(&mut s, Sampling::Greedy);
+        assert!(s.report.op_checks > 0, "guards ran off on a full() model");
     }
 
     #[test]

@@ -10,9 +10,14 @@
 //! * method calls bind by receiver type when it is recoverable from
 //!   `self`, a typed param/local, or a struct field
 //!   (`self.engine.step(…)` uses the field's declared type),
+//! * a method call binds only to methods taking as many arguments as the
+//!   site passes (Rust has no overloading, so this never drops a real
+//!   edge) — what keeps uniformly-named layer methods (`forward`,
+//!   `backward`) apart without a receiver hint,
 //! * hint-less method calls fan out **conservatively** to every
-//!   same-name workspace method, capped at [`FANOUT_CAP`] targets —
-//!   beyond the cap the call is counted as unresolved and adds no edges,
+//!   same-name, same-arity workspace method, capped at [`FANOUT_CAP`]
+//!   targets — beyond the cap the call is counted as unresolved and adds
+//!   no edges,
 //! * names that collide with ubiquitous std methods (`STD_METHODS`)
 //!   resolve as external unless a receiver hint proves otherwise, and
 //!   calls through locally-bound values (closures, fn params) never
@@ -95,6 +100,8 @@ pub struct FnNode {
     pub line: u32,
     /// Declared under `#[cfg(test)]` / `#[test]`.
     pub is_test: bool,
+    /// Parameter count, `self` receiver excluded.
+    pub arity: usize,
     /// Carries a `#[target_feature(…)]` attribute.
     pub has_target_feature: bool,
     /// Has a `{ … }` body (false for bodiless trait declarations).
@@ -196,6 +203,7 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
                 file: fi,
                 line: item.line,
                 is_test: item.is_test,
+                arity: item.arity,
                 has_target_feature: item.has_target_feature,
                 has_body: item.body.is_some(),
                 calls: Vec::new(),
@@ -625,11 +633,17 @@ fn resolve_site(
 
     // Method call: recover a receiver type where cheap.
     let hint = receiver_hint(toks, i, owner, local_types, field_types, field_unique);
-    let methods: Vec<usize> = candidates
+    let mut methods: Vec<usize> = candidates
         .iter()
         .copied()
         .filter(|&c| fns[c].owner.is_some())
         .collect();
+    // Arity filter; an argument list this walker miscounts (no method of
+    // that arity) keeps every candidate rather than dropping edges.
+    let args = call_arg_count(toks, i);
+    if methods.iter().any(|&c| Some(fns[c].arity) == args) {
+        methods.retain(|&c| Some(fns[c].arity) == args);
+    }
     match hint {
         Some(ty) => {
             let exact: Vec<usize> = methods
@@ -671,6 +685,71 @@ fn resolve_site(
         }
     }
     site
+}
+
+/// Number of arguments the call whose callee name sits at `i` passes:
+/// non-empty top-level segments of its `( … )`, commas inside nested
+/// brackets, closure parameter lists and turbofish generics not counted.
+/// `None` when the parenthesis is unbalanced.
+fn call_arg_count(toks: &[Tok], i: usize) -> Option<usize> {
+    let open = i + 1 + toks[i + 1..].iter().position(|t| t.is_punct("("))?;
+    let (mut depth, mut count, mut seg_has_code, mut seg_start) = (0i32, 0usize, false, true);
+    let mut j = open;
+    while j < toks.len() {
+        let t = &toks[j];
+        if t.kind != TokKind::Punct {
+            if t.kind != TokKind::LineComment {
+                seg_has_code = true;
+                seg_start = t.is_ident("move");
+            }
+            j += 1;
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(count + usize::from(seg_has_code));
+                }
+            }
+            "," if depth == 1 => {
+                count += usize::from(seg_has_code);
+                (seg_has_code, seg_start) = (false, true);
+                j += 1;
+                continue;
+            }
+            // Closure parameter list opening an argument: `|a, b| …`.
+            "|" if depth == 1 && seg_start => {
+                j += 1;
+                while j < toks.len() && !toks[j].is_punct("|") {
+                    j += 1;
+                }
+            }
+            // Turbofish generics: `::<A, B>`.
+            "::" if next_code(toks, j).is_some_and(|n| n.is_punct("<")) => {
+                let mut angle = 0i32;
+                loop {
+                    j += 1;
+                    match toks.get(j)?.text.as_str() {
+                        "<" => angle += 1,
+                        ">" => angle -= 1,
+                        ">>" => angle -= 2,
+                        _ => continue,
+                    }
+                    if angle <= 0 {
+                        break;
+                    }
+                }
+            }
+            _ => {}
+        }
+        if j > open {
+            (seg_has_code, seg_start) = (true, false);
+        }
+        j += 1;
+    }
+    None
 }
 
 /// For a free call at `i`, the immediately-preceding path segment
@@ -886,6 +965,27 @@ mod tests {
         let mut t = targets_of(&g, "go", "fire");
         t.sort();
         assert_eq!(t, vec!["A::fire", "B::fire"]);
+    }
+
+    #[test]
+    fn hintless_method_binds_by_argument_count() {
+        // Uniformly-named layer methods: only arity tells them apart.
+        let g = graph(&[(
+            "a.rs",
+            "struct A; struct B; struct C;\n\
+             impl A { fn forward(&self, x: u8) {} }\n\
+             impl B { fn forward(&self, x: u8, g: u8) {} }\n\
+             impl C { fn forward(&self, x: u8, f: u8,) {} }\n\
+             fn one(l: &[X]) { for a in l { a.forward(f(1, 2)); } }\n\
+             fn two(l: &[X]) { for b in l { b.forward(v.iter().map(|p, q| p), [1, 2],); } }\n\
+             fn odd(l: &[X]) { for c in l { c.forward(1, 2, 3); } }\n",
+        )]);
+        assert_eq!(targets_of(&g, "one", "forward"), vec!["A::forward"]);
+        let mut t = targets_of(&g, "two", "forward");
+        t.sort();
+        assert_eq!(t, vec!["B::forward", "C::forward"]);
+        // No method takes three: keep the conservative fan-out.
+        assert_eq!(targets_of(&g, "odd", "forward").len(), 3);
     }
 
     #[test]

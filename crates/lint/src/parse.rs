@@ -39,6 +39,9 @@ pub struct FnItem {
     pub has_target_feature: bool,
     /// Parameter name → type last-segment, for receiver hints.
     pub params: Vec<(String, String)>,
+    /// Number of parameters, the `self` receiver excluded — what a
+    /// `.name(…)` call site's argument count must equal to bind here.
+    pub arity: usize,
 }
 
 /// Items of one parsed file.
@@ -343,7 +346,7 @@ fn parse_fn(
     if !toks[j].is_punct("(") {
         return None;
     }
-    let (params, close) = parse_params(toks, j)?;
+    let (params, arity, close) = parse_params(toks, j)?;
     // Owner: the innermost Impl/Trait scope *not* below a Fn/Block (a
     // nested fn in a method body is free, not a method).
     let owner = stack.iter().rev().find_map(|s| match s {
@@ -371,6 +374,7 @@ fn parse_fn(
         is_unsafe,
         has_target_feature,
         params,
+        arity,
     });
     Some(body_open)
 }
@@ -421,10 +425,15 @@ fn fn_prefix_flags(toks: &[Tok], i: usize) -> (bool, bool) {
     (is_unsafe, has_tf)
 }
 
+/// Parameter name → type last-segment pairs.
+type ParamHints = Vec<(String, String)>;
+
 /// Parse a parameter list starting at its `(`: returns the typed-param
-/// hints and the index of the closing `)`.
-fn parse_params(toks: &[Tok], open: usize) -> Option<(Vec<(String, String)>, usize)> {
+/// hints, the non-receiver parameter count, and the index of the closing
+/// `)`.
+fn parse_params(toks: &[Tok], open: usize) -> Option<(ParamHints, usize, usize)> {
     let mut params = Vec::new();
+    let mut arity = 0usize;
     let mut paren = 1i32;
     let mut bracket = 0i32;
     let mut angle = 0i32;
@@ -439,8 +448,9 @@ fn parse_params(toks: &[Tok], open: usize) -> Option<(Vec<(String, String)>, usi
                 ")" => {
                     paren -= 1;
                     if paren == 0 {
+                        arity += usize::from(is_value_param(toks, seg_start, j));
                         record_param(toks, seg_start, j, &mut params);
-                        return Some((params, j));
+                        return Some((params, arity, j));
                     }
                 }
                 "[" => bracket += 1,
@@ -448,6 +458,7 @@ fn parse_params(toks: &[Tok], open: usize) -> Option<(Vec<(String, String)>, usi
                 "<" => angle += 1,
                 ">" => angle -= 1,
                 "," if paren == 1 && bracket == 0 && angle == 0 => {
+                    arity += usize::from(is_value_param(toks, seg_start, j));
                     record_param(toks, seg_start, j, &mut params);
                     seg_start = j + 1;
                 }
@@ -457,6 +468,16 @@ fn parse_params(toks: &[Tok], open: usize) -> Option<(Vec<(String, String)>, usi
         j += 1;
     }
     None
+}
+
+/// Is the token range one parameter other than the `self` receiver (not
+/// the empty tail after a trailing comma)?
+fn is_value_param(toks: &[Tok], start: usize, end: usize) -> bool {
+    let mut code = toks[start..end]
+        .iter()
+        .filter(|t| t.kind != TokKind::LineComment)
+        .peekable();
+    code.peek().is_some() && !code.any(|t| t.is_ident("self"))
 }
 
 /// Record one `name: Type` parameter from the token range; receivers and

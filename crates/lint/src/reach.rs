@@ -59,7 +59,7 @@ pub const SERVE_ENTRIES: [(&str, &str); 5] = [
 /// Model forward/decode/train entry points for GEMM-guard reachability
 /// and coverage: `(owner, method, path-kind)`.
 pub const OP_PATH_ENTRIES: [(&str, &str, &str); 8] = [
-    ("TransformerModel", "forward_tape", "forward"),
+    ("TransformerModel", "forward", "forward"),
     ("TransformerModel", "prefill", "decode"),
     ("TransformerModel", "decode_step", "decode"),
     ("DecodeEngine", "step_batch", "decode"),
@@ -466,9 +466,10 @@ impl Coverage {
 
 /// Operator catalog: callee name (+ optional required owner) →
 /// `(kind, guarded)`. Plain kernel/API names are unguarded; the
-/// `*_checked` wrappers run an invariant screen with exact
-/// recompute-from-inputs fallback (`attn_tensor::guard`), so sites that
-/// call them count as guarded.
+/// `*_checked` wrappers — and the `LayerNorm`/`Embedding` layer methods,
+/// which take an `OpGuard` and are those wrappers — run an invariant
+/// screen with exact recompute-from-inputs fallback
+/// (`attn_tensor::guard`), so sites that call them count as guarded.
 fn catalog_op(name: &str, owner_hint: Option<&str>) -> Option<(&'static str, bool)> {
     match name {
         // Plain (unguarded) op entry points.
@@ -480,17 +481,13 @@ fn catalog_op(name: &str, owner_hint: Option<&str>) -> Option<(&'static str, boo
         "cross_entropy" => Some(("loss", false)),
         "sample_token" => Some(("sampling", false)),
         "add" if owner_hint == Some("Matrix") => Some(("residual-add", false)),
-        "forward_tape" | "forward" if owner_hint == Some("Embedding") => Some(("embedding", false)),
         "step" | "step_batched" if owner_hint == Some("AdamW") => Some(("optimizer", false)),
-        "forward_tape" | "forward" if owner_hint == Some("LayerNorm") => Some(("layernorm", false)),
         // Guarded wrappers (screen + exact recompute on violation).
         "softmax_rows_checked"
         | "softmax_rows_checked_inplace"
         | "softmax_rows_backward_checked" => Some(("softmax", true)),
         "layer_norm_checked" | "layer_norm_backward_checked" => Some(("layernorm", true)),
-        "forward_tape_checked" | "backward_tape_checked" if owner_hint == Some("LayerNorm") => {
-            Some(("layernorm", true))
-        }
+        "forward" | "backward" if owner_hint == Some("LayerNorm") => Some(("layernorm", true)),
         "gelu_matrix_checked" | "gelu_matrix_checked_inplace" | "gelu_backward_checked" => {
             Some(("gelu", true))
         }
@@ -498,7 +495,7 @@ fn catalog_op(name: &str, owner_hint: Option<&str>) -> Option<(&'static str, boo
         "verify_rowsum_add" => Some(("embedding", true)),
         "cross_entropy_checked" => Some(("loss", true)),
         "sample_token_checked" => Some(("sampling", true)),
-        "forward_checked" if owner_hint == Some("Embedding") => Some(("embedding", true)),
+        "forward" if owner_hint == Some("Embedding") => Some(("embedding", true)),
         "step_checked" | "step_batched_checked" if owner_hint == Some("AdamW") => {
             Some(("optimizer", true))
         }

@@ -12,12 +12,12 @@ use attn_tensor::guard::softmax_rows_backward_checked;
 use attn_tensor::ops::col_sums;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
-use attnchecker::attention::{AttentionWeights, AttnCache, ProtectedAttention, SectionToggles};
+use attnchecker::attention::{self, AttentionWeightsRef, AttnCache};
 use attnchecker::config::ProtectionConfig;
-use attnchecker::report::AbftReport;
 use attnchecker::section::ForwardCtx;
 
-/// Attention layer owning its parameters and protection policy.
+/// Attention layer owning its parameters; the protection policy is the
+/// model's, passed into [`Self::forward`].
 #[derive(Debug, Clone)]
 pub struct AttentionLayer {
     /// Query projection parameter (`hidden × hidden`).
@@ -38,21 +38,11 @@ pub struct AttentionLayer {
     pub bo: Param,
     /// Head count.
     pub heads: usize,
-    /// Protection policy (strategy + thresholds; per-execution toggles come
-    /// from the trainer's frequency gates).
-    pub protection: ProtectionConfig,
-    cache: Option<AttnCache>,
 }
 
 impl AttentionLayer {
     /// Xavier-initialised attention layer.
-    pub fn new(
-        name: &str,
-        hidden: usize,
-        heads: usize,
-        protection: ProtectionConfig,
-        rng: &mut TensorRng,
-    ) -> Self {
+    pub fn new(name: &str, hidden: usize, heads: usize, rng: &mut TensorRng) -> Self {
         assert!(heads > 0 && hidden.is_multiple_of(heads));
         Self {
             wq: Param::new(format!("{name}.wq"), rng.xavier_matrix(hidden, hidden)),
@@ -64,8 +54,6 @@ impl AttentionLayer {
             bv: Param::zeros(format!("{name}.bv"), 1, hidden),
             bo: Param::zeros(format!("{name}.bo"), 1, hidden),
             heads,
-            protection,
-            cache: None,
         }
     }
 
@@ -74,62 +62,42 @@ impl AttentionLayer {
         self.wq.value.rows()
     }
 
-    /// Snapshot the parameters into the `attnchecker` weight struct.
-    pub fn weights_snapshot(&self) -> AttentionWeights {
-        AttentionWeights {
+    /// Borrowed view of the parameters for the `attnchecker` forward and
+    /// decode kernels — no `hidden × hidden` clone per call.
+    pub fn weights(&self) -> AttentionWeightsRef<'_> {
+        AttentionWeightsRef {
             hidden: self.hidden(),
             heads: self.heads,
-            wq: self.wq.value.clone(),
-            wk: self.wk.value.clone(),
-            wv: self.wv.value.clone(),
-            wo: self.wo.value.clone(),
-            bq: self.bq.bias().to_vec(),
-            bk: self.bk.bias().to_vec(),
-            bv: self.bv.bias().to_vec(),
-            bo: self.bo.bias().to_vec(),
+            wq: &self.wq.value,
+            wk: &self.wk.value,
+            wv: &self.wv.value,
+            wo: &self.wo.value,
+            bq: self.bq.bias(),
+            bk: self.bk.bias(),
+            bv: self.bv.bias(),
+            bo: self.bo.bias(),
         }
     }
 
-    /// Stateless protected forward pass: returns the output and the
+    /// Protected forward under `config`: returns the output and the
     /// activation tape (post-correction when protection ran). `ctx`
     /// carries the mask, per-execution section toggles, the
     /// fault-injection hook, and the report.
-    pub fn forward_tape(&self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> (Matrix, AttnCache) {
-        let attn = ProtectedAttention::new(self.weights_snapshot(), self.protection);
-        let out = attn.forward_ctx(x, ctx);
+    pub fn forward(
+        &self,
+        x: &Matrix,
+        config: &ProtectionConfig,
+        ctx: &mut ForwardCtx<'_, '_>,
+    ) -> (Matrix, AttnCache) {
+        let out = attention::forward(&self.weights(), config, x, ctx);
         (out.output, out.cache)
     }
 
-    /// Protected forward pass caching the tape for [`Self::backward`].
-    pub fn forward(&mut self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> Matrix {
-        let (y, cache) = self.forward_tape(x, ctx);
-        self.cache = Some(cache);
-        y
-    }
-
-    /// Unprotected, cache-free forward for inference/timing.
-    pub fn forward_inference(&self, x: &Matrix, mask: Option<&Matrix>) -> Matrix {
-        let attn = ProtectedAttention::new(self.weights_snapshot(), ProtectionConfig::off());
-        let mut report = AbftReport::default();
-        let mut ctx = ForwardCtx {
-            mask,
-            toggles: SectionToggles::none(),
-            hook: None,
-            report: &mut report,
-        };
-        attn.forward_ctx(x, &mut ctx).output
-    }
-
-    /// Stateless backward over a tape; returns `dx` and writes all eight
-    /// parameter gradients into `grads`.
-    pub fn backward_tape(&self, dy: &Matrix, cache: &AttnCache, grads: &mut Grads) -> Matrix {
-        self.backward_tape_checked(dy, cache, grads, &OpGuard::off())
-    }
-
-    /// Stateless backward with a guarded softmax Jacobian product: each
-    /// per-head `dscores` is screened (rows of the Jacobian product sum
-    /// to ~0) and healed by exact recompute on violation.
-    pub fn backward_tape_checked(
+    /// Backward over a tape; returns `dx` and writes all eight parameter
+    /// gradients into `grads`. Each per-head softmax Jacobian product is
+    /// screened under `g` (its rows sum to ~0) and healed by exact
+    /// recompute on violation.
+    pub fn backward(
         &self,
         dy: &Matrix,
         cache: &AttnCache,
@@ -191,22 +159,6 @@ impl AttentionLayer {
         dx.axpy(1.0, &matmul_nt(&dv, &self.wv.value));
         dx
     }
-
-    /// Backward pass; returns `dx` and accumulates all eight parameter
-    /// gradients.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let cache = self
-            .cache
-            .take()
-            .expect("AttentionLayer::backward before forward");
-        let mut grads = Grads::new();
-        let dx = self.backward_tape(dy, &cache, &mut grads);
-        grads.merge_into(self);
-        dx
-    }
 }
 
 impl HasParams for AttentionLayer {
@@ -226,35 +178,49 @@ impl HasParams for AttentionLayer {
 mod tests {
     use super::*;
     use attn_tensor::ops::causal_mask;
+    use attnchecker::attention::SectionToggles;
+    use attnchecker::report::AbftReport;
 
     fn fwd(
-        layer: &mut AttentionLayer,
+        layer: &AttentionLayer,
         x: &Matrix,
+        config: &ProtectionConfig,
         toggles: SectionToggles,
         mask: Option<&Matrix>,
         report: &mut AbftReport,
-    ) -> Matrix {
+    ) -> (Matrix, AttnCache) {
         let mut ctx = ForwardCtx {
             mask,
             toggles,
             hook: None,
             report,
         };
-        layer.forward(x, &mut ctx)
+        layer.forward(x, config, &mut ctx)
+    }
+
+    /// Backward over `cache` with gradients merged into the layer; returns `dx`.
+    fn backprop(layer: &mut AttentionLayer, cache: &AttnCache, dy: &Matrix) -> Matrix {
+        let mut grads = Grads::new();
+        let dx = layer.backward(dy, cache, &mut grads, &OpGuard::off());
+        grads.merge_into(layer);
+        dx
     }
 
     fn loss_of(layer: &AttentionLayer, x: &Matrix, dy: &Matrix, mask: Option<&Matrix>) -> f32 {
-        let y = layer.forward_inference(x, mask);
+        let off = ProtectionConfig::off();
+        let mut report = AbftReport::default();
+        let (y, _) = fwd(layer, x, &off, SectionToggles::none(), mask, &mut report);
         y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
     }
 
     #[test]
     fn forward_shapes() {
         let mut rng = TensorRng::seed_from(1);
-        let mut layer = AttentionLayer::new("a", 16, 4, ProtectionConfig::full(), &mut rng);
+        let layer = AttentionLayer::new("a", 16, 4, &mut rng);
         let x = rng.normal_matrix(6, 16, 0.5);
         let mut report = AbftReport::default();
-        let y = fwd(&mut layer, &x, SectionToggles::all(), None, &mut report);
+        let full = ProtectionConfig::full();
+        let (y, _) = fwd(&layer, &x, &full, SectionToggles::all(), None, &mut report);
         assert_eq!((y.rows(), y.cols()), (6, 16));
         assert!(report.is_quiet());
     }
@@ -262,12 +228,13 @@ mod tests {
     #[test]
     fn gradient_check_input() {
         let mut rng = TensorRng::seed_from(2);
-        let mut layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::off(), &mut rng);
+        let mut layer = AttentionLayer::new("a", 8, 2, &mut rng);
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
         let mut report = AbftReport::default();
-        let _ = fwd(&mut layer, &x, SectionToggles::all(), None, &mut report);
-        let dx = layer.backward(&dy);
+        let off = ProtectionConfig::off();
+        let (_, cache) = fwd(&layer, &x, &off, SectionToggles::all(), None, &mut report);
+        let dx = backprop(&mut layer, &cache, &dy);
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -290,12 +257,13 @@ mod tests {
     #[test]
     fn gradient_check_wq_and_wo() {
         let mut rng = TensorRng::seed_from(3);
-        let mut layer = AttentionLayer::new("a", 6, 2, ProtectionConfig::off(), &mut rng);
+        let mut layer = AttentionLayer::new("a", 6, 2, &mut rng);
         let x = rng.normal_matrix(3, 6, 0.7);
         let dy = rng.normal_matrix(3, 6, 1.0);
         let mut report = AbftReport::default();
-        let _ = fwd(&mut layer, &x, SectionToggles::all(), None, &mut report);
-        let _ = layer.backward(&dy);
+        let off = ProtectionConfig::off();
+        let (_, cache) = fwd(&layer, &x, &off, SectionToggles::all(), None, &mut report);
+        let _ = backprop(&mut layer, &cache, &dy);
 
         let eps = 1e-2;
         for r in 0..6 {
@@ -328,19 +296,20 @@ mod tests {
     #[test]
     fn gradient_check_with_causal_mask() {
         let mut rng = TensorRng::seed_from(4);
-        let mut layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::off(), &mut rng);
+        let mut layer = AttentionLayer::new("a", 8, 2, &mut rng);
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
         let mask = causal_mask(4);
         let mut report = AbftReport::default();
-        let _ = fwd(
-            &mut layer,
+        let (_, cache) = fwd(
+            &layer,
             &x,
+            &ProtectionConfig::off(),
             SectionToggles::none(),
             Some(&mask),
             &mut report,
         );
-        let dx = layer.backward(&dy);
+        let dx = backprop(&mut layer, &cache, &dy);
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -364,17 +333,17 @@ mod tests {
     #[test]
     fn protected_and_unprotected_backward_agree_when_fault_free() {
         let mut rng = TensorRng::seed_from(5);
-        let mut a = AttentionLayer::new("a", 8, 2, ProtectionConfig::full(), &mut rng);
+        let mut a = AttentionLayer::new("a", 8, 2, &mut rng);
         let mut b = a.clone();
-        b.protection = ProtectionConfig::off();
+        let (full, off) = (ProtectionConfig::full(), ProtectionConfig::off());
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
         let mut r1 = AbftReport::default();
         let mut r2 = AbftReport::default();
-        let _ = fwd(&mut a, &x, SectionToggles::all(), None, &mut r1);
-        let _ = fwd(&mut b, &x, SectionToggles::none(), None, &mut r2);
-        let dxa = a.backward(&dy);
-        let dxb = b.backward(&dy);
+        let (_, ca) = fwd(&a, &x, &full, SectionToggles::all(), None, &mut r1);
+        let (_, cb) = fwd(&b, &x, &off, SectionToggles::none(), None, &mut r2);
+        let dxa = backprop(&mut a, &ca, &dy);
+        let dxb = backprop(&mut b, &cb, &dy);
         assert!(dxa.approx_eq(&dxb, 1e-3, 1e-3));
         assert!(a.wq.grad.approx_eq(&b.wq.grad, 1e-3, 1e-3));
     }
@@ -382,7 +351,7 @@ mod tests {
     #[test]
     fn param_count_is_4h2_plus_4h() {
         let mut rng = TensorRng::seed_from(6);
-        let mut layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::full(), &mut rng);
+        let mut layer = AttentionLayer::new("a", 8, 2, &mut rng);
         assert_eq!(layer.param_count(), 4 * 64 + 4 * 8);
     }
 }

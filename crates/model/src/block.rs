@@ -17,7 +17,7 @@ use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::config::ProtectionConfig;
 use attnchecker::section::{ForwardCtx, GuardedSection};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Residual/normalisation arrangement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,13 +42,6 @@ pub struct TransformerBlock {
     pub ln2: LayerNorm,
     /// Residual arrangement.
     pub arch: BlockArch,
-    /// Wall time of the attention sub-layer in the most recent forward —
-    /// the model sums these into its Fig 7 "attention mechanism" timer.
-    pub attn_time_of_last_forward: Duration,
-    /// Wall time of the FFN sub-layer in the most recent forward (feeds the
-    /// FFN-protection overhead column of the Fig 7 reproduction).
-    pub ffn_time_of_last_forward: Duration,
-    tape: Option<BlockTape>,
 }
 
 impl TransformerBlock {
@@ -59,38 +52,40 @@ impl TransformerBlock {
         heads: usize,
         ffn_inner: usize,
         arch: BlockArch,
-        protection: ProtectionConfig,
         rng: &mut TensorRng,
     ) -> Self {
         Self {
-            attn: AttentionLayer::new(&format!("{name}.attn"), hidden, heads, protection, rng),
+            attn: AttentionLayer::new(&format!("{name}.attn"), hidden, heads, rng),
             ffn: FeedForward::new(&format!("{name}.ffn"), hidden, ffn_inner, rng),
             ln1: LayerNorm::new(&format!("{name}.ln1"), hidden, 1e-5),
             ln2: LayerNorm::new(&format!("{name}.ln2"), hidden, 1e-5),
             arch,
-            attn_time_of_last_forward: Duration::ZERO,
-            ffn_time_of_last_forward: Duration::ZERO,
-            tape: None,
         }
     }
 
-    /// Stateless forward pass: returns the output and the block's
-    /// activation tape. `ctx` flows through both protected sub-layers.
-    pub fn forward_tape(&self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> (Matrix, BlockTape) {
-        let protection = self.attn.protection;
-        let op_guard = GuardedSection::guard_step(&protection);
+    /// Forward pass under the model's `protection`: returns the output and
+    /// the block's activation tape (sub-layer wall times included). `ctx`
+    /// flows through both protected sub-layers; the LayerNorms and residual
+    /// adds run under one op guard scoped to the block.
+    pub fn forward(
+        &self,
+        x: &Matrix,
+        protection: &ProtectionConfig,
+        ctx: &mut ForwardCtx<'_, '_>,
+    ) -> (Matrix, BlockTape) {
+        let op_guard = GuardedSection::guard_step(protection);
         let out = match self.arch {
             BlockArch::PostLn => {
                 let t0 = Instant::now();
-                let (a, attn) = self.attn.forward_tape(x, ctx);
+                let (a, attn) = self.attn.forward(x, protection, ctx);
                 let attn_time = t0.elapsed();
                 let sum1 = residual_add_checked(x, &a, &op_guard);
-                let (h, ln1) = self.ln1.forward_tape_checked(&sum1, &op_guard);
+                let (h, ln1) = self.ln1.forward(&sum1, &op_guard);
                 let t1 = Instant::now();
-                let (f, ffn) = self.ffn.forward_guarded_tape(&h, &protection, ctx);
+                let (f, ffn) = self.ffn.forward(&h, protection, ctx);
                 let ffn_time = t1.elapsed();
                 let sum2 = residual_add_checked(&h, &f, &op_guard);
-                let (y, ln2) = self.ln2.forward_tape_checked(&sum2, &op_guard);
+                let (y, ln2) = self.ln2.forward(&sum2, &op_guard);
                 (
                     y,
                     BlockTape {
@@ -104,14 +99,14 @@ impl TransformerBlock {
                 )
             }
             BlockArch::PreLn => {
-                let (n1, ln1) = self.ln1.forward_tape_checked(x, &op_guard);
+                let (n1, ln1) = self.ln1.forward(x, &op_guard);
                 let t0 = Instant::now();
-                let (a, attn) = self.attn.forward_tape(&n1, ctx);
+                let (a, attn) = self.attn.forward(&n1, protection, ctx);
                 let attn_time = t0.elapsed();
                 let h = residual_add_checked(x, &a, &op_guard);
-                let (n2, ln2) = self.ln2.forward_tape_checked(&h, &op_guard);
+                let (n2, ln2) = self.ln2.forward(&h, &op_guard);
                 let t1 = Instant::now();
-                let (f, ffn) = self.ffn.forward_guarded_tape(&n2, &protection, ctx);
+                let (f, ffn) = self.ffn.forward(&n2, protection, ctx);
                 let ffn_time = t1.elapsed();
                 (
                     residual_add_checked(&h, &f, &op_guard),
@@ -130,15 +125,10 @@ impl TransformerBlock {
         out
     }
 
-    /// Stateless backward over a tape; returns `dx`.
-    pub fn backward_tape(&self, dy: &Matrix, tape: &BlockTape, grads: &mut Grads) -> Matrix {
-        self.backward_tape_checked(dy, tape, grads, &OpGuard::off())
-    }
-
-    /// Stateless backward with the non-GEMM ops guarded: LayerNorm and
-    /// GELU backward screens plus residual gradient-sum transport, all
-    /// healing by exact recompute on violation.
-    pub fn backward_tape_checked(
+    /// Backward over a tape; returns `dx`. The non-GEMM ops run under `g`:
+    /// LayerNorm, GELU and softmax backward screens plus residual
+    /// gradient-sum transport, all healing by exact recompute on violation.
+    pub fn backward(
         &self,
         dy: &Matrix,
         tape: &BlockTape,
@@ -148,50 +138,23 @@ impl TransformerBlock {
         match self.arch {
             BlockArch::PostLn => {
                 // y = LN2(h + FFN(h)), h = LN1(x + Attn(x))
-                let dsum2 = self.ln2.backward_tape_checked(dy, &tape.ln2, grads, g);
-                let dh_f = self.ffn.backward_tape_checked(&dsum2, &tape.ffn, grads, g);
+                let dsum2 = self.ln2.backward(dy, &tape.ln2, grads, g);
+                let dh_f = self.ffn.backward(&dsum2, &tape.ffn, grads, g);
                 let dh = residual_add_checked(&dsum2, &dh_f, g);
-                let dsum1 = self.ln1.backward_tape_checked(&dh, &tape.ln1, grads, g);
-                let dx_a = self
-                    .attn
-                    .backward_tape_checked(&dsum1, &tape.attn, grads, g);
+                let dsum1 = self.ln1.backward(&dh, &tape.ln1, grads, g);
+                let dx_a = self.attn.backward(&dsum1, &tape.attn, grads, g);
                 residual_add_checked(&dsum1, &dx_a, g)
             }
             BlockArch::PreLn => {
                 // y = h + FFN(LN2(h)), h = x + Attn(LN1(x))
-                let dn2 = self.ffn.backward_tape_checked(dy, &tape.ffn, grads, g);
-                let dh_ln = self.ln2.backward_tape_checked(&dn2, &tape.ln2, grads, g);
+                let dn2 = self.ffn.backward(dy, &tape.ffn, grads, g);
+                let dh_ln = self.ln2.backward(&dn2, &tape.ln2, grads, g);
                 let dh = residual_add_checked(dy, &dh_ln, g);
-                let dn1 = self.attn.backward_tape_checked(&dh, &tape.attn, grads, g);
-                let dx_ln = self.ln1.backward_tape_checked(&dn1, &tape.ln1, grads, g);
+                let dn1 = self.attn.backward(&dh, &tape.attn, grads, g);
+                let dx_ln = self.ln1.backward(&dn1, &tape.ln1, grads, g);
                 residual_add_checked(&dh, &dx_ln, g)
             }
         }
-    }
-
-    /// Forward pass caching the tape for [`Self::backward`]; `ctx` flows
-    /// through both protected sub-layers.
-    pub fn forward(&mut self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> Matrix {
-        let (y, tape) = self.forward_tape(x, ctx);
-        self.attn_time_of_last_forward = tape.attn_time;
-        self.ffn_time_of_last_forward = tape.ffn_time;
-        self.tape = Some(tape);
-        y
-    }
-
-    /// Backward pass; returns `dx`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let tape = self
-            .tape
-            .take()
-            .expect("TransformerBlock::backward before forward");
-        let mut grads = Grads::new();
-        let dx = self.backward_tape(dy, &tape, &mut grads);
-        grads.merge_into(self);
-        dx
     }
 }
 
@@ -211,39 +174,37 @@ mod tests {
     use attnchecker::report::AbftReport;
 
     fn block(arch: BlockArch, rng: &mut TensorRng) -> TransformerBlock {
-        TransformerBlock::new("b", 8, 2, 16, arch, ProtectionConfig::off(), rng)
+        TransformerBlock::new("b", 8, 2, 16, arch, rng)
     }
 
     fn forward_unprotected(
-        b: &mut TransformerBlock,
+        b: &TransformerBlock,
         x: &Matrix,
         report: &mut AbftReport,
-    ) -> Matrix {
+    ) -> (Matrix, BlockTape) {
         let mut ctx = ForwardCtx {
             mask: None,
             toggles: SectionToggles::none(),
             hook: None,
             report,
         };
-        b.forward(x, &mut ctx)
+        b.forward(x, &ProtectionConfig::off(), &mut ctx)
     }
 
     fn run_loss(b: &TransformerBlock, x: &Matrix, dy: &Matrix) -> f32 {
-        // Clone so caches do not leak between finite-difference probes.
-        let mut c = b.clone();
         let mut report = AbftReport::default();
-        let y = forward_unprotected(&mut c, x, &mut report);
+        let (y, _) = forward_unprotected(b, x, &mut report);
         y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
     }
 
     fn grad_check(arch: BlockArch) {
         let mut rng = TensorRng::seed_from(7);
-        let mut b = block(arch, &mut rng);
+        let b = block(arch, &mut rng);
         let x = rng.normal_matrix(4, 8, 0.6);
         let dy = rng.normal_matrix(4, 8, 1.0);
         let mut report = AbftReport::default();
-        let _ = forward_unprotected(&mut b, &x, &mut report);
-        let dx = b.backward(&dy);
+        let (_, tape) = forward_unprotected(&b, &x, &mut report);
+        let dx = b.backward(&dy, &tape, &mut Grads::new(), &OpGuard::off());
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -276,10 +237,10 @@ mod tests {
     fn shapes_preserved() {
         let mut rng = TensorRng::seed_from(8);
         for arch in [BlockArch::PostLn, BlockArch::PreLn] {
-            let mut b = block(arch, &mut rng);
+            let b = block(arch, &mut rng);
             let x = rng.normal_matrix(5, 8, 1.0);
             let mut report = AbftReport::default();
-            let y = forward_unprotected(&mut b, &x, &mut report);
+            let (y, _) = forward_unprotected(&b, &x, &mut report);
             assert_eq!((y.rows(), y.cols()), (5, 8));
         }
     }
@@ -297,7 +258,7 @@ mod tests {
         });
         let x = rng.normal_matrix(3, 8, 1.0);
         let mut report = AbftReport::default();
-        let y = forward_unprotected(&mut b, &x, &mut report);
+        let (y, _) = forward_unprotected(&b, &x, &mut report);
         assert!(y.approx_eq(&x, 1e-5, 1e-5));
     }
 
@@ -305,12 +266,10 @@ mod tests {
     fn protected_block_matches_unprotected_when_fault_free() {
         let mut rng = TensorRng::seed_from(10);
         for arch in [BlockArch::PostLn, BlockArch::PreLn] {
-            let mut off = block(arch, &mut rng);
-            let mut on = off.clone();
-            on.attn.protection = ProtectionConfig::full();
+            let b = block(arch, &mut rng);
             let x = rng.normal_matrix(5, 8, 0.7);
             let mut r_off = AbftReport::default();
-            let y_off = forward_unprotected(&mut off, &x, &mut r_off);
+            let (y_off, _) = forward_unprotected(&b, &x, &mut r_off);
             let mut r_on = AbftReport::default();
             let mut ctx = ForwardCtx {
                 mask: None,
@@ -318,7 +277,7 @@ mod tests {
                 hook: None,
                 report: &mut r_on,
             };
-            let y_on = on.forward(&x, &mut ctx);
+            let (y_on, _) = b.forward(&x, &ProtectionConfig::full(), &mut ctx);
             assert_eq!(y_on, y_off, "{arch:?}: protection must be transparent");
             assert!(r_on.is_quiet());
             // 3 attention sections + 1 FFN section ran.

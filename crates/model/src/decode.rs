@@ -11,7 +11,7 @@
 //! **Parity contract.** Every per-row computation follows the same
 //! blocked accumulation contract as its full-forward counterpart, so the
 //! logits of `decode_step` after any prefill/decode split are
-//! bit-identical to [`TransformerModel::forward_tape`] over the grown
+//! bit-identical to [`TransformerModel::forward`] over the grown
 //! prefix with the same protection config — fault-free *and* after a
 //! corrected injection. Decoding is only defined for the causal decoders
 //! (GPT-2 / GPT-Neo): a bidirectional encoder re-reads the whole sequence
@@ -19,15 +19,11 @@
 
 use crate::block::BlockArch;
 use crate::model::{InjectionSpec, ModelArch, TransformerModel};
-use attn_tensor::guard::{residual_add_checked, verify_rowsum_add};
+use attn_tensor::guard::residual_add_checked;
 use attn_tensor::ops::MASK_NEG;
 use attn_tensor::Matrix;
-use attnchecker::attention::{FaultSite, SectionToggles};
-use attnchecker::checked::CheckedMatrix;
-use attnchecker::config::ProtectionConfig;
-use attnchecker::decode::{
-    decode_step as attn_decode_step, AttentionWeightsRef, AttnKvCache, ColdKvCache,
-};
+use attnchecker::attention::SectionToggles;
+use attnchecker::decode::{self, AttnKvCache, ColdKvCache};
 use attnchecker::report::AbftReport;
 use attnchecker::section::{ForwardCtx, GuardedSection};
 
@@ -90,17 +86,12 @@ impl TransformerModel {
             self.supports_decode(),
             "KV-cached decode requires a causal architecture (GPT-2 / GPT-Neo)"
         );
+        let checksummed = !self.protection().is_off();
         DecodeState {
             layers: self
                 .blocks
                 .iter()
-                .map(|b| {
-                    AttnKvCache::new(
-                        self.config.hidden,
-                        self.config.heads,
-                        !b.attn.protection.is_off(),
-                    )
-                })
+                .map(|_| AttnKvCache::new(self.config.hidden, self.config.heads, checksummed))
                 .collect(),
             cold: Vec::new(),
             pos: 0,
@@ -109,18 +100,18 @@ impl TransformerModel {
 
     /// Verify-on-move **park**: consume `state`'s live caches into cold
     /// per-layer images, verifying every KV block/row against its
-    /// checksums on the way out (using each layer's own ABFT config).
+    /// checksums on the way out (under the model's ABFT config).
     /// Damage found is corrected and recorded in `report`. No-op if the
     /// state is already parked.
     pub fn park_state(&self, state: &mut DecodeState, report: &mut AbftReport) {
         if state.is_parked() {
             return;
         }
+        let abft = &self.protection().abft;
         state.cold = state
             .layers
             .drain(..)
-            .zip(&self.blocks)
-            .map(|(cache, b)| cache.park(&b.attn.protection.abft, report))
+            .map(|cache| cache.park(abft, report))
             .collect();
     }
 
@@ -133,11 +124,11 @@ impl TransformerModel {
         if !state.is_parked() {
             return;
         }
+        let abft = &self.protection().abft;
         state.layers = state
             .cold
             .drain(..)
-            .zip(&self.blocks)
-            .map(|(cold, b)| cold.unpark(&b.attn.protection.abft, report))
+            .map(|cold| cold.unpark(abft, report))
             .collect();
     }
 
@@ -175,7 +166,7 @@ impl TransformerModel {
         assert!(self.supports_decode(), "prefill: non-causal architecture");
         assert_eq!(state.pos, 0, "prefill: state already holds tokens");
         assert!(!tokens.is_empty(), "prefill: empty prompt");
-        let (logits, tape) = self.forward_tape(tokens, toggles, None, report);
+        let (logits, tape) = self.forward(tokens, toggles, None, report);
         for (cache, bt) in state.layers.iter_mut().zip(&tape.blocks) {
             cache.seed(&bt.attn.k, &bt.attn.v);
         }
@@ -210,100 +201,41 @@ impl TransformerModel {
             "decode_step: state is parked — unpark_state first"
         );
         let t = state.pos;
-        let hidden = self.config.hidden;
-        let protection = self
-            .blocks
-            .first()
-            .map(|b| b.attn.protection)
-            .unwrap_or_else(ProtectionConfig::off);
+        let protection = self.protection();
         // Non-GEMM op guard for the whole decode step: embedding row sum,
         // per-block LayerNorms and residual adds, final LN.
-        let op_guard = GuardedSection::guard_step(&protection);
+        let op_guard = GuardedSection::guard_step(protection);
 
-        // ---- embedding row (token + position), the row image of
-        // `Embedding::forward_tape`.
-        let tok_table = &self.embedding.tok.value;
-        let pos_table = &self.embedding.pos.value;
-        assert!(token < tok_table.rows(), "token id {token} out of vocab");
-        let p = t + self.embedding.pos_offset;
-        assert!(p < pos_table.rows(), "position table exhausted at {t}");
-        let mut h = Matrix::zeros(1, hidden);
-        for (d, (&tv, &pv)) in h
-            .row_mut(0)
-            .iter_mut()
-            .zip(tok_table.row(token).iter().zip(pos_table.row(p)))
-        {
-            *d = tv + pv;
-        }
-        verify_rowsum_add(
-            tok_table.row(token),
-            pos_table.row(p),
-            h.row_mut(0),
-            &op_guard,
-        );
+        // ---- embedding row (token + position) at sequence position `t`.
+        let mut h = self.embedding.forward(&[token], t, &op_guard);
 
         // ---- blocks: pre-LN row pipeline with cached attention.
         for (i, (block, cache)) in self.blocks.iter().zip(&mut state.layers).enumerate() {
             assert_eq!(block.arch, BlockArch::PreLn, "causal blocks are pre-LN");
             let mask_row = self.mask_row_for_layer(i, t, t + 1);
 
-            let spec = inject.filter(|s| s.layer == i).copied();
-            let mut fired = false;
-            let mut hook_fn = move |site: FaultSite, m: &mut CheckedMatrix| {
-                let Some(s) = spec else { return };
-                if fired || site.op != s.op {
-                    return;
-                }
-                if let Some(hh) = site.head {
-                    if hh != s.head {
-                        return;
-                    }
-                }
-                fired = true;
-                let r = s.row % m.rows();
-                let c = s.col % m.cols();
-                let old = m.get(r, c);
-                m.set(r, c, s.kind.apply(old));
-            };
+            let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
             let mut ctx = ForwardCtx {
                 mask: Some(&mask_row),
                 toggles,
-                hook: spec.is_some().then_some(&mut hook_fn as _),
+                hook: hook.as_mut().map(|h| h as _),
                 report: &mut *report,
             };
 
-            let (n1, _) = block.ln1.forward_tape_checked(&h, &op_guard);
-            // Borrowed weight view: a decoded token must not pay a
-            // hidden×hidden snapshot clone per layer on the serving path.
-            let al = &block.attn;
-            let weights = AttentionWeightsRef {
-                hidden: al.hidden(),
-                heads: al.heads,
-                wq: &al.wq.value,
-                wk: &al.wk.value,
-                wv: &al.wv.value,
-                wo: &al.wo.value,
-                bq: al.bq.bias(),
-                bk: al.bk.bias(),
-                bv: al.bv.bias(),
-                bo: al.bo.bias(),
-            };
-            let a = attn_decode_step(&weights, &al.protection, &n1, cache, &mut ctx);
+            let (n1, _) = block.ln1.forward(&h, &op_guard);
+            let a = decode::decode_step(&block.attn.weights(), protection, &n1, cache, &mut ctx);
             let res = residual_add_checked(&h, &a, &op_guard);
-            let (n2, _) = block.ln2.forward_tape_checked(&res, &op_guard);
-            let block_protection = block.attn.protection;
-            let (f, _) = block
-                .ffn
-                .forward_guarded_tape(&n2, &block_protection, &mut ctx);
+            let (n2, _) = block.ln2.forward(&res, &op_guard);
+            let (f, _) = block.ffn.forward(&n2, protection, &mut ctx);
             h = residual_add_checked(&res, &f, &op_guard);
         }
 
         // ---- head: final LN on the single row, then the classifier.
         if let Some(ln) = &self.final_ln {
-            let (y, _) = ln.forward_tape_checked(&h, &op_guard);
+            let (y, _) = ln.forward(&h, &op_guard);
             h = y;
         }
-        let (logits, _) = self.classifier.forward_tape(&h);
+        let (logits, _) = self.classifier.forward(&h);
         state.pos = t + 1;
         report.absorb_op_guard(op_guard.take_stats());
         logits
@@ -350,8 +282,7 @@ mod tests {
         );
         // Prefill logits are the full-forward logits of the prompt.
         let mut r = AbftReport::default();
-        let (full0, _) =
-            m.forward_tape(&tokens[..prefill_len], SectionToggles::all(), None, &mut r);
+        let (full0, _) = m.forward(&tokens[..prefill_len], SectionToggles::all(), None, &mut r);
         assert_eq!(bits(&logits0), bits(&full0), "prefill logits");
 
         for t in prefill_len..tokens.len() {
@@ -363,7 +294,7 @@ mod tests {
                 &mut report,
             );
             let mut r = AbftReport::default();
-            let (full, _) = m.forward_tape(&tokens[..=t], SectionToggles::all(), None, &mut r);
+            let (full, _) = m.forward(&tokens[..=t], SectionToggles::all(), None, &mut r);
             assert_eq!(
                 bits(&logits),
                 bits(&full),

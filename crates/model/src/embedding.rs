@@ -15,7 +15,6 @@ pub struct Embedding {
     /// Positions start at this offset (RoBERTa reserves low position ids
     /// for padding; BERT/GPT start at 0).
     pub pos_offset: usize,
-    cache_tokens: Option<Vec<usize>>,
 }
 
 impl Embedding {
@@ -39,35 +38,31 @@ impl Embedding {
                 rng.trunc_normal_matrix(max_seq + pos_offset, hidden, 0.02),
             ),
             pos_offset,
-            cache_tokens: None,
         }
     }
 
-    /// Stateless embed of a token sequence into a `seq × hidden` matrix.
-    /// The "tape" is the token sequence itself, which the caller already
-    /// owns, so nothing extra is returned.
+    /// Embed `tokens`, the first sitting at sequence position `start_pos`
+    /// (0 for a whole sequence; the decode position for a single appended
+    /// token), into a `tokens.len() × hidden` matrix. The "tape" is the
+    /// token sequence itself, which the caller already owns, so nothing
+    /// extra is returned. Under an active `g` each gathered row is screened
+    /// against the f64 sum transport `Σ tok_row + Σ pos_row ≈ Σ out_row`
+    /// and healed element-wise from the (at-rest) tables on violation.
     ///
     /// # Panics
-    /// Panics on out-of-vocabulary ids or sequences longer than the
-    /// position table.
-    pub fn forward_tape(&self, tokens: &[usize]) -> Matrix {
-        self.forward_checked(tokens, &OpGuard::off())
-    }
-
-    /// Guarded embed: each gathered row is screened against the f64 sum
-    /// transport `Σ tok_row + Σ pos_row ≈ Σ out_row` and healed
-    /// element-wise from the (at-rest) tables on violation.
-    ///
-    /// # Panics
-    /// Panics on out-of-vocabulary ids or sequences longer than the
-    /// position table.
-    pub fn forward_checked(&self, tokens: &[usize], g: &OpGuard) -> Matrix {
+    /// Panics on out-of-vocabulary ids or positions past the position
+    /// table.
+    pub fn forward(&self, tokens: &[usize], start_pos: usize, g: &OpGuard) -> Matrix {
         let hidden = self.tok.value.cols();
         let mut out = Matrix::zeros(tokens.len(), hidden);
         for (i, &t) in tokens.iter().enumerate() {
             assert!(t < self.tok.value.rows(), "token id {t} out of vocab");
-            let p = i + self.pos_offset;
-            assert!(p < self.pos.value.rows(), "sequence too long");
+            let p = start_pos + i + self.pos_offset;
+            assert!(
+                p < self.pos.value.rows(),
+                "position table exhausted at {}",
+                start_pos + i
+            );
             let dst = out.row_mut(i);
             for (d, (&tv, &pv)) in dst
                 .iter_mut()
@@ -80,10 +75,11 @@ impl Embedding {
         out
     }
 
-    /// Stateless backward: scatter-add `dy` rows into the token and
-    /// position gradient slots of `grads`. One table at a time, so each
-    /// gradient slot is looked up once instead of once per token.
-    pub fn backward_tape(&self, dy: &Matrix, tokens: &[usize], grads: &mut Grads) {
+    /// Backward of a whole-sequence (`start_pos = 0`) embed: scatter-add
+    /// `dy` rows into the token and position gradient slots of `grads`.
+    /// One table at a time, so each gradient slot is looked up once instead
+    /// of once per token.
+    pub fn backward(&self, dy: &Matrix, tokens: &[usize], grads: &mut Grads) {
         assert_eq!(dy.rows(), tokens.len());
         let dtok = grads.matrix_mut(&self.tok.name, self.tok.value.rows(), self.tok.value.cols());
         for (i, &t) in tokens.iter().enumerate() {
@@ -98,31 +94,6 @@ impl Embedding {
                 *g += d;
             }
         }
-    }
-
-    /// Embed a token sequence, caching the tokens for [`Self::backward`].
-    ///
-    /// # Panics
-    /// Panics on out-of-vocabulary ids or sequences longer than the
-    /// position table.
-    pub fn forward(&mut self, tokens: &[usize]) -> Matrix {
-        let out = self.forward_tape(tokens);
-        self.cache_tokens = Some(tokens.to_vec());
-        out
-    }
-
-    /// Backward: scatter-add `dy` rows into the token and position tables.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) {
-        let tokens = self
-            .cache_tokens
-            .take()
-            .expect("Embedding::backward before forward");
-        let mut grads = Grads::new();
-        self.backward_tape(dy, &tokens, &mut grads);
-        grads.merge_into(self);
     }
 }
 
@@ -140,8 +111,8 @@ mod tests {
     #[test]
     fn forward_adds_token_and_position() {
         let mut rng = TensorRng::seed_from(1);
-        let mut emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
-        let x = emb.forward(&[3, 7]);
+        let emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
+        let x = emb.forward(&[3, 7], 0, &OpGuard::off());
         for d in 0..4 {
             assert!((x[(0, d)] - emb.tok.value[(3, d)] - emb.pos.value[(0, d)]).abs() < 1e-6);
             assert!((x[(1, d)] - emb.tok.value[(7, d)] - emb.pos.value[(1, d)]).abs() < 1e-6);
@@ -151,8 +122,8 @@ mod tests {
     #[test]
     fn position_offset_shifts_rows() {
         let mut rng = TensorRng::seed_from(2);
-        let mut emb = Embedding::new("e", 10, 8, 4, 2, &mut rng);
-        let x = emb.forward(&[0]);
+        let emb = Embedding::new("e", 10, 8, 4, 2, &mut rng);
+        let x = emb.forward(&[0], 0, &OpGuard::off());
         for d in 0..4 {
             assert!((x[(0, d)] - emb.tok.value[(0, d)] - emb.pos.value[(2, d)]).abs() < 1e-6);
         }
@@ -162,9 +133,10 @@ mod tests {
     fn backward_scatters_including_repeats() {
         let mut rng = TensorRng::seed_from(3);
         let mut emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
-        let _ = emb.forward(&[5, 5, 2]);
         let dy = Matrix::full(3, 4, 1.0);
-        emb.backward(&dy);
+        let mut grads = Grads::new();
+        emb.backward(&dy, &[5, 5, 2], &mut grads);
+        grads.merge_into(&mut emb);
         // Token 5 appears twice → gradient 2, token 2 once → 1.
         assert!(emb.tok.grad.row(5).iter().all(|&g| (g - 2.0).abs() < 1e-6));
         assert!(emb.tok.grad.row(2).iter().all(|&g| (g - 1.0).abs() < 1e-6));
@@ -179,7 +151,7 @@ mod tests {
     #[should_panic]
     fn oov_token_panics() {
         let mut rng = TensorRng::seed_from(4);
-        let mut emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
-        let _ = emb.forward(&[11]);
+        let emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
+        let _ = emb.forward(&[11], 0, &OpGuard::off());
     }
 }

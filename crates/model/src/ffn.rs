@@ -15,7 +15,6 @@ use crate::linear::ProtectedLinear;
 use crate::param::{Grads, HasParams, Param};
 use crate::tape::FfnTape;
 use attn_tensor::guard::{gelu_backward_checked, gelu_matrix_checked, gelu_matrix_checked_inplace};
-use attn_tensor::ops::{gelu_backward, gelu_matrix};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::AttnOp;
@@ -31,7 +30,6 @@ pub struct FeedForward {
     pub lin1: ProtectedLinear,
     /// Contraction projection (tap site [`AttnOp::Ffn2`]).
     pub lin2: ProtectedLinear,
-    cache_pre: Option<Matrix>,
 }
 
 impl FeedForward {
@@ -40,41 +38,17 @@ impl FeedForward {
         Self {
             lin1: ProtectedLinear::new(&format!("{name}.lin1"), hidden, inner, AttnOp::Ffn1, rng),
             lin2: ProtectedLinear::new(&format!("{name}.lin2"), inner, hidden, AttnOp::Ffn2, rng),
-            cache_pre: None,
         }
     }
 
-    /// Stateless unprotected forward: returns the output and the
-    /// activation tape.
-    pub fn forward_tape(&self, x: &Matrix) -> (Matrix, FfnTape) {
-        self.forward_tape_with(x, &OpGuard::off())
-    }
-
-    /// Stateless forward with a guarded GELU: the nonlinearity's output
-    /// is screened element-wise and healed by exact recompute on
-    /// violation. The GEMMs stay unprotected (that is
-    /// [`Self::forward_guarded_tape`]'s job).
-    pub fn forward_tape_with(&self, x: &Matrix, g: &OpGuard) -> (Matrix, FfnTape) {
-        let (pre, x_tape) = self.lin1.inner.forward_tape(x);
-        let act = gelu_matrix_checked(&pre, g);
-        let (y, act_tape) = self.lin2.inner.forward_tape(&act);
-        (
-            y,
-            FfnTape {
-                x: x_tape,
-                pre,
-                act: act_tape,
-            },
-        )
-    }
-
-    /// Stateless guarded forward: both GEMMs run inside one `S_FFN`
-    /// section under `config`, gated by `ctx.toggles.s_ffn`, with fault
-    /// taps at [`AttnOp::Ffn1`]/[`AttnOp::Ffn2`] and in-place
-    /// (rollback-free) correction. Degrades to the exact unprotected
-    /// computation when the section is off. The returned tape holds the
-    /// healed activations, so backward proceeds exactly as fault-free.
-    pub fn forward_guarded_tape(
+    /// Forward: both GEMMs run inside one `S_FFN` section under `config`,
+    /// gated by `ctx.toggles.s_ffn`, with fault taps at
+    /// [`AttnOp::Ffn1`]/[`AttnOp::Ffn2`] and in-place (rollback-free)
+    /// correction; GELU runs under the step's element-wise op guard
+    /// whether or not the section fires. Degrades to the exact unprotected
+    /// computation under [`ProtectionConfig::off`]. The returned tape holds
+    /// the healed activations, so backward proceeds exactly as fault-free.
+    pub fn forward(
         &self,
         x: &Matrix,
         config: &ProtectionConfig,
@@ -86,97 +60,57 @@ impl FeedForward {
             ctx.toggles.s_ffn,
             ctx.report,
         );
-        if !sec.active() && ctx.hook.is_none() {
+        let op_guard = GuardedSection::guard_step(config);
+        let out = if !sec.active() && ctx.hook.is_none() {
             // Nothing to detect and no taps to fire: the inactive guarded
             // pipeline computes the identical bits but pays several
             // full-matrix copies (plain wraps + logical extractions), which
             // would tax the unprotected baseline every overhead experiment
-            // divides by.
-            return self.forward_tape(x);
-        }
-        let op_guard = GuardedSection::guard_step(config);
-        // The block input enters S_FFN through the fused encode path of
-        // `ProtectedLinear`: no standalone encode sweep over `x`.
-        let xc = sec.operand(x);
-        let (pre, x_tape) = self.lin1.forward_guarded_tape(&xc, &sec, ctx);
-        // GELU is nonlinear: exit the checksummed region; the result's
-        // re-encoding rides inside the contraction GEMM's packing pass.
-        // The nonlinearity itself is covered by the element-wise op
-        // guard (bounds screen + exact recompute from the healed `pre`).
-        let act = CheckedMatrix::from_plain_owned(sec.exit_cols(&pre, |m| {
-            gelu_matrix_checked_inplace(m, &op_guard);
-        }));
-        let (y, act_tape) = self.lin2.forward_guarded_tape(&act, &sec, ctx);
+            // divides by. GELU keeps its op guard — a skipped S_FFN gate
+            // does not switch the non-GEMM screens off.
+            let (pre, x_tape) = self.lin1.inner.forward(x);
+            let act = gelu_matrix_checked(&pre, &op_guard);
+            let (y, act_tape) = self.lin2.inner.forward(&act);
+            (
+                y,
+                FfnTape {
+                    x: x_tape,
+                    pre,
+                    act: act_tape,
+                },
+            )
+        } else {
+            // The block input enters S_FFN through the fused encode path of
+            // `ProtectedLinear`: no standalone encode sweep over `x`.
+            let xc = sec.operand(x);
+            let (pre, x_tape) = self.lin1.forward(&xc, &sec, ctx);
+            // GELU is nonlinear: exit the checksummed region; the result's
+            // re-encoding rides inside the contraction GEMM's packing pass.
+            // The nonlinearity itself is covered by the element-wise op
+            // guard (bounds screen + exact recompute from the healed `pre`).
+            let act = CheckedMatrix::from_plain_owned(sec.exit_cols(&pre, |m| {
+                gelu_matrix_checked_inplace(m, &op_guard);
+            }));
+            let (y, act_tape) = self.lin2.forward(&act, &sec, ctx);
+            (
+                y.logical(),
+                FfnTape {
+                    x: x_tape,
+                    pre: pre.logical(),
+                    act: act_tape,
+                },
+            )
+        };
         ctx.report.absorb_op_guard(op_guard.take_stats());
-        (
-            y.logical(),
-            FfnTape {
-                x: x_tape,
-                pre: pre.logical(),
-                act: act_tape,
-            },
-        )
+        out
     }
 
-    /// Stateless backward over a tape; returns `dx`.
-    pub fn backward_tape(&self, dy: &Matrix, tape: &FfnTape, grads: &mut Grads) -> Matrix {
-        self.backward_tape_checked(dy, tape, grads, &OpGuard::off())
-    }
-
-    /// Stateless backward with a guarded GELU derivative; see
-    /// [`attn_tensor::guard::verify_gelu_backward`].
-    pub fn backward_tape_checked(
-        &self,
-        dy: &Matrix,
-        tape: &FfnTape,
-        grads: &mut Grads,
-        g: &OpGuard,
-    ) -> Matrix {
-        let dact = self.lin2.backward_tape(dy, &tape.act, grads);
+    /// Backward over a tape with the GELU derivative under `g` (see
+    /// [`attn_tensor::guard::verify_gelu_backward`]); returns `dx`.
+    pub fn backward(&self, dy: &Matrix, tape: &FfnTape, grads: &mut Grads, g: &OpGuard) -> Matrix {
+        let dact = self.lin2.backward(dy, &tape.act, grads);
         let dpre = gelu_backward_checked(&tape.pre, &dact, g);
-        self.lin1.backward_tape(&dpre, &tape.x, grads)
-    }
-
-    /// Unprotected forward pass with caching.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let pre = self.lin1.forward(x);
-        let act = gelu_matrix(&pre);
-        self.cache_pre = Some(pre);
-        self.lin2.forward(&act)
-    }
-
-    /// Guarded forward with caching — see [`Self::forward_guarded_tape`].
-    pub fn forward_guarded(
-        &mut self,
-        x: &Matrix,
-        config: &ProtectionConfig,
-        ctx: &mut ForwardCtx<'_, '_>,
-    ) -> Matrix {
-        let (y, tape) = self.forward_guarded_tape(x, config, ctx);
-        self.lin1.inner.cache_x = Some(tape.x);
-        self.cache_pre = Some(tape.pre);
-        self.lin2.inner.cache_x = Some(tape.act);
-        y
-    }
-
-    /// Forward without caching.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let pre = self.lin1.forward_inference(x);
-        self.lin2.forward_inference(&gelu_matrix(&pre))
-    }
-
-    /// Backward pass; returns `dx`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let pre = self
-            .cache_pre
-            .take()
-            .expect("FeedForward::backward before forward");
-        let dact = self.lin2.backward(dy);
-        let dpre = gelu_backward(&pre, &dact);
-        self.lin1.backward(&dpre)
+        self.lin1.backward(&dpre, &tape.x, grads)
     }
 }
 
@@ -195,12 +129,26 @@ mod tests {
     use attnchecker::checked::CheckedMatrix;
     use attnchecker::report::AbftReport;
 
+    /// Unprotected forward: `off()` config, no sections, no hook.
+    fn plain(ffn: &FeedForward, x: &Matrix) -> (Matrix, FfnTape) {
+        let (y, tape, _) = guarded(ffn, x, &ProtectionConfig::off(), false, None);
+        (y, tape)
+    }
+
+    /// Backward over `tape` with gradients merged into the layer; returns `dx`.
+    fn backprop(ffn: &mut FeedForward, tape: &FfnTape, dy: &Matrix) -> Matrix {
+        let mut grads = Grads::new();
+        let dx = ffn.backward(dy, tape, &mut grads, &OpGuard::off());
+        grads.merge_into(ffn);
+        dx
+    }
+
     #[test]
     fn shapes() {
         let mut rng = TensorRng::seed_from(1);
-        let mut ffn = FeedForward::new("f", 8, 32, &mut rng);
+        let ffn = FeedForward::new("f", 8, 32, &mut rng);
         let x = rng.normal_matrix(5, 8, 1.0);
-        let y = ffn.forward(&x);
+        let (y, _) = plain(&ffn, &x);
         assert_eq!((y.rows(), y.cols()), (5, 8));
     }
 
@@ -210,11 +158,11 @@ mod tests {
         let mut ffn = FeedForward::new("f", 4, 8, &mut rng);
         let x = rng.normal_matrix(2, 4, 1.0);
         let dy = rng.normal_matrix(2, 4, 1.0);
-        let _ = ffn.forward(&x);
-        let dx = ffn.backward(&dy);
+        let (_, tape) = plain(&ffn, &x);
+        let dx = backprop(&mut ffn, &tape, &dy);
 
         let loss = |f: &FeedForward, xx: &Matrix| -> f32 {
-            let y = f.forward_inference(xx);
+            let (y, _) = plain(f, xx);
             y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
         };
         let eps = 1e-2;
@@ -240,11 +188,11 @@ mod tests {
         let mut ffn = FeedForward::new("f", 3, 6, &mut rng);
         let x = rng.normal_matrix(2, 3, 1.0);
         let dy = rng.normal_matrix(2, 3, 1.0);
-        let _ = ffn.forward(&x);
-        let _ = ffn.backward(&dy);
+        let (_, tape) = plain(&ffn, &x);
+        let _ = backprop(&mut ffn, &tape, &dy);
 
         let loss = |f: &FeedForward, xx: &Matrix| -> f32 {
-            let y = f.forward_inference(xx);
+            let (y, _) = plain(f, xx);
             y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
         };
         let eps = 1e-2;
@@ -271,15 +219,16 @@ mod tests {
         assert_eq!(ffn.param_count(), 148);
     }
 
+    /// Returns `(output, tape, report)`.
     fn guarded(
-        ffn: &mut FeedForward,
+        ffn: &FeedForward,
         x: &Matrix,
         config: &ProtectionConfig,
         s_ffn: bool,
         hook: Option<attnchecker::attention::FaultHook<'_>>,
-    ) -> (Matrix, AbftReport) {
+    ) -> (Matrix, FfnTape, AbftReport) {
         let mut report = AbftReport::default();
-        let out = {
+        let (out, tape) = {
             let mut ctx = ForwardCtx {
                 mask: None,
                 toggles: SectionToggles {
@@ -289,20 +238,20 @@ mod tests {
                 hook,
                 report: &mut report,
             };
-            ffn.forward_guarded(x, config, &mut ctx)
+            ffn.forward(x, config, &mut ctx)
         };
-        (out, report)
+        (out, tape, report)
     }
 
     #[test]
     fn guarded_fault_free_is_bit_identical_to_unprotected() {
         let mut rng = TensorRng::seed_from(5);
-        let mut ffn = FeedForward::new("f", 6, 24, &mut rng);
+        let ffn = FeedForward::new("f", 6, 24, &mut rng);
         let x = rng.normal_matrix(5, 6, 1.0);
-        let plain = ffn.forward_inference(&x);
+        let (reference, _) = plain(&ffn, &x);
         for s_ffn in [false, true] {
-            let (y, report) = guarded(&mut ffn, &x, &ProtectionConfig::full(), s_ffn, None);
-            assert_eq!(y, plain, "s_ffn={s_ffn}");
+            let (y, _, report) = guarded(&ffn, &x, &ProtectionConfig::full(), s_ffn, None);
+            assert_eq!(y, reference, "s_ffn={s_ffn}");
             assert!(report.is_quiet());
             assert_eq!(report.sections_checked, usize::from(s_ffn));
         }
@@ -311,9 +260,9 @@ mod tests {
     #[test]
     fn both_gemm_sites_are_corrected_in_place() {
         let mut rng = TensorRng::seed_from(6);
-        let mut ffn = FeedForward::new("f", 6, 24, &mut rng);
+        let ffn = FeedForward::new("f", 6, 24, &mut rng);
         let x = rng.normal_matrix(5, 6, 1.0);
-        let plain = ffn.forward_inference(&x);
+        let (reference, _) = plain(&ffn, &x);
         for op in AttnOp::FFN {
             for kind in [FaultKind::Inf, FaultKind::NaN, FaultKind::NearInf] {
                 let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
@@ -323,14 +272,9 @@ mod tests {
                         m.set(r, c, kind.apply(old));
                     }
                 };
-                let (y, report) = guarded(
-                    &mut ffn,
-                    &x,
-                    &ProtectionConfig::full(),
-                    true,
-                    Some(&mut hook),
-                );
-                assert_eq!(y, plain, "{op:?}/{kind:?}: must restore exact bits");
+                let (y, _, report) =
+                    guarded(&ffn, &x, &ProtectionConfig::full(), true, Some(&mut hook));
+                assert_eq!(y, reference, "{op:?}/{kind:?}: must restore exact bits");
                 assert!(report.correction_count() > 0, "{op:?}/{kind:?}");
                 assert_eq!(report.unrecovered, 0, "{op:?}/{kind:?}");
                 assert!(report
@@ -349,24 +293,45 @@ mod tests {
         let x = rng.normal_matrix(3, 4, 1.0);
         let dy = rng.normal_matrix(3, 4, 1.0);
 
-        let (_, _) = guarded(&mut clean, &x, &ProtectionConfig::full(), true, None);
-        let dx_clean = clean.backward(&dy);
+        let (_, tape, _) = guarded(&clean, &x, &ProtectionConfig::full(), true, None);
+        let dx_clean = backprop(&mut clean, &tape, &dy);
 
         let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
             if site.op == AttnOp::Ffn1 {
                 m.set(1, 5, f32::INFINITY);
             }
         };
-        let (_, report) = guarded(
-            &mut faulty,
+        let (_, tape, report) = guarded(
+            &faulty,
             &x,
             &ProtectionConfig::full(),
             true,
             Some(&mut hook),
         );
         assert!(report.correction_count() > 0);
-        let dx_faulty = faulty.backward(&dy);
+        let dx_faulty = backprop(&mut faulty, &tape, &dy);
         assert_eq!(dx_clean, dx_faulty, "backward must see healed activations");
         assert_eq!(clean.lin1.inner.w.grad, faulty.lin1.inner.w.grad);
+    }
+
+    #[test]
+    fn gelu_guard_runs_whenever_protection_is_not_off() {
+        // The S_FFN gate (or an attention-only policy) skips the GEMM
+        // checksums, never the element-wise GELU screen.
+        let mut rng = TensorRng::seed_from(8);
+        let ffn = FeedForward::new("f", 6, 24, &mut rng);
+        let x = rng.normal_matrix(5, 6, 1.0);
+        let (y_off, _, r_off) = guarded(&ffn, &x, &ProtectionConfig::off(), false, None);
+        assert_eq!(r_off.op_checks, 0);
+        for (config, s_ffn) in [
+            (ProtectionConfig::attention_only(), false),
+            (ProtectionConfig::full(), false),
+            (ProtectionConfig::full(), true),
+        ] {
+            let (y, _, report) = guarded(&ffn, &x, &config, s_ffn, None);
+            assert!(report.op_checks > 0, "s_ffn={s_ffn}: GELU screen skipped");
+            assert!(report.is_quiet());
+            assert_eq!(y, y_off, "s_ffn={s_ffn}: guard must be transparent");
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::param::{Grads, HasParams, Param};
 use attn_tensor::guard::{layer_norm_backward_checked, layer_norm_checked};
-use attn_tensor::ops::{layer_norm, LayerNormCache};
+use attn_tensor::ops::LayerNormCache;
 use attn_tensor::{Matrix, OpGuard};
 
 /// LayerNorm over the hidden dimension.
@@ -14,7 +14,6 @@ pub struct LayerNorm {
     pub beta: Param,
     /// Variance epsilon.
     pub eps: f32,
-    cache: Option<LayerNormCache>,
 }
 
 impl LayerNorm {
@@ -24,29 +23,20 @@ impl LayerNorm {
             gamma: Param::new(format!("{name}.gamma"), Matrix::full(1, hidden, 1.0)),
             beta: Param::zeros(format!("{name}.beta"), 1, hidden),
             eps,
-            cache: None,
         }
     }
 
-    /// Stateless forward: returns the output and the statistics tape.
-    pub fn forward_tape(&self, x: &Matrix) -> (Matrix, LayerNormCache) {
-        self.forward_tape_checked(x, &OpGuard::off())
-    }
-
-    /// Guarded stateless forward: per-row invariant screens with exact
-    /// recompute-from-input on violation.
-    pub fn forward_tape_checked(&self, x: &Matrix, g: &OpGuard) -> (Matrix, LayerNormCache) {
+    /// Forward: returns the output and the statistics tape. Under an
+    /// active `g` each row is invariant-screened and recomputed exactly
+    /// from the input on violation; [`OpGuard::off`] is the plain op.
+    pub fn forward(&self, x: &Matrix, g: &OpGuard) -> (Matrix, LayerNormCache) {
         layer_norm_checked(x, self.gamma.bias(), self.beta.bias(), self.eps, g)
     }
 
-    /// Stateless backward over a tape; γ/β gradients go into `grads`.
-    pub fn backward_tape(&self, dy: &Matrix, cache: &LayerNormCache, grads: &mut Grads) -> Matrix {
-        self.backward_tape_checked(dy, cache, grads, &OpGuard::off())
-    }
-
-    /// Guarded stateless backward; see
+    /// Backward over the statistics tape; γ/β gradients go into `grads`.
+    /// Guarded like the forward — see
     /// [`attn_tensor::guard::verify_layer_norm_backward`].
-    pub fn backward_tape_checked(
+    pub fn backward(
         &self,
         dy: &Matrix,
         cache: &LayerNormCache,
@@ -56,33 +46,6 @@ impl LayerNorm {
         let (dx, dgamma, dbeta) = layer_norm_backward_checked(dy, cache, self.gamma.bias(), g);
         grads.accumulate(&self.gamma.name, &Matrix::from_vec(1, dgamma.len(), dgamma));
         grads.accumulate(&self.beta.name, &Matrix::from_vec(1, dbeta.len(), dbeta));
-        dx
-    }
-
-    /// Forward pass, caching statistics for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (y, cache) = self.forward_tape(x);
-        self.cache = Some(cache);
-        y
-    }
-
-    /// Forward without caching.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        layer_norm(x, self.gamma.bias(), self.beta.bias(), self.eps).0
-    }
-
-    /// Backward pass; returns `dx` and accumulates γ/β gradients.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let cache = self
-            .cache
-            .take()
-            .expect("LayerNorm::backward before forward");
-        let mut grads = Grads::new();
-        let dx = self.backward_tape(dy, &cache, &mut grads);
-        grads.merge_into(self);
         dx
     }
 }
@@ -102,9 +65,9 @@ mod tests {
     #[test]
     fn normalises_rows() {
         let mut rng = TensorRng::seed_from(1);
-        let mut ln = LayerNorm::new("ln", 16, 1e-5);
+        let ln = LayerNorm::new("ln", 16, 1e-5);
         let x = rng.normal_matrix(4, 16, 5.0);
-        let y = ln.forward(&x);
+        let (y, _) = ln.forward(&x, &OpGuard::off());
         for r in 0..4 {
             let mu: f32 = y.row(r).iter().sum::<f32>() / 16.0;
             assert!(mu.abs() < 1e-4);
@@ -119,11 +82,13 @@ mod tests {
         ln.beta.value = rng.uniform_matrix(1, 6, -0.5, 0.5);
         let x = rng.normal_matrix(3, 6, 2.0);
         let dy = rng.normal_matrix(3, 6, 1.0);
-        let _ = ln.forward(&x);
-        let dx = ln.backward(&dy);
+        let (_, cache) = ln.forward(&x, &OpGuard::off());
+        let mut grads = Grads::new();
+        let dx = ln.backward(&dy, &cache, &mut grads, &OpGuard::off());
+        grads.merge_into(&mut ln);
 
         let loss = |l: &LayerNorm, xx: &Matrix| -> f32 {
-            let y = l.forward_inference(xx);
+            let (y, _) = l.forward(xx, &OpGuard::off());
             y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
         };
         let eps = 1e-2;

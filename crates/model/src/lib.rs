@@ -5,7 +5,10 @@
 //!
 //! * [`param`] / [`optim`] — parameters with gradients and AdamW.
 //! * [`linear`], [`embedding`], [`layernorm`], [`ffn`] — layers with
-//!   hand-written backprop, each finite-difference-tested.
+//!   hand-written backprop, each finite-difference-tested. Every layer has
+//!   one stateless `forward(&self, …) -> (y, tape)` and one `backward` over
+//!   that [`tape`]; protection is a `ProtectionConfig` / `OpGuard` value
+//!   passed in, never a different method.
 //! * [`attn_layer`] — multi-head attention wrapping the ATTNChecker
 //!   protected forward, plus its backward pass.
 //! * [`block`] — pre-LN / post-LN transformer blocks.

@@ -17,7 +17,6 @@ pub struct Linear {
     pub w: Param,
     /// Bias, `1 × out_dim`.
     pub b: Param,
-    pub(crate) cache_x: Option<Matrix>,
 }
 
 impl Linear {
@@ -26,7 +25,6 @@ impl Linear {
         Self {
             w: Param::new(format!("{name}.w"), rng.xavier_matrix(in_dim, out_dim)),
             b: Param::zeros(format!("{name}.b"), 1, out_dim),
-            cache_x: None,
         }
     }
 
@@ -40,50 +38,20 @@ impl Linear {
         self.w.value.cols()
     }
 
-    /// Stateless forward: returns the output and the input tape (the
-    /// activation backward needs).
-    pub fn forward_tape(&self, x: &Matrix) -> (Matrix, Matrix) {
+    /// Forward: returns the output and the input tape (the activation
+    /// backward needs).
+    pub fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {
         let mut y = matmul(x, &self.w.value);
         add_bias_inplace(&mut y, self.b.bias());
         (y, x.clone())
     }
 
-    /// Stateless backward over a tape: writes `dW = xᵀ·dy`, `db = Σrows(dy)`
+    /// Backward over the input tape: writes `dW = xᵀ·dy`, `db = Σrows(dy)`
     /// into `grads`, returns `dx = dy·Wᵀ`.
-    pub fn backward_tape(&self, dy: &Matrix, x: &Matrix, grads: &mut Grads) -> Matrix {
+    pub fn backward(&self, dy: &Matrix, x: &Matrix, grads: &mut Grads) -> Matrix {
         grads.accumulate(&self.w.name, &matmul_tn(x, dy));
         grads.accumulate(&self.b.name, &Matrix::from_vec(1, dy.cols(), col_sums(dy)));
         matmul_nt(dy, &self.w.value)
-    }
-
-    /// Forward pass, caching the input for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (y, tape) = self.forward_tape(x);
-        self.cache_x = Some(tape);
-        y
-    }
-
-    /// Forward without caching (inference / timing runs).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut y = matmul(x, &self.w.value);
-        add_bias_inplace(&mut y, self.b.bias());
-        y
-    }
-
-    /// Backward pass: accumulates `dW = xᵀ·dy`, `db = Σrows(dy)`, returns
-    /// `dx = dy·Wᵀ`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let x = self
-            .cache_x
-            .take()
-            .expect("Linear::backward before forward");
-        let mut grads = Grads::new();
-        let dx = self.backward_tape(dy, &x, &mut grads);
-        grads.merge_into(self);
-        dx
     }
 }
 
@@ -99,8 +67,8 @@ impl HasParams for Linear {
 /// `x·W`, the output is exposed to fault hooks at `site`, and the section's
 /// detection point corrects any extreme value in place — refined to exact
 /// bits by replaying the producing dot product — before the activation is
-/// cached for backward. Backward is untouched: by the time gradients flow,
-/// the cached activations are already healed.
+/// taped for backward. Backward is untouched: by the time gradients flow,
+/// the taped activations are already healed.
 #[derive(Debug, Clone)]
 pub struct ProtectedLinear {
     /// The wrapped affine layer (parameters, gradients, backward).
@@ -124,14 +92,15 @@ impl ProtectedLinear {
         }
     }
 
-    /// Stateless guarded forward over `xc` — either an already-encoded
-    /// operand (checksummed products pass straight through and ride) or a
-    /// plain wrap, in which case the operand *enters* the section through
-    /// the fused encode-and-multiply path: its column encoding accumulates
+    /// Guarded forward over `xc` — either an already-encoded operand
+    /// (checksummed products pass straight through and ride) or a plain
+    /// wrap, in which case the operand *enters* the section through the
+    /// fused encode-and-multiply path: its column encoding accumulates
     /// inside the GEMM's packing pass instead of a standalone sweep.
     /// Returns the checked output — post-detection, post-correction — for
-    /// the next chain step, plus the logical input tape for backward.
-    pub fn forward_guarded_tape(
+    /// the next chain step, plus the logical input tape for backward. An
+    /// inactive `sec` computes the identical bits without detection.
+    pub fn forward(
         &self,
         xc: &CheckedMatrix,
         sec: &GuardedSection,
@@ -163,39 +132,9 @@ impl ProtectedLinear {
         (y, xc.logical())
     }
 
-    /// Guarded forward caching the logical input for [`Self::backward`].
-    pub fn forward_guarded(
-        &mut self,
-        xc: &CheckedMatrix,
-        sec: &GuardedSection,
-        ctx: &mut ForwardCtx<'_, '_>,
-    ) -> CheckedMatrix {
-        let (y, tape) = self.forward_guarded_tape(xc, sec, ctx);
-        self.inner.cache_x = Some(tape);
-        y
-    }
-
-    /// Stateless backward over a tape (delegates to the inner layer).
-    pub fn backward_tape(&self, dy: &Matrix, x: &Matrix, grads: &mut Grads) -> Matrix {
-        self.inner.backward_tape(dy, x, grads)
-    }
-
-    /// Unprotected forward (delegates to the inner layer).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.inner.forward(x)
-    }
-
-    /// Forward without caching (inference / timing runs).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        self.inner.forward_inference(x)
-    }
-
-    /// Backward pass (delegates to the inner layer).
-    ///
-    /// # Panics
-    /// Panics if called before a forward.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        self.inner.backward(dy)
+    /// Backward over the input tape (delegates to the inner layer).
+    pub fn backward(&self, dy: &Matrix, x: &Matrix, grads: &mut Grads) -> Matrix {
+        self.inner.backward(dy, x, grads)
     }
 }
 
@@ -217,11 +156,13 @@ mod tests {
         let x = rng.normal_matrix(3, 5, 1.0);
         let dy = rng.normal_matrix(3, 4, 1.0);
 
-        let _y = lin.forward(&x);
-        let dx = lin.backward(&dy);
+        let (_y, tape) = lin.forward(&x);
+        let mut grads = Grads::new();
+        let dx = lin.backward(&dy, &tape, &mut grads);
+        grads.merge_into(&mut lin);
 
         let loss = |l: &Linear, xx: &Matrix| -> f32 {
-            let y = l.forward_inference(xx);
+            let (y, _) = l.forward(xx);
             y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
         };
 
@@ -269,7 +210,7 @@ mod tests {
         let mut lin = Linear::new("t", 3, 2, &mut rng);
         lin.b.value[(0, 0)] = 10.0;
         let x = Matrix::zeros(4, 3);
-        let y = lin.forward(&x);
+        let (y, _) = lin.forward(&x);
         assert_eq!((y.rows(), y.cols()), (4, 2));
         assert!((y[(0, 0)] - 10.0).abs() < 1e-6);
         assert!((y[(0, 1)]).abs() < 1e-6);
@@ -281,20 +222,16 @@ mod tests {
         let mut lin = Linear::new("t", 3, 3, &mut rng);
         let x = rng.normal_matrix(2, 3, 1.0);
         let dy = rng.normal_matrix(2, 3, 1.0);
-        let _ = lin.forward(&x);
-        let _ = lin.backward(&dy);
+        let step = |lin: &mut Linear| {
+            let (_, tape) = lin.forward(&x);
+            let mut grads = Grads::new();
+            let _ = lin.backward(&dy, &tape, &mut grads);
+            grads.merge_into(lin);
+        };
+        step(&mut lin);
         let g1 = lin.w.grad.clone();
-        let _ = lin.forward(&x);
-        let _ = lin.backward(&dy);
+        step(&mut lin);
         assert!(lin.w.grad.approx_eq(&g1.scaled(2.0), 1e-5, 1e-5));
-    }
-
-    #[test]
-    #[should_panic]
-    fn backward_without_forward_panics() {
-        let mut rng = TensorRng::seed_from(4);
-        let mut lin = Linear::new("t", 2, 2, &mut rng);
-        let _ = lin.backward(&Matrix::zeros(1, 2));
     }
 
     mod protected {
@@ -303,14 +240,15 @@ mod tests {
         use attnchecker::config::ProtectionConfig;
         use attnchecker::report::{AbftReport, SectionId};
 
+        /// Returns `(output, input tape, report)`.
         fn guarded_forward(
-            lin: &mut ProtectedLinear,
+            lin: &ProtectedLinear,
             x: &Matrix,
             active: bool,
             hook: Option<attnchecker::attention::FaultHook<'_>>,
-        ) -> (Matrix, AbftReport) {
+        ) -> (Matrix, Matrix, AbftReport) {
             let mut report = AbftReport::default();
-            let out = {
+            let (out, tape) = {
                 let mut ctx = ForwardCtx {
                     mask: None,
                     toggles: SectionToggles::all(),
@@ -324,19 +262,20 @@ mod tests {
                     ctx.report,
                 );
                 let xc = sec.encode_cols(x);
-                lin.forward_guarded(&xc, &sec, &mut ctx).logical()
+                let (y, tape) = lin.forward(&xc, &sec, &mut ctx);
+                (y.logical(), tape)
             };
-            (out, report)
+            (out, tape, report)
         }
 
         #[test]
         fn fault_free_guarded_forward_is_bit_identical() {
             let mut rng = TensorRng::seed_from(11);
-            let mut lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
+            let lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
             let x = rng.normal_matrix(4, 6, 1.0);
-            let plain = lin.inner.forward_inference(&x);
+            let (plain, _) = lin.inner.forward(&x);
             for active in [false, true] {
-                let (y, report) = guarded_forward(&mut lin, &x, active, None);
+                let (y, _, report) = guarded_forward(&lin, &x, active, None);
                 assert_eq!(y, plain, "active={active}");
                 assert!(report.is_quiet());
             }
@@ -345,31 +284,31 @@ mod tests {
         #[test]
         fn injected_extreme_is_corrected_to_exact_bits() {
             let mut rng = TensorRng::seed_from(12);
-            let mut lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
+            let lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
             let x = rng.normal_matrix(4, 6, 1.0);
-            let plain = lin.inner.forward_inference(&x);
+            let (plain, _) = lin.inner.forward(&x);
             let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
                 assert_eq!(site.op, AttnOp::Ffn1);
                 m.set(1, 3, f32::NEG_INFINITY);
             };
-            let (y, report) = guarded_forward(&mut lin, &x, true, Some(&mut hook));
+            let (y, tape, report) = guarded_forward(&lin, &x, true, Some(&mut hook));
             assert_eq!(y, plain, "exact replay must restore original bits");
             assert_eq!(report.correction_count(), 1);
             assert_eq!(report.corrections[0].section, SectionId::FeedForward);
             assert_eq!(report.unrecovered, 0);
             // The healed activation is what backward consumes.
             let dy = rng.normal_matrix(4, 8, 1.0);
-            let dx = lin.backward(&dy);
+            let dx = lin.backward(&dy, &tape, &mut Grads::new());
             assert!(dx.all_finite());
         }
 
         #[test]
         fn inactive_section_lets_fault_through() {
             let mut rng = TensorRng::seed_from(13);
-            let mut lin = ProtectedLinear::new("p", 5, 5, AttnOp::Ffn2, &mut rng);
+            let lin = ProtectedLinear::new("p", 5, 5, AttnOp::Ffn2, &mut rng);
             let x = rng.normal_matrix(3, 5, 1.0);
             let mut hook = |_: FaultSite, m: &mut CheckedMatrix| m.set(0, 0, f32::NAN);
-            let (y, report) = guarded_forward(&mut lin, &x, false, Some(&mut hook));
+            let (y, _, report) = guarded_forward(&lin, &x, false, Some(&mut hook));
             assert!(!y.all_finite(), "no detection when the section is off");
             assert_eq!(report.correction_count(), 0);
         }

@@ -12,6 +12,14 @@
 //! Error-propagation behaviour (Table 2) and loss-NaN vulnerability
 //! (Table 4) depend on the attention dataflow, softmax semantics, pooling
 //! path, and optimizer dynamics — all preserved here — not on scale.
+//!
+//! A model runs one way: [`TransformerModel::forward`] returns the logits
+//! and the example's activation tape, [`TransformerModel::backward`]
+//! consumes it — both by `&self`, under the single [`ProtectionConfig`] the
+//! model owns ([`TransformerModel::protection`]) and hands to every block.
+//! Unprotected and attention-only runs are that config's value
+//! ([`ProtectionConfig::off`] / [`ProtectionConfig::attention_only`]), not
+//! another method.
 
 use crate::block::{BlockArch, TransformerBlock};
 use crate::embedding::Embedding;
@@ -29,7 +37,6 @@ use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
 use attnchecker::section::{ForwardCtx, GuardedSection};
-use std::time::Duration;
 
 /// Which of the four studied architectures a model instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,6 +198,25 @@ pub struct InjectionSpec {
     pub kind: FaultKind,
 }
 
+impl InjectionSpec {
+    /// One-shot fault hook: strikes the first GEMM output whose site
+    /// matches this spec, then goes inert. Shared by the full forward and
+    /// the decode step, so both plant faults identically.
+    pub(crate) fn hook(self) -> impl FnMut(FaultSite, &mut CheckedMatrix) {
+        let mut fired = false;
+        move |site, m| {
+            if fired || site.op != self.op || site.head.is_some_and(|h| h != self.head) {
+                return;
+            }
+            fired = true;
+            let r = self.row % m.rows();
+            let c = self.col % m.cols();
+            let old = m.get(r, c);
+            m.set(r, c, self.kind.apply(old));
+        }
+    }
+}
+
 /// A full transformer classifier.
 #[derive(Debug, Clone)]
 pub struct TransformerModel {
@@ -208,18 +234,14 @@ pub struct TransformerModel {
     pub pooler: Option<Linear>,
     /// Classification head.
     pub classifier: Linear,
-    /// Attention-forward wall time accumulated since the last reset
-    /// (feeds the Fig 7 "attention mechanism" timing).
-    pub attn_elapsed: Duration,
-    /// FFN-forward wall time accumulated since the last reset (feeds the
-    /// FFN-protection overhead column of the Fig 7 reproduction).
-    pub ffn_elapsed: Duration,
-    tape: Option<ExampleTape>,
+    /// The one protection policy every layer of this model runs under
+    /// (strategy + thresholds + section frequencies; per-execution toggles
+    /// come from the trainer's / engine's frequency gates).
+    protection: ProtectionConfig,
 }
 
 impl TransformerModel {
-    /// Build a model with the given protection policy on every attention
-    /// layer.
+    /// Build a model running under the given protection policy.
     pub fn new(config: ModelConfig, protection: ProtectionConfig, rng: &mut TensorRng) -> Self {
         let is_bert = matches!(config.arch, ModelArch::Bert | ModelArch::Roberta);
         let arch = if is_bert {
@@ -248,7 +270,6 @@ impl TransformerModel {
                     config.heads,
                     config.hidden * config.ffn_mult,
                     arch,
-                    protection,
                     rng,
                 )
             })
@@ -265,17 +286,18 @@ impl TransformerModel {
             final_ln,
             pooler,
             classifier,
-            attn_elapsed: Duration::ZERO,
-            ffn_elapsed: Duration::ZERO,
-            tape: None,
+            protection,
         }
     }
 
-    /// Change the protection policy on every attention layer.
+    /// The protection policy in force.
+    pub fn protection(&self) -> &ProtectionConfig {
+        &self.protection
+    }
+
+    /// Change the protection policy for every layer.
     pub fn set_protection(&mut self, protection: ProtectionConfig) {
-        for b in &mut self.blocks {
-            b.attn.protection = protection;
-        }
+        self.protection = protection;
     }
 
     /// Attention mask for block `layer` at sequence length `seq`.
@@ -293,17 +315,16 @@ impl TransformerModel {
         }
     }
 
-    /// Stateless forward of one example; returns the `1 × num_classes`
-    /// logits and the full activation tape.
+    /// Forward of one example under [`Self::protection`]; returns the
+    /// `1 × num_classes` logits and the full activation tape.
     ///
     /// Takes the model by `&self`, so a whole batch can forward
     /// concurrently against shared parameters — each item owns its tape,
-    /// report, and (optional) injection hook, mirroring the per-item
-    /// isolation of `ProtectedAttention::forward_batch_with`.
+    /// report, and (optional) injection hook.
     ///
     /// `toggles` selects which protection sections run this pass;
     /// `inject` optionally plants one fault at a specific pipeline site.
-    pub fn forward_tape(
+    pub fn forward(
         &self,
         tokens: &[usize],
         toggles: SectionToggles,
@@ -315,58 +336,32 @@ impl TransformerModel {
             .map(|i| self.mask_for_layer(i, seq))
             .collect();
 
-        let mut attn_time = Duration::ZERO;
-        let mut ffn_time = Duration::ZERO;
         let mut block_tapes = Vec::with_capacity(self.blocks.len());
 
         // Blocks run their own op guards internally; this one covers the
         // model-level non-GEMM ops (embedding gather, outer LayerNorms).
-        let protection = self
-            .blocks
-            .first()
-            .map(|b| b.attn.protection)
-            .unwrap_or_else(ProtectionConfig::off);
-        let op_guard = GuardedSection::guard_step(&protection);
+        let op_guard = GuardedSection::guard_step(&self.protection);
 
-        let mut h = self.embedding.forward_checked(tokens, &op_guard);
+        let mut h = self.embedding.forward(tokens, 0, &op_guard);
         let emb_ln = self.emb_ln.as_ref().map(|ln| {
-            let (y, cache) = ln.forward_tape_checked(&h, &op_guard);
+            let (y, cache) = ln.forward(&h, &op_guard);
             h = y;
             cache
         });
         for (i, block) in self.blocks.iter().enumerate() {
-            let spec = inject.filter(|s| s.layer == i).copied();
-            let mut fired = false;
-            let mut hook_fn = move |site: FaultSite, m: &mut CheckedMatrix| {
-                let Some(s) = spec else { return };
-                if fired || site.op != s.op {
-                    return;
-                }
-                if let Some(h) = site.head {
-                    if h != s.head {
-                        return;
-                    }
-                }
-                fired = true;
-                let r = s.row % m.rows();
-                let c = s.col % m.cols();
-                let old = m.get(r, c);
-                m.set(r, c, s.kind.apply(old));
-            };
+            let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
             let mut ctx = ForwardCtx {
                 mask: masks[i].as_ref(),
                 toggles,
-                hook: spec.is_some().then_some(&mut hook_fn as _),
+                hook: hook.as_mut().map(|h| h as _),
                 report: &mut *report,
             };
-            let (y, tape) = block.forward_tape(&h, &mut ctx);
+            let (y, tape) = block.forward(&h, &self.protection, &mut ctx);
             h = y;
-            attn_time += tape.attn_time;
-            ffn_time += tape.ffn_time;
             block_tapes.push(tape);
         }
         let final_ln = self.final_ln.as_ref().map(|ln| {
-            let (y, cache) = ln.forward_tape_checked(&h, &op_guard);
+            let (y, cache) = ln.forward(&h, &op_guard);
             h = y;
             cache
         });
@@ -379,13 +374,13 @@ impl TransformerModel {
         let hrow = h.submatrix(select_row, select_row + 1, 0, self.config.hidden);
 
         let (head_in, pooled, pooler_x) = if let Some(pooler) = &self.pooler {
-            let (lin, px) = pooler.forward_tape(&hrow);
+            let (lin, px) = pooler.forward(&hrow);
             let tanh = lin.map(|x| x.tanh());
             (tanh.clone(), Some(tanh), Some(px))
         } else {
             (hrow, None, None)
         };
-        let (logits, classifier_x) = self.classifier.forward_tape(&head_in);
+        let (logits, classifier_x) = self.classifier.forward(&head_in);
         let tape = ExampleTape {
             tokens: tokens.to_vec(),
             emb_ln,
@@ -398,95 +393,40 @@ impl TransformerModel {
                 pooler_x,
                 classifier_x,
             },
-            attn_time,
-            ffn_time,
         };
         (logits, tape)
     }
 
-    /// Stateless backward of one example from the logits gradient over its
-    /// activation tape; parameter gradients go into `grads`.
-    pub fn backward_tape(&self, dlogits: &Matrix, tape: &ExampleTape, grads: &mut Grads) {
-        self.backward_tape_checked(dlogits, tape, grads, &OpGuard::off());
-    }
-
-    /// Stateless backward with the non-GEMM ops guarded end-to-end
-    /// (softmax Jacobian, LayerNorm backward, GELU derivative, residual
-    /// gradient sums) under one `g` scope.
-    pub fn backward_tape_checked(
-        &self,
-        dlogits: &Matrix,
-        tape: &ExampleTape,
-        grads: &mut Grads,
-        g: &OpGuard,
-    ) {
+    /// Backward of one example from the logits gradient over its
+    /// activation tape; parameter gradients go into `grads`. The non-GEMM
+    /// ops (softmax Jacobian, LayerNorm backward, GELU derivative, residual
+    /// gradient sums) run under the one `g` scope.
+    pub fn backward(&self, dlogits: &Matrix, tape: &ExampleTape, grads: &mut Grads, g: &OpGuard) {
         let mut d = self
             .classifier
-            .backward_tape(dlogits, &tape.head.classifier_x, grads);
+            .backward(dlogits, &tape.head.classifier_x, grads);
         if let Some(pooler) = &self.pooler {
             let pooled = tape.head.pooled.as_ref().expect("pooler tape");
             // d(tanh(u)) = (1 - tanh²(u)) du
             d = d.zip(pooled, |g, t| g * (1.0 - t * t));
             let px = tape.head.pooler_x.as_ref().expect("pooler input tape");
-            d = pooler.backward_tape(&d, px, grads);
+            d = pooler.backward(&d, px, grads);
         }
         let mut dh = Matrix::zeros(tape.head.seq, self.config.hidden);
         dh.row_mut(tape.head.select_row).copy_from_slice(d.row(0));
 
         if let Some(ln) = &self.final_ln {
             let cache = tape.final_ln.as_ref().expect("final LN tape");
-            dh = ln.backward_tape_checked(&dh, cache, grads, g);
+            dh = ln.backward(&dh, cache, grads, g);
         }
         for (block, bt) in self.blocks.iter().zip(&tape.blocks).rev() {
-            dh = block.backward_tape_checked(&dh, bt, grads, g);
+            dh = block.backward(&dh, bt, grads, g);
         }
         if let Some(ln) = &self.emb_ln {
             let cache = tape.emb_ln.as_ref().expect("embedding LN tape");
-            dh = ln.backward_tape_checked(&dh, cache, grads, g);
+            dh = ln.backward(&dh, cache, grads, g);
         }
-        self.embedding.backward_tape(&dh, &tape.tokens, grads);
-    }
-
-    /// Forward one example; returns the `1 × num_classes` logits. The tape
-    /// is stashed on the model for the matching [`Self::backward_example`],
-    /// and the step timers accumulate — the sequential convenience wrapper
-    /// around [`Self::forward_tape`].
-    pub fn forward_example(
-        &mut self,
-        tokens: &[usize],
-        toggles: SectionToggles,
-        inject: Option<&InjectionSpec>,
-        report: &mut AbftReport,
-    ) -> Matrix {
-        let (logits, tape) = self.forward_tape(tokens, toggles, inject, report);
-        self.attn_elapsed += tape.attn_time;
-        self.ffn_elapsed += tape.ffn_time;
-        self.tape = Some(tape);
-        logits
-    }
-
-    /// Backward one example from the logits gradient. Must directly follow
-    /// the matching [`Self::forward_example`].
-    ///
-    /// # Panics
-    /// Panics if no forward tape is pending.
-    pub fn backward_example(&mut self, dlogits: &Matrix) {
-        let tape = self
-            .tape
-            .take()
-            .expect("backward_example before forward_example");
-        let mut grads = Grads::new();
-        self.backward_tape(dlogits, &tape, &mut grads);
-        grads.merge_into(self);
-    }
-
-    /// Reset the attention/FFN time accumulators. The trainer no longer
-    /// needs this — step timers come from per-item tapes — but sequential
-    /// [`Self::forward_example`] callers still accumulate into the model
-    /// fields and can reset them here.
-    pub fn reset_step_timers(&mut self) {
-        self.attn_elapsed = Duration::ZERO;
-        self.ffn_elapsed = Duration::ZERO;
+        self.embedding.backward(&dh, &tape.tokens, grads);
     }
 }
 
@@ -550,10 +490,10 @@ mod tests {
     #[test]
     fn forward_shapes_all_archs() {
         for cfg in ModelConfig::paper_six() {
-            let (mut m, _) = tiny(cfg.clone());
+            let (m, _) = tiny(cfg.clone());
             let tokens: Vec<usize> = (0..16).map(|i| i % cfg.vocab).collect();
             let mut report = AbftReport::default();
-            let logits = m.forward_example(&tokens, SectionToggles::none(), None, &mut report);
+            let (logits, _) = m.forward(&tokens, SectionToggles::none(), None, &mut report);
             assert_eq!((logits.rows(), logits.cols()), (1, 2), "{}", cfg.name);
             assert!(logits.all_finite(), "{}", cfg.name);
         }
@@ -586,15 +526,16 @@ mod tests {
         let tokens = vec![1usize, 5, 9, 3];
         let label = 1usize;
         let mut report = AbftReport::default();
-        let logits = m.forward_example(&tokens, SectionToggles::none(), None, &mut report);
+        let (logits, tape) = m.forward(&tokens, SectionToggles::none(), None, &mut report);
         let (_, dlogits) = cross_entropy(&logits, label);
-        m.backward_example(&dlogits);
+        let mut grads = Grads::new();
+        m.backward(&dlogits, &tape, &mut grads, &OpGuard::off());
+        grads.merge_into(&mut m);
 
         // FD check on a handful of parameters spread across the model.
         let loss_fn = |mm: &TransformerModel| -> f32 {
-            let mut c = mm.clone();
             let mut r = AbftReport::default();
-            let lg = c.forward_example(&tokens, SectionToggles::none(), None, &mut r);
+            let (lg, _) = mm.forward(&tokens, SectionToggles::none(), None, &mut r);
             cross_entropy(&lg, label).0
         };
         let eps = 1e-2;
@@ -647,7 +588,7 @@ mod tests {
 
     #[test]
     fn injection_spec_reaches_forward() {
-        let (mut m, _) = tiny(ModelConfig::bert_base());
+        let (m, _) = tiny(ModelConfig::bert_base());
         let tokens: Vec<usize> = (0..16).collect();
         let spec = InjectionSpec {
             layer: 0,
@@ -658,7 +599,7 @@ mod tests {
             kind: FaultKind::NaN,
         };
         let mut report = AbftReport::default();
-        let logits = m.forward_example(&tokens, SectionToggles::none(), Some(&spec), &mut report);
+        let (logits, _) = m.forward(&tokens, SectionToggles::none(), Some(&spec), &mut report);
         // Unprotected NaN in Q propagates through two layers into the CLS
         // path and the logits.
         assert!(!logits.all_finite());
@@ -667,8 +608,7 @@ mod tests {
     #[test]
     fn injection_with_protection_is_corrected() {
         let mut rng = TensorRng::seed_from(12);
-        let mut m =
-            TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
+        let m = TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
         let tokens: Vec<usize> = (0..16).collect();
         let spec = InjectionSpec {
             layer: 1,
@@ -679,7 +619,7 @@ mod tests {
             kind: FaultKind::Inf,
         };
         let mut report = AbftReport::default();
-        let logits = m.forward_example(&tokens, SectionToggles::all(), Some(&spec), &mut report);
+        let (logits, _) = m.forward(&tokens, SectionToggles::all(), Some(&spec), &mut report);
         assert!(logits.all_finite());
         assert!(report.correction_count() > 0);
         assert_eq!(report.unrecovered, 0);
@@ -688,8 +628,7 @@ mod tests {
     #[test]
     fn ffn_injection_with_protection_is_corrected() {
         let mut rng = TensorRng::seed_from(13);
-        let mut m =
-            TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
+        let m = TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
         let tokens: Vec<usize> = (0..16).collect();
         for op in AttnOp::FFN {
             let spec = InjectionSpec {
@@ -701,8 +640,7 @@ mod tests {
                 kind: FaultKind::NaN,
             };
             let mut report = AbftReport::default();
-            let logits =
-                m.forward_example(&tokens, SectionToggles::all(), Some(&spec), &mut report);
+            let (logits, _) = m.forward(&tokens, SectionToggles::all(), Some(&spec), &mut report);
             assert!(logits.all_finite(), "{op:?}");
             assert!(report.correction_count() > 0, "{op:?}");
             assert_eq!(report.unrecovered, 0, "{op:?}");

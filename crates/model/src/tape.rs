@@ -1,19 +1,12 @@
 //! Per-example activation tapes.
 //!
-//! Historically every layer cached its forward activations as hidden
-//! mutable state (`cache: Option<…>` fields), which welded forward and
-//! backward to a single in-flight example and kept the training hot path
-//! sequential. The tape API inverts that: `forward_tape` takes the layer
-//! by `&self` and *returns* the activation record, `backward_tape`
-//! consumes it and writes parameter gradients into a detached
-//! [`crate::param::Grads`] buffer. A whole batch can then run forward +
+//! Every layer's `forward` takes the layer by `&self` and *returns* its
+//! activation record; `backward` consumes it and writes parameter
+//! gradients into a detached [`crate::param::Grads`] buffer. No layer
+//! holds activations of its own, so a whole batch can run forward +
 //! backward concurrently — one tape, one report, one gradient buffer per
 //! item — with the per-item results reduced in fixed batch order so the
 //! step is bit-identical to the sequential schedule at any thread count.
-//!
-//! The legacy `forward`/`backward` methods survive as thin wrappers that
-//! stash the tape on the layer, so single-example callers and the layer
-//! test suites are unchanged.
 
 use attn_tensor::ops::LayerNormCache;
 use attn_tensor::Matrix;
@@ -79,8 +72,4 @@ pub struct ExampleTape {
     pub final_ln: Option<LayerNormCache>,
     /// Classification-head record.
     pub head: HeadTape,
-    /// Wall time spent in attention sub-layers during this forward.
-    pub attn_time: Duration,
-    /// Wall time spent in FFN sub-layers during this forward.
-    pub ffn_time: Duration,
 }

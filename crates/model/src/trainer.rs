@@ -1,8 +1,8 @@
 //! Training loop with non-trainable-state detection and ABFT bookkeeping.
 //!
-//! Since the per-example activation-tape refactor, a training step is
-//! data-parallel: each batch item runs forward + backward against the
-//! shared model (`&TransformerModel`) with its own tape, report, and
+//! A training step is data-parallel: each batch item runs
+//! [`TransformerModel::forward`] + [`TransformerModel::backward`] against
+//! the shared model (`&TransformerModel`) with its own tape, report, and
 //! gradient buffer, fanned out over a sized rayon pool
 //! ([`Trainer::set_parallelism`]). The per-item results are then reduced
 //! in **fixed batch order** — losses summed, reports merged, gradient
@@ -94,7 +94,7 @@ impl Trainer {
     /// sequentially until [`Self::set_parallelism`] raises the worker
     /// count.
     pub fn new(model: TransformerModel, lr: f32) -> Self {
-        let policy = ProtectionPolicy::new(model.blocks[0].attn.protection);
+        let policy = ProtectionPolicy::new(*model.protection());
         Self {
             model,
             optim: AdamW::new(lr),
@@ -124,10 +124,9 @@ impl Trainer {
         self.parallelism
     }
 
-    /// Change the protection config on every attention layer *and* the
-    /// scheduling policy together, so they cannot desync. Gate phases are
-    /// kept (a frequency change re-paces future checks, it does not reset
-    /// history).
+    /// Change the model's protection config *and* the scheduling policy
+    /// together, so they cannot desync. Gate phases are kept (a frequency
+    /// change re-paces future checks, it does not reset history).
     pub fn set_protection(&mut self, protection: ProtectionConfig) {
         self.model.set_protection(protection);
         self.policy.sync_config(protection);
@@ -138,8 +137,7 @@ impl Trainer {
     /// otherwise a caller that mutated `model.set_protection` directly
     /// (both are public) would observe a stale config here.
     pub fn policy(&mut self) -> &ProtectionPolicy {
-        self.policy
-            .sync_config(self.model.blocks[0].attn.protection);
+        self.policy.sync_config(*self.model.protection());
         &self.policy
     }
 
@@ -149,8 +147,7 @@ impl Trainer {
     fn next_toggles(&mut self) -> SectionToggles {
         // Defensive re-sync: tolerate callers that mutated the model's
         // protection config directly instead of via `set_protection`.
-        self.policy
-            .sync_config(self.model.blocks[0].attn.protection);
+        self.policy.sync_config(*self.model.protection());
         self.policy.next_toggles()
     }
 
@@ -164,9 +161,8 @@ impl Trainer {
     ///
     /// Batch items run concurrently over [`Self::parallelism`] workers;
     /// each item forwards and backwards against the shared model with its
-    /// own activation tape, ABFT report, and gradient buffer (the per-item
-    /// isolation pattern of `ProtectedAttention::forward_batch_with`, so
-    /// an injection strikes only its target item). Per-item results are
+    /// own activation tape, ABFT report, and gradient buffer, so an
+    /// injection strikes only its target item. Per-item results are
     /// reduced in batch order, making the step bit-identical to the
     /// sequential schedule at any worker count.
     pub fn train_step_injected(
@@ -182,7 +178,7 @@ impl Trainer {
 
         let inv = 1.0 / batch.len() as f32;
         let model = &self.model;
-        let protection = model.blocks[0].attn.protection;
+        let protection = *model.protection();
         let run_item = |bi: usize| -> ItemOutcome {
             let ex = batch[bi];
             let spec = match &inject {
@@ -193,18 +189,17 @@ impl Trainer {
             // One op-guard scope per item covers the loss softmax and the
             // whole backward pass (the forward ops run their own scopes).
             let op_guard = GuardedSection::guard_step(&protection);
-            let (logits, tape) =
-                model.forward_tape(&ex.tokens, toggles, spec.as_ref(), &mut report);
+            let (logits, tape) = model.forward(&ex.tokens, toggles, spec.as_ref(), &mut report);
             let (loss, dlogits) = cross_entropy_checked(&logits, ex.label, &op_guard);
             let mut grads = Grads::new();
-            model.backward_tape_checked(&dlogits.scaled(inv), &tape, &mut grads, &op_guard);
+            model.backward(&dlogits.scaled(inv), &tape, &mut grads, &op_guard);
             report.absorb_op_guard(op_guard.take_stats());
             ItemOutcome {
                 loss,
                 grads,
                 report,
-                attn_time: tape.attn_time,
-                ffn_time: tape.ffn_time,
+                attn_time: tape.blocks.iter().map(|b| b.attn_time).sum(),
+                ffn_time: tape.blocks.iter().map(|b| b.ffn_time).sum(),
             }
         };
         let items: Vec<ItemOutcome> = if workers <= 1 {
@@ -276,15 +271,16 @@ impl Trainer {
         sum / n.max(1) as f32
     }
 
-    /// Forward-only evaluation: `(mean loss, accuracy)`.
-    pub fn evaluate(&mut self, dataset: &SyntheticMrpc) -> (f32, f32) {
+    /// Forward-only evaluation: `(mean loss, accuracy)`. Stateless — each
+    /// example's tape is dropped, nothing on the trainer or model changes.
+    pub fn evaluate(&self, dataset: &SyntheticMrpc) -> (f32, f32) {
         let mut loss_sum = 0.0f32;
         let mut correct = 0usize;
         let mut report = AbftReport::default();
         for ex in &dataset.examples {
-            let logits =
+            let (logits, _) =
                 self.model
-                    .forward_example(&ex.tokens, SectionToggles::none(), None, &mut report);
+                    .forward(&ex.tokens, SectionToggles::none(), None, &mut report);
             let (loss, _) = cross_entropy(&logits, ex.label);
             loss_sum += loss;
             if argmax_row(logits.row(0)) == ex.label {
@@ -419,9 +415,41 @@ mod tests {
     #[test]
     fn evaluate_reports_loss_and_accuracy() {
         let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::off());
+        let params = |tr: &mut Trainer| {
+            let mut v = Vec::new();
+            tr.model.visit_params(&mut |p| v.push(p.clone()));
+            v
+        };
+        let before = params(&mut tr);
         let (loss, acc) = tr.evaluate(&ds);
         assert!(loss.is_finite() && loss > 0.0);
         assert!((0.0..=1.0).contains(&acc));
+        // Stateless: a second pass reads the same bits and nothing moved.
+        let (loss2, acc2) = tr.evaluate(&ds);
+        assert_eq!(
+            (loss.to_bits(), acc.to_bits()),
+            (loss2.to_bits(), acc2.to_bits())
+        );
+        assert_eq!(before, params(&mut tr));
+    }
+
+    #[test]
+    fn zero_layer_model_trains_under_its_own_protection() {
+        // No block to borrow a config from: the model-level guards
+        // (embedding, outer LayerNorm, loss, optimizer) must still run.
+        let mut rng = TensorRng::seed_from(22);
+        let mut cfg = ModelConfig::bert_small();
+        cfg.hidden = 16;
+        cfg.heads = 2;
+        cfg.layers = 0;
+        let model = TransformerModel::new(cfg, ProtectionConfig::full(), &mut rng);
+        let ds = SyntheticMrpc::generate(4, 256, 16, 3);
+        let mut tr = Trainer::new(model, 1e-3);
+        assert!(tr.policy().would_ever_fire());
+        let batch: Vec<&Example> = ds.examples.iter().collect();
+        let out = tr.train_step(&batch);
+        assert!(!out.non_trainable);
+        assert!(out.report.op_checks > 0, "guards ran off on a full() model");
     }
 
     #[test]
@@ -579,7 +607,7 @@ mod tests {
         cfg.layers = 1;
         cfg.num_classes = 4;
         let model = TransformerModel::new(cfg, ProtectionConfig::off(), &mut rng);
-        let mut tr = Trainer::new(model, 1e-3);
+        let tr = Trainer::new(model, 1e-3);
         let ds = SyntheticMrpc::generate(8, 256, 16, 5);
         let (loss, acc) = tr.evaluate(&ds);
         assert!(loss.is_finite() && loss > 0.0);
@@ -608,7 +636,7 @@ mod tests {
     fn set_protection_updates_model_and_policy_together() {
         let (mut tr, _, _) = tiny_trainer(ProtectionConfig::full());
         tr.set_protection(ProtectionConfig::off());
-        assert!(tr.model.blocks.iter().all(|b| b.attn.protection.is_off()));
+        assert!(tr.model.protection().is_off());
         assert!(!tr.policy().would_ever_fire());
         // Even a direct model mutation (bypassing Trainer::set_protection)
         // cannot desync the observable policy: the accessor re-syncs.

@@ -55,7 +55,7 @@ fn decode_is_bit_identical_to_full_forward_at_several_prefix_lengths() {
                 &mut report,
             );
             let mut r = AbftReport::default();
-            let (full, _) = m.forward_tape(&tokens[..=t], SectionToggles::all(), None, &mut r);
+            let (full, _) = m.forward(&tokens[..=t], SectionToggles::all(), None, &mut r);
             assert_eq!(
                 bits(&dec),
                 bits(&full),
