@@ -3,7 +3,7 @@
 
 use attn_tensor::rng::TensorRng;
 use attnchecker::attention::{AttentionWeights, ProtectedAttention};
-use attnchecker::checked::CheckedMatrix;
+use attnchecker::checked::{CheckedMatrix, ProductKind};
 use attnchecker::config::{ProtectionConfig, Strategy};
 use attnchecker::report::AbftReport;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -35,10 +35,10 @@ fn bench_strategies(c: &mut Criterion) {
     let ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
     let cw = CheckedMatrix::encode_rows(&w, Strategy::Fused);
     group.bench_function("gemm_fused_update", |b| {
-        b.iter(|| black_box(ca.matmul(black_box(&cw))))
+        b.iter(|| black_box(CheckedMatrix::product(&ca, black_box(&cw), ProductKind::Nn)))
     });
     group.bench_function("gemm_separate_update", |b| {
-        b.iter(|| black_box(ca.matmul_separate(black_box(&cw))))
+        b.iter(|| black_box(CheckedMatrix::matmul_separate(&ca, black_box(&cw))))
     });
     group.finish();
 }

@@ -23,6 +23,7 @@ use attn_bench::TextTable;
 use attn_infer::{DecodeEngine, Sampling};
 use attn_model::model::{ModelConfig, TransformerModel};
 use attn_tensor::rng::TensorRng;
+use attn_tensor::OpGuard;
 use attnchecker::attention::SectionToggles;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
@@ -129,6 +130,7 @@ fn time_recompute(m: &TransformerModel, prompt: &[usize], n: usize, trials: usiz
                 &logits,
                 Sampling::Greedy,
                 &mut rng,
+                &OpGuard::off(),
             ));
         }
         let dt = t0.elapsed().as_secs_f64();

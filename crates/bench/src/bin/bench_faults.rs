@@ -284,8 +284,8 @@ fn optim_trial(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
 
     clean.p.grad = g1.clone();
     faulty.p.grad = g1;
-    oc.step_checked(&mut clean, &OpGuard::off());
-    of.step_checked(&mut faulty, &guard()); // captures digests
+    oc.step(&mut clean, &OpGuard::off());
+    of.step(&mut faulty, &guard()); // captures digests
 
     if let Some(k) = fault {
         let target = if rng.bernoulli(0.5) {
@@ -298,9 +298,9 @@ fn optim_trial(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
 
     clean.p.grad = g2.clone();
     faulty.p.grad = g2;
-    oc.step_checked(&mut clean, &OpGuard::off());
+    oc.step(&mut clean, &OpGuard::off());
     let g = guard();
-    of.step_checked(&mut faulty, &g); // verifies + heals the at-rest moments
+    of.step(&mut faulty, &g); // verifies + heals the at-rest moments
     let bits = bits_eq(faulty.p.value.data(), clean.p.value.data())
         && bits_eq(faulty.p.m.data(), clean.p.m.data())
         && bits_eq(faulty.p.v.data(), clean.p.v.data());

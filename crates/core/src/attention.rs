@@ -403,8 +403,8 @@ pub fn forward(
     // column-checksum projections accumulate inside each projection
     // GEMM's packing pass, and Q and K inherit the riding checksums —
     // no standalone encode sweep over X, no augmented copy.
-    let mut q = s_as.gemm_encode_cols(x, &s_as.operand(w.wq));
-    let mut k = s_as.gemm_encode_cols(x, &s_as.operand(w.wk));
+    let mut q = s_as.gemm(x, w.wq);
+    let mut k = s_as.gemm(x, w.wk);
     q.add_bias(w.bq);
     k.add_bias(w.bk);
     ctx.fire(
@@ -490,7 +490,6 @@ pub fn forward(
     }
 
     // ------------------------------------------------ section S_CL
-    let x_plain = s_cl.operand(x);
     let mut cl_blocks = Vec::with_capacity(heads);
     let mut v_cols: Vec<Matrix> = Vec::with_capacity(heads);
     for h in 0..heads {
@@ -499,7 +498,7 @@ pub fn forward(
         // W_V's per-head slice enters through the row-side fused
         // encode: its row-checksum projections accumulate inside the
         // `X·W_V` packing pass and ride into V.
-        let mut v_h = s_cl.gemm_encode_rows(&x_plain, &wv_h);
+        let mut v_h = s_cl.gemm_encode_rows(x, &wv_h);
         v_h.add_bias(bv_h);
         ctx.fire(
             FaultSite {
@@ -521,7 +520,7 @@ pub fn forward(
         // AP re-enters the checksummed region inside the fused GEMM:
         // its column encoding (the old standalone re-encode sweep
         // after softmax) accumulates in this product's packing pass.
-        let mut cl_h = s_cl.gemm_encode_cols(&ap_mats[h], &v_h);
+        let mut cl_h = s_cl.gemm(&ap_mats[h], &v_h);
         ctx.fire(
             FaultSite {
                 op: AttnOp::CL,
@@ -547,7 +546,7 @@ pub fn forward(
     // ------------------------------------------------ section S_O
     // CL is inherited from S_CL: ride its checksums when present,
     // fused-encode on entry when S_O is active but S_CL was skipped.
-    let mut o = s_o.gemm_adopt_cols(&cl_merged, &s_o.operand(w.wo));
+    let mut o = s_o.gemm(&cl_merged, w.wo);
     o.add_bias(w.bo);
     ctx.fire(
         FaultSite {

@@ -16,17 +16,22 @@
 //! Because checksums live inside the operand, a *single* GEMM over the
 //! augmented buffers updates data and checksums together — the paper's
 //! "pack the checksum with the operand matrix such that the checksum can be
-//! updated together with the original operation". The alternative
-//! [`Strategy::Separate`] path performs the same mathematics as four
-//! independent products plus assembly copies, reproducing the kernel-launch-
-//! and-traffic-heavy baseline of Fig 8.
+//! updated together with the original operation". That GEMM is
+//! [`CheckedMatrix::product`]: one function over two borrowed [`Operand`]
+//! views that picks the kernel ([`ProductKind`]) and composes the border
+//! flags; plain matrices (weights, activations) and checked ones enter it
+//! the same way, uncopied. The alternative [`Strategy::Separate`] path
+//! ([`CheckedMatrix::matmul_separate`]) performs the same mathematics as
+//! four independent products plus assembly copies, reproducing the
+//! kernel-launch-and-traffic-heavy baseline of Fig 8.
 
 use crate::checksum::{
     col_checksums, col_checksums_naive, row_checksums, row_checksums_naive, weight,
 };
 use crate::config::Strategy;
 use attn_tensor::gemm;
-use attn_tensor::Matrix;
+use attn_tensor::{MatRef, Matrix};
+use std::ops::Range;
 
 /// A dense matrix whose buffer physically carries dual checksums.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,12 +48,99 @@ pub struct CheckedMatrix {
     buf: Matrix,
 }
 
-impl CheckedMatrix {
-    /// Wrap a plain matrix with no checksums.
-    pub fn from_plain(data: &Matrix) -> Self {
-        Self::from_plain_owned(data.clone()) // attn-lint: allow(hot-path-alloc-reach) — constructor: wrapping a plain matrix owns its buffer by contract
+/// Borrowed operand of a guarded product: a `Copy` view of a plain
+/// [`Matrix`] or of a [`CheckedMatrix`]'s augmented buffer, with the
+/// logical shape and the two border flags. Weights and activations enter
+/// [`CheckedMatrix::product`] through it, so nothing is wrapped (and
+/// cloned) into an owned `CheckedMatrix` just to be multiplied.
+#[derive(Clone, Copy)]
+pub struct Operand<'a> {
+    buf: MatRef<'a>,
+    rows: usize,
+    cols: usize,
+    has_col_cs: bool,
+    has_row_cs: bool,
+}
+
+impl<'a> From<&'a Matrix> for Operand<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        Self {
+            buf: m.view(),
+            rows: m.rows(),
+            cols: m.cols(),
+            has_col_cs: false,
+            has_row_cs: false,
+        }
+    }
+}
+
+impl<'a> From<&'a CheckedMatrix> for Operand<'a> {
+    fn from(m: &'a CheckedMatrix) -> Self {
+        Self {
+            buf: m.buf.view(),
+            rows: m.rows,
+            cols: m.cols,
+            has_col_cs: m.has_col_cs,
+            has_row_cs: m.has_row_cs,
+        }
+    }
+}
+
+impl<'a> Operand<'a> {
+    /// Whether column checksums are present.
+    #[inline]
+    pub(crate) fn has_col_checksums(&self) -> bool {
+        self.has_col_cs
     }
 
+    /// The same operand without its column-checksum rows: they trail the
+    /// row-major buffer, so dropping them is a prefix view, not a copy.
+    pub(crate) fn without_col_checksums(self) -> Self {
+        Self {
+            buf: self.buf.top_rows(self.rows),
+            has_col_cs: false,
+            ..self
+        }
+    }
+
+    /// Copy of the logical data region.
+    pub fn logical(&self) -> Matrix {
+        self.block(0..self.rows, 0..self.cols)
+    }
+
+    /// Copy of one rectangle of the physical buffer.
+    fn block(&self, rows: Range<usize>, cols: Range<usize>) -> Matrix {
+        let mut out = Matrix::zeros(rows.len(), cols.len());
+        for (ro, r) in rows.enumerate() {
+            out.row_mut(ro)
+                .copy_from_slice(&self.buf.row(r)[cols.start..cols.end]);
+        }
+        out
+    }
+}
+
+/// Which kernel [`CheckedMatrix::product`] issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProductKind {
+    /// `A · B`: `A`'s column checksums and `B`'s row checksums ride
+    /// through to the product.
+    Nn,
+    /// `A · Bᵀ`: `B`'s *column* checksums become the product's row
+    /// checksums under the transpose — how `AS = Q·Kᵀ` acquires both
+    /// borders in `S_AS` from column-encoded `Q` and `K`.
+    Nt,
+    /// `[A; v1ᵀA; v2ᵀA] · B` over *plain* `A`: the column encoding
+    /// accumulates inside the GEMM's packing pass
+    /// (`attn_tensor::gemm::gemm_encode_cols_into`), bit-identical to
+    /// `encode_cols(A, Fused)` followed by [`ProductKind::Nn`] but without
+    /// the standalone encode sweep or the augmented copy.
+    EncodeCols,
+    /// `A · [B | B·v1 | B·v2]` over *plain* `B`: the row-side image of
+    /// [`ProductKind::EncodeCols`] (`gemm_encode_rows_into`).
+    EncodeRows,
+}
+
+impl CheckedMatrix {
     /// Wrap an owned plain matrix with no checksums (no copy).
     pub fn from_plain_owned(data: Matrix) -> Self {
         Self {
@@ -187,22 +279,14 @@ impl CheckedMatrix {
         self.buf.submatrix(0, self.rows, 0, self.cols)
     }
 
-    /// Stored column checksums as a `2 × cols` matrix.
-    ///
-    /// # Panics
-    /// Panics when column checksums are absent.
-    pub fn stored_col_checksums(&self) -> Matrix {
-        assert!(self.has_col_cs, "no column checksums");
-        self.buf.submatrix(self.rows, self.rows + 2, 0, self.cols)
-    }
-
-    /// Stored row checksums as a `rows × 2` matrix.
-    ///
-    /// # Panics
-    /// Panics when row checksums are absent.
-    pub fn stored_row_checksums(&self) -> Matrix {
-        assert!(self.has_row_cs, "no row checksums");
-        self.buf.submatrix(0, self.rows, self.cols, self.cols + 2)
+    /// The logical data region by value: the buffer itself when it carries
+    /// no borders (no copy), a copy of the data region otherwise.
+    pub fn into_logical(self) -> Matrix {
+        if self.has_col_cs || self.has_row_cs {
+            self.logical()
+        } else {
+            self.buf
+        }
     }
 
     /// Stored `(checksum, weighted checksum)` for logical column `c`.
@@ -219,22 +303,6 @@ impl CheckedMatrix {
         (self.buf[(r, self.cols)], self.buf[(r, self.cols + 1)])
     }
 
-    /// Overwrite the stored checksums of column `c`.
-    #[inline]
-    pub fn set_col_checksum(&mut self, c: usize, cs: (f32, f32)) {
-        debug_assert!(self.has_col_cs);
-        self.buf[(self.rows, c)] = cs.0;
-        self.buf[(self.rows + 1, c)] = cs.1;
-    }
-
-    /// Overwrite the stored checksums of row `r`.
-    #[inline]
-    pub fn set_row_checksum(&mut self, r: usize, cs: (f32, f32)) {
-        debug_assert!(self.has_row_cs);
-        self.buf[(r, self.cols)] = cs.0;
-        self.buf[(r, self.cols + 1)] = cs.1;
-    }
-
     /// Logical column `c` copied into a vector (data region only).
     pub fn logical_col(&self, c: usize) -> Vec<f32> {
         (0..self.rows).map(|r| self.buf[(r, c)]).collect()
@@ -245,258 +313,126 @@ impl CheckedMatrix {
         &self.buf.row(r)[..self.cols]
     }
 
-    /// Fused product `C = A · B` over the augmented buffers.
-    ///
-    /// Checksum flags compose: `A`'s column checksums and `B`'s row
-    /// checksums ride through to `C`. `A` must not carry row checksums and
-    /// `B` must not carry column checksums (those borders would corrupt the
-    /// product's inner dimension).
-    ///
-    /// # Panics
-    /// Panics on invalid checksum layouts or dimension mismatch.
-    pub fn matmul(&self, other: &CheckedMatrix) -> CheckedMatrix {
-        assert!(
-            !self.has_row_cs,
-            "matmul: left operand must not carry row checksums"
-        );
-        assert!(
-            !other.has_col_cs,
-            "matmul: right operand must not carry column checksums"
-        );
-        assert_eq!(self.cols, other.rows, "matmul: inner dimension");
-        let buf = gemm::matmul(&self.buf, &other.buf);
-        CheckedMatrix {
-            rows: self.rows,
-            cols: other.cols,
-            has_col_cs: self.has_col_cs,
-            has_row_cs: other.has_row_cs,
-            buf,
-        }
-    }
-
-    /// Fused product `C = A · Bᵀ` over the augmented buffers.
-    ///
-    /// `B`'s *column* checksums become `C`'s row checksums under the
-    /// transpose — this is exactly how `AS = Q·Kᵀ` acquires both borders in
-    /// the `S_AS` section from column-encoded `Q` and `K`.
+    /// The one fused product over the augmented buffers: a single kernel
+    /// call updates data and checksums together (paper §4.6). Checksum
+    /// flags compose — the left operand's column checksums and the right
+    /// operand's outer-dimension checksums ride through, the encode kinds
+    /// add the missing border on entry, the corner comes for free.
     ///
     /// # Panics
-    /// Panics on invalid checksum layouts or dimension mismatch.
-    pub fn matmul_nt(&self, other: &CheckedMatrix) -> CheckedMatrix {
-        assert!(
-            !self.has_row_cs,
-            "matmul_nt: left operand must not carry row checksums"
-        );
-        assert!(
-            !other.has_row_cs,
-            "matmul_nt: right operand must not carry row checksums"
-        );
-        assert_eq!(self.cols, other.cols, "matmul_nt: inner dimension");
-        let buf = gemm::matmul_nt(&self.buf, &other.buf);
-        CheckedMatrix {
-            rows: self.rows,
-            cols: other.rows,
-            has_col_cs: self.has_col_cs,
-            has_row_cs: other.has_col_cs,
-            buf,
-        }
-    }
-
-    /// Plain-left product `A · B` over a borrowed plain matrix: the
-    /// no-entry counterpart of [`Self::matmul_encode_cols`], used by
-    /// inactive sections so the operand is never cloned into a wrap.
-    /// `B`'s row checksums (if any) still ride through.
-    ///
-    /// # Panics
-    /// Panics if `b` carries column checksums or on dimension mismatch.
-    pub fn matmul_plain(a: &Matrix, b: &CheckedMatrix) -> CheckedMatrix {
-        assert!(
-            !b.has_col_cs,
-            "matmul_plain: right operand must not carry column checksums"
-        );
-        assert_eq!(a.cols(), b.rows, "matmul_plain: inner dimension");
-        let mut buf = Matrix::zeros(a.rows(), b.buf.cols());
-        // attn-lint: allow(unguarded-gemm) — CheckedMatrix IS the checksum layer the guarded sections build on
-        gemm::matmul_into(a.view(), b.buf.view(), buf.view_mut());
-        CheckedMatrix {
-            rows: a.rows(),
-            cols: b.cols,
-            has_col_cs: false,
-            has_row_cs: b.has_row_cs,
-            buf,
-        }
-    }
-
-    /// Plain-right counterpart of [`Self::matmul_plain`]: `A · B` over a
-    /// borrowed plain right operand (no wrap, no clone); `A`'s column
-    /// checksums (if any) still ride through.
-    ///
-    /// # Panics
-    /// Panics if `a` carries row checksums or on dimension mismatch.
-    pub fn matmul_plain_rhs(a: &CheckedMatrix, b: &Matrix) -> CheckedMatrix {
-        assert!(
-            !a.has_row_cs,
-            "matmul_plain_rhs: left operand must not carry row checksums"
-        );
-        assert_eq!(a.cols, b.rows(), "matmul_plain_rhs: inner dimension");
-        let mut buf = Matrix::zeros(a.buf.rows(), b.cols());
-        // attn-lint: allow(unguarded-gemm) — CheckedMatrix IS the checksum layer the guarded sections build on
-        gemm::matmul_into(a.buf.view(), b.view(), buf.view_mut());
-        CheckedMatrix {
-            rows: a.rows,
-            cols: b.cols(),
-            has_col_cs: a.has_col_cs,
-            has_row_cs: false,
-            buf,
-        }
-    }
-
-    /// Fused encode-and-multiply: the column-checksummed product
-    /// `[A; v1ᵀA; v2ᵀA] · B` computed in one kernel pass over *plain* `a`.
-    ///
-    /// Bit-identical to `CheckedMatrix::encode_cols(a, Fused).matmul(b)` —
-    /// the encoder block contract guarantees the checksum projections, and
-    /// per-element independence guarantees the data region — but without
-    /// the standalone encode sweep over `a` or the augmented-copy
-    /// allocation: the projections accumulate inside the GEMM's packing
-    /// pass (`attn_tensor::gemm::gemm_encode_cols_into`). `b`'s row
-    /// checksums (if any) ride through as usual, corner included.
-    ///
-    /// # Panics
-    /// Panics if `b` carries column checksums or on dimension mismatch.
-    pub fn matmul_encode_cols(a: &Matrix, b: &CheckedMatrix) -> CheckedMatrix {
-        assert!(
-            !b.has_col_cs,
-            "matmul_encode_cols: right operand must not carry column checksums"
-        );
-        assert_eq!(a.cols(), b.rows, "matmul_encode_cols: inner dimension");
-        let mut buf = Matrix::zeros(a.rows() + 2, b.buf.cols());
-        // attn-lint: allow(unguarded-gemm) — CheckedMatrix IS the checksum layer the guarded sections build on
-        gemm::gemm_encode_cols_into(a.view(), b.buf.view(), buf.view_mut());
-        CheckedMatrix {
-            rows: a.rows(),
-            cols: b.cols,
-            has_col_cs: true,
-            has_row_cs: b.has_row_cs,
-            buf,
-        }
-    }
-
-    /// Fused encode-and-multiply, row side: the row-checksummed product
-    /// `A · [B | B·v1 | B·v2]` computed in one kernel pass over *plain*
-    /// `b`. Bit-identical to `a.matmul(&CheckedMatrix::encode_rows(b,
-    /// Fused))` without the standalone encode sweep over `b`. `a`'s column
-    /// checksums (if any) ride through, corner included.
-    ///
-    /// # Panics
-    /// Panics if `a` carries row checksums or on dimension mismatch.
-    pub fn matmul_encode_rows(a: &CheckedMatrix, b: &Matrix) -> CheckedMatrix {
-        assert!(
-            !a.has_row_cs,
-            "matmul_encode_rows: left operand must not carry row checksums"
-        );
-        assert_eq!(a.cols, b.rows(), "matmul_encode_rows: inner dimension");
-        let mut buf = Matrix::zeros(a.buf.rows(), b.cols() + 2);
-        // attn-lint: allow(unguarded-gemm) — CheckedMatrix IS the checksum layer the guarded sections build on
-        gemm::gemm_encode_rows_into(a.buf.view(), b.view(), buf.view_mut());
-        CheckedMatrix {
-            rows: a.rows,
-            cols: b.cols(),
-            has_col_cs: a.has_col_cs,
-            has_row_cs: true,
-            buf,
-        }
-    }
-
-    /// Separate-pass product (the Fig 8 "Non-OPT" baseline): data and each
-    /// checksum border are produced by independent products, then copied
-    /// into the augmented layout. Mathematically identical to [`Self::matmul`],
-    /// but with the extra kernel launches, temporaries, and memory traffic
-    /// of an unfused implementation.
-    pub fn matmul_separate(&self, other: &CheckedMatrix) -> CheckedMatrix {
-        assert!(!self.has_row_cs && !other.has_col_cs);
-        assert_eq!(self.cols, other.rows, "matmul_separate: inner dimension");
-        let a_data = self.logical();
-        let b_data = other.logical();
-        // Kernel 1: the data product.
-        let c_data = gemm::matmul(&a_data, &b_data);
-        let mut out = CheckedMatrix {
-            rows: self.rows,
-            cols: other.cols,
-            has_col_cs: self.has_col_cs,
-            has_row_cs: other.has_row_cs,
-            buf: Matrix::zeros(
-                self.rows + if self.has_col_cs { 2 } else { 0 },
-                other.cols + if other.has_row_cs { 2 } else { 0 },
-            ),
+    /// Panics when an operand carries checksums along the inner dimension
+    /// (they would corrupt the product) and, in the kernel, on dimension
+    /// mismatch — which an entry encode over an already encoded side is.
+    pub fn product<'a, 'b>(
+        a: impl Into<Operand<'a>>,
+        b: impl Into<Operand<'b>>,
+        kind: ProductKind,
+    ) -> CheckedMatrix {
+        use ProductKind::*;
+        let (a, b) = (a.into(), b.into());
+        let (b_outer, b_inner_cs, b_outer_cs) = match kind {
+            Nt => (b.rows, b.has_row_cs, b.has_col_cs),
+            _ => (b.cols, b.has_col_cs, b.has_row_cs),
         };
-        for r in 0..c_data.rows() {
-            out.buf.row_mut(r)[..c_data.cols()].copy_from_slice(c_data.row(r));
+        assert!(
+            !a.has_row_cs && !b_inner_cs,
+            "product: checksums along the inner dimension"
+        );
+        let has_col_cs = a.has_col_cs || kind == EncodeCols;
+        let has_row_cs = b_outer_cs || kind == EncodeRows;
+        let mut buf = Matrix::zeros(
+            a.rows + 2 * usize::from(has_col_cs),
+            b_outer + 2 * usize::from(has_row_cs),
+        );
+        match kind {
+            Nn => gemm::matmul_into(a.buf, b.buf, buf.view_mut()),
+            Nt => gemm::matmul_nt_into(a.buf, b.buf, buf.view_mut()),
+            EncodeCols => gemm::gemm_encode_cols_into(a.buf, b.buf, buf.view_mut()),
+            EncodeRows => gemm::gemm_encode_rows_into(a.buf, b.buf, buf.view_mut()),
         }
-        // Kernel 2: column-checksum update.
-        if self.has_col_cs {
-            let cc = gemm::matmul(&self.stored_col_checksums(), &b_data);
-            for i in 0..2 {
-                out.buf.row_mut(self.rows + i)[..other.cols].copy_from_slice(cc.row(i));
+        CheckedMatrix {
+            rows: a.rows,
+            cols: b_outer,
+            has_col_cs,
+            has_row_cs,
+            buf,
+        }
+    }
+
+    /// Separate-pass `A · B` (the Fig 8 "Non-OPT" baseline): data and each
+    /// checksum border are produced by independent products, then copied
+    /// into the augmented layout. Mathematically identical to
+    /// [`Self::product`] with [`ProductKind::Nn`], but with the extra
+    /// kernel launches, temporaries, and memory traffic of an unfused
+    /// implementation.
+    pub fn matmul_separate<'a, 'b>(
+        a: impl Into<Operand<'a>>,
+        b: impl Into<Operand<'b>>,
+    ) -> CheckedMatrix {
+        Self::separate(a.into(), b.into(), false)
+    }
+
+    /// Separate-pass `A · Bᵀ`, the [`ProductKind::Nt`] baseline.
+    pub fn matmul_nt_separate<'a, 'b>(
+        a: impl Into<Operand<'a>>,
+        b: impl Into<Operand<'b>>,
+    ) -> CheckedMatrix {
+        Self::separate(a.into(), b.into(), true)
+    }
+
+    fn separate(a: Operand<'_>, b: Operand<'_>, nt: bool) -> CheckedMatrix {
+        let mul = |x: &Matrix, y: &Matrix| {
+            if nt {
+                gemm::matmul_nt(x, y)
+            } else {
+                gemm::matmul(x, y)
             }
+        };
+        // B's outer-dimension border: its row checksums, or (transposed by
+        // the NT kernel) its column checksums.
+        let (b_outer, b_inner_cs, b_cs) = if nt {
+            let cs = b.has_col_cs.then(|| b.block(b.rows..b.rows + 2, 0..b.cols));
+            (b.rows, b.has_row_cs, cs)
+        } else {
+            let cs = b.has_row_cs.then(|| b.block(0..b.rows, b.cols..b.cols + 2));
+            (b.cols, b.has_col_cs, cs)
+        };
+        assert!(
+            !a.has_row_cs && !b_inner_cs,
+            "separate product: checksums along the inner dimension"
+        );
+        let a_cs = a.has_col_cs.then(|| a.block(a.rows..a.rows + 2, 0..a.cols));
+        let (a_data, b_data) = (a.logical(), b.logical());
+        let mut buf = Matrix::zeros(
+            a.rows + 2 * usize::from(a_cs.is_some()),
+            b_outer + 2 * usize::from(b_cs.is_some()),
+        );
+        let mut place = |r0: usize, c0: usize, part: Matrix| {
+            for r in 0..part.rows() {
+                buf.row_mut(r0 + r)[c0..c0 + part.cols()].copy_from_slice(part.row(r));
+            }
+        };
+        // Kernel 1: the data product.
+        place(0, 0, mul(&a_data, &b_data));
+        // Kernel 2: column-checksum update.
+        if let Some(a_cs) = &a_cs {
+            place(a.rows, 0, mul(a_cs, &b_data));
         }
         // Kernel 3: row-checksum update.
-        if other.has_row_cs {
-            let rc = gemm::matmul(&a_data, &other.stored_row_checksums());
-            for r in 0..self.rows {
-                out.buf.row_mut(r)[other.cols..].copy_from_slice(rc.row(r));
-            }
+        if let Some(b_cs) = &b_cs {
+            place(0, b_outer, mul(&a_data, b_cs));
         }
         // Kernel 4: the consistency corner.
-        if self.has_col_cs && other.has_row_cs {
-            let corner = gemm::matmul(&self.stored_col_checksums(), &other.stored_row_checksums());
-            for i in 0..2 {
-                out.buf.row_mut(self.rows + i)[other.cols..].copy_from_slice(corner.row(i));
-            }
+        if let (Some(a_cs), Some(b_cs)) = (&a_cs, &b_cs) {
+            place(a.rows, b_outer, mul(a_cs, b_cs));
         }
-        out
-    }
-
-    /// Separate-pass variant of [`Self::matmul_nt`].
-    pub fn matmul_nt_separate(&self, other: &CheckedMatrix) -> CheckedMatrix {
-        assert!(!self.has_row_cs && !other.has_row_cs);
-        assert_eq!(self.cols, other.cols);
-        let a_data = self.logical();
-        let b_data = other.logical();
-        let c_data = gemm::matmul_nt(&a_data, &b_data);
-        let mut out = CheckedMatrix {
-            rows: self.rows,
-            cols: other.rows,
-            has_col_cs: self.has_col_cs,
-            has_row_cs: other.has_col_cs,
-            buf: Matrix::zeros(
-                self.rows + if self.has_col_cs { 2 } else { 0 },
-                other.rows + if other.has_col_cs { 2 } else { 0 },
-            ),
-        };
-        for r in 0..c_data.rows() {
-            out.buf.row_mut(r)[..c_data.cols()].copy_from_slice(c_data.row(r));
+        CheckedMatrix {
+            rows: a.rows,
+            cols: b_outer,
+            has_col_cs: a_cs.is_some(),
+            has_row_cs: b_cs.is_some(),
+            buf,
         }
-        if self.has_col_cs {
-            let cc = gemm::matmul_nt(&self.stored_col_checksums(), &b_data);
-            for i in 0..2 {
-                out.buf.row_mut(self.rows + i)[..other.rows].copy_from_slice(cc.row(i));
-            }
-        }
-        if other.has_col_cs {
-            let rc = gemm::matmul_nt(&a_data, &other.stored_col_checksums());
-            for r in 0..self.rows {
-                out.buf.row_mut(r)[other.rows..].copy_from_slice(rc.row(r));
-            }
-        }
-        if self.has_col_cs && other.has_col_cs {
-            let corner =
-                gemm::matmul_nt(&self.stored_col_checksums(), &other.stored_col_checksums());
-            for i in 0..2 {
-                out.buf.row_mut(self.rows + i)[other.rows..].copy_from_slice(corner.row(i));
-            }
-        }
-        out
     }
 
     /// Scale the entire augmented buffer (data *and* checksums) by `s` —
@@ -722,7 +658,7 @@ mod tests {
         let b = rand(&mut rng, 8, 5);
         let ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
         let cb = CheckedMatrix::encode_rows(&b, Strategy::Fused);
-        let cc = ca.matmul(&cb);
+        let cc = CheckedMatrix::product(&ca, &cb, ProductKind::Nn);
         assert!(cc.has_col_checksums() && cc.has_row_checksums());
         assert!(cc.logical().approx_eq(&gemm::matmul(&a, &b), 1e-4, 1e-4));
         assert!(
@@ -739,7 +675,7 @@ mod tests {
         let k = rand(&mut rng, 9, 4);
         let cq = CheckedMatrix::encode_cols(&q, Strategy::Fused);
         let ck = CheckedMatrix::encode_cols(&k, Strategy::Fused);
-        let cs = cq.matmul_nt(&ck);
+        let cs = CheckedMatrix::product(&cq, &ck, ProductKind::Nt);
         assert_eq!((cs.rows(), cs.cols()), (7, 9));
         assert!(cs.has_col_checksums() && cs.has_row_checksums());
         assert!(cs.logical().approx_eq(&gemm::matmul_nt(&q, &k), 1e-4, 1e-4));
@@ -753,8 +689,8 @@ mod tests {
         let b = rand(&mut rng, 8, 5);
         let ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
         let cb = CheckedMatrix::encode_rows(&b, Strategy::Fused);
-        let fused = ca.matmul(&cb);
-        let sep = ca.matmul_separate(&cb);
+        let fused = CheckedMatrix::product(&ca, &cb, ProductKind::Nn);
+        let sep = CheckedMatrix::matmul_separate(&ca, &cb);
         assert!(fused.buf().approx_eq(sep.buf(), 1e-4, 1e-4));
     }
 
@@ -765,10 +701,13 @@ mod tests {
         let k = rand(&mut rng, 6, 4);
         let cq = CheckedMatrix::encode_cols(&q, Strategy::Fused);
         let ck = CheckedMatrix::encode_cols(&k, Strategy::Fused);
-        assert!(cq
-            .matmul_nt(&ck)
+        assert!(CheckedMatrix::product(&cq, &ck, ProductKind::Nt)
             .buf()
-            .approx_eq(cq.matmul_nt_separate(&ck).buf(), 1e-4, 1e-4));
+            .approx_eq(
+                CheckedMatrix::matmul_nt_separate(&cq, &ck).buf(),
+                1e-4,
+                1e-4
+            ));
     }
 
     #[test]
@@ -780,9 +719,10 @@ mod tests {
             let a = rand(&mut rng, m, k);
             let b = rand(&mut rng, k, n);
             let cb = CheckedMatrix::encode_rows(&b, Strategy::Fused);
-            for rhs in [CheckedMatrix::from_plain(&b), cb] {
-                let fused = CheckedMatrix::matmul_encode_cols(&a, &rhs);
-                let staged = CheckedMatrix::encode_cols(&a, Strategy::Fused).matmul(&rhs);
+            for rhs in [Operand::from(&b), Operand::from(&cb)] {
+                let fused = CheckedMatrix::product(&a, rhs, ProductKind::EncodeCols);
+                let ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
+                let staged = CheckedMatrix::product(&ca, rhs, ProductKind::Nn);
                 assert_eq!(fused.buf(), staged.buf(), "{m}x{k}x{n}");
                 assert_eq!(fused.has_row_checksums(), staged.has_row_checksums());
                 assert!(fused.has_col_checksums());
@@ -797,9 +737,10 @@ mod tests {
             let a = rand(&mut rng, m, k);
             let b = rand(&mut rng, k, n);
             let ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
-            for lhs in [CheckedMatrix::from_plain(&a), ca] {
-                let fused = CheckedMatrix::matmul_encode_rows(&lhs, &b);
-                let staged = lhs.matmul(&CheckedMatrix::encode_rows(&b, Strategy::Fused));
+            for lhs in [Operand::from(&a), Operand::from(&ca)] {
+                let fused = CheckedMatrix::product(lhs, &b, ProductKind::EncodeRows);
+                let cb = CheckedMatrix::encode_rows(&b, Strategy::Fused);
+                let staged = CheckedMatrix::product(lhs, &cb, ProductKind::Nn);
                 assert_eq!(fused.buf(), staged.buf(), "{m}x{k}x{n}");
                 assert_eq!(fused.has_col_checksums(), staged.has_col_checksums());
                 assert!(fused.has_row_checksums());
@@ -911,8 +852,7 @@ mod tests {
     fn matmul_rejects_row_checksummed_left() {
         let a = Matrix::zeros(3, 3);
         let ca = CheckedMatrix::encode_rows(&a, Strategy::Fused);
-        let cb = CheckedMatrix::from_plain(&a);
-        let _ = ca.matmul(&cb);
+        let _ = CheckedMatrix::product(&ca, &a, ProductKind::Nn);
     }
 
     #[test]
@@ -924,8 +864,8 @@ mod tests {
         let w1 = rand(&mut rng, 8, 8);
         let w2 = rand(&mut rng, 8, 4);
         let cx = CheckedMatrix::encode_cols(&x, Strategy::Fused);
-        let c1 = cx.matmul(&CheckedMatrix::from_plain(&w1));
-        let c2 = c1.matmul(&CheckedMatrix::from_plain(&w2));
+        let c1 = CheckedMatrix::product(&cx, &w1, ProductKind::Nn);
+        let c2 = CheckedMatrix::product(&c1, &w2, ProductKind::Nn);
         assert!(c2.has_col_checksums());
         assert!(c2.max_checksum_discrepancy() < 5e-2);
         let expect = gemm::matmul(&gemm::matmul(&x, &w1), &w2);

@@ -25,7 +25,7 @@
 //! (columns in [`gemm::NC`]-sized blocks for row checksums) with block
 //! partials combined in block order. The standalone encoders here follow
 //! the *same* blocked order, so a fused encoding is bit-identical to
-//! encode-then-GEMM — the property `CheckedMatrix::matmul_encode_cols`
+//! encode-then-GEMM — the property `CheckedMatrix::product`
 //! and the exact-replay machinery rely on.
 //!
 //! [`gemm::MC`]: attn_tensor::gemm::MC

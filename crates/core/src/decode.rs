@@ -296,7 +296,7 @@ impl AttnKvCache {
                 // Drop the riding checksum columns: an unguarded step
                 // returns plain data, exactly like the inactive training
                 // sections.
-                CheckedMatrix::from_plain(&buf.submatrix(0, 1, 0, self.d))
+                CheckedMatrix::from_plain_owned(buf.submatrix(0, 1, 0, self.d))
             } else {
                 CheckedMatrix::from_plain_owned(buf)
             }
@@ -746,8 +746,8 @@ pub fn decode_step(
         // ------------------------------------------------ section S_AS
         // Single-query projections through the fused encode entry: the
         // row's column checksums accumulate inside the GEMM packing pass.
-        let mut q = s_as.gemm_encode_cols(x, &s_as.operand(w.wq));
-        let mut k = s_as.gemm_encode_cols(x, &s_as.operand(w.wk));
+        let mut q = s_as.gemm(x, w.wq);
+        let mut k = s_as.gemm(x, w.wk);
         q.add_bias(w.bq);
         k.add_bias(w.bk);
         ctx.fire(
@@ -809,13 +809,12 @@ pub fn decode_step(
         }
 
         // ------------------------------------------------ section S_CL
-        let x_plain = s_cl.operand(x);
         // attn-lint: allow(hot-path-alloc) — O(heads) handle vector per step; the row payloads inside draw on the arena
         let mut cl_blocks = Vec::with_capacity(w.heads);
         for h in 0..w.heads {
             let wv_h = w.wv.submatrix(0, w.hidden, h * d, (h + 1) * d);
             let bv_h = &w.bv[h * d..(h + 1) * d];
-            let mut v_h = s_cl.gemm_encode_rows(&x_plain, &wv_h);
+            let mut v_h = s_cl.gemm_encode_rows(x, &wv_h);
             v_h.add_bias(bv_h);
             ctx.fire(
                 FaultSite {
@@ -853,7 +852,7 @@ pub fn decode_step(
         let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
 
         // ------------------------------------------------ section S_O
-        let mut o = s_o.gemm_adopt_cols(&cl_merged, &s_o.operand(w.wo));
+        let mut o = s_o.gemm(&cl_merged, w.wo);
         o.add_bias(w.bo);
         ctx.fire(
             FaultSite {

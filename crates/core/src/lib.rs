@@ -12,16 +12,17 @@
 //!   multi-pass form (the Fig 8/9 ablation baseline).
 //! * [`checked`] — [`CheckedMatrix`]: a matrix physically augmented with
 //!   checksum rows/columns so checksum *updates* ride along the very same
-//!   GEMM that produces the data (paper §4.6 "Updating").
+//!   GEMM that produces the data (paper §4.6 "Updating") — one
+//!   [`CheckedMatrix::product`] over borrowed [`checked::Operand`] views.
 //! * [`eec`] — per-vector Extreme-Error-Correcting ABFT with the four-case
 //!   dispatch of paper Fig 3 (finite δ / INF δ / NaN δ / propagation).
 //! * [`detect`] — matrix-level correction passes: deterministic patterns via
 //!   one-sided checksums, nondeterministic patterns via the two-sided
 //!   try-columns-then-rows protocol with checksum rebuild (paper §4.3).
 //! * [`section`] — the composable guarded-GEMM pipeline: [`GuardedSection`]
-//!   strings encoded GEMMs, exit-and-re-encode steps, fault-hook taps,
-//!   delayed detection points, and exact-replay refinement into reusable
-//!   protection sections; [`ForwardCtx`] threads the per-execution state
+//!   strings guarded GEMMs (encoding on entry, inside the kernel),
+//!   nonlinear exits, fault-hook taps, delayed detection points, and
+//!   exact-replay refinement into reusable protection sections; [`ForwardCtx`] threads the per-execution state
 //!   (mask, toggles, hook, report) through every layer of one execution.
 //! * [`policy`] — [`ProtectionPolicy`]: single owner of the per-section
 //!   frequency gates (paper §4.5), handing out per-execution

@@ -12,29 +12,32 @@
 //! The vocabulary:
 //!
 //! * [`GuardedSection`] — per-section context created with
-//!   [`GuardedSection::begin`]. Every step method degrades to the plain
+//!   [`GuardedSection::begin`]. Every step degrades to the plain
 //!   unprotected computation when the section is inactive (frequency gate
 //!   skipped this execution, or protection globally off), so callers write
-//!   one pipeline and get bit-identical unprotected behaviour for free.
-//! * encode steps — [`GuardedSection::encode_cols`],
-//!   [`GuardedSection::encode_rows`], [`GuardedSection::operand`] wrap
-//!   section inputs; [`GuardedSection::adopt_cols`] adapts a matrix
-//!   *inherited* from an upstream section to this section's activity.
-//! * GEMM steps — [`GuardedSection::gemm`] / [`GuardedSection::gemm_nt`]
-//!   dispatch on the configured [`Strategy`] and let checksums ride through
-//!   the product.
-//! * fused entry steps — [`GuardedSection::gemm_encode_cols`] /
-//!   [`GuardedSection::gemm_encode_rows`] /
-//!   [`GuardedSection::gemm_adopt_cols`] enter the checksummed region *in*
-//!   the GEMM: the operand's encoding accumulates inside the kernel's
-//!   packing pass (paper §4.6), bit-identical to encode-then-multiply but
-//!   without the standalone sweep. This is how `S_AS`, `S_CL`, `S_O` and
-//!   `S_FFN` run on the hot path.
-//! * exit-and-re-encode — [`GuardedSection::exit_cols`] leaves the
-//!   checksummed region for a nonlinear step (softmax, GELU, masking),
-//!   returning plain data whose re-encoding rides in the next fused GEMM;
-//!   [`GuardedSection::exit_reencode_cols`] is the eager variant for
-//!   callers that need the encoded matrix itself.
+//!   one pipeline and get bit-identical unprotected behaviour — and the
+//!   same copies as a hand-written plain pipeline — for free.
+//! * operands — every GEMM step takes its operands *borrowed*, as anything
+//!   that converts into an [`Operand`] view: a plain `&Matrix` (weights,
+//!   activations) or a `&CheckedMatrix` (an upstream product). Nothing is
+//!   wrapped or cloned to be multiplied.
+//! * GEMM steps — [`GuardedSection::gemm`] is the one `A · B` step: `A`'s
+//!   column checksums ride through when it has them (inherited from an
+//!   upstream GEMM or section); when the section is active and `A` is
+//!   plain, its encoding accumulates inside the kernel's packing pass
+//!   (paper §4.6) — bit-identical to encode-then-multiply without the
+//!   standalone sweep; when the section is inactive, inherited checksums
+//!   are dropped (a prefix view) and the plain product runs.
+//!   [`GuardedSection::gemm_nt`] is `A · Bᵀ`, and
+//!   [`GuardedSection::gemm_encode_rows`] the row-side entry (`B` plain,
+//!   row-encoded in the packing pass). This is how `S_AS`, `S_CL`, `S_O`
+//!   and `S_FFN` run on the hot path.
+//! * standalone encode — [`GuardedSection::encode_cols`] column-encodes a
+//!   section input eagerly, for callers that need the encoded matrix
+//!   itself (and as the reference the fused entry is tested against).
+//! * exit — [`GuardedSection::exit_cols`] leaves the checksummed region
+//!   for a nonlinear step (softmax, GELU, masking), returning plain data
+//!   whose re-encoding rides in the next [`GuardedSection::gemm`].
 //! * detection — [`GuardedSection::detect`] runs the two-sided correction
 //!   protocol and returns a [`Detection`] that the caller refines to exact
 //!   bits ([`Detection::refine`]) and folds into the report
@@ -62,10 +65,9 @@
 //! let mut report = AbftReport::default();
 //! let sec =
 //!     GuardedSection::begin(SectionId::Output, &ProtectionConfig::full(), true, &mut report);
-//! let xc = sec.encode_cols(&x);                // checksums enter once…
-//! let h = sec.gemm(&xc, &sec.operand(&w1));    // …ride through GEMM 1…
-//! let mut y = sec.gemm(&h, &sec.operand(&w2)); // …and through GEMM 2.
-//! y.set(3, 1, f32::INFINITY);                  // a soft error strikes
+//! let h = sec.gemm(&x, &w1);      // checksums enter inside GEMM 1…
+//! let mut y = sec.gemm(&h, &w2);  // …and ride through GEMM 2.
+//! y.set(3, 1, f32::INFINITY);     // a soft error strikes
 //!
 //! // One delayed detection point covers the whole chain; exact replay
 //! // restores the corrected element to its original bits.
@@ -79,7 +81,7 @@
 //! ```
 
 use crate::attention::{FaultHook, FaultSite, SectionToggles};
-use crate::checked::CheckedMatrix;
+use crate::checked::{CheckedMatrix, Operand, ProductKind};
 use crate::config::{AbftConfig, ProtectionConfig, Strategy};
 use crate::detect::{
     correct_columns, correct_rows, full_correct, CorrectionSummary, ElementFix, PassOutcome,
@@ -181,11 +183,6 @@ impl GuardedSection {
         attn_tensor::OpGuard::new(!config.is_off(), config.abft.detect_tol)
     }
 
-    /// Which section this is.
-    pub fn id(&self) -> SectionId {
-        self.id
-    }
-
     /// Does this section perform detection this execution?
     pub fn active(&self) -> bool {
         self.active
@@ -198,168 +195,94 @@ impl GuardedSection {
         self.immediate
     }
 
-    /// Detection/correction thresholds in force for this section.
-    pub fn abft(&self) -> &AbftConfig {
-        &self.abft
-    }
-
-    /// Column-encode a section input (plain wrap when inactive).
+    /// Column-encode a section input eagerly (plain copy when inactive).
+    /// The hot path does not need it — [`Self::gemm`] encodes on entry
+    /// inside the kernel — but it is the standalone reference that entry
+    /// is tested against, and what a caller that needs the encoded matrix
+    /// itself uses.
     pub fn encode_cols(&self, m: &Matrix) -> CheckedMatrix {
         if self.active {
             CheckedMatrix::encode_cols(m, self.strategy)
         } else {
-            CheckedMatrix::from_plain(m)
+            CheckedMatrix::from_plain_owned(m.clone())
         }
     }
 
-    /// Row-encode a section input (plain wrap when inactive).
-    pub fn encode_rows(&self, m: &Matrix) -> CheckedMatrix {
-        if self.active {
-            CheckedMatrix::encode_rows(m, self.strategy)
-        } else {
-            CheckedMatrix::from_plain(m)
-        }
-    }
-
-    /// Wrap an operand that never carries checksums of its own (weights
-    /// whose product inherits protection from the other operand).
-    pub fn operand(&self, m: &Matrix) -> CheckedMatrix {
-        CheckedMatrix::from_plain(m)
-    }
-
-    /// Guarded product `A · B`: checksums ride through under the section's
-    /// strategy; plain product when inactive.
-    pub fn gemm(&self, a: &CheckedMatrix, b: &CheckedMatrix) -> CheckedMatrix {
-        if !self.active {
-            return a.matmul(b);
-        }
-        match self.strategy {
-            Strategy::Fused => a.matmul(b),
-            Strategy::Separate => a.matmul_separate(b),
-        }
+    /// Guarded product `A · B`. `A`'s column checksums ride through when
+    /// present; an active section encodes a plain `A` on entry, inside
+    /// the GEMM's packing pass; an inactive one computes the plain
+    /// product, dropping any checksums `A` inherited upstream. `B`'s row
+    /// checksums (if any) ride through, corner included.
+    ///
+    /// # Panics
+    /// Panics when `a` carries row checksums or `b` column checksums (they
+    /// would corrupt the product's inner dimension).
+    pub fn gemm<'a, 'b>(
+        &self,
+        a: impl Into<Operand<'a>>,
+        b: impl Into<Operand<'b>>,
+    ) -> CheckedMatrix {
+        self.product(a.into(), b.into(), ProductKind::Nn)
     }
 
     /// Guarded product `A · Bᵀ` (`B`'s column checksums transpose into the
     /// product's row checksums — how `AS = Q·Kᵀ` acquires both borders).
-    pub fn gemm_nt(&self, a: &CheckedMatrix, b: &CheckedMatrix) -> CheckedMatrix {
-        if !self.active {
-            return a.matmul_nt(b);
-        }
-        match self.strategy {
-            Strategy::Fused => a.matmul_nt(b),
-            Strategy::Separate => a.matmul_nt_separate(b),
-        }
+    pub fn gemm_nt<'a, 'b>(
+        &self,
+        a: impl Into<Operand<'a>>,
+        b: impl Into<Operand<'b>>,
+    ) -> CheckedMatrix {
+        self.product(a.into(), b.into(), ProductKind::Nt)
     }
 
-    /// Fused encode-and-multiply entry step: equivalent to
-    /// `self.gemm(&self.encode_cols(a), b)` — bit for bit — but under
-    /// [`Strategy::Fused`] the encode sweep rides inside the GEMM's
-    /// packing pass ([`CheckedMatrix::matmul_encode_cols`]), so entering a
-    /// section costs no standalone pass over the operand and no augmented
-    /// copy. Under [`Strategy::Separate`] it reproduces the unfused
-    /// baseline (naive two-pass encode + separate checksum kernels), and
-    /// it degrades to the plain product when the section is inactive.
-    pub fn gemm_encode_cols(&self, a: &Matrix, b: &CheckedMatrix) -> CheckedMatrix {
-        if !self.active {
-            // Borrowed plain product: no wrap, no operand clone.
-            return CheckedMatrix::matmul_plain(a, b);
-        }
-        match self.strategy {
-            Strategy::Fused => CheckedMatrix::matmul_encode_cols(a, b),
-            Strategy::Separate => {
-                CheckedMatrix::encode_cols(a, Strategy::Separate).matmul_separate(b)
-            }
-        }
+    /// Row-side entry: `A · B` with plain `b` row-encoded inside the
+    /// GEMM's packing pass — how each per-head `W_V` slice enters `S_CL`
+    /// without its own encoding sweep. `a` is taken as it comes (its
+    /// column checksums ride, a plain `a` stays plain).
+    pub fn gemm_encode_rows<'a>(&self, a: impl Into<Operand<'a>>, b: &Matrix) -> CheckedMatrix {
+        self.product(a.into(), b.into(), ProductKind::EncodeRows)
     }
 
-    /// Row-side fused encode-and-multiply: equivalent to
-    /// `self.gemm(a, &self.encode_rows(b))` with the encode sweep riding
-    /// inside the GEMM — how each per-head `W_V` slice enters `S_CL`
-    /// without its own encoding pass.
-    pub fn gemm_encode_rows(&self, a: &CheckedMatrix, b: &Matrix) -> CheckedMatrix {
+    /// The one place a section decides how a product runs, from
+    /// `active × strategy × what the left operand already carries`.
+    fn product(&self, a: Operand<'_>, b: Operand<'_>, kind: ProductKind) -> CheckedMatrix {
+        use ProductKind::*;
         if !self.active {
-            // Borrowed plain product: no wrap, no operand clone.
-            return CheckedMatrix::matmul_plain_rhs(a, b);
+            let plain = if kind == Nt { Nt } else { Nn };
+            return CheckedMatrix::product(a.without_col_checksums(), b, plain);
         }
-        match self.strategy {
-            Strategy::Fused => CheckedMatrix::matmul_encode_rows(a, b),
-            Strategy::Separate => {
-                a.matmul_separate(&CheckedMatrix::encode_rows(b, Strategy::Separate))
-            }
-        }
-    }
-
-    /// Fused adopt-and-multiply for a left operand inherited from an
-    /// upstream section: checksums ride when already present, the fused
-    /// entry encode runs when this section is active but the operand is
-    /// unprotected, and the plain product is computed otherwise —
-    /// `self.gemm(&self.adopt_cols(a), b)` without the standalone
-    /// re-encode sweep.
-    ///
-    /// # Panics
-    /// Panics when `a` carries row checksums (they would corrupt the
-    /// product's inner dimension, exactly as in [`Self::gemm`]).
-    pub fn gemm_adopt_cols(&self, a: &CheckedMatrix, b: &CheckedMatrix) -> CheckedMatrix {
-        assert!(
-            !a.has_row_checksums(),
-            "gemm_adopt_cols: left operand must not carry row checksums"
-        );
-        if self.active && a.has_col_checksums() {
-            self.gemm(a, b)
-        } else if self.active {
-            // buf() is exactly the logical data when no checksums are
-            // present, so no extraction copy is needed.
-            self.gemm_encode_cols(a.buf(), b)
-        } else if a.has_col_checksums() {
-            CheckedMatrix::matmul_plain(&a.logical(), b)
+        let kind = if kind == Nn && !a.has_col_checksums() {
+            EncodeCols
         } else {
-            a.matmul(b)
+            kind
+        };
+        match self.strategy {
+            Strategy::Fused => CheckedMatrix::product(a, b, kind),
+            // The Fig 8 baseline: a standalone naive encode sweep on entry,
+            // then one kernel per checksum border.
+            Strategy::Separate => match kind {
+                Nn => CheckedMatrix::matmul_separate(a, b),
+                Nt => CheckedMatrix::matmul_nt_separate(a, b),
+                EncodeCols => {
+                    let a = CheckedMatrix::encode_cols(&a.logical(), self.strategy);
+                    CheckedMatrix::matmul_separate(&a, b)
+                }
+                EncodeRows => {
+                    let b = CheckedMatrix::encode_rows(&b.logical(), self.strategy);
+                    CheckedMatrix::matmul_separate(a, &b)
+                }
+            },
         }
     }
 
     /// Leave the checksummed region for a nonlinear step and return the
     /// *plain* result: `f` mutates the logical data (softmax, GELU,
-    /// masking, caching …). Checksums cannot survive a nonlinearity; with
-    /// fused encoding the re-entry encode rides inside the next
-    /// [`Self::gemm_encode_cols`] instead of a standalone
-    /// [`Self::exit_reencode_cols`] sweep.
+    /// masking, caching …). Checksums cannot survive a nonlinearity; the
+    /// re-entry encode rides inside the next [`Self::gemm`].
     pub fn exit_cols(&self, m: &CheckedMatrix, f: impl FnOnce(&mut Matrix)) -> Matrix {
         let mut data = m.logical();
         f(&mut data);
         data
-    }
-
-    /// Leave the checksummed region for a nonlinear step and re-enter it:
-    /// `f` mutates the logical data (softmax, GELU, masking, caching …) and
-    /// the result is column-encoded under this section's strategy (plain
-    /// wrap when inactive). Checksums cannot survive a nonlinearity, so
-    /// this is the mandated exit-and-re-encode boundary between chained
-    /// GEMMs.
-    pub fn exit_reencode_cols(
-        &self,
-        m: &CheckedMatrix,
-        f: impl FnOnce(&mut Matrix),
-    ) -> CheckedMatrix {
-        let mut data = m.logical();
-        f(&mut data);
-        if self.active {
-            CheckedMatrix::encode_cols(&data, self.strategy)
-        } else {
-            CheckedMatrix::from_plain(&data)
-        }
-    }
-
-    /// Adapt a matrix inherited from an upstream section to this section's
-    /// activity: encode when active but unprotected, strip when inactive
-    /// but still carrying checksums, pass through otherwise.
-    pub fn adopt_cols(&self, m: &CheckedMatrix) -> CheckedMatrix {
-        if self.active && !m.has_col_checksums() {
-            CheckedMatrix::encode_cols(&m.logical(), self.strategy)
-        } else if !self.active && m.has_col_checksums() {
-            CheckedMatrix::from_plain(&m.logical())
-        } else {
-            m.clone()
-        }
     }
 
     /// The section's delayed detection point: run the two-sided correction
@@ -621,7 +544,7 @@ mod tests {
         let x = rng.normal_matrix(5, 6, 1.0);
         let w = rng.normal_matrix(6, 4, 1.0);
         let (sec, _) = section(false);
-        let y = sec.gemm(&sec.encode_cols(&x), &sec.operand(&w));
+        let y = sec.gemm(&sec.encode_cols(&x), &w);
         assert!(!y.has_col_checksums());
         assert_eq!(y.logical(), gemm::matmul(&x, &w));
     }
@@ -633,7 +556,7 @@ mod tests {
         let w = rng.normal_matrix(8, 5, 1.0);
         let clean = gemm::matmul(&x, &w);
         let (sec, mut report) = section(true);
-        let mut y = sec.gemm(&sec.encode_cols(&x), &sec.operand(&w));
+        let mut y = sec.gemm(&sec.encode_cols(&x), &w);
         y.set(2, 3, f32::INFINITY);
         let mut det = sec.detect(&mut y, usize::MAX);
         assert!(det.detections() > 0);
@@ -643,53 +566,6 @@ mod tests {
         assert_eq!(report.correction_count(), 1);
         assert_eq!(report.unrecovered, 0);
         assert_eq!(report.corrections[0].section, SectionId::Output);
-    }
-
-    #[test]
-    fn exit_reencode_applies_nonlinearity_and_reencodes() {
-        let mut rng = TensorRng::seed_from(5);
-        let x = rng.normal_matrix(4, 4, 1.0);
-        let (sec, _) = section(true);
-        let enc = sec.encode_cols(&x);
-        let out = sec.exit_reencode_cols(&enc, |m| {
-            for v in m.data_mut() {
-                *v = v.tanh();
-            }
-        });
-        assert!(out.has_col_checksums());
-        assert_eq!(out.logical(), x.map(|v| v.tanh()));
-        assert!(out.max_checksum_discrepancy() < 1e-4);
-    }
-
-    #[test]
-    fn adopt_cols_covers_all_four_cases() {
-        let mut rng = TensorRng::seed_from(6);
-        let x = rng.normal_matrix(4, 4, 1.0);
-        let enc = CheckedMatrix::encode_cols(&x, Strategy::Fused);
-        let plain = CheckedMatrix::from_plain(&x);
-        let (on, _) = section(true);
-        let (off, _) = section(false);
-        assert!(on.adopt_cols(&plain).has_col_checksums());
-        assert!(on.adopt_cols(&enc).has_col_checksums());
-        assert!(!off.adopt_cols(&enc).has_col_checksums());
-        assert!(!off.adopt_cols(&plain).has_col_checksums());
-        assert_eq!(on.adopt_cols(&plain).logical(), x);
-    }
-
-    #[test]
-    fn fused_entry_steps_match_encode_then_gemm() {
-        let mut rng = TensorRng::seed_from(11);
-        let x = rng.normal_matrix(9, 12, 1.0);
-        let w = rng.normal_matrix(12, 7, 1.0);
-        for active in [false, true] {
-            let (sec, _) = section(active);
-            let staged_c = sec.gemm(&sec.encode_cols(&x), &sec.operand(&w));
-            let fused_c = sec.gemm_encode_cols(&x, &sec.operand(&w));
-            assert_eq!(fused_c.buf(), staged_c.buf(), "cols, active={active}");
-            let staged_r = sec.gemm(&sec.operand(&x), &sec.encode_rows(&w));
-            let fused_r = sec.gemm_encode_rows(&sec.operand(&x), &w);
-            assert_eq!(fused_r.buf(), staged_r.buf(), "rows, active={active}");
-        }
     }
 
     #[test]
@@ -704,27 +580,9 @@ mod tests {
             true,
             &mut report,
         );
-        let staged = sec.gemm(&sec.encode_cols(&x), &sec.operand(&w));
-        let fused = sec.gemm_encode_cols(&x, &sec.operand(&w));
+        let staged = sec.gemm(&sec.encode_cols(&x), &w);
+        let fused = sec.gemm(&x, &w);
         assert_eq!(fused.buf(), staged.buf());
-    }
-
-    #[test]
-    fn gemm_adopt_cols_covers_all_four_cases() {
-        let mut rng = TensorRng::seed_from(13);
-        let x = rng.normal_matrix(5, 6, 1.0);
-        let w = rng.normal_matrix(6, 4, 1.0);
-        let enc = CheckedMatrix::encode_cols(&x, Strategy::Fused);
-        let plain = CheckedMatrix::from_plain(&x);
-        for active in [false, true] {
-            let (sec, _) = section(active);
-            for a in [&plain, &enc] {
-                let got = sec.gemm_adopt_cols(a, &sec.operand(&w));
-                let want = sec.gemm(&sec.adopt_cols(a), &sec.operand(&w));
-                assert_eq!(got.buf(), want.buf(), "active={active}");
-                assert_eq!(got.has_col_checksums(), active);
-            }
-        }
     }
 
     #[test]
@@ -768,7 +626,7 @@ mod tests {
         let w = rng.normal_matrix(6, 6, 1.0);
         let clean = gemm::matmul(&x, &w);
         let (sec, mut report) = section(true);
-        let mut q = sec.gemm(&sec.encode_cols(&x), &sec.operand(&w));
+        let mut q = sec.gemm(&sec.encode_cols(&x), &w);
         q.set(1, 2, f32::NAN);
         sec.heal_operand_cols(&mut report, &mut q, usize::MAX, |r, c| {
             replay_nn(x.row(r), |kk| w[(kk, c)])

@@ -1,6 +1,6 @@
 //! The decoding engine: session lifecycle, batching, protection pacing.
 
-use crate::sampling::{sample_token_checked, Sampling};
+use crate::sampling::{sample_token, Sampling};
 use crate::session::DecodeSession;
 use attn_model::model::{InjectionSpec, TransformerModel};
 use attn_tensor::rng::TensorRng;
@@ -156,7 +156,7 @@ impl DecodeEngine {
     ) -> usize {
         let toggles = self.policy.next_toggles();
         let op_guard = GuardedSection::guard_step(self.model.protection());
-        let token = sample_token_checked(&session.logits, sampling, &mut session.rng, &op_guard);
+        let token = sample_token(&session.logits, sampling, &mut session.rng, &op_guard);
         session.report.absorb_op_guard(op_guard.take_stats());
         session.tokens.push(token);
         session.logits = self.model.decode_step(
@@ -209,7 +209,7 @@ impl DecodeEngine {
             let token = match *op {
                 StepOp::Gen => {
                     let op_guard = GuardedSection::guard_step(protection);
-                    let t = sample_token_checked(&s.logits, sampling, &mut s.rng, &op_guard);
+                    let t = sample_token(&s.logits, sampling, &mut s.rng, &op_guard);
                     s.report.absorb_op_guard(op_guard.take_stats());
                     t
                 }

@@ -18,21 +18,15 @@ pub enum Sampling {
 ///
 /// Deterministic given the logits and the RNG state: batched engines give
 /// each session its own forked RNG, so scheduling cannot perturb samples.
+/// Under an active `g` the temperature softmax is guarded — the
+/// probability row is screened (entries in `[0, 1]`, sum ~1) and healed by
+/// exact recompute from the scaled logits on violation, so a struck
+/// distribution cannot silently skew token selection; [`OpGuard::off`] is
+/// the unguarded sampler.
 ///
 /// # Panics
 /// Panics on an empty logits row.
-pub fn sample_token(logits: &Matrix, sampling: Sampling, rng: &mut TensorRng) -> usize {
-    sample_token_checked(logits, sampling, rng, &OpGuard::off())
-}
-
-/// [`sample_token`] with the temperature softmax guarded: the
-/// probability row is screened (entries in `[0, 1]`, sum ~1) and healed
-/// by exact recompute from the scaled logits on violation, so a struck
-/// distribution cannot silently skew token selection.
-///
-/// # Panics
-/// Panics on an empty logits row.
-pub fn sample_token_checked(
+pub fn sample_token(
     logits: &Matrix,
     sampling: Sampling,
     rng: &mut TensorRng,
@@ -102,14 +96,20 @@ mod tests {
     fn greedy_picks_first_maximum() {
         let mut rng = TensorRng::seed_from(1);
         let logits = Matrix::from_vec(1, 4, vec![0.1, 2.0, 2.0, -1.0]);
-        assert_eq!(sample_token(&logits, Sampling::Greedy, &mut rng), 1);
+        assert_eq!(
+            sample_token(&logits, Sampling::Greedy, &mut rng, &OpGuard::off()),
+            1
+        );
     }
 
     #[test]
     fn greedy_ignores_nan() {
         let mut rng = TensorRng::seed_from(2);
         let logits = Matrix::from_vec(1, 3, vec![f32::NAN, 0.5, 0.1]);
-        assert_eq!(sample_token(&logits, Sampling::Greedy, &mut rng), 1);
+        assert_eq!(
+            sample_token(&logits, Sampling::Greedy, &mut rng, &OpGuard::off()),
+            1
+        );
     }
 
     #[test]
@@ -119,8 +119,8 @@ mod tests {
         let mut b = TensorRng::seed_from(7);
         for _ in 0..32 {
             assert_eq!(
-                sample_token(&logits, Sampling::Temperature(0.8), &mut a),
-                sample_token(&logits, Sampling::Temperature(0.8), &mut b),
+                sample_token(&logits, Sampling::Temperature(0.8), &mut a, &OpGuard::off()),
+                sample_token(&logits, Sampling::Temperature(0.8), &mut b, &OpGuard::off()),
             );
         }
     }
@@ -131,7 +131,12 @@ mod tests {
         let logits = Matrix::from_vec(1, 4, vec![0.0, 5.0, 1.0, -2.0]);
         for _ in 0..64 {
             assert_eq!(
-                sample_token(&logits, Sampling::Temperature(0.05), &mut rng),
+                sample_token(
+                    &logits,
+                    Sampling::Temperature(0.05),
+                    &mut rng,
+                    &OpGuard::off()
+                ),
                 1
             );
         }
@@ -142,7 +147,12 @@ mod tests {
         let mut rng = TensorRng::seed_from(4);
         let logits = Matrix::from_vec(1, 3, vec![1.0, 3.0, 2.0]);
         assert_eq!(
-            sample_token(&logits, Sampling::Temperature(0.0), &mut rng),
+            sample_token(
+                &logits,
+                Sampling::Temperature(0.0),
+                &mut rng,
+                &OpGuard::off()
+            ),
             1
         );
     }
@@ -153,7 +163,10 @@ mod tests {
         // every subsequent NaN, so an all-NaN row returned the LAST index.
         let mut rng = TensorRng::seed_from(6);
         let logits = Matrix::from_vec(1, 5, vec![f32::NAN; 5]);
-        assert_eq!(sample_token(&logits, Sampling::Greedy, &mut rng), 0);
+        assert_eq!(
+            sample_token(&logits, Sampling::Greedy, &mut rng, &OpGuard::off()),
+            0
+        );
     }
 
     #[test]
@@ -180,7 +193,12 @@ mod tests {
         for seed in 0..512 {
             let mut rng = TensorRng::seed_from(seed);
             for _ in 0..8 {
-                let t = sample_token(&logits, Sampling::Temperature(1.0), &mut rng);
+                let t = sample_token(
+                    &logits,
+                    Sampling::Temperature(1.0),
+                    &mut rng,
+                    &OpGuard::off(),
+                );
                 assert_ne!(t, 3, "seed {seed}: sampled a zero-probability token");
             }
         }
@@ -192,7 +210,12 @@ mod tests {
         let logits = Matrix::from_vec(1, 4, vec![0.0, 1.0, 0.5, 0.2]);
         let mut seen = [false; 4];
         for _ in 0..256 {
-            seen[sample_token(&logits, Sampling::Temperature(5.0), &mut rng)] = true;
+            seen[sample_token(
+                &logits,
+                Sampling::Temperature(5.0),
+                &mut rng,
+                &OpGuard::off(),
+            )] = true;
         }
         assert!(
             seen.iter().all(|&s| s),

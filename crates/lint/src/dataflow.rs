@@ -8,7 +8,7 @@
 //!   binding unions its pattern names with every known variable on the
 //!   right-hand side, and every producer/verifier call unions its
 //!   receiver with its arguments. A component becomes *Encoded* at a
-//!   producer call (`gemm_encode_cols` & friends), *Verified* at a
+//!   producer call (`GuardedSection::gemm` & friends), *Verified* at a
 //!   verify/exit/heal call, and *Stale* once a finding has been
 //!   reported for it (so each bug is reported once). Findings:
 //!   raw mutation of an Encoded component, an Encoded component feeding
@@ -40,21 +40,13 @@ pub const ENCODED_TYPESTATE: &str = "encoded-typestate";
 pub const UNSAFE_AUDIT: &str = "unsafe-audit";
 
 /// Methods that put a component into the Encoded state.
-const PRODUCERS: [&str; 5] = [
-    "gemm_encode_cols",
-    "gemm_encode_rows",
-    "gemm_adopt_cols",
-    "encode_cols",
-    "encode_rows",
-];
+const PRODUCERS: [&str; 3] = ["gemm", "gemm_encode_rows", "encode_cols"];
 
 /// Methods that move a component to Verified (checksum checked, value
 /// re-encoded, or ownership handed back through a checked exit).
-const VERIFIERS: [&str; 7] = [
+const VERIFIERS: [&str; 5] = [
     "detect",
     "exit_cols",
-    "exit_reencode_cols",
-    "adopt_cols",
     "heal_operand_cols",
     "heal_operand_rows",
     "replay_nn",
@@ -758,7 +750,7 @@ mod tests {
     fn encoded_value_escaping_unverified_is_flagged() {
         let f = typestate(
             "fn forward(sec: &mut GuardedSection) {\n\
-             let scores = sec.gemm_encode_cols(&q, &k);\n\
+             let scores = sec.gemm(&q, &k);\n\
              emit(&scores);\n\
              }\n",
         );
@@ -772,7 +764,7 @@ mod tests {
     fn verified_value_escaping_is_clean() {
         let f = typestate(
             "fn forward() {\n\
-             let scores = sec.gemm_encode_cols(&q, &k);\n\
+             let scores = sec.gemm(&q, &k);\n\
              sec.detect(&scores);\n\
              emit(&scores);\n\
              }\n",
@@ -785,9 +777,9 @@ mod tests {
         // Verifying via the section variable covers the whole component.
         let f = typestate(
             "fn forward() {\n\
-             let scores = sec.gemm_encode_cols(&q, &k);\n\
+             let scores = sec.gemm(&q, &k);\n\
              let probs = scores;\n\
-             sec.exit_reencode_cols(probs);\n\
+             sec.exit_cols(probs);\n\
              }\n",
         );
         assert!(f.is_empty(), "{f:?}");
@@ -797,7 +789,7 @@ mod tests {
     fn raw_mutation_of_encoded_operand_is_flagged_once() {
         let f = typestate(
             "fn forward() {\n\
-             let m = sec.gemm_encode_cols(&q, &k);\n\
+             let m = sec.gemm(&q, &k);\n\
              m.set(0, 0, 1.0);\n\
              }\n",
         );
@@ -823,7 +815,7 @@ mod tests {
     fn indexed_write_to_encoded_operand_is_flagged() {
         let f = typestate(
             "fn forward() {\n\
-             let m = sec.gemm_encode_cols(&q, &k);\n\
+             let m = sec.gemm(&q, &k);\n\
              m[0] = 3.0;\n\
              }\n",
         );
@@ -835,7 +827,7 @@ mod tests {
     fn encoded_value_feeding_nonlinearity_is_flagged() {
         let f = typestate(
             "fn forward() {\n\
-             let scores = sec.gemm_encode_cols(&q, &k);\n\
+             let scores = sec.gemm(&q, &k);\n\
              softmax_rows(&mut scores);\n\
              }\n",
         );
@@ -846,8 +838,7 @@ mod tests {
 
     #[test]
     fn test_fns_are_not_analyzed() {
-        let f =
-            typestate("#[test]\nfn check() { let m = sec.gemm_encode_cols(&q, &k); emit(&m); }\n");
+        let f = typestate("#[test]\nfn check() { let m = sec.gemm(&q, &k); emit(&m); }\n");
         assert!(f.is_empty());
     }
 

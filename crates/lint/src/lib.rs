@@ -345,9 +345,11 @@ pub fn scan_prepared(tree: &PreparedTree) -> Report {
                 bump(&mut lint_us, lints::HOT_PATH_ALLOC, t0);
             }
             if !lints::unguarded_gemm_whitelisted(rel) {
-                let t0 = Instant::now();
-                lints::unguarded_gemm(rel, toks, ctx, &mut raw);
-                bump(&mut lint_us, lints::UNGUARDED_GEMM, t0);
+                if let Some(parsed) = &p.parsed {
+                    let t0 = Instant::now();
+                    lints::unguarded_gemm(rel, toks, ctx, parsed, &mut raw);
+                    bump(&mut lint_us, lints::UNGUARDED_GEMM, t0);
+                }
             }
         }
         let t0 = Instant::now();

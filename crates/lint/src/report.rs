@@ -16,8 +16,11 @@
 //!   (`unsafe`: sites/documented/safety_coverage), per-lint suppression
 //!   counts (`suppression_counts`), and the full `suppressions` array
 //!   (sorted, so the committed artifact is byte-stable).
-//! * `attn-lint-coverage/v1` — the `--coverage` artifact: every op on
-//!   the forward/decode/train paths with guarded/unguarded status.
+//! * `attn-lint-coverage/v2` — the `--coverage` artifact: every op on
+//!   the forward/decode/train paths with guarded/unguarded status; v2
+//!   also sees the allocating `matmul*` trio, so it lists the by-design
+//!   unguarded GEMMs (`by_design`, `by_design_exemption`,
+//!   `unguarded_gemms_outside_exemption`).
 
 use crate::reach::Coverage;
 use crate::Report;
@@ -167,11 +170,13 @@ pub fn render_coverage_text(cov: &Coverage) -> String {
     let _ = writeln!(
         out,
         "attn_lint coverage: {} ops on forward/decode/train paths, {} guarded \
-         ({:.1}%), {} unguarded GEMMs, {}/{} calls resolved ({:.1}%)",
+         ({:.1}%), {} unguarded GEMMs ({} outside the by-design exemption), \
+         {}/{} calls resolved ({:.1}%)",
         cov.ops.len(),
         guarded,
         cov.coverage_rate() * 100.0,
         cov.unguarded_gemms(),
+        cov.unguarded_gemms_outside_exemption(),
         cov.calls_resolved,
         cov.calls_total,
         cov.resolution_rate() * 100.0
@@ -180,7 +185,11 @@ pub fn render_coverage_text(cov: &Coverage) -> String {
         let _ = writeln!(
             out,
             "  {} {} `{}` at {}:{} [{}] via {}",
-            if op.guarded { "✓" } else { "✗" },
+            match (op.guarded, op.by_design) {
+                (true, _) => "✓",
+                (false, true) => "·",
+                (false, false) => "✗",
+            },
             op.kind,
             op.name,
             op.file,
@@ -192,17 +201,27 @@ pub fn render_coverage_text(cov: &Coverage) -> String {
     out
 }
 
-/// Machine-readable coverage artifact (schema `attn-lint-coverage/v1`).
+/// Machine-readable coverage artifact (schema `attn-lint-coverage/v2`).
 pub fn render_coverage_json(cov: &Coverage) -> String {
     let mut out = String::new();
     let guarded = cov.ops.iter().filter(|o| o.guarded).count();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"attn-lint-coverage/v1\",\n");
+    out.push_str("  \"schema\": \"attn-lint-coverage/v2\",\n");
     let _ = writeln!(out, "  \"ops_total\": {},", cov.ops.len());
     let _ = writeln!(out, "  \"ops_guarded\": {guarded},");
     let _ = writeln!(out, "  \"ops_unguarded\": {},", cov.ops.len() - guarded);
     let _ = writeln!(out, "  \"coverage_rate\": {:.4},", cov.coverage_rate());
     let _ = writeln!(out, "  \"unguarded_gemms\": {},", cov.unguarded_gemms());
+    let _ = writeln!(
+        out,
+        "  \"unguarded_gemms_outside_exemption\": {},",
+        cov.unguarded_gemms_outside_exemption()
+    );
+    let exempt: Vec<String> = crate::lints::UNGUARDED_GEMM_BY_DESIGN
+        .iter()
+        .map(|(owner, name)| json_str(&format!("{owner}::{name}")))
+        .collect();
+    let _ = writeln!(out, "  \"by_design_exemption\": [{}],", exempt.join(", "));
     let _ = writeln!(
         out,
         "  \"calls\": {{\"total\": {}, \"resolved\": {}, \"resolution_rate\": {:.4}}},",
@@ -232,12 +251,13 @@ pub fn render_coverage_json(cov: &Coverage) -> String {
         let _ = write!(
             out,
             "\n    {{\"kind\": {}, \"name\": {}, \"file\": {}, \"line\": {}, \
-             \"guarded\": {}, \"paths\": [{}], \"via\": {}}}{sep}",
+             \"guarded\": {}, \"by_design\": {}, \"paths\": [{}], \"via\": {}}}{sep}",
             json_str(op.kind),
             json_str(&op.name),
             json_str(&op.file),
             op.line,
             op.guarded,
+            op.by_design,
             paths.join(", "),
             json_str(&op.via)
         );
@@ -333,10 +353,11 @@ mod tests {
         let cov = Coverage {
             ops: vec![crate::reach::CoverageOp {
                 kind: "gemm",
-                name: "gemm_encode_cols".into(),
+                name: "gemm".into(),
                 file: "crates/core/src/section.rs".into(),
                 line: 40,
                 guarded: true,
+                by_design: false,
                 paths: vec!["decode", "forward"],
                 via: "Gateway::tick → GuardedSection::gemm".into(),
             }],
@@ -345,7 +366,7 @@ mod tests {
             calls_resolved: 95,
         };
         let json = render_coverage_json(&cov);
-        assert!(json.contains("\"schema\": \"attn-lint-coverage/v1\""));
+        assert!(json.contains("\"schema\": \"attn-lint-coverage/v2\""));
         assert!(json.contains("\"coverage_rate\": 1.0000"));
         assert!(json.contains("\"unguarded_gemms\": 0"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -5,7 +5,7 @@
 pub fn torture() -> usize {
     let a = "unsafe { std::slice::from_raw_parts_mut(p, n) } // not code";
     let b = "// SAFETY: not a directive inside a string";
-    let c = r##"let s = sec.gemm_encode_cols(&q, &k); r#" nested fence "#"##;
+    let c = r##"let s = sec.gemm(&q, &k); r#" nested fence "#"##;
     /* block comment: // SAFETY: never registers here, and `unsafe fn`
        /* nested: attn-lint: allow(float-eq) — never parsed */
        is still inside the outer comment, as is softmax_rows(&scores) */

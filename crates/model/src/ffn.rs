@@ -2,23 +2,25 @@
 //! ATTNChecker-guarded forward that protects both GEMMs end-to-end.
 //!
 //! The FFN is the section `S_FFN = {H·W_1, GELU(·)·W_2}` built on
-//! [`GuardedSection`]: the block input is column-encoded once and its
-//! checksums ride through the expansion GEMM to a detection point at the
-//! pre-GELU activation; GELU is a nonlinearity, so the pipeline exits and
-//! re-encodes (exactly like softmax in `S_CL`), and the contraction GEMM
-//! gets its own delayed detection point. Corrections are refined to exact
-//! bits by replaying the producing dot product, so a corrected step is
-//! bit-identical to the fault-free step — rollback-free, end-to-end through
-//! training.
+//! [`GuardedSection`]: the block input is column-encoded inside the
+//! expansion GEMM's packing pass and its checksums ride to a detection
+//! point at the pre-GELU activation; GELU is a nonlinearity, so the
+//! pipeline exits and re-encodes inside the contraction GEMM (exactly like
+//! softmax in `S_CL`), which gets its own delayed detection point. There is
+//! one pipeline: a skipped gate, a fault hook or [`ProtectionConfig::off`]
+//! are values passed in, and an inactive section costs the same copies as
+//! a hand-written plain `Linear → GELU → Linear`. Corrections are refined
+//! to exact bits by replaying the producing dot product, so a corrected
+//! step is bit-identical to the fault-free step — rollback-free, end-to-end
+//! through training.
 
 use crate::linear::ProtectedLinear;
 use crate::param::{Grads, HasParams, Param};
 use crate::tape::FfnTape;
-use attn_tensor::guard::{gelu_backward_checked, gelu_matrix_checked, gelu_matrix_checked_inplace};
+use attn_tensor::guard::{gelu_backward_checked, gelu_matrix_checked_inplace};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::AttnOp;
-use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::SectionId;
 use attnchecker::section::{ForwardCtx, GuardedSection};
@@ -61,48 +63,23 @@ impl FeedForward {
             ctx.report,
         );
         let op_guard = GuardedSection::guard_step(config);
-        let out = if !sec.active() && ctx.hook.is_none() {
-            // Nothing to detect and no taps to fire: the inactive guarded
-            // pipeline computes the identical bits but pays several
-            // full-matrix copies (plain wraps + logical extractions), which
-            // would tax the unprotected baseline every overhead experiment
-            // divides by. GELU keeps its op guard — a skipped S_FFN gate
-            // does not switch the non-GEMM screens off.
-            let (pre, x_tape) = self.lin1.inner.forward(x);
-            let act = gelu_matrix_checked(&pre, &op_guard);
-            let (y, act_tape) = self.lin2.inner.forward(&act);
-            (
-                y,
-                FfnTape {
-                    x: x_tape,
-                    pre,
-                    act: act_tape,
-                },
-            )
-        } else {
-            // The block input enters S_FFN through the fused encode path of
-            // `ProtectedLinear`: no standalone encode sweep over `x`.
-            let xc = sec.operand(x);
-            let (pre, x_tape) = self.lin1.forward(&xc, &sec, ctx);
-            // GELU is nonlinear: exit the checksummed region; the result's
-            // re-encoding rides inside the contraction GEMM's packing pass.
-            // The nonlinearity itself is covered by the element-wise op
-            // guard (bounds screen + exact recompute from the healed `pre`).
-            let act = CheckedMatrix::from_plain_owned(sec.exit_cols(&pre, |m| {
-                gelu_matrix_checked_inplace(m, &op_guard);
-            }));
-            let (y, act_tape) = self.lin2.forward(&act, &sec, ctx);
-            (
-                y.logical(),
-                FfnTape {
-                    x: x_tape,
-                    pre: pre.logical(),
-                    act: act_tape,
-                },
-            )
+        // The block input enters S_FFN inside the expansion GEMM's packing
+        // pass: no standalone encode sweep over `x`, no wrap.
+        let (pre, x_tape) = self.lin1.forward(x, &sec, ctx);
+        // GELU is nonlinear: exit the checksummed region; the result's
+        // re-encoding rides inside the contraction GEMM's packing pass.
+        // The nonlinearity itself is covered by the element-wise op guard
+        // (bounds screen + exact recompute from the healed `pre`) whether
+        // or not the S_FFN gate fired.
+        let act = sec.exit_cols(&pre, |m| gelu_matrix_checked_inplace(m, &op_guard));
+        let (y, act_tape) = self.lin2.forward(&act, &sec, ctx);
+        let tape = FfnTape {
+            x: x_tape,
+            pre: pre.into_logical(),
+            act: act_tape,
         };
         ctx.report.absorb_op_guard(op_guard.take_stats());
-        out
+        (y.into_logical(), tape)
     }
 
     /// Backward over a tape with the GELU derivative under `g` (see
@@ -312,6 +289,28 @@ mod tests {
         let dx_faulty = backprop(&mut faulty, &tape, &dy);
         assert_eq!(dx_clean, dx_faulty, "backward must see healed activations");
         assert_eq!(clean.lin1.inner.w.grad, faulty.lin1.inner.w.grad);
+    }
+
+    #[test]
+    fn unprotected_run_with_and_without_hook_share_one_pipeline() {
+        // There is no hook-free shortcut any more: `off()` with a hook that
+        // injects nothing and `off()` with no hook run the same pipeline,
+        // so output and tape agree bit for bit.
+        let mut rng = TensorRng::seed_from(9);
+        let ffn = FeedForward::new("f", 6, 24, &mut rng);
+        let x = rng.normal_matrix(5, 6, 1.0);
+        let mut taps = 0usize;
+        let mut hook = |_: FaultSite, _: &mut CheckedMatrix| taps += 1;
+        let off = ProtectionConfig::off();
+        let (y_hook, t_hook, r_hook) = guarded(&ffn, &x, &off, false, Some(&mut hook));
+        let (y_none, t_none, r_none) = guarded(&ffn, &x, &off, false, None);
+        assert_eq!(taps, 2, "both FFN sites must be exposed to the hook");
+        assert_eq!(y_hook, y_none);
+        assert_eq!(t_hook.x, t_none.x);
+        assert_eq!(t_hook.pre, t_none.pre);
+        assert_eq!(t_hook.act, t_none.act);
+        assert!(r_hook.is_quiet() && r_none.is_quiet());
+        assert_eq!((r_hook.op_checks, r_none.op_checks), (0, 0));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use attn_tensor::ops::{add_bias_inplace, col_sums};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 use attnchecker::attention::{AttnOp, FaultSite};
-use attnchecker::checked::CheckedMatrix;
+use attnchecker::checked::{CheckedMatrix, Operand};
 use attnchecker::section::{replay_nn, ForwardCtx, GuardedSection};
 
 /// Dense affine layer.
@@ -63,12 +63,13 @@ impl HasParams for Linear {
 }
 
 /// A [`Linear`] layer whose forward runs as one guarded GEMM step inside a
-/// [`GuardedSection`] chain: the encoded input's checksums ride through
-/// `x·W`, the output is exposed to fault hooks at `site`, and the section's
-/// detection point corrects any extreme value in place — refined to exact
-/// bits by replaying the producing dot product — before the activation is
-/// taped for backward. Backward is untouched: by the time gradients flow,
-/// the taped activations are already healed.
+/// [`GuardedSection`] chain: the input's checksums ride through `x·W`
+/// (entering inside the GEMM when `x` arrives plain), the output is exposed
+/// to fault hooks at `site`, and the section's detection point corrects any
+/// extreme value in place — refined to exact bits by replaying the producing
+/// dot product — before the activation is taped for backward. Backward is
+/// untouched: by the time gradients flow, the taped activations are already
+/// healed.
 #[derive(Debug, Clone)]
 pub struct ProtectedLinear {
     /// The wrapped affine layer (parameters, gradients, backward).
@@ -92,28 +93,23 @@ impl ProtectedLinear {
         }
     }
 
-    /// Guarded forward over `xc` — either an already-encoded operand
-    /// (checksummed products pass straight through and ride) or a plain
-    /// wrap, in which case the operand *enters* the section through the
-    /// fused encode-and-multiply path: its column encoding accumulates
-    /// inside the GEMM's packing pass instead of a standalone sweep.
-    /// Returns the checked output — post-detection, post-correction — for
-    /// the next chain step, plus the logical input tape for backward. An
-    /// inactive `sec` computes the identical bits without detection.
-    pub fn forward(
+    /// Guarded forward over `x` — a plain matrix or an upstream checked
+    /// product, borrowed either way. One [`GuardedSection::gemm`] step:
+    /// checksums `x` already carries ride through, a plain `x` *enters* an
+    /// active section inside the GEMM's packing pass, and an inactive `sec`
+    /// computes the identical bits without detection. Returns the checked
+    /// output — post-detection, post-correction — for the next chain step,
+    /// plus the logical input tape for backward.
+    pub fn forward<'a>(
         &self,
-        xc: &CheckedMatrix,
+        x: impl Into<Operand<'a>>,
         sec: &GuardedSection,
         ctx: &mut ForwardCtx<'_, '_>,
     ) -> (CheckedMatrix, Matrix) {
+        let x = x.into();
         let w = &self.inner.w.value;
         let bias = self.inner.b.bias();
-        let mut y = if xc.has_col_checksums() {
-            sec.gemm(xc, &sec.operand(w))
-        } else {
-            // buf() is exactly the logical data for a plain wrap.
-            sec.gemm_encode_cols(xc.buf(), &sec.operand(w))
-        };
+        let mut y = sec.gemm(x, w);
         y.add_bias(bias);
         ctx.fire(
             FaultSite {
@@ -122,14 +118,15 @@ impl ProtectedLinear {
             },
             &mut y,
         );
+        let tape = x.logical();
         let mut det = sec.detect(&mut y, usize::MAX);
         if det.detections() > 0 {
             det.refine(&mut y, |r, c| {
-                replay_nn(xc.logical_row(r), |kk| w[(kk, c)]) + bias[c]
+                replay_nn(tape.row(r), |kk| w[(kk, c)]) + bias[c]
             });
         }
         det.absorb(ctx.report);
-        (y, xc.logical())
+        (y, tape)
     }
 
     /// Backward over the input tape (delegates to the inner layer).

@@ -449,19 +449,16 @@ impl HasParams for TransformerModel {
     }
 }
 
-/// Softmax cross-entropy for a `1 × C` logits row.
+/// Softmax cross-entropy for a `1 × C` logits row; returns
+/// `(loss, dlogits)`.
 ///
-/// Returns `(loss, dlogits)`. NaN/INF logits produce a NaN loss — the
-/// non-trainable-state signal of the paper's study.
-pub fn cross_entropy(logits: &Matrix, label: usize) -> (f32, Matrix) {
-    cross_entropy_checked(logits, label, &OpGuard::off())
-}
-
-/// Guarded softmax cross-entropy: the probability row is screened
-/// (entries in `[0, 1]`, row sums to ~1) and healed by exact recompute
-/// from the preserved logits on violation. NaN logits still surface a
-/// NaN loss — propagation recomputes identically and is not a fault.
-pub fn cross_entropy_checked(logits: &Matrix, label: usize, g: &OpGuard) -> (f32, Matrix) {
+/// Under an active `g` the probability row is screened (entries in
+/// `[0, 1]`, row sums to ~1) and healed by exact recompute from the
+/// preserved logits on violation; [`OpGuard::off`] is the unguarded loss.
+/// NaN/INF logits produce a NaN loss either way — the non-trainable-state
+/// signal of the paper's study: propagation recomputes identically and is
+/// not a fault.
+pub fn cross_entropy(logits: &Matrix, label: usize, g: &OpGuard) -> (f32, Matrix) {
     assert_eq!(logits.rows(), 1);
     assert!(label < logits.cols());
     let p = softmax_rows_checked(logits, g);
@@ -502,7 +499,7 @@ mod tests {
     #[test]
     fn cross_entropy_math() {
         let logits = Matrix::from_vec(1, 2, vec![2.0, 0.0]);
-        let (loss, d) = cross_entropy(&logits, 0);
+        let (loss, d) = cross_entropy(&logits, 0, &OpGuard::off());
         let p0 = (2.0f32).exp() / ((2.0f32).exp() + 1.0);
         assert!((loss + p0.ln()).abs() < 1e-5);
         assert!((d[(0, 0)] - (p0 - 1.0)).abs() < 1e-5);
@@ -512,7 +509,7 @@ mod tests {
     #[test]
     fn cross_entropy_nan_logits_flag_non_trainable() {
         let logits = Matrix::from_vec(1, 2, vec![f32::NAN, 0.0]);
-        let (loss, _) = cross_entropy(&logits, 0);
+        let (loss, _) = cross_entropy(&logits, 0, &OpGuard::off());
         assert!(loss.is_nan());
     }
 
@@ -527,7 +524,7 @@ mod tests {
         let label = 1usize;
         let mut report = AbftReport::default();
         let (logits, tape) = m.forward(&tokens, SectionToggles::none(), None, &mut report);
-        let (_, dlogits) = cross_entropy(&logits, label);
+        let (_, dlogits) = cross_entropy(&logits, label, &OpGuard::off());
         let mut grads = Grads::new();
         m.backward(&dlogits, &tape, &mut grads, &OpGuard::off());
         grads.merge_into(&mut m);
@@ -536,7 +533,7 @@ mod tests {
         let loss_fn = |mm: &TransformerModel| -> f32 {
             let mut r = AbftReport::default();
             let (lg, _) = mm.forward(&tokens, SectionToggles::none(), None, &mut r);
-            cross_entropy(&lg, label).0
+            cross_entropy(&lg, label, &OpGuard::off()).0
         };
         let eps = 1e-2;
         // Spot-check gradients on parameters spread across the model depth.

@@ -412,8 +412,9 @@ pub struct AdamW {
     pub weight_decay: f32,
     /// Step counter (for bias correction).
     pub t: u64,
-    /// At-rest moment digests by parameter name, maintained only by the
-    /// `*_checked` step paths (the plain paths stay digest-free).
+    /// At-rest moment digests by parameter name, maintained only by
+    /// steps taken under an active guard (unguarded steps stay
+    /// digest-free).
     guards: HashMap<String, MomentGuard>,
 }
 
@@ -433,20 +434,9 @@ impl AdamW {
 
     /// Merge per-item gradient buffers into the model **in the order
     /// given** — the deterministic reduction that makes parallel training
-    /// steps bit-identical to sequential ones — then apply one optimizer
-    /// step.
+    /// steps bit-identical to sequential ones — then apply one
+    /// [`Self::step`] under `g`.
     pub fn step_batched(
-        &mut self,
-        model: &mut dyn HasParams,
-        buffers: impl IntoIterator<Item = Grads>,
-    ) {
-        self.step_batched_checked(model, buffers, &OpGuard::off());
-    }
-
-    /// [`Self::step_batched`] with the moment state guarded: digests are
-    /// verified (and single-cell corruption healed) before the update
-    /// consumes the moments, and re-captured after it.
-    pub fn step_batched_checked(
         &mut self,
         model: &mut dyn HasParams,
         buffers: impl IntoIterator<Item = Grads>,
@@ -455,19 +445,16 @@ impl AdamW {
         for grads in buffers {
             grads.merge_into(model);
         }
-        self.step_checked(model, g);
+        self.step(model, g);
     }
 
     /// Apply one optimizer step over every parameter of `model`, then zero
-    /// the gradients.
-    pub fn step(&mut self, model: &mut dyn HasParams) {
-        self.step_checked(model, &OpGuard::off());
-    }
-
-    /// Guarded optimizer step: verify-and-heal the at-rest moments, run
-    /// the update, then capture fresh digests of the new moments. The
-    /// first checked step has nothing captured yet and only captures.
-    pub fn step_checked(&mut self, model: &mut dyn HasParams, g: &OpGuard) {
+    /// the gradients. Under an active `g` the moment state is guarded:
+    /// the at-rest digests are verified (and corruption healed) before the
+    /// update consumes the moments, and re-captured after it — the first
+    /// guarded step has nothing captured yet and only captures. An
+    /// unprotected step is [`OpGuard::off`], not another method.
+    pub fn step(&mut self, model: &mut dyn HasParams, g: &OpGuard) {
         if g.active() {
             let guards = std::mem::take(&mut self.guards);
             model.visit_params(&mut |p: &mut Param| {
@@ -538,7 +525,7 @@ mod tests {
         m.p.grad = Matrix::full(1, 1, 1.0);
         let mut opt = AdamW::new(0.1);
         opt.weight_decay = 0.0;
-        opt.step(&mut m);
+        opt.step(&mut m, &OpGuard::off());
         assert!(m.p.value[(0, 0)] < 1.0);
         // Gradient zeroed after the step.
         assert_eq!(m.p.grad[(0, 0)], 0.0);
@@ -555,7 +542,7 @@ mod tests {
             m.p.grad = Matrix::full(1, 1, g);
             let mut opt = AdamW::new(0.01);
             opt.weight_decay = 0.0;
-            opt.step(&mut m);
+            opt.step(&mut m, &OpGuard::off());
             let delta = m.p.value[(0, 0)].abs();
             assert!((delta - 0.01).abs() < 1e-3, "g={g}: delta {delta}");
         }
@@ -568,7 +555,7 @@ mod tests {
         };
         let mut opt = AdamW::new(0.1);
         opt.weight_decay = 0.1;
-        opt.step(&mut m);
+        opt.step(&mut m, &OpGuard::off());
         assert!(m.p.value[(0, 0)] < 2.0);
     }
 
@@ -581,7 +568,7 @@ mod tests {
         };
         m.p.grad = Matrix::full(1, 1, f32::INFINITY);
         let mut opt = AdamW::new(0.01);
-        opt.step(&mut m);
+        opt.step(&mut m, &OpGuard::off());
         assert!(!m.p.value[(0, 0)].is_finite() || m.p.value[(0, 0)].is_nan());
     }
 
@@ -599,11 +586,11 @@ mod tests {
         g1.accumulate("w", &Matrix::full(1, 1, 0.5));
 
         let mut oa = AdamW::new(0.01);
-        oa.step_batched(&mut a, [g0, g1]);
+        oa.step_batched(&mut a, [g0, g1], &OpGuard::off());
 
         b.p.grad = Matrix::full(1, 1, 0.25 + 0.5);
         let mut ob = AdamW::new(0.01);
-        ob.step(&mut b);
+        ob.step(&mut b, &OpGuard::off());
 
         assert_eq!(a.p.value[(0, 0)].to_bits(), b.p.value[(0, 0)].to_bits());
     }
@@ -632,8 +619,8 @@ mod tests {
         let mut oc = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
         for gr in [&G1, &G2] {
-            op.step_batched(&mut plain, [grads_of(gr)]);
-            oc.step_batched_checked(&mut checked, [grads_of(gr)], &g);
+            op.step_batched(&mut plain, [grads_of(gr)], &OpGuard::off());
+            oc.step_batched(&mut checked, [grads_of(gr)], &g);
         }
         assert_eq!(plain.p.value, checked.p.value);
         assert_eq!(plain.p.m, checked.p.m);
@@ -661,14 +648,14 @@ mod tests {
                 let mut of = AdamW::new(0.01);
                 let gq = OpGuard::new(true, 5e-4);
                 clean.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-                oc.step_checked(&mut clean, &gq);
+                oc.step(&mut clean, &gq);
                 clean.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-                oc.step_checked(&mut clean, &gq);
+                oc.step(&mut clean, &gq);
                 assert!(gq.take_stats().is_quiet());
 
                 let gf = OpGuard::new(true, 5e-4);
                 faulty.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-                of.step_checked(&mut faulty, &gf);
+                of.step(&mut faulty, &gf);
                 let target = if second_moment {
                     &mut faulty.p.v
                 } else {
@@ -676,7 +663,7 @@ mod tests {
                 };
                 target[(1, 2)] = fault;
                 faulty.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-                of.step_checked(&mut faulty, &gf);
+                of.step(&mut faulty, &gf);
                 let s = gf.take_stats();
                 assert_eq!(s.detections, 1, "fault {fault} (v={second_moment})");
                 assert_eq!(s.heals, 1, "fault {fault} (v={second_moment})");
@@ -697,7 +684,7 @@ mod tests {
         m.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
         let mut opt = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
-        opt.step_checked(&mut m, &g);
+        opt.step(&mut m, &g);
         // Nothing captured before the first step → nothing verified.
         assert_eq!(g.take_stats().checks, 0);
     }
@@ -712,17 +699,17 @@ mod tests {
         let mut of = AdamW::new(0.01);
         let gq = OpGuard::new(true, 5e-4);
         clean.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-        oc.step_checked(&mut clean, &gq);
+        oc.step(&mut clean, &gq);
         clean.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-        oc.step_checked(&mut clean, &gq);
+        oc.step(&mut clean, &gq);
         assert!(gq.take_stats().is_quiet());
 
         let gf = OpGuard::new(true, 5e-4);
         faulty.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-        of.step_checked(&mut faulty, &gf);
+        of.step(&mut faulty, &gf);
         corrupt(&mut faulty.p.m);
         faulty.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-        of.step_checked(&mut faulty, &gf);
+        of.step(&mut faulty, &gf);
         (clean, faulty, gf.take_stats())
     }
 
@@ -793,9 +780,9 @@ mod tests {
         m.p.grad = Matrix::full(2, 4, f32::INFINITY);
         let mut opt = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
-        opt.step_checked(&mut m, &g);
+        opt.step(&mut m, &g);
         m.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-        opt.step_checked(&mut m, &g);
+        opt.step(&mut m, &g);
         let s = g.take_stats();
         assert_eq!(s.detections, 0, "NaN moments re-digest identically");
         assert!(s.checks > 0);
@@ -812,7 +799,7 @@ mod tests {
         for _ in 0..500 {
             let w = m.p.value[(0, 0)];
             m.p.grad = Matrix::full(1, 1, 2.0 * (w - 3.0));
-            opt.step(&mut m);
+            opt.step(&mut m, &OpGuard::off());
         }
         assert!((m.p.value[(0, 0)] - 3.0).abs() < 0.1);
     }

@@ -10,10 +10,11 @@
 //! parameter bit are identical at any worker count.
 
 use crate::data::{Example, SyntheticMrpc};
-use crate::model::{cross_entropy, cross_entropy_checked, InjectionSpec, TransformerModel};
+use crate::model::{cross_entropy, InjectionSpec, TransformerModel};
 use crate::optim::AdamW;
 use crate::param::{Grads, HasParams};
 use attn_tensor::rng::TensorRng;
+use attn_tensor::OpGuard;
 use attnchecker::attention::SectionToggles;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::policy::ProtectionPolicy;
@@ -190,7 +191,7 @@ impl Trainer {
             // whole backward pass (the forward ops run their own scopes).
             let op_guard = GuardedSection::guard_step(&protection);
             let (logits, tape) = model.forward(&ex.tokens, toggles, spec.as_ref(), &mut report);
-            let (loss, dlogits) = cross_entropy_checked(&logits, ex.label, &op_guard);
+            let (loss, dlogits) = cross_entropy(&logits, ex.label, &op_guard);
             let mut grads = Grads::new();
             model.backward(&dlogits.scaled(inv), &tape, &mut grads, &op_guard);
             report.absorb_op_guard(op_guard.take_stats());
@@ -227,7 +228,7 @@ impl Trainer {
         // The optimizer's at-rest moment digests verify-and-heal inside
         // the same guarded scope; its activity lands in the step report.
         let step_guard = GuardedSection::guard_step(&protection);
-        self.optim.step_batched_checked(
+        self.optim.step_batched(
             &mut self.model,
             items.into_iter().map(|i| i.grads),
             &step_guard,
@@ -281,7 +282,7 @@ impl Trainer {
             let (logits, _) =
                 self.model
                     .forward(&ex.tokens, SectionToggles::none(), None, &mut report);
-            let (loss, _) = cross_entropy(&logits, ex.label);
+            let (loss, _) = cross_entropy(&logits, ex.label, &OpGuard::off());
             loss_sum += loss;
             if argmax_row(logits.row(0)) == ex.label {
                 correct += 1;

@@ -11,7 +11,7 @@ use attn_tensor::gemm::{
 };
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
-use attnchecker::checked::CheckedMatrix;
+use attnchecker::checked::{CheckedMatrix, ProductKind};
 use attnchecker::config::Strategy as AbftStrategy;
 use attnchecker::section::replay_nn;
 use proptest::prelude::*;
@@ -164,14 +164,14 @@ proptest! {
 
         let mut fused_c = Matrix::zeros(m + 2, n);
         gemm_encode_cols_into(a.view(), b.view(), fused_c.view_mut());
-        let staged_c = CheckedMatrix::encode_cols(&a, AbftStrategy::Fused)
-            .matmul(&CheckedMatrix::from_plain(&b));
+        let ca = CheckedMatrix::encode_cols(&a, AbftStrategy::Fused);
+        let staged_c = CheckedMatrix::product(&ca, &b, ProductKind::Nn);
         prop_assert!(bits_equal(&fused_c, staged_c.buf()), "cols side");
 
         let mut fused_r = Matrix::zeros(m, n + 2);
         gemm_encode_rows_into(a.view(), b.view(), fused_r.view_mut());
-        let staged_r = CheckedMatrix::from_plain(&a)
-            .matmul(&CheckedMatrix::encode_rows(&b, AbftStrategy::Fused));
+        let cb = CheckedMatrix::encode_rows(&b, AbftStrategy::Fused);
+        let staged_r = CheckedMatrix::product(&a, &cb, ProductKind::Nn);
         prop_assert!(bits_equal(&fused_r, staged_r.buf()), "rows side");
     }
 

@@ -5,7 +5,7 @@ use attn_fault::FaultKind;
 use attn_tensor::gemm;
 use attn_tensor::ops::softmax_rows;
 use attn_tensor::Matrix;
-use attnchecker::checked::CheckedMatrix;
+use attnchecker::checked::{CheckedMatrix, ProductKind};
 use attnchecker::checksum::{col_checksums, vector_sums};
 use attnchecker::config::{AbftConfig, Strategy as AbftStrategy};
 use attnchecker::detect::full_correct;
@@ -85,7 +85,7 @@ proptest! {
         let b = Matrix::from_fn(a.cols(), cols_b, |r, c| ((r + 2 * c) % 7) as f32 / 7.0 - 0.4);
         let ca = CheckedMatrix::encode_cols(&a, AbftStrategy::Fused);
         let cb = CheckedMatrix::encode_rows(&b, AbftStrategy::Fused);
-        let cc = ca.matmul(&cb);
+        let cc = CheckedMatrix::product(&ca, &cb, ProductKind::Nn);
         prop_assert!(cc.max_checksum_discrepancy() < 1e-2,
             "discrepancy {}", cc.max_checksum_discrepancy());
     }

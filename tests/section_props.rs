@@ -1,21 +1,26 @@
 //! Property tests (vendored proptest) for the composable guarded-GEMM
 //! section API (`attnchecker::section`).
 //!
-//! The two invariants the builder must uphold for *arbitrary* chains of
-//! encoded GEMMs (with optional bias steps and nonlinear
-//! exit-and-re-encode boundaries):
+//! The three invariants the builder must uphold for *arbitrary* chains of
+//! guarded GEMMs (with optional bias steps and nonlinear exit boundaries
+//! whose re-encoding rides in the next GEMM):
 //!
 //! 1. **Transparency** — a fault-free guarded run reports nothing and its
 //!    output is bit-identical to the unprotected computation.
 //! 2. **Correction** — a single extreme value (INF/−INF/NaN/near-INF)
 //!    injected at the section's detection point is always detected and
 //!    corrected, and exact-replay refinement restores the original bits.
+//! 3. **One decision point** — however the left operand arrives at
+//!    `GuardedSection::gemm` (plain, column-encoded, or carrying inherited
+//!    checksums into an inactive section), the logical output bits are the
+//!    same and the report stays quiet.
 
 use attn_fault::FaultKind;
 use attn_tensor::gemm;
 use attn_tensor::ops::add_bias_inplace;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
+use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::{AbftReport, SectionId};
 use attnchecker::section::{replay_nn, GuardedSection};
@@ -65,32 +70,51 @@ fn run_plain(x: &Matrix, links: &[ChainLink]) -> Matrix {
     cur
 }
 
+/// How the chain input reaches the first `GuardedSection::gemm`.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// Plain matrix into an active section: encoded inside the first GEMM.
+    Plain,
+    /// Column-encoded up front: the checksums ride through the first GEMM.
+    Encoded,
+    /// Column-encoded by an active upstream section, handed to an
+    /// *inactive* one: the inherited checksums are dropped, plain product.
+    EncodedIntoInactive,
+}
+
 /// The same chain through the guarded-section builder, optionally striking
 /// one element of the final product before the detection point.
 fn run_guarded(
     x: &Matrix,
     links: &[ChainLink],
+    arrival: Arrival,
     fault: Option<(usize, usize, FaultKind)>,
 ) -> (Matrix, AbftReport) {
     let mut report = AbftReport::default();
-    let sec = GuardedSection::begin(
-        SectionId::FeedForward,
-        &ProtectionConfig::full(),
-        true,
-        &mut report,
-    );
-    let mut cur = sec.encode_cols(x);
+    let config = ProtectionConfig::full();
+    let active = !matches!(arrival, Arrival::EncodedIntoInactive);
+    let sec = GuardedSection::begin(SectionId::FeedForward, &config, active, &mut report);
+    let upstream = GuardedSection::begin(SectionId::Output, &config, true, &mut report);
+    let mut cur = match arrival {
+        Arrival::Plain => CheckedMatrix::from_plain_owned(x.clone()),
+        Arrival::Encoded | Arrival::EncodedIntoInactive => upstream.encode_cols(x),
+    };
     let mut prev = x.clone();
     for l in links {
-        if l.exit_before {
-            cur = sec.exit_reencode_cols(&cur, |m| {
+        // A nonlinear exit returns plain data; its re-encoding rides inside
+        // the GEMM below.
+        let act = l.exit_before.then(|| {
+            sec.exit_cols(&cur, |m| {
                 for v in m.data_mut() {
                     *v = v.tanh();
                 }
-            });
-        }
-        prev = cur.logical();
-        cur = sec.gemm(&cur, &sec.operand(&l.w));
+            })
+        });
+        prev = act.clone().unwrap_or_else(|| cur.logical());
+        cur = match &act {
+            Some(act) => sec.gemm(act, &l.w),
+            None => sec.gemm(&cur, &l.w),
+        };
         if let Some(b) = &l.bias {
             cur.add_bias(b);
         }
@@ -130,7 +154,7 @@ proptest! {
     ) {
         let links = build_links(x.cols(), n_links, seed);
         let plain = run_plain(&x, &links);
-        let (guarded, report) = run_guarded(&x, &links, None);
+        let (guarded, report) = run_guarded(&x, &links, Arrival::Encoded, None);
         prop_assert!(report.is_quiet(), "spurious activity: {report}");
         prop_assert_eq!(guarded, plain);
     }
@@ -150,7 +174,7 @@ proptest! {
             [kind_pick];
         let links = build_links(x.cols(), n_links, seed);
         let plain = run_plain(&x, &links);
-        let (guarded, report) = run_guarded(&x, &links, Some((rf, cf, kind)));
+        let (guarded, report) = run_guarded(&x, &links, Arrival::Encoded, Some((rf, cf, kind)));
         prop_assert!(report.correction_count() >= 1, "{kind:?} not corrected: {report}");
         prop_assert_eq!(report.unrecovered, 0);
         prop_assert!(
@@ -158,5 +182,25 @@ proptest! {
             "corrections attributed to the wrong section"
         );
         prop_assert_eq!(guarded, plain);
+    }
+
+    /// `GuardedSection::gemm` is the one decision point: a left operand
+    /// arriving plain (encoded on entry inside the GEMM), column-encoded
+    /// (checksums ride), or column-encoded at an inactive section
+    /// (checksums dropped, plain product) yields the same logical bits —
+    /// the unprotected ones — and a quiet report.
+    #[test]
+    fn left_operand_arrival_never_changes_the_bits(
+        x in input_matrix(),
+        n_links in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        let links = build_links(x.cols(), n_links, seed);
+        let plain = run_plain(&x, &links);
+        for arrival in [Arrival::Plain, Arrival::Encoded, Arrival::EncodedIntoInactive] {
+            let (guarded, report) = run_guarded(&x, &links, arrival, None);
+            prop_assert!(report.is_quiet(), "{arrival:?}: spurious activity: {report}");
+            prop_assert_eq!(&guarded, &plain, "{:?}", arrival);
+        }
     }
 }
