@@ -65,10 +65,17 @@ fn shape(tiny: bool) -> Shape {
         // recompute baseline; the floors leave a wide noise margin below
         // the measured headroom.
         floor_cached_speedup: if tiny { 1.05 } else { 1.3 },
-        // Checksummed single-query GEMMs carry 2 border rows next to 1
-        // data row, so protected decode pays up to ~3x GEMM flops plus
-        // detection sweeps; 5x is the honest generous bound.
-        ceil_protected_ratio: 5.0,
+        // The two border rows of a single-query GEMM ride the microkernel's
+        // padding lanes next to the 1 data row, so a guarded m=1 product
+        // costs what the plain one does; what is left is detection sweeps,
+        // KV checksum upkeep and the non-GEMM guards. Measured 1.18-1.25x
+        // at the full shape (ROADMAP item 3 target 1.20); the ceiling sits
+        // one noise band above that — close enough to fire, so on a shared
+        // host the odd whole-process slow phase (about 1 run in 15 read
+        // 1.4-1.6x here) fires it too: rerun before believing it. The tiny
+        // shape times 8 tokens of fixed overhead and is advisory only (see
+        // below).
+        ceil_protected_ratio: if tiny { 5.0 } else { 1.35 },
         cfg,
     }
 }
@@ -98,16 +105,30 @@ fn time_prefill(engine: &mut DecodeEngine, prompt: &[usize], trials: usize) -> f
     best
 }
 
-/// Fastest wall time (secs) of generating `n` tokens on a fresh session.
-fn time_decode(engine: &mut DecodeEngine, prompt: &[usize], n: usize, trials: usize) -> f64 {
-    let mut best = f64::INFINITY;
+/// Fastest wall times (secs) of generating `n` tokens on a fresh session
+/// of the protected engine and of its unprotected twin. The trials
+/// alternate between the two, so a host phase (frequency ramp after
+/// start-up, a noisy neighbour) lands on both sides of the floored ratio
+/// instead of on whichever side happened to run first.
+fn time_decode_pair(
+    on: &mut DecodeEngine,
+    off: &mut DecodeEngine,
+    prompt: &[usize],
+    n: usize,
+    trials: usize,
+) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
     for t in 0..=trials {
-        let mut s = engine.open_session(prompt, t as u64);
-        let t0 = Instant::now();
-        let _ = engine.generate(&mut s, n, Sampling::Greedy);
-        let dt = t0.elapsed().as_secs_f64();
+        let once = |engine: &mut DecodeEngine| {
+            let mut s = engine.open_session(prompt, t as u64);
+            let t0 = Instant::now();
+            let _ = engine.generate(&mut s, n, Sampling::Greedy);
+            t0.elapsed().as_secs_f64()
+        };
+        let (dt_on, dt_off) = (once(on), once(off));
         if t > 0 {
-            best = best.min(dt);
+            // iteration 0 is warm-up (arena fill, page faults)
+            best = (best.0.min(dt_on), best.1.min(dt_off));
         }
     }
     best
@@ -152,8 +173,10 @@ fn main() {
 
     let prefill_on = time_prefill(&mut on, &prompt, sh.trials);
     let prefill_off = time_prefill(&mut off, &prompt, sh.trials);
-    let decode_on = time_decode(&mut on, &prompt, sh.decode_len, sh.trials);
-    let decode_off = time_decode(&mut off, &prompt, sh.decode_len, sh.trials);
+    // The floored ratio gets three times the trials: its ceiling sits
+    // one noise band above the measurement, not several.
+    let (decode_on, decode_off) =
+        time_decode_pair(&mut on, &mut off, &prompt, sh.decode_len, 3 * sh.trials);
     let recompute = time_recompute(&recompute_model, &prompt, sh.decode_len, sh.trials);
 
     let tok_s = |n: usize, secs: f64| n as f64 / secs;
@@ -251,7 +274,7 @@ fn main() {
             "WARN (advisory in tiny mode)"
         };
         eprintln!(
-            "{tag}: protected decode overhead beyond {:.1}x unprotected ({protected_ratio:.2}x)",
+            "{tag}: protected decode overhead beyond {:.2}x unprotected ({protected_ratio:.2}x)",
             sh.ceil_protected_ratio
         );
         failed |= enforce_speed;

@@ -15,8 +15,8 @@
 //!   compaction pass can check and move independently ([`ColdKvCache`]) —
 //!   and per-head V blocks with the two row-checksum columns inline in
 //!   each row. Appending a token updates the current K block's tails in
-//!   place — O(d) per token, not an O(seq·d) re-encode — and V rows carry
-//!   the checksums ridden out of their producing projection GEMM. The
+//!   place — O(d) per token, not an O(seq·d) re-encode — and derives the
+//!   V row's inline pair from the verified row, also O(d). The
 //!   score row's riding row checksums are assembled from the per-block
 //!   tails (local weights shifted by each block's start offset), so the
 //!   augmented layout downstream detection consumes is unchanged.
@@ -47,7 +47,7 @@ use attn_tensor::gemm::{self, KC, NC};
 use attn_tensor::guard::softmax_rows_checked_inplace;
 use attn_tensor::kv::PagedKv;
 use attn_tensor::ops::apply_additive_mask;
-use attn_tensor::Matrix;
+use attn_tensor::{workspace, Matrix};
 
 /// Default data rows per KV block — the verify-on-move granularity.
 pub const KV_BLOCK_ROWS: usize = 16;
@@ -177,37 +177,28 @@ impl AttnKvCache {
         }
     }
 
-    /// Append one head's (verified) value row. When the producing GEMM ran
-    /// guarded, `v_h` carries ridden row checksums and they are stored
-    /// as-is; otherwise (section gated off this step, but the cache still
-    /// checksummed) the pair is recomputed under the blocked encoder
-    /// contract so later guarded steps can ride it.
+    /// Append one head's (verified) plain value row. A checksummed cache
+    /// stores it followed by its `(Σ, Σw)` pair, derived from the row under
+    /// the blocked encoder contract — the one way a V row's inline pair is
+    /// ever produced, whether the row arrives from a decode step or from
+    /// [`Self::seed`].
     ///
     /// # Panics
     /// Panics on width mismatch or when called with head rows out of sync
     /// with [`Self::append_k`].
-    pub fn append_v(&mut self, head: usize, v_h: &CheckedMatrix) {
-        assert_eq!(v_h.rows(), 1, "append_v: one row per token");
-        assert_eq!(v_h.cols(), self.d, "append_v: head width");
+    pub fn append_v(&mut self, head: usize, v_row: &[f32]) {
+        assert_eq!(v_row.len(), self.d, "append_v: head width");
         let vb = &mut self.v[head];
         if !self.checksummed {
-            vb.push_row(v_h.logical_row(0));
+            vb.push_row(v_row);
             return;
         }
-        if v_h.has_row_checksums() {
-            // Data + ridden (checksum, weighted checksum), already laid
-            // out contiguously in the augmented buffer row.
-            vb.push_row(v_h.buf().row(0));
-        } else {
-            let data = v_h.logical_row(0);
-            let (s, ws) = row_checksum_blocked(data);
-            // attn-lint: allow(hot-path-alloc) — O(d) augmented-row assembly; replacing it with arena scratch measured as noise
-            let mut row = Vec::with_capacity(self.d + 2);
-            row.extend_from_slice(data);
-            row.push(s);
-            row.push(ws);
-            vb.push_row(&row);
-        }
+        let (s, ws) = row_checksum_blocked(v_row);
+        let mut row = workspace::take(self.d + 2);
+        row[..self.d].copy_from_slice(v_row);
+        row[self.d] = s;
+        row[self.d + 1] = ws;
+        vb.push_row(&row);
     }
 
     /// Seed the cache from full-forward K/V activations (`seq × hidden`,
@@ -219,10 +210,7 @@ impl AttnKvCache {
         for r in 0..k.rows() {
             self.append_k(k.row(r));
             for h in 0..self.heads {
-                let seg = &v.row(r)[h * self.d..(h + 1) * self.d];
-                // attn-lint: allow(hot-path-alloc) — seed() runs once at prefill, not in the per-token steady state
-                let vm = CheckedMatrix::from_plain_owned(Matrix::from_vec(1, self.d, seg.to_vec()));
-                self.append_v(h, &vm);
+                self.append_v(h, &v.row(r)[h * self.d..(h + 1) * self.d]);
             }
         }
     }
@@ -809,13 +797,14 @@ pub fn decode_step(
         }
 
         // ------------------------------------------------ section S_CL
+        // One V projection for all heads, entered like Q and K: the row's
+        // column checksums restrict exactly to each head's column range.
+        let mut v = s_cl.gemm(x, w.wv);
+        v.add_bias(w.bv);
         // attn-lint: allow(hot-path-alloc) — O(heads) handle vector per step; the row payloads inside draw on the arena
         let mut cl_blocks = Vec::with_capacity(w.heads);
         for h in 0..w.heads {
-            let wv_h = w.wv.submatrix(0, w.hidden, h * d, (h + 1) * d);
-            let bv_h = &w.bv[h * d..(h + 1) * d];
-            let mut v_h = s_cl.gemm_encode_rows(x, &wv_h);
-            v_h.add_bias(bv_h);
+            let mut v_h = v.slice_cols(h * d, (h + 1) * d);
             ctx.fire(
                 FaultSite {
                     op: AttnOp::V,
@@ -824,12 +813,12 @@ pub fn decode_step(
                 &mut v_h,
             );
             // Verify-on-append: the V row joins the cache now.
-            if s_cl.active() && v_h.has_row_checksums() {
-                s_cl.heal_operand_rows(ctx.report, &mut v_h, h, |_r, c| {
-                    replay_nn(x.row(0), |kk| wv_h[(kk, c)]) + bv_h[c]
+            if s_cl.active() {
+                s_cl.heal_operand_cols(ctx.report, &mut v_h, h, |_r, c| {
+                    replay_nn(x.row(0), |kk| w.wv[(kk, h * d + c)]) + w.bv[h * d + c]
                 });
             }
-            cache.append_v(h, &v_h);
+            cache.append_v(h, v_h.logical_row(0));
 
             let mut cl_row = cache.context_row(&ap_rows[h], h, s_cl.active());
             ctx.fire(
@@ -877,7 +866,7 @@ pub fn decode_step(
 #[allow(clippy::needless_range_loop)] // step index t addresses parallel row/prefix structures
 mod tests {
     use super::*;
-    use crate::attention::{AttentionWeights, ForwardOptions, SectionToggles};
+    use crate::attention::{AttentionWeights, FaultHook, ForwardOptions, SectionToggles};
     use crate::config::ProtectionConfig;
     use crate::report::AbftReport;
     use attn_fault::FaultKind;
@@ -1071,6 +1060,133 @@ mod tests {
         for op in AttnOp::ALL {
             inject_then_check(op, FaultKind::NearInf);
         }
+    }
+
+    /// Every stored bit of a cache: per head, each K block's data rows and
+    /// its two checksum tail rows, then each V block's rows (inline `(Σ, Σw)`
+    /// pairs included).
+    fn cache_bits(cache: &AttnKvCache) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for (kb, vb) in cache.k.iter().zip(&cache.v) {
+            for b in 0..kb.num_blocks() {
+                bits.extend(kb.block_data(b).iter().map(|v| v.to_bits()));
+                for i in 0..kb.tail() {
+                    bits.extend(kb.tail_row(b, i).iter().map(|v| v.to_bits()));
+                }
+            }
+            for b in 0..vb.num_blocks() {
+                bits.extend(vb.block_data(b).iter().map(|v| v.to_bits()));
+            }
+        }
+        bits
+    }
+
+    /// Decode every row of `x` into a fresh cache with `block_rows` paging,
+    /// a hook (if any) installed at step `strike_at` only.
+    fn grow_cache(
+        attn: &ProtectedAttention,
+        x: &Matrix,
+        block_rows: usize,
+        strike_at: usize,
+        mut hook: Option<FaultHook<'_>>,
+    ) -> (AttnKvCache, Vec<Matrix>, AbftReport) {
+        let w = &attn.weights;
+        let mut cache = AttnKvCache::with_block_rows(w.hidden, w.heads, true, block_rows);
+        let mut report = AbftReport::default();
+        let mut rows = Vec::new();
+        for t in 0..x.rows() {
+            let x_row = x.submatrix(t, t + 1, 0, x.cols());
+            let mut ctx = ForwardCtx {
+                mask: None,
+                toggles: SectionToggles::all(),
+                hook: if t == strike_at {
+                    hook.as_mut().map(|h| &mut **h as _)
+                } else {
+                    None
+                },
+                report: &mut report,
+            };
+            rows.push(attn.decode_step(&x_row, &mut cache, &mut ctx));
+        }
+        (cache, rows, report)
+    }
+
+    #[test]
+    fn decode_grown_cache_equals_seeded_cache_bit_for_bit() {
+        // One way to produce a V row's inline pair and a K block's tails:
+        // N decode appends and `seed()` over the full forward's K/V tape
+        // leave the same cache, checksums included — at paging granularities
+        // that split, fill and overflow blocks.
+        let (x, attn) = setup(21, 32, 4);
+        let mut r = AbftReport::default();
+        let full = attn.forward(&x, ForwardOptions::default(), &mut r);
+        for &block_rows in &[1usize, 4, 16, 64] {
+            let (grown, _, report) = grow_cache(&attn, &x, block_rows, usize::MAX, None);
+            assert!(report.is_quiet(), "{report}");
+            let mut seeded = AttnKvCache::with_block_rows(32, 4, true, block_rows);
+            seeded.seed(&full.cache.k, &full.cache.v);
+            assert_eq!(grown.len(), seeded.len());
+            assert!(
+                cache_bits(&grown) == cache_bits(&seeded),
+                "block_rows={block_rows}: decode appends and seed() disagree"
+            );
+        }
+    }
+
+    #[test]
+    fn v_fault_at_each_head_heals_and_the_stored_pair_verifies() {
+        let (x, attn) = setup(8, 32, 4);
+        let (clean_cache, clean_rows, _) = grow_cache(&attn, &x, 4, usize::MAX, None);
+        let clean_bits = cache_bits(&clean_cache);
+        for kind in [FaultKind::Inf, FaultKind::NaN, FaultKind::NearInf] {
+            for head in 0..4 {
+                let mut fired = false;
+                let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
+                    if site.op == AttnOp::V && site.head == Some(head) {
+                        fired = true;
+                        let c = (3 * head + 1) % m.cols();
+                        m.set(0, c, kind.apply(m.get(0, c)));
+                    }
+                };
+                let (cache, rows, report) = grow_cache(&attn, &x, 4, 5, Some(&mut hook));
+                assert!(fired, "{kind:?} head {head}: hook never fired");
+                assert_eq!(rows, clean_rows, "{kind:?} head {head}: outputs diverged");
+                assert_eq!(
+                    report.correction_count(),
+                    1,
+                    "{kind:?} head {head}: {report}"
+                );
+                assert_eq!(report.corrections[0].head, head);
+                assert_eq!(report.unrecovered, 0);
+                // The healed row joined the cache with the pair derived from
+                // its verified bits: same cache as never having been struck…
+                assert!(cache_bits(&cache) == clean_bits, "{kind:?} head {head}");
+                // …and verify-on-move finds nothing to repair.
+                let mut park_report = AbftReport::default();
+                let cold = cache.park(&attn.config.abft, &mut park_report);
+                assert_eq!(cold.len(), 8);
+                assert_eq!(
+                    park_report.detections, 0,
+                    "{kind:?} head {head}: {park_report}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warm_decode_steps_do_not_touch_the_allocator() {
+        // A session replayed over a warm arena (the first one's KV blocks
+        // and scratch are back in the pool) must not miss it once — the
+        // parent commit's count over the same replay is 0 as well.
+        let (x, attn) = setup(40, 32, 4);
+        drop(grow_cache(&attn, &x, KV_BLOCK_ROWS, usize::MAX, None));
+        let before = workspace::thread_alloc_events();
+        drop(grow_cache(&attn, &x, KV_BLOCK_ROWS, usize::MAX, None));
+        assert_eq!(
+            workspace::thread_alloc_events() - before,
+            0,
+            "warm decode steps allocated arena buffers"
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use crate::checked::CheckedMatrix;
 use crate::config::AbftConfig;
 use crate::eec::{eec_correct_vector, VectorVerdict};
+use attn_tensor::workspace;
 
 /// One corrected element within a pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,10 +93,11 @@ pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
     );
     let (rows, cols) = (m.rows(), m.cols());
 
-    // Streaming prepass: per-column (Σv, Σw·v, Σ|v|) in one sweep.
-    let mut sum = vec![0.0f32; cols]; // attn-lint: allow(hot-path-alloc-reach) — fault-repair path: runs only after a checksum mismatch, never in the clean steady state
-    let mut wsum = vec![0.0f32; cols]; // attn-lint: allow(hot-path-alloc-reach) — fault-repair path (see above)
-    let mut abs = vec![0.0f32; cols]; // attn-lint: allow(hot-path-alloc-reach) — fault-repair path (see above)
+    // Streaming prepass: per-column (Σv, Σw·v, Σ|v|) in one sweep. It
+    // runs on every clean detection, so the accumulators are arena scratch.
+    let mut acc = workspace::take(3 * cols);
+    let (sum, rest) = acc.split_at_mut(cols);
+    let (wsum, abs) = rest.split_at_mut(cols);
     for r in 0..rows {
         let w = crate::checksum::weight(r);
         let row = m.logical_row(r);

@@ -20,12 +20,32 @@
 //! ABFT-augmented product in the same pass: the operand's checksum
 //! projections accumulate *inside the packing loop* (the packing already
 //! streams every element through registers), and the checksum border of
-//! the product is then a 2-row (2-column) product through the same
-//! kernel — bit-identical to encoding the operand first and multiplying
-//! the augmented matrix, without the standalone encode sweep or the
-//! augmented-copy allocation. This is the paper's §4.6 fusion: "pack the
-//! checksum with the operand matrix such that the checksum can be updated
-//! together with the original operation".
+//! the product is then a 2-row (2-column) product under the same
+//! per-element contract — bit-identical to encoding the operand first and
+//! multiplying the augmented matrix, without the standalone encode sweep
+//! or the augmented-copy allocation. This is the paper's §4.6 fusion:
+//! "pack the checksum with the operand matrix such that the checksum can
+//! be updated together with the original operation".
+//!
+//! **The column-side border rides the padding lanes when it can.** A
+//! ragged last micro-panel of packed `A` carries `MR − (m mod MR)` all-zero
+//! rows that the microkernel multiplies anyway. When the two checksum rows
+//! fit there — `(m+2).div_ceil(MR) == m.div_ceil(MR)`, i.e. m = 1, 2, 5,
+//! 6, …: every decode/serve GEMM — the column-side entries accumulate
+//! `(v1ᵀA, v2ᵀA)` first (same encoder block contract, below) and push
+//! `[A; v1ᵀA; v2ᵀA]` through the packed driver **once**, as one source:
+//! the border costs no second pass over `B` and no extra microkernel call
+//! (FT-Transformer's "the checksum lives inside the kernel's own tile").
+//! Measured at m = 1: 1.04× a plain `matmul_into` at 1×128×128, 1.00× at
+//! 1×128×512, against 1.74× / 1.69× for the streaming border. Every other
+//! `m` keeps the streaming border — projections accumulated in the packing
+//! pass, then one lean sweep of `B` — because there the riding rows would
+//! open a micro-panel of their own: at m = 64 (training) that is a whole
+//! extra [`MC`] row block re-packing `B`, 1.235× plain against 1.118× for
+//! streaming at 64×128×128; at m = 32 (prefill) the two tie (1.19×). The
+//! choice is a private predicate on `m`; both mechanisms produce the same
+//! bits (they are each "two extra rows of an augmented `A`"), which
+//! `tests/gemm_tiled_props.rs` and this module's tests pin.
 //!
 //! # The accumulation-order contract
 //!
@@ -64,7 +84,8 @@
 use crate::kv::PagedKv;
 use crate::matrix::Matrix;
 use crate::pack::{
-    accum_col_cs, accum_row_cs, pack_a_block, pack_b_block, ColCsAccum, RowCsAccum, Src, SrcRead,
+    accum_col_cs, accum_row_cs, pack_a_block, pack_b_block, ColCsAccum, ColsAugmented, RowCsAccum,
+    Src, SrcRead,
 };
 use crate::view::{MatMut, MatRef};
 use crate::workspace;
@@ -183,32 +204,21 @@ pub fn matmul_tn_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
 ///
 /// Rows `0..m` are the plain product `A·B` (bit-identical to
 /// [`matmul_into`]); rows `m..m+2` are the riding column checksums
-/// `(v1ᵀA)·B` / `(v2ᵀA)·B`. The checksum projections of `A` accumulate
-/// inside the packing pass — no standalone encode sweep, no augmented
-/// operand copy — and are bit-identical to
-/// `attnchecker::checksum::col_checksums(A)` by the shared block contract.
+/// `(v1ᵀA)·B` / `(v2ᵀA)·B`. The checksum projections of `A` are
+/// bit-identical to `attnchecker::checksum::col_checksums(A)` by the
+/// shared block contract — no standalone encode sweep, no augmented
+/// operand copy — and the border rides the kernel's padding lanes
+/// whenever it fits them (see the module docs).
 ///
 /// # Panics
 /// Panics unless `c.rows() == a.rows() + 2`, `c.cols() == b.cols()`, and
 /// `a.cols() == b.rows()`.
 pub fn gemm_encode_cols_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
-    let (m, k) = (a.rows(), a.cols());
     let n = b.cols();
-    assert_eq!(k, b.rows(), "gemm_encode_cols: inner dims");
-    assert_eq!(m + 2, c.rows(), "gemm_encode_cols: output rows");
+    assert_eq!(a.cols(), b.rows(), "gemm_encode_cols: inner dims");
+    assert_eq!(a.rows() + 2, c.rows(), "gemm_encode_cols: output rows");
     assert_eq!(n, c.cols(), "gemm_encode_cols: output cols");
-    let mut cs = workspace::take(2 * k);
-    {
-        let (av, bv) = (src_n(a), src_n(b));
-        let cd = c.data();
-        gemm_driver(av, bv, m, n, k, &mut cd[..m * n], n, Fuse::Cols(&mut cs));
-        // Checksum border: CS_A (2 × k) · B as a lean streaming product.
-        // It follows the same per-element KC-block contract as the packed
-        // kernel — so the border is bit-identical to two extra rows of an
-        // augmented A — but streams B once, without re-packing.
-        let (cs_row, rest) = cd[m * n..].split_at_mut(n);
-        encode_border_cols(&cs, bv, k, n, cs_row, &mut rest[..n]);
-    }
+    encode_cols_product(a, src_n(b), n, c.data());
 }
 
 /// `C = A · B` where `B` is the paged data matrix of a KV cache.
@@ -267,18 +277,98 @@ pub fn matmul_nt_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>) {
 /// # Panics
 /// Panics on any dimension mismatch.
 pub fn gemm_encode_cols_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>) {
-    let (m, k) = (a.rows(), a.cols());
     let n = b.cols();
-    assert_eq!(k, b.rows(), "gemm_encode_cols_paged: inner dims");
-    assert_eq!(m + 2, c.rows(), "gemm_encode_cols_paged: output rows");
+    assert_eq!(a.cols(), b.rows(), "gemm_encode_cols_paged: inner dims");
+    assert_eq!(
+        a.rows() + 2,
+        c.rows(),
+        "gemm_encode_cols_paged: output rows"
+    );
     assert_eq!(n, c.cols(), "gemm_encode_cols_paged: output cols");
+    encode_cols_product(a, b.src(false), n, c.data());
+}
+
+/// Do the two checksum rows of `[A; v1ᵀA; v2ᵀA]` land in zero-padded lanes
+/// the packed kernel multiplies anyway? True when the augmented operand
+/// packs into as many [`MR`]-row micro-panels as `A` alone (m = 1, 2, 5,
+/// 6, … — every decode/serve GEMM); [`MC`] is a multiple of [`MR`], so the
+/// row-block grid is then unchanged too.
+#[inline]
+fn border_rides_padding(m: usize) -> bool {
+    (m + 2).div_ceil(MR) == m.div_ceil(MR)
+}
+
+/// The column-side fused product over either `B` layout: `cd` receives the
+/// `(m+2) × n` augmented product `[A; v1ᵀA; v2ᵀA] · B`. Two mechanisms,
+/// one set of bits — the checksum border is, either way, two extra rows of
+/// an augmented `A` under the per-element KC-block contract — chosen by
+/// [`border_rides_padding`] alone.
+fn encode_cols_product<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]) {
+    if border_rides_padding(a.rows()) {
+        encode_cols_riding(a, bv, n, cd);
+    } else {
+        encode_cols_streaming(a, bv, n, cd);
+    }
+}
+
+/// Lane-riding border: the projections accumulate first, then
+/// `[A; v1ᵀA; v2ᵀA]` goes through the packed driver **once**, as one
+/// source — when the two rows fit `A`'s padding lanes the border costs no
+/// pass over `B` and no microkernel call the plain product would not have
+/// made. (Correct for any `m`; only free under the predicate.)
+fn encode_cols_riding<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]) {
+    let (m, k) = (a.rows(), a.cols());
+    let av = src_n(a);
     let mut cs = workspace::take(2 * k);
-    {
-        let (av, bv) = (src_n(a), b.src(false));
-        let cd = c.data();
-        gemm_driver(av, bv, m, n, k, &mut cd[..m * n], n, Fuse::Cols(&mut cs));
-        let (cs_row, rest) = cd[m * n..].split_at_mut(n);
-        encode_border_cols(&cs, bv, k, n, cs_row, &mut rest[..n]);
+    accum_col_cs_blocked(av, m, k, &mut cs);
+    let aug = ColsAugmented {
+        a: av,
+        m,
+        k,
+        cs: &cs,
+    };
+    gemm_driver(aug, bv, m + 2, n, k, cd, n, Fuse::None);
+}
+
+/// Streaming border: the projections accumulate inside the packing pass
+/// and [`encode_border_cols`] streams `B` once more — kept wherever the
+/// border would otherwise open a micro-panel of its own (m = 64 training:
+/// the extra row block measured 1.235× plain against 1.118× for this at
+/// 64×128×128; m = 32 prefill: a tie).
+fn encode_cols_streaming<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]) {
+    let (m, k) = (a.rows(), a.cols());
+    let mut cs = workspace::take(2 * k);
+    gemm_driver(
+        src_n(a),
+        bv,
+        m,
+        n,
+        k,
+        &mut cd[..m * n],
+        n,
+        Fuse::Cols(&mut cs),
+    );
+    // Checksum border: CS_A (2 × k) · B as a lean streaming product. It
+    // follows the same per-element KC-block contract as the packed kernel
+    // — so the border is bit-identical to two extra rows of an augmented
+    // A — but streams B once, without re-packing.
+    let (cs_row, rest) = cd[m * n..].split_at_mut(n);
+    encode_border_cols(&cs, bv, k, n, cs_row, &mut rest[..n]);
+}
+
+/// `(v1ᵀA, v2ᵀA)` into the zeroed `cs = [Σ(k) | Σw(k)]` ahead of the
+/// product, under the encoder block contract the in-packing accumulation
+/// follows: rows ascending within each [`MC`] row-block, block partials
+/// combined in block order on top of zero.
+fn accum_col_cs_blocked<A: SrcRead>(a: A, m: usize, k: usize, cs: &mut [f32]) {
+    let mut part = workspace::take(2 * k);
+    for i0 in (0..m).step_by(MC) {
+        part.fill(0.0);
+        let (sum, wsum) = part.split_at_mut(k);
+        accum_col_cs(a, i0, MC.min(m - i0), 0, k, &mut ColCsAccum { sum, wsum });
+        for (o, &p) in cs.iter_mut().zip(part.iter()) {
+            *o += p;
+        }
     }
 }
 
@@ -1017,6 +1107,51 @@ mod tests {
             before,
             "steady-state GEMM must not allocate"
         );
+    }
+
+    // ---------------- lane-riding checksum border ----------------
+
+    #[test]
+    fn border_rides_exactly_when_the_last_micro_panel_has_two_free_lanes() {
+        let rides: Vec<usize> = (0..=10).filter(|&m| border_rides_padding(m)).collect();
+        assert_eq!(rides, [1, 2, 5, 6, 9, 10]);
+        // The shapes the choice exists for: decode rides, prefill and
+        // training keep the streaming border.
+        assert!(!border_rides_padding(32) && !border_rides_padding(MC));
+        assert!(border_rides_padding(MC - 2) && border_rides_padding(MC + 1));
+    }
+
+    #[test]
+    fn riding_and_streaming_borders_produce_identical_bits() {
+        // Both mechanisms are correct for every m; the predicate only picks
+        // the cheaper one. One shape each side of it (m = 2 rides; m = 3 and
+        // m = MC stream) plus a multi-row-block one, k across a KC edge.
+        let mut rng = TensorRng::seed_from(71);
+        for &(m, k, n) in &[
+            (2, KC + 9, 19),
+            (3, KC + 9, 19),
+            (MC, 70, NC + 3),
+            (MC + 1, 33, 9),
+        ] {
+            let a = rand_mat(&mut rng, m, k);
+            let b = rand_mat(&mut rng, k, n);
+            let mut ride = Matrix::full(m + 2, n, f32::NAN);
+            let mut stream = Matrix::full(m + 2, n, f32::NAN);
+            encode_cols_riding(a.view(), src_n(b.view()), n, ride.data_mut());
+            encode_cols_streaming(a.view(), src_n(b.view()), n, stream.data_mut());
+            let mut public = Matrix::full(m + 2, n, f32::NAN);
+            gemm_encode_cols_into(a.view(), b.view(), public.view_mut());
+            for (i, ((r, s), p)) in ride
+                .data()
+                .iter()
+                .zip(stream.data())
+                .zip(public.data())
+                .enumerate()
+            {
+                assert_eq!(r.to_bits(), s.to_bits(), "{m}x{k}x{n} element {i}");
+                assert_eq!(r.to_bits(), p.to_bits(), "{m}x{k}x{n} element {i}");
+            }
+        }
     }
 
     // ---------------- paged-operand parity ----------------

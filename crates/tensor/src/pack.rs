@@ -86,6 +86,39 @@ pub(crate) trait SrcRead: Copy + Sync {
     fn row_slice(&self, r: usize, c0: usize, len: usize) -> Option<&[f32]>;
 }
 
+/// The column-augmented operand `[A; v1ᵀA; v2ᵀA]` as one packing source:
+/// rows `0..m` read `a`, rows `m` and `m + 1` read the two checksum
+/// projections `cs = [Σ(k) | Σw(k)]`. Lets a fused product whose checksum
+/// rows fit `A`'s padding lanes go through the packed driver once.
+#[derive(Clone, Copy)]
+pub(crate) struct ColsAugmented<'a, A> {
+    pub a: A,
+    pub m: usize,
+    pub k: usize,
+    pub cs: &'a [f32],
+}
+
+impl<A: SrcRead> SrcRead for ColsAugmented<'_, A> {
+    #[inline(always)]
+    fn at(&self, r: usize, c: usize) -> f32 {
+        if r < self.m {
+            self.a.at(r, c)
+        } else {
+            self.cs[(r - self.m) * self.k + c]
+        }
+    }
+
+    #[inline(always)]
+    fn row_slice(&self, r: usize, c0: usize, len: usize) -> Option<&[f32]> {
+        if r < self.m {
+            self.a.row_slice(r, c0, len)
+        } else {
+            let off = (r - self.m) * self.k + c0;
+            Some(&self.cs[off..off + len])
+        }
+    }
+}
+
 /// Fused column-checksum accumulator: per-k-column running `(Σ, Σw)` sums
 /// for one `MC` row-block of `op(A)`. Slices span the *full* k dimension;
 /// packing a `(i0, p0)` block touches indices `p0..p0+kc`.

@@ -6,9 +6,10 @@
 //! (`attnchecker::section::replay_nn`) depends on.
 
 use attn_tensor::gemm::{
-    self, gemm_encode_cols_into, gemm_encode_rows_into, matmul, matmul_naive, matmul_nt, matmul_tn,
-    KC, MC,
+    self, gemm_encode_cols_into, gemm_encode_cols_paged_into, gemm_encode_rows_into, matmul,
+    matmul_naive, matmul_nt, matmul_tn, KC, MC, NC, NR,
 };
+use attn_tensor::kv::PagedKv;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 use attnchecker::checked::{CheckedMatrix, ProductKind};
@@ -33,6 +34,41 @@ fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
             .iter()
             .zip(b.data())
             .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// [`bits_equal`] for operands carrying IEEE specials: every NaN is one
+/// value (which payload an operation propagates is not specified — by
+/// IEEE-754 or by Rust — so it is not part of any contract), everything
+/// else, signed zeros and infinities included, compares by bits.
+fn bits_equal_mod_nan_payload(a: &Matrix, b: &Matrix) -> bool {
+    a.rows() == b.rows()
+        && a.cols() == b.cols()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// Both fused column-side entries (dense `B`, and `B` paged in
+/// `block_rows`-row blocks) against the reference they promise to equal:
+/// standalone `encode_cols(A)`, then the plain packed product of the
+/// augmented matrix.
+fn fused_cols_vs_encode_then_matmul(a: &Matrix, b: &Matrix, block_rows: usize) -> bool {
+    let staged = CheckedMatrix::product(
+        &CheckedMatrix::encode_cols(a, AbftStrategy::Fused),
+        b,
+        ProductKind::Nn,
+    );
+    let mut dense = Matrix::full(a.rows() + 2, b.cols(), f32::NAN);
+    gemm_encode_cols_into(a.view(), b.view(), dense.view_mut());
+    let mut kv = PagedKv::new(b.cols(), 0, block_rows);
+    for r in 0..b.rows() {
+        kv.push_row(b.row(r));
+    }
+    let mut paged = Matrix::full(a.rows() + 2, b.cols(), f32::NAN);
+    gemm_encode_cols_paged_into(a.view(), &kv, paged.view_mut());
+    bits_equal_mod_nan_payload(&dense, staged.buf())
+        && bits_equal_mod_nan_payload(&paged, staged.buf())
 }
 
 /// Run `f` inside a rayon pool of `threads` workers.
@@ -175,6 +211,39 @@ proptest! {
         prop_assert!(bits_equal(&fused_r, staged_r.buf()), "rows side");
     }
 
+    /// The lane-riding border (m = 1, 2, 5, 6, 9, 10 — the checksum rows
+    /// share `A`'s last micro-panel) and the streaming border (m = 3, 4, 7,
+    /// 8) are the same function: bit-identical to `encode_cols(A)` → plain
+    /// product, dense or paged `B`, with k and n on and around the
+    /// KC / NC / NR edges and IEEE specials anywhere in either operand. A
+    /// NaN or INF in `B` must reach the checksum rows exactly as it reaches
+    /// rows of an augmented `A` (`0 × NaN` included: no lane is skipped).
+    #[test]
+    fn fused_cols_border_equals_encode_then_gemm_at_decode_shapes(
+        m in 1usize..11,
+        ki in 0usize..6,
+        ni in 0usize..8,
+        bi in 0usize..4,
+        specials in 0usize..4,
+        seed in 0u64..100_000,
+    ) {
+        let k = [1, 7, KC - 1, KC, KC + 1, 2 * KC + 5][ki];
+        let n = [1, NR - 1, NR, NR + 1, NC - 1, NC, NC + 1, NC + NR + 3][ni];
+        let block_rows = [1, 3, 16, 100][bi];
+        let mut rng = TensorRng::seed_from(seed);
+        let mut a = rng.uniform_matrix(m, k, -2.0, 2.0);
+        let mut b = rng.uniform_matrix(k, n, -2.0, 2.0);
+        const SPECIALS: [f32; 4] = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for _ in 0..specials {
+            a[(rng.index(m), rng.index(k))] = SPECIALS[rng.index(4)];
+            b[(rng.index(k), rng.index(n))] = SPECIALS[rng.index(4)];
+        }
+        prop_assert!(
+            fused_cols_vs_encode_then_matmul(&a, &b, block_rows),
+            "{}x{}x{} block_rows={} specials={}", m, k, n, block_rows, specials
+        );
+    }
+
     /// The exact-replay contract: `replay_nn` reproduces any product
     /// element bit-for-bit, for inner dimensions crossing KC blocks.
     #[test]
@@ -281,5 +350,35 @@ fn standalone_encoder_matches_fused_projection_across_blocks() {
             (c[(a.rows(), j)] - cs[(0, j)]).abs() <= 1e-3 * (1.0 + cs[(0, j)].abs()),
             "projection {j} drifted"
         );
+    }
+}
+
+/// One shape each side of the border predicate — m = 2 rides the padding
+/// lanes; m = 3 and m = 64 (and m = 32, prefill) stream — all landing on
+/// the bits of the one reference both mechanisms are defined by, with a
+/// NaN in `B` and a `-0.0` in `A` along for the ride.
+#[test]
+fn both_border_mechanisms_land_on_the_augmented_product() {
+    let mut rng = TensorRng::seed_from(17);
+    for &m in &[2usize, 3, 32, MC] {
+        let (k, n) = (KC + 13, NC + 5);
+        let mut a = rng.uniform_matrix(m, k, -1.0, 1.0);
+        let mut b = rng.uniform_matrix(k, n, -1.0, 1.0);
+        a[(m - 1, 3)] = -0.0;
+        b[(KC + 2, n - 1)] = f32::NAN;
+        assert!(
+            fused_cols_vs_encode_then_matmul(&a, &b, 16),
+            "m={m}: fused border left the augmented-product bits"
+        );
+        // The NaN reached the checksum rows of exactly its column.
+        let mut c = Matrix::zeros(m + 2, n);
+        gemm_encode_cols_into(a.view(), b.view(), c.view_mut());
+        for r in m..m + 2 {
+            assert!(
+                c[(r, n - 1)].is_nan(),
+                "m={m}: NaN in B missed checksum row {r}"
+            );
+            assert!(c.row(r)[..n - 1].iter().all(|v| v.is_finite()));
+        }
     }
 }
