@@ -7,7 +7,7 @@
 //! * **optimizer moments**: AdamW `m`/`v` digests — corrupt a moment at
 //!   rest between two guarded steps and require the healed step to be
 //!   bit-identical to a fault-free twin;
-//! * **KV at rest**: park a decode session, corrupt a cold K/V cell (or
+//! * **KV at rest**: park a decode session, corrupt a parked K/V cell (or
 //!   row region), unpark, and require the checksum sweep to detect and the
 //!   continued decode to match the fault-free token stream;
 //! * **end-to-end train**: `train_step_injected` at GEMM sites — the
@@ -368,7 +368,7 @@ fn decode_greedy(
     toks
 }
 
-/// Prefill + decode, park, corrupt a cold K/V cell (or region), unpark,
+/// Prefill + decode, park, corrupt a parked K/V cell (or region), unpark,
 /// continue decoding; compare against the fault-free token stream.
 fn kv_trial(
     m: &TransformerModel,
@@ -388,19 +388,16 @@ fn kv_trial(
         let d = m.config.hidden / m.config.heads;
         let layer = rng.index(m.config.layers);
         let head = rng.index(m.config.heads);
-        let rows = state.cold_layers_mut()[layer].len();
-        let r = rng.index(rows);
+        let cache = &mut state.layer_caches_mut()[layer];
+        let r = rng.index(cache.len());
         let c = rng.index(d);
-        let cold = &mut state.cold_layers_mut()[layer];
         if rng.bernoulli(0.5) {
-            tamper_slice(&mut cold.k_data_mut(head)[r * d..(r + 1) * d], k, c);
+            tamper_slice(cache.k_row_mut(head, r), k, c);
         } else {
             // V rows carry their two checksum columns inline at the end;
             // corrupt data cells only (a struck checksum is a rebuild, not
             // a data fault).
-            let vw = cold.v_data_mut(head).len() / rows;
-            let vrow = &mut cold.v_data_mut(head)[r * vw..r * vw + d];
-            tamper_slice(vrow, k, c);
+            tamper_slice(&mut cache.v_row_mut(head, r)[..d], k, c);
         }
     }
     let mut unpark_report = AbftReport::default();
@@ -645,7 +642,7 @@ fn main() {
     kv_json.push_str("},");
     json_sections.push(kv_json);
     println!(
-        "-- at-rest paged KV (park → corrupt cold block → unpark) --\n{}",
+        "-- at-rest paged KV (park → corrupt parked block → unpark) --\n{}",
         table.render()
     );
 

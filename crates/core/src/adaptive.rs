@@ -110,7 +110,7 @@ pub struct SectionProfile {
 
 /// Poisson probability of `k` events given rate `lambda` and exposure
 /// `flops`.
-pub fn poisson_pmf(lambda: f64, flops: f64, k: u32) -> f64 {
+fn poisson_pmf(lambda: f64, flops: f64, k: u32) -> f64 {
     let mu = lambda * flops;
     if attn_tensor::float::exactly_zero_f64(mu) {
         return if k == 0 { 1.0 } else { 0.0 };
@@ -123,7 +123,7 @@ pub fn poisson_pmf(lambda: f64, flops: f64, k: u32) -> f64 {
 }
 
 /// Probability that every op in the section sees zero errors of any type.
-pub fn r_free(section: &SectionProfile, rates: &ErrorRates) -> f64 {
+fn r_free(section: &SectionProfile, rates: &ErrorRates) -> f64 {
     section
         .ops
         .iter()
@@ -138,7 +138,7 @@ pub fn r_free(section: &SectionProfile, rates: &ErrorRates) -> f64 {
 
 /// Probability of exactly one type-`e` error in op `j` and zero errors
 /// everywhere else in the section.
-pub fn r_single(section: &SectionProfile, rates: &ErrorRates, j: usize, e: ErrorType) -> f64 {
+fn r_single(section: &SectionProfile, rates: &ErrorRates, j: usize, e: ErrorType) -> f64 {
     section
         .ops
         .iter()
@@ -156,7 +156,7 @@ pub fn r_single(section: &SectionProfile, rates: &ErrorRates, j: usize, e: Error
 }
 
 /// Fault coverage of one section at detection frequency `f`.
-pub fn fault_coverage(section: &SectionProfile, rates: &ErrorRates, f: f64) -> f64 {
+fn fault_coverage(section: &SectionProfile, rates: &ErrorRates, f: f64) -> f64 {
     let f = f.clamp(0.0, 1.0);
     let mut fc = r_free(section, rates);
     for (j, op) in section.ops.iter().enumerate() {
@@ -183,7 +183,7 @@ pub fn fault_coverage_attention(
 }
 
 /// Fault-coverage efficiency: coverage gained per unit of ABFT time.
-pub fn fce(section: &SectionProfile, rates: &ErrorRates) -> f64 {
+fn fce(section: &SectionProfile, rates: &ErrorRates) -> f64 {
     if section.abft_time <= 0.0 {
         return f64::INFINITY;
     }

@@ -29,7 +29,7 @@ use crate::checksum::{
     col_checksums, col_checksums_naive, row_checksums, row_checksums_naive, weight,
 };
 use crate::config::Strategy;
-use attn_tensor::gemm;
+use attn_tensor::{contract, gemm};
 use attn_tensor::{MatRef, Matrix};
 use std::ops::Range;
 
@@ -480,52 +480,22 @@ impl CheckedMatrix {
         }
     }
 
-    /// Rebuild all stored checksums from the (presumed-correct) data region.
-    pub fn recompute_checksums(&mut self) {
-        let data = self.logical();
-        if self.has_row_cs {
-            let rc = row_checksums(&data);
-            for r in 0..self.rows {
-                self.buf[(r, self.cols)] = rc[(r, 0)];
-                self.buf[(r, self.cols + 1)] = rc[(r, 1)];
-            }
-        }
-        if self.has_col_cs {
-            // Cover the row-checksum columns too so the corner stays
-            // consistent.
-            let upper = self.buf.submatrix(0, self.rows, 0, self.buf.cols());
-            let cc = col_checksums(&upper);
-            for c in 0..self.buf.cols() {
-                self.buf[(self.rows, c)] = cc[(0, c)];
-                self.buf[(self.rows + 1, c)] = cc[(1, c)];
-            }
-        }
-    }
-
-    /// Rebuild the stored checksums of a single logical column from data.
+    /// Rebuild the stored checksums of a single logical column from data,
+    /// under the encoder's contract ([`contract::col_sums`]): the rebuilt
+    /// border equals what `encode_cols` would have stored, at every shape.
     pub fn recompute_col_checksum(&mut self, c: usize) {
-        debug_assert!(self.has_col_cs);
-        let mut s = 0.0f32;
-        let mut ws = 0.0f32;
-        for r in 0..self.rows {
-            let v = self.buf[(r, c)];
-            s += v;
-            ws += weight(r) * v;
-        }
-        self.buf[(self.rows, c)] = s;
-        self.buf[(self.rows + 1, c)] = ws;
+        debug_assert!(self.has_col_cs && c < self.cols);
+        let mut cs = [0.0f32; 2];
+        contract::col_sums(self.buf.view().top_rows(self.rows), c..c + 1, &mut cs);
+        self.buf[(self.rows, c)] = cs[0];
+        self.buf[(self.rows + 1, c)] = cs[1];
     }
 
-    /// Rebuild the stored checksums of a single logical row from data.
+    /// Rebuild the stored checksums of a single logical row from data,
+    /// under the encoder's contract ([`contract::row_sums`]).
     pub fn recompute_row_checksum(&mut self, r: usize) {
         debug_assert!(self.has_row_cs);
-        let mut s = 0.0f32;
-        let mut ws = 0.0f32;
-        for c in 0..self.cols {
-            let v = self.buf[(r, c)];
-            s += v;
-            ws += weight(c) * v;
-        }
+        let (s, ws) = contract::row_sums(self.logical_row(r));
         self.buf[(r, self.cols)] = s;
         self.buf[(r, self.cols + 1)] = ws;
     }
@@ -555,9 +525,9 @@ impl CheckedMatrix {
 
     /// Drop row checksums, keeping column checksums (used when the per-head
     /// `CL` blocks are merged: only column checksums ride into `S_O`).
-    pub fn drop_row_checksums(&self) -> CheckedMatrix {
+    pub fn drop_row_checksums(self) -> CheckedMatrix {
         if !self.has_row_cs {
-            return self.clone(); // attn-lint: allow(hot-path-alloc-reach) — section-boundary reshape, not per-token decode work; ws_allocs tests pin the steady state
+            return self;
         }
         let phys_rows = self.buf.rows();
         CheckedMatrix {
@@ -570,7 +540,8 @@ impl CheckedMatrix {
     }
 
     /// Horizontally concatenate column-checksummed blocks (per-head `CL`
-    /// blocks back into the full context layer).
+    /// blocks back into the full context layer): one merged buffer, each
+    /// block copied once.
     ///
     /// # Panics
     /// Panics if blocks disagree on rows/flags or any carries row checksums.
@@ -578,17 +549,21 @@ impl CheckedMatrix {
         assert!(!blocks.is_empty());
         let rows = blocks[0].rows;
         let has_col_cs = blocks[0].has_col_cs;
-        let mut buf = blocks[0].buf.clone(); // attn-lint: allow(hot-path-alloc-reach) — concat constructs the merged matrix at a section boundary, not per-token
-        for b in &blocks[1..] {
+        let cols = blocks.iter().map(|b| b.cols).sum();
+        let mut buf = Matrix::zeros(blocks[0].buf.rows(), cols);
+        let mut c0 = 0;
+        for b in blocks {
             assert_eq!(b.rows, rows, "concat_cols: row mismatch");
             assert_eq!(b.has_col_cs, has_col_cs, "concat_cols: flag mismatch");
             assert!(!b.has_row_cs, "concat_cols: row checksums present");
-            buf = buf.hstack(&b.buf);
+            for r in 0..buf.rows() {
+                buf.row_mut(r)[c0..c0 + b.cols].copy_from_slice(b.buf.row(r));
+            }
+            c0 += b.cols;
         }
-        assert!(!blocks[0].has_row_cs);
         CheckedMatrix {
             rows,
-            cols: blocks.iter().map(|b| b.cols).sum(),
+            cols,
             has_col_cs,
             has_row_cs: false,
             buf,
@@ -830,11 +805,41 @@ mod tests {
         let mut rng = TensorRng::seed_from(12);
         let a = rand(&mut rng, 5, 5);
         let mut ca = CheckedMatrix::encode_both(&a, Strategy::Fused);
-        // Corrupt a checksum cell directly.
-        let rows = ca.rows();
+        // Corrupt a checksum cell of each border directly.
+        let (rows, cols) = (ca.rows(), ca.cols());
         ca.buf_mut()[(rows, 2)] = f32::NAN;
-        ca.recompute_checksums();
+        ca.buf_mut()[(3, cols + 1)] = f32::INFINITY;
+        ca.recompute_col_checksum(2);
+        ca.recompute_row_checksum(3);
         assert!(ca.max_checksum_discrepancy() < 1e-4);
+    }
+
+    #[test]
+    fn rebuilt_borders_equal_the_encoder_bits_at_every_shape() {
+        // A border rebuilt after a correction must be what the encoder
+        // would have stored — past MC rows / NC columns too (FFN rows are
+        // 512 wide), where an unblocked sum lands on different bits.
+        let mut rng = TensorRng::seed_from(43);
+        for &(m, n) in &[(64, 64), (130, 70), (200, 150)] {
+            let a = rand(&mut rng, m, n);
+            let encoded = CheckedMatrix::encode_both(&a, Strategy::Fused);
+            let mut rebuilt = encoded.clone();
+            for c in 0..n {
+                rebuilt.buf_mut()[(m, c)] = f32::NAN;
+                rebuilt.buf_mut()[(m + 1, c)] = f32::NAN;
+                rebuilt.recompute_col_checksum(c);
+            }
+            for r in 0..m {
+                rebuilt.buf_mut()[(r, n)] = f32::NAN;
+                rebuilt.buf_mut()[(r, n + 1)] = f32::NAN;
+                rebuilt.recompute_row_checksum(r);
+            }
+            assert_eq!(
+                rebuilt.buf(),
+                encoded.buf(),
+                "{m}x{n}: rebuilt borders drifted"
+            );
+        }
     }
 
     #[test]

@@ -18,88 +18,40 @@
 //!   strided cuBLAS composition the paper benchmarks against in Fig 9
 //!   (cuBLAS reads `A` twice and launches twice).
 //!
-//! **Accumulation-order contract.** The packed GEMM kernels can produce
-//! the same projections *inside their packing pass*
-//! (`attn_tensor::gemm::gemm_encode_cols_into` /
-//! `gemm_encode_rows_into`), visiting rows in [`gemm::MC`]-sized blocks
-//! (columns in [`gemm::NC`]-sized blocks for row checksums) with block
-//! partials combined in block order. The standalone encoders here follow
-//! the *same* blocked order, so a fused encoding is bit-identical to
-//! encode-then-GEMM — the property `CheckedMatrix::product`
-//! and the exact-replay machinery rely on.
-//!
-//! [`gemm::MC`]: attn_tensor::gemm::MC
-//! [`gemm::NC`]: attn_tensor::gemm::NC
+//! **Accumulation-order contract.** The packed GEMM kernels produce the
+//! same projections *inside their packing pass*
+//! (`attn_tensor::gemm::gemm_encode_cols_into` / `gemm_encode_rows_into`).
+//! The standalone encoders here call the one statement of that blocked
+//! order, [`attn_tensor::contract`], so a fused encoding is bit-identical
+//! to encode-then-GEMM — the property `CheckedMatrix::product` and the
+//! exact-replay machinery rely on.
 //!
 //! attn-lint: hot-path
 
-use attn_tensor::gemm::{MC, NC};
-use attn_tensor::{workspace, Matrix};
+use attn_tensor::{contract, Matrix};
 
-/// Weighted index of row/column `i` (1-based weights, matching `v2`).
-///
-/// Delegates to the canonical definition next to the fused in-packing
-/// encoder so the two can never drift apart.
-#[inline]
-pub fn weight(i: usize) -> f32 {
-    attn_tensor::pack::checksum_weight(i)
-}
+pub use attn_tensor::contract::weight;
 
 /// Compute column checksums of `a`: a `2 × cols` matrix whose row 0 is
 /// `v1ᵀA` (plain column sums) and row 1 is `v2ᵀA` (weighted column sums).
 ///
-/// Single pass over `a`, both projections accumulating together, rows
-/// visited in [`MC`]-blocks with per-block partials — bit-identical to
-/// the fused in-packing encoder of the packed GEMM (see module docs).
+/// Single pass over `a`, both projections accumulating together under
+/// [`contract::col_sums`] — bit-identical to the fused in-packing encoder
+/// of the packed GEMM (see module docs).
 pub fn col_checksums(a: &Matrix) -> Matrix {
-    let (m, n) = (a.rows(), a.cols());
-    let mut cs = Matrix::zeros(2, n);
-    let mut part = workspace::take(2 * n);
-    for r0 in (0..m).step_by(MC) {
-        let rend = (r0 + MC).min(m);
-        let (psum, pwsum) = part.split_at_mut(n);
-        psum.fill(0.0);
-        pwsum.fill(0.0);
-        for r in r0..rend {
-            let w = weight(r);
-            let row = a.row(r);
-            for c in 0..n {
-                psum[c] += row[c];
-                pwsum[c] += w * row[c];
-            }
-        }
-        let (sum_row, wsum_row) = cs.data_mut().split_at_mut(n);
-        for c in 0..n {
-            sum_row[c] += psum[c];
-            wsum_row[c] += pwsum[c];
-        }
-    }
+    let mut cs = Matrix::zeros(2, a.cols());
+    contract::col_sums(a.view(), 0..a.cols(), cs.data_mut());
     cs
 }
 
 /// Compute row checksums of `a`: an `rows × 2` matrix whose column 0 is
-/// `A·v1` and column 1 is `A·v2`. Single pass over `a`, columns visited
-/// in [`NC`]-blocks with per-block partials (the fused-encoder contract).
+/// `A·v1` and column 1 is `A·v2`. Single pass over `a`, each row under
+/// [`contract::row_sums`] (the fused-encoder contract).
 pub fn row_checksums(a: &Matrix) -> Matrix {
-    let (m, n) = (a.rows(), a.cols());
-    let mut cs = Matrix::zeros(m, 2);
-    for r in 0..m {
-        let row = a.row(r);
-        let mut s = 0.0f32;
-        let mut ws = 0.0f32;
-        for c0 in (0..n).step_by(NC) {
-            let cend = (c0 + NC).min(n);
-            let mut ps = 0.0f32;
-            let mut pws = 0.0f32;
-            for (c, &v) in row[c0..cend].iter().enumerate() {
-                ps += v;
-                pws += weight(c0 + c) * v;
-            }
-            s += ps;
-            ws += pws;
-        }
-        cs[(r, 0)] = s;
-        cs[(r, 1)] = ws;
+    let mut cs = Matrix::zeros(a.rows(), 2);
+    for r in 0..a.rows() {
+        let (s, ws) = contract::row_sums(a.row(r));
+        cs.row_mut(r).copy_from_slice(&[s, ws]);
     }
     cs
 }

@@ -11,8 +11,8 @@
 //! * **Incremental cache encoding.** [`AttnKvCache`] stores per-head K
 //!   rows in fixed-size [`PagedKv`] blocks, each block carrying its own
 //!   two column-checksum tail rows over **local** (position-within-block)
-//!   weights — so a block is a self-verifying unit that an eviction or
-//!   compaction pass can check and move independently ([`ColdKvCache`]) —
+//!   weights — so a block is a self-verifying unit that a parking or
+//!   compaction pass can check where it lies ([`AttnKvCache::verify`]) —
 //!   and per-head V blocks with the two row-checksum columns inline in
 //!   each row. Appending a token updates the current K block's tails in
 //!   place — O(d) per token, not an O(seq·d) re-encode — and derives the
@@ -28,9 +28,9 @@
 //!   incremental checksums, making it permanently invisible. The score,
 //!   context, and output GEMMs keep the delayed-detection shape.
 //! * **The blocked accumulation contract.** Every decode GEMM runs the
-//!   same packed kernels (and therefore the same per-element KC-blocked
-//!   accumulation order) as the full forward, so a decoded step is
-//!   **bit-identical** to re-running the full protected forward over the
+//!   same packed kernels (and therefore the same per-element accumulation
+//!   order, `attn_tensor::contract`) as the full forward, so a decoded step
+//!   is **bit-identical** to re-running the full protected forward over the
 //!   grown prefix — the parity property `tests/decode_parity.rs` pins —
 //!   and exact replay restores corrected elements to their original bits.
 //!
@@ -38,16 +38,15 @@
 
 use crate::attention::{AttentionWeightsRef, AttnOp, FaultSite, ProtectedAttention};
 use crate::checked::CheckedMatrix;
-use crate::checksum::weight;
+use crate::checksum::{vector_sums, weight};
 use crate::config::{AbftConfig, ProtectionConfig};
 use crate::eec::{eec_correct_vector, VectorVerdict};
 use crate::report::{AbftReport, CorrectionRecord, SectionId};
 use crate::section::{replay_nn, ForwardCtx, GuardedSection};
-use attn_tensor::gemm::{self, KC, NC};
 use attn_tensor::guard::softmax_rows_checked_inplace;
 use attn_tensor::kv::PagedKv;
 use attn_tensor::ops::apply_additive_mask;
-use attn_tensor::{workspace, Matrix};
+use attn_tensor::{contract, gemm, workspace, Matrix};
 
 /// Default data rows per KV block — the verify-on-move granularity.
 pub const KV_BLOCK_ROWS: usize = 16;
@@ -82,12 +81,7 @@ impl AttnKvCache {
 
     /// [`Self::new`] with an explicit paging granularity (tests exercise
     /// awkward block sizes; the result bits never depend on the choice).
-    pub fn with_block_rows(
-        hidden: usize,
-        heads: usize,
-        checksummed: bool,
-        block_rows: usize,
-    ) -> Self {
+    fn with_block_rows(hidden: usize, heads: usize, checksummed: bool, block_rows: usize) -> Self {
         assert!(
             heads > 0 && hidden.is_multiple_of(heads),
             "heads must divide hidden"
@@ -159,7 +153,7 @@ impl AttnKvCache {
     /// O(hidden) total, independent of the cached prefix length. Tails use
     /// **local** weights (`weight(idx % block_rows)`), so a block's
     /// checksums are position-independent and survive eviction/compaction.
-    pub fn append_k(&mut self, k_row: &[f32]) {
+    fn append_k(&mut self, k_row: &[f32]) {
         assert_eq!(k_row.len(), self.heads * self.d, "append_k: width");
         for (h, kb) in self.k.iter_mut().enumerate() {
             let seg = &k_row[h * self.d..(h + 1) * self.d];
@@ -179,21 +173,21 @@ impl AttnKvCache {
 
     /// Append one head's (verified) plain value row. A checksummed cache
     /// stores it followed by its `(Σ, Σw)` pair, derived from the row under
-    /// the blocked encoder contract — the one way a V row's inline pair is
-    /// ever produced, whether the row arrives from a decode step or from
-    /// [`Self::seed`].
+    /// the encoder contract (`contract::row_sums`) — the one way a V row's
+    /// inline pair is ever produced, whether the row arrives from a decode
+    /// step or from [`Self::seed`].
     ///
     /// # Panics
     /// Panics on width mismatch or when called with head rows out of sync
     /// with [`Self::append_k`].
-    pub fn append_v(&mut self, head: usize, v_row: &[f32]) {
+    fn append_v(&mut self, head: usize, v_row: &[f32]) {
         assert_eq!(v_row.len(), self.d, "append_v: head width");
         let vb = &mut self.v[head];
         if !self.checksummed {
             vb.push_row(v_row);
             return;
         }
-        let (s, ws) = row_checksum_blocked(v_row);
+        let (s, ws) = contract::row_sums(v_row);
         let mut row = workspace::take(self.d + 2);
         row[..self.d].copy_from_slice(v_row);
         row[self.d] = s;
@@ -217,13 +211,13 @@ impl AttnKvCache {
 
     /// Key element `(token, kk)` of `head` — the replay view of the cache.
     #[inline]
-    pub fn k_at(&self, head: usize, token: usize, kk: usize) -> f32 {
+    fn k_at(&self, head: usize, token: usize, kk: usize) -> f32 {
         self.k[head].at(token, kk)
     }
 
     /// Value element `(token, c)` of `head`.
     #[inline]
-    pub fn v_at(&self, head: usize, token: usize, c: usize) -> f32 {
+    fn v_at(&self, head: usize, token: usize, c: usize) -> f32 {
         self.v[head].at(token, c)
     }
 
@@ -236,7 +230,7 @@ impl AttnKvCache {
     /// Σ_b [q·t1_b + start_b·(q·t0_b)]` — so the augmented layout
     /// downstream detection consumes is the same single-query image of
     /// `S_AS` acquiring both borders.
-    pub fn score_row(&self, q_h: &CheckedMatrix, head: usize) -> CheckedMatrix {
+    fn score_row(&self, q_h: &CheckedMatrix, head: usize) -> CheckedMatrix {
         assert_eq!(q_h.rows(), 1, "score_row: single query");
         assert_eq!(q_h.cols(), self.d, "score_row: head width");
         let kb = &self.k[head];
@@ -252,8 +246,8 @@ impl AttnKvCache {
                 let mut cs = 0.0f32;
                 let mut wcs = 0.0f32;
                 for b in 0..kb.num_blocks() {
-                    let p0 = dot_blocked(qrow, kb.tail_row(b, 0));
-                    let p1 = dot_blocked(qrow, kb.tail_row(b, 1));
+                    let p0 = contract::dot(qrow, kb.tail_row(b, 0));
+                    let p1 = contract::dot(qrow, kb.tail_row(b, 1));
                     cs += p0;
                     wcs += p1 + (b * self.block_rows) as f32 * p0;
                 }
@@ -268,7 +262,7 @@ impl AttnKvCache {
     /// `active`, `ap`'s column encoding rides inside the GEMM's packing
     /// pass (the fused §4.6 entry, single-row image) and the cache rows'
     /// inline row checksums ride through to the product.
-    pub fn context_row(&self, ap: &Matrix, head: usize, active: bool) -> CheckedMatrix {
+    fn context_row(&self, ap: &Matrix, head: usize, active: bool) -> CheckedMatrix {
         assert_eq!(ap.rows(), 1, "context_row: single query");
         let vb = &self.v[head];
         assert_eq!(ap.cols(), vb.rows(), "context_row: prefix length");
@@ -291,268 +285,69 @@ impl AttnKvCache {
         }
     }
 
-    /// Worst absolute disagreement between the maintained per-block K
-    /// column checksums and a from-scratch recomputation over each block's
-    /// rows under local weights (diagnostics/tests: bounds incremental
-    /// drift).
-    pub fn max_k_checksum_drift(&self) -> f32 {
-        assert!(self.checksummed, "unchecksummed cache has no borders");
-        let mut worst = 0.0f32;
-        for kb in &self.k {
-            for b in 0..kb.num_blocks() {
-                let blen = kb.block_len(b);
-                for c in 0..kb.cols() {
-                    let mut s = 0.0f64;
-                    let mut ws = 0.0f64;
-                    for i in 0..blen {
-                        let v = kb.at(b * self.block_rows + i, c) as f64;
-                        s += v;
-                        ws += weight(i) as f64 * v;
-                    }
-                    worst = worst
-                        .max((kb.tail_row(b, 0)[c] - s as f32).abs())
-                        .max((kb.tail_row(b, 1)[c] - ws as f32).abs());
-                }
-            }
-        }
-        worst
+    /// Mutable key row `token` of `head` (data cells only; campaigns and
+    /// tests strike at-rest faults here).
+    pub fn k_row_mut(&mut self, head: usize, token: usize) -> &mut [f32] {
+        self.k[head].row_mut(token)
     }
 
-    /// Verify-on-move **park**: consume the live cache into a compact
-    /// [`ColdKvCache`] image, checking every K block column against its
-    /// local-weight tails and every V row against its inline checksum
-    /// pair on the way out. Single corrupted elements are corrected
-    /// (recorded in `report`), corrupted checksums are rebuilt, and
-    /// multi-element damage is counted as unrecovered — the move never
-    /// panics. An unchecksummed cache is copied without verification.
-    pub fn park(mut self, cfg: &AbftConfig, report: &mut AbftReport) -> ColdKvCache {
-        if self.checksummed {
-            for h in 0..self.heads {
-                verify_k_blocks(&mut self.k[h], self.block_rows, cfg, report, h);
-                verify_v_rows(&mut self.v[h], self.d, cfg, report, h);
-            }
+    /// Mutable stored value row `token` of `head`: the `head_dim` data
+    /// cells followed, in a checksummed cache, by the inline `(Σ, Σw)` pair.
+    pub fn v_row_mut(&mut self, head: usize, token: usize) -> &mut [f32] {
+        self.v[head].row_mut(token)
+    }
+
+    /// Verify the cache where it lies: every K block column against its
+    /// local-weight tails, every V row against its inline checksum pair.
+    /// Single corrupted elements are corrected (recorded in `report`),
+    /// corrupted checksums are rebuilt, and multi-element damage is
+    /// counted as unrecovered — the sweep never panics. This is the whole
+    /// of verify-on-move: a parked cache is these same blocks, so parking
+    /// and unparking each run this once. No-op on an unchecksummed cache.
+    pub fn verify(&mut self, cfg: &AbftConfig, report: &mut AbftReport) {
+        if !self.checksummed {
+            return;
         }
-        let rows = self.len();
-        let v_width = self.v[0].cols();
-        // attn-lint: allow(hot-path-alloc) — park() moves a session to cold storage once per lifecycle, off the decode path
-        let mut k = Vec::with_capacity(self.heads);
-        // attn-lint: allow(hot-path-alloc) — park() moves a session to cold storage once per lifecycle, off the decode path
-        let mut k_tails = Vec::with_capacity(self.heads);
-        // attn-lint: allow(hot-path-alloc) — park() moves a session to cold storage once per lifecycle, off the decode path
-        let mut v = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
-            let kb = &self.k[h];
-            // attn-lint: allow(hot-path-alloc) — park() moves a session to cold storage once per lifecycle, off the decode path
-            let mut kd = Vec::with_capacity(rows * self.d);
-            // attn-lint: allow(hot-path-alloc) — park() moves a session to cold storage once per lifecycle, off the decode path
-            let mut kt = Vec::with_capacity(kb.num_blocks() * 2 * self.d);
-            for b in 0..kb.num_blocks() {
-                kd.extend_from_slice(kb.block_data(b));
-                if self.checksummed {
-                    kt.extend_from_slice(kb.tail_row(b, 0));
-                    kt.extend_from_slice(kb.tail_row(b, 1));
-                }
-            }
-            let vb = &self.v[h];
-            // attn-lint: allow(hot-path-alloc) — park() moves a session to cold storage once per lifecycle, off the decode path
-            let mut vd = Vec::with_capacity(rows * v_width);
-            for b in 0..vb.num_blocks() {
-                vd.extend_from_slice(vb.block_data(b));
-            }
-            k.push(kd);
-            k_tails.push(kt);
-            v.push(vd);
-        }
-        ColdKvCache {
-            heads: self.heads,
-            d: self.d,
-            block_rows: self.block_rows,
-            rows,
-            v_width,
-            checksummed: self.checksummed,
-            k,
-            k_tails,
-            v,
+            verify_k_blocks(&mut self.k[h], cfg, report, h);
+            verify_v_rows(&mut self.v[h], self.d, cfg, report, h);
         }
     }
 }
 
-/// Compact, verified at-rest image of an [`AttnKvCache`] — what a serving
-/// gateway holds for a parked (memory-evicted) session. Plain `Vec`
-/// storage: the workspace-arena blocks went back to the pool when the
-/// live cache was consumed, so a parked session costs exactly its data
-/// (plus per-block K tails) and nothing from the hot arena.
-#[derive(Debug, Clone)]
-pub struct ColdKvCache {
-    heads: usize,
-    d: usize,
-    block_rows: usize,
-    rows: usize,
-    v_width: usize,
-    checksummed: bool,
-    /// Per-head K data, `rows × d` row-major.
-    k: Vec<Vec<f32>>,
-    /// Per-head local-weight block tails, `num_blocks × 2 × d` (t0 then t1
-    /// per block). Empty when unchecksummed.
-    k_tails: Vec<Vec<f32>>,
-    /// Per-head V data, `rows × v_width` row-major (inline row checksums
-    /// in the last two columns when checksummed).
-    v: Vec<Vec<f32>>,
-}
-
-impl ColdKvCache {
-    /// Cached tokens in the parked image.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True when the parked image holds no tokens.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Approximate resident size of the image in bytes (data vectors).
-    pub fn approx_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f32>();
-        self.k.iter().map(Vec::len).sum::<usize>() * f
-            + self.k_tails.iter().map(Vec::len).sum::<usize>() * f
-            + self.v.iter().map(Vec::len).sum::<usize>() * f
-    }
-
-    /// Mutable K data of `head` (tests inject at-rest bit flips here).
-    pub fn k_data_mut(&mut self, head: usize) -> &mut [f32] {
-        &mut self.k[head]
-    }
-
-    /// Mutable V data of `head` (tests inject at-rest bit flips here).
-    pub fn v_data_mut(&mut self, head: usize) -> &mut [f32] {
-        &mut self.v[head]
-    }
-
-    /// Verify-on-move **unpark**: rebuild a live [`AttnKvCache`], checking
-    /// every K block column and V row against the parked checksums first —
-    /// damage acquired at rest is corrected (or counted unrecovered)
-    /// before any row rejoins the hot path. The live cache's block tails
-    /// are re-accumulated in append order, so a fault-free park/unpark
-    /// round trip is bit-identical to never having parked.
-    pub fn unpark(mut self, cfg: &AbftConfig, report: &mut AbftReport) -> AttnKvCache {
-        if self.checksummed {
-            for h in 0..self.heads {
-                self.verify_cold_head(h, cfg, report);
-            }
-        }
-        let mut cache = AttnKvCache::with_block_rows(
-            self.heads * self.d,
-            self.heads,
-            self.checksummed,
-            self.block_rows,
-        );
-        for r in 0..self.rows {
-            for h in 0..self.heads {
-                let seg = &self.k[h][r * self.d..(r + 1) * self.d];
-                let kb = &mut cache.k[h];
-                let idx = kb.push_row(seg);
-                if self.checksummed {
-                    let b = idx / self.block_rows;
-                    let w = weight(idx % self.block_rows);
-                    for (t0, &val) in kb.tail_row_mut(b, 0).iter_mut().zip(seg) {
-                        *t0 += val;
-                    }
-                    for (t1, &val) in kb.tail_row_mut(b, 1).iter_mut().zip(seg) {
-                        *t1 += w * val;
-                    }
-                }
-                let vrow = &self.v[h][r * self.v_width..(r + 1) * self.v_width];
-                cache.v[h].push_row(vrow);
-            }
-        }
-        cache
-    }
-
-    /// At-rest verification of one head: every K block column against its
-    /// parked local-weight tails, every V row against its inline pair.
-    fn verify_cold_head(&mut self, h: usize, cfg: &AbftConfig, report: &mut AbftReport) {
-        let d = self.d;
-        let num_blocks = self.rows.div_ceil(self.block_rows);
-        // attn-lint: allow(hot-path-alloc) — one scratch column per at-rest verification sweep, reused via clear()
-        let mut col = Vec::with_capacity(self.block_rows);
-        for b in 0..num_blocks {
-            let start = b * self.block_rows;
-            let blen = (self.rows - start).min(self.block_rows);
-            for c in 0..d {
-                col.clear();
-                col.extend((0..blen).map(|i| self.k[h][(start + i) * d + c]));
-                let t0 = self.k_tails[h][b * 2 * d + c];
-                let t1 = self.k_tails[h][(b * 2 + 1) * d + c];
-                let verdict = eec_correct_vector(&mut col, t0, t1, cfg);
-                apply_vector_verdict(&verdict, report, SectionId::AttentionScore, h, start, c);
-                match verdict {
-                    VectorVerdict::Corrected { index, .. } => {
-                        self.k[h][(start + index) * d + c] = col[index];
-                    }
-                    VectorVerdict::ChecksumCorrupt => {
-                        let (s, ws, _) = crate::checksum::vector_sums(&col);
-                        self.k_tails[h][b * 2 * d + c] = s;
-                        self.k_tails[h][(b * 2 + 1) * d + c] = ws;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for r in 0..self.rows {
-            let row = &mut self.v[h][r * self.v_width..(r + 1) * self.v_width];
-            let (data, cs) = row.split_at_mut(d);
-            let verdict = eec_correct_vector(data, cs[0], cs[1], cfg);
-            apply_vector_verdict(&verdict, report, SectionId::ContextLayer, h, r, 0);
-            if matches!(verdict, VectorVerdict::ChecksumCorrupt) {
-                let (s, ws, _) = crate::checksum::vector_sums(data);
-                cs[0] = s;
-                cs[1] = ws;
-            }
-        }
-    }
-}
-
-/// Verify one live K cache's blocks in place (columns against local-weight
-/// tails), correcting single errors and rebuilding corrupt tails.
-fn verify_k_blocks(
-    kb: &mut PagedKv,
-    block_rows: usize,
-    cfg: &AbftConfig,
-    report: &mut AbftReport,
-    head: usize,
-) {
-    let d = kb.cols();
-    // attn-lint: allow(hot-path-alloc) — one scratch column per gated verification sweep, reused via clear()
-    let mut col = Vec::with_capacity(block_rows);
+/// Verify one K cache's blocks in place (columns against local-weight
+/// tails). A corrected or checksum-corrupt column gets both tail cells
+/// rebuilt from its verified data — the sums `append_k` would have
+/// accumulated — so a repaired block carries exactly the tails of a block
+/// that was appended clean with the repaired values.
+fn verify_k_blocks(kb: &mut PagedKv, cfg: &AbftConfig, report: &mut AbftReport, head: usize) {
+    let mut scratch = workspace::take(kb.block_rows());
     for b in 0..kb.num_blocks() {
-        let start = b * block_rows;
-        let blen = kb.block_len(b);
-        for c in 0..d {
-            col.clear();
-            col.extend((0..blen).map(|i| kb.at(start + i, c)));
-            let t0 = kb.tail_row(b, 0)[c];
-            let t1 = kb.tail_row(b, 1)[c];
-            let verdict = eec_correct_vector(&mut col, t0, t1, cfg);
+        let start = b * kb.block_rows();
+        let col = &mut scratch[..kb.block_len(b)];
+        for c in 0..kb.cols() {
+            for (i, v) in col.iter_mut().enumerate() {
+                *v = kb.at(start + i, c);
+            }
+            let (t0, t1) = (kb.tail_row(b, 0)[c], kb.tail_row(b, 1)[c]);
+            let verdict = eec_correct_vector(col, t0, t1, cfg);
             apply_vector_verdict(&verdict, report, SectionId::AttentionScore, head, start, c);
-            match verdict {
-                VectorVerdict::Corrected { index, .. } => {
-                    kb.row_mut(start + index)[c] = col[index];
-                }
-                VectorVerdict::ChecksumCorrupt => {
-                    let (s, ws, _) = crate::checksum::vector_sums(&col);
-                    kb.tail_row_mut(b, 0)[c] = s;
-                    kb.tail_row_mut(b, 1)[c] = ws;
-                }
-                _ => {}
+            if let VectorVerdict::Corrected { index, .. } = verdict {
+                kb.row_mut(start + index)[c] = col[index];
+            }
+            if matches!(
+                verdict,
+                VectorVerdict::Corrected { .. } | VectorVerdict::ChecksumCorrupt
+            ) {
+                let (s, ws, _) = vector_sums(col);
+                kb.tail_row_mut(b, 0)[c] = s;
+                kb.tail_row_mut(b, 1)[c] = ws;
             }
         }
     }
 }
 
-/// Verify one live V cache's rows in place against their inline checksum
+/// Verify one V cache's rows in place against their inline checksum
 /// pairs.
 fn verify_v_rows(
     vb: &mut PagedKv,
@@ -562,12 +357,11 @@ fn verify_v_rows(
     head: usize,
 ) {
     for r in 0..vb.rows() {
-        let row = vb.row_mut(r);
-        let (data, cs) = row.split_at_mut(d);
+        let (data, cs) = vb.row_mut(r).split_at_mut(d);
         let verdict = eec_correct_vector(data, cs[0], cs[1], cfg);
         apply_vector_verdict(&verdict, report, SectionId::ContextLayer, head, r, 0);
         if matches!(verdict, VectorVerdict::ChecksumCorrupt) {
-            let (s, ws, _) = crate::checksum::vector_sums(data);
+            let (s, ws, _) = vector_sums(data);
             cs[0] = s;
             cs[1] = ws;
         }
@@ -617,40 +411,6 @@ fn apply_vector_verdict(
             report.unrecovered += 1;
         }
     }
-}
-
-/// Plain KC-blocked dot product under the kernel's per-element
-/// accumulation contract (fresh partial per KC block, combined in block
-/// order) — used to assemble score-row checksum columns from block tails.
-fn dot_blocked(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (ab, bb) in a.chunks(KC).zip(b.chunks(KC)) {
-        let mut p = 0.0f32;
-        for (&x, &y) in ab.iter().zip(bb) {
-            p += x * y;
-        }
-        acc += p;
-    }
-    acc
-}
-
-/// `(checksum, weighted checksum)` of one row under the NC-blocked encoder
-/// contract (see `crate::checksum::row_checksums`).
-fn row_checksum_blocked(row: &[f32]) -> (f32, f32) {
-    let mut s = 0.0f32;
-    let mut ws = 0.0f32;
-    for c0 in (0..row.len()).step_by(NC) {
-        let cend = (c0 + NC).min(row.len());
-        let mut ps = 0.0f32;
-        let mut pws = 0.0f32;
-        for (c, &v) in row[c0..cend].iter().enumerate() {
-            ps += v;
-            pws += weight(c0 + c) * v;
-        }
-        s += ps;
-        ws += pws;
-    }
-    (s, ws)
 }
 
 impl ProtectedAttention {
@@ -982,22 +742,13 @@ mod tests {
 
     #[test]
     fn incremental_k_checksums_track_the_cache() {
+        // 24 appends across two blocks: the incrementally maintained tails
+        // and pairs still verify against the data they summarise.
         let (x, attn) = setup(24, 32, 4);
-        let mut cache = AttnKvCache::for_attention(&attn);
-        let mut report = AbftReport::default();
-        for t in 0..x.rows() {
-            let x_row = x.submatrix(t, t + 1, 0, x.cols());
-            let mut ctx = ForwardCtx {
-                mask: None,
-                toggles: SectionToggles::all(),
-                hook: None,
-                report: &mut report,
-            };
-            let _ = attn.decode_step(&x_row, &mut cache, &mut ctx);
-        }
+        let (mut cache, _, mut report) = grow_cache(&attn, &x, KV_BLOCK_ROWS, usize::MAX, None);
         assert_eq!(cache.len(), 24);
-        let drift = cache.max_k_checksum_drift();
-        assert!(drift < 1e-3, "incremental checksum drift {drift}");
+        cache.verify(&attn.config.abft, &mut report);
+        assert!(report.is_quiet(), "incremental checksums drifted: {report}");
     }
 
     fn inject_then_check(op: AttnOp, kind: FaultKind) {
@@ -1148,7 +899,7 @@ mod tests {
                         m.set(0, c, kind.apply(m.get(0, c)));
                     }
                 };
-                let (cache, rows, report) = grow_cache(&attn, &x, 4, 5, Some(&mut hook));
+                let (mut cache, rows, report) = grow_cache(&attn, &x, 4, 5, Some(&mut hook));
                 assert!(fired, "{kind:?} head {head}: hook never fired");
                 assert_eq!(rows, clean_rows, "{kind:?} head {head}: outputs diverged");
                 assert_eq!(
@@ -1163,8 +914,8 @@ mod tests {
                 assert!(cache_bits(&cache) == clean_bits, "{kind:?} head {head}");
                 // …and verify-on-move finds nothing to repair.
                 let mut park_report = AbftReport::default();
-                let cold = cache.park(&attn.config.abft, &mut park_report);
-                assert_eq!(cold.len(), 8);
+                cache.verify(&attn.config.abft, &mut park_report);
+                assert_eq!(cache.len(), 8);
                 assert_eq!(
                     park_report.detections, 0,
                     "{kind:?} head {head}: {park_report}"
@@ -1255,11 +1006,10 @@ mod tests {
         let mut report = AbftReport::default();
         for t in 0..x.rows() {
             if t == 6 {
-                // Park and immediately unpark between steps.
-                let cold = cache.park(&cfg, &mut report);
-                assert_eq!(cold.len(), 6);
-                assert!(cold.approx_bytes() > 0);
-                cache = cold.unpark(&cfg, &mut report);
+                // Park and immediately unpark between steps: one sweep each.
+                cache.verify(&cfg, &mut report);
+                cache.verify(&cfg, &mut report);
+                assert_eq!(cache.len(), 6);
             }
             let x_row = x.submatrix(t, t + 1, 0, x.cols());
             let mut ctx = ForwardCtx {
@@ -1280,54 +1030,84 @@ mod tests {
             let _ = attn.decode_step(&x_row, &mut ref_cache, &mut rctx);
         }
         assert_eq!(report.detections, 0, "fault-free move must be quiet");
-        // The round-tripped cache state itself matches the untouched one.
-        for h in 0..4 {
-            for t in 0..10 {
-                for c in 0..8 {
-                    assert_eq!(
-                        cache.k_at(h, t, c).to_bits(),
-                        ref_cache.k_at(h, t, c).to_bits()
-                    );
-                    assert_eq!(
-                        cache.v_at(h, t, c).to_bits(),
-                        ref_cache.v_at(h, t, c).to_bits()
-                    );
-                }
+        // The round-tripped cache state itself — data, every K block tail,
+        // every V pair — matches the untouched one.
+        assert!(cache_bits(&cache) == cache_bits(&ref_cache));
+    }
+
+    /// What the pre-in-place unpark left behind: the cache's K rows
+    /// re-appended in order (every block tail re-accumulated from data)
+    /// and its stored V rows copied verbatim, pairs included.
+    fn reappended(cache: &AttnKvCache) -> AttnKvCache {
+        let (heads, d) = (cache.heads, cache.d);
+        let mut out = AttnKvCache::with_block_rows(heads * d, heads, true, cache.block_rows);
+        for r in 0..cache.len() {
+            let k_row: Vec<f32> = (0..heads)
+                .flat_map(|h| cache.k[h].row(r).to_vec())
+                .collect();
+            out.append_k(&k_row);
+            for h in 0..heads {
+                out.v[h].push_row(cache.v[h].row(r));
             }
         }
+        out
     }
 
     #[test]
     fn at_rest_flip_in_parked_kv_is_detected_and_corrected() {
         let (x, attn) = setup(8, 32, 4);
         let cfg = attn.config.abft;
-        let mut cache = AttnKvCache::with_block_rows(32, 4, true, 4);
-        let mut report = AbftReport::default();
-        for t in 0..x.rows() {
-            let x_row = x.submatrix(t, t + 1, 0, x.cols());
-            let mut ctx = ForwardCtx {
-                mask: None,
-                toggles: SectionToggles::all(),
-                hook: None,
-                report: &mut report,
-            };
-            let _ = attn.decode_step(&x_row, &mut cache, &mut ctx);
-        }
-        let mut cold = cache.park(&cfg, &mut report);
-        assert_eq!(report.detections, 0, "clean park must be quiet");
+        let (never_parked, _, _) = grow_cache(&attn, &x, 4, usize::MAX, None);
+        let clean_bits = cache_bits(&never_parked);
 
-        // Flip one K element and one V element while the session is
-        // parked — the fault class eviction churn exposes.
-        cold.k_data_mut(1)[5 * 8 + 3] = f32::NAN;
-        let vw = 8 + 2;
-        cold.v_data_mut(2)[4 * vw + 6] = f32::INFINITY;
-        let _live = cold.unpark(&cfg, &mut report);
-        assert!(
-            report.detections >= 2,
-            "at-rest flips must be detected: {report}"
-        );
-        assert_eq!(report.unrecovered, 0, "single flips must be corrected");
-        assert!(report.correction_count() >= 2, "{report}");
+        // (strike, expected corrections, does the repair land on the
+        // never-parked bits?) — a struck checksum cell is rebuilt from
+        // intact data, so it must; a struck data cell is reconstructed
+        // from its checksums, so it lands on the re-appended state instead.
+        type Strike = fn(&mut AttnKvCache);
+        let strikes: [(&str, Strike, usize, bool); 5] = [
+            ("clean", |_| {}, 0, true),
+            ("K data", |c| c.k_row_mut(1, 5)[3] = f32::NAN, 1, false),
+            ("V data", |c| c.v_row_mut(2, 4)[6] = f32::INFINITY, 1, false),
+            (
+                "K tail",
+                |c| c.k[3].tail_row_mut(1, 1)[2] = f32::NAN,
+                0,
+                true,
+            ),
+            (
+                "V pair",
+                |c| c.v_row_mut(0, 7)[8] = f32::NEG_INFINITY,
+                0,
+                true,
+            ),
+        ];
+        for (name, strike, corrections, lands_on_clean) in strikes {
+            let (mut cache, _, mut report) = grow_cache(&attn, &x, 4, usize::MAX, None);
+            cache.verify(&cfg, &mut report); // park
+            assert_eq!(report.detections, 0, "{name}: clean park must be quiet");
+            strike(&mut cache); // at rest
+            cache.verify(&cfg, &mut report); // unpark
+            let struck = name != "clean";
+            assert_eq!(report.detections, usize::from(struck), "{name}: {report}");
+            assert_eq!(report.unrecovered, 0, "{name}: {report}");
+            assert_eq!(report.correction_count(), corrections, "{name}: {report}");
+            assert_eq!(report.checksum_rebuilds, usize::from(struck) - corrections);
+            assert!(
+                cache_bits(&cache) == cache_bits(&reappended(&cache)),
+                "{name}: repaired blocks must carry append-order tails"
+            );
+            if lands_on_clean {
+                assert!(cache_bits(&cache) == clean_bits, "{name}");
+            } else {
+                assert!(cache.k[1].row(5).iter().all(|v| v.is_finite()), "{name}");
+                assert!(cache.v[2].row(4).iter().all(|v| v.is_finite()), "{name}");
+            }
+            // A second sweep over the repaired cache finds nothing.
+            let mut again = AbftReport::default();
+            cache.verify(&cfg, &mut again);
+            assert_eq!(again.detections, 0, "{name}: {again}");
+        }
     }
 
     #[test]

@@ -55,16 +55,6 @@ pub struct PassOutcome {
     pub unrecoverable: Vec<usize>,
 }
 
-impl PassOutcome {
-    /// Anything flagged at all?
-    pub fn any_detection(&self) -> bool {
-        !self.fixes.is_empty()
-            || !self.propagated.is_empty()
-            || !self.rebuilt.is_empty()
-            || !self.unrecoverable.is_empty()
-    }
-}
-
 /// Does a (δ1, δ2) pair indicate a suspect vector, using the same bounds as
 /// [`eec_correct_vector`]?
 #[inline]

@@ -85,11 +85,6 @@ impl VectorVerdict {
     pub fn is_clean(&self) -> bool {
         matches!(self, VectorVerdict::Clean)
     }
-
-    /// True when a correction was applied.
-    pub fn is_corrected(&self) -> bool {
-        matches!(self, VectorVerdict::Corrected { .. })
-    }
 }
 
 /// Count "suspicious" elements: NaN, ±INF, and finite values above the
@@ -370,7 +365,10 @@ mod tests {
         let (mut v, s, ws) = make_vector(8);
         let truth = v[3];
         v[3] = f32::NEG_INFINITY;
-        assert!(eec_correct_vector(&mut v, s, ws, &cfg()).is_corrected());
+        assert!(matches!(
+            eec_correct_vector(&mut v, s, ws, &cfg()),
+            VectorVerdict::Corrected { .. }
+        ));
         assert!((v[3] - truth).abs() < 1e-3);
     }
 
@@ -419,7 +417,10 @@ mod tests {
         let (_, c2, _) = vector_sums(&v);
         assert!(c2.is_infinite(), "test premise: weighted sum overflows");
         let verdict = eec_correct_vector(&mut v, s, ws, &cfg());
-        assert!(verdict.is_corrected(), "{verdict:?}");
+        assert!(
+            matches!(verdict, VectorVerdict::Corrected { .. }),
+            "{verdict:?}"
+        );
         assert!((v[60] - truth).abs() < 1e-2);
     }
 
@@ -585,7 +586,7 @@ mod tests {
         assert!(verdict.is_clean());
         v[0] = f32::NAN;
         let verdict = eec_correct_vector(&mut v, 2.5, 2.5, &cfg());
-        assert!(verdict.is_corrected());
+        assert!(matches!(verdict, VectorVerdict::Corrected { .. }));
         assert!((v[0] - 2.5).abs() < 1e-6);
     }
 }

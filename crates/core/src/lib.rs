@@ -70,7 +70,7 @@ pub mod section;
 
 pub use checked::CheckedMatrix;
 pub use config::{AbftConfig, FrequencyGate, ProtectionConfig, Strategy};
-pub use decode::{AttnKvCache, ColdKvCache, KV_BLOCK_ROWS};
+pub use decode::{AttnKvCache, KV_BLOCK_ROWS};
 pub use eec::{eec_correct_vector, VectorVerdict};
 pub use policy::ProtectionPolicy;
 pub use report::AbftReport;

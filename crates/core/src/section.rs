@@ -402,30 +402,13 @@ impl Detection {
     }
 }
 
-/// Exact replay of one element of an `op(A)·op(B)` product under the
-/// packed kernel's accumulation-order contract: a fresh `f32` partial per
-/// [`KC`]-sized `k`-block (`kk` ascending within the block), partials
-/// combined in block order on top of zero — exactly how
-/// `attn_tensor::gemm` accumulates every output element, for all of the
-/// NN/NT/TN layouts. The result is therefore bit-identical to what the
-/// original GEMM produced for that cell.
-///
-/// [`KC`]: attn_tensor::gemm::KC
-pub fn replay_nn(a_row: &[f32], b_col: impl Fn(usize) -> f32) -> f32 {
-    use attn_tensor::gemm::KC;
-    let mut acc = 0.0f32;
-    let mut p0 = 0usize;
-    while p0 < a_row.len() {
-        let pend = (p0 + KC).min(a_row.len());
-        let mut partial = 0.0f32;
-        for (kk, &av) in a_row[p0..pend].iter().enumerate() {
-            partial += av * b_col(p0 + kk);
-        }
-        acc += partial;
-        p0 = pend;
-    }
-    acc
-}
+/// Exact replay of one element of an `op(A)·op(B)` product — `a_row` the
+/// element's row of `op(A)`, `b_col(kk)` its column of `op(B)` — under the
+/// packed kernel's accumulation-order contract
+/// ([`attn_tensor::contract::dot_with`], for all of the NN/NT/TN layouts).
+/// The result is bit-identical to what the original GEMM produced for
+/// that cell.
+pub use attn_tensor::contract::dot_with as replay_nn;
 
 /// Restore corrected elements to their exact original bits by replaying the
 /// dot product that produced each one.
@@ -601,9 +584,8 @@ mod tests {
 
     #[test]
     fn replay_nn_reproduces_kernel_bits_across_kc_blocks() {
-        use attn_tensor::gemm::KC;
         let mut rng = TensorRng::seed_from(15);
-        let k = 2 * KC + 19;
+        let k = 2 * gemm::KC + 19;
         let x = rng.normal_matrix(3, k, 1.0);
         let w = rng.normal_matrix(k, 4, 1.0);
         let c = gemm::matmul(&x, &w);

@@ -201,14 +201,6 @@ impl FaultInjector {
         }
     }
 
-    /// Inject `kind` at a uniformly random element of a random slot of `b`.
-    pub fn inject_random_batch(&mut self, b: &mut Batch3, kind: FaultKind) -> InjectionRecord {
-        let slot = self.rng.index(b.n());
-        let row = self.rng.index(b.rows());
-        let col = self.rng.index(b.cols());
-        self.inject_batch_at(b, kind, slot, row, col)
-    }
-
     /// Inject `kind` at a specific `(slot, row, col)` of a batch.
     pub fn inject_batch_at(
         &mut self,
@@ -286,11 +278,6 @@ impl FaultInjector {
             FaultKind::NegInf
         }
     }
-
-    /// Access the internal RNG (for trial forking).
-    pub fn rng_mut(&mut self) -> &mut TensorRng {
-        &mut self.rng
-    }
 }
 
 /// Everything needed to undo a region injection.
@@ -304,22 +291,6 @@ pub struct RegionRecord {
     pub originals: Vec<f32>,
     /// Fault class injected.
     pub kind: FaultKind,
-}
-
-/// Undo an injection (restores the recorded original value).
-pub fn revert(m: &mut Matrix, rec: &InjectionRecord) {
-    m[(rec.row, rec.col)] = rec.original;
-}
-
-/// Undo a batch injection (restores the recorded original value in the
-/// recorded slot).
-pub fn revert_batch(b: &mut Batch3, rec: &InjectionRecord) {
-    b.slot_mut(rec.slot).set(rec.row, rec.col, rec.original);
-}
-
-/// Undo a region injection (restores the whole recorded span).
-pub fn revert_region(m: &mut Matrix, rec: &RegionRecord) {
-    m.row_mut(rec.row)[rec.start..rec.start + rec.originals.len()].copy_from_slice(&rec.originals);
 }
 
 #[cfg(test)]
@@ -363,7 +334,7 @@ mod tests {
         let mut inj = FaultInjector::new(7);
         let rec = inj.inject_random(&mut m, FaultKind::NaN);
         assert!(!m.all_finite());
-        revert(&mut m, &rec);
+        m[(rec.row, rec.col)] = rec.original;
         assert_eq!(m.data(), before.data());
     }
 
@@ -371,7 +342,7 @@ mod tests {
     fn batch_injection_hits_exactly_one_slot() {
         let mut b = Batch3::zeros(4, 3, 3);
         let mut inj = FaultInjector::new(3);
-        let rec = inj.inject_random_batch(&mut b, FaultKind::Inf);
+        let rec = inj.inject_batch_at(&mut b, FaultKind::Inf, 2, 1, 0);
         let mut dirty = 0;
         for i in 0..4 {
             if !b.slot_matrix(i).all_finite() {
@@ -431,7 +402,8 @@ mod tests {
         // Row 1 stuck at its column-2 value; row 0 untouched.
         assert!(m.row(1).iter().all(|&v| v == 6.0));
         assert_eq!(m.row(0), before.row(0));
-        revert_region(&mut m, &rec);
+        m.row_mut(rec.row)[rec.start..rec.start + rec.originals.len()]
+            .copy_from_slice(&rec.originals);
         assert_eq!(m.data(), before.data());
     }
 
@@ -449,7 +421,8 @@ mod tests {
             .count();
         assert_eq!(changed, 3);
         assert!(m.row(2)[4].abs() > NEAR_INF_THRESHOLD);
-        revert_region(&mut m, &rec);
+        m.row_mut(rec.row)[rec.start..rec.start + rec.originals.len()]
+            .copy_from_slice(&rec.originals);
         assert_eq!(m.data(), before.data());
     }
 
@@ -465,9 +438,9 @@ mod tests {
     fn batch_injection_reverts() {
         let mut b = Batch3::zeros(4, 3, 3);
         let mut inj = FaultInjector::new(9);
-        let rec = inj.inject_random_batch(&mut b, FaultKind::NaN);
+        let rec = inj.inject_batch_at(&mut b, FaultKind::NaN, 3, 0, 2);
         assert!(!b.slot_matrix(rec.slot).all_finite());
-        revert_batch(&mut b, &rec);
+        b.slot_mut(rec.slot).set(rec.row, rec.col, rec.original);
         for i in 0..4 {
             assert!(b.slot_matrix(i).all_finite());
         }

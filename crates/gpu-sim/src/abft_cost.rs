@@ -42,14 +42,14 @@ impl AbftWorkload {
     }
 
     /// Forward flops of the six attention GEMMs for the whole batch.
-    pub fn attention_flops(&self) -> f64 {
+    fn attention_flops(&self) -> f64 {
         let (s, h, b) = (self.seq as f64, self.hidden as f64, self.batch as f64);
         b * (8.0 * s * h * h + 4.0 * s * s * h)
     }
 
     /// Bytes of the matrices the ABFT machinery touches once
     /// (X, Q, K, V, AS, AP, CL, O) for the whole batch.
-    pub fn abft_sweep_bytes(&self) -> f64 {
+    fn abft_sweep_bytes(&self) -> f64 {
         let (s, h, b) = (self.seq as f64, self.hidden as f64, self.batch as f64);
         let heads = self.heads as f64;
         b * (5.0 * s * h + 3.0 * heads * s * s) * 4.0
@@ -62,12 +62,12 @@ impl AbftWorkload {
 pub const ATTN_GEMM_EFFICIENCY: f64 = 0.2;
 
 /// Attention-block forward time for the ablation workload.
-pub fn attention_block_time(gpu: &GpuModel, w: &AbftWorkload) -> f64 {
+fn attention_block_time(gpu: &GpuModel, w: &AbftWorkload) -> f64 {
     w.attention_flops() / (gpu.tensor_tflops * 1e12 * ATTN_GEMM_EFFICIENCY)
 }
 
 /// Cost (seconds) of one layer's ABFT work under the fused strategy.
-pub fn opt_abft_time(gpu: &GpuModel, w: &AbftWorkload) -> f64 {
+fn opt_abft_time(gpu: &GpuModel, w: &AbftWorkload) -> f64 {
     // Fused checksum rows inside the GEMMs: +2/s of the GEMM flops.
     let update = w.attention_flops() * 2.0
         / w.seq as f64
@@ -81,7 +81,7 @@ pub fn opt_abft_time(gpu: &GpuModel, w: &AbftWorkload) -> f64 {
 }
 
 /// Cost (seconds) of one layer's ABFT work under the separate strategy.
-pub fn non_opt_abft_time(gpu: &GpuModel, w: &AbftWorkload) -> f64 {
+fn non_opt_abft_time(gpu: &GpuModel, w: &AbftWorkload) -> f64 {
     // Separate cuBLAS-composed checksum updates re-read each operand
     // (two weight projections per side) at tall-skinny GEMV efficiency.
     let updates = gpu.mem_time(2.0 * w.abft_sweep_bytes(), 3.0 * CUBLAS_GEMV_UTILIZATION);

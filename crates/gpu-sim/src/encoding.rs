@@ -70,7 +70,7 @@ pub const FUSED_MAX_UTILIZATION: f64 = 0.914;
 pub const CUBLAS_GEMV_UTILIZATION: f64 = 0.15;
 
 /// Simulated time (seconds) of the fused ATTNChecker encoder.
-pub fn fused_encode_time(gpu: &GpuModel, w: &EncodingWorkload) -> f64 {
+fn fused_encode_time(gpu: &GpuModel, w: &EncodingWorkload) -> f64 {
     simulate(
         gpu,
         &KernelSpec {
@@ -85,7 +85,7 @@ pub fn fused_encode_time(gpu: &GpuModel, w: &EncodingWorkload) -> f64 {
 
 /// Simulated time (seconds) of the cuBLAS composition: two strided-batched
 /// GEMV launches, each re-reading the operand.
-pub fn cublas_encode_time(gpu: &GpuModel, w: &EncodingWorkload) -> f64 {
+fn cublas_encode_time(gpu: &GpuModel, w: &EncodingWorkload) -> f64 {
     let one_pass = simulate(
         gpu,
         &KernelSpec {
@@ -100,7 +100,7 @@ pub fn cublas_encode_time(gpu: &GpuModel, w: &EncodingWorkload) -> f64 {
 
 /// Effective *useful* throughput in TB/s: operand bytes (counted once)
 /// divided by wall time — the quantity Fig 9 plots.
-pub fn throughput_tbs(bytes: f64, time: f64) -> f64 {
+fn throughput_tbs(bytes: f64, time: f64) -> f64 {
     bytes / time / 1e12
 }
 

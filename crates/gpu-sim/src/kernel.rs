@@ -34,7 +34,7 @@ pub struct KernelCost {
 /// the memory system saturates. `blocks/(blocks + sm_count)` rises from
 /// ~0.5 at one wave toward 1.0 — matching how the paper's encoder
 /// throughput grows with `batch × heads`.
-pub fn occupancy_factor(blocks: usize, sm_count: usize) -> f64 {
+fn occupancy_factor(blocks: usize, sm_count: usize) -> f64 {
     if blocks == 0 {
         return 0.0;
     }

@@ -74,14 +74,14 @@ impl BigModel {
     }
 
     /// Forward flops of one layer's attention GEMMs for one sequence.
-    pub fn attn_fwd_flops(&self) -> f64 {
+    fn attn_fwd_flops(&self) -> f64 {
         let s = self.seq as f64;
         let h = self.hidden as f64;
         8.0 * s * h * h + 4.0 * s * s * h
     }
 
     /// Forward flops of one layer's FFN for one sequence (4× expansion).
-    pub fn ffn_fwd_flops(&self) -> f64 {
+    fn ffn_fwd_flops(&self) -> f64 {
         let s = self.seq as f64;
         let h = self.hidden as f64;
         16.0 * s * h * h
@@ -135,7 +135,7 @@ impl StepBreakdown {
 
 /// ABFT cost of one layer's attention for one sequence, in seconds:
 /// fused checksum rows in the six GEMMs plus encode/detect memory sweeps.
-pub fn abft_layer_time(gpu: &GpuModel, m: &BigModel) -> f64 {
+fn abft_layer_time(gpu: &GpuModel, m: &BigModel) -> f64 {
     let s = m.seq as f64;
     let h = m.hidden as f64;
     let heads = m.heads as f64;

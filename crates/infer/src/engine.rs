@@ -245,11 +245,11 @@ impl DecodeEngine {
         out
     }
 
-    /// Park a session's KV caches into verified cold storage
-    /// ([`attnchecker::ColdKvCache`]): every block is checksum-verified on
-    /// the way out, and [`Self::unpark_session`] verifies again on the way
-    /// back in — the verify-on-move contract for eviction/compaction. A
-    /// parked session cannot step until unparked.
+    /// Park a session: its KV blocks are checksum-verified where they lie
+    /// ([`attnchecker::AttnKvCache::verify`]) and the session is
+    /// descheduled; [`Self::unpark_session`] verifies again before it
+    /// rejoins the schedule — the verify-on-move contract. A parked
+    /// session cannot step until unparked.
     pub fn park_session(&self, session: &mut DecodeSession) {
         self.model
             .park_state(&mut session.state, &mut session.report); // attn-lint: allow-path(panic-reach) — model boundary: verify-on-move walks blocks the cache itself reports
@@ -259,25 +259,19 @@ impl DecodeEngine {
     /// round trips are bit-identical. See [`Self::park_session`].
     pub fn unpark_session(&self, session: &mut DecodeSession) {
         self.model
-            .unpark_state(&mut session.state, &mut session.report); // attn-lint: allow-path(panic-reach) — model boundary: restores exactly what park_state wrote
+            .unpark_state(&mut session.state, &mut session.report); // attn-lint: allow-path(panic-reach) — model boundary: verify-on-move walks blocks the cache itself reports
     }
 
     /// How many more tokens `session` can decode before the model's
     /// position table is exhausted (decoding past it panics). Callers
     /// batching sessions of unequal length can drain a session from the
-    /// batch when this reaches 0. Saturating throughout: a position table
-    /// smaller than the embedding's `pos_offset` (a mis-sliced
-    /// checkpoint), or a session already past the table, reports 0 rather
-    /// than wrapping.
+    /// batch when this reaches 0. Saturating throughout (see
+    /// [`TransformerModel::position_capacity`]): a session already past
+    /// the table reports 0 rather than wrapping.
     pub fn capacity_left(&self, session: &DecodeSession) -> usize {
-        let table = self
-            .model
-            .embedding
-            .pos
-            .value
-            .rows()
-            .saturating_sub(self.model.embedding.pos_offset);
-        table.saturating_sub(session.position())
+        self.model
+            .position_capacity()
+            .saturating_sub(session.position())
     }
 
     /// Generate `n` tokens on one session; returns them in order.

@@ -65,7 +65,7 @@ impl DecodeSession {
         &self.state
     }
 
-    /// Whether the KV caches are parked in verified cold storage (see
+    /// Whether the session is parked — verified and descheduled (see
     /// [`crate::DecodeEngine::park_session`]); a parked session cannot
     /// step until unparked.
     pub fn is_parked(&self) -> bool {

@@ -23,19 +23,18 @@ use attn_tensor::guard::residual_add_checked;
 use attn_tensor::ops::MASK_NEG;
 use attn_tensor::Matrix;
 use attnchecker::attention::SectionToggles;
-use attnchecker::decode::{self, AttnKvCache, ColdKvCache};
+use attnchecker::decode::{self, AttnKvCache};
 use attnchecker::report::AbftReport;
 use attnchecker::section::{ForwardCtx, GuardedSection};
 
 /// One decode session's model-side state: per-layer KV caches plus the
-/// number of consumed tokens. A state is either **live** (per-layer
-/// [`AttnKvCache`]s on the hot arena) or **parked** (per-layer
-/// [`ColdKvCache`] images — see [`TransformerModel::park_state`]); only a
-/// live state can decode.
+/// number of consumed tokens. A state is either **live** or **parked**
+/// (descheduled — see [`TransformerModel::park_state`]); the caches are the
+/// same verified blocks either way, but only a live state can decode.
 #[derive(Debug)]
 pub struct DecodeState {
     layers: Vec<AttnKvCache>,
-    cold: Vec<ColdKvCache>,
+    parked: bool,
     pos: usize,
 }
 
@@ -46,27 +45,16 @@ impl DecodeState {
         self.pos
     }
 
-    /// Whether the state is parked (cold, memory-evicted).
+    /// Whether the state is parked (descheduled until unparked).
     #[inline]
     pub fn is_parked(&self) -> bool {
-        !self.cold.is_empty()
+        self.parked
     }
 
-    /// Per-layer caches (read access, e.g. for diagnostics). Empty while
-    /// parked.
-    pub fn layer_caches(&self) -> &[AttnKvCache] {
-        &self.layers
-    }
-
-    /// Per-layer cold images (mutable — tests inject at-rest faults).
-    /// Empty while live.
-    pub fn cold_layers_mut(&mut self) -> &mut [ColdKvCache] {
-        &mut self.cold
-    }
-
-    /// Approximate resident bytes of a parked state's images.
-    pub fn cold_bytes(&self) -> usize {
-        self.cold.iter().map(ColdKvCache::approx_bytes).sum()
+    /// Per-layer caches, mutable — campaigns and tests strike at-rest
+    /// faults into a parked state's blocks here.
+    pub fn layer_caches_mut(&mut self) -> &mut [AttnKvCache] {
+        &mut self.layers
     }
 }
 
@@ -74,6 +62,15 @@ impl TransformerModel {
     /// Does this architecture support KV-cached autoregressive decoding?
     pub fn supports_decode(&self) -> bool {
         matches!(self.config.arch, ModelArch::Gpt2 | ModelArch::GptNeo)
+    }
+
+    /// Tokens one session can hold before the position table is exhausted:
+    /// the table's rows past the embedding's `pos_offset`. Saturating — a
+    /// table smaller than the offset (a mis-sliced checkpoint) has capacity
+    /// 0 rather than wrapping.
+    pub fn position_capacity(&self) -> usize {
+        let e = &self.embedding;
+        e.pos.value.rows().saturating_sub(e.pos_offset)
     }
 
     /// Fresh decode state for this model (empty caches, position 0).
@@ -93,49 +90,45 @@ impl TransformerModel {
                 .iter()
                 .map(|_| AttnKvCache::new(self.config.hidden, self.config.heads, checksummed))
                 .collect(),
-            cold: Vec::new(),
+            parked: false,
             pos: 0,
         }
     }
 
-    /// Verify-on-move **park**: consume `state`'s live caches into cold
-    /// per-layer images, verifying every KV block/row against its
-    /// checksums on the way out (under the model's ABFT config).
-    /// Damage found is corrected and recorded in `report`. No-op if the
-    /// state is already parked.
+    /// Verify-on-move **park**: verify every KV block/row of `state`
+    /// against its checksums where it lies (under the model's ABFT
+    /// config) and mark the state descheduled. Damage found is corrected
+    /// and recorded in `report`. No-op if the state is already parked.
     pub fn park_state(&self, state: &mut DecodeState, report: &mut AbftReport) {
-        if state.is_parked() {
-            return;
+        if !state.parked {
+            self.verify_state(state, report);
+            state.parked = true;
         }
-        let abft = &self.protection().abft;
-        state.cold = state
-            .layers
-            .drain(..)
-            .map(|cache| cache.park(abft, report))
-            .collect();
     }
 
-    /// Verify-on-move **unpark**: rebuild `state`'s live caches from the
-    /// cold images, verifying them first — damage acquired at rest is
-    /// corrected before any row rejoins the hot path. A fault-free
-    /// park/unpark round trip leaves the decode stream bit-identical to
-    /// never having parked. No-op if the state is live.
+    /// Verify-on-move **unpark**: verify the parked blocks again — damage
+    /// acquired at rest is corrected before any row rejoins the hot path —
+    /// and mark the state live. A fault-free park/unpark round trip leaves
+    /// every cache bit, and so the decode stream, identical to never
+    /// having parked. No-op if the state is live.
     pub fn unpark_state(&self, state: &mut DecodeState, report: &mut AbftReport) {
-        if !state.is_parked() {
-            return;
+        if state.parked {
+            self.verify_state(state, report);
+            state.parked = false;
         }
+    }
+
+    fn verify_state(&self, state: &mut DecodeState, report: &mut AbftReport) {
         let abft = &self.protection().abft;
-        state.layers = state
-            .cold
-            .drain(..)
-            .map(|cold| cold.unpark(abft, report))
-            .collect();
+        for cache in &mut state.layers {
+            cache.verify(abft, report);
+        }
     }
 
     /// The single mask row of token `row` over a `len`-long prefix for
     /// block `layer` — row `row` of [`Self::mask_for_layer`] restricted to
     /// `len` columns, produced without materialising the full matrix.
-    pub fn mask_row_for_layer(&self, layer: usize, row: usize, len: usize) -> Matrix {
+    fn mask_row_for_layer(&self, layer: usize, row: usize, len: usize) -> Matrix {
         let local = self.config.arch == ModelArch::GptNeo && !layer.is_multiple_of(2);
         let w = self.config.local_window;
         Matrix::from_fn(1, len, |_, c| {
@@ -454,8 +447,6 @@ mod tests {
             if idx == 2 {
                 m.park_state(&mut state, &mut report);
                 assert!(state.is_parked());
-                assert!(state.cold_bytes() > 0);
-                assert!(state.layer_caches().is_empty());
                 m.unpark_state(&mut state, &mut report);
                 assert!(!state.is_parked());
             }

@@ -28,16 +28,6 @@ impl Linear {
         }
     }
 
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.w.value.rows()
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.w.value.cols()
-    }
-
     /// Forward: returns the output and the input tape (the activation
     /// backward needs).
     pub fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {

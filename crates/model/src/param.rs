@@ -42,7 +42,7 @@ impl Param {
     }
 
     /// Clear the accumulated gradient.
-    pub fn zero_grad(&mut self) {
+    fn zero_grad(&mut self) {
         self.grad.data_mut().fill(0.0);
     }
 

@@ -21,11 +21,12 @@ pub struct GatewayConfig {
     /// other sessions' decode steps — iteration-level continuous
     /// batching.
     pub prefill_chunk: usize,
-    /// Bound on hot (arena-resident) KV rows across live sessions.
-    /// Sessions beyond the budget — scanned in admission order — are
-    /// parked into verified cold storage and unparked as earlier
-    /// sessions drain. The oldest session always stays hot, so progress
-    /// is guaranteed even when it alone exceeds the budget.
+    /// Bound on KV rows scheduled per engine step. Sessions beyond the
+    /// budget — scanned in admission order — are parked (verified where
+    /// they lie, then skipped by the step) and unparked (verified again)
+    /// as earlier sessions drain. The oldest session always stays
+    /// scheduled, so progress is guaranteed even when it alone exceeds
+    /// the budget.
     pub kv_row_budget: usize,
     /// Maximum logical ticks a request may wait in the admission queue;
     /// older requests are shed with [`FinishReason::ExpiredInQueue`].
@@ -65,13 +66,13 @@ pub struct GatewayStats {
     pub fed_tokens: u64,
     /// Tokens generated by sampling.
     pub generated_tokens: u64,
-    /// Sessions parked to cold storage by the KV-row budget.
+    /// Sessions parked (verified and descheduled) by the KV-row budget.
     pub park_events: u64,
-    /// Sessions restored from cold storage.
+    /// Parked sessions verified again and rescheduled.
     pub unpark_events: u64,
     /// Requests shed from the queue by TTL.
     pub expired: u64,
-    /// Largest hot KV row count scheduled in a single step.
+    /// Largest KV row count scheduled in a single step.
     pub peak_hot_rows: usize,
     /// Non-GEMM op-guard detections (softmax/LayerNorm/GELU/residual/
     /// sampler screens) accumulated from completed requests' reports.
@@ -177,15 +178,9 @@ impl Gateway {
         self.live.len()
     }
 
-    /// Admitted sessions currently parked in cold storage.
-    pub fn parked_len(&self) -> usize {
-        self.live.iter().filter(|l| l.session.is_parked()).count()
-    }
-
     /// Position-table capacity of the served model (tokens per session).
     pub fn table_capacity(&self) -> usize {
-        let e = &self.engine.model().embedding;
-        e.pos.value.rows().saturating_sub(e.pos_offset)
+        self.engine.model().position_capacity()
     }
 
     /// Submit a request. Validates the prompt and applies backpressure:

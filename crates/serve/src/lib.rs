@@ -15,9 +15,10 @@
 //!   steps across sessions ([`attn_infer::StepOp`]); sessions drain at
 //!   EOS, token budget, or position-table exhaustion.
 //! * **Paged, checksummed KV** — sessions store K/V in fixed-size arena
-//!   blocks with per-block checksum tails (`attn_tensor::PagedKv`); a hot
-//!   KV-row budget parks the overflow into verified cold storage
-//!   (`attnchecker::ColdKvCache`) and restores it verify-on-move.
+//!   blocks with per-block checksum tails (`attn_tensor::PagedKv`); a
+//!   per-step KV-row budget parks the overflow — the blocks are verified
+//!   where they lie (`attnchecker::AttnKvCache::verify`) when a session
+//!   leaves the schedule and again when it rejoins it.
 //! * **Determinism** — a fixed arrival trace yields bit-identical token
 //!   streams at any worker count and any admission interleaving.
 //!

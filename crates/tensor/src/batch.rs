@@ -83,7 +83,7 @@ impl Batch3 {
 
     /// Stride (elements) between consecutive slots.
     #[inline]
-    pub fn slot_len(&self) -> usize {
+    fn slot_len(&self) -> usize {
         self.rows * self.cols
     }
 
@@ -113,11 +113,6 @@ impl Batch3 {
         assert_eq!((m.rows(), m.cols()), (self.rows, self.cols));
         let s = self.slot_len();
         self.data[i * s..(i + 1) * s].copy_from_slice(m.data());
-    }
-
-    /// Iterate over owned copies of all slots.
-    pub fn to_matrices(&self) -> Vec<Matrix> {
-        (0..self.n).map(|i| self.slot_matrix(i)).collect()
     }
 
     /// Run `f` on every `(index, mutable slot buffer)` pair in parallel.

@@ -32,7 +32,7 @@
 //! rows that the microkernel multiplies anyway. When the two checksum rows
 //! fit there — `(m+2).div_ceil(MR) == m.div_ceil(MR)`, i.e. m = 1, 2, 5,
 //! 6, …: every decode/serve GEMM — the column-side entries accumulate
-//! `(v1ᵀA, v2ᵀA)` first (same encoder block contract, below) and push
+//! `(v1ᵀA, v2ᵀA)` first ([`crate::contract`]'s column sums) and push
 //! `[A; v1ᵀA; v2ᵀA]` through the packed driver **once**, as one source:
 //! the border costs no second pass over `B` and no extra microkernel call
 //! (FT-Transformer's "the checksum lives inside the kernel's own tile").
@@ -49,25 +49,13 @@
 //!
 //! # The accumulation-order contract
 //!
-//! Exact post-correction replay (`attnchecker::section::replay_nn`)
-//! depends on reproducing each output element bit-for-bit, so the
-//! accumulation order is a documented contract:
-//!
-//! * element `C[i, j]` is accumulated per `k`-block: for each [`KC`]-sized
-//!   block (ascending), a fresh `f32` partial sums `a[i,kk]·b[kk,j]` with
-//!   `kk` ascending, and the partial is added to the (zero-initialised)
-//!   output — `C[i,j] = ((0 + p₀) + p₁) + …`;
-//! * each element's value depends only on row `i` of `op(A)`, column `j`
-//!   of `op(B)`, and `k` — never on `m`, `n`, the tile the element landed
-//!   in, or the worker count (every element is produced by exactly one
-//!   tile, and tiles don't interact), which is why results are
-//!   bit-identical at any rayon pool size and why an augmented
-//!   (checksum-bordered) product carries the same data bits as the plain
-//!   one;
-//! * fused column checksums accumulate rows ascending within each [`MC`]
-//!   row-block and combine block partials in block order (columns/[`NC`]
-//!   for row checksums) — mirrored by `attnchecker::checksum`'s
-//!   standalone encoders.
+//! Exact post-correction replay and every checksum border depend on
+//! reproducing output bits, so the order in which an element, a row
+//! checksum and a column checksum are accumulated is a documented contract.
+//! It is stated once, in [`crate::contract`]; this module holds only the
+//! two performance-shaped restatements of it (the register microkernel
+//! under `compute_tile`'s [`KC`] loop, and `encode_border_cols`' register
+//! stripes), each pinned to the contract function by a bit-equality test.
 //!
 //! IEEE-754 special values (INF/NaN) propagate exactly as they would
 //! through cuBLAS — zero elements are never skipped (a sparsity shortcut
@@ -81,12 +69,10 @@
 //!
 //! attn-lint: hot-path
 
+use crate::contract::{self, accum_col_cs, accum_row_cs, ColCsAccum, RowCsAccum};
 use crate::kv::PagedKv;
 use crate::matrix::Matrix;
-use crate::pack::{
-    accum_col_cs, accum_row_cs, pack_a_block, pack_b_block, ColCsAccum, ColsAugmented, RowCsAccum,
-    Src, SrcRead,
-};
+use crate::pack::{pack_a_block, pack_b_block, ColsAugmented, Src, SrcRead};
 use crate::view::{MatMut, MatRef};
 use crate::workspace;
 use rayon::prelude::*;
@@ -100,7 +86,7 @@ pub const MC: usize = 64;
 /// Column-block edge: columns of `op(B)` packed per tile.
 pub const NC: usize = 64;
 /// Cache-block edge for the k dimension — also the partial-sum block size
-/// of the accumulation-order contract (see module docs).
+/// of the accumulation-order contract ([`crate::contract`]).
 pub const KC: usize = 128;
 
 /// Minimum `m*n*k` before the kernels split work across threads.
@@ -320,7 +306,7 @@ fn encode_cols_riding<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]
     let (m, k) = (a.rows(), a.cols());
     let av = src_n(a);
     let mut cs = workspace::take(2 * k);
-    accum_col_cs_blocked(av, m, k, &mut cs);
+    contract::col_sums_src(av, m, k, &mut cs);
     let aug = ColsAugmented {
         a: av,
         m,
@@ -354,22 +340,6 @@ fn encode_cols_streaming<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f
     // A — but streams B once, without re-packing.
     let (cs_row, rest) = cd[m * n..].split_at_mut(n);
     encode_border_cols(&cs, bv, k, n, cs_row, &mut rest[..n]);
-}
-
-/// `(v1ᵀA, v2ᵀA)` into the zeroed `cs = [Σ(k) | Σw(k)]` ahead of the
-/// product, under the encoder block contract the in-packing accumulation
-/// follows: rows ascending within each [`MC`] row-block, block partials
-/// combined in block order on top of zero.
-fn accum_col_cs_blocked<A: SrcRead>(a: A, m: usize, k: usize, cs: &mut [f32]) {
-    let mut part = workspace::take(2 * k);
-    for i0 in (0..m).step_by(MC) {
-        part.fill(0.0);
-        let (sum, wsum) = part.split_at_mut(k);
-        accum_col_cs(a, i0, MC.min(m - i0), 0, k, &mut ColCsAccum { sum, wsum });
-        for (o, &p) in cs.iter_mut().zip(part.iter()) {
-            *o += p;
-        }
-    }
 }
 
 /// Streaming `[v1ᵀA; v2ᵀA] · B` border product: column stripes held in
@@ -455,28 +425,11 @@ pub fn gemm_encode_rows_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
         let cd = c.data();
         gemm_driver(av, bv, m, n, k, &mut cd[..], ldc, Fuse::Rows(&mut rs));
         // Checksum border: A · RS_B (m × 2) as a lean streaming product
-        // under the same per-element KC-block contract — bit-identical to
-        // two extra augmented columns, with A's rows read once.
-        let a_data = a.data();
+        // under the per-element contract — bit-identical to two extra
+        // augmented columns, with A's rows read once.
+        let (rs0, rs1) = rs.split_at(k);
         for i in 0..m {
-            let arow = &a_data[i * k..i * k + k];
-            let mut acc0 = 0.0f32;
-            let mut acc1 = 0.0f32;
-            let mut p0 = 0usize;
-            while p0 < k {
-                let pend = (p0 + KC).min(k);
-                let mut part0 = 0.0f32;
-                let mut part1 = 0.0f32;
-                for (kk, &av) in arow[p0..pend].iter().enumerate() {
-                    part0 += av * rs[p0 + kk];
-                    part1 += av * rs[k + p0 + kk];
-                }
-                acc0 += part0;
-                acc1 += part1;
-                p0 = pend;
-            }
-            cd[i * ldc + n] = acc0;
-            cd[i * ldc + n + 1] = acc1;
+            (cd[i * ldc + n], cd[i * ldc + n + 1]) = contract::dot2(a.row(i), rs0, rs1);
         }
     }
 }
@@ -763,7 +716,7 @@ unsafe fn writeback_add(
 /// Dense dot product with 4-lane unrolling. Retained as a free-standing
 /// utility (reductions, tests); note its lane-split accumulation order is
 /// **not** the GEMM contract — exact replay must use
-/// `attnchecker::section::replay_nn` instead.
+/// [`contract::dot_with`] instead.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -935,24 +888,10 @@ mod tests {
 
     // ---------------- tiled-kernel and fused-encoding additions ----------
 
-    /// Bit-exact reference for the accumulation-order contract of one
-    /// output element.
-    fn contract_dot(a_row: &[f32], b_col: &[f32]) -> f32 {
-        let mut acc = 0.0f32;
-        for (ab, bb) in a_row.chunks(KC).zip(b_col.chunks(KC)) {
-            let mut p = 0.0f32;
-            for (&av, &bv) in ab.iter().zip(bb) {
-                p += av * bv;
-            }
-            acc += p;
-        }
-        acc
-    }
-
     #[test]
     fn elements_follow_the_kc_block_contract() {
-        // k spans several KC blocks; every element must equal the blocked
-        // partial-sum reference bit-for-bit.
+        // k spans several KC blocks; every element the microkernel produces
+        // must equal the contract function bit-for-bit.
         let mut rng = TensorRng::seed_from(29);
         let (m, k, n) = (5, 2 * KC + 37, 6);
         let a = rand_mat(&mut rng, m, k);
@@ -961,7 +900,7 @@ mod tests {
         let bt = b.transpose();
         for i in 0..m {
             for j in 0..n {
-                let expect = contract_dot(a.row(i), bt.row(j));
+                let expect = contract::dot(a.row(i), bt.row(j));
                 assert_eq!(
                     c[(i, j)].to_bits(),
                     expect.to_bits(),
@@ -982,7 +921,7 @@ mod tests {
             for j in 0..3 {
                 assert_eq!(
                     c[(i, j)].to_bits(),
-                    contract_dot(a.row(i), b.row(j)).to_bits()
+                    contract::dot(a.row(i), b.row(j)).to_bits()
                 );
             }
         }
@@ -995,7 +934,7 @@ mod tests {
             for j in 0..3 {
                 assert_eq!(
                     ct[(i, j)].to_bits(),
-                    contract_dot(at_t.row(i), bt_t.row(j)).to_bits()
+                    contract::dot(at_t.row(i), bt_t.row(j)).to_bits()
                 );
             }
         }

@@ -16,6 +16,9 @@
 //!   (`Q·Kᵀ`) and backprop (`Aᵀ·B`), and fused checksum-encoding entry
 //!   points (`gemm_encode_cols_into` / `gemm_encode_rows_into`) whose
 //!   encoding rides inside the packing pass ([`pack`]).
+//! * The blocked accumulation-order contract in [`contract`] — the one
+//!   statement of how a product element, a row checksum and a column
+//!   checksum are summed, which replay and every standalone encoder call.
 //! * A thread-local scratch arena in [`workspace`] that makes the GEMM and
 //!   encoding hot path allocation-free in steady state.
 //! * [`PagedKv`] — fixed-size-block paged row storage for KV caches, with
@@ -37,6 +40,7 @@
 //! campaigns rely on for reproducibility.
 
 pub mod batch;
+pub mod contract;
 pub mod error;
 pub mod float;
 pub mod gemm;
@@ -45,7 +49,6 @@ pub mod kv;
 pub mod matrix;
 pub mod ops;
 pub mod pack;
-pub mod reduce;
 pub mod rng;
 pub mod view;
 pub mod workspace;

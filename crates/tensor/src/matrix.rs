@@ -107,11 +107,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Immutable view over the whole matrix.
     #[inline]
     pub fn view(&self) -> MatRef<'_> {
@@ -164,13 +159,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Element-wise in-place map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -233,15 +221,6 @@ impl Matrix {
     /// Scaled copy.
     pub fn scaled(&self, s: f32) -> Matrix {
         self.map(|x| x * s)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt() as f32
     }
 
     /// Maximum absolute element (0 for empty matrices). NaNs are ignored.
@@ -433,7 +412,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
         assert_eq!(m.max_abs(), 4.0);
     }
 

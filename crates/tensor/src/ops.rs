@@ -113,7 +113,7 @@ pub fn gelu(x: f32) -> f32 {
 
 /// Derivative of [`gelu`].
 #[inline]
-pub fn gelu_grad(x: f32) -> f32 {
+fn gelu_grad(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = C * (x + 0.044_715 * x3);
@@ -155,11 +155,6 @@ pub fn col_sums(x: &Matrix) -> Vec<f32> {
         }
     }
     s
-}
-
-/// Row-wise sum of `x`.
-pub fn row_sums(x: &Matrix) -> Vec<f32> {
-    (0..x.rows()).map(|r| x.row(r).iter().sum()).collect()
 }
 
 /// Cached statistics from a layer-norm forward pass, needed by backward.

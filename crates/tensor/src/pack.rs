@@ -17,27 +17,14 @@
 //!
 //! **Fused encoding.** Packing already streams every element of the
 //! operand through registers, so the ABFT checksum projections (`v1 = 1`,
-//! `v2 = [1, 2, …]`) accumulate here at near-zero marginal cost — this is
-//! the CPU analogue of the paper's §4.6 encoder that produces both sums
-//! from a single staged read. The accumulation order this establishes —
-//! rows visited ascending within an `MC` row-block (columns ascending
-//! within an `NC` column-block for row checksums), block partials combined
-//! in block order — is a documented contract: the standalone encoders in
-//! `attnchecker::checksum` reproduce it bit-for-bit so fused and
-//! standalone encodings are interchangeable.
+//! `v2 = [1, 2, …]`) accumulate alongside at near-zero marginal cost — the
+//! CPU analogue of the paper's §4.6 encoder that produces both sums from a
+//! single staged read. The sweeps themselves, and the accumulation order
+//! they must keep, live in [`crate::contract`].
 //!
 //! attn-lint: hot-path
 
 use crate::gemm::{MR, NR};
-
-/// Weighted-checksum weight of row/column `i` (1-based, the `v2` vector).
-///
-/// Canonical definition shared with `attnchecker::checksum::weight` — the
-/// fused in-packing encoder and the standalone encoders must agree bitwise.
-#[inline]
-pub fn checksum_weight(i: usize) -> f32 {
-    (i + 1) as f32
-}
 
 /// Read-only operand described by its storage, leading dimension, and
 /// whether the *logical* operand is the transpose of storage.
@@ -119,26 +106,11 @@ impl<A: SrcRead> SrcRead for ColsAugmented<'_, A> {
     }
 }
 
-/// Fused column-checksum accumulator: per-k-column running `(Σ, Σw)` sums
-/// for one `MC` row-block of `op(A)`. Slices span the *full* k dimension;
-/// packing a `(i0, p0)` block touches indices `p0..p0+kc`.
-pub(crate) struct ColCsAccum<'a> {
-    pub sum: &'a mut [f32],
-    pub wsum: &'a mut [f32],
-}
-
-/// Fused row-checksum accumulator: per-k-row running `(Σ, Σw)` sums for
-/// one `NC` column-block of `op(B)`.
-pub(crate) struct RowCsAccum<'a> {
-    pub sum: &'a mut [f32],
-    pub wsum: &'a mut [f32],
-}
-
 /// Pack `op(A)[i0..i0+mc, p0..p0+kc]` into MR-row micro-panels.
 ///
 /// `ap[..panels * kc * MR]` is fully overwritten (padding rows written as
 /// zero). Pure copy — the fused checksum accumulation runs as its own
-/// cache-hot sweep ([`accum_col_cs`]) so this loop stays vectorizable.
+/// cache-hot sweep (`contract::accum_col_cs`) so this loop stays vectorizable.
 pub(crate) fn pack_a_block<A: SrcRead>(
     a: A,
     i0: usize,
@@ -167,7 +139,7 @@ pub(crate) fn pack_a_block<A: SrcRead>(
 }
 
 /// Pack `op(B)[p0..p0+kc, j0..j0+nc]` into NR-column micro-panels
-/// (pure copy; see [`accum_row_cs`] for the fused checksum sweep).
+/// (pure copy; see `contract::accum_row_cs` for the fused checksum sweep).
 pub(crate) fn pack_b_block<B: SrcRead>(
     b: B,
     p0: usize,
@@ -195,73 +167,10 @@ pub(crate) fn pack_b_block<B: SrcRead>(
     }
 }
 
-/// Fused column-checksum sweep over `op(A)[i0..i0+mc, p0..p0+kc]`, run
-/// back-to-back with [`pack_a_block`] while the block is cache-hot.
-///
-/// Accumulation order is the encoder block contract: rows ascending per
-/// column within the block (the row-major sweep vectorises across `kk`
-/// without changing any column's add order).
-pub(crate) fn accum_col_cs<A: SrcRead>(
-    a: A,
-    i0: usize,
-    mc: usize,
-    p0: usize,
-    kc: usize,
-    acc: &mut ColCsAccum<'_>,
-) {
-    let sum = &mut acc.sum[p0..p0 + kc];
-    let wsum = &mut acc.wsum[p0..p0 + kc];
-    for r in i0..i0 + mc {
-        let w = checksum_weight(r);
-        if let Some(row) = a.row_slice(r, p0, kc) {
-            for ((s, ws), &v) in sum.iter_mut().zip(wsum.iter_mut()).zip(row) {
-                *s += v;
-                *ws += w * v;
-            }
-        } else {
-            for kk in 0..kc {
-                let v = a.at(r, p0 + kk);
-                sum[kk] += v;
-                wsum[kk] += w * v;
-            }
-        }
-    }
-}
-
-/// Fused row-checksum sweep over `op(B)[p0..p0+kc, j0..j0+nc]` — columns
-/// ascending per row (sequential horizontal sums: the add order *is* the
-/// contract, so no lane splitting).
-pub(crate) fn accum_row_cs<B: SrcRead>(
-    b: B,
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-    acc: &mut RowCsAccum<'_>,
-) {
-    for kk in p0..p0 + kc {
-        let mut s = acc.sum[kk];
-        let mut ws = acc.wsum[kk];
-        if let Some(row) = b.row_slice(kk, j0, nc) {
-            for (j, &v) in row.iter().enumerate() {
-                s += v;
-                ws += checksum_weight(j0 + j) * v;
-            }
-        } else {
-            for j in j0..j0 + nc {
-                let v = b.at(kk, j);
-                s += v;
-                ws += checksum_weight(j) * v;
-            }
-        }
-        acc.sum[kk] = s;
-        acc.wsum[kk] = ws;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contract::{accum_col_cs, weight, ColCsAccum};
 
     fn seq_matrix(rows: usize, cols: usize) -> Vec<f32> {
         (0..rows * cols).map(|i| i as f32).collect()
@@ -335,7 +244,7 @@ mod tests {
         accum_col_cs(a, 0, 7, 0, 5, &mut acc);
         for c in 0..5 {
             let expect: f32 = (0..7).map(|r| data[r * 5 + c]).sum();
-            let wexpect: f32 = (0..7).map(|r| checksum_weight(r) * data[r * 5 + c]).sum();
+            let wexpect: f32 = (0..7).map(|r| weight(r) * data[r * 5 + c]).sum();
             assert_eq!(sum[c], expect, "col {c}");
             assert_eq!(wsum[c], wexpect, "col {c} weighted");
         }

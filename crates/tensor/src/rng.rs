@@ -71,7 +71,7 @@ impl TensorRng {
     }
 
     /// Normal with the given mean and standard deviation.
-    pub fn normal_scaled(&mut self, mean: f32, std: f32) -> f32 {
+    fn normal_scaled(&mut self, mean: f32, std: f32) -> f32 {
         mean + std * self.normal()
     }
 

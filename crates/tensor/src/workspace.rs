@@ -122,11 +122,6 @@ pub fn thread_alloc_events() -> u64 {
     ALLOC_EVENTS.with(|c| c.get())
 }
 
-/// Buffers currently parked in this thread's pool (diagnostics/tests).
-pub fn pooled_buffers() -> usize {
-    POOL.with(|p| p.borrow().len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,11 @@
 //! agreement with the naive reference, bit-determinism at any rayon worker
 //! count, IEEE-754 propagation faithfulness (no zero-skipping shortcuts),
 //! the fused-encoding ≡ encode-then-GEMM bit identity, and the
-//! accumulation-order contract that exact post-correction replay
-//! (`attnchecker::section::replay_nn`) depends on.
+//! accumulation-order contract (`attn_tensor::contract`) that exact
+//! post-correction replay (`attnchecker::section::replay_nn`) and every
+//! checksum border depend on.
 
+use attn_tensor::contract;
 use attn_tensor::gemm::{
     self, gemm_encode_cols_into, gemm_encode_cols_paged_into, gemm_encode_rows_into, matmul,
     matmul_naive, matmul_nt, matmul_tn, KC, MC, NC, NR,
@@ -47,6 +49,28 @@ fn bits_equal_mod_nan_payload(a: &Matrix, b: &Matrix) -> bool {
             .iter()
             .zip(b.data())
             .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// One value, compared like [`bits_equal_mod_nan_payload`].
+fn same_bits(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+/// `m × k` and `k × n` operands with `specials` IEEE specials dropped
+/// anywhere in each.
+fn operands_with_specials(
+    rng: &mut TensorRng,
+    (m, k, n): (usize, usize, usize),
+    specials: usize,
+) -> (Matrix, Matrix) {
+    const SPECIALS: [f32; 4] = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let mut a = rng.uniform_matrix(m, k, -2.0, 2.0);
+    let mut b = rng.uniform_matrix(k, n, -2.0, 2.0);
+    for _ in 0..specials {
+        a[(rng.index(m), rng.index(k))] = SPECIALS[rng.index(4)];
+        b[(rng.index(k), rng.index(n))] = SPECIALS[rng.index(4)];
+    }
+    (a, b)
 }
 
 /// Both fused column-side entries (dense `B`, and `B` paged in
@@ -231,17 +255,56 @@ proptest! {
         let n = [1, NR - 1, NR, NR + 1, NC - 1, NC, NC + 1, NC + NR + 3][ni];
         let block_rows = [1, 3, 16, 100][bi];
         let mut rng = TensorRng::seed_from(seed);
-        let mut a = rng.uniform_matrix(m, k, -2.0, 2.0);
-        let mut b = rng.uniform_matrix(k, n, -2.0, 2.0);
-        const SPECIALS: [f32; 4] = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-        for _ in 0..specials {
-            a[(rng.index(m), rng.index(k))] = SPECIALS[rng.index(4)];
-            b[(rng.index(k), rng.index(n))] = SPECIALS[rng.index(4)];
-        }
+        let (a, b) = operands_with_specials(&mut rng, (m, k, n), specials);
         prop_assert!(
             fused_cols_vs_encode_then_matmul(&a, &b, block_rows),
             "{}x{}x{} block_rows={} specials={}", m, k, n, block_rows, specials
         );
+    }
+
+    /// The kernel's own statements of the accumulation order, pinned to the
+    /// one module that owns it: a 1×k×1 product (the microkernel under
+    /// `compute_tile`'s KC loop) is `contract::dot`; the column-side border
+    /// — riding the padding lanes (m = 1, 2, MC + 1) or streamed through
+    /// `encode_border_cols`' register stripes (m = 3, MC) — is
+    /// `contract::dot` over `contract::col_sums(A)`; the row-side border is
+    /// `contract::dot` over each `contract::row_sums(B[kk, :])`. Shapes
+    /// ragged across the KC / NC / MC edges, IEEE specials anywhere.
+    #[test]
+    fn fused_borders_are_compositions_of_contract_functions(
+        mi in 0usize..7,
+        ki in 0usize..6,
+        ni in 0usize..6,
+        specials in 0usize..4,
+        seed in 0u64..100_000,
+    ) {
+        let m = [1, 2, 3, MC - 1, MC, MC + 1, 2 * MC + 3][mi];
+        let k = [1, 7, KC - 1, KC, KC + 1, 2 * KC + 5][ki];
+        let n = [1, NR + 1, NC - 1, NC, NC + 1, 2 * NC + 3][ni];
+        let mut rng = TensorRng::seed_from(seed);
+        let (a, b) = operands_with_specials(&mut rng, (m, k, n), specials);
+        let bt = b.transpose();
+
+        let one = matmul(&a.submatrix(0, 1, 0, k), &b.submatrix(0, k, 0, 1));
+        prop_assert!(same_bits(one[(0, 0)], contract::dot(a.row(0), bt.row(0))), "1xkx1");
+
+        let mut c = Matrix::full(m + 2, n, f32::NAN);
+        gemm_encode_cols_into(a.view(), b.view(), c.view_mut());
+        let mut cs = vec![f32::NAN; 2 * k];
+        contract::col_sums(a.view(), 0..k, &mut cs);
+        for j in 0..n {
+            prop_assert!(same_bits(c[(m, j)], contract::dot(&cs[..k], bt.row(j))), "cols Σ {}", j);
+            prop_assert!(same_bits(c[(m + 1, j)], contract::dot(&cs[k..], bt.row(j))), "cols Σw {}", j);
+        }
+
+        let mut c = Matrix::full(m, n + 2, f32::NAN);
+        gemm_encode_rows_into(a.view(), b.view(), c.view_mut());
+        let (rs, rws): (Vec<f32>, Vec<f32>) =
+            (0..k).map(|kk| contract::row_sums(b.row(kk))).unzip();
+        for i in 0..m {
+            prop_assert!(same_bits(c[(i, n)], contract::dot(a.row(i), &rs)), "rows Σ {}", i);
+            prop_assert!(same_bits(c[(i, n + 1)], contract::dot(a.row(i), &rws)), "rows Σw {}", i);
+        }
     }
 
     /// The exact-replay contract: `replay_nn` reproduces any product

@@ -99,7 +99,7 @@ fn gateway_trace_is_bit_identical_across_workers_and_admission_shapes() {
 fn at_rest_flip_in_evicted_kv_block_is_detected_and_corrected() {
     // The verify-on-move contract behind the gateway's budget parking,
     // driven through the model layer: park a mid-decode session, corrupt
-    // one element of a cold K block, and unpark — the per-block checksum
+    // one element of a parked K block, and unpark — the per-block checksum
     // tails must flag and repair it.
     let m = lm_model();
     let mut state = m.new_decode_state();
@@ -113,7 +113,7 @@ fn at_rest_flip_in_evicted_kv_block_is_detected_and_corrected() {
 
     m.park_state(&mut state, &mut report);
     assert!(state.is_parked());
-    state.cold_layers_mut()[1].k_data_mut(0)[3 * 16 + 5] = f32::NAN;
+    state.layer_caches_mut()[1].k_row_mut(0, 3)[5] = f32::NAN;
     m.unpark_state(&mut state, &mut report);
 
     assert!(report.detections >= 1, "flip must be detected: {report:?}");
