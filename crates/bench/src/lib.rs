@@ -21,6 +21,8 @@
 //! | `fig12_scale_projection` | Fig 12 — multi-billion-parameter scale |
 //! | `sec55_correction_cost` | §5.5 — correction-path overheads |
 
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 pub mod setup;
 pub mod stepbench;

@@ -18,7 +18,7 @@ impl TextTable {
 
     /// Append a data row (padded/truncated to the header width).
     pub fn row(&mut self, cells: &[String]) -> &mut Self {
-        let mut r: Vec<String> = cells.to_vec(); // attn-lint: allow(hot-path-alloc-reach) — bench-report formatter; only conservative `.row` fan-out links it to hot paths
+        let mut r: Vec<String> = cells.to_vec();
         r.resize(self.header.len(), String::new());
         self.rows.push(r);
         self

@@ -10,6 +10,8 @@
 //! binary wire format; [`manager`] adds on-disk storage and a
 //! restore-and-replay driver with phase timings.
 
+#![forbid(unsafe_code)]
+
 pub mod manager;
 pub mod snapshot;
 

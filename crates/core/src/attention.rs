@@ -588,10 +588,30 @@ pub fn forward(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use attn_fault::FaultKind;
     use attn_tensor::ops::causal_mask;
+
+    /// Each attention section alone, with the sites its own detection point
+    /// must cover — the table behind the isolation tests here and in
+    /// [`crate::decode`].
+    pub(crate) fn section_isolation_cases() -> [(SectionToggles, &'static [AttnOp]); 3] {
+        let only = |s_as, s_cl, s_o| SectionToggles {
+            s_as,
+            s_cl,
+            s_o,
+            s_ffn: false,
+        };
+        [
+            (
+                only(true, false, false),
+                &[AttnOp::Q, AttnOp::K, AttnOp::AS],
+            ),
+            (only(false, true, false), &[AttnOp::V, AttnOp::CL]),
+            (only(false, false, true), &[AttnOp::O]),
+        ]
+    }
 
     fn setup(seq: usize, hidden: usize, heads: usize) -> (Matrix, ProtectedAttention) {
         let mut rng = TensorRng::seed_from(42);
@@ -659,7 +679,7 @@ mod tests {
         assert!(r.is_quiet());
     }
 
-    fn inject_then_check(op: AttnOp, kind: FaultKind) {
+    fn inject_then_check(op: AttnOp, kind: FaultKind, toggles: SectionToggles) {
         let (x, attn) = setup(10, 32, 4);
         // Ground truth from a clean protected run.
         let mut quiet = AbftReport::default();
@@ -680,7 +700,7 @@ mod tests {
             &x,
             ForwardOptions {
                 mask: None,
-                toggles: SectionToggles::all(),
+                toggles,
                 hook: Some(&mut hook),
             },
             &mut report,
@@ -701,28 +721,40 @@ mod tests {
     #[test]
     fn corrects_inf_at_every_site() {
         for op in AttnOp::ALL {
-            inject_then_check(op, FaultKind::Inf);
+            inject_then_check(op, FaultKind::Inf, SectionToggles::all());
         }
     }
 
     #[test]
     fn corrects_nan_at_every_site() {
         for op in AttnOp::ALL {
-            inject_then_check(op, FaultKind::NaN);
+            inject_then_check(op, FaultKind::NaN, SectionToggles::all());
         }
     }
 
     #[test]
     fn corrects_near_inf_at_every_site() {
         for op in AttnOp::ALL {
-            inject_then_check(op, FaultKind::NearInf);
+            inject_then_check(op, FaultKind::NearInf, SectionToggles::all());
         }
     }
 
     #[test]
     fn corrects_neg_inf_at_every_site() {
         for op in AttnOp::ALL {
-            inject_then_check(op, FaultKind::NegInf);
+            inject_then_check(op, FaultKind::NegInf, SectionToggles::all());
+        }
+    }
+
+    #[test]
+    fn each_section_alone_corrects_its_own_sites() {
+        // One detection point per section: with the other two gated off, a
+        // section still has to catch every fault striking its own GEMMs —
+        // what fails when a `detect … absorb` block goes missing.
+        for (toggles, sites) in section_isolation_cases() {
+            for &op in sites {
+                inject_then_check(op, FaultKind::Inf, toggles);
+            }
         }
     }
 

@@ -25,8 +25,6 @@
 //! order, [`attn_tensor::contract`], so a fused encoding is bit-identical
 //! to encode-then-GEMM — the property `CheckedMatrix::product` and the
 //! exact-replay machinery rely on.
-//!
-//! attn-lint: hot-path
 
 use attn_tensor::{contract, Matrix};
 
@@ -63,7 +61,6 @@ pub fn row_checksums(a: &Matrix) -> Matrix {
 pub fn col_checksums_naive(a: &Matrix) -> Matrix {
     let (m, n) = (a.rows(), a.cols());
     // Pass 1: unweighted.
-    // attn-lint: allow(hot-path-alloc) — the Fig 8 Separate baseline deliberately pays per-call temporaries
     let mut sum = vec![0.0f32; n];
     for r in 0..m {
         for (acc, &v) in sum.iter_mut().zip(a.row(r)) {
@@ -71,7 +68,6 @@ pub fn col_checksums_naive(a: &Matrix) -> Matrix {
         }
     }
     // Pass 2: weighted — reads A again from scratch.
-    // attn-lint: allow(hot-path-alloc) — the Fig 8 Separate baseline deliberately pays per-call temporaries
     let mut wsum = vec![0.0f32; n];
     for r in 0..m {
         let w = weight(r);
@@ -90,12 +86,10 @@ pub fn col_checksums_naive(a: &Matrix) -> Matrix {
 #[allow(clippy::needless_range_loop)] // the two explicit passes are the point
 pub fn row_checksums_naive(a: &Matrix) -> Matrix {
     let m = a.rows();
-    // attn-lint: allow(hot-path-alloc) — the Fig 8 Separate baseline deliberately pays per-call temporaries
     let mut sum = vec![0.0f32; m];
     for r in 0..m {
         sum[r] = a.row(r).iter().sum();
     }
-    // attn-lint: allow(hot-path-alloc) — the Fig 8 Separate baseline deliberately pays per-call temporaries
     let mut wsum = vec![0.0f32; m];
     for r in 0..m {
         wsum[r] = a

@@ -33,8 +33,6 @@
 //!   is **bit-identical** to re-running the full protected forward over the
 //!   grown prefix — the parity property `tests/decode_parity.rs` pins —
 //!   and exact replay restores corrected elements to their original bits.
-//!
-//! attn-lint: hot-path
 
 use crate::attention::{AttentionWeightsRef, AttnOp, FaultSite, ProtectedAttention};
 use crate::checked::CheckedMatrix;
@@ -524,7 +522,6 @@ pub fn decode_step(
         }
         cache.append_k(k.logical_row(0));
 
-        // attn-lint: allow(hot-path-alloc) — O(heads) handle vector per step; the row payloads inside draw on the arena
         let mut ap_rows: Vec<Matrix> = Vec::with_capacity(w.heads);
         for h in 0..w.heads {
             let qh = q.slice_cols(h * d, (h + 1) * d);
@@ -561,7 +558,6 @@ pub fn decode_step(
         // column checksums restrict exactly to each head's column range.
         let mut v = s_cl.gemm(x, w.wv);
         v.add_bias(w.bv);
-        // attn-lint: allow(hot-path-alloc) — O(heads) handle vector per step; the row payloads inside draw on the arena
         let mut cl_blocks = Vec::with_capacity(w.heads);
         for h in 0..w.heads {
             let mut v_h = v.slice_cols(h * d, (h + 1) * d);
@@ -751,7 +747,7 @@ mod tests {
         assert!(report.is_quiet(), "incremental checksums drifted: {report}");
     }
 
-    fn inject_then_check(op: AttnOp, kind: FaultKind) {
+    fn inject_then_check(op: AttnOp, kind: FaultKind, toggles: SectionToggles) {
         let (x, attn) = setup(8, 32, 4);
         let (clean_rows, _) = decode_all(&attn, &x, false, SectionToggles::all());
 
@@ -772,7 +768,7 @@ mod tests {
             };
             let mut ctx = ForwardCtx {
                 mask: None,
-                toggles: SectionToggles::all(),
+                toggles,
                 hook: (t == strike_at).then_some(&mut hook as _),
                 report: &mut report,
             };
@@ -795,21 +791,33 @@ mod tests {
     #[test]
     fn decode_corrects_inf_at_every_site() {
         for op in AttnOp::ALL {
-            inject_then_check(op, FaultKind::Inf);
+            inject_then_check(op, FaultKind::Inf, SectionToggles::all());
         }
     }
 
     #[test]
     fn decode_corrects_nan_at_every_site() {
         for op in AttnOp::ALL {
-            inject_then_check(op, FaultKind::NaN);
+            inject_then_check(op, FaultKind::NaN, SectionToggles::all());
         }
     }
 
     #[test]
     fn decode_corrects_near_inf_at_every_site() {
         for op in AttnOp::ALL {
-            inject_then_check(op, FaultKind::NearInf);
+            inject_then_check(op, FaultKind::NearInf, SectionToggles::all());
+        }
+    }
+
+    #[test]
+    fn each_section_alone_corrects_its_own_sites() {
+        // At m = 1 a fault one section misses can be healed bit-exactly by
+        // the next one's riding checksums, so only isolation shows that each
+        // section's own `detect … absorb` block is there.
+        for (toggles, sites) in crate::attention::tests::section_isolation_cases() {
+            for &op in sites {
+                inject_then_check(op, FaultKind::Inf, toggles);
+            }
         }
     }
 

@@ -152,7 +152,7 @@ pub fn correct_rows(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
         if !delta_suspicious(cs - s, wcs - ws, abs, cols, cfg) {
             continue;
         }
-        let mut v = m.logical_row(r).to_vec(); // attn-lint: allow(hot-path-alloc-reach) — fault-repair path: row copy only when correcting a detected mismatch
+        let mut v = m.logical_row(r).to_vec();
         match eec_correct_vector(&mut v, cs, wcs, cfg) {
             VectorVerdict::Clean => {}
             VectorVerdict::Corrected {

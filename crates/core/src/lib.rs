@@ -56,6 +56,8 @@
 //! assert!(report.is_quiet()); // fault-free run: nothing detected
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod attention;
 pub mod checked;

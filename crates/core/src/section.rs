@@ -432,8 +432,8 @@ fn apply_exact_fixes<'a>(
     fixes: impl Iterator<Item = &'a mut ElementFix>,
     exact: impl Fn(usize, usize) -> f32,
 ) {
-    let mut rows: Vec<usize> = Vec::new(); // attn-lint: allow(hot-path-alloc-reach) — fault-repair bookkeeping, entered only on detected corruption
-    let mut cols: Vec<usize> = Vec::new(); // attn-lint: allow(hot-path-alloc-reach) — fault-repair bookkeeping (see above)
+    let mut rows: Vec<usize> = Vec::new();
+    let mut cols: Vec<usize> = Vec::new();
     for fix in fixes {
         let v = exact(fix.row, fix.col);
         let row_abs: f32 = m.logical_row(fix.row).iter().map(|x| x.abs()).sum();

@@ -17,6 +17,8 @@
 //! classifier behind Table 2, and [`campaign`] a deterministic parallel
 //! trial runner used by the Table 4 and §5.2 reproductions.
 
+#![forbid(unsafe_code)]
+
 pub mod bitflip;
 pub mod campaign;
 pub mod inject;

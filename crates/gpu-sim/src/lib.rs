@@ -15,6 +15,8 @@
 //! [`device`] holds the machine constants, [`kernel`] the roofline kernel
 //! cost model.
 
+#![forbid(unsafe_code)]
+
 pub mod abft_cost;
 pub mod device;
 pub mod encoding;

@@ -17,6 +17,8 @@
 //!   and owns the `ProtectionPolicy` that paces section checks across
 //!   steps.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod sampling;
 pub mod session;

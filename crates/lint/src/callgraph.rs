@@ -27,7 +27,7 @@
 //! it cannot affect the graph and counts as resolved. The resolution
 //! rate reported to CI is `resolved / total` over every call site seen.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{next_code, prev_code, Tok, TokKind};
 use crate::parse::ParsedFile;
 use crate::scope::Context;
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,9 +44,6 @@ const STD_METHODS: [&str; 40] = [
     "collect", "filter", "rev", "zip", "enumerate", "take", "skip", "min", "max", "abs", "sqrt",
     "fill",
 ];
-
-/// Ordered-reduction adapters (shared with the syntactic lint).
-const ORDERED_REDUCERS: [&str; 4] = ["sum", "product", "reduce", "fold"];
 
 /// How a call site was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +72,6 @@ pub struct CallSite {
     pub caller: usize,
     /// Resolved workspace targets (fn indexes).
     pub targets: Vec<usize>,
-    /// Whether the site sits inside a rayon parallel chain.
-    pub in_par_chain: bool,
     /// Whether the site sits inside an `is_x86_feature_detected!`-gated
     /// branch.
     pub gated: bool,
@@ -110,11 +105,6 @@ pub struct FnNode {
     pub calls: Vec<usize>,
     /// Panic-capable constructs: (line, col, description).
     pub panic_sites: Vec<(u32, u32, &'static str)>,
-    /// Heap-allocation constructs: (line, col, description).
-    pub alloc_sites: Vec<(u32, u32, &'static str)>,
-    /// First ordered float-reduction evidence in the body, if any:
-    /// a compound assignment or ordered reducer in a float-bearing fn.
-    pub ordered_reduction: Option<(u32, u32)>,
 }
 
 impl FnNode {
@@ -208,8 +198,6 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
                 has_body: item.body.is_some(),
                 calls: Vec::new(),
                 panic_sites: Vec::new(),
-                alloc_sites: Vec::new(),
-                ordered_reduction: None,
             });
         }
     }
@@ -232,7 +220,7 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
         })
         .collect();
 
-    // Pass 2: walk bodies — extract sites, panic/alloc facts, resolve.
+    // Pass 2: walk bodies — extract sites and panic facts, resolve.
     let mut fn_cursor = 0usize;
     for (fi, f) in files.iter().enumerate() {
         // Map parsed items (with bodies) back to graph nodes, in order.
@@ -271,10 +259,7 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
                 &g.fns,
                 &stems,
             );
-            let node = &mut g.fns[*id];
-            node.panic_sites = facts.panic_sites;
-            node.alloc_sites = facts.alloc_sites;
-            node.ordered_reduction = facts.ordered_reduction;
+            g.fns[*id].panic_sites = facts.panic_sites;
             for site in facts.sites {
                 g.calls_total += 1;
                 match site.resolution {
@@ -295,8 +280,6 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
 struct BodyFacts {
     sites: Vec<CallSite>,
     panic_sites: Vec<(u32, u32, &'static str)>,
-    alloc_sites: Vec<(u32, u32, &'static str)>,
-    ordered_reduction: Option<(u32, u32)>,
 }
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
@@ -341,14 +324,6 @@ fn walk_body(
             }
         }
         i += 1;
-    }
-
-    let mut has_float = false;
-    for t in &toks[lo..hi] {
-        if t.kind == TokKind::Float || t.is_ident("f32") || t.is_ident("f64") {
-            has_float = true;
-            break;
-        }
     }
 
     let in_nested = |i: usize| nested.iter().any(|&(a, b)| i >= a && i < b);
@@ -407,52 +382,6 @@ fn walk_body(
             );
             if expr_head {
                 out.panic_sites.push((t.line, t.col, "slice indexing"));
-            }
-        }
-
-        // --- alloc facts -------------------------------------------------
-        if t.kind == TokKind::Ident {
-            let alloc: Option<&'static str> = match t.text.as_str() {
-                "vec" if next_code(toks, i).is_some_and(|n| n.is_punct("!")) => Some("`vec!`"),
-                "new" | "with_capacity" => {
-                    let head = toks[..i]
-                        .iter()
-                        .rev()
-                        .filter(|x| x.kind != TokKind::LineComment)
-                        .nth(1);
-                    match (prev_code(toks, i), head) {
-                        (Some(p), Some(h))
-                            if p.is_punct("::") && (h.is_ident("Vec") || h.is_ident("Box")) =>
-                        {
-                            Some("heap allocation")
-                        }
-                        _ => None,
-                    }
-                }
-                "to_vec" | "clone"
-                    if prev_code(toks, i).is_some_and(|p| p.is_punct("."))
-                        && next_code(toks, i).is_some_and(|n| n.is_punct("(")) =>
-                {
-                    Some("owned-buffer copy")
-                }
-                _ => None,
-            };
-            if let Some(desc) = alloc {
-                out.alloc_sites.push((t.line, t.col, desc));
-            }
-        }
-
-        // --- ordered-reduction evidence ---------------------------------
-        if out.ordered_reduction.is_none() && has_float {
-            let compound = t.kind == TokKind::Punct
-                && matches!(t.text.as_str(), "+=" | "-=" | "*=" | "/=")
-                && !rhs_is_int_literal(toks, i);
-            let reducer = t.kind == TokKind::Ident
-                && ORDERED_REDUCERS.contains(&t.text.as_str())
-                && prev_code(toks, i).is_some_and(|p| p.is_punct("."))
-                && next_code(toks, i).is_some_and(|n| n.is_punct("(") || n.is_punct("::"));
-            if compound || reducer {
-                out.ordered_reduction = Some((t.line, t.col));
             }
         }
 
@@ -551,7 +480,6 @@ fn resolve_site(
         name: name.clone(),
         caller,
         targets: Vec::new(),
-        in_par_chain: ctx.in_par_chain.get(i).copied().unwrap_or(false),
         gated: ctx.in_feature_gate.get(i).copied().unwrap_or(false),
         is_method,
         resolution: Resolution::External,
@@ -820,27 +748,6 @@ fn receiver_hint(
     field_unique.get(&recv.text).cloned().flatten()
 }
 
-fn rhs_is_int_literal(toks: &[Tok], i: usize) -> bool {
-    let mut it = toks[i + 1..]
-        .iter()
-        .filter(|x| x.kind != TokKind::LineComment);
-    matches!(it.next(), Some(nx) if nx.kind == TokKind::Int)
-        && matches!(it.next(), Some(after) if after.is_punct(";"))
-}
-
-fn prev_code(toks: &[Tok], i: usize) -> Option<&Tok> {
-    toks[..i]
-        .iter()
-        .rev()
-        .find(|t| t.kind != TokKind::LineComment)
-}
-
-fn next_code(toks: &[Tok], i: usize) -> Option<&Tok> {
-    toks[i + 1..]
-        .iter()
-        .find(|t| t.kind != TokKind::LineComment)
-}
-
 fn is_bracket_keyword(s: &str) -> bool {
     matches!(s, "mut" | "dyn" | "in" | "return" | "break")
 }
@@ -1021,19 +928,16 @@ mod tests {
     }
 
     #[test]
-    fn panic_and_alloc_facts_are_per_fn() {
+    fn panic_facts_are_per_fn() {
         let g = graph(&[(
             "a.rs",
             "fn risky(v: &[u8]) -> u8 { v[0] }\n\
-             fn grabby() -> Vec<u8> { vec![0] }\n\
-             fn safe() {}\n",
+             fn safe() -> Vec<u8> { vec![0] }\n",
         )]);
         let risky = g.fns.iter().find(|f| f.name == "risky").unwrap();
         assert_eq!(risky.panic_sites.len(), 1);
-        let grabby = g.fns.iter().find(|f| f.name == "grabby").unwrap();
-        assert_eq!(grabby.alloc_sites.len(), 1);
         let safe = g.fns.iter().find(|f| f.name == "safe").unwrap();
-        assert!(safe.panic_sites.is_empty() && safe.alloc_sites.is_empty());
+        assert!(safe.panic_sites.is_empty());
     }
 
     #[test]

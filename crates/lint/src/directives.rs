@@ -1,10 +1,6 @@
-//! Suppression and opt-in directives, parsed from the comment stream.
+//! Suppression and justification directives, parsed from the comment
+//! stream.
 //!
-//! Two directives exist:
-//!
-//! * A **hot-path header** — an inner doc line (`//!`) whose content is
-//!   exactly `attn-lint: hot-path` — opts the whole module into the
-//!   `hot-path-alloc` lint.
 //! * An **allow** — a *plain* `//` comment of the form
 //!   `attn-lint: allow(<lint-name>) — <justification>`, either trailing
 //!   the offending line or on its own line directly above it. The
@@ -28,8 +24,8 @@
 //!   on it is an `unused-safety` finding, so the documented-unsafety
 //!   inventory stays exact just like the allow inventory.
 //!
-//! Allows are only read from plain `//` comments (never `///`/`//!`), so
-//! documentation can quote the grammar without registering suppressions.
+//! Directives are only read from plain `//` comments (never `///`/`//!`),
+//! so documentation can quote the grammar without registering any.
 
 use crate::lexer::{Tok, TokKind};
 use crate::{Finding, LINT_NAMES, REACH_NAMES};
@@ -69,8 +65,6 @@ pub struct Safety {
 /// All directives of one file.
 #[derive(Debug, Default)]
 pub struct Directives {
-    /// `//! attn-lint: hot-path` seen.
-    pub hot_path: bool,
     /// Parsed allows, in source order.
     pub allows: Vec<Allow>,
     /// Parsed allow-paths (call-graph edge cuts), in source order.
@@ -110,125 +104,93 @@ pub fn parse(rel_path: &str, toks: &[Tok], code_lines: &[u32]) -> Directives {
         if t.kind != TokKind::LineComment {
             continue;
         }
-        let (prefix, body) = split_comment(&t.text);
-        let body = body.trim();
+        // `///` and `//!` never carry directives (lets docs quote them).
+        if t.text.starts_with("///") || t.text.starts_with("//!") {
+            continue;
+        }
+        let body = t.text.strip_prefix("//").unwrap_or(&t.text).trim();
         if let Some(just) = body.strip_prefix(SAFETY_MARKER) {
-            // SAFETY justifications are plain-comment-only, like allows.
-            if matches!(prefix, CommentPrefix::Plain) {
-                if just.trim().is_empty() {
-                    out.errors.push(Finding::new(
-                        rel_path,
-                        t.line,
-                        t.col,
-                        "missing-justification",
-                        "`// SAFETY:` requires a non-empty justification".to_string(),
-                    ));
-                } else {
-                    out.safeties.push(Safety {
-                        line: t.line,
-                        col: t.col,
-                        target_line: attach_line(code_lines, t.line),
-                        used: std::cell::Cell::new(false),
-                    });
-                }
+            if just.trim().is_empty() {
+                out.errors.push(Finding::new(
+                    rel_path,
+                    t.line,
+                    t.col,
+                    "missing-justification",
+                    "`// SAFETY:` requires a non-empty justification".to_string(),
+                ));
+            } else {
+                out.safeties.push(Safety {
+                    line: t.line,
+                    col: t.col,
+                    target_line: attach_line(code_lines, t.line),
+                    used: std::cell::Cell::new(false),
+                });
             }
             continue;
         }
         let Some(rest) = body.strip_prefix(MARKER) else {
             continue;
         };
-        let rest = rest.trim();
-        match prefix {
-            CommentPrefix::InnerDoc => {
-                if rest == "hot-path" {
-                    out.hot_path = true;
-                }
-                // Any other text in a `//!` is documentation, not a
-                // directive.
-            }
-            CommentPrefix::OuterDoc => {
-                // `///` never carries directives (lets docs quote them).
-            }
-            CommentPrefix::Plain => match parse_allow(rest) {
-                Ok((is_path, names, justified)) => {
-                    let form = if is_path { "allow-path" } else { "allow" };
-                    let mut valid = Vec::new();
-                    for name in names {
-                        if is_path && !REACH_NAMES.contains(&name.as_str()) {
-                            out.errors.push(Finding::new(
-                                rel_path,
-                                t.line,
-                                t.col,
-                                "unknown-allow",
-                                format!(
-                                    "allow-path only applies to reachability lints, \
-                                     not `{name}`"
-                                ),
-                            ));
-                        } else if LINT_NAMES.contains(&name.as_str()) {
-                            valid.push(name);
-                        } else {
-                            out.errors.push(Finding::new(
-                                rel_path,
-                                t.line,
-                                t.col,
-                                "unknown-allow",
-                                format!("{form} names unknown lint `{name}`"),
-                            ));
-                        }
-                    }
-                    if !justified {
+        match parse_allow(rest.trim()) {
+            Ok((is_path, names, justified)) => {
+                let form = if is_path { "allow-path" } else { "allow" };
+                let mut valid = Vec::new();
+                for name in names {
+                    if is_path && !REACH_NAMES.contains(&name.as_str()) {
                         out.errors.push(Finding::new(
                             rel_path,
                             t.line,
                             t.col,
-                            "missing-justification",
-                            format!("{form} requires `— <justification>` after the lint name"),
+                            "unknown-allow",
+                            format!(
+                                "allow-path only applies to reachability lints, \
+                                     not `{name}`"
+                            ),
                         ));
-                    } else if !valid.is_empty() {
-                        let target_line = attach_line(code_lines, t.line);
-                        let allow = Allow {
-                            line: t.line,
-                            col: t.col,
-                            names: valid,
-                            justified,
-                            target_line,
-                            used: std::cell::Cell::new(false),
-                        };
-                        if is_path {
-                            out.allow_paths.push(allow);
-                        } else {
-                            out.allows.push(allow);
-                        }
+                    } else if LINT_NAMES.contains(&name.as_str()) {
+                        valid.push(name);
+                    } else {
+                        out.errors.push(Finding::new(
+                            rel_path,
+                            t.line,
+                            t.col,
+                            "unknown-allow",
+                            format!("{form} names unknown lint `{name}`"),
+                        ));
                     }
                 }
-                Err(msg) => {
-                    out.errors
-                        .push(Finding::new(rel_path, t.line, t.col, "unknown-allow", msg))
+                if !justified {
+                    out.errors.push(Finding::new(
+                        rel_path,
+                        t.line,
+                        t.col,
+                        "missing-justification",
+                        format!("{form} requires `— <justification>` after the lint name"),
+                    ));
+                } else if !valid.is_empty() {
+                    let target_line = attach_line(code_lines, t.line);
+                    let allow = Allow {
+                        line: t.line,
+                        col: t.col,
+                        names: valid,
+                        justified,
+                        target_line,
+                        used: std::cell::Cell::new(false),
+                    };
+                    if is_path {
+                        out.allow_paths.push(allow);
+                    } else {
+                        out.allows.push(allow);
+                    }
                 }
-            },
+            }
+            Err(msg) => {
+                out.errors
+                    .push(Finding::new(rel_path, t.line, t.col, "unknown-allow", msg))
+            }
         }
     }
     out
-}
-
-enum CommentPrefix {
-    Plain,
-    OuterDoc,
-    InnerDoc,
-}
-
-fn split_comment(text: &str) -> (CommentPrefix, &str) {
-    if let Some(rest) = text.strip_prefix("//!") {
-        (CommentPrefix::InnerDoc, rest)
-    } else if let Some(rest) = text.strip_prefix("///") {
-        (CommentPrefix::OuterDoc, rest)
-    } else {
-        (
-            CommentPrefix::Plain,
-            text.strip_prefix("//").unwrap_or(text),
-        )
-    }
 }
 
 /// Parse `allow(<names>) — justification` or its `allow-path(…)` edge-cut
@@ -288,7 +250,7 @@ mod tests {
     #[test]
     fn standalone_allow_targets_next_code_line() {
         let d = directives(
-            "// attn-lint: allow(hot-path-alloc) — warmup only\n// another comment\nlet v = 1;\n",
+            "// attn-lint: allow(float-eq) — exact sentinel\n// another comment\nlet v = 1;\n",
         );
         assert_eq!(d.allows.len(), 1);
         assert_eq!(d.allows[0].target_line, 3);
@@ -307,13 +269,6 @@ mod tests {
         let d = directives("// attn-lint: allow(no-such-lint) — why\nlet x = 1;\n");
         assert!(d.allows.is_empty());
         assert_eq!(d.errors[0].lint, "unknown-allow");
-    }
-
-    #[test]
-    fn hot_path_header_only_counts_from_inner_doc() {
-        assert!(directives("//! attn-lint: hot-path\n").hot_path);
-        assert!(!directives("// attn-lint: hot-path\n").hot_path);
-        assert!(!directives("/// attn-lint: hot-path\n").hot_path);
     }
 
     #[test]

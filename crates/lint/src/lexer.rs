@@ -69,6 +69,40 @@ impl Tok {
     }
 }
 
+/// Index of the first non-comment token at or after `i`.
+pub(crate) fn next_code_idx(toks: &[Tok], i: usize) -> Option<usize> {
+    (i..toks.len()).find(|&j| toks[j].kind != TokKind::LineComment)
+}
+
+/// The non-comment token before the one at `i`.
+pub(crate) fn prev_code(toks: &[Tok], i: usize) -> Option<&Tok> {
+    toks[..i]
+        .iter()
+        .rev()
+        .find(|t| t.kind != TokKind::LineComment)
+}
+
+/// The non-comment token after the one at `i`.
+pub(crate) fn next_code(toks: &[Tok], i: usize) -> Option<&Tok> {
+    next_code_idx(toks, i + 1).map(|j| &toks[j])
+}
+
+/// Index of the delimiter matching `open_idx` (which holds `open`).
+pub(crate) fn match_delim(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> Option<usize> {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(open_idx) {
+        if t.is_punct(open) {
+            depth += 1;
+        } else if t.is_punct(close) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
 /// Multi-char operators, longest first so maximal munch works.
 const OPERATORS: [&str; 22] = [
     "<<=", ">>=", "..=", "...", "==", "!=", "<=", ">=", "&&", "||", "::", "->", "=>", "+=", "-=",

@@ -1,40 +1,43 @@
 //! # attn_lint
 //!
-//! A contract-enforcing static-analysis pass for this workspace. The
-//! repo's correctness story rests on four invariants that regression
-//! tests can only sample; this tool makes violating them a CI failure:
+//! A contract-enforcing static-analysis pass for this workspace. One rule
+//! decides what lives here: a contract keeps a lint only when neither a
+//! test nor the compiler can observe it, and a lint ships only with a row
+//! in the real-tree mutation table (`tests/mutations.rs`) showing it fires
+//! on a seeded violation. Six lints survive it, over four contracts:
 //!
 //! 1. **Determinism** — bit-identical results at any worker count
-//!    (fixed-order reduction): [`lints::NONDET_REDUCE`] plus the
-//!    interprocedural [`reach::NONDET_REDUCE_REACH`].
-//! 2. **Alloc-free steady state** — hot paths draw scratch from the
-//!    workspace arena, never the global allocator:
-//!    [`lints::HOT_PATH_ALLOC`] plus [`reach::HOT_PATH_ALLOC_REACH`].
-//! 3. **Total ABFT coverage** — every model-layer GEMM flows through
-//!    `GuardedSection`/`ProtectedLinear`: [`lints::UNGUARDED_GEMM`] plus
-//!    [`reach::UNGUARDED_GEMM_REACH`].
-//! 4. **No-panic serving** — nothing transitively reachable from the
+//!    (fixed-order reduction): [`lints::NONDET_REDUCE`] flags the shapes
+//!    that break it where they are written; `parallel_parity` and the CI
+//!    determinism job measure the property itself.
+//! 2. **Total ABFT coverage** — every model-layer GEMM flows through
+//!    `GuardedSection`/`ProtectedLinear`: [`lints::UNGUARDED_GEMM`], plus
+//!    the guarded-op ratchet on the `--coverage` walk.
+//! 3. **No-panic serving** — nothing transitively reachable from the
 //!    gateway/engine entry points may panic: [`reach::PANIC_REACH`]
 //!    (plus [`lints::FLOAT_EQ`] for the sentinel-comparison hygiene the
 //!    gates depend on).
-//! 5. **Sound protection dataflow** — encoded operands reach a
-//!    verify/exit point before escaping or feeding a nonlinearity
-//!    ([`dataflow::ENCODED_TYPESTATE`]), every `unsafe` site carries a
-//!    checked `// SAFETY:` justification ([`dataflow::UNSAFE_AUDIT`]),
-//!    and `#[target_feature]` kernels are only callable through
-//!    `is_x86_feature_detected!`-gated dispatch
+//! 4. **Sound `unsafe`** — every `unsafe` site carries a checked
+//!    `// SAFETY:` justification ([`lints::UNSAFE_AUDIT`]; every crate but
+//!    `attn_tensor` is `#![forbid(unsafe_code)]`, so the compiler confines
+//!    what this lint audits), and `#[target_feature]` kernels are only
+//!    callable through `is_x86_feature_detected!`-gated dispatch
 //!    ([`reach::TARGET_FEATURE_REACH`]).
 //!
-//! Since PR 8 the tool is *interprocedural*: an item-level parser
-//! ([`parse`]) over the hand-written lexer builds a workspace symbol
-//! table, [`callgraph`] resolves a conservative call graph from it
-//! (receiver-type hints where cheap, bounded fan-out where not), and
-//! [`reach`] runs five reachability analyses whose findings carry the
-//! shortest entry→violation call path. Since PR 10 it is also a
-//! *dataflow* tool: [`dataflow`] abstract-interprets matrix values
-//! through {Raw, Encoded, Verified, Stale} typestates per fn body, and
-//! the whole workspace is lexed/parsed exactly once per run
-//! ([`prepare_tree`]) and shared between `check` and `--coverage`.
+//! Two contracts that used to have lints are held by tests instead,
+//! because a test can observe them and a name matcher could not: the
+//! arena-miss-free steady state and its heap-allocation budget
+//! (`tests/heap_budget.rs`, `workspace::thread_alloc_events`), and one
+//! detection point per guarded section (the
+//! `each_section_alone_corrects_its_own_sites` tests).
+//!
+//! The tool is *interprocedural*: an item-level parser ([`parse`]) over
+//! the hand-written lexer builds a workspace symbol table, [`callgraph`]
+//! resolves a conservative call graph from it (receiver-type hints where
+//! cheap, bounded fan-out where not), and [`reach`] runs the two
+//! reachability lints and the coverage walk over it. The whole workspace
+//! is lexed, parsed and graphed exactly once per run ([`prepare_tree`])
+//! and shared between `check` and `--coverage`.
 //! The tool stays self-contained
 //! (no external deps — this environment is vendored-only) and scans
 //! every `crates/*/src` file plus, with a relaxed lint set, the root
@@ -42,7 +45,7 @@
 //! justification-carrying:
 //!
 //! ```text
-//! // attn-lint: allow(hot-path-alloc) — construction, not steady state
+//! // attn-lint: allow(float-eq) — 0.0 is the exact "never check" sentinel
 //! // attn-lint: allow-path(panic-reach) — model boundary: decode_step is total
 //! ```
 //!
@@ -61,8 +64,9 @@
 //! forward/decode/train paths with its guarded/unguarded status — the
 //! tracked artifact behind ROADMAP item 3.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
-pub mod dataflow;
 pub mod directives;
 pub mod lexer;
 pub mod lints;
@@ -79,30 +83,19 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// The eleven contract lints, in report order: four syntactic, two
-/// dataflow, five interprocedural.
-pub const LINT_NAMES: [&str; 11] = [
+/// The six contract lints, in report order: four per-file, two
+/// interprocedural.
+pub const LINT_NAMES: [&str; 6] = [
     lints::NONDET_REDUCE,
-    lints::HOT_PATH_ALLOC,
     lints::UNGUARDED_GEMM,
     lints::FLOAT_EQ,
-    dataflow::ENCODED_TYPESTATE,
-    dataflow::UNSAFE_AUDIT,
+    lints::UNSAFE_AUDIT,
     reach::PANIC_REACH,
-    reach::HOT_PATH_ALLOC_REACH,
-    reach::UNGUARDED_GEMM_REACH,
-    reach::NONDET_REDUCE_REACH,
     reach::TARGET_FEATURE_REACH,
 ];
 
 /// The reachability subset — the only lints `allow-path` may name.
-pub const REACH_NAMES: [&str; 5] = [
-    reach::PANIC_REACH,
-    reach::HOT_PATH_ALLOC_REACH,
-    reach::UNGUARDED_GEMM_REACH,
-    reach::NONDET_REDUCE_REACH,
-    reach::TARGET_FEATURE_REACH,
-];
+pub const REACH_NAMES: [&str; 2] = [reach::PANIC_REACH, reach::TARGET_FEATURE_REACH];
 
 /// Meta diagnostics about the suppression inventory itself.
 pub const META_NAMES: [&str; 4] = [
@@ -179,18 +172,9 @@ pub struct Report {
     pub suppressions_used: usize,
     /// Every suppression honoured, sorted by (file, line, col, lint).
     pub suppressions: Vec<Suppression>,
-    /// Wall time of the scan, in milliseconds.
+    /// Wall time from the start of the prepare pass to the end of the
+    /// scan, in milliseconds (text summary only — the JSON is byte-stable).
     pub wall_ms: u128,
-    /// Wall time of the shared lex/scope/directive/parse pass, in
-    /// microseconds — the work `--coverage` reuses instead of redoing.
-    pub prepare_us: u128,
-    /// Microseconds saved by reusing the prepared workspace for
-    /// `--coverage` (0 when coverage did not run).
-    pub coverage_reuse_saved_us: u128,
-    /// Per-pass wall time in microseconds, in run order (lints first,
-    /// then the `callgraph` infrastructure entry; the shared prepare
-    /// pass is [`Report::prepare_us`]).
-    pub lint_us: Vec<(&'static str, u128)>,
     /// Call sites seen by the graph.
     pub calls_total: usize,
     /// Sites bound to a workspace fn or proven external.
@@ -270,7 +254,7 @@ pub fn profile_for(rel_path: &str) -> Profile {
     }
 }
 
-/// One file prepared for graph construction.
+/// One file prepared for the per-file lints and graph construction.
 struct Prepared {
     rel: String,
     profile: Profile,
@@ -280,16 +264,18 @@ struct Prepared {
     parsed: Option<parse::ParsedFile>,
 }
 
-/// A lexed/scoped/parsed workspace: the shared artifact behind both
-/// `check` and `--coverage`, built once per run.
+/// A lexed/scoped/parsed workspace and its call graph: the shared
+/// artifact behind both `check` and `--coverage`, built once per run.
 pub struct PreparedTree {
     prepared: Vec<Prepared>,
-    /// Wall time of the lex/scope/directive/parse pass, in microseconds.
-    pub prepare_us: u128,
+    /// One call graph over the `Full`-profile files.
+    graph: callgraph::Graph,
+    started: Instant,
 }
 
 /// Lex, scope-analyze, directive-parse, and item-parse a set of
-/// `(workspace-relative path, source)` pairs once.
+/// `(workspace-relative path, source)` pairs once, then resolve the call
+/// graph over them.
 pub fn prepare_sources(files: &[(String, String)]) -> PreparedTree {
     let started = Instant::now();
     let mut prepared: Vec<Prepared> = Vec::new();
@@ -308,74 +294,7 @@ pub fn prepare_sources(files: &[(String, String)]) -> PreparedTree {
             parsed,
         });
     }
-    PreparedTree {
-        prepared,
-        prepare_us: started.elapsed().as_micros(),
-    }
-}
-
-/// Scan a prepared workspace: syntactic and dataflow lints per file,
-/// then one shared call graph over the `Full`-profile files, then the
-/// reachability lints, then suppression filtering and the meta findings.
-pub fn scan_prepared(tree: &PreparedTree) -> Report {
-    let started = Instant::now();
-    let mut lint_us: Vec<(&'static str, u128)> = LINT_NAMES.iter().map(|&n| (n, 0u128)).collect();
-    lint_us.push(("callgraph", 0));
-    let bump = |v: &mut Vec<(&'static str, u128)>, name: &str, t0: Instant| {
-        let us = t0.elapsed().as_micros();
-        if let Some(e) = v.iter_mut().find(|e| e.0 == name) {
-            e.1 += us;
-        }
-    };
-
-    let prepared = &tree.prepared;
-    let mut raw: Vec<Finding> = Vec::new();
-    let mut unsafe_sites = 0usize;
-    let mut unsafe_documented = 0usize;
-    for p in prepared {
-        let rel = p.rel.as_str();
-        let (toks, ctx) = (&p.toks, &p.ctx);
-        let t0 = Instant::now();
-        lints::nondet_reduce(rel, toks, ctx, &mut raw);
-        bump(&mut lint_us, lints::NONDET_REDUCE, t0);
-        if p.profile == Profile::Full {
-            if p.dir.hot_path {
-                let t0 = Instant::now();
-                lints::hot_path_alloc(rel, toks, ctx, &mut raw);
-                bump(&mut lint_us, lints::HOT_PATH_ALLOC, t0);
-            }
-            if !lints::unguarded_gemm_whitelisted(rel) {
-                if let Some(parsed) = &p.parsed {
-                    let t0 = Instant::now();
-                    lints::unguarded_gemm(rel, toks, ctx, parsed, &mut raw);
-                    bump(&mut lint_us, lints::UNGUARDED_GEMM, t0);
-                }
-            }
-        }
-        let t0 = Instant::now();
-        lints::float_eq(rel, toks, ctx, &mut raw);
-        bump(&mut lint_us, lints::FLOAT_EQ, t0);
-
-        if let Some(parsed) = &p.parsed {
-            if !dataflow::typestate_whitelisted(rel) {
-                let t0 = Instant::now();
-                dataflow::encoded_typestate(rel, toks, parsed, &mut raw);
-                bump(&mut lint_us, dataflow::ENCODED_TYPESTATE, t0);
-            }
-            let t0 = Instant::now();
-            let tally = dataflow::unsafe_audit(rel, toks, ctx, &p.dir, parsed, p.profile, &mut raw);
-            bump(&mut lint_us, dataflow::UNSAFE_AUDIT, t0);
-            unsafe_sites += tally.sites;
-            unsafe_documented += tally.documented;
-        }
-    }
-
-    // One shared call graph over the Full-profile files.
-    let full: Vec<&Prepared> = prepared
-        .iter()
-        .filter(|p| p.profile == Profile::Full)
-        .collect();
-    let inputs: Vec<callgraph::FileInput<'_>> = full
+    let inputs: Vec<callgraph::FileInput<'_>> = prepared
         .iter()
         .filter_map(|p| {
             p.parsed.as_ref().map(|parsed| callgraph::FileInput {
@@ -386,31 +305,44 @@ pub fn scan_prepared(tree: &PreparedTree) -> Report {
             })
         })
         .collect();
-    let t0 = Instant::now();
     let graph = callgraph::build(&inputs);
-    bump(&mut lint_us, "callgraph", t0);
-    let hot: Vec<bool> = full.iter().map(|p| p.dir.hot_path).collect();
+    PreparedTree {
+        prepared,
+        graph,
+        started,
+    }
+}
+
+/// Scan a prepared workspace: the per-file lints, then the reachability
+/// lints over the shared call graph, then suppression filtering and the
+/// meta findings.
+pub fn scan_prepared(tree: &PreparedTree) -> Report {
+    let (prepared, graph) = (&tree.prepared, &tree.graph);
+    let mut raw: Vec<Finding> = Vec::new();
+    let mut unsafe_sites = 0usize;
+    let mut unsafe_documented = 0usize;
+    for p in prepared {
+        let rel = p.rel.as_str();
+        let (toks, ctx) = (&p.toks, &p.ctx);
+        lints::nondet_reduce(rel, toks, ctx, &mut raw);
+        lints::float_eq(rel, toks, ctx, &mut raw);
+        if let Some(parsed) = &p.parsed {
+            if !lints::unguarded_gemm_whitelisted(rel) {
+                lints::unguarded_gemm(rel, toks, ctx, parsed, &mut raw);
+            }
+            let tally = lints::unsafe_audit(rel, toks, ctx, &p.dir, parsed, &mut raw);
+            unsafe_sites += tally.sites;
+            unsafe_documented += tally.documented;
+        }
+    }
+
     let path_allows: Vec<(&str, &[Allow])> = prepared
         .iter()
         .map(|p| (p.rel.as_str(), p.dir.allow_paths.as_slice()))
         .collect();
     let cuts = reach::PathAllows::new(&graph.files, &path_allows);
-
-    let t0 = Instant::now();
-    reach::panic_reach(&graph, &cuts, &mut raw);
-    bump(&mut lint_us, reach::PANIC_REACH, t0);
-    let t0 = Instant::now();
-    reach::hot_path_alloc_reach(&graph, &hot, &cuts, &mut raw);
-    bump(&mut lint_us, reach::HOT_PATH_ALLOC_REACH, t0);
-    let t0 = Instant::now();
-    reach::unguarded_gemm_reach(&graph, &cuts, &mut raw);
-    bump(&mut lint_us, reach::UNGUARDED_GEMM_REACH, t0);
-    let t0 = Instant::now();
-    reach::nondet_reduce_reach(&graph, &cuts, &mut raw);
-    bump(&mut lint_us, reach::NONDET_REDUCE_REACH, t0);
-    let t0 = Instant::now();
-    reach::target_feature_reach(&graph, &cuts, &mut raw);
-    bump(&mut lint_us, reach::TARGET_FEATURE_REACH, t0);
+    reach::panic_reach(graph, &cuts, &mut raw);
+    reach::target_feature_reach(graph, &cuts, &mut raw);
 
     // Suppression filtering against each finding's own file.
     let dirs: BTreeMap<&str, &directives::Directives> =
@@ -509,16 +441,13 @@ pub fn scan_prepared(tree: &PreparedTree) -> Report {
         findings,
         suppressions_used: suppressed,
         suppressions,
-        wall_ms: started.elapsed().as_millis(),
-        prepare_us: tree.prepare_us,
-        coverage_reuse_saved_us: 0,
-        lint_us,
+        wall_ms: tree.started.elapsed().as_millis(),
         calls_total: graph.calls_total,
         calls_resolved: graph.calls_resolved,
         calls_unresolved: graph.calls_unresolved,
         unsafe_sites,
         unsafe_documented,
-        entry_points: reach::entry_points(&graph),
+        entry_points: reach::entry_points(graph),
     }
 }
 
@@ -536,9 +465,10 @@ pub fn scan_source(rel_path: &str, src: &str) -> (Vec<Finding>, usize) {
     (report.findings, report.suppressions_used)
 }
 
-/// Collect the scan set: every `crates/*/src/**/*.rs` (Full profile)
-/// plus root `tests/*.rs` and `examples/*.rs` (Relaxed profile).
-fn collect_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+/// Read the scan set as `(workspace-relative path, source)` pairs: every
+/// `crates/*/src/**/*.rs` (Full profile) plus root `tests/*.rs` and
+/// `examples/*.rs` (Relaxed profile).
+pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
@@ -581,7 +511,7 @@ fn collect_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 /// Prepare the workspace tree under `root` once, for [`scan_prepared`]
 /// and [`run_coverage_prepared`] to share.
 pub fn prepare_tree(root: &Path) -> std::io::Result<PreparedTree> {
-    Ok(prepare_sources(&collect_tree(root)?))
+    Ok(prepare_sources(&read_tree(root)?))
 }
 
 /// Scan the workspace tree under `root`.
@@ -589,25 +519,10 @@ pub fn run_check(root: &Path) -> std::io::Result<Report> {
     Ok(scan_prepared(&prepare_tree(root)?))
 }
 
-/// Build the call graph from an already-prepared workspace and walk the
-/// forward/decode/train entry points, cataloguing every op with its
-/// protection status.
+/// Walk the forward/decode/train entry points over an already-prepared
+/// workspace's call graph, cataloguing every op with its protection status.
 pub fn run_coverage_prepared(tree: &PreparedTree) -> reach::Coverage {
-    let inputs: Vec<callgraph::FileInput<'_>> = tree
-        .prepared
-        .iter()
-        .filter(|p| p.profile == Profile::Full)
-        .filter_map(|p| {
-            p.parsed.as_ref().map(|parsed| callgraph::FileInput {
-                rel: &p.rel,
-                toks: &p.toks,
-                ctx: &p.ctx,
-                parsed,
-            })
-        })
-        .collect();
-    let graph = callgraph::build(&inputs);
-    reach::coverage(&graph)
+    reach::coverage(&tree.graph)
 }
 
 /// Prepare-and-walk convenience over [`run_coverage_prepared`].

@@ -19,17 +19,17 @@ const USAGE: &str = "usage: attn_lint check [--json [PATH]] [--coverage [PATH]] 
 
 /// CI floors, enforced whenever `--coverage` runs. `MIN_RESOLUTION_RATE`
 /// keeps the call graph honest (a conservative resolver that gives up
-/// everywhere would make every reachability lint vacuous). The hard floor
-/// on GEMMs is "none unguarded outside the committed by-design exemption"
-/// (`lints::UNGUARDED_GEMM_BY_DESIGN`: the `Linear` head and the backward
-/// GEMMs). `MIN_GUARDED_OP_COVERAGE` is a ratchet pinned to the rate
-/// measured at PR time — it may only ever go up. Re-based in PR 13, when
-/// the matcher learned the allocating `matmul*` trio and the 15 by-design
-/// GEMMs became visible: 59 of 74 ops run under a guard (GEMMs behind the
+/// everywhere would make every reachability lint vacuous).
+/// `MIN_GUARDED_OP_COVERAGE` is a ratchet pinned to the rate measured at
+/// PR time — it may only ever go up. Re-based in PR 13, when the matcher
+/// learned the allocating `matmul*` trio and the 15 by-design GEMMs became
+/// visible: 59 of 74 ops run under a guard (GEMMs behind the
 /// `GuardedSection` barrier; softmax/LayerNorm/GELU/residual/embedding/
 /// loss/sampling/optimizer behind `attn_tensor::guard` wrappers), and all
-/// 15 others are on that list — a new unguarded op is a CI failure, not
-/// drift.
+/// 15 others are on the committed by-design exemption
+/// (`lints::UNGUARDED_GEMM_BY_DESIGN`: the `Linear` head and the backward
+/// GEMMs) — a new unguarded op drops the rate below the ratchet, and a raw
+/// GEMM outside that list is an `unguarded-gemm` finding besides.
 const MIN_RESOLUTION_RATE: f64 = 0.90;
 const MIN_GUARDED_OP_COVERAGE: f64 = 0.797;
 /// Every non-test `unsafe` site must carry a checked `// SAFETY:`
@@ -97,8 +97,8 @@ fn main() -> ExitCode {
             .unwrap_or_else(|_| PathBuf::from("."))
     });
 
-    // Parse the workspace exactly once; `check` and `--coverage` both
-    // consume the same prepared artifact.
+    // Parse and graph the workspace exactly once; `check` and `--coverage`
+    // both consume the same prepared artifact.
     let tree = match attn_lint::prepare_tree(&root) {
         Ok(t) => t,
         Err(e) => {
@@ -106,7 +106,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut report = attn_lint::scan_prepared(&tree);
+    let report = attn_lint::scan_prepared(&tree);
     print!("{}", attn_lint::report::render_text(&report));
 
     let mut floors_ok = true;
@@ -122,13 +122,6 @@ fn main() -> ExitCode {
     }
     if let Some(path) = coverage_path {
         let cov = attn_lint::run_coverage_prepared(&tree);
-        // The coverage walk reused the prepared tree instead of re-lexing
-        // and re-parsing the workspace; credit the saving in the report.
-        report.coverage_reuse_saved_us = tree.prepare_us;
-        println!(
-            "attn_lint: coverage reused the prepared tree (saved ~{} us of re-parse)",
-            tree.prepare_us
-        );
         print!("{}", attn_lint::report::render_coverage_text(&cov));
         let json = attn_lint::report::render_coverage_json(&cov);
         if let Err(e) = std::fs::write(&path, json) {
@@ -144,14 +137,6 @@ fn main() -> ExitCode {
             );
             floors_ok = false;
         }
-        if cov.unguarded_gemms_outside_exemption() > 0 {
-            eprintln!(
-                "attn_lint: FLOOR: {} forward/decode/train-path GEMM(s) outside both the \
-                 guarded barrier and the by-design exemption",
-                cov.unguarded_gemms_outside_exemption()
-            );
-            floors_ok = false;
-        }
         if cov.coverage_rate() < MIN_GUARDED_OP_COVERAGE {
             eprintln!(
                 "attn_lint: FLOOR: guarded-op coverage {:.4} < {MIN_GUARDED_OP_COVERAGE} \
@@ -162,8 +147,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // Written after the coverage block so `coverage_reuse_saved_us` lands
-    // in the artifact when `--coverage` ran.
     if let Some(path) = json_path {
         let json = attn_lint::report::render_json(&report);
         if let Err(e) = std::fs::write(&path, json) {

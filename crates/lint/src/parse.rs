@@ -15,7 +15,7 @@
 //! parent body). Closures are part of the enclosing fn — exactly what
 //! reachability wants, since a closure runs on its definer's path.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{match_delim, next_code_idx, Tok, TokKind};
 use crate::scope::Context;
 use std::collections::BTreeMap;
 
@@ -145,32 +145,11 @@ pub fn parse_file(toks: &[Tok], ctx: &Context) -> ParsedFile {
     for f in &mut parsed.fns {
         if let Some((open, _)) = f.body {
             // `open` currently holds the index of the `{`; match it.
-            let mut depth = 0usize;
-            let mut end = toks.len();
-            for (j, t) in toks.iter().enumerate().skip(open) {
-                if t.is_punct("{") {
-                    depth += 1;
-                } else if t.is_punct("}") {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = j;
-                        break;
-                    }
-                }
-            }
+            let end = match_delim(toks, open, "{", "}").unwrap_or(toks.len());
             f.body = Some((open + 1, end));
         }
     }
     parsed
-}
-
-/// Next non-comment token index at or after `i`.
-fn next_code_idx(toks: &[Tok], i: usize) -> Option<usize> {
-    toks.iter()
-        .enumerate()
-        .skip(i)
-        .find(|(_, t)| t.kind != TokKind::LineComment)
-        .map(|(j, _)| j)
 }
 
 /// The identifier right after token `i`, if any.
@@ -512,7 +491,7 @@ fn record_param(toks: &[Tok], start: usize, end: usize, params: &mut Vec<(String
 
 /// Keywords that can never be item/type names in the positions parsed
 /// here.
-fn is_decl_keyword(s: &str) -> bool {
+pub(crate) fn is_decl_keyword(s: &str) -> bool {
     matches!(
         s,
         "fn" | "impl"

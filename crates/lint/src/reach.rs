@@ -1,30 +1,23 @@
 //! Reachability analyses over the workspace call graph, plus the
 //! protection-coverage traversal behind `--coverage`.
 //!
-//! Five lints run here:
+//! Two lints run here:
 //!
 //! * **panic-reach** — panic-capable constructs (unwrap/expect/
 //!   panic-family macros/expression-position indexing) transitively
 //!   reachable from the serving entry points (`Gateway::admit/tick/
-//!   run_trace`, `DecodeEngine::step_batch/step_batch_mixed`),
-//! * **hot-path-alloc-reach** — allocation sites in cold modules reached
-//!   from `//! attn-lint: hot-path` module fns (direct allocs in hot
-//!   modules stay with the syntactic lint),
-//! * **unguarded-gemm-reach** — raw kernel entries reached from model
-//!   forward/decode/train paths other than through the guarded barrier
-//!   modules (`core/{section,checksum,decode,checked}.rs`),
-//! * **nondet-reduce-reach** — calls from inside a rayon parallel chain
-//!   to functions whose own body performs an ordered float reduction,
+//!   run_trace`, `DecodeEngine::step_batch/step_batch_mixed`); findings
+//!   carry the shortest entry→violation call path,
 //! * **target-feature-reach** — calls to `#[target_feature]` fns from
 //!   sites not inside an `is_x86_feature_detected!`-gated branch (callers
 //!   that are themselves `#[target_feature]` are already in the gated
 //!   world and exempt).
 //!
-//! Findings carry the shortest entry→violation call path. Suppression:
-//! a regular `allow(<reach-lint>)` on the violating line kills the sink;
-//! `// attn-lint: allow-path(<reach-lint>) — justification` on a call
-//! line cuts that call's outgoing edges for that analysis, so a reviewed
-//! boundary (e.g. engine → model) can be vouched for once.
+//! Suppression: a regular `allow(<reach-lint>)` on the violating line
+//! kills the sink; `// attn-lint: allow-path(<reach-lint>) —
+//! justification` on a call line cuts that call's outgoing edges for that
+//! analysis, so a reviewed boundary (e.g. engine → model) can be vouched
+//! for once.
 
 use crate::callgraph::Graph;
 use crate::directives::Allow;
@@ -39,12 +32,6 @@ type PredMap = BTreeMap<usize, (usize, u32)>;
 
 /// Panic reachability from serving entries.
 pub const PANIC_REACH: &str = "panic-reach";
-/// Alloc-capable callees reached from hot-path modules.
-pub const HOT_PATH_ALLOC_REACH: &str = "hot-path-alloc-reach";
-/// Raw GEMM entries reached outside the guarded barrier.
-pub const UNGUARDED_GEMM_REACH: &str = "unguarded-gemm-reach";
-/// Ordered float reductions called from parallel chains.
-pub const NONDET_REDUCE_REACH: &str = "nondet-reduce-reach";
 /// `#[target_feature]` fns called outside a feature-detected gate.
 pub const TARGET_FEATURE_REACH: &str = "target-feature-reach";
 
@@ -57,8 +44,8 @@ pub const SERVE_ENTRIES: [(&str, &str); 5] = [
     ("DecodeEngine", "step_batch_mixed"),
 ];
 
-/// Model forward/decode/train entry points for GEMM-guard reachability
-/// and coverage: `(owner, method, path-kind)`.
+/// Model forward/decode/train entry points for the coverage walk:
+/// `(owner, method, path-kind)`.
 pub const OP_PATH_ENTRIES: [(&str, &str, &str); 8] = [
     ("TransformerModel", "forward", "forward"),
     ("TransformerModel", "prefill", "decode"),
@@ -124,15 +111,8 @@ impl<'a> PathAllows<'a> {
 
 /// BFS over call edges from `entries`; returns per-fn predecessor
 /// `(caller fn, call-site line)` for path rendering (entries map to
-/// themselves). `descend(fn)` gates whether edges *out of* a fn are
-/// followed.
-fn bfs(
-    g: &Graph,
-    entries: &[usize],
-    lint: &str,
-    cuts: &PathAllows<'_>,
-    descend: impl Fn(usize) -> bool,
-) -> PredMap {
+/// themselves).
+fn bfs(g: &Graph, entries: &[usize], lint: &str, cuts: &PathAllows<'_>) -> PredMap {
     let mut pred: PredMap = BTreeMap::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     for &e in entries {
@@ -141,9 +121,6 @@ fn bfs(
         }
     }
     while let Some(u) = queue.pop_front() {
-        if !descend(u) {
-            continue;
-        }
         for &si in &g.fns[u].calls {
             let site = &g.sites[si];
             if site.targets.is_empty() {
@@ -207,7 +184,7 @@ pub fn entry_points(g: &Graph) -> Vec<String> {
 /// serving entries.
 pub fn panic_reach(g: &Graph, cuts: &PathAllows<'_>, out: &mut Vec<Finding>) {
     let entries = resolve_entries(g, &SERVE_ENTRIES);
-    let pred = bfs(g, &entries, PANIC_REACH, cuts, |_| true);
+    let pred = bfs(g, &entries, PANIC_REACH, cuts);
     for &fid in pred.keys() {
         let f = &g.fns[fid];
         let path = render_path(g, &pred, fid);
@@ -223,130 +200,6 @@ pub fn panic_reach(g: &Graph, cuts: &PathAllows<'_>, out: &mut Vec<Finding>) {
                     g.files[f.file]
                 ),
             ));
-        }
-    }
-}
-
-/// hot-path-alloc-reach: allocation sites in cold modules reached from
-/// hot-module fns. `hot` flags each graph file.
-pub fn hot_path_alloc_reach(
-    g: &Graph,
-    hot: &[bool],
-    cuts: &PathAllows<'_>,
-    out: &mut Vec<Finding>,
-) {
-    let entries: Vec<usize> = g
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| hot.get(f.file).copied().unwrap_or(false))
-        .map(|(i, _)| i)
-        .collect();
-    let pred = bfs(g, &entries, HOT_PATH_ALLOC_REACH, cuts, |_| true);
-    let mut seen: std::collections::BTreeSet<(usize, u32, u32)> = Default::default();
-    for &fid in pred.keys() {
-        let f = &g.fns[fid];
-        if hot.get(f.file).copied().unwrap_or(false) {
-            continue; // direct allocs in hot modules: syntactic lint's job
-        }
-        let path = render_path(g, &pred, fid);
-        for &(line, col, desc) in &f.alloc_sites {
-            if !seen.insert((f.file, line, col)) {
-                continue;
-            }
-            out.push(Finding::new(
-                &g.files[f.file],
-                line,
-                col,
-                HOT_PATH_ALLOC_REACH,
-                format!(
-                    "{desc} reachable from a hot-path module: {path} → {desc} at {}:{line}; \
-                     route scratch through the workspace arena or vouch for the boundary \
-                     with an allow-path",
-                    g.files[f.file]
-                ),
-            ));
-        }
-    }
-}
-
-/// unguarded-gemm-reach: raw GEMM entries called on paths from model
-/// forward/decode/train entries that bypass the barrier modules.
-pub fn unguarded_gemm_reach(g: &Graph, cuts: &PathAllows<'_>, out: &mut Vec<Finding>) {
-    let specs: Vec<(&str, &str)> = OP_PATH_ENTRIES.iter().map(|&(o, n, _)| (o, n)).collect();
-    let entries = resolve_entries(g, &specs);
-    let barrier = |f: usize| {
-        let file = g.files[g.fns[f].file].as_str();
-        !BARRIER_FILES.contains(&file)
-    };
-    let pred = bfs(g, &entries, UNGUARDED_GEMM_REACH, cuts, barrier);
-    for &fid in pred.keys() {
-        let f = &g.fns[fid];
-        let file = g.files[f.file].as_str();
-        // Kernel internals and benches call raw entries legitimately.
-        if file.starts_with("crates/tensor/") || file.starts_with("crates/bench/") {
-            continue;
-        }
-        if BARRIER_FILES.contains(&file) {
-            continue; // reached as an entry? barrier code is the guard
-        }
-        if unguarded_by_design(f.owner.as_deref(), &f.name) {
-            continue; // the committed by-design exemption
-        }
-        for &si in &f.calls {
-            let site = &g.sites[si];
-            if site.is_method || !is_raw_gemm_entry(&site.name) {
-                continue;
-            }
-            let path = render_path(g, &pred, fid);
-            out.push(Finding::new(
-                &g.files[site.file],
-                site.line,
-                site.col,
-                UNGUARDED_GEMM_REACH,
-                format!(
-                    "raw GEMM entry `{}` reached from a model path outside the guarded \
-                     barrier: {path} → {} at {}:{}; route through \
-                     GuardedSection/ProtectedLinear",
-                    site.name, site.name, g.files[site.file], site.line
-                ),
-            ));
-        }
-    }
-}
-
-/// nondet-reduce-reach: direct calls from inside a rayon parallel chain
-/// to fns whose own body performs an ordered float reduction.
-pub fn nondet_reduce_reach(g: &Graph, cuts: &PathAllows<'_>, out: &mut Vec<Finding>) {
-    for f in &g.fns {
-        for &si in &f.calls {
-            let site = &g.sites[si];
-            if !site.in_par_chain || site.targets.is_empty() {
-                continue;
-            }
-            if cuts.cuts(site.file, site.line, NONDET_REDUCE_REACH) {
-                continue;
-            }
-            for &t in &site.targets {
-                let tf = &g.fns[t];
-                if let Some((rline, _)) = tf.ordered_reduction {
-                    out.push(Finding::new(
-                        &g.files[site.file],
-                        site.line,
-                        site.col,
-                        NONDET_REDUCE_REACH,
-                        format!(
-                            "`{}` is called inside a rayon parallel chain but reduces floats \
-                             in sequential order at {}:{rline}; hoist it out of the parallel \
-                             region or vouch for the disjoint/fixed-order merge with an \
-                             allow-path",
-                            tf.qualified(),
-                            g.files[tf.file]
-                        ),
-                    ));
-                    break; // one finding per site, not per candidate
-                }
-            }
         }
     }
 }
@@ -450,8 +303,8 @@ impl Coverage {
             .count()
     }
 
-    /// Unguarded GEMMs outside the by-design exemption — the hard zero
-    /// floor.
+    /// Unguarded GEMMs outside the by-design exemption (the report's `✗`
+    /// rows; `unguarded-gemm` is the lint that fails on them).
     pub fn unguarded_gemms_outside_exemption(&self) -> usize {
         self.ops
             .iter()
@@ -515,7 +368,7 @@ pub fn coverage(g: &Graph) -> Coverage {
         for &e in &entries {
             cov.entries.push((kind.to_string(), g.fns[e].qualified()));
         }
-        preds.push((kind, bfs(g, &entries, "coverage", &no_cuts, |_| true)));
+        preds.push((kind, bfs(g, &entries, "coverage", &no_cuts)));
     }
 
     let mut seen: BTreeMap<(usize, u32, u32), usize> = BTreeMap::new();

@@ -16,6 +16,11 @@
 //!   (`unsafe`: sites/documented/safety_coverage), per-lint suppression
 //!   counts (`suppression_counts`), and the full `suppressions` array
 //!   (sorted, so the committed artifact is byte-stable).
+//! * `attn-lint-report/v4` — six lints; drops every timing field
+//!   (`wall_ms`, `prepare_us`, `coverage_reuse_saved_us`, `lint_us`), so
+//!   two runs over one tree write byte-identical files and CI can
+//!   `git diff --exit-code` the committed artifact. Wall time stays in
+//!   the text summary.
 //! * `attn-lint-coverage/v2` — the `--coverage` artifact: every op on
 //!   the forward/decode/train paths with guarded/unguarded status; v2
 //!   also sees the allocating `matmul*` trio, so it lists the by-design
@@ -56,19 +61,12 @@ pub fn render_text(report: &Report) -> String {
     out
 }
 
-/// Machine-readable rendering (schema `attn-lint-report/v3`).
+/// Machine-readable rendering (schema `attn-lint-report/v4`).
 pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"attn-lint-report/v3\",\n");
+    out.push_str("  \"schema\": \"attn-lint-report/v4\",\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
-    let _ = writeln!(out, "  \"wall_ms\": {},", report.wall_ms);
-    let _ = writeln!(out, "  \"prepare_us\": {},", report.prepare_us);
-    let _ = writeln!(
-        out,
-        "  \"coverage_reuse_saved_us\": {},",
-        report.coverage_reuse_saved_us
-    );
     let _ = writeln!(out, "  \"total_findings\": {},", report.findings.len());
     let _ = writeln!(
         out,
@@ -101,16 +99,6 @@ pub fn render_json(report: &Report) -> String {
         let _ = write!(out, "{}{sep}", json_str(e));
     }
     out.push_str("],\n");
-    out.push_str("  \"lint_us\": {");
-    for (i, (name, us)) in report.lint_us.iter().enumerate() {
-        let sep = if i + 1 == report.lint_us.len() {
-            ""
-        } else {
-            ", "
-        };
-        let _ = write!(out, "\"{name}\": {us}{sep}");
-    }
-    out.push_str("},\n");
     out.push_str("  \"counts\": {");
     let counts = report.counts();
     for (i, (name, n)) in counts.iter().enumerate() {
@@ -311,23 +299,23 @@ mod tests {
                 lint: "panic-reach".into(),
             }],
             wall_ms: 5,
-            prepare_us: 1234,
-            lint_us: vec![("float-eq", 12)],
             calls_total: 10,
             calls_resolved: 9,
             calls_unresolved: 1,
             unsafe_sites: 4,
             unsafe_documented: 4,
             entry_points: vec!["Gateway::tick".into()],
-            ..Default::default()
         };
         let json = render_json(&report);
-        assert!(json.contains("\"schema\": \"attn-lint-report/v3\""));
+        assert!(json.contains("\"schema\": \"attn-lint-report/v4\""));
         assert!(json.contains("\"total_findings\": 1"));
         assert!(json.contains("\\\"quotes\\\"\\nand newline"));
         assert!(json.contains("\"float-eq\": 1"));
         assert!(json.contains("\"resolution_rate\": 0.9000"));
-        assert!(json.contains("\"prepare_us\": 1234"));
+        assert!(
+            !json.contains("wall_ms"),
+            "timings stay out of the artifact"
+        );
         assert!(json.contains("\"safety_coverage\": 1.0000"));
         assert!(json.contains("\"panic-reach\": 1")); // suppression_counts
         assert!(json.contains("\"Gateway::tick\""));

@@ -3,7 +3,7 @@
 //! Turns the flat lexer output into per-token verdicts the lints need:
 //!
 //! * **test regions** — `#[cfg(test)]` modules and `#[test]` functions
-//!   (every lint skips them; tests may allocate, panic and compare),
+//!   (every lint skips them; tests may panic and compare),
 //! * **parallel-chain extents** — the span of a statement from a rayon
 //!   parallel source (`.par_iter()`, `.into_par_iter()`,
 //!   `.par_chunks_mut(…)`, …) to its end, including closure bodies passed

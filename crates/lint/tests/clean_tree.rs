@@ -2,9 +2,9 @@
 //!
 //! This is what turns the lint from a tool into an invariant — `cargo
 //! test` (tier 1) fails the moment anyone reintroduces a nondeterministic
-//! reduction, a hot-path allocation, an unguarded GEMM, a panic construct
-//! reachable from a serving entry, or a raw float compare without a
-//! justified allow (or allow-path).
+//! reduction, an unguarded GEMM, a panic construct reachable from a serving
+//! entry, a raw float compare, an undocumented `unsafe` site or an ungated
+//! `#[target_feature]` call without a justified allow (or allow-path).
 
 #[test]
 fn the_workspace_tree_is_clean() {
@@ -36,17 +36,7 @@ fn the_workspace_tree_is_clean() {
         !report.entry_points.is_empty(),
         "no serving entries found — panic-reach has nothing to anchor on"
     );
-    // PR-10 floors, explicit even though `is_clean()` implies the zero
-    // counts: the three dataflow/dispatch lints must hold tree-wide, and
-    // every non-test unsafe site must carry a checked justification.
-    for lint in ["encoded-typestate", "unsafe-audit", "target-feature-reach"] {
-        let n = report
-            .counts()
-            .iter()
-            .find(|(name, _)| *name == lint)
-            .map_or(0, |(_, n)| *n);
-        assert_eq!(n, 0, "FLOOR: {lint} findings in the tree");
-    }
+    // Every non-test unsafe site must carry a checked justification.
     assert!(
         report.unsafe_sites > 0,
         "the GEMM kernel carries unsafe sites; zero means the audit went blind"

@@ -40,31 +40,6 @@ fn nondet_reduce_catches_all_three_detections() {
 }
 
 #[test]
-fn hot_path_alloc_catches_every_alloc_form_outside_tests() {
-    let src = include_str!("fixtures/hot_path_alloc_bad.rs");
-    let names = lints("crates/tensor/src/fixture.rs", src);
-    assert_eq!(
-        count(&names, "hot-path-alloc"),
-        4,
-        "vec! + with_capacity + Box::new + to_vec: {names:?}"
-    );
-    assert_eq!(
-        names.len(),
-        4,
-        "the test-region vec! must not flag: {names:?}"
-    );
-}
-
-#[test]
-fn hot_path_alloc_is_opt_in_via_module_header() {
-    // The same file WITHOUT its `//! attn-lint: hot-path` header is clean.
-    let src = include_str!("fixtures/hot_path_alloc_bad.rs")
-        .replace("//! attn-lint: hot-path", "//! (cold module)");
-    let names = lints("crates/tensor/src/fixture.rs", &src);
-    assert!(names.is_empty(), "no header, no alloc lint: {names:?}");
-}
-
-#[test]
 fn unguarded_gemm_catches_free_calls_not_methods_or_tests() {
     let src = include_str!("fixtures/unguarded_gemm_bad.rs");
     let names = lints("crates/model/src/fixture.rs", src);
@@ -173,48 +148,6 @@ fn unknown_and_unjustified_allows_do_not_suppress() {
         "the bad allows are findings AND the target still flags"
     );
     assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn encoded_typestate_catches_escape_mutation_and_nonlinearity() {
-    let src = include_str!("fixtures/typestate_bad.rs");
-    let names = lints("crates/model/src/fixture.rs", src);
-    assert_eq!(
-        count(&names, "encoded-typestate"),
-        3,
-        "escape + raw mutation + nonlinearity: {names:?}"
-    );
-    assert_eq!(
-        names.len(),
-        3,
-        "the verified escape and pre-encode mutation must stay clean: {names:?}"
-    );
-}
-
-#[test]
-fn encoded_typestate_respects_the_kernel_crate_whitelist() {
-    let src = include_str!("fixtures/typestate_bad.rs");
-    let names = lints("crates/tensor/src/fixture.rs", src);
-    assert_eq!(count(&names, "encoded-typestate"), 0, "{names:?}");
-}
-
-#[test]
-fn encoded_typestate_allows_suppress_with_justification() {
-    let src = include_str!("fixtures/typestate_bad.rs").replace(
-        "    let leaked = sec.gemm(q, kt);",
-        "    // attn-lint: allow(encoded-typestate) — drained by the caller\n    \
-         let leaked = sec.gemm(q, kt);",
-    );
-    let (findings, suppressed) = scan_source("crates/model/src/fixture.rs", &src);
-    assert_eq!(
-        findings
-            .iter()
-            .filter(|f| f.lint == "encoded-typestate")
-            .count(),
-        2,
-        "only the vouched escape is silenced: {findings:?}"
-    );
-    assert_eq!(suppressed, 1);
 }
 
 #[test]

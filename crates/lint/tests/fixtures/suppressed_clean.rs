@@ -1,13 +1,11 @@
 //! Justified allows fully suppress their findings: one trailing form,
 //! one standalone-above form. Scans clean with two suppressions honoured.
-//!
-//! attn-lint: hot-path
 
 pub fn gate_is_off(f: f32) -> bool {
     f == 0.0 // attn-lint: allow(float-eq) — 0.0 is the exact "never check" sentinel
 }
 
-pub fn warmup(n: usize) -> Vec<f32> {
-    // attn-lint: allow(hot-path-alloc) — one-time construction, not steady state
-    vec![0.0f32; n]
+pub fn gate_is_on(f: f32) -> bool {
+    // attn-lint: allow(float-eq) — the same sentinel, negated
+    f != 0.0
 }

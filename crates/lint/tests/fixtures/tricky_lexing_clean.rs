@@ -1,8 +1,6 @@
-//! Lexer torture: allocation keywords, directives, and float compares
+//! Lexer torture: panic constructs, directives, and float compares
 //! appear only inside strings, raw strings, chars, and nested comments —
-//! nothing here may produce a finding even with the alloc lint armed.
-//!
-//! attn-lint: hot-path
+//! nothing here may produce a finding.
 
 /* Outer comment /* nested vec![boom] */ still commented: data.unwrap() */
 

@@ -21,8 +21,7 @@ impl Linear {
 }
 
 pub fn guarded_is_fine(section: &mut GuardedSection, x: &Matrix, w: &Matrix) -> CheckedMatrix {
-    // Method call on a GuardedSection IS the guarded API; the encoded
-    // value is verified on its way out, so typestate stays clean too.
+    // Method call on a GuardedSection IS the guarded API.
     let y = section.gemm(x, w);
     section.exit_cols(&y)
 }

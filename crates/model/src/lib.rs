@@ -21,6 +21,8 @@
 //!   architectures, bit-identical to the full protected forward.
 //! * [`flops`] — paper-scale flop accounting behind Table 3.
 
+#![forbid(unsafe_code)]
+
 pub mod attn_layer;
 pub mod block;
 pub mod data;

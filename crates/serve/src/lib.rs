@@ -47,6 +47,8 @@
 //! assert!(out.completions[0].report.is_quiet());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gateway;
 pub mod request;
 

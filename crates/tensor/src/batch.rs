@@ -27,7 +27,7 @@ impl Batch3 {
             n,
             rows,
             cols,
-            data: vec![0.0; n * rows * cols], // attn-lint: allow(hot-path-alloc-reach) — constructor: the batch buffer allocation is its contract
+            data: vec![0.0; n * rows * cols],
         }
     }
 
@@ -104,7 +104,6 @@ impl Batch3 {
     /// Copy slot `i` into an owned [`Matrix`].
     pub fn slot_matrix(&self, i: usize) -> Matrix {
         let s = self.slot_len();
-        // attn-lint: allow(hot-path-alloc-reach) — inspector for tests and the naive reference; hot kernels read slots in place
         Matrix::from_vec(self.rows, self.cols, self.data[i * s..(i + 1) * s].to_vec())
     }
 

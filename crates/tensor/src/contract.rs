@@ -34,8 +34,6 @@
 //! Each is pinned to the function here by a bit-equality test
 //! (`tests/gemm_tiled_props.rs`, this module's tests). A dispatch tier with
 //! a different order changes this module and those two, nothing else.
-//!
-//! attn-lint: hot-path
 
 use crate::gemm::{KC, MC, NC};
 use crate::pack::{Src, SrcRead};

@@ -66,8 +66,6 @@
 //! Packing panels and checksum staging come from the thread-local
 //! [`crate::workspace`] arena, so a steady-state caller performs no heap
 //! allocation inside these kernels.
-//!
-//! attn-lint: hot-path
 
 use crate::contract::{self, accum_col_cs, accum_row_cs, ColCsAccum, RowCsAccum};
 use crate::kv::PagedKv;

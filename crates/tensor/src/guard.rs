@@ -24,8 +24,6 @@
 //! output against its preserved inputs — what the fault campaigns drive
 //! directly) plus a `*_checked` wrapper (compute + verify — what the
 //! model paths call).
-//!
-//! attn-lint: hot-path
 
 use crate::matrix::Matrix;
 use crate::ops::{
@@ -180,7 +178,6 @@ fn bits_differ(a: &[f32], b: &[f32]) -> bool {
 /// One-row matrix copy of row `r` of `x` — recompute scratch, built only
 /// on a screen violation.
 fn row_matrix(x: &Matrix, r: usize) -> Matrix {
-    // attn-lint: allow(hot-path-alloc) — recompute scratch, built only on a screen violation
     Matrix::from_vec(1, x.cols(), x.row(r).to_vec())
 }
 
@@ -231,7 +228,6 @@ pub fn verify_softmax_rows(x: &Matrix, y: &mut Matrix, g: &OpGuard) {
 
 /// Guarded row softmax: compute, then screen/heal against the input.
 pub fn softmax_rows_checked(x: &Matrix, g: &OpGuard) -> Matrix {
-    // attn-lint: allow(hot-path-alloc) — owned-result convenience form, same contract as softmax_rows
     let mut y = x.clone();
     softmax_rows_inplace(&mut y);
     verify_softmax_rows(x, &mut y, g);
@@ -246,7 +242,6 @@ pub fn softmax_rows_checked_inplace(x: &mut Matrix, g: &OpGuard) {
         softmax_rows_inplace(x);
         return;
     }
-    // attn-lint: allow(hot-path-alloc) — guard snapshot: the pre-softmax scores are the recompute input
     let snapshot = x.clone();
     softmax_rows_inplace(x);
     verify_softmax_rows(&snapshot, x, g);
@@ -512,7 +507,6 @@ pub fn gelu_matrix_checked_inplace(m: &mut Matrix, g: &OpGuard) {
         }
         return;
     }
-    // attn-lint: allow(hot-path-alloc) — guard snapshot: the pre-activation is the recompute input
     let snapshot = m.clone();
     for v in m.data_mut() {
         *v = gelu(*v);

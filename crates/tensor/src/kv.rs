@@ -18,8 +18,6 @@
 //! element-order-faithfully — products over a paged cache are
 //! bit-identical to the same product over a contiguous matrix (see the
 //! paged entry points in [`crate::gemm`]).
-//!
-//! attn-lint: hot-path
 
 use crate::pack::SrcRead;
 use crate::workspace::{self, WsBuf};
@@ -49,7 +47,6 @@ impl PagedKv {
             tail,
             block_rows,
             rows: 0,
-            // attn-lint: allow(hot-path-alloc) — empty construction; blocks come from the workspace arena as rows append
             blocks: Vec::new(),
         }
     }

@@ -22,7 +22,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols], // attn-lint: allow(hot-path-alloc-reach) — constructor: allocation is this fn's contract
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -62,7 +62,7 @@ impl Matrix {
 
     /// Build element-wise from a function of `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols); // attn-lint: allow(hot-path-alloc-reach) — constructor: allocation is this fn's contract
+        let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -261,7 +261,7 @@ impl Matrix {
     /// Vertically concatenate (`[self; other]`).
     pub fn vstack(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "vstack: col mismatch");
-        let mut data = self.data.clone(); // attn-lint: allow(hot-path-alloc-reach) — vstack builds the encoded checksummed matrix at section entry, not per-token
+        let mut data = self.data.clone();
         data.extend_from_slice(&other.data);
         Matrix {
             rows: self.rows + other.rows,

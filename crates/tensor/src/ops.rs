@@ -4,8 +4,6 @@
 //! surrounding transformer blocks need layer norm, GELU, and bias
 //! broadcasting. Backward-pass helpers live here too so the hand-written
 //! autodiff in `attn-model` stays thin.
-//!
-//! attn-lint: hot-path
 
 use crate::matrix::Matrix;
 
@@ -16,7 +14,6 @@ use crate::matrix::Matrix;
 /// exactly the transitions catalogued in the paper's Table 2 (`1R-∞* → 1R-Θ`
 /// through softmax).
 pub fn softmax_rows(x: &Matrix) -> Matrix {
-    // attn-lint: allow(hot-path-alloc) — owned-result convenience form; hot loops call softmax_rows_inplace
     let mut y = x.clone();
     softmax_rows_inplace(&mut y);
     y
@@ -147,7 +144,6 @@ pub fn add_bias_inplace(x: &mut Matrix, bias: &[f32]) {
 
 /// Column-wise sum of `x` — the bias gradient for a row-broadcast bias.
 pub fn col_sums(x: &Matrix) -> Vec<f32> {
-    // attn-lint: allow(hot-path-alloc) — allocates its owned result by API contract (backward pass, not decode steady state)
     let mut s = vec![0.0f32; x.cols()];
     for r in 0..x.rows() {
         for (acc, &v) in s.iter_mut().zip(x.row(r)) {
@@ -176,9 +172,7 @@ pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> (Matrix,
     assert_eq!(gamma.len(), d);
     assert_eq!(beta.len(), d);
     let mut out = Matrix::zeros(x.rows(), d);
-    // attn-lint: allow(hot-path-alloc) — owned cache buffers are layer_norm's return value, sized once per call
     let mut mean = Vec::with_capacity(x.rows());
-    // attn-lint: allow(hot-path-alloc) — owned cache buffers are layer_norm's return value, sized once per call
     let mut inv_std = Vec::with_capacity(x.rows());
     let mut normalized = Matrix::zeros(x.rows(), d);
 
@@ -215,9 +209,7 @@ pub fn layer_norm_backward(
 ) -> (Matrix, Vec<f32>, Vec<f32>) {
     let (rows, d) = (dy.rows(), dy.cols());
     let mut dx = Matrix::zeros(rows, d);
-    // attn-lint: allow(hot-path-alloc) — gradient outputs are owned by API contract (training path, not decode)
     let mut dgamma = vec![0.0f32; d];
-    // attn-lint: allow(hot-path-alloc) — gradient outputs are owned by API contract (training path, not decode)
     let mut dbeta = vec![0.0f32; d];
 
     for r in 0..rows {

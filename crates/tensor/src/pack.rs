@@ -21,8 +21,6 @@
 //! CPU analogue of the paper's §4.6 encoder that produces both sums from a
 //! single staged read. The sweeps themselves, and the accumulation order
 //! they must keep, live in [`crate::contract`].
-//!
-//! attn-lint: hot-path
 
 use crate::gemm::{MR, NR};
 

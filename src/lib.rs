@@ -4,6 +4,8 @@
 //! cross-crate integration tests in `tests/` have one import root. See
 //! `README.md` for the tour and `DESIGN.md` for the paper → module map.
 
+#![forbid(unsafe_code)]
+
 pub use attn_ckpt as ckpt;
 pub use attn_fault as fault;
 pub use attn_gpusim as gpusim;

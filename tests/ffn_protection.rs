@@ -27,14 +27,15 @@ fn tiny() -> ModelConfig {
     c
 }
 
-#[test]
-fn ffn_faults_corrected_in_place_with_loss_parity() {
+/// Nine training steps, one FFN fault each, under `protection`: every one
+/// must heal in place with the fault-free loss and parameter trajectory.
+fn ffn_faults_heal_with_loss_parity(protection: ProtectionConfig) {
     let config = tiny();
     let ds = SyntheticMrpc::generate(16, config.vocab, 16, 1);
     let batch: Vec<_> = ds.examples.iter().take(4).collect();
 
-    let mut clean = build(&config, ProtectionConfig::full(), 77);
-    let mut faulty = build(&config, ProtectionConfig::full(), 77);
+    let mut clean = build(&config, protection, 77);
+    let mut faulty = build(&config, protection, 77);
 
     let mut rng = TensorRng::seed_from(4242);
     let kinds = [FaultKind::Inf, FaultKind::NaN, FaultKind::NearInf];
@@ -86,6 +87,20 @@ fn ffn_faults_corrected_in_place_with_loss_parity() {
             "parameters diverged after FFN-fault-injected training"
         );
     }
+}
+
+#[test]
+fn ffn_faults_corrected_in_place_with_loss_parity() {
+    ffn_faults_heal_with_loss_parity(ProtectionConfig::full());
+}
+
+#[test]
+fn s_ffn_alone_corrects_its_own_sites() {
+    // The attention sections gated off: S_FFN's own detection point has to
+    // catch both FFN GEMMs without help from a neighbouring section.
+    ffn_faults_heal_with_loss_parity(
+        ProtectionConfig::with_frequencies(0.0, 0.0, 0.0).ffn_frequency(1.0),
+    );
 }
 
 #[test]
