@@ -30,7 +30,7 @@ use crate::checked::CheckedMatrix;
 use crate::config::ProtectionConfig;
 use crate::report::{AbftReport, SectionId};
 use crate::section::{replay_nn, ForwardCtx, GuardedSection};
-use attn_tensor::guard::softmax_rows_checked_inplace;
+use attn_tensor::guard::softmax_rows_checked;
 use attn_tensor::ops::apply_additive_mask;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
@@ -479,14 +479,13 @@ pub fn forward(
         // `AP·V` GEMM that re-enters S_CL below. The cached post-mask
         // scores double as the op guard's preserved input: rows whose
         // probabilities fail the sum-to-one screen recompute from them.
-        let ap_m = s_cl.exit_cols(&as_h, |as_mat| {
+        let scores = s_cl.exit_cols(&as_h, |as_mat| {
             if let Some(m) = mask {
                 apply_additive_mask(as_mat, m);
             }
-            scores_cache.push(as_mat.clone());
-            softmax_rows_checked_inplace(as_mat, &op_guard);
         });
-        ap_mats.push(ap_m);
+        ap_mats.push(softmax_rows_checked(&scores, &op_guard));
+        scores_cache.push(scores);
     }
 
     // ------------------------------------------------ section S_CL

@@ -279,13 +279,14 @@ impl CheckedMatrix {
         self.buf.submatrix(0, self.rows, 0, self.cols)
     }
 
-    /// The logical data region by value: the buffer itself when it carries
-    /// no borders (no copy), a copy of the data region otherwise.
+    /// The logical data region by value. Column checksums trail the
+    /// row-major buffer, so dropping them is a truncate; only row
+    /// checksums (interleaved with the data) force a copy.
     pub fn into_logical(self) -> Matrix {
-        if self.has_col_cs || self.has_row_cs {
+        if self.has_row_cs {
             self.logical()
         } else {
-            self.buf
+            self.buf.into_top_rows(self.rows)
         }
     }
 

@@ -18,15 +18,18 @@
 //! fault occurred. The CPU analogue here is a **streaming prepass**: one
 //! row-major sweep recomputes all per-column (sum, weighted sum, |·| sum)
 //! accumulators at memory bandwidth with no per-column gathers or
-//! allocations; only the (rare) flagged columns are extracted for the full
-//! EEC-ABFT correction path. Fault-free detection therefore costs a single
+//! allocations (the row side is one lane-ordered
+//! [`attn_tensor::lanes::sums`] per row — see DESIGN.md, "The
+//! accumulation-order contract", tiers); only the (rare) flagged vectors
+//! are extracted for the full EEC-ABFT correction path, which re-derives
+//! its own sums. Fault-free detection therefore costs a single
 //! pass over the matrix — the property behind the paper's "minimal overhead
 //! to the attention mechanism" claim.
 
 use crate::checked::CheckedMatrix;
 use crate::config::AbftConfig;
 use crate::eec::{eec_correct_vector, VectorVerdict};
-use attn_tensor::workspace;
+use attn_tensor::{lanes, workspace};
 
 /// One corrected element within a pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,14 +91,14 @@ pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
     let mut acc = workspace::take(3 * cols);
     let (sum, rest) = acc.split_at_mut(cols);
     let (wsum, abs) = rest.split_at_mut(cols);
+    // Zipped so every column's accumulator triple is a vector lane.
     for r in 0..rows {
         let w = crate::checksum::weight(r);
-        let row = m.logical_row(r);
-        for c in 0..cols {
-            let v = row[c];
-            sum[c] += v;
-            wsum[c] += w * v;
-            abs[c] += v.abs();
+        let acc = sum.iter_mut().zip(wsum.iter_mut()).zip(abs.iter_mut());
+        for (((s, ws), a), &v) in acc.zip(m.logical_row(r)) {
+            *s += v;
+            *ws += w * v;
+            *a += v.abs();
         }
     }
 
@@ -137,7 +140,7 @@ pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
 /// Run EEC-ABFT over every logical row using stored row checksums.
 ///
 /// Rows are contiguous in memory, so detection runs in place (one
-/// `vector_sums` per row, no copies) and only flagged rows enter the
+/// [`lanes::sums`] per row, no copies) and only flagged rows enter the
 /// correction path.
 ///
 /// # Panics
@@ -148,7 +151,7 @@ pub fn correct_rows(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
     let mut out = PassOutcome::default();
     for r in 0..rows {
         let (cs, wcs) = m.row_checksum(r);
-        let (s, ws, abs) = crate::checksum::vector_sums(m.logical_row(r));
+        let (s, ws, abs) = lanes::sums(m.logical_row(r));
         if !delta_suspicious(cs - s, wcs - ws, abs, cols, cfg) {
             continue;
         }

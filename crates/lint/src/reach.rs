@@ -334,9 +334,7 @@ fn catalog_op(name: &str, owner_hint: Option<&str>) -> Option<(&'static str, boo
         | "softmax_rows_backward_checked" => Some(("softmax", true)),
         "layer_norm_checked" | "layer_norm_backward_checked" => Some(("layernorm", true)),
         "forward" | "backward" if owner_hint == Some("LayerNorm") => Some(("layernorm", true)),
-        "gelu_matrix_checked" | "gelu_matrix_checked_inplace" | "gelu_backward_checked" => {
-            Some(("gelu", true))
-        }
+        "gelu_matrix_checked" | "gelu_backward_checked" => Some(("gelu", true)),
         "residual_add_checked" => Some(("residual-add", true)),
         "verify_rowsum_add" => Some(("embedding", true)),
         "cross_entropy" => Some(("loss", true)),

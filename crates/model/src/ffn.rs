@@ -17,7 +17,7 @@
 use crate::linear::ProtectedLinear;
 use crate::param::{Grads, HasParams, Param};
 use crate::tape::FfnTape;
-use attn_tensor::guard::{gelu_backward_checked, gelu_matrix_checked_inplace};
+use attn_tensor::guard::{gelu_backward_checked, gelu_matrix_checked};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::AttnOp;
@@ -66,16 +66,18 @@ impl FeedForward {
         // The block input enters S_FFN inside the expansion GEMM's packing
         // pass: no standalone encode sweep over `x`, no wrap.
         let (pre, x_tape) = self.lin1.forward(x, &sec, ctx);
-        // GELU is nonlinear: exit the checksummed region; the result's
-        // re-encoding rides inside the contraction GEMM's packing pass.
-        // The nonlinearity itself is covered by the element-wise op guard
-        // (bounds screen + exact recompute from the healed `pre`) whether
-        // or not the S_FFN gate fired.
-        let act = sec.exit_cols(&pre, |m| gelu_matrix_checked_inplace(m, &op_guard));
+        // GELU is nonlinear: exit the checksummed region (dropping the
+        // border is a truncate, not a copy); the result's re-encoding rides
+        // inside the contraction GEMM's packing pass. The nonlinearity
+        // itself is covered by the element-wise op guard (bounds screen +
+        // exact recompute from the healed `pre`, which the tape keeps
+        // anyway) whether or not the S_FFN gate fired.
+        let pre = pre.into_logical();
+        let act = gelu_matrix_checked(&pre, &op_guard);
         let (y, act_tape) = self.lin2.forward(&act, &sec, ctx);
         let tape = FfnTape {
             x: x_tape,
-            pre: pre.into_logical(),
+            pre,
             act: act_tape,
         };
         ctx.report.absorb_op_guard(op_guard.take_stats());

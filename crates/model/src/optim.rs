@@ -4,9 +4,11 @@
 //! *between* steps, so a particle strike while they sit at rest is
 //! invisible to every forward/backward guard and silently steers every
 //! later update. [`MomentGuard`] closes that hole: each row of each
-//! moment matrix carries a triple digest — an ordered `f64` sum, an
-//! index-weighted `f64` sum, and the XOR of the `f32` bit patterns —
-//! captured after a step and re-derived before the next one. The
+//! moment matrix carries a triple digest — an `f64` sum, an index-weighted
+//! `f64` sum, and the XOR of the `f32` bit patterns
+//! ([`attn_tensor::lanes::digest`]; DESIGN.md, "The accumulation-order
+//! contract", states its lane order and tiers) — captured after a step and
+//! re-derived before the next one, never persisted. The
 //! recompute is bit-deterministic, so a digest mismatch is always a
 //! genuine corruption (zero false positives), the weighted/plain sum
 //! ratio locates the flipped column, and the XOR delta restores the
@@ -23,7 +25,7 @@
 //! when the affected rows *and* columns re-digest to their stored bits.
 
 use crate::param::{Grads, HasParams, Param};
-use attn_tensor::{Matrix, OpGuard};
+use attn_tensor::{lanes, Matrix, OpGuard};
 use std::collections::HashMap;
 
 /// Bit-exact digest of one moment-matrix row. The `f64` accumulators are
@@ -32,25 +34,17 @@ use std::collections::HashMap;
 /// propagation that must not read as a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowDigest {
-    /// Ordered `f64` sum of the row, as bits.
+    /// `f64` sum of the row, as bits.
     sum: u64,
-    /// Ordered `Σ (j+1)·x_j` in `f64`, as bits — `δwsum/δsum` locates a
-    /// single flipped column.
+    /// `Σ (j+1)·x_j` in `f64`, as bits — `δwsum/δsum` locates a single
+    /// flipped column.
     wsum: u64,
     /// XOR of the `f32` bit patterns — the restore channel.
     xor: u32,
 }
 
 fn digest_row(row: &[f32]) -> RowDigest {
-    let mut sum = 0.0f64;
-    let mut wsum = 0.0f64;
-    let mut xor = 0u32;
-    for (j, &x) in row.iter().enumerate() {
-        let xf = x as f64;
-        sum += xf;
-        wsum += (j + 1) as f64 * xf;
-        xor ^= x.to_bits();
-    }
+    let (sum, wsum, xor) = lanes::digest(row);
     RowDigest {
         sum: sum.to_bits(),
         wsum: wsum.to_bits(),
@@ -78,18 +72,21 @@ fn digest_col(mat: &Matrix, c: usize) -> RowDigest {
     }
 }
 
-/// All column digests in one row-major sweep (cache-friendly capture).
+/// All column digests in one row-major sweep: each column is its own
+/// accumulator, rows ascending — [`digest_col`]'s bits, zipped so the
+/// columns are vector lanes.
 fn digest_cols(mat: &Matrix) -> Vec<RowDigest> {
     let mut sum = vec![0.0f64; mat.cols()];
     let mut wsum = vec![0.0f64; mat.cols()];
     let mut xor = vec![0u32; mat.cols()];
     for r in 0..mat.rows() {
         let w = (r + 1) as f64;
-        for (c, &x) in mat.row(r).iter().enumerate() {
-            let xf = x as f64;
-            sum[c] += xf;
-            wsum[c] += w * xf;
-            xor[c] ^= x.to_bits();
+        let acc = sum.iter_mut().zip(wsum.iter_mut()).zip(xor.iter_mut());
+        for (((s, ws), x), &v) in acc.zip(mat.row(r)) {
+            let xf = f64::from(v);
+            *s += xf;
+            *ws += w * xf;
+            *x ^= v.to_bits();
         }
     }
     (0..mat.cols())

@@ -28,10 +28,10 @@
 //!
 //! The packed kernel states the same order twice more, in shapes chosen
 //! for speed: the register microkernel with `compute_tile`'s KC loop
-//! (elements; the in-packing checksum sweeps below with the driver's
-//! block-order reduction feed both borders) and
-//! `encode_border_cols`' register stripes (the streaming checksum border).
-//! Each is pinned to the function here by a bit-equality test
+//! (elements; the in-packing checksum sweep below with the driver's
+//! block-order reduction feeds the column border) and
+//! `encode_border_cols`' row-major sweep (the streaming checksum
+//! border). Each is pinned to the function here by a bit-equality test
 //! (`tests/gemm_tiled_props.rs`, this module's tests). A dispatch tier with
 //! a different order changes this module and those two, nothing else.
 
@@ -167,13 +167,6 @@ pub(crate) struct ColCsAccum<'a> {
     pub wsum: &'a mut [f32],
 }
 
-/// Fused row-checksum accumulator: per-k-row running `(Σ, Σw)` sums for
-/// one `NC` column-block of `op(B)`.
-pub(crate) struct RowCsAccum<'a> {
-    pub sum: &'a mut [f32],
-    pub wsum: &'a mut [f32],
-}
-
 /// Column-checksum sweep over `op(A)[i0..i0+mc, p0..p0+kc]` — one row
 /// block's partial. In the packed kernel it runs back-to-back with
 /// `pack_a_block` while the block is cache-hot.
@@ -204,38 +197,6 @@ pub(crate) fn accum_col_cs<A: SrcRead>(
                 wsum[kk] += w * v;
             }
         }
-    }
-}
-
-/// Row-checksum sweep over `op(B)[p0..p0+kc, j0..j0+nc]` — one column
-/// block's partial for each of the `kc` rows (the [`row_sums`] inner loop
-/// over any source), continuing whatever the accumulator already holds
-/// for this block.
-pub(crate) fn accum_row_cs<B: SrcRead>(
-    b: B,
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-    acc: &mut RowCsAccum<'_>,
-) {
-    for kk in p0..p0 + kc {
-        let mut s = acc.sum[kk];
-        let mut ws = acc.wsum[kk];
-        if let Some(row) = b.row_slice(kk, j0, nc) {
-            for (j, &v) in row.iter().enumerate() {
-                s += v;
-                ws += weight(j0 + j) * v;
-            }
-        } else {
-            for j in j0..j0 + nc {
-                let v = b.at(kk, j);
-                s += v;
-                ws += weight(j) * v;
-            }
-        }
-        acc.sum[kk] = s;
-        acc.wsum[kk] = ws;
     }
 }
 

@@ -17,9 +17,10 @@
 //! # Fused checksum encoding
 //!
 //! [`gemm_encode_cols_into`] and [`gemm_encode_rows_into`] produce an
-//! ABFT-augmented product in the same pass: the operand's checksum
+//! ABFT-augmented product in one call: the left operand's column-checksum
 //! projections accumulate *inside the packing loop* (the packing already
-//! streams every element through registers), and the checksum border of
+//! streams every element through registers; the right operand's row sums
+//! are one [`contract::row_sums`] per row), and the checksum border of
 //! the product is then a 2-row (2-column) product under the same
 //! per-element contract — bit-identical to encoding the operand first and
 //! multiplying the augmented matrix, without the standalone encode sweep
@@ -47,6 +48,20 @@
 //! bits (they are each "two extra rows of an augmented `A`"), which
 //! `tests/gemm_tiled_props.rs` and this module's tests pin.
 //!
+//! Measured and rejected since (train shape, external harness, protected −
+//! twin ms per step): riding the column border at m = 64 *without* the
+//! extra row block (the two rows joining the last tile, see
+//! `Grid::blocks`) — FFN entries 0.65 → 1.72, Q/K 0.31 → 0.47, so the
+//! predicate stays as written; the row border as two more columns of one
+//! packed source (`[B | B·v1 | B·v2]`) — V's entry 0.75 → 0.95 at head
+//! width 32, where the pair opens an `NR` panel that is three-quarters
+//! padding, so it stays a `dot2` per row; and an AVX2 instantiation of
+//! the two across-output sweeps behind a run-time dispatch — for the
+//! in-packing column sweep a dispatch per 64-float row costs more than
+//! the wider lanes save (FFN entries 0.67 → 0.90), for the streaming
+//! border it buys 0.15 of a 104 ms step, which is the microkernel tier's
+//! to collect once the dispatch sits in the driver (ROADMAP item 3).
+//!
 //! # The accumulation-order contract
 //!
 //! Exact post-correction replay and every checksum border depend on
@@ -54,8 +69,8 @@
 //! checksum and a column checksum are accumulated is a documented contract.
 //! It is stated once, in [`crate::contract`]; this module holds only the
 //! two performance-shaped restatements of it (the register microkernel
-//! under `compute_tile`'s [`KC`] loop, and `encode_border_cols`' register
-//! stripes), each pinned to the contract function by a bit-equality test.
+//! under `compute_tile`'s [`KC`] loop, and `encode_border_cols`' row-major
+//! sweep), each pinned to the contract function by a bit-equality test.
 //!
 //! IEEE-754 special values (INF/NaN) propagate exactly as they would
 //! through cuBLAS — zero elements are never skipped (a sparsity shortcut
@@ -67,7 +82,7 @@
 //! [`crate::workspace`] arena, so a steady-state caller performs no heap
 //! allocation inside these kernels.
 
-use crate::contract::{self, accum_col_cs, accum_row_cs, ColCsAccum, RowCsAccum};
+use crate::contract::{self, accum_col_cs, ColCsAccum};
 use crate::kv::PagedKv;
 use crate::matrix::Matrix;
 use crate::pack::{pack_a_block, pack_b_block, ColsAugmented, Src, SrcRead};
@@ -148,7 +163,7 @@ pub fn matmul_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     assert_eq!(m, c.rows(), "matmul: output rows");
     assert_eq!(n, c.cols(), "matmul: output cols");
     let (av, bv) = (src_n(a), src_n(b));
-    gemm_driver(av, bv, m, n, k, c.data(), n, Fuse::None);
+    gemm_driver(av, bv, m, n, k, c.data(), n, None);
 }
 
 /// `C = A · Bᵀ` writing into `c`.
@@ -166,7 +181,7 @@ pub fn matmul_nt_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     assert_eq!(m, c.rows(), "matmul_nt: output rows");
     assert_eq!(n, c.cols(), "matmul_nt: output cols");
     let (av, bv) = (src_n(a), src_t(b));
-    gemm_driver(av, bv, m, n, k, c.data(), n, Fuse::None);
+    gemm_driver(av, bv, m, n, k, c.data(), n, None);
 }
 
 /// `C = Aᵀ · B` writing into `c`.
@@ -180,7 +195,7 @@ pub fn matmul_tn_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     assert_eq!(m, c.rows(), "matmul_tn: output rows");
     assert_eq!(n, c.cols(), "matmul_tn: output cols");
     let (av, bv) = (src_t(a), src_n(b));
-    gemm_driver(av, bv, m, n, r, c.data(), n, Fuse::None);
+    gemm_driver(av, bv, m, n, r, c.data(), n, None);
 }
 
 /// Fused encode-and-multiply, column side: writes the augmented product
@@ -226,7 +241,7 @@ pub fn matmul_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>) {
     );
     assert_eq!(m, c.rows(), "matmul_paged: output rows");
     assert_eq!(n, c.cols(), "matmul_paged: output cols");
-    gemm_driver(src_n(a), b.src(false), m, n, k, c.data(), n, Fuse::None);
+    gemm_driver(src_n(a), b.src(false), m, n, k, c.data(), n, None);
 }
 
 /// `C[0..m, 0..rows(B)] = A · Bᵀ` where `B` is the paged data matrix of a
@@ -249,7 +264,7 @@ pub fn matmul_nt_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>) {
     assert_eq!(m, c.rows(), "matmul_nt_paged: output rows");
     assert!(c.cols() >= n, "matmul_nt_paged: output too narrow");
     let ldc = c.cols();
-    gemm_driver(src_n(a), b.src(true), m, n, k, c.data(), ldc, Fuse::None);
+    gemm_driver(src_n(a), b.src(true), m, n, k, c.data(), ldc, None);
 }
 
 /// Fused encode-and-multiply over a paged operand: writes the augmented
@@ -311,7 +326,7 @@ fn encode_cols_riding<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]
         k,
         cs: &cs,
     };
-    gemm_driver(aug, bv, m + 2, n, k, cd, n, Fuse::None);
+    gemm_driver(aug, bv, m + 2, n, k, cd, n, None);
 }
 
 /// Streaming border: the projections accumulate inside the packing pass
@@ -322,80 +337,53 @@ fn encode_cols_riding<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]
 fn encode_cols_streaming<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]) {
     let (m, k) = (a.rows(), a.cols());
     let mut cs = workspace::take(2 * k);
-    gemm_driver(
-        src_n(a),
-        bv,
-        m,
-        n,
-        k,
-        &mut cd[..m * n],
-        n,
-        Fuse::Cols(&mut cs),
-    );
+    gemm_driver(src_n(a), bv, m, n, k, &mut cd[..m * n], n, Some(&mut cs));
     // Checksum border: CS_A (2 × k) · B as a lean streaming product. It
     // follows the same per-element KC-block contract as the packed kernel
     // — so the border is bit-identical to two extra rows of an augmented
     // A — but streams B once, without re-packing.
     let (cs_row, rest) = cd[m * n..].split_at_mut(n);
-    encode_border_cols(&cs, bv, k, n, cs_row, &mut rest[..n]);
+    encode_border_cols(&cs, bv, k, [cs_row, &mut rest[..n]]);
 }
 
-/// Streaming `[v1ᵀA; v2ᵀA] · B` border product: column stripes held in
-/// registers across each KC block (per-element accumulation order is
-/// exactly the packed kernel's contract). `inline(never)` for the same
-/// register-allocation reason as the microkernel.
-#[inline(never)]
-fn encode_border_cols<B: SrcRead>(
-    cs: &[f32],
-    b: B,
-    k: usize,
-    n: usize,
-    cs_row: &mut [f32],
-    csw_row: &mut [f32],
-) {
-    const STRIPE: usize = 8;
-    let mut j0 = 0usize;
-    while j0 < n {
-        let jw = STRIPE.min(n - j0);
-        let mut out0 = [0.0f32; STRIPE];
-        let mut out1 = [0.0f32; STRIPE];
-        let mut p0 = 0usize;
-        while p0 < k {
-            let pend = (p0 + KC).min(k);
-            let mut part0 = [0.0f32; STRIPE];
-            let mut part1 = [0.0f32; STRIPE];
-            for kk in p0..pend {
-                let av = cs[kk];
-                let awv = cs[k + kk];
-                if let Some(brow) = b.row_slice(kk, j0, jw) {
-                    if jw == STRIPE {
-                        for (j, &bv) in brow.iter().enumerate().take(STRIPE) {
-                            part0[j] += av * bv;
-                            part1[j] += awv * bv;
-                        }
-                    } else {
-                        for (j, &bv) in brow.iter().enumerate() {
-                            part0[j] += av * bv;
-                            part1[j] += awv * bv;
-                        }
-                    }
-                } else {
-                    for j in 0..jw {
-                        let bv = b.at(kk, j0 + j);
-                        part0[j] += av * bv;
-                        part1[j] += awv * bv;
-                    }
+/// Streaming `[v1ᵀA; v2ᵀA] · B` border product into the two `n`-long
+/// checksum rows `out`. Each output column is one element under the
+/// product contract (a fresh partial per [`KC`] block, `kk` ascending,
+/// partials combined in block order on zero); the sweep is row-major over
+/// `B` — it streams `B` once, every column keeps its own add order, and
+/// the zipped lanes vectorise.
+fn encode_border_cols<B: SrcRead>(cs: &[f32], b: B, k: usize, out: [&mut [f32]; 2]) {
+    let [out0, out1] = out;
+    let n = out0.len();
+    let mut part = workspace::take(2 * n);
+    let (part0, part1) = part.split_at_mut(n);
+    out0.fill(0.0);
+    out1.fill(0.0);
+    for p0 in (0..k).step_by(KC) {
+        part0.fill(0.0);
+        part1.fill(0.0);
+        for kk in p0..(p0 + KC).min(k) {
+            let (av, awv) = (cs[kk], cs[k + kk]);
+            let acc = part0.iter_mut().zip(part1.iter_mut());
+            if let Some(brow) = b.row_slice(kk, 0, n) {
+                for ((p0, p1), &bv) in acc.zip(brow) {
+                    *p0 += av * bv;
+                    *p1 += awv * bv;
+                }
+            } else {
+                for (j, (p0, p1)) in acc.enumerate() {
+                    let bv = b.at(kk, j);
+                    *p0 += av * bv;
+                    *p1 += awv * bv;
                 }
             }
-            for j in 0..jw {
-                out0[j] += part0[j];
-                out1[j] += part1[j];
-            }
-            p0 = pend;
         }
-        cs_row[j0..j0 + jw].copy_from_slice(&out0[..jw]);
-        csw_row[j0..j0 + jw].copy_from_slice(&out1[..jw]);
-        j0 += STRIPE;
+        for (o, &p) in out0.iter_mut().zip(part0.iter()) {
+            *o += p;
+        }
+        for (o, &p) in out1.iter_mut().zip(part1.iter()) {
+            *o += p;
+        }
     }
 }
 
@@ -404,8 +392,8 @@ fn encode_border_cols<B: SrcRead>(
 ///
 /// Columns `0..n` are the plain product; columns `n..n+2` are the riding
 /// row checksums `A·(B·v1)` / `A·(B·v2)`. `B`'s row-checksum projections
-/// accumulate inside the packing pass and are bit-identical to
-/// `attnchecker::checksum::row_checksums(B)` by the shared block contract.
+/// are [`contract::row_sums`] of its rows, hence bit-identical to
+/// `attnchecker::checksum::row_checksums(B)`.
 ///
 /// # Panics
 /// Panics unless `c.rows() == a.rows()`, `c.cols() == b.cols() + 2`, and
@@ -416,19 +404,20 @@ pub fn gemm_encode_rows_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     assert_eq!(k, b.rows(), "gemm_encode_rows: inner dims");
     assert_eq!(m, c.rows(), "gemm_encode_rows: output rows");
     assert_eq!(n + 2, c.cols(), "gemm_encode_rows: output cols");
+    let ldc = n + 2;
+    let cd = c.data();
+    gemm_driver(src_n(a), src_n(b), m, n, k, cd, ldc, None);
+    // B's row-checksum projections under the row contract, then the
+    // checksum border A · RS_B (m × 2) as a lean streaming product under
+    // the per-element contract — bit-identical to two extra augmented
+    // columns, with A's rows read once.
     let mut rs = workspace::take(2 * k);
-    {
-        let (av, bv) = (src_n(a), src_n(b));
-        let ldc = n + 2;
-        let cd = c.data();
-        gemm_driver(av, bv, m, n, k, &mut cd[..], ldc, Fuse::Rows(&mut rs));
-        // Checksum border: A · RS_B (m × 2) as a lean streaming product
-        // under the per-element contract — bit-identical to two extra
-        // augmented columns, with A's rows read once.
-        let (rs0, rs1) = rs.split_at(k);
-        for i in 0..m {
-            (cd[i * ldc + n], cd[i * ldc + n + 1]) = contract::dot2(a.row(i), rs0, rs1);
-        }
+    for kk in 0..k {
+        (rs[kk], rs[k + kk]) = contract::row_sums(b.row(kk));
+    }
+    let (rs0, rs1) = rs.split_at(k);
+    for i in 0..m {
+        (cd[i * ldc + n], cd[i * ldc + n + 1]) = contract::dot2(a.row(i), rs0, rs1);
     }
 }
 
@@ -448,16 +437,6 @@ fn src_t(v: MatRef<'_>) -> Src<'_> {
         ld: v.cols().max(1),
         trans: true,
     }
-}
-
-/// Which fused encoding (if any) a driver invocation performs. The slices
-/// receive `[Σ | Σw]` over the full k dimension.
-enum Fuse<'a> {
-    None,
-    /// Column checksums of `op(A)` (length `2·k`).
-    Cols(&'a mut [f32]),
-    /// Row checksums of `op(B)` (length `2·k`).
-    Rows(&'a mut [f32]),
 }
 
 /// Raw output cursor shared across tile tasks. Tiles write disjoint
@@ -483,20 +462,44 @@ struct StagePtr {
 unsafe impl Send for StagePtr {} // SAFETY: plain pointer+len pair; every block owns a disjoint slice.
 unsafe impl Sync for StagePtr {} // SAFETY: fields are only read; block slices never overlap across tiles.
 
-#[derive(Clone, Copy, PartialEq)]
-enum FuseKind {
-    None,
-    Cols,
-    Rows,
+/// The tile grid of one driver call: `m × n` cut at [`MC`] / [`NC`].
+#[derive(Clone, Copy)]
+struct Grid {
+    m: usize,
+    n: usize,
+    n_ib: usize,
+    n_jb: usize,
+}
+
+impl Grid {
+    /// Blocks along one dimension. With `join`, a trailing remainder of at
+    /// most two (a checksum border's worth) rides in the last full block
+    /// instead of opening a tile that would re-pack the other operand for
+    /// it. Which tile an element lands in never enters its add order.
+    fn blocks(len: usize, edge: usize, join: bool) -> usize {
+        let n = len.div_ceil(edge);
+        n - usize::from(join && n > 1 && (len - 1) % edge < 2)
+    }
+
+    /// `(start, len)` of block `blk` of `n_blk` along a `len`-long
+    /// dimension cut at `edge`: the last block takes what remains.
+    fn span(blk: usize, n_blk: usize, len: usize, edge: usize) -> (usize, usize) {
+        let start = blk * edge;
+        (start, if blk + 1 == n_blk { len - start } else { edge })
+    }
 }
 
 /// The shared kernel: `C[0..m, 0..n] = op(A) · op(B)` written at row
-/// stride `ldc` into `c` (which must hold `(m-1)·ldc + n` elements), with
-/// optional fused checksum accumulation.
+/// stride `ldc` into `c` (which must hold `(m-1)·ldc + n` elements). With
+/// `col_cs`, the column checksums of `op(A)` (`[Σ | Σw]`, length `2·k`)
+/// accumulate in the packing pass.
 ///
 /// Work is split over a deterministic 2D grid of `MC × NC` output tiles;
 /// each tile packs its own operand panels and owns a disjoint output
-/// region, so results are bit-identical at any worker count.
+/// region, so results are bit-identical at any worker count. A plain
+/// product lets a ≤ 2 remainder join the last tile ([`Grid::blocks`]); the
+/// fused one keeps the strict grid, because its staging is per [`MC`]
+/// block by contract.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
 fn gemm_driver<A: SrcRead, B: SrcRead>(
     a: A,
@@ -506,7 +509,7 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
     k: usize,
     c: &mut [f32],
     ldc: usize,
-    fuse: Fuse<'_>,
+    col_cs: Option<&mut [f32]>,
 ) {
     debug_assert!(m == 0 || c.len() >= (m - 1) * ldc + n);
     // The output is accumulated block-partial by block-partial on top of
@@ -514,30 +517,26 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
     for r in 0..m {
         c[r * ldc..r * ldc + n].fill(0.0);
     }
-    let (kind, out) = match fuse {
-        Fuse::None => (FuseKind::None, None),
-        Fuse::Cols(o) => (FuseKind::Cols, Some(o)),
-        Fuse::Rows(o) => (FuseKind::Rows, Some(o)),
-    };
-    if let Some(o) = &out {
+    if let Some(o) = &col_cs {
         debug_assert_eq!(o.len(), 2 * k);
     }
     if m == 0 || n == 0 {
-        if let Some(o) = out {
+        if let Some(o) = col_cs {
             o.fill(0.0);
         }
         return;
     }
-    let n_ib = m.div_ceil(MC);
-    let n_jb = n.div_ceil(NC);
-    // Per-block checksum staging: one `[Σ(k) | Σw(k)]` pair per row-block
-    // (Cols) or column-block (Rows), reduced in block order afterwards so
-    // the combination order never depends on scheduling.
-    let stage_blocks = match kind {
-        FuseKind::None => 0,
-        FuseKind::Cols => n_ib,
-        FuseKind::Rows => n_jb,
+    let plain = col_cs.is_none();
+    let grid = Grid {
+        m,
+        n,
+        n_ib: Grid::blocks(m, MC, plain),
+        n_jb: Grid::blocks(n, NC, plain),
     };
+    // Per-block checksum staging: one `[Σ(k) | Σw(k)]` pair per row-block,
+    // reduced in block order afterwards so the combination order never
+    // depends on scheduling.
+    let stage_blocks = if plain { 0 } else { grid.n_ib };
     // No staging checkout at all for plain products — the common case
     // stays off the arena entirely.
     let mut stage = (stage_blocks > 0).then(|| workspace::take(stage_blocks * 2 * k));
@@ -554,10 +553,10 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
         len: stage_blocks * 2 * k,
     };
 
-    let tiles = n_ib * n_jb;
+    let tiles = grid.n_ib * grid.n_jb;
     let run_tile = |t: usize| {
-        let (ib, jb) = (t / n_jb, t % n_jb);
-        compute_tile(a, b, m, n, k, dst, ib, jb, kind, stage_ptr);
+        let (ib, jb) = (t / grid.n_jb, t % grid.n_jb);
+        compute_tile(a, b, grid, k, dst, ib, jb, stage_ptr);
     };
     if exceeds_par_threshold(m, n, k) && tiles > 1 {
         (0..tiles).into_par_iter().for_each(run_tile);
@@ -569,7 +568,7 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
 
     // Deterministic reduction of the per-block partials, block order
     // ascending — the other half of the encoder block contract.
-    if let Some(o) = out {
+    if let Some(o) = col_cs {
         let stage = stage
             .as_ref()
             .expect("staging exists whenever fuse is requested");
@@ -588,23 +587,20 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
 /// Compute one `MC × NC` output tile: pack the operand panels per
 /// [`KC`]-block and run the register microkernel over the tile's
 /// micro-panel grid, accumulating straight into the output region.
+/// `stage.len > 0` asks for the fused column checksums of `op(A)`.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
 fn compute_tile<A: SrcRead, B: SrcRead>(
     a: A,
     b: B,
-    m: usize,
-    n: usize,
+    grid: Grid,
     k: usize,
     dst: DstPtr,
     ib: usize,
     jb: usize,
-    fuse: FuseKind,
     stage: StagePtr,
 ) {
-    let i0 = ib * MC;
-    let mc = MC.min(m - i0);
-    let j0 = jb * NC;
-    let nc = NC.min(n - j0);
+    let (i0, mc) = Grid::span(ib, grid.n_ib, grid.m, MC);
+    let (j0, nc) = Grid::span(jb, grid.n_jb, grid.n, NC);
     let a_panels = mc.div_ceil(MR);
     let b_panels = nc.div_ceil(NR);
     let kc_cap = KC.min(k.max(1));
@@ -615,7 +611,7 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
     // along the non-encoded dimension accumulates (the checksum of op(A)
     // must be fed once, not once per column tile) — regions are disjoint
     // per block index, so the raw slice reconstruction is sound.
-    let mut col_cs = (fuse == FuseKind::Cols && jb == 0).then(|| {
+    let mut col_cs = (stage.len > 0 && jb == 0).then(|| {
         debug_assert!((ib + 1) * 2 * k <= stage.len);
         // SAFETY: the staging checkout holds `stage.len` live floats and
         // row block `ib` owns the disjoint `[ib·2k, (ib+1)·2k)` slice —
@@ -624,23 +620,11 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
         let (sum, wsum) = s.split_at_mut(k);
         ColCsAccum { sum, wsum }
     });
-    let mut row_cs = (fuse == FuseKind::Rows && ib == 0).then(|| {
-        debug_assert!((jb + 1) * 2 * k <= stage.len);
-        // SAFETY: as above with the roles swapped — column block `jb`
-        // owns `[jb·2k, (jb+1)·2k)` and only the `ib == 0` tile of each
-        // block column reconstructs it.
-        let s = unsafe { std::slice::from_raw_parts_mut(stage.ptr.add(jb * 2 * k), 2 * k) };
-        let (sum, wsum) = s.split_at_mut(k);
-        RowCsAccum { sum, wsum }
-    });
 
     let mut p0 = 0usize;
     while p0 < k {
         let kc = KC.min(k - p0);
         pack_b_block(b, p0, kc, j0, nc, &mut bp);
-        if let Some(acc) = row_cs.as_mut() {
-            accum_row_cs(b, p0, kc, j0, nc, acc);
-        }
         pack_a_block(a, i0, mc, p0, kc, &mut ap);
         if let Some(acc) = col_cs.as_mut() {
             accum_col_cs(a, i0, mc, p0, kc, acc);

@@ -20,11 +20,17 @@
 //! fault-free bits. A heal is therefore always an exact correction, and
 //! a corrected step is bit-identical to a fault-free step.
 //!
+//! The screens are single branch-free sweeps — a verdict folded with `&`,
+//! never an early exit, non-finite values caught by the sums they poison —
+//! over the lane-ordered `f64` sums of [`crate::lanes`], whose order and
+//! tiers DESIGN.md states once ("The accumulation-order contract", tiers).
+//!
 //! Every op ships as a `verify_*` entry (screen + heal an existing
 //! output against its preserved inputs — what the fault campaigns drive
 //! directly) plus a `*_checked` wrapper (compute + verify — what the
 //! model paths call).
 
+use crate::lanes;
 use crate::matrix::Matrix;
 use crate::ops::{
     gelu, gelu_backward, layer_norm, layer_norm_backward, softmax_rows_backward,
@@ -188,15 +194,10 @@ fn row_matrix(x: &Matrix, r: usize) -> Matrix {
 /// Does this row look like a softmax output? All entries in `[0, 1]` and
 /// summing to ~1 — or exactly zero everywhere (a fully-masked row).
 fn softmax_row_screen(row: &[f32], tol: f32) -> bool {
-    let mut sum = 0.0f32;
-    for &v in row {
-        // NaN fails the range test, so poisoned rows always re-verify.
-        if !(0.0..=1.0).contains(&v) {
-            return false;
-        }
-        sum += v;
-    }
-    (sum - 1.0).abs() <= tol || crate::float::all_exactly_zero(row)
+    // NaN fails the range test, so poisoned rows always re-verify.
+    let in_range = row.iter().fold(true, |ok, v| ok & (0.0..=1.0).contains(v));
+    let (sum, _, _) = lanes::moments(row);
+    in_range && ((sum - 1.0).abs() <= f64::from(tol) || crate::float::all_exactly_zero(row))
 }
 
 /// Screen + heal a softmax output `y` against its preserved pre-softmax
@@ -271,18 +272,11 @@ pub fn softmax_rows_backward_checked(y: &Matrix, dy: &Matrix, g: &OpGuard) -> Ma
     dx
 }
 
-/// All-finite row summing to ~zero (scaled by the row's absolute mass).
+/// All-finite row summing to ~zero (scaled by the row's absolute mass,
+/// which is finite exactly when every element is).
 fn zero_rowsum_screen(row: &[f32], tol: f32) -> bool {
-    let mut sum = 0.0f64;
-    let mut scale = 0.0f64;
-    for &v in row {
-        if !v.is_finite() {
-            return false;
-        }
-        sum += f64::from(v);
-        scale += f64::from(v.abs());
-    }
-    sum.abs() <= f64::from(tol) * (1.0 + scale)
+    let (sum, scale, _) = lanes::moments(row);
+    scale.is_finite() && sum.abs() <= f64::from(tol) * (1.0 + scale)
 }
 
 // ---------------------------------------------------------------------------
@@ -311,28 +305,19 @@ fn layer_norm_row_screen(
     tol: f32,
 ) -> bool {
     let d = normalized.len() as f64;
-    let mut sum = 0.0f64;
-    let mut sq = 0.0f64;
-    for &v in normalized {
-        if !v.is_finite() {
-            return false;
-        }
-        sum += f64::from(v);
-        sq += f64::from(v) * f64::from(v);
-    }
-    let m = sum / d;
-    let var = sq / d;
-    if m.abs() > f64::from(tol) || (var - 1.0).abs() > 100.0 * f64::from(tol) {
-        return false;
-    }
-    x.iter()
-        .zip(normalized)
-        .zip(out)
-        .zip(gamma.iter().zip(beta))
-        .all(|(((&xi, &n), &o), (&gc, &bc))| {
-            ((xi - mean) * inv_std).to_bits() == n.to_bits()
-                && (n * gc + bc).to_bits() == o.to_bits()
-        })
+    let (sum, _, sq) = lanes::moments(normalized);
+    // A non-finite element makes `sq` non-finite, which fails the band.
+    let in_band =
+        (sum / d).abs() <= f64::from(tol) && (sq / d - 1.0).abs() <= 100.0 * f64::from(tol);
+    in_band
+        && x.iter()
+            .zip(normalized)
+            .zip(out)
+            .zip(gamma.iter().zip(beta))
+            .fold(true, |ok, (((&xi, &n), &o), (&gc, &bc))| {
+                ok & (((xi - mean) * inv_std).to_bits() == n.to_bits())
+                    & ((n * gc + bc).to_bits() == o.to_bits())
+            })
 }
 
 /// Screen + heal a LayerNorm output and its cache against the preserved
@@ -456,11 +441,20 @@ pub fn layer_norm_backward_checked(
 // GELU
 // ---------------------------------------------------------------------------
 
-/// Element screen: a GELU output is finite, bounded below by the global
-/// GELU minimum and above by `max(x, 0)`. Non-finite inputs defer to the
-/// recompute (propagation recomputes identically).
-fn gelu_elem_screen(x: f32, y: f32, tol: f32) -> bool {
-    x.is_finite() && y.is_finite() && y >= GELU_MIN_OUT - tol && y <= x.max(0.0) + tol
+/// Every GELU output is finite, bounded below by the global GELU minimum
+/// and above by `max(x, 0)`. Non-finite inputs defer to the recompute
+/// (propagation recomputes identically). Branch-free so it vectorises.
+fn gelu_row_screen(x: &[f32], y: &[f32], tol: f32) -> bool {
+    (x.iter().zip(y)).fold(true, |ok, (&x, &y)| {
+        ok & x.is_finite() & y.is_finite() & (y >= GELU_MIN_OUT - tol) & (y <= x.max(0.0) + tol)
+    })
+}
+
+/// `|dx| ≤ sup|gelu′| · |dy|` element-wise over finite `(x, dy)`.
+fn gelu_backward_row_screen(x: &[f32], dy: &[f32], dx: &[f32], tol: f32) -> bool {
+    (dx.iter().zip(dy).zip(x)).fold(true, |ok, ((&di, &dyi), &xi)| {
+        ok & xi.is_finite() & dyi.is_finite() & (di.abs() <= GELU_GRAD_BOUND * dyi.abs() + tol)
+    })
 }
 
 /// Screen + heal a GELU output `y` against its preserved input `x`.
@@ -478,12 +472,7 @@ pub fn verify_gelu(x: &Matrix, y: &mut Matrix, g: &OpGuard) {
     );
     for r in 0..y.rows() {
         g.record_check();
-        let ok = x
-            .row(r)
-            .iter()
-            .zip(y.row(r))
-            .all(|(&xi, &yi)| gelu_elem_screen(xi, yi, g.tol()));
-        if ok {
+        if gelu_row_screen(x.row(r), y.row(r), g.tol()) {
             continue;
         }
         let reference: Vec<f32> = x.row(r).iter().map(|&v| gelu(v)).collect();
@@ -498,41 +487,14 @@ pub fn gelu_matrix_checked(x: &Matrix, g: &OpGuard) -> Matrix {
     y
 }
 
-/// Guarded in-place GELU (snapshots the input while the guard is active
-/// so violations can recompute exactly).
-pub fn gelu_matrix_checked_inplace(m: &mut Matrix, g: &OpGuard) {
-    if !g.active() {
-        for v in m.data_mut() {
-            *v = gelu(*v);
-        }
-        return;
-    }
-    let snapshot = m.clone();
-    for v in m.data_mut() {
-        *v = gelu(*v);
-    }
-    verify_gelu(&snapshot, m, g);
-}
-
-/// Screen + heal a GELU-backward output `dx` against `(x, dy)`:
-/// `|dx| ≤ sup|gelu′| · |dy|` element-wise.
+/// Screen + heal a GELU-backward output `dx` against `(x, dy)`.
 pub fn verify_gelu_backward(x: &Matrix, dy: &Matrix, dx: &mut Matrix, g: &OpGuard) {
     if !g.active() {
         return;
     }
     for r in 0..dx.rows() {
         g.record_check();
-        let ok = dx
-            .row(r)
-            .iter()
-            .zip(dy.row(r))
-            .zip(x.row(r))
-            .all(|((&di, &dyi), &xi)| {
-                xi.is_finite()
-                    && dyi.is_finite()
-                    && di.abs() <= GELU_GRAD_BOUND * dyi.abs() + g.tol()
-            });
-        if ok {
+        if gelu_backward_row_screen(x.row(r), dy.row(r), dx.row(r), g.tol()) {
             continue;
         }
         let reference = gelu_backward(&row_matrix(x, r), &row_matrix(dy, r));
@@ -551,6 +513,15 @@ pub fn gelu_backward_checked(x: &Matrix, dy: &Matrix, g: &OpGuard) -> Matrix {
 // residual add / embedding gather
 // ---------------------------------------------------------------------------
 
+/// `Σa + Σb` matches `Σout` within the rounding budget of the row's
+/// absolute mass. A finite `scale` means every `out` element, hence `have`,
+/// is finite.
+fn rowsum_add_screen(a: &[f32], b: &[f32], out: &[f32], tol: f32) -> bool {
+    let want = lanes::moments(a).0 + lanes::moments(b).0;
+    let (have, scale, _) = lanes::moments(out);
+    want.is_finite() && scale.is_finite() && (want - have).abs() <= f64::from(tol) * (1.0 + scale)
+}
+
 /// Screen + heal one row of an element-wise sum `out = a + b` through an
 /// `f64` row-sum transport: `Σ(a) + Σ(b)` must match `Σ(out)` to within
 /// the accumulated rounding budget. Violations recompute element-wise
@@ -566,18 +537,7 @@ pub fn verify_rowsum_add(a: &[f32], b: &[f32], out: &mut [f32], g: &OpGuard) {
     assert_eq!(a.len(), b.len(), "verify_rowsum_add: length mismatch");
     assert_eq!(a.len(), out.len(), "verify_rowsum_add: length mismatch");
     g.record_check();
-    let mut want = 0.0f64;
-    let mut have = 0.0f64;
-    let mut scale = 0.0f64;
-    for ((&ai, &bi), &oi) in a.iter().zip(b).zip(out.iter()) {
-        want += f64::from(ai) + f64::from(bi);
-        have += f64::from(oi);
-        scale += f64::from(oi.abs());
-    }
-    let ok = want.is_finite()
-        && have.is_finite()
-        && (want - have).abs() <= f64::from(g.tol()) * (1.0 + scale);
-    if ok {
+    if rowsum_add_screen(a, b, out, g.tol()) {
         return;
     }
     let mut healed = false;
@@ -813,20 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn gelu_inplace_checked_matches_map_form() {
-        let mut rng = TensorRng::seed_from(7);
-        let x = rng.normal_matrix(4, 9, 1.0);
-        let mut m = x.clone();
-        let g = guard();
-        gelu_matrix_checked_inplace(&mut m, &g);
-        assert_eq!(m.data(), gelu_matrix(&x).data());
-        assert!(g.stats().is_quiet());
-        let mut off = x.clone();
-        gelu_matrix_checked_inplace(&mut off, &OpGuard::off());
-        assert_eq!(off.data(), m.data());
-    }
-
-    #[test]
     fn gelu_backward_guard_heals_planted_extremes() {
         let mut rng = TensorRng::seed_from(8);
         let x = rng.normal_matrix(3, 8, 1.5);
@@ -884,6 +830,136 @@ mod tests {
         verify_rowsum_add(a.row(0), b.row(0), out.row_mut(0), &g);
         assert_eq!(out.data(), reference.data());
         assert_eq!(g.stats().heals, 1);
+    }
+
+    /// The screens as they were before the lane-ordered sums: sequential,
+    /// early-exit. Kept as the reference the branch-free forms are held to.
+    mod sequential {
+        use super::super::{GELU_GRAD_BOUND, GELU_MIN_OUT};
+
+        pub fn softmax(row: &[f32], tol: f32) -> bool {
+            let mut sum = 0.0f32;
+            for &v in row {
+                if !(0.0..=1.0).contains(&v) {
+                    return false;
+                }
+                sum += v;
+            }
+            (sum - 1.0).abs() <= tol || crate::float::all_exactly_zero(row)
+        }
+
+        /// `(Σ, Σ|·|, Σ²)` in sequential `f64`, `None` at a non-finite element.
+        fn sums(row: &[f32]) -> Option<(f64, f64, f64)> {
+            row.iter().try_fold((0.0, 0.0, 0.0), |(s, a, q), &v| {
+                let f = f64::from(v);
+                v.is_finite().then_some((s + f, a + f.abs(), q + f * f))
+            })
+        }
+
+        pub fn zero_rowsum(row: &[f32], tol: f32) -> bool {
+            sums(row).is_some_and(|(s, a, _)| s.abs() <= f64::from(tol) * (1.0 + a))
+        }
+
+        pub fn layer_norm(x: &[f32], st: (f32, f32), n: &[f32], out: &[f32], tol: f32) -> bool {
+            let (d, tol) = (n.len() as f64, f64::from(tol));
+            sums(n)
+                .is_some_and(|(s, _, q)| (s / d).abs() <= tol && (q / d - 1.0).abs() <= 100.0 * tol)
+                && (x.iter().zip(n).zip(out)).all(|((&xi, &ni), &o)| {
+                    ((xi - st.0) * st.1).to_bits() == ni.to_bits()
+                        && (ni * 1.1 + 0.2).to_bits() == o.to_bits()
+                })
+        }
+
+        pub fn gelu(x: &[f32], y: &[f32], tol: f32) -> bool {
+            x.iter().zip(y).all(|(&x, &y)| {
+                x.is_finite() && y.is_finite() && y >= GELU_MIN_OUT - tol && y <= x.max(0.0) + tol
+            })
+        }
+
+        pub fn gelu_backward(x: &[f32], dy: &[f32], dx: &[f32], tol: f32) -> bool {
+            dx.iter().zip(dy).zip(x).all(|((&di, &dyi), &xi)| {
+                xi.is_finite() && dyi.is_finite() && di.abs() <= GELU_GRAD_BOUND * dyi.abs() + tol
+            })
+        }
+
+        pub fn rowsum_add(a: &[f32], b: &[f32], out: &[f32], tol: f32) -> bool {
+            let (mut want, mut have, mut scale) = (0.0f64, 0.0f64, 0.0f64);
+            for ((&ai, &bi), &oi) in a.iter().zip(b).zip(out) {
+                want += f64::from(ai) + f64::from(bi);
+                have += f64::from(oi);
+                scale += f64::from(oi.abs());
+            }
+            want.is_finite()
+                && have.is_finite()
+                && (want - have).abs() <= f64::from(tol) * (1.0 + scale)
+        }
+    }
+
+    proptest::proptest! {
+        /// Every screen returns its sequential predecessor's verdict: on a
+        /// clean row, with an extreme planted in the output, and with the
+        /// residual guard's mid-mantissa flip.
+        #[test]
+        fn branch_free_screens_return_the_sequential_verdicts(
+            cols in 1usize..70,
+            fault in 0usize..7,
+            at in 0usize..70,
+            seed in 0u64..100_000,
+        ) {
+            let tol = 5e-4f32;
+            let mut rng = TensorRng::seed_from(seed);
+            let plant = |m: &Matrix| {
+                let mut row = m.row(0).to_vec();
+                let v = &mut row[at % cols];
+                *v = match fault {
+                    0 => *v,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    3 => f32::NAN,
+                    4 => 3.0e12,
+                    5 => -7.5,
+                    _ => f32::from_bits(v.to_bits() ^ (1 << 18)),
+                };
+                row
+            };
+            let x = rng.normal_matrix(1, cols, 2.0);
+            let dy = rng.normal_matrix(1, cols, 1.0);
+
+            let y = softmax_rows(&x);
+            let p = plant(&y);
+            proptest::prop_assert_eq!(softmax_row_screen(&p, tol), sequential::softmax(&p, tol));
+            let dx = plant(&softmax_rows_backward(&y, &dy));
+            proptest::prop_assert_eq!(zero_rowsum_screen(&dx, tol), sequential::zero_rowsum(&dx, tol));
+
+            let (gamma, beta) = (vec![1.1f32; cols], vec![0.2f32; cols]);
+            let (out, cache) = layer_norm(&x, &gamma, &beta, 1e-5);
+            let st = (cache.mean[0], cache.inv_std[0]);
+            for (n, o) in [
+                (plant(&cache.normalized), out.row(0).to_vec()),
+                (cache.normalized.row(0).to_vec(), plant(&out)),
+            ] {
+                proptest::prop_assert_eq!(
+                    layer_norm_row_screen(x.row(0), st.0, st.1, &n, &o, &gamma, &beta, tol),
+                    sequential::layer_norm(x.row(0), st, &n, &o, tol)
+                );
+            }
+
+            let y = plant(&gelu_matrix(&x));
+            proptest::prop_assert_eq!(
+                gelu_row_screen(x.row(0), &y, tol),
+                sequential::gelu(x.row(0), &y, tol)
+            );
+            let dx = plant(&gelu_backward(&x, &dy));
+            proptest::prop_assert_eq!(
+                gelu_backward_row_screen(x.row(0), dy.row(0), &dx, tol),
+                sequential::gelu_backward(x.row(0), dy.row(0), &dx, tol)
+            );
+            let sum = plant(&x.add(&dy));
+            proptest::prop_assert_eq!(
+                rowsum_add_screen(x.row(0), dy.row(0), &sum, tol),
+                sequential::rowsum_add(x.row(0), dy.row(0), &sum, tol)
+            );
+        }
     }
 
     #[test]

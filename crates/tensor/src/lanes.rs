@@ -1,0 +1,348 @@
+//! Protection-only reductions, stated once each, with an AVX2 tier.
+//!
+//! Everything here runs only on the protected path — the AdamW moment
+//! digests, the `f64` transports of the non-GEMM guard screens, the
+//! row-side detection prepass — so making it faster lowers the protected ÷
+//! unprotected ratio without moving the twin. The element and checksum
+//! contracts ([`crate::contract`]) are not restated here and keep their
+//! single scalar statement.
+//!
+//! **The order is the definition.** Lane `l` of [`LANES`] owns the
+//! elements `j ≡ l (mod 8)` and accumulates them ascending; the eight lane
+//! partials fold as `((0+1)+(2+3))+((4+5)+(6+7))`. Nothing stored or
+//! replayed depends on these values across a process boundary (digests are
+//! re-derived, screens yield a verdict), so the order is ours to choose,
+//! and an eight-wide order is one a vector unit executes as written.
+//!
+//! **Tiers.** Each reduction has one scalar definition (`*_def`) and an
+//! AVX2 form (`mod arch`, `std::arch`, one intrinsic per line of the
+//! definition) that its dispatcher enters only behind
+//! `is_x86_feature_detected!("avx2")`. Written by hand because the
+//! optimiser does not keep eight-lane accumulator arrays in vector
+//! registers on its own (measured 0.9 ns per cell against 0.22). Same IEEE
+//! operations in the same order per lane, multiplies and adds as separate
+//! instructions — FMA is never enabled, so a product is rounded before it
+//! is added in both tiers — and the module's proptest holds every
+//! dispatcher to its definition bit for bit. The tier is chosen by CPU
+//! detection alone: there is no knob, and [`tier`] exists so tests and CI
+//! can say which one ran.
+//!
+//! The across-output loops of the protected path (every lane a different
+//! output) are zipped slices at their own sites and carry no tier:
+//! [`crate::gemm`]'s module docs record what one measured.
+
+#[cfg(target_arch = "x86_64")]
+use arch::{digest_avx2, moments_avx2, sums_avx2};
+
+/// Lane count of every lane-ordered reduction in this module.
+pub const LANES: usize = 8;
+
+/// Name of the tier the dispatchers below select on this CPU.
+pub fn tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "scalar"
+}
+
+/// The lane fold: `((0+1)+(2+3))+((4+5)+(6+7))`.
+#[inline(always)]
+fn fold<T: Copy + std::ops::Add<Output = T>>(l: [T; LANES]) -> T {
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+/// Visit `row` as [`LANES`]-wide chunks, the tail zero-padded. A padded
+/// lane adds `+0.0` (or XORs zero bits) to a partial that is never `-0.0`
+/// — a bitwise identity — so this *is* "lane `l` owns `j ≡ l (mod 8)`".
+#[inline(always)]
+fn for_chunks(row: &[f32], mut f: impl FnMut(&[f32; LANES])) {
+    let (chunks, tail) = row.as_chunks::<LANES>();
+    chunks.iter().for_each(&mut f);
+    if !tail.is_empty() {
+        let mut pad = [0.0f32; LANES];
+        pad[..tail.len()].copy_from_slice(tail);
+        f(&pad);
+    }
+}
+
+#[inline(always)]
+fn digest_def(row: &[f32]) -> (f64, f64, u32) {
+    let (mut s, mut ws, mut x) = ([0.0f64; LANES], [0.0f64; LANES], [0u32; LANES]);
+    // Running weights `j + 1`: lane `l` starts at `l + 1`, steps by LANES.
+    let mut w: [f64; LANES] = std::array::from_fn(|l| (l + 1) as f64);
+    for_chunks(row, |c| {
+        for l in 0..LANES {
+            let vf = f64::from(c[l]);
+            s[l] += vf;
+            ws[l] += w[l] * vf;
+            w[l] += LANES as f64;
+            x[l] ^= c[l].to_bits();
+        }
+    });
+    (fold(s), fold(ws), x.iter().fold(0, |a, &b| a ^ b))
+}
+
+#[inline(always)]
+fn moments_def(row: &[f32]) -> (f64, f64, f64) {
+    let (mut s, mut a, mut q) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
+    for_chunks(row, |c| {
+        for l in 0..LANES {
+            let vf = f64::from(c[l]);
+            s[l] += vf;
+            a[l] += vf.abs();
+            q[l] += vf * vf;
+        }
+    });
+    (fold(s), fold(a), fold(q))
+}
+
+#[inline(always)]
+fn sums_def(row: &[f32]) -> (f32, f32, f32) {
+    let (mut s, mut ws, mut a) = ([0.0f32; LANES], [0.0f32; LANES], [0.0f32; LANES]);
+    let mut w: [f32; LANES] = std::array::from_fn(|l| (l + 1) as f32);
+    for_chunks(row, |c| {
+        for l in 0..LANES {
+            s[l] += c[l];
+            ws[l] += w[l] * c[l];
+            w[l] += LANES as f32;
+            a[l] += c[l].abs();
+        }
+    });
+    (fold(s), fold(ws), fold(a))
+}
+
+/// One `(Σ, Σ(j+1)·x, ⊕bits)` digest of `row` — `f64` lane-ordered sums
+/// and the XOR of the `f32` bit patterns (the AdamW moment digest).
+pub fn digest(row: &[f32]) -> (f64, f64, u32) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU reported AVX2 on the line above.
+        return unsafe { digest_avx2(row) };
+    }
+    digest_def(row)
+}
+
+/// `(Σx, Σ|x|, Σx²)` of `row` in `f64`, lane-ordered — the transport and
+/// moment sums of the non-GEMM guard screens. `Σ|x|` is finite exactly
+/// when every element is.
+pub fn moments(row: &[f32]) -> (f64, f64, f64) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU reported AVX2 on the line above.
+        return unsafe { moments_avx2(row) };
+    }
+    moments_def(row)
+}
+
+/// `(Σx, Σ(j+1)·x, Σ|x|)` of `row` in `f32`, lane-ordered — the detection
+/// prepass of a row against its stored checksums (a verdict, never a
+/// stored value: the checksum contract is [`crate::contract::row_sums`]).
+pub fn sums(row: &[f32]) -> (f32, f32, f32) {
+    debug_assert!(row.len() < 1 << 24, "lane weights are exact integers");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU reported AVX2 on the line above.
+        return unsafe { sums_avx2(row) };
+    }
+    sums_def(row)
+}
+
+/// The lane-ordered reductions written with `std::arch`. Each statement
+/// below is one line of the matching `*_def`, eight lanes at a time;
+/// pointer-free intrinsics are safe inside an AVX2-enabled function, so
+/// nothing here is `unsafe`.
+#[cfg(target_arch = "x86_64")]
+mod arch {
+    use super::{for_chunks, LANES};
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(c: &[f32; LANES]) -> __m256 {
+        _mm256_setr_ps(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
+    }
+
+    /// Lanes `0..4` and `4..8` as `f64`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn widen(v: __m256) -> [__m256d; 2] {
+        [
+            _mm256_cvtps_pd(_mm256_castps256_ps128(v)),
+            _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)),
+        ]
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add2(acc: &mut [__m256d; 2], v: [__m256d; 2]) {
+        *acc = [_mm256_add_pd(acc[0], v[0]), _mm256_add_pd(acc[1], v[1])];
+    }
+
+    /// `((0+1)+(2+3))+((4+5)+(6+7))` of the lanes `[lo | hi]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn fold_pd([lo, hi]: [__m256d; 2]) -> f64 {
+        let pairs = _mm256_hadd_pd(lo, hi); // [0+1, 4+5, 2+3, 6+7]
+        let quads = _mm_add_pd(
+            _mm256_castpd256_pd128(pairs),
+            _mm256_extractf128_pd::<1>(pairs),
+        );
+        _mm_cvtsd_f64(quads) + _mm_cvtsd_f64(_mm_unpackhi_pd(quads, quads))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn fold_ps(v: __m256) -> f32 {
+        let pairs = _mm256_hadd_ps(v, v); // [0+1, 2+3, .. | 4+5, 6+7, ..]
+        let quads = _mm256_hadd_ps(pairs, pairs);
+        _mm_cvtss_f32(_mm256_castps256_ps128(quads))
+            + _mm_cvtss_f32(_mm256_extractf128_ps::<1>(quads))
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn digest_avx2(row: &[f32]) -> (f64, f64, u32) {
+        let zero = _mm256_setzero_pd();
+        let (mut s, mut ws, mut x) = ([zero; 2], [zero; 2], _mm256_setzero_si256());
+        let mut w = [
+            _mm256_setr_pd(1.0, 2.0, 3.0, 4.0),
+            _mm256_setr_pd(5.0, 6.0, 7.0, 8.0),
+        ];
+        let step = _mm256_set1_pd(LANES as f64);
+        for_chunks(row, |c| {
+            let v = load(c);
+            let vf = widen(v);
+            add2(&mut s, vf);
+            add2(
+                &mut ws,
+                [_mm256_mul_pd(w[0], vf[0]), _mm256_mul_pd(w[1], vf[1])],
+            );
+            add2(&mut w, [step, step]);
+            x = _mm256_xor_si256(x, _mm256_castps_si256(v));
+        });
+        let x = _mm_xor_si128(_mm256_castsi256_si128(x), _mm256_extracti128_si256::<1>(x));
+        let x = _mm_xor_si128(x, _mm_unpackhi_epi64(x, x));
+        let xor = _mm_cvtsi128_si32(x) ^ _mm_extract_epi32::<1>(x);
+        (fold_pd(s), fold_pd(ws), xor as u32)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn moments_avx2(row: &[f32]) -> (f64, f64, f64) {
+        let zero = _mm256_setzero_pd();
+        let (mut s, mut a, mut q) = ([zero; 2], [zero; 2], [zero; 2]);
+        let sign = _mm256_set1_pd(-0.0);
+        for_chunks(row, |c| {
+            let vf = widen(load(c));
+            add2(&mut s, vf);
+            add2(
+                &mut a,
+                [_mm256_andnot_pd(sign, vf[0]), _mm256_andnot_pd(sign, vf[1])],
+            );
+            add2(
+                &mut q,
+                [_mm256_mul_pd(vf[0], vf[0]), _mm256_mul_pd(vf[1], vf[1])],
+            );
+        });
+        (fold_pd(s), fold_pd(a), fold_pd(q))
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn sums_avx2(row: &[f32]) -> (f32, f32, f32) {
+        let zero = _mm256_setzero_ps();
+        let (mut s, mut ws, mut a) = (zero, zero, zero);
+        let mut w = _mm256_setr_ps(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0);
+        let (step, sign) = (_mm256_set1_ps(LANES as f32), _mm256_set1_ps(-0.0));
+        for_chunks(row, |c| {
+            let v = load(c);
+            s = _mm256_add_ps(s, v);
+            ws = _mm256_add_ps(ws, _mm256_mul_ps(w, v));
+            w = _mm256_add_ps(w, step);
+            a = _mm256_add_ps(a, _mm256_andnot_ps(sign, v));
+        });
+        (fold_ps(s), fold_ps(ws), fold_ps(a))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::TensorRng;
+    use proptest::prelude::*;
+
+    /// Same bits — or both NaN: which payload survives `NaN + NaN` is an
+    /// operand-order detail IEEE-754 leaves open.
+    fn same64(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn same32(a: f32, b: f32) -> bool {
+        same64(f64::from(a), f64::from(b))
+    }
+
+    const INF: f32 = f32::INFINITY;
+    const SPECIALS: [f32; 7] = [-0.0, INF, -INF, f32::NAN, 1.0e-40, -3.0e-45, 3.0e38];
+
+    /// `len` values at an arbitrary (unaligned) offset into a buffer, with
+    /// `plant` special values dropped in.
+    fn row(len: usize, offset: usize, plant: usize, seed: u64) -> Vec<f32> {
+        let mut rng = TensorRng::seed_from(seed);
+        let mut buf = rng.normal_matrix(1, offset + len + 1, 2.0).data().to_vec();
+        for i in 0..plant.min(len) {
+            buf[offset + (seed as usize + 7 * i) % len] = SPECIALS[(seed as usize + i) % 7];
+        }
+        buf[offset..offset + len].to_vec()
+    }
+
+    #[test]
+    fn report_tier() {
+        println!("tier: {}", tier());
+    }
+
+    proptest! {
+        #[test]
+        fn every_dispatcher_equals_its_scalar_definition_bit_for_bit(
+            offset in 0usize..9,
+            plant in 0usize..4,
+            seed in 0u64..100_000,
+        ) {
+            for len in (0..=25).chain([63, 64, 65, 127, 128, 129, 512]) {
+                // An unaligned sub-slice of a larger buffer.
+                let buf = row(len + offset, 0, plant, seed);
+                let r = &buf[offset..];
+                let (got, want) = (digest(r), digest_def(r));
+                prop_assert!(same64(got.0, want.0) && same64(got.1, want.1), "digest {}", len);
+                prop_assert_eq!(got.2, want.2, "digest xor {}", len);
+                let (got, want) = (moments(r), moments_def(r));
+                prop_assert!(
+                    same64(got.0, want.0) && same64(got.1, want.1) && same64(got.2, want.2),
+                    "moments {}", len
+                );
+                let (got, want) = (sums(r), sums_def(r));
+                prop_assert!(
+                    same32(got.0, want.0) && same32(got.1, want.1) && same32(got.2, want.2),
+                    "sums {}", len
+                );
+            }
+        }
+
+    }
+
+    #[test]
+    fn lane_order_is_the_stated_one() {
+        // 1e8 absorbs a unit in f32, so the order of additions shows: lane
+        // 0 holds 1e8 + 1 (elements 0 and 8) and folds with lane 1 first.
+        let mut r = vec![0.0f32; 16];
+        (r[0], r[1], r[8]) = (1.0e8, -1.0e8, 1.0);
+        let lane0 = 1.0e8f32 + 1.0;
+        assert_eq!(sums(&r).0.to_bits(), (lane0 + -1.0e8f32).to_bits());
+        // In f64 nothing is absorbed; the weighted sum sees j + 1.
+        let (s, ws, x) = digest(&r);
+        assert_eq!((s, ws), (1.0, 1.0e8 - 2.0e8 + 9.0));
+        assert_eq!(
+            x,
+            1.0e8f32.to_bits() ^ (-1.0e8f32).to_bits() ^ 1.0f32.to_bits()
+        );
+        (r[0], r[1], r[8]) = (1.0, -2.0, 3.0);
+        assert_eq!(moments(&r), (2.0, 6.0, 14.0));
+    }
+}

@@ -19,6 +19,9 @@
 //! * The blocked accumulation-order contract in [`contract`] — the one
 //!   statement of how a product element, a row checksum and a column
 //!   checksum are summed, which replay and every standalone encoder call.
+//! * The protection-only lane-ordered reductions in [`lanes`] (moment
+//!   digests, guard-screen sums, the row-side detection prepass), each a
+//!   scalar definition plus a runtime-dispatched, bit-identical AVX2 form.
 //! * A thread-local scratch arena in [`workspace`] that makes the GEMM and
 //!   encoding hot path allocation-free in steady state.
 //! * [`PagedKv`] — fixed-size-block paged row storage for KV caches, with
@@ -46,6 +49,7 @@ pub mod float;
 pub mod gemm;
 pub mod guard;
 pub mod kv;
+pub mod lanes;
 pub mod matrix;
 pub mod ops;
 pub mod pack;

@@ -270,6 +270,18 @@ impl Matrix {
         }
     }
 
+    /// The first `rows` rows by value: the trailing rows are truncated
+    /// off the storage, nothing is copied.
+    ///
+    /// # Panics
+    /// Panics if `rows > self.rows()`.
+    pub fn into_top_rows(mut self, rows: usize) -> Matrix {
+        assert!(rows <= self.rows, "into_top_rows: {rows} of {}", self.rows);
+        self.data.truncate(rows * self.cols);
+        self.rows = rows;
+        self
+    }
+
     /// Copy of the sub-matrix `rows_range × col_range`.
     pub fn submatrix(
         &self,

@@ -137,7 +137,7 @@ pub(crate) fn pack_a_block<A: SrcRead>(
 }
 
 /// Pack `op(B)[p0..p0+kc, j0..j0+nc]` into NR-column micro-panels
-/// (pure copy; see `contract::accum_row_cs` for the fused checksum sweep).
+/// (pure copy).
 pub(crate) fn pack_b_block<B: SrcRead>(
     b: B,
     p0: usize,

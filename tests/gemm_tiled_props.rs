@@ -266,7 +266,7 @@ proptest! {
     /// one module that owns it: a 1×k×1 product (the microkernel under
     /// `compute_tile`'s KC loop) is `contract::dot`; the column-side border
     /// — riding the padding lanes (m = 1, 2, MC + 1) or streamed through
-    /// `encode_border_cols`' register stripes (m = 3, MC) — is
+    /// `encode_border_cols`' row-major sweep (m = 3, MC) — is
     /// `contract::dot` over `contract::col_sums(A)`; the row-side border is
     /// `contract::dot` over each `contract::row_sums(B[kk, :])`. Shapes
     /// ragged across the KC / NC / MC edges, IEEE specials anywhere.
