@@ -538,7 +538,7 @@ pub fn forward(
         }
         det.absorb(ctx.report);
         v_cols.push(v_h.logical());
-        cl_blocks.push(cl_h.drop_row_checksums());
+        cl_blocks.push(cl_h);
     }
     let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
 

@@ -459,9 +459,13 @@ impl CheckedMatrix {
         let m = self.rows;
         let sum_w: f32 = (0..m).map(weight).sum();
         if self.has_col_cs {
-            for (c, &b) in bias.iter().enumerate() {
-                self.buf[(m, c)] += m as f32 * b;
-                self.buf[(m + 1, c)] += sum_w * b;
+            // The two border rows are adjacent in the buffer: split once and
+            // zip both against `bias`, no per-element index arithmetic.
+            let ld = self.buf.cols();
+            let (cs, wcs) = self.buf.data_mut()[m * ld..].split_at_mut(ld);
+            for ((s, ws), &b) in cs.iter_mut().zip(wcs).zip(bias) {
+                *s += m as f32 * b;
+                *ws += sum_w * b;
             }
         }
         if self.has_row_cs {
@@ -524,28 +528,14 @@ impl CheckedMatrix {
         }
     }
 
-    /// Drop row checksums, keeping column checksums (used when the per-head
-    /// `CL` blocks are merged: only column checksums ride into `S_O`).
-    pub fn drop_row_checksums(self) -> CheckedMatrix {
-        if !self.has_row_cs {
-            return self;
-        }
-        let phys_rows = self.buf.rows();
-        CheckedMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            has_col_cs: self.has_col_cs,
-            has_row_cs: false,
-            buf: self.buf.submatrix(0, phys_rows, 0, self.cols),
-        }
-    }
-
     /// Horizontally concatenate column-checksummed blocks (per-head `CL`
     /// blocks back into the full context layer): one merged buffer, each
-    /// block copied once.
+    /// block's logical columns copied once. Only column checksums ride into
+    /// `S_O` — they restrict to column ranges exactly — so a block that
+    /// still carries its row-checksum pair simply leaves it behind.
     ///
     /// # Panics
-    /// Panics if blocks disagree on rows/flags or any carries row checksums.
+    /// Panics if blocks disagree on rows or on the column-checksum flag.
     pub fn concat_cols(blocks: &[CheckedMatrix]) -> CheckedMatrix {
         assert!(!blocks.is_empty());
         let rows = blocks[0].rows;
@@ -556,9 +546,8 @@ impl CheckedMatrix {
         for b in blocks {
             assert_eq!(b.rows, rows, "concat_cols: row mismatch");
             assert_eq!(b.has_col_cs, has_col_cs, "concat_cols: flag mismatch");
-            assert!(!b.has_row_cs, "concat_cols: row checksums present");
             for r in 0..buf.rows() {
-                buf.row_mut(r)[c0..c0 + b.cols].copy_from_slice(b.buf.row(r));
+                buf.row_mut(r)[c0..c0 + b.cols].copy_from_slice(&b.buf.row(r)[..b.cols]);
             }
             c0 += b.cols;
         }
@@ -788,17 +777,12 @@ mod tests {
         let right = ca.slice_cols(3, 6);
         let merged = CheckedMatrix::concat_cols(&[left, right]);
         assert_eq!(merged.buf(), ca.buf());
-    }
-
-    #[test]
-    fn drop_row_checksums_keeps_col_side() {
-        let mut rng = TensorRng::seed_from(11);
-        let a = rand(&mut rng, 4, 4);
+        // A block that still carries its row-checksum pair contributes its
+        // logical columns and column checksums only.
         let both = CheckedMatrix::encode_both(&a, Strategy::Fused);
-        let colonly = both.drop_row_checksums();
-        assert!(colonly.has_col_checksums());
-        assert!(!colonly.has_row_checksums());
-        assert!(colonly.max_checksum_discrepancy() < 1e-4);
+        let merged = CheckedMatrix::concat_cols(&[both.clone(), both]);
+        assert!(merged.has_col_checksums() && !merged.has_row_checksums());
+        assert_eq!(merged.slice_cols(6, 12).buf(), ca.buf());
     }
 
     #[test]

@@ -186,11 +186,11 @@ impl AttnKvCache {
             return;
         }
         let (s, ws) = contract::row_sums(v_row);
-        let mut row = workspace::take(self.d + 2);
-        row[..self.d].copy_from_slice(v_row);
-        row[self.d] = s;
-        row[self.d + 1] = ws;
-        vb.push_row(&row);
+        vb.push_row_with(|row| {
+            let (data, pair) = row.split_at_mut(v_row.len());
+            data.copy_from_slice(v_row);
+            pair.copy_from_slice(&[s, ws]);
+        });
     }
 
     /// Seed the cache from full-forward K/V activations (`seq × hidden`,
@@ -239,21 +239,36 @@ impl AttnKvCache {
         let mut buf = Matrix::zeros(qb.rows(), width);
         gemm::matmul_nt_paged_into(qb.view(), kb, buf.view_mut());
         if self.checksummed {
-            for i in 0..qb.rows() {
-                let qrow = qb.row(i);
-                let mut cs = 0.0f32;
-                let mut wcs = 0.0f32;
-                for b in 0..kb.num_blocks() {
-                    let p0 = contract::dot(qrow, kb.tail_row(b, 0));
-                    let p1 = contract::dot(qrow, kb.tail_row(b, 1));
-                    cs += p0;
-                    wcs += p1 + (b * self.block_rows) as f32 * p0;
-                }
-                buf[(i, len)] = cs;
-                buf[(i, len + 1)] = wcs;
+            // Three buffer rows when `q_h` carries its column checksums
+            // (every guarded step); a bare row rides all three lanes — the
+            // chains are independent, so the pass costs the same.
+            let last = qb.rows() - 1;
+            let sums = self.tail_sums(head, [0, 1, 2].map(|i| qb.row(i.min(last))));
+            for (i, s) in sums.iter().enumerate().take(qb.rows()) {
+                buf.row_mut(i)[len..].copy_from_slice(s);
             }
         }
         CheckedMatrix::from_augmented(1, len, q_h.has_col_checksums(), self.checksummed, buf)
+    }
+
+    /// `(Σ_r s_r, Σ_r weight(r)·s_r)` of the score rows `rows[i] · K_hᵀ`,
+    /// assembled from the per-block tails: `rows[i] · t0_b` and
+    /// `rows[i] · t1_b` are contract elements ([`contract::dots_pair`], all
+    /// of a block's in one pass), combined in block order with block `b`'s
+    /// local weights shifted by its start offset.
+    fn tail_sums(&self, head: usize, rows: [&[f32]; 3]) -> [[f32; 2]; 3] {
+        let kb = &self.k[head];
+        let mut sums = [[0.0f32; 2]; 3];
+        for b in 0..kb.num_blocks() {
+            let tails = kb.tail_row(b, 0).iter().zip(kb.tail_row(b, 1));
+            let dots = contract::dots_pair(rows, tails.map(|(&t0, &t1)| (t0, t1)));
+            let start = (b * self.block_rows) as f32;
+            for ([cs, wcs], [p0, p1]) in sums.iter_mut().zip(dots) {
+                *cs += p0;
+                *wcs += p1 + start * p0;
+            }
+        }
+        sums
     }
 
     /// The appended context row `ap · V_h` over the grown cache. When
@@ -264,22 +279,17 @@ impl AttnKvCache {
         assert_eq!(ap.rows(), 1, "context_row: single query");
         let vb = &self.v[head];
         assert_eq!(ap.cols(), vb.rows(), "context_row: prefix length");
-        let width = vb.cols();
         if active {
-            let mut buf = Matrix::zeros(3, width);
+            let mut buf = Matrix::zeros(3, vb.cols());
             gemm::gemm_encode_cols_paged_into(ap.view(), vb, buf.view_mut());
             CheckedMatrix::from_augmented(1, self.d, true, self.checksummed, buf)
         } else {
-            let mut buf = Matrix::zeros(1, width);
+            // An unguarded step returns plain data, exactly like the
+            // inactive training sections: the data columns only, whether
+            // or not the cache rows carry a pair after them.
+            let mut buf = Matrix::zeros(1, self.d);
             gemm::matmul_paged_into(ap.view(), vb, buf.view_mut());
-            if self.checksummed {
-                // Drop the riding checksum columns: an unguarded step
-                // returns plain data, exactly like the inactive training
-                // sections.
-                CheckedMatrix::from_plain_owned(buf.submatrix(0, 1, 0, self.d))
-            } else {
-                CheckedMatrix::from_plain_owned(buf)
-            }
+            CheckedMatrix::from_plain_owned(buf)
         }
     }
 
@@ -324,8 +334,11 @@ fn verify_k_blocks(kb: &mut PagedKv, cfg: &AbftConfig, report: &mut AbftReport, 
         let start = b * kb.block_rows();
         let col = &mut scratch[..kb.block_len(b)];
         for c in 0..kb.cols() {
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = kb.at(start + i, c);
+            // Column `c` of the block: its slice read once and strided, no
+            // `/ block_rows` per element.
+            let strided = kb.block_data(b)[c..].iter().step_by(kb.cols());
+            for (v, &x) in col.iter_mut().zip(strided) {
+                *v = x;
             }
             let (t0, t1) = (kb.tail_row(b, 0)[c], kb.tail_row(b, 1)[c]);
             let verdict = eec_correct_vector(col, t0, t1, cfg);
@@ -486,7 +499,7 @@ pub fn decode_step(
         );
         let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
         // Non-GEMM scope over the per-head softmax rows; heals recompute
-        // from a pre-softmax snapshot the checked in-place form keeps.
+        // from the pre-softmax row, rebuilt from the live score row.
         let op_guard = GuardedSection::guard_step(config);
 
         // ------------------------------------------------ section S_AS
@@ -548,7 +561,15 @@ pub fn decode_step(
                 if let Some(mrow) = mask {
                     apply_additive_mask(m, mrow);
                 }
-                softmax_rows_checked_inplace(m, &op_guard);
+                // The pre-softmax row is `as_row` + mask again, rebuilt
+                // only when the screen fails.
+                softmax_rows_checked_inplace(m, &op_guard, || {
+                    let mut pre = as_row.logical();
+                    if let Some(mrow) = mask {
+                        apply_additive_mask(&mut pre, mrow);
+                    }
+                    pre
+                });
             });
             ap_rows.push(ap);
         }
@@ -592,7 +613,7 @@ pub fn decode_step(
                 });
             }
             det.absorb(ctx.report);
-            cl_blocks.push(cl_row.drop_row_checksums());
+            cl_blocks.push(cl_row);
         }
         let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
 
@@ -980,24 +1001,47 @@ mod tests {
 
     #[test]
     fn decode_parity_holds_at_awkward_block_sizes() {
-        // The paging granularity must never reach the result bits.
-        let (x, attn) = setup(9, 32, 4);
-        let (reference, _) = decode_all(&attn, &x, false, SectionToggles::all());
-        for &block_rows in &[1usize, 3, 5, 64] {
-            let mut cache = AttnKvCache::with_block_rows(32, 4, true, block_rows);
-            let mut report = AbftReport::default();
-            for t in 0..x.rows() {
-                let x_row = x.submatrix(t, t + 1, 0, x.cols());
-                let mut ctx = ForwardCtx {
-                    mask: None,
-                    toggles: SectionToggles::all(),
-                    hook: None,
-                    report: &mut report,
-                };
-                let out = attn.decode_step(&x_row, &mut cache, &mut ctx);
-                assert_eq!(out, reference[t], "block_rows={block_rows} t={t}");
+        // The paging granularity must never reach the result bits — nor,
+        // past `KC` cached tokens, may a block that straddles the contract's
+        // partial flush (3 and 5 do not divide 128).
+        let long = attn_tensor::gemm::KC + 12;
+        for (seq, sizes) in [(9, &[1usize, 3, 5, 64][..]), (long, &[3, 5][..])] {
+            let (x, attn) = setup(seq, 32, 4);
+            let (reference, _) = decode_all(&attn, &x, false, SectionToggles::all());
+            for &block_rows in sizes {
+                let (_, rows, report) = grow_cache(&attn, &x, block_rows, usize::MAX, None);
+                assert!(rows == reference, "seq={seq} block_rows={block_rows}");
+                assert!(report.is_quiet(), "block_rows={block_rows}: {report}");
             }
-            assert!(report.is_quiet(), "block_rows={block_rows}: {report}");
+        }
+    }
+
+    #[test]
+    fn fused_tail_sums_equal_the_per_row_dot_loop() {
+        // The form `score_row` ran before the fused pass, kept here as the
+        // reference: one `contract::dot` per query row, tail and block.
+        fn per_row(cache: &AttnKvCache, head: usize, qrow: &[f32]) -> [f32; 2] {
+            let kb = &cache.k[head];
+            let (mut cs, mut wcs) = (0.0f32, 0.0f32);
+            for b in 0..kb.num_blocks() {
+                let p0 = contract::dot(qrow, kb.tail_row(b, 0));
+                let p1 = contract::dot(qrow, kb.tail_row(b, 1));
+                cs += p0;
+                wcs += p1 + (b * cache.block_rows) as f32 * p0;
+            }
+            [cs, wcs]
+        }
+        let (x, attn) = setup(37, 32, 4);
+        for block_rows in [1usize, 3, 16, 64] {
+            let (cache, _, _) = grow_cache(&attn, &x, block_rows, usize::MAX, None);
+            let q: Vec<&[f32]> = (0..3).map(|i| &x.row(i)[..cache.d]).collect();
+            for head in 0..cache.heads {
+                let fused = cache.tail_sums(head, [q[0], q[1], q[2]]);
+                for (i, qrow) in q.iter().enumerate() {
+                    let want = per_row(&cache, head, qrow).map(f32::to_bits);
+                    assert_eq!(fused[i].map(f32::to_bits), want, "block_rows={block_rows}");
+                }
+            }
         }
     }
 

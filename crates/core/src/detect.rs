@@ -70,6 +70,21 @@ fn delta_suspicious(d1: f32, d2: f32, sum_abs: f32, n: usize, cfg: &AbftConfig) 
     d1.abs() > bound || !d2.is_finite() || d2.abs() > bound_w
 }
 
+/// Does any `(δ1, δ2, Σ|v|)` triple fail [`delta_suspicious`]? The verdict
+/// on every vector of a pass at once: the same predicate restated
+/// branch-free (`|`, not `||`), so the sweep vectorises.
+fn any_suspicious(
+    deltas: impl Iterator<Item = (f32, f32, f32)>,
+    n: usize,
+    cfg: &AbftConfig,
+) -> bool {
+    deltas.fold(false, |bad, (d1, d2, abs)| {
+        let bound = cfg.detection_bound(abs);
+        let bound_w = cfg.detection_bound(abs * n as f32);
+        bad | !d1.is_finite() | (d1.abs() > bound) | !d2.is_finite() | (d2.abs() > bound_w)
+    })
+}
+
 /// Run EEC-ABFT over every logical column using stored column checksums.
 ///
 /// Detection is one streaming row-major prepass recomputing all column
@@ -85,29 +100,50 @@ pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
         "correct_columns: no column checksums"
     );
     let (rows, cols) = (m.rows(), m.cols());
+    let mut out = PassOutcome::default();
+    let stored = m.buf().row(rows)[..cols]
+        .iter()
+        .zip(&m.buf().row(rows + 1)[..cols]);
+
+    // A one-row matrix is its own column sums (`0 + v`, weight 1): judge it
+    // straight from the row; only a firing verdict builds the accumulators.
+    if rows == 1 {
+        let own = stored.clone().zip(m.logical_row(0));
+        if !any_suspicious(own.map(|((cs, wcs), v)| (cs - v, wcs - v, v.abs())), 1, cfg) {
+            return out;
+        }
+    }
 
     // Streaming prepass: per-column (Σv, Σw·v, Σ|v|) in one sweep. It
     // runs on every clean detection, so the accumulators are arena scratch.
     let mut acc = workspace::take(3 * cols);
-    let (sum, rest) = acc.split_at_mut(cols);
-    let (wsum, abs) = rest.split_at_mut(cols);
+    let (d1, rest) = acc.split_at_mut(cols);
+    let (d2, abs) = rest.split_at_mut(cols);
     // Zipped so every column's accumulator triple is a vector lane.
     for r in 0..rows {
         let w = crate::checksum::weight(r);
-        let acc = sum.iter_mut().zip(wsum.iter_mut()).zip(abs.iter_mut());
+        let acc = d1.iter_mut().zip(d2.iter_mut()).zip(abs.iter_mut());
         for (((s, ws), a), &v) in acc.zip(m.logical_row(r)) {
             *s += v;
             *ws += w * v;
             *a += v.abs();
         }
     }
+    // Sums to deltas in place, then the verdict on all columns at once; the
+    // per-column EEC loop below is entered only when it fires.
+    for ((s, ws), (cs, wcs)) in d1.iter_mut().zip(d2.iter_mut()).zip(stored) {
+        (*s, *ws) = (cs - *s, wcs - *ws);
+    }
+    let deltas = d1.iter().zip(d2.iter()).zip(abs.iter());
+    if !any_suspicious(deltas.map(|((&d1, &d2), &a)| (d1, d2, a)), rows, cfg) {
+        return out;
+    }
 
-    let mut out = PassOutcome::default();
     for c in 0..cols {
-        let (cs, wcs) = m.col_checksum(c);
-        if !delta_suspicious(cs - sum[c], wcs - wsum[c], abs[c], rows, cfg) {
+        if !delta_suspicious(d1[c], d2[c], abs[c], rows, cfg) {
             continue;
         }
+        let (cs, wcs) = m.col_checksum(c);
         // Slow path: gather the column and run the full EEC-ABFT dispatch.
         let mut v = m.logical_col(c);
         match eec_correct_vector(&mut v, cs, wcs, cfg) {
@@ -450,5 +486,49 @@ mod tests {
         assert_eq!(summary.total_fixes(), 3);
         assert!(ca.logical().approx_eq(&a, 1e-2, 1e-2));
         assert_eq!(summary.unrecovered, 0);
+    }
+
+    proptest::proptest! {
+        /// The branch-free verdict sweep is the per-column predicate
+        /// (`delta_suspicious`) OR-ed over the columns: on clean matrices and
+        /// with an Inf / NaN / near-INF planted in a data row or in either
+        /// checksum row, at one row (judged straight from the row) and at many.
+        #[test]
+        fn verdict_sweep_equals_the_per_column_predicate(
+            mi in 0usize..4,
+            cols in 1usize..48,
+            plant in 0usize..4,
+            at in 0usize..3,
+            pos in 0usize..4096,
+            seed in 0u64..10_000,
+        ) {
+            let rows = [1usize, 2, 5, 64][mi];
+            let a = TensorRng::seed_from(seed).normal_matrix(rows, cols, 1.0);
+            let mut m = CheckedMatrix::encode_cols(&a, Strategy::Fused);
+            if plant > 0 {
+                let v = [f32::INFINITY, f32::NAN, 3.0e12][plant - 1];
+                let r = if at == 0 { pos % rows } else { rows + at - 1 };
+                m.buf_mut()[(r, pos % cols)] = v;
+            }
+            let deltas: Vec<(f32, f32, f32)> = (0..cols)
+                .map(|c| {
+                    let (s, ws, abs) = (0..rows).fold((0.0, 0.0, 0.0), |(s, ws, abs), r| {
+                        let v = m.get(r, c);
+                        (s + v, ws + crate::checksum::weight(r) * v, abs + v.abs())
+                    });
+                    let (cs, wcs) = m.col_checksum(c);
+                    (cs - s, wcs - ws, abs)
+                })
+                .collect();
+            let want = deltas.iter().any(|&(d1, d2, abs)| delta_suspicious(d1, d2, abs, rows, &cfg()));
+            proptest::prop_assert_eq!(any_suspicious(deltas.into_iter(), rows, &cfg()), want);
+            proptest::prop_assert_eq!(want, plant > 0, "only a planted extreme fires");
+            // The pass itself agrees: quiet exactly when nothing fired (at
+            // one row this is the verdict taken straight from the row).
+            let before = m.clone();
+            let quiet = correct_columns(&mut m, &cfg()) == PassOutcome::default();
+            proptest::prop_assert_eq!(quiet, !want);
+            proptest::prop_assert!(want || m == before);
+        }
     }
 }

@@ -79,8 +79,8 @@ pub fn dot_with(a: &[f32], b: impl Fn(usize) -> f32) -> f32 {
 }
 
 /// [`dot_with`] over two slices of equal length — the same order, zipped
-/// block by block so the hot form (score-row tail dots, every decode
-/// step) carries no index checks.
+/// block by block; the reference the kernel's and [`dots_pair`]'s elements
+/// are pinned to.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -101,6 +101,40 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub(crate) fn dot2(a: &[f32], b0: &[f32], b1: &[f32]) -> (f32, f32) {
     let [s0, s1] = dot_lanes(a, |kk| [b0[kk], b1[kk]]);
     (s0, s1)
+}
+
+/// `R` left rows against one *pair* of right columns in a single pass:
+/// `out[r] = [dot(rows[r], b0), dot(rows[r], b1)]`, `pair` yielding
+/// `(b0[kk], b1[kk])` for `kk` ascending. Each of the `2·R` chains is the
+/// element contract exactly as [`dot`] states it; they are independent, so
+/// the pass is not latency-bound the way `2·R` serial dots are. The decode
+/// step's checksum side has this shape: three augmented rows against a K
+/// block's two tails, or against V's inline `(Σ, Σw)` pair.
+#[inline]
+pub fn dots_pair<const R: usize>(
+    rows: [&[f32]; R],
+    pair: impl Iterator<Item = (f32, f32)>,
+) -> [[f32; 2]; R] {
+    let (mut acc, mut part) = ([[0.0f32; 2]; R], [[0.0f32; 2]; R]);
+    let k = rows.first().map_or(0, |r| r.len());
+    debug_assert!(rows.iter().all(|r| r.len() == k));
+    let mut kk = 0;
+    for (b0, b1) in pair {
+        for (p, row) in part.iter_mut().zip(&rows) {
+            p[0] += row[kk] * b0;
+            p[1] += row[kk] * b1;
+        }
+        kk += 1;
+        // A block ends at every KC-th element and at the last one.
+        if kk % KC == 0 || kk == k {
+            for (o, p) in acc.iter_mut().zip(part.iter_mut()) {
+                *o = [o[0] + p[0], o[1] + p[1]];
+                *p = [0.0; 2];
+            }
+        }
+    }
+    debug_assert_eq!(kk, k, "dots_pair: pair length");
+    acc
 }
 
 /// `(Σ, Σw)` of one row under the row-checksum contract: columns ascending
@@ -148,6 +182,13 @@ pub fn col_sums(a: MatRef<'_>, cols: Range<usize>, cs: &mut [f32]) {
 /// onto a zeroed `cs = [Σ(k) | Σw(k)]` — what a fused product whose border
 /// rides the padding lanes computes ahead of the driver.
 pub(crate) fn col_sums_src<A: SrcRead>(a: A, m: usize, k: usize, cs: &mut [f32]) {
+    if m <= MC {
+        // One row block: its partial *is* the result. A partial grown from
+        // +0.0 is never −0.0, so the staged `0 + partial` is a bitwise
+        // identity and the block accumulates straight onto the zeroed `cs`.
+        let (sum, wsum) = cs.split_at_mut(k);
+        return accum_col_cs(a, 0, m, 0, k, &mut ColCsAccum { sum, wsum });
+    }
     let mut part = workspace::take(2 * k);
     for i0 in (0..m).step_by(MC) {
         part.fill(0.0);

@@ -48,6 +48,26 @@
 //! bits (they are each "two extra rows of an augmented `A`"), which
 //! `tests/gemm_tiled_props.rs` and this module's tests pin.
 //!
+//! **One micro-panel is packed once.** When `op(A)` as the driver sees it
+//! has at most [`MR`] rows — a decode row, alone or with its two riding
+//! rows — it is packed once per call (`pack_a_panel`: row slices, no
+//! per-element source dispatch), not once per [`NC`] column tile (8 times at
+//! 1×128×512), for plain and riding products alike. Fused − plain per call,
+//! interleaved medians of 801 rounds, before → after: 1×128×128 0.5–1.4 →
+//! ≈ 0 µs, 1×128×512 2.2–3.8 → ≤ 0, 1×512×128 3.2 → 0.2–0.6; the plain
+//! product itself 54–59 → 49–57 µs at 1×512×128. No m = 64 product
+//! satisfies the predicate (5.3–5.9 µs before and after).
+//!
+//! **A single-query row's pair columns take their own pass**
+//! (`pair_takes_its_own_pass`): over a V cache whose rows end in their
+//! `(Σ, Σw)` pair the paged fused entry sends only the data columns through
+//! the driver and takes the two pair columns of all three augmented rows as
+//! six contract elements in one walk over the block slices
+//! ([`contract::dots_pair`]) — `ap·V` 14.5 → 9–11 µs of a decode step.
+//! Measured and rejected there: a per-row `dot2` over `PagedKv::row(kk)`
+//! (three walks, an `r / block_rows` per element) — no gain over the
+//! 34-wide product.
+//!
 //! Measured and rejected since (train shape, external harness, protected −
 //! twin ms per step): riding the column border at m = 64 *without* the
 //! extra row block (the two rows joining the last tile, see
@@ -85,7 +105,7 @@
 use crate::contract::{self, accum_col_cs, ColCsAccum};
 use crate::kv::PagedKv;
 use crate::matrix::Matrix;
-use crate::pack::{pack_a_block, pack_b_block, ColsAugmented, Src, SrcRead};
+use crate::pack::{pack_a_block, pack_a_panel, pack_b_block, ColsAugmented, Src, SrcRead};
 use crate::view::{MatMut, MatRef};
 use crate::workspace;
 use rayon::prelude::*;
@@ -220,18 +240,21 @@ pub fn gemm_encode_cols_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     encode_cols_product(a, src_n(b), n, c.data());
 }
 
-/// `C = A · B` where `B` is the paged data matrix of a KV cache.
+/// `C = A · B[:, 0..c.cols()]` where `B` is the paged data matrix of a KV
+/// cache: the whole product, or its leading columns when `c` is narrower
+/// (cache rows ending in a checksum pair the caller does not want).
 ///
-/// Bit-identical to [`matmul_into`] over a contiguous copy of `B`: the
-/// packing loops read logical elements through the crate-internal
-/// `SrcRead` abstraction, so block
+/// Bit-identical to [`matmul_into`] over a contiguous copy of those
+/// columns: the packing loops read logical elements through the
+/// crate-internal `SrcRead` abstraction, so block
 /// boundaries never alter the accumulation order.
 ///
 /// # Panics
-/// Panics on any dimension mismatch.
+/// Panics if `a.cols() != b.rows()`, `c.rows() != a.rows()`, or
+/// `c.cols() > b.cols()`.
 pub fn matmul_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>) {
     let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
+    let n = c.cols();
     assert_eq!(
         k,
         b.rows(),
@@ -240,7 +263,7 @@ pub fn matmul_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>) {
         b.rows()
     );
     assert_eq!(m, c.rows(), "matmul_paged: output rows");
-    assert_eq!(n, c.cols(), "matmul_paged: output cols");
+    assert!(n <= b.cols(), "matmul_paged: output too wide");
     gemm_driver(src_n(a), b.src(false), m, n, k, c.data(), n, None);
 }
 
@@ -284,7 +307,18 @@ pub fn gemm_encode_cols_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>
         "gemm_encode_cols_paged: output rows"
     );
     assert_eq!(n, c.cols(), "gemm_encode_cols_paged: output cols");
-    encode_cols_product(a, b.src(false), n, c.data());
+    if !pair_takes_its_own_pass(a.rows(), n) {
+        return encode_cols_product(a, b.src(false), n, c.data());
+    }
+    // Data columns through the packed driver at the full row stride; the
+    // pair columns of the three augmented rows in one pass over the blocks.
+    let (k, cd) = (a.cols(), c.data());
+    let cs = encode_cols_riding(a, b.src(false), n - 2, n, cd);
+    let (cs0, cs1) = cs.split_at(k);
+    let pairs = contract::dots_pair([a.row(0), cs0, cs1], b.col_pairs(n - 2));
+    for (crow, p) in cd.chunks_exact_mut(n).zip(pairs) {
+        crow[n - 2..].copy_from_slice(&p);
+    }
 }
 
 /// Do the two checksum rows of `[A; v1ᵀA; v2ᵀA]` land in zero-padded lanes
@@ -297,6 +331,15 @@ fn border_rides_padding(m: usize) -> bool {
     (m + 2).div_ceil(MR) == m.div_ceil(MR)
 }
 
+/// Do the last two columns of an `n`-wide single-row product open an [`NR`]
+/// panel of their own? A checksummed V cache stores each row's `(Σ, Σw)`
+/// pair after its `d` data columns: at `d = 32` a fifth panel, three-quarters
+/// padding, on every head of every decode step (see the module docs).
+#[inline]
+fn pair_takes_its_own_pass(m: usize, n: usize) -> bool {
+    m == 1 && n > 2 && n.div_ceil(NR) > (n - 2).div_ceil(NR)
+}
+
 /// The column-side fused product over either `B` layout: `cd` receives the
 /// `(m+2) × n` augmented product `[A; v1ᵀA; v2ᵀA] · B`. Two mechanisms,
 /// one set of bits — the checksum border is, either way, two extra rows of
@@ -304,7 +347,7 @@ fn border_rides_padding(m: usize) -> bool {
 /// [`border_rides_padding`] alone.
 fn encode_cols_product<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]) {
     if border_rides_padding(a.rows()) {
-        encode_cols_riding(a, bv, n, cd);
+        encode_cols_riding(a, bv, n, n, cd);
     } else {
         encode_cols_streaming(a, bv, n, cd);
     }
@@ -314,8 +357,16 @@ fn encode_cols_product<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32
 /// `[A; v1ᵀA; v2ᵀA]` goes through the packed driver **once**, as one
 /// source — when the two rows fit `A`'s padding lanes the border costs no
 /// pass over `B` and no microkernel call the plain product would not have
-/// made. (Correct for any `m`; only free under the predicate.)
-fn encode_cols_riding<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]) {
+/// made. (Correct for any `m`; only free under the predicate.) Writes the
+/// first `n` columns of the product at row stride `ldc` and hands back the
+/// projections `[Σ(k) | Σw(k)]`.
+fn encode_cols_riding<B: SrcRead>(
+    a: MatRef<'_>,
+    bv: B,
+    n: usize,
+    ldc: usize,
+    cd: &mut [f32],
+) -> workspace::WsBuf {
     let (m, k) = (a.rows(), a.cols());
     let av = src_n(a);
     let mut cs = workspace::take(2 * k);
@@ -326,7 +377,8 @@ fn encode_cols_riding<B: SrcRead>(a: MatRef<'_>, bv: B, n: usize, cd: &mut [f32]
         k,
         cs: &cs,
     };
-    gemm_driver(aug, bv, m + 2, n, k, cd, n, None);
+    gemm_driver(aug, bv, m + 2, n, k, cd, ldc, None);
+    cs
 }
 
 /// Streaming border: the projections accumulate inside the packing pass
@@ -553,10 +605,19 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
         len: stage_blocks * 2 * k,
     };
 
+    // One micro-panel of `op(A)` — a decode row, alone or with its two
+    // riding rows — is packed once for the call, not once per column tile.
+    let a_once = (m <= MR && k > 0).then(|| {
+        let mut ap = workspace::take(MR * k);
+        pack_a_panel(a, m, k, &mut ap);
+        ap
+    });
+    let a_once = a_once.as_deref();
+
     let tiles = grid.n_ib * grid.n_jb;
     let run_tile = |t: usize| {
         let (ib, jb) = (t / grid.n_jb, t % grid.n_jb);
-        compute_tile(a, b, grid, k, dst, ib, jb, stage_ptr);
+        compute_tile(a, a_once, b, grid, k, dst, ib, jb, stage_ptr);
     };
     if exceeds_par_threshold(m, n, k) && tiles > 1 {
         (0..tiles).into_par_iter().for_each(run_tile);
@@ -587,10 +648,12 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
 /// Compute one `MC × NC` output tile: pack the operand panels per
 /// [`KC`]-block and run the register microkernel over the tile's
 /// micro-panel grid, accumulating straight into the output region.
-/// `stage.len > 0` asks for the fused column checksums of `op(A)`.
+/// `stage.len > 0` asks for the fused column checksums of `op(A)`; `a_once`
+/// is the whole of `op(A)` already packed ([`pack_a_panel`]).
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
 fn compute_tile<A: SrcRead, B: SrcRead>(
     a: A,
+    a_once: Option<&[f32]>,
     b: B,
     grid: Grid,
     k: usize,
@@ -604,7 +667,9 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
     let a_panels = mc.div_ceil(MR);
     let b_panels = nc.div_ceil(NR);
     let kc_cap = KC.min(k.max(1));
-    let mut ap = workspace::take(a_panels * MR * kc_cap);
+    let mut ap = a_once
+        .is_none()
+        .then(|| workspace::take(a_panels * MR * kc_cap));
     let mut bp = workspace::take(b_panels * NR * kc_cap);
 
     // Fused checksum partials for this tile's block. Only the first tile
@@ -625,7 +690,14 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
     while p0 < k {
         let kc = KC.min(k - p0);
         pack_b_block(b, p0, kc, j0, nc, &mut bp);
-        pack_a_block(a, i0, mc, p0, kc, &mut ap);
+        let ap = match a_once {
+            Some(packed) => &packed[p0 * MR..(p0 + kc) * MR],
+            None => {
+                let ap = ap.as_mut().expect("checked out when not pre-packed");
+                pack_a_block(a, i0, mc, p0, kc, ap);
+                &ap[..]
+            }
+        };
         if let Some(acc) = col_cs.as_mut() {
             accum_col_cs(a, i0, mc, p0, kc, acc);
         }
@@ -1058,7 +1130,7 @@ mod tests {
             let b = rand_mat(&mut rng, k, n);
             let mut ride = Matrix::full(m + 2, n, f32::NAN);
             let mut stream = Matrix::full(m + 2, n, f32::NAN);
-            encode_cols_riding(a.view(), src_n(b.view()), n, ride.data_mut());
+            encode_cols_riding(a.view(), src_n(b.view()), n, n, ride.data_mut());
             encode_cols_streaming(a.view(), src_n(b.view()), n, stream.data_mut());
             let mut public = Matrix::full(m + 2, n, f32::NAN);
             gemm_encode_cols_into(a.view(), b.view(), public.view_mut());
@@ -1146,6 +1218,39 @@ mod tests {
         for i in 0..m + 2 {
             for j in 0..n {
                 assert_eq!(c[(i, j)].to_bits(), dense[(i, j)].to_bits(), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_pass_equals_the_riding_product_at_every_paging_and_length() {
+        // Against the general form it stands beside (all `n` columns
+        // through the driver): blocks straddling the KC flush, lengths
+        // around a block edge and the KC edge; `n = 14` fails the predicate.
+        assert!(pair_takes_its_own_pass(1, 34) && pair_takes_its_own_pass(1, 10));
+        assert!(!pair_takes_its_own_pass(1, 14) && !pair_takes_its_own_pass(2, 34));
+        let mut rng = TensorRng::seed_from(73);
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &block_rows in &[1usize, 3, 5, 16, 64] {
+            for &len in &[1usize, 15, 16, 17, KC - 1, KC, KC + 1, 2 * KC] {
+                for &n in &[34usize, 10, 14] {
+                    let ap = rand_mat(&mut rng, 1, len);
+                    let kv = paged_copy(&rand_mat(&mut rng, len, n), block_rows, 0);
+                    let mut general = Matrix::full(3, n, f32::NAN);
+                    encode_cols_riding(ap.view(), kv.src(false), n, n, general.data_mut());
+                    let mut public = Matrix::full(3, n, f32::NAN);
+                    gemm_encode_cols_paged_into(ap.view(), &kv, public.view_mut());
+                    let case = format!("block_rows={block_rows} len={len} n={n}");
+                    assert_eq!(bits(public.data()), bits(general.data()), "{case}");
+                    // The data-columns-only product is the same prefix.
+                    let mut narrow = Matrix::full(1, n - 2, f32::NAN);
+                    matmul_paged_into(ap.view(), &kv, narrow.view_mut());
+                    assert_eq!(
+                        bits(narrow.data()),
+                        bits(&general.row(0)[..n - 2]),
+                        "{case}"
+                    );
+                }
             }
         }
     }

@@ -235,17 +235,19 @@ pub fn softmax_rows_checked(x: &Matrix, g: &OpGuard) -> Matrix {
     y
 }
 
-/// Guarded in-place row softmax. While the guard is active the
-/// pre-softmax scores are snapshotted so a screen violation can
-/// recompute exactly.
-pub fn softmax_rows_checked_inplace(x: &mut Matrix, g: &OpGuard) {
+/// Guarded in-place row softmax. No snapshot is kept: `pre` rebuilds the
+/// pre-softmax scores, and runs only when some row fails the screen — the
+/// rows then recompute from it exactly as [`verify_softmax_rows`] heals.
+pub fn softmax_rows_checked_inplace(x: &mut Matrix, g: &OpGuard, pre: impl FnOnce() -> Matrix) {
+    softmax_rows_inplace(x);
     if !g.active() {
-        softmax_rows_inplace(x);
         return;
     }
-    let snapshot = x.clone();
-    softmax_rows_inplace(x);
-    verify_softmax_rows(&snapshot, x, g);
+    if (0..x.rows()).all(|r| softmax_row_screen(x.row(r), g.tol())) {
+        (0..x.rows()).for_each(|_| g.record_check());
+    } else {
+        verify_softmax_rows(&pre(), x, g);
+    }
 }
 
 /// Screen + heal a softmax-backward output `dx` against `(y, dy)`. The
@@ -636,13 +638,23 @@ mod tests {
         let x = rng.normal_matrix(5, 12, 1.5);
         let mut a = x.clone();
         let g = guard();
-        softmax_rows_checked_inplace(&mut a, &g);
+        // A clean pass never rebuilds the input, guard on or off.
+        softmax_rows_checked_inplace(&mut a, &g, || unreachable!("clean rows"));
         assert_eq!(a.data(), softmax_rows(&x).data());
         assert!(g.stats().is_quiet());
-        // Inactive guard takes the snapshot-free path.
+        assert_eq!(g.stats().checks, 5);
         let mut b = x.clone();
-        softmax_rows_checked_inplace(&mut b, &OpGuard::off());
+        softmax_rows_checked_inplace(&mut b, &OpGuard::off(), || unreachable!("guard off"));
         assert_eq!(b.data(), a.data());
+        // A row failing the screen recomputes from the rebuilt input, with
+        // the same outcome as the snapshot form (here: propagation, quiet).
+        let mut poisoned = x.clone();
+        poisoned[(1, 2)] = f32::NAN;
+        let mut c = poisoned.clone();
+        softmax_rows_checked_inplace(&mut c, &g, || poisoned.clone());
+        assert!(c.row(1).iter().all(|v| v.is_nan()));
+        assert_eq!(c.row(0), a.row(0));
+        assert_eq!((g.stats().checks, g.stats().heals), (10, 0));
     }
 
     #[test]

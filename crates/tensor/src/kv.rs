@@ -103,6 +103,13 @@ impl PagedKv {
     /// Panics if `row.len() != cols`.
     pub fn push_row(&mut self, row: &[f32]) -> usize {
         assert_eq!(row.len(), self.cols, "push_row: width mismatch");
+        self.push_row_with(|dst| dst.copy_from_slice(row))
+    }
+
+    /// [`Self::push_row`] with the row written in place by `fill` (handed
+    /// the new row's `cols` zeroed cells) — a caller assembling a row from
+    /// parts, like a value row and its checksum pair, needs no staging copy.
+    pub fn push_row_with(&mut self, fill: impl FnOnce(&mut [f32])) -> usize {
         let idx = self.rows;
         if idx == self.blocks.len() * self.block_rows {
             self.blocks
@@ -110,7 +117,7 @@ impl PagedKv {
         }
         let local = idx % self.block_rows;
         let block = self.blocks.last_mut().expect("block just ensured");
-        block[local * self.cols..(local + 1) * self.cols].copy_from_slice(row);
+        fill(&mut block[local * self.cols..(local + 1) * self.cols]);
         self.rows = idx + 1;
         idx
     }
@@ -161,6 +168,17 @@ impl PagedKv {
     #[inline]
     pub fn block_data(&self, b: usize) -> &[f32] {
         &self.blocks[b][..self.block_len(b) * self.cols]
+    }
+
+    /// Columns `c` and `c + 1` of every data row, rows ascending — block
+    /// slices walked directly, no `r / block_rows` per element.
+    pub fn col_pairs(&self, c: usize) -> impl Iterator<Item = (f32, f32)> + '_ {
+        assert!(c + 1 < self.cols, "col_pairs: column range");
+        (0..self.blocks.len()).flat_map(move |b| {
+            self.block_data(b)
+                .chunks_exact(self.cols)
+                .map(move |row| (row[c], row[c + 1]))
+        })
     }
 
     /// The logical data matrix (`rows × cols`, or its transpose when

@@ -136,6 +136,22 @@ pub(crate) fn pack_a_block<A: SrcRead>(
     }
 }
 
+/// Pack the whole of an `op(A)` of at most [`MR`] rows (`m × k`) as its one
+/// micro-panel, `ap[kk * MR + r]`: KC block `p0` of it is the sub-slice
+/// `[p0 * MR, (p0 + kc) * MR)`, exactly what [`pack_a_block`] writes for
+/// that block. `ap` must arrive zeroed (an arena checkout is) — the padding
+/// lanes are not written. Row-wise: a row-resident source is read as slices.
+pub(crate) fn pack_a_panel<A: SrcRead>(a: A, m: usize, k: usize, ap: &mut [f32]) {
+    debug_assert!(m <= MR && ap.len() >= k * MR);
+    for r in 0..m {
+        let lane = ap.chunks_exact_mut(MR).map(|col| &mut col[r]);
+        match a.row_slice(r, 0, k) {
+            Some(row) => lane.zip(row).for_each(|(slot, &v)| *slot = v),
+            None => lane.enumerate().for_each(|(kk, slot)| *slot = a.at(r, kk)),
+        }
+    }
+}
+
 /// Pack `op(B)[p0..p0+kc, j0..j0+nc]` into NR-column micro-panels
 /// (pure copy).
 pub(crate) fn pack_b_block<B: SrcRead>(

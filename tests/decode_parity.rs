@@ -20,7 +20,7 @@ fn lm_config() -> ModelConfig {
     cfg.layers = 2;
     cfg.vocab = 48;
     cfg.num_classes = 48;
-    cfg.max_seq = 32;
+    cfg.max_seq = 144;
     cfg
 }
 
@@ -36,8 +36,11 @@ fn bits(m: &Matrix) -> Vec<u32> {
 #[test]
 fn decode_is_bit_identical_to_full_forward_at_several_prefix_lengths() {
     let m = lm_model(ProtectionConfig::full());
-    let tokens: Vec<usize> = (0..12).map(|i| (i * 29 + 7) % 48).collect();
-    for prefill in [1usize, 3, 6, 10] {
+    // The last case decodes past `KC` = 128 cached tokens — `ap·V` flushes a
+    // second partial, the score row spans nine 16-row K blocks — the context
+    // lengths the benchmark runs at, reached by no other parity case.
+    for (prefill, len) in [(1usize, 12usize), (3, 12), (6, 12), (10, 12), (8, 142)] {
+        let tokens: Vec<usize> = (0..len).map(|i| (i * 29 + 7) % 48).collect();
         let mut state = m.new_decode_state();
         let mut report = AbftReport::default();
         let _ = m.prefill(

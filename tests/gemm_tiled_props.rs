@@ -247,13 +247,13 @@ proptest! {
         m in 1usize..11,
         ki in 0usize..6,
         ni in 0usize..8,
-        bi in 0usize..4,
+        bi in 0usize..6,
         specials in 0usize..4,
         seed in 0u64..100_000,
     ) {
         let k = [1, 7, KC - 1, KC, KC + 1, 2 * KC + 5][ki];
         let n = [1, NR - 1, NR, NR + 1, NC - 1, NC, NC + 1, NC + NR + 3][ni];
-        let block_rows = [1, 3, 16, 100][bi];
+        let block_rows = [1, 3, 5, 16, 64, 100][bi];
         let mut rng = TensorRng::seed_from(seed);
         let (a, b) = operands_with_specials(&mut rng, (m, k, n), specials);
         prop_assert!(
@@ -374,6 +374,40 @@ fn parallel_grid_is_bit_deterministic_across_worker_counts() {
             bits_equal(&enc, &reference_enc),
             "fused encode bits differ at {threads} workers"
         );
+    }
+}
+
+/// An `op(A)` of at most `MR` rows is packed once per call; a taller one is
+/// packed tile by tile. Same rows, same bits: every product of `m ≤ 6` rows
+/// (plain, and fused with its two riding rows) equals the leading rows of
+/// the same product with `MR` more rows stacked under it — which no shape
+/// here packs once — across one and many column tiles and `KC` blocks.
+#[test]
+fn packed_once_driver_equals_per_tile_packing() {
+    const MR: usize = gemm::MR;
+    let mut rng = TensorRng::seed_from(23);
+    let per_tile = |x: &Matrix, b: &Matrix| {
+        let tall = matmul(&x.vstack(&Matrix::zeros(MR + 2, x.cols())), b);
+        tall.submatrix(0, x.rows(), 0, b.cols())
+    };
+    for m in 1..=6 {
+        for n in [8usize, 63, 64, 65, 130, 512] {
+            for k in [1usize, KC - 1, KC, KC + 1, 4 * KC] {
+                let a = rng.uniform_matrix(m, k, -1.0, 1.0);
+                let b = rng.uniform_matrix(k, n, -1.0, 1.0);
+                assert!(
+                    bits_equal(&matmul(&a, &b), &per_tile(&a, &b)),
+                    "{m}x{k}x{n}"
+                );
+                let mut fused = Matrix::full(m + 2, n, f32::NAN);
+                gemm_encode_cols_into(a.view(), b.view(), fused.view_mut());
+                let aug = CheckedMatrix::encode_cols(&a, AbftStrategy::Fused);
+                assert!(
+                    bits_equal(&fused, &per_tile(aug.buf(), &b)),
+                    "{m}x{k}x{n} fused"
+                );
+            }
+        }
     }
 }
 
