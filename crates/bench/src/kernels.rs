@@ -1,7 +1,6 @@
-//! Shared kernel-level measurements: the fused-vs-standalone encoding
-//! comparison used by both `bench_gemm` (machine-readable floors) and
-//! `fig9_encoding_throughput` (human-readable table), so the definition of
-//! the "standalone" baseline can never diverge between the two.
+//! Kernel-level measurements: the fused-vs-standalone encoding comparison
+//! `fig9_encoding_throughput` tabulates, with the definition of the
+//! "standalone" baseline in one place.
 
 use crate::timing::measure;
 use attn_tensor::gemm::{gemm_encode_cols_into, matmul};

@@ -2,7 +2,8 @@
 //!
 //! Experiment harness for the reproduction: shared setup, timing, and
 //! table-formatting utilities used by the per-table/per-figure regeneration
-//! binaries (`src/bin/*.rs`) and the criterion benches (`benches/*.rs`).
+//! binaries (`src/bin/*.rs`). Speed numbers are not measured here: they come
+//! from the twin-interleaved benchmark in `benchmark/` (`BENCHMARK.json`).
 //!
 //! Every binary prints the corresponding paper artefact in a comparable
 //! textual form:
@@ -20,6 +21,9 @@
 //! | `fig11_recovery_overhead` | Fig 11 — CR vs ATTNChecker recovery |
 //! | `fig12_scale_projection` | Fig 12 — multi-billion-parameter scale |
 //! | `sec55_correction_cost` | §5.5 — correction-path overheads |
+//!
+//! plus `ablation_tolerance` (the detection-tolerance sweep) and
+//! `bench_faults` (the taxonomy-driven fault campaign, `BENCH_faults.json`).
 
 #![forbid(unsafe_code)]
 

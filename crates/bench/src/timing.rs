@@ -9,27 +9,6 @@ pub struct MeasuredTime {
     pub mean: Duration,
     /// Fastest run.
     pub min: Duration,
-    /// Slowest run.
-    pub max: Duration,
-    /// Number of measured runs.
-    pub iters: usize,
-}
-
-impl MeasuredTime {
-    /// Mean in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        self.mean.as_secs_f64() * 1e3
-    }
-
-    /// Relative overhead of `self` versus a `baseline` mean
-    /// (`0.07` = 7% slower).
-    pub fn overhead_vs(&self, baseline: &MeasuredTime) -> f64 {
-        let b = baseline.mean.as_secs_f64();
-        if attn_tensor::float::exactly_zero_f64(b) {
-            return 0.0;
-        }
-        self.mean.as_secs_f64() / b - 1.0
-    }
 }
 
 /// Run `f` for `warmup` unmeasured iterations then `iters` measured ones.
@@ -47,8 +26,6 @@ pub fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> MeasuredTime
     MeasuredTime {
         mean: total / times.len() as u32,
         min: times.iter().min().copied().unwrap_or_default(),
-        max: times.iter().max().copied().unwrap_or_default(),
-        iters: times.len(),
     }
 }
 
@@ -81,23 +58,7 @@ mod tests {
         let mut calls = 0;
         let t = measure(2, 5, || calls += 1);
         assert_eq!(calls, 7);
-        assert_eq!(t.iters, 5);
-        assert!(t.min <= t.mean && t.mean <= t.max);
-    }
-
-    #[test]
-    fn overhead_math() {
-        let base = MeasuredTime {
-            mean: Duration::from_millis(100),
-            min: Duration::ZERO,
-            max: Duration::ZERO,
-            iters: 1,
-        };
-        let slow = MeasuredTime {
-            mean: Duration::from_millis(107),
-            ..base
-        };
-        assert!((slow.overhead_vs(&base) - 0.07).abs() < 1e-9);
+        assert!(t.min <= t.mean);
     }
 
     #[test]

@@ -295,24 +295,6 @@ pub fn eec_correct_vector(v: &mut [f32], csum: f32, wsum: f32, cfg: &AbftConfig)
     }
 }
 
-/// Detection-only variant: recompute checksums and compare, touching
-/// nothing. Used to measure pure detection overhead and by tests.
-pub fn eec_detect_vector(v: &[f32], csum: f32, wsum: f32, cfg: &AbftConfig) -> bool {
-    let n = v.len();
-    if n == 0 {
-        return false;
-    }
-    let (c1, c2, sum_abs) = vector_sums(v);
-    let d1 = csum - c1;
-    let d2 = wsum - c2;
-    if d1.is_nan() || d1.is_infinite() {
-        return true;
-    }
-    let bound = cfg.detection_bound(sum_abs);
-    let bound_w = cfg.detection_bound(sum_abs * n as f32);
-    d1.abs() > bound || d2.is_nan() || d2.is_infinite() || d2.abs() > bound_w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,17 +542,6 @@ mod tests {
         // Perturb within round-off scale.
         v[10] += 1e-6;
         assert!(eec_correct_vector(&mut v, s, ws, &cfg()).is_clean());
-    }
-
-    #[test]
-    fn detect_only_flags_without_mutating() {
-        let (mut v, s, ws) = make_vector(16);
-        v[7] = f32::INFINITY;
-        let snapshot = v.clone();
-        assert!(eec_detect_vector(&v, s, ws, &cfg()));
-        assert_eq!(v, snapshot);
-        let (v2, s2, ws2) = make_vector(16);
-        assert!(!eec_detect_vector(&v2, s2, ws2, &cfg()));
     }
 
     #[test]

@@ -198,6 +198,11 @@ impl Gateway {
                 capacity,
             });
         }
+        // The embedding table's own row count: the bound its lookup asserts.
+        let vocab = self.engine.model().embedding.tok.value.rows();
+        if let Some(&token) = req.prompt.iter().find(|&&t| t >= vocab) {
+            return Err(AdmitError::TokenOutOfVocab { token, vocab });
+        }
         if self.queue.len() >= self.cfg.queue_depth {
             return Err(AdmitError::QueueFull {
                 depth: self.cfg.queue_depth,
@@ -350,11 +355,15 @@ impl Gateway {
     }
 
     fn step_hot(&mut self) {
+        let (engine, eos) = (&self.engine, self.cfg.eos);
         let ops: Vec<Option<StepOp>> = self
             .live
             .iter()
             .map(|l| {
-                if l.session.is_parked() {
+                // Only a session admitted this tick can already be finished
+                // here (`max_new: 0`, prompt within the prefill chunk); it
+                // takes no step and the next tick's drain returns it.
+                if l.session.is_parked() || finish_reason(l, engine, eos).is_some() {
                     None
                 } else if let Some(&tok) = l.feed.get(l.fed) {
                     Some(StepOp::Feed(tok))
@@ -388,9 +397,10 @@ impl Gateway {
 }
 
 /// Why a live session is finished, or `None` while it should keep
-/// stepping. Checked every tick before planning, so EOS is always the
-/// last generated token and a drained session never steps past the
-/// position table.
+/// stepping. Checked every tick by the drain and again by the plan (which
+/// is what a session admitted in between sees first), so EOS is always
+/// the last generated token, `max_new` is never exceeded and no session
+/// steps past the position table.
 fn finish_reason(l: &Live, engine: &DecodeEngine, eos: Option<usize>) -> Option<FinishReason> {
     if l.fed >= l.feed.len() {
         let generated = l.session.generated();
@@ -474,6 +484,13 @@ mod tests {
             Err(AdmitError::QueueFull { depth: 2 })
         );
         assert_eq!(gw.submit(req(&[], 4, 3)), Err(AdmitError::EmptyPrompt));
+        assert_eq!(
+            gw.submit(req(&[1, 48, 3], 4, 5)),
+            Err(AdmitError::TokenOutOfVocab {
+                token: 48,
+                vocab: 48,
+            })
+        );
         let too_long = vec![1usize; gw.table_capacity() + 1];
         assert_eq!(
             gw.submit(req(&too_long, 1, 4)),

@@ -11,7 +11,9 @@ pub type RequestId = u64;
 /// gateway is serving — sessions share nothing but the read-only model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
-    /// Prompt token ids (must be non-empty and fit the position table).
+    /// Prompt token ids (must be non-empty, fit the position table, and
+    /// each be below the model's vocabulary size — anything else is a
+    /// typed reject at `Gateway::submit`).
     pub prompt: Vec<usize>,
     /// Maximum number of generated tokens (0 completes right after
     /// prefill).
@@ -41,6 +43,13 @@ pub enum AdmitError {
         /// Position-table capacity of the served model.
         capacity: usize,
     },
+    /// The prompt holds an id the model's embedding table has no row for.
+    TokenOutOfVocab {
+        /// The first offending token id.
+        token: usize,
+        /// Vocabulary size of the served model.
+        vocab: usize,
+    },
 }
 
 impl std::fmt::Display for AdmitError {
@@ -52,6 +61,9 @@ impl std::fmt::Display for AdmitError {
             AdmitError::EmptyPrompt => write!(f, "empty prompt"),
             AdmitError::PromptTooLong { prompt, capacity } => {
                 write!(f, "prompt of {prompt} tokens exceeds capacity {capacity}")
+            }
+            AdmitError::TokenOutOfVocab { token, vocab } => {
+                write!(f, "token id {token} out of vocab {vocab}")
             }
         }
     }

@@ -767,29 +767,6 @@ unsafe fn writeback_add(
     }
 }
 
-/// Dense dot product with 4-lane unrolling. Retained as a free-standing
-/// utility (reductions, tests); note its lane-split accumulation order is
-/// **not** the GEMM contract — exact replay must use
-/// [`contract::dot_with`] instead.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 4;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for i in 0..chunks {
-        let p = i * 4;
-        s0 += a[p] * b[p];
-        s1 += a[p + 1] * b[p + 1];
-        s2 += a[p + 2] * b[p + 2];
-        s3 += a[p + 3] * b[p + 3];
-    }
-    let mut s = (s0 + s1) + (s2 + s3);
-    for i in chunks * 4..a.len() {
-        s += a[i] * b[i];
-    }
-    s
-}
-
 /// Triple-loop reference GEMM used to validate the blocked kernels.
 pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows());
@@ -920,16 +897,6 @@ mod tests {
         let b = Matrix::from_vec(2, 1, vec![-1.0, 0.5]);
         let c = matmul(&a, &b);
         assert_eq!(c[(0, 0)], f32::NEG_INFINITY);
-    }
-
-    #[test]
-    fn dot_handles_remainder_lengths() {
-        for n in 0..10 {
-            let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            let b: Vec<f32> = (0..n).map(|i| (i + 1) as f32).collect();
-            let expect: f32 = (0..n).map(|i| (i * (i + 1)) as f32).sum();
-            assert_eq!(dot(&a, &b), expect, "n={n}");
-        }
     }
 
     #[test]

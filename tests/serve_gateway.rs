@@ -1,14 +1,15 @@
 //! Cross-crate contracts of the serving gateway, pinned through the
 //! workspace façade: a fixed arrival trace is bit-identical at any
-//! worker count and admission shape, and the paged KV cache's
-//! verify-on-move detects at-rest damage in evicted (parked) blocks.
+//! worker count and admission shape, every request comes back exactly
+//! once with its budget, and the paged KV cache's verify-on-move detects
+//! at-rest damage in evicted (parked) blocks.
 
 use attnchecker_repro::abft::config::ProtectionConfig;
 use attnchecker_repro::abft::report::AbftReport;
 use attnchecker_repro::infer::Sampling;
 use attnchecker_repro::model::model::{ModelConfig, TransformerModel};
 use attnchecker_repro::serve::{
-    FinishReason, Gateway, GatewayConfig, Request, TraceEvent, TraceOutcome,
+    AdmitError, FinishReason, Gateway, GatewayConfig, Request, TraceEvent, TraceOutcome,
 };
 use attnchecker_repro::tensor::rng::TensorRng;
 
@@ -92,6 +93,89 @@ fn gateway_trace_is_bit_identical_across_workers_and_admission_shapes() {
             tokens_of(&base),
             "max_live={max_live} budget={budget} perturbed a token stream"
         );
+    }
+}
+
+#[test]
+fn every_request_returns_exactly_once_with_its_budget() {
+    // Seeded bursty arrivals against a queue shallow enough to shed a few.
+    // The first three are fixed: `max_new: 0` with a prompt inside the
+    // prefill chunk and with one fed past it, and a prompt holding id 48 on
+    // a 48-word model.
+    let fixed = [
+        (vec![1usize, 2, 3], 0usize),
+        (vec![1, 2, 3, 4, 5, 6, 7], 0),
+        (vec![1, 48, 3], 4),
+    ];
+    let mut rng = TensorRng::seed_from(90210);
+    let mut tick = 0u64;
+    let trace: Vec<TraceEvent> = (0..40)
+        .map(|i| {
+            let (prompt, max_new) = fixed.get(i).cloned().unwrap_or_else(|| {
+                tick += rng.index(3) as u64;
+                let prompt = (0..2 + rng.index(8)).map(|_| rng.index(48)).collect();
+                (prompt, 1 + rng.index(8))
+            });
+            TraceEvent {
+                at_tick: tick,
+                request: Request {
+                    prompt,
+                    max_new,
+                    seed: 1000 + i as u64,
+                },
+            }
+        })
+        .collect();
+
+    for workers in [1, 2] {
+        let cfg = GatewayConfig {
+            queue_depth: 3,
+            max_live: 3,
+            prefill_chunk: 4,
+            sampling: Sampling::Temperature(0.9),
+            workers,
+            ..GatewayConfig::default()
+        };
+        let mut gw = Gateway::new(lm_model(), cfg);
+        let out = gw.run_trace(&trace);
+
+        // Malformed input is a typed reject and the gateway keeps serving;
+        // every other reject is backpressure.
+        let (token, vocab) = (48, 48);
+        assert_eq!(
+            out.rejected[0],
+            (2, AdmitError::TokenOutOfVocab { token, vocab })
+        );
+        let shed = &out.rejected[1..];
+        assert!(!shed.is_empty(), "queue_depth 3 must shed");
+        assert!(shed
+            .iter()
+            .all(|(_, e)| matches!(e, AdmitError::QueueFull { depth: 3 })));
+
+        // Ids are dense over the accepted arrivals, in submission order.
+        let accepted: Vec<&Request> = trace
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| out.rejected.iter().all(|(r, _)| r != i))
+            .map(|(_, ev)| &ev.request)
+            .collect();
+        assert_eq!(out.completions.len() + out.rejected.len(), trace.len());
+        let mut ids: Vec<u64> = out.completions.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        assert!(ids.iter().copied().eq(0..accepted.len() as u64));
+
+        let (mut generated, mut fed) = (0u64, 0u64);
+        for c in &out.completions {
+            let req = accepted[c.id as usize];
+            assert_eq!(c.reason, FinishReason::TokenBudget, "request {}", c.id);
+            assert_eq!(c.generated().len(), req.max_new, "request {}", c.id);
+            assert_eq!(c.tokens[..c.prompt_len], req.prompt[..], "request {}", c.id);
+            assert!(c.report.is_quiet(), "request {}: {:?}", c.id, c.report);
+            generated += req.max_new as u64;
+            fed += req.prompt.len().saturating_sub(cfg.prefill_chunk) as u64;
+        }
+        assert_eq!(gw.stats().generated_tokens, generated);
+        assert_eq!(gw.stats().fed_tokens, fed);
     }
 }
 
