@@ -14,7 +14,9 @@
 //! with the trainer's data-parallel step fanning batch items over all
 //! cores — the parallel columns measure the step speedup and check that
 //! the ABFT overhead *ratio* is schedule-independent (per-item protection
-//! work scales with the items, not with the worker count).
+//! work scales with the items, not with the worker count). Fused vs
+//! standalone encoding is measured per GEMM shape by
+//! `fig9_encoding_throughput` and `fig8_opt_ablation`, not here.
 //!
 //! The paper reports ≈11% overhead on the attention block and ≈7% on the
 //! end-to-end step, averaged over models.
@@ -38,8 +40,7 @@ fn main() {
         "Model",
         "attn original (ms)",
         "attn ATTNChecker (ms)",
-        "overhead (fused enc)",
-        "overhead (standalone enc)",
+        "overhead",
     ]);
     let mut step_table = TextTable::new(&[
         "Model",
@@ -58,7 +59,6 @@ fn main() {
         "overhead par",
     ]);
     let mut sum_attn = 0.0;
-    let mut sum_sep = 0.0;
     let mut sum_step = 0.0;
     let mut sum_ffn = 0.0;
     let mut sum_speedup = 0.0;
@@ -72,14 +72,6 @@ fn main() {
         let mut off = build_trainer(config, ProtectionConfig::off(), 42);
         let mut attn_on = build_trainer(config, ProtectionConfig::attention_only(), 42);
         let mut full_on = build_trainer(config, ProtectionConfig::full(), 42);
-        // Standalone-encoding ablation: the Separate strategy encodes with
-        // eager two-pass sweeps and updates checksums in separate kernels
-        // — the non-fused composition the paper's fusion claim is against.
-        let mut sep_on = {
-            let mut cfg = ProtectionConfig::attention_only();
-            cfg.strategy = attnchecker::config::Strategy::Separate;
-            build_trainer(config, cfg, 42)
-        };
         let mut off_par = build_trainer(config, ProtectionConfig::off(), 42);
         off_par.set_parallelism(workers);
         let mut attn_par = build_trainer(config, ProtectionConfig::attention_only(), 42);
@@ -89,7 +81,6 @@ fn main() {
                 &mut off,
                 &mut attn_on,
                 &mut full_on,
-                &mut sep_on,
                 &mut off_par,
                 &mut attn_par,
             ],
@@ -97,10 +88,9 @@ fn main() {
             WARMUP,
             STEPS,
         );
-        let (base, prot, e2e, sep) = (times[0], times[1], times[2], times[3]);
-        let (base_par, prot_par) = (times[4], times[5]);
+        let (base, prot, e2e) = (times[0], times[1], times[2]);
+        let (base_par, prot_par) = (times[3], times[4]);
         let attn_ovh = prot.attn_overhead_vs(&base);
-        let sep_ovh = sep.attn_overhead_vs(&base);
         let step_ovh = prot.step_overhead_vs(&base);
         let ffn_ovh = e2e.ffn_overhead_vs(&base);
         let speedup = base_par.step_speedup_vs(&base);
@@ -113,9 +103,7 @@ fn main() {
             format!("{:.3}", base.attn_ms),
             format!("{:.3}", prot.attn_ms),
             pct(attn_ovh),
-            pct(sep_ovh),
         ]);
-        sum_sep += sep_ovh;
         step_table.row(&[
             config.name.clone(),
             format!("{:.3}", base.step_ms),
@@ -140,9 +128,8 @@ fn main() {
         par_table.render()
     );
     println!(
-        "mean attention overhead: {} (fused enc) vs {} (standalone enc)   mean step overhead: {}   mean FFN-protection overhead: {}",
+        "mean attention overhead: {}   mean step overhead: {}   mean FFN-protection overhead: {}",
         pct(sum_attn / models.len() as f64),
-        pct(sum_sep / models.len() as f64),
         pct(sum_step / models.len() as f64),
         pct(sum_ffn / models.len() as f64),
     );

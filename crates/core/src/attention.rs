@@ -326,9 +326,9 @@ impl ProtectedAttention {
         self.forward(x, ForwardOptions::default(), report)
     }
 
-    /// Run the protected attention pipeline on `x` (`seq × hidden`).
-    ///
-    /// Compatibility wrapper around [`Self::forward_ctx`].
+    /// Run the protected attention pipeline on `x` (`seq × hidden`): the
+    /// free [`forward`] over the owned weights, with `opts` and `report`
+    /// as its [`ForwardCtx`].
     ///
     /// # Panics
     /// Panics if `x.cols() != hidden`.
@@ -344,17 +344,7 @@ impl ProtectedAttention {
             hook: opts.hook,
             report,
         };
-        self.forward_ctx(x, &mut ctx)
-    }
-
-    /// Run the protected attention pipeline with an explicit per-execution
-    /// [`ForwardCtx`] — see the free [`forward`] this delegates to
-    /// (borrowing the owned weights).
-    ///
-    /// # Panics
-    /// Panics if `x.cols() != hidden`.
-    pub fn forward_ctx(&self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> AttnForward {
-        forward(&(&self.weights).into(), &self.config, x, ctx)
+        forward(&(&self.weights).into(), &self.config, x, &mut ctx)
     }
 }
 
@@ -422,26 +412,11 @@ pub fn forward(
         &mut k,
     );
 
-    let heal_q = |q: &mut CheckedMatrix, report: &mut AbftReport| {
-        s_as.heal_operand_cols(report, q, usize::MAX, |r, c| {
-            replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
-        });
-    };
-    let heal_k = |k: &mut CheckedMatrix, report: &mut AbftReport| {
-        s_as.heal_operand_cols(report, k, usize::MAX, |r, c| {
-            replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
-        });
-    };
     // Heal the source operands lazily at the first delayed detection: Q
     // and K are cached for backward, where an uncorrected 0D extreme
     // value would re-poison the gradients — and the exact refinement of
-    // AS below needs clean operands to replay against. Under immediate
-    // (Separate) verification they are healed right here instead.
-    let mut qk_healed = s_as.immediate();
-    if s_as.active() && s_as.immediate() {
-        heal_q(&mut q, ctx.report);
-        heal_k(&mut k, ctx.report);
-    }
+    // AS below needs clean operands to replay against.
+    let mut qk_healed = false;
 
     let mut scores_cache = Vec::with_capacity(heads);
     let mut ap_mats: Vec<Matrix> = Vec::with_capacity(heads);
@@ -462,8 +437,12 @@ pub fn forward(
         if det.detections() > 0 {
             if !qk_healed {
                 qk_healed = true;
-                heal_q(&mut q, ctx.report);
-                heal_k(&mut k, ctx.report);
+                s_as.heal_operand_cols(ctx.report, &mut q, usize::MAX, |r, c| {
+                    replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
+                });
+                s_as.heal_operand_cols(ctx.report, &mut k, usize::MAX, |r, c| {
+                    replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
+                });
             }
             let lo = h * d;
             det.refine(&mut as_h, |r, c| {
@@ -507,15 +486,6 @@ pub fn forward(
             &mut v_h,
         );
 
-        let heal_v = |v_h: &mut CheckedMatrix, report: &mut AbftReport| {
-            s_cl.heal_operand_rows(report, v_h, h, |r, c| {
-                replay_nn(x.row(r), |kk| wv_h[(kk, c)]) + bv_h[c]
-            });
-        };
-        if s_cl.active() && s_cl.immediate() && v_h.has_row_checksums() {
-            heal_v(&mut v_h, ctx.report);
-        }
-
         // AP re-enters the checksummed region inside the fused GEMM:
         // its column encoding (the old standalone re-encode sweep
         // after softmax) accumulates in this product's packing pass.
@@ -531,7 +501,9 @@ pub fn forward(
         if det.detections() > 0 {
             if v_h.has_row_checksums() {
                 // Heal the cached V the same way Q/K are healed.
-                heal_v(&mut v_h, ctx.report);
+                s_cl.heal_operand_rows(ctx.report, &mut v_h, h, |r, c| {
+                    replay_nn(x.row(r), |kk| wv_h[(kk, c)]) + bv_h[c]
+                });
             }
             let ap = &ap_mats[h];
             det.refine(&mut cl_h, |r, c| replay_nn(ap.row(r), |kk| v_h.get(kk, c)));
@@ -639,19 +611,6 @@ pub(crate) mod tests {
             "protection must not perturb fault-free results"
         );
         assert!(r1.is_quiet(), "no detections expected: {r1}");
-    }
-
-    #[test]
-    fn separate_strategy_matches_fused_results() {
-        let (x, attn) = setup(10, 24, 3);
-        let sep =
-            ProtectedAttention::new(attn.weights.clone(), ProtectionConfig::full_unoptimized());
-        let mut r1 = AbftReport::default();
-        let mut r2 = AbftReport::default();
-        let a = attn.forward_simple(&x, &mut r1);
-        let b = sep.forward_simple(&x, &mut r2);
-        assert!(a.output.approx_eq(&b.output, 1e-4, 1e-4));
-        assert!(r2.is_quiet());
     }
 
     #[test]

@@ -20,18 +20,12 @@
 //! [`CheckedMatrix::product`]: one function over two borrowed [`Operand`]
 //! views that picks the kernel ([`ProductKind`]) and composes the border
 //! flags; plain matrices (weights, activations) and checked ones enter it
-//! the same way, uncopied. The alternative [`Strategy::Separate`] path
-//! ([`CheckedMatrix::matmul_separate`]) performs the same mathematics as
-//! four independent products plus assembly copies, reproducing the
-//! kernel-launch-and-traffic-heavy baseline of Fig 8.
+//! the same way, uncopied. It is the only route a guarded product takes.
 
-use crate::checksum::{
-    col_checksums, col_checksums_naive, row_checksums, row_checksums_naive, weight,
-};
+use crate::checksum::{col_checksums, row_checksums, weight};
 use crate::config::Strategy;
 use attn_tensor::{contract, gemm};
 use attn_tensor::{MatRef, Matrix};
-use std::ops::Range;
 
 /// A dense matrix whose buffer physically carries dual checksums.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,15 +99,10 @@ impl<'a> Operand<'a> {
 
     /// Copy of the logical data region.
     pub fn logical(&self) -> Matrix {
-        self.block(0..self.rows, 0..self.cols)
-    }
-
-    /// Copy of one rectangle of the physical buffer.
-    fn block(&self, rows: Range<usize>, cols: Range<usize>) -> Matrix {
-        let mut out = Matrix::zeros(rows.len(), cols.len());
-        for (ro, r) in rows.enumerate() {
-            out.row_mut(ro)
-                .copy_from_slice(&self.buf.row(r)[cols.start..cols.end]);
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for r in 0..self.rows {
+            out.row_mut(r)
+                .copy_from_slice(&self.buf.row(r)[..self.cols]);
         }
         out
     }
@@ -174,33 +163,26 @@ impl CheckedMatrix {
         }
     }
 
-    /// Encode column checksums (two appended rows).
-    pub fn encode_cols(data: &Matrix, strategy: Strategy) -> Self {
-        let cs = match strategy {
-            Strategy::Fused => col_checksums(data),
-            Strategy::Separate => col_checksums_naive(data),
-        };
+    /// Encode column checksums (two appended rows). `Strategy` has the one
+    /// variant `Fused` (see its docs for why the argument stays).
+    pub fn encode_cols(data: &Matrix, _strategy: Strategy) -> Self {
         Self {
             rows: data.rows(),
             cols: data.cols(),
             has_col_cs: true,
             has_row_cs: false,
-            buf: data.vstack(&cs),
+            buf: data.vstack(&col_checksums(data)),
         }
     }
 
     /// Encode row checksums (two appended columns).
-    pub fn encode_rows(data: &Matrix, strategy: Strategy) -> Self {
-        let cs = match strategy {
-            Strategy::Fused => row_checksums(data),
-            Strategy::Separate => row_checksums_naive(data),
-        };
+    pub fn encode_rows(data: &Matrix, _strategy: Strategy) -> Self {
         Self {
             rows: data.rows(),
             cols: data.cols(),
             has_col_cs: false,
             has_row_cs: true,
-            buf: data.hstack(&cs),
+            buf: data.hstack(&row_checksums(data)),
         }
     }
 
@@ -209,10 +191,7 @@ impl CheckedMatrix {
         let with_rows = Self::encode_rows(data, strategy);
         // Column checksums of the row-augmented buffer also cover the
         // checksum columns, producing the 2×2 corner automatically.
-        let cs = match strategy {
-            Strategy::Fused => col_checksums(&with_rows.buf),
-            Strategy::Separate => col_checksums_naive(&with_rows.buf),
-        };
+        let cs = col_checksums(&with_rows.buf);
         Self {
             rows: data.rows(),
             cols: data.cols(),
@@ -356,82 +335,6 @@ impl CheckedMatrix {
             cols: b_outer,
             has_col_cs,
             has_row_cs,
-            buf,
-        }
-    }
-
-    /// Separate-pass `A · B` (the Fig 8 "Non-OPT" baseline): data and each
-    /// checksum border are produced by independent products, then copied
-    /// into the augmented layout. Mathematically identical to
-    /// [`Self::product`] with [`ProductKind::Nn`], but with the extra
-    /// kernel launches, temporaries, and memory traffic of an unfused
-    /// implementation.
-    pub fn matmul_separate<'a, 'b>(
-        a: impl Into<Operand<'a>>,
-        b: impl Into<Operand<'b>>,
-    ) -> CheckedMatrix {
-        Self::separate(a.into(), b.into(), false)
-    }
-
-    /// Separate-pass `A · Bᵀ`, the [`ProductKind::Nt`] baseline.
-    pub fn matmul_nt_separate<'a, 'b>(
-        a: impl Into<Operand<'a>>,
-        b: impl Into<Operand<'b>>,
-    ) -> CheckedMatrix {
-        Self::separate(a.into(), b.into(), true)
-    }
-
-    fn separate(a: Operand<'_>, b: Operand<'_>, nt: bool) -> CheckedMatrix {
-        let mul = |x: &Matrix, y: &Matrix| {
-            if nt {
-                gemm::matmul_nt(x, y)
-            } else {
-                gemm::matmul(x, y)
-            }
-        };
-        // B's outer-dimension border: its row checksums, or (transposed by
-        // the NT kernel) its column checksums.
-        let (b_outer, b_inner_cs, b_cs) = if nt {
-            let cs = b.has_col_cs.then(|| b.block(b.rows..b.rows + 2, 0..b.cols));
-            (b.rows, b.has_row_cs, cs)
-        } else {
-            let cs = b.has_row_cs.then(|| b.block(0..b.rows, b.cols..b.cols + 2));
-            (b.cols, b.has_col_cs, cs)
-        };
-        assert!(
-            !a.has_row_cs && !b_inner_cs,
-            "separate product: checksums along the inner dimension"
-        );
-        let a_cs = a.has_col_cs.then(|| a.block(a.rows..a.rows + 2, 0..a.cols));
-        let (a_data, b_data) = (a.logical(), b.logical());
-        let mut buf = Matrix::zeros(
-            a.rows + 2 * usize::from(a_cs.is_some()),
-            b_outer + 2 * usize::from(b_cs.is_some()),
-        );
-        let mut place = |r0: usize, c0: usize, part: Matrix| {
-            for r in 0..part.rows() {
-                buf.row_mut(r0 + r)[c0..c0 + part.cols()].copy_from_slice(part.row(r));
-            }
-        };
-        // Kernel 1: the data product.
-        place(0, 0, mul(&a_data, &b_data));
-        // Kernel 2: column-checksum update.
-        if let Some(a_cs) = &a_cs {
-            place(a.rows, 0, mul(a_cs, &b_data));
-        }
-        // Kernel 3: row-checksum update.
-        if let Some(b_cs) = &b_cs {
-            place(0, b_outer, mul(&a_data, b_cs));
-        }
-        // Kernel 4: the consistency corner.
-        if let (Some(a_cs), Some(b_cs)) = (&a_cs, &b_cs) {
-            place(a.rows, b_outer, mul(a_cs, b_cs));
-        }
-        CheckedMatrix {
-            rows: a.rows,
-            cols: b_outer,
-            has_col_cs: a_cs.is_some(),
-            has_row_cs: b_cs.is_some(),
             buf,
         }
     }
@@ -645,34 +548,6 @@ mod tests {
         assert!(cs.has_col_checksums() && cs.has_row_checksums());
         assert!(cs.logical().approx_eq(&gemm::matmul_nt(&q, &k), 1e-4, 1e-4));
         assert!(cs.max_checksum_discrepancy() < 1e-2);
-    }
-
-    #[test]
-    fn separate_matmul_matches_fused() {
-        let mut rng = TensorRng::seed_from(5);
-        let a = rand(&mut rng, 6, 8);
-        let b = rand(&mut rng, 8, 5);
-        let ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
-        let cb = CheckedMatrix::encode_rows(&b, Strategy::Fused);
-        let fused = CheckedMatrix::product(&ca, &cb, ProductKind::Nn);
-        let sep = CheckedMatrix::matmul_separate(&ca, &cb);
-        assert!(fused.buf().approx_eq(sep.buf(), 1e-4, 1e-4));
-    }
-
-    #[test]
-    fn separate_matmul_nt_matches_fused() {
-        let mut rng = TensorRng::seed_from(6);
-        let q = rand(&mut rng, 5, 4);
-        let k = rand(&mut rng, 6, 4);
-        let cq = CheckedMatrix::encode_cols(&q, Strategy::Fused);
-        let ck = CheckedMatrix::encode_cols(&k, Strategy::Fused);
-        assert!(CheckedMatrix::product(&cq, &ck, ProductKind::Nt)
-            .buf()
-            .approx_eq(
-                CheckedMatrix::matmul_nt_separate(&cq, &ck).buf(),
-                1e-4,
-                1e-4
-            ));
     }
 
     #[test]

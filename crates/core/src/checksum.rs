@@ -13,10 +13,10 @@
 //!   data computing both weight projections at once (what the paper's
 //!   custom GPU encoder achieves with shared-memory staging: one read of
 //!   `A` produces both sums). This is the §4.6-optimized path.
-//! * [`col_checksums_naive`] / [`row_checksums_naive`] — two *separate*
-//!   GEMV-style passes with their own temporary allocations, mimicking the
-//!   strided cuBLAS composition the paper benchmarks against in Fig 9
-//!   (cuBLAS reads `A` twice and launches twice).
+//! * [`col_checksums_naive`] — two *separate* GEMV-style passes with their
+//!   own temporary allocations, mimicking the strided cuBLAS composition
+//!   the paper benchmarks against in Fig 9 (cuBLAS reads `A` twice and
+//!   launches twice).
 //!
 //! **Accumulation-order contract.** The packed GEMM kernels produce the
 //! same projections *inside their packing pass*
@@ -78,32 +78,6 @@ pub fn col_checksums_naive(a: &Matrix) -> Matrix {
     let mut cs = Matrix::zeros(2, n);
     cs.row_mut(0).copy_from_slice(&sum);
     cs.row_mut(1).copy_from_slice(&wsum);
-    cs
-}
-
-/// Naive row-checksum encoder: two independent passes (see
-/// [`col_checksums_naive`]).
-#[allow(clippy::needless_range_loop)] // the two explicit passes are the point
-pub fn row_checksums_naive(a: &Matrix) -> Matrix {
-    let m = a.rows();
-    let mut sum = vec![0.0f32; m];
-    for r in 0..m {
-        sum[r] = a.row(r).iter().sum();
-    }
-    let mut wsum = vec![0.0f32; m];
-    for r in 0..m {
-        wsum[r] = a
-            .row(r)
-            .iter()
-            .enumerate()
-            .map(|(c, &v)| weight(c) * v)
-            .sum();
-    }
-    let mut cs = Matrix::zeros(m, 2);
-    for r in 0..m {
-        cs[(r, 0)] = sum[r];
-        cs[(r, 1)] = wsum[r];
-    }
     cs
 }
 
@@ -201,7 +175,6 @@ mod tests {
         let mut rng = TensorRng::seed_from(3);
         let a = rng.normal_matrix(13, 8, 2.0);
         assert!(col_checksums(&a).approx_eq(&col_checksums_naive(&a), 1e-5, 1e-5));
-        assert!(row_checksums(&a).approx_eq(&row_checksums_naive(&a), 1e-5, 1e-5));
     }
 
     #[test]

@@ -448,9 +448,9 @@ impl ProtectedAttention {
 /// their usual meaning; hooks fire at the same [`FaultSite`]s as the
 /// training forward, on the single-row matrices.
 ///
-/// Fault-free, the returned row is bit-identical to row `len` of
-/// [`ProtectedAttention::forward_ctx`] over the grown prefix (see the
-/// module docs for why the contract holds); after an injected extreme
+/// Fault-free, the returned row is bit-identical to row `len` of the
+/// training [`forward`](crate::attention::forward) over the grown prefix
+/// (see the module docs for why the contract holds); after an injected extreme
 /// value in any of the six decode GEMMs it is *still* bit-identical, via
 /// checksum correction plus exact replay.
 ///

@@ -9,7 +9,7 @@
 //!
 //! * [`checksum`] — dual (unweighted + weighted) checksum encoding for
 //!   matrices, in both a fused single-pass form and a deliberately naive
-//!   multi-pass form (the Fig 8/9 ablation baseline).
+//!   two-pass column form (the Fig 9 encoder baseline).
 //! * [`checked`] — [`CheckedMatrix`]: a matrix physically augmented with
 //!   checksum rows/columns so checksum *updates* ride along the very same
 //!   GEMM that produces the data (paper §4.6 "Updating") — one

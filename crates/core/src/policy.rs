@@ -4,25 +4,25 @@
 //! realised as a deterministic [`FrequencyGate`] that decides, per
 //! execution, whether the section checks. Before this module existed every
 //! caller (the trainer, ad-hoc experiment loops) hand-rolled one gate per
-//! section and had to keep them in step with the config — an easy way to
-//! desync. [`ProtectionPolicy`] owns the config *and* all four gates and
-//! hands out ready-made [`SectionToggles`] per execution, so there is one
-//! place where "which sections check this step" is decided.
+//! section. [`ProtectionPolicy`] owns all four gates and hands out
+//! ready-made [`SectionToggles`] per execution, so there is one place where
+//! "which sections check this step" is decided. It holds no config of its
+//! own: the frequencies are read from the caller's [`ProtectionConfig`] on
+//! every draw, so there is no second copy to keep in sync.
 
 use crate::attention::SectionToggles;
 use crate::config::{FrequencyGate, ProtectionConfig};
 
-/// Owns a [`ProtectionConfig`] plus the per-section [`FrequencyGate`]s, and
-/// realises the configured frequencies as per-execution [`SectionToggles`].
+/// The per-section [`FrequencyGate`]s, realising a [`ProtectionConfig`]'s
+/// frequencies as per-execution [`SectionToggles`].
 ///
 /// Gates advance only through [`Self::next_toggles`], so two callers can
-/// never observe inconsistent phases, and a config update via
-/// [`Self::sync_config`] keeps the accumulated phases (matching the paper's
-/// semantics: changing a frequency mid-training re-paces future checks, it
-/// does not reset history).
-#[derive(Debug, Clone)]
+/// never observe inconsistent phases, and a config change between draws
+/// keeps the accumulated phases (matching the paper's semantics: changing
+/// a frequency mid-training re-paces future checks, it does not reset
+/// history).
+#[derive(Debug, Clone, Default)]
 pub struct ProtectionPolicy {
-    config: ProtectionConfig,
     gate_as: FrequencyGate,
     gate_cl: FrequencyGate,
     gate_o: FrequencyGate,
@@ -30,46 +30,15 @@ pub struct ProtectionPolicy {
 }
 
 impl ProtectionPolicy {
-    /// Build a policy around `config` with all gates at phase zero.
-    pub fn new(config: ProtectionConfig) -> Self {
-        Self {
-            config,
-            gate_as: FrequencyGate::default(),
-            gate_cl: FrequencyGate::default(),
-            gate_o: FrequencyGate::default(),
-            gate_ffn: FrequencyGate::default(),
-        }
-    }
-
-    /// The governing configuration.
-    pub fn config(&self) -> &ProtectionConfig {
-        &self.config
-    }
-
-    /// Replace the configuration, keeping the gates' accumulated phases.
-    pub fn sync_config(&mut self, config: ProtectionConfig) {
-        self.config = config;
-    }
-
-    /// Advance every gate one execution and return the sections to protect
-    /// this execution.
-    pub fn next_toggles(&mut self) -> SectionToggles {
+    /// Advance every gate one execution at `config`'s frequencies and
+    /// return the sections to protect this execution.
+    pub fn next_toggles(&mut self, config: &ProtectionConfig) -> SectionToggles {
         SectionToggles {
-            s_as: self.gate_as.tick(self.config.f_as),
-            s_cl: self.gate_cl.tick(self.config.f_cl),
-            s_o: self.gate_o.tick(self.config.f_o),
-            s_ffn: self.gate_ffn.tick(self.config.f_ffn),
+            s_as: self.gate_as.tick(config.f_as),
+            s_cl: self.gate_cl.tick(config.f_cl),
+            s_o: self.gate_o.tick(config.f_o),
+            s_ffn: self.gate_ffn.tick(config.f_ffn),
         }
-    }
-
-    /// Could any section ever check under this policy? Exactly
-    /// `!config.is_off()` — see [`FrequencyGate::would_ever_fire`] for why
-    /// the underlying `== 0.0` sentinel comparison is sound.
-    pub fn would_ever_fire(&self) -> bool {
-        FrequencyGate::would_ever_fire(self.config.f_as)
-            || FrequencyGate::would_ever_fire(self.config.f_cl)
-            || FrequencyGate::would_ever_fire(self.config.f_o)
-            || FrequencyGate::would_ever_fire(self.config.f_ffn)
     }
 }
 
@@ -79,58 +48,46 @@ mod tests {
 
     #[test]
     fn full_policy_always_checks_everything() {
-        let mut p = ProtectionPolicy::new(ProtectionConfig::full());
+        let mut p = ProtectionPolicy::default();
         for _ in 0..10 {
-            let t = p.next_toggles();
+            let t = p.next_toggles(&ProtectionConfig::full());
             assert!(t.s_as && t.s_cl && t.s_o && t.s_ffn);
         }
     }
 
     #[test]
     fn off_policy_never_checks_and_never_fires() {
-        let mut p = ProtectionPolicy::new(ProtectionConfig::off());
-        assert!(!p.would_ever_fire());
+        let mut p = ProtectionPolicy::default();
         for _ in 0..10 {
-            assert!(!p.next_toggles().any());
+            assert!(!p.next_toggles(&ProtectionConfig::off()).any());
         }
     }
 
     #[test]
     fn half_frequency_alternates_in_lockstep() {
-        let mut p = ProtectionPolicy::new(
-            ProtectionConfig::with_frequencies(0.5, 0.5, 0.5).ffn_frequency(0.5),
-        );
-        let pattern: Vec<bool> = (0..6).map(|_| p.next_toggles().s_as).collect();
+        let cfg = ProtectionConfig::with_frequencies(0.5, 0.5, 0.5).ffn_frequency(0.5);
+        let mut p = ProtectionPolicy::default();
+        let pattern: Vec<bool> = (0..6).map(|_| p.next_toggles(&cfg).s_as).collect();
         assert_eq!(
             pattern,
             vec![false, true, false, true, false, true],
             "error-diffusion gate at 0.5 checks every other execution"
         );
         // All four sections share the phase when configured identically.
-        let t = p.next_toggles();
+        let t = p.next_toggles(&cfg);
         assert_eq!(t.s_as, t.s_ffn);
     }
 
     #[test]
-    fn sync_config_keeps_gate_phase() {
-        let mut p = ProtectionPolicy::new(ProtectionConfig::with_frequencies(0.5, 0.5, 0.5));
-        let _ = p.next_toggles(); // phase 0.5 accumulated
-        p.sync_config(ProtectionConfig::full());
-        // Next tick fires (0.5 + 1.0 crosses 1), and from a *fresh* policy
-        // it would too — but the retained phase shows in the one after.
-        assert!(p.next_toggles().s_as);
-        assert!(p.next_toggles().s_as);
-    }
-
-    #[test]
-    fn would_ever_fire_matches_is_off() {
-        for cfg in [
-            ProtectionConfig::full(),
-            ProtectionConfig::attention_only(),
-            ProtectionConfig::off().ffn_frequency(0.25),
-        ] {
-            assert_eq!(ProtectionPolicy::new(cfg).would_ever_fire(), !cfg.is_off());
-        }
-        assert!(!ProtectionPolicy::new(ProtectionConfig::off()).would_ever_fire());
+    fn config_change_keeps_gate_phase() {
+        let half = ProtectionConfig::with_frequencies(0.5, 0.5, 0.5);
+        let mut p = ProtectionPolicy::default();
+        // Phase 0.5 accumulated, no check yet.
+        assert!(!p.next_toggles(&half).s_as);
+        // full() fires and carries the phase over (1.5 → 0.5); back at 0.5
+        // the retained phase fires at once, where a fresh policy would not.
+        assert!(p.next_toggles(&ProtectionConfig::full()).s_as);
+        assert!(p.next_toggles(&half).s_as);
+        assert!(!ProtectionPolicy::default().next_toggles(&half).s_as);
     }
 }

@@ -129,10 +129,8 @@ impl ForwardCtx<'_, '_> {
 #[derive(Debug, Clone, Copy)]
 pub struct GuardedSection {
     id: SectionId,
-    strategy: Strategy,
     abft: AbftConfig,
     active: bool,
-    immediate: bool,
 }
 
 impl GuardedSection {
@@ -156,14 +154,8 @@ impl GuardedSection {
         }
         Self {
             id,
-            strategy: config.strategy,
             abft: config.abft,
             active,
-            // The non-optimized baseline (Fig 8) does not use delayed
-            // detection: it verifies every GEMM output immediately, the way
-            // a generic ABFT composition would (§3.2 "Segmented Protection"
-            // is one of the optimizations being ablated).
-            immediate: config.strategy == Strategy::Separate,
         }
     }
 
@@ -188,13 +180,6 @@ impl GuardedSection {
         self.active
     }
 
-    /// Does this section verify every GEMM output immediately instead of
-    /// delaying detection to the section exit (the [`Strategy::Separate`]
-    /// ablation)?
-    pub fn immediate(&self) -> bool {
-        self.immediate
-    }
-
     /// Column-encode a section input eagerly (plain copy when inactive).
     /// The hot path does not need it — [`Self::gemm`] encodes on entry
     /// inside the kernel — but it is the standalone reference that entry
@@ -202,7 +187,7 @@ impl GuardedSection {
     /// itself uses.
     pub fn encode_cols(&self, m: &Matrix) -> CheckedMatrix {
         if self.active {
-            CheckedMatrix::encode_cols(m, self.strategy)
+            CheckedMatrix::encode_cols(m, Strategy::Fused)
         } else {
             CheckedMatrix::from_plain_owned(m.clone())
         }
@@ -244,7 +229,7 @@ impl GuardedSection {
     }
 
     /// The one place a section decides how a product runs, from
-    /// `active × strategy × what the left operand already carries`.
+    /// `active × what the left operand already carries`.
     fn product(&self, a: Operand<'_>, b: Operand<'_>, kind: ProductKind) -> CheckedMatrix {
         use ProductKind::*;
         if !self.active {
@@ -256,23 +241,7 @@ impl GuardedSection {
         } else {
             kind
         };
-        match self.strategy {
-            Strategy::Fused => CheckedMatrix::product(a, b, kind),
-            // The Fig 8 baseline: a standalone naive encode sweep on entry,
-            // then one kernel per checksum border.
-            Strategy::Separate => match kind {
-                Nn => CheckedMatrix::matmul_separate(a, b),
-                Nt => CheckedMatrix::matmul_nt_separate(a, b),
-                EncodeCols => {
-                    let a = CheckedMatrix::encode_cols(&a.logical(), self.strategy);
-                    CheckedMatrix::matmul_separate(&a, b)
-                }
-                EncodeRows => {
-                    let b = CheckedMatrix::encode_rows(&b.logical(), self.strategy);
-                    CheckedMatrix::matmul_separate(a, &b)
-                }
-            },
-        }
+        CheckedMatrix::product(a, b, kind)
     }
 
     /// Leave the checksummed region for a nonlinear step and return the
@@ -552,17 +521,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_entry_matches_separate_strategy_baseline() {
+    fn fused_entry_matches_staged_encode_under_full() {
         let mut rng = TensorRng::seed_from(12);
         let x = rng.normal_matrix(6, 8, 1.0);
         let w = rng.normal_matrix(8, 5, 1.0);
-        let mut report = AbftReport::default();
-        let sec = GuardedSection::begin(
-            SectionId::Output,
-            &ProtectionConfig::full_unoptimized(),
-            true,
-            &mut report,
-        );
+        let (sec, _) = section(true);
         let staged = sec.gemm(&sec.encode_cols(&x), &w);
         let fused = sec.gemm(&x, &w);
         assert_eq!(fused.buf(), staged.buf());

@@ -60,11 +60,10 @@ impl DecodeEngine {
             model.config.num_classes, model.config.vocab,
             "DecodeEngine requires an LM-shaped head (num_classes == vocab)"
         );
-        let protection = *model.protection();
         Self {
             model,
-            policy: ProtectionPolicy::new(protection),
-            prefill_policy: ProtectionPolicy::new(protection),
+            policy: ProtectionPolicy::default(),
+            prefill_policy: ProtectionPolicy::default(),
             parallelism: 1,
             pool: None,
             next_id: 0,
@@ -100,14 +99,12 @@ impl DecodeEngine {
         self.parallelism
     }
 
-    /// Change the protection config on the model and the pacing policy
-    /// together. Affects new sessions and future steps; an existing
+    /// Change the model's protection config, which both gate streams read
+    /// on every draw. Affects new sessions and future steps; an existing
     /// session keeps the cache layout (checksummed or not) it was opened
     /// with.
     pub fn set_protection(&mut self, protection: ProtectionConfig) {
         self.model.set_protection(protection);
-        self.policy.sync_config(protection);
-        self.prefill_policy.sync_config(protection);
     }
 
     /// Open a session: prefill `prompt` through the full protected forward
@@ -122,7 +119,7 @@ impl DecodeEngine {
     /// # Panics
     /// Panics on an empty prompt or out-of-vocabulary ids.
     pub fn open_session(&mut self, prompt: &[usize], seed: u64) -> DecodeSession {
-        let toggles = self.prefill_policy.next_toggles();
+        let toggles = self.prefill_policy.next_toggles(self.model.protection());
         let mut report = AbftReport::default();
         let mut state = self.model.new_decode_state();
         let logits = self.model.prefill(prompt, &mut state, toggles, &mut report); // attn-lint: allow-path(panic-reach) — model boundary: prefill's documented panics (empty/OOV prompt) are this fn's own contract, enforced before serving admits a trace
@@ -154,7 +151,7 @@ impl DecodeEngine {
         sampling: Sampling,
         inject: Option<&InjectionSpec>,
     ) -> usize {
-        let toggles = self.policy.next_toggles();
+        let toggles = self.policy.next_toggles(self.model.protection());
         let op_guard = GuardedSection::guard_step(self.model.protection());
         let token = sample_token(&session.logits, sampling, &mut session.rng, &op_guard);
         session.report.absorb_op_guard(op_guard.take_stats());
@@ -202,7 +199,7 @@ impl DecodeEngine {
         if items.is_empty() {
             return Vec::new();
         }
-        let toggles = self.policy.next_toggles();
+        let toggles = self.policy.next_toggles(self.model.protection());
         let model = &self.model;
         let protection = model.protection();
         let run = |(s, op): &mut (&mut DecodeSession, StepOp)| -> usize {

@@ -97,6 +97,17 @@ pub const LINT_NAMES: [&str; 6] = [
 /// The reachability subset — the only lints `allow-path` may name.
 pub const REACH_NAMES: [&str; 2] = [reach::PANIC_REACH, reach::TARGET_FEATURE_REACH];
 
+/// Coverage ratchet: at most this many op instances on the
+/// forward/decode/train paths run without a guard
+/// ([`reach::Coverage::ops_unguarded`]). It only moves down. A count, not
+/// a rate, so deleting guarded code cannot trip it while a new unguarded
+/// op always does. Today all 15 are on the committed by-design exemption
+/// ([`lints::UNGUARDED_GEMM_BY_DESIGN`]: the `Linear` head and the backward
+/// GEMMs); a raw GEMM outside that list is an `unguarded-gemm` finding
+/// besides. Enforced by the binary's `--coverage` run and by the
+/// `clean_tree` test.
+pub const MAX_UNGUARDED_OPS: usize = 15;
+
 /// Meta diagnostics about the suppression inventory itself.
 pub const META_NAMES: [&str; 4] = [
     "unknown-allow",

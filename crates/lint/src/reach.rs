@@ -292,7 +292,13 @@ impl Coverage {
         if self.ops.is_empty() {
             return 1.0;
         }
-        self.ops.iter().filter(|o| o.guarded).count() as f64 / self.ops.len() as f64
+        (self.ops.len() - self.ops_unguarded()) as f64 / self.ops.len() as f64
+    }
+
+    /// Op instances that run without a guard, by-design ones included —
+    /// the count [`crate::MAX_UNGUARDED_OPS`] caps.
+    pub fn ops_unguarded(&self) -> usize {
+        self.ops.iter().filter(|o| !o.guarded).count()
     }
 
     /// GEMM instances that are NOT guarded, by-design ones included.

@@ -154,7 +154,7 @@ pub fn render_json(report: &Report) -> String {
 /// Human-readable coverage summary (the `--coverage` stdout).
 pub fn render_coverage_text(cov: &Coverage) -> String {
     let mut out = String::new();
-    let guarded = cov.ops.iter().filter(|o| o.guarded).count();
+    let guarded = cov.ops.len() - cov.ops_unguarded();
     let _ = writeln!(
         out,
         "attn_lint coverage: {} ops on forward/decode/train paths, {} guarded \
@@ -192,12 +192,12 @@ pub fn render_coverage_text(cov: &Coverage) -> String {
 /// Machine-readable coverage artifact (schema `attn-lint-coverage/v2`).
 pub fn render_coverage_json(cov: &Coverage) -> String {
     let mut out = String::new();
-    let guarded = cov.ops.iter().filter(|o| o.guarded).count();
+    let unguarded = cov.ops_unguarded();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"attn-lint-coverage/v2\",\n");
     let _ = writeln!(out, "  \"ops_total\": {},", cov.ops.len());
-    let _ = writeln!(out, "  \"ops_guarded\": {guarded},");
-    let _ = writeln!(out, "  \"ops_unguarded\": {},", cov.ops.len() - guarded);
+    let _ = writeln!(out, "  \"ops_guarded\": {},", cov.ops.len() - unguarded);
+    let _ = writeln!(out, "  \"ops_unguarded\": {unguarded},");
     let _ = writeln!(out, "  \"coverage_rate\": {:.4},", cov.coverage_rate());
     let _ = writeln!(out, "  \"unguarded_gemms\": {},", cov.unguarded_gemms());
     let _ = writeln!(

@@ -4,12 +4,15 @@
 //! test` (tier 1) fails the moment anyone reintroduces a nondeterministic
 //! reduction, an unguarded GEMM, a panic construct reachable from a serving
 //! entry, a raw float compare, an undocumented `unsafe` site or an ungated
-//! `#[target_feature]` call without a justified allow (or allow-path).
+//! `#[target_feature]` call without a justified allow (or allow-path), or
+//! an op on the forward/decode/train paths that pushes the unguarded count
+//! past `MAX_UNGUARDED_OPS`.
 
 #[test]
 fn the_workspace_tree_is_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = attn_lint::run_check(&root).expect("workspace scan");
+    let tree = attn_lint::prepare_tree(&root).expect("workspace scan");
+    let report = attn_lint::scan_prepared(&tree);
     assert!(
         report.files_scanned >= 100,
         "scan walked only {} files — source discovery is broken",
@@ -47,5 +50,19 @@ fn the_workspace_tree_is_clean() {
         "FLOOR: {}/{} unsafe sites documented",
         report.unsafe_documented,
         report.unsafe_sites
+    );
+    // The coverage ratchet the binary enforces under `--coverage`, over the
+    // same prepared tree.
+    let cov = attn_lint::run_coverage_prepared(&tree);
+    assert!(
+        !cov.ops.is_empty(),
+        "the coverage walk found no ops — its entries stopped resolving"
+    );
+    assert!(
+        cov.ops_unguarded() <= attn_lint::MAX_UNGUARDED_OPS,
+        "FLOOR: {} unguarded ops > {}:\n{}",
+        cov.ops_unguarded(),
+        attn_lint::MAX_UNGUARDED_OPS,
+        attn_lint::report::render_coverage_text(&cov)
     );
 }

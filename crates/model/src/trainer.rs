@@ -78,9 +78,8 @@ pub struct Trainer {
     pub model: TransformerModel,
     /// Optimizer.
     pub optim: AdamW,
-    /// Single owner of the per-section frequency gates — callers can no
-    /// longer hold gates of their own and drift out of phase with the
-    /// model's protection config.
+    /// Single owner of the per-section frequency gates, driven at the
+    /// model's protection config on every step.
     policy: ProtectionPolicy,
     /// Worker threads `train_step*` fans batch items over (1 = sequential).
     parallelism: usize,
@@ -95,11 +94,10 @@ impl Trainer {
     /// sequentially until [`Self::set_parallelism`] raises the worker
     /// count.
     pub fn new(model: TransformerModel, lr: f32) -> Self {
-        let policy = ProtectionPolicy::new(*model.protection());
         Self {
             model,
             optim: AdamW::new(lr),
-            policy,
+            policy: ProtectionPolicy::default(),
             parallelism: 1,
             pool: None,
         }
@@ -125,31 +123,10 @@ impl Trainer {
         self.parallelism
     }
 
-    /// Change the model's protection config *and* the scheduling policy
-    /// together, so they cannot desync. Gate phases are kept (a frequency
-    /// change re-paces future checks, it does not reset history).
+    /// Change the model's protection config. Gate phases are kept (a
+    /// frequency change re-paces future checks, it does not reset history).
     pub fn set_protection(&mut self, protection: ProtectionConfig) {
         self.model.set_protection(protection);
-        self.policy.sync_config(protection);
-    }
-
-    /// The protection-scheduling policy in force. Takes `&mut self` so the
-    /// policy's config snapshot can first be re-synced from the model —
-    /// otherwise a caller that mutated `model.set_protection` directly
-    /// (both are public) would observe a stale config here.
-    pub fn policy(&mut self) -> &ProtectionPolicy {
-        self.policy.sync_config(*self.model.protection());
-        &self.policy
-    }
-
-    /// Advance the per-section frequency gates one step and return the
-    /// sections to protect this step (paper §4.5 frequencies, realised
-    /// deterministically).
-    fn next_toggles(&mut self) -> SectionToggles {
-        // Defensive re-sync: tolerate callers that mutated the model's
-        // protection config directly instead of via `set_protection`.
-        self.policy.sync_config(*self.model.protection());
-        self.policy.next_toggles()
     }
 
     /// One clean training step over `batch`.
@@ -172,7 +149,9 @@ impl Trainer {
         inject: Option<(usize, InjectionSpec)>,
     ) -> StepOutcome {
         assert!(!batch.is_empty());
-        let toggles = self.next_toggles();
+        // The sections to protect this step: the gates advance one step at
+        // the model's frequencies (paper §4.5, realised deterministically).
+        let toggles = self.policy.next_toggles(self.model.protection());
         let workers = self.parallelism.min(batch.len());
         let ws0 = attn_tensor::workspace::thread_alloc_events();
         let t0 = Instant::now();
@@ -446,7 +425,7 @@ mod tests {
         let model = TransformerModel::new(cfg, ProtectionConfig::full(), &mut rng);
         let ds = SyntheticMrpc::generate(4, 256, 16, 3);
         let mut tr = Trainer::new(model, 1e-3);
-        assert!(tr.policy().would_ever_fire());
+        assert!(!tr.model.protection().is_off());
         let batch: Vec<&Example> = ds.examples.iter().collect();
         let out = tr.train_step(&batch);
         assert!(!out.non_trainable);
@@ -635,13 +614,16 @@ mod tests {
 
     #[test]
     fn set_protection_updates_model_and_policy_together() {
-        let (mut tr, _, _) = tiny_trainer(ProtectionConfig::full());
+        let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::full());
+        let batch: Vec<&Example> = ds.examples.iter().take(2).collect();
         tr.set_protection(ProtectionConfig::off());
         assert!(tr.model.protection().is_off());
-        assert!(!tr.policy().would_ever_fire());
-        // Even a direct model mutation (bypassing Trainer::set_protection)
-        // cannot desync the observable policy: the accessor re-syncs.
+        assert_eq!(tr.train_step(&batch).report.sections_checked, 0);
+        // A direct model mutation (bypassing Trainer::set_protection) paces
+        // the very next step: the gates read the model's config, there is
+        // no copy to fall out of sync.
         tr.model.set_protection(ProtectionConfig::full());
-        assert!(tr.policy().would_ever_fire());
+        assert!(!tr.model.protection().is_off());
+        assert!(tr.train_step(&batch).report.sections_checked > 0);
     }
 }
