@@ -5,19 +5,16 @@
 //! 1. **A100 projection** (the paper's actual figure): the analytic GPU
 //!    model compares the cuBLAS GEMV composition against ATTNChecker's
 //!    fused encoder, in TB/s against the 2 TB/s peak-bandwidth line.
-//! 2. **CPU ground truth**: the real fused vs naive encoder implementations
-//!    from this repo, measured in GB/s on the same workloads — showing the
-//!    same single-pass-vs-two-pass shape on present hardware.
+//! 2. **CPU ground truth**: the fusion claim measured on the kernels every
+//!    guarded product runs — a standalone encode sweep plus augmented
+//!    product vs encoding inside the GEMM's packing pass, per GEMM shape.
 //!
-//! Run: `cargo run --release -p attn-bench --bin fig9_encoding_throughput`
+//! Run: `cargo run --release -p attn_bench --bin fig9_encoding_throughput`
 
 use attn_bench::timing::pct;
-use attn_bench::{measure_encode_overhead, timing::measure, TextTable};
-use attn_gpusim::encoding::{encoding_throughput_curve, EncodingWorkload, FIG9_BATCHES};
+use attn_bench::{measure_encode_overhead, TextTable};
+use attn_gpusim::encoding::{encoding_throughput_curve, FIG9_BATCHES};
 use attn_gpusim::GpuModel;
-use attn_tensor::rng::TensorRng;
-use attn_tensor::Batch3;
-use attnchecker::checksum::{col_checksums_batch, col_checksums_batch_naive};
 
 fn main() {
     println!("== Fig 9: Checksum encoding throughput ==\n");
@@ -44,41 +41,6 @@ fn main() {
     }
     println!("{}", t.render());
     println!("Paper reference: cuBLAS <10% of peak; ATTNChecker up to 91.4% (13×).\n");
-
-    println!("-- CPU ground truth: batched fused vs two-pass naive encoder (this host) --");
-    let mut rng = TensorRng::seed_from(3);
-    let mut t = TextTable::new(&["batch", "slots", "naive GB/s", "fused GB/s", "speedup"]);
-    for &batch in &[6usize, 12, 24, 48] {
-        // Real batched slots at GPT-2-like per-head shape (seq × head_dim),
-        // batch scaled down 4× to bound the working set on this host.
-        let w = EncodingWorkload::gpt2_like(batch);
-        let slots = w.batch * w.heads;
-        let mut b = Batch3::zeros(slots, w.seq, w.head_dim);
-        for v in b.data_mut().iter_mut() {
-            *v = rng.uniform(-1.0, 1.0);
-        }
-        let bytes = (b.data().len() * 4) as f64;
-        let naive = measure(1, 5, || {
-            std::hint::black_box(col_checksums_batch_naive(std::hint::black_box(&b)));
-        });
-        let fused = measure(1, 5, || {
-            std::hint::black_box(col_checksums_batch(std::hint::black_box(&b)));
-        });
-        t.row(&[
-            batch.to_string(),
-            slots.to_string(),
-            format!("{:.2}", bytes / naive.mean.as_secs_f64() / 1e9),
-            format!("{:.2}", bytes / fused.mean.as_secs_f64() / 1e9),
-            format!(
-                "{:.2}x",
-                naive.mean.as_secs_f64() / fused.mean.as_secs_f64()
-            ),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("(The CPU gap reflects single-pass + slot-parallel vs two-pass sequential;");
-    println!("the A100 gap additionally includes occupancy and launch effects captured");
-    println!("by the model above.)\n");
 
     // The fusion claim itself, per protected GEMM: encoding as a standalone
     // sweep + augmented product vs encoding riding inside the GEMM's

@@ -7,24 +7,18 @@
 //! checksum) pair both *detects* an error (δ1 ≠ 0) and *locates* it
 //! (δ2/δ1 = weighted index).
 //!
-//! Two encoder implementations coexist:
+//! Guarded products never call these encoders: the packed GEMM kernels
+//! produce both projections *inside their packing pass*
+//! (`attn_tensor::gemm::gemm_encode_cols_into` / `gemm_encode_rows_into`),
+//! one read of `A` for both sums — the paper's §4.6 fused encoder.
+//! [`col_checksums`] / [`row_checksums`] are the standalone references
+//! those fused entries are tested against, and the encoders behind
+//! `CheckedMatrix::encode_*` for operands encoded outside a product.
 //!
-//! * [`col_checksums`] / [`row_checksums`] — single fused pass over the
-//!   data computing both weight projections at once (what the paper's
-//!   custom GPU encoder achieves with shared-memory staging: one read of
-//!   `A` produces both sums). This is the §4.6-optimized path.
-//! * [`col_checksums_naive`] — two *separate* GEMV-style passes with their
-//!   own temporary allocations, mimicking the strided cuBLAS composition
-//!   the paper benchmarks against in Fig 9 (cuBLAS reads `A` twice and
-//!   launches twice).
-//!
-//! **Accumulation-order contract.** The packed GEMM kernels produce the
-//! same projections *inside their packing pass*
-//! (`attn_tensor::gemm::gemm_encode_cols_into` / `gemm_encode_rows_into`).
-//! The standalone encoders here call the one statement of that blocked
-//! order, [`attn_tensor::contract`], so a fused encoding is bit-identical
-//! to encode-then-GEMM — the property `CheckedMatrix::product` and the
-//! exact-replay machinery rely on.
+//! **Accumulation-order contract.** Both standalone encoders call the one
+//! statement of the kernels' blocked order, [`attn_tensor::contract`], so a
+//! fused encoding is bit-identical to encode-then-GEMM — the property
+//! `CheckedMatrix::product` and the exact-replay machinery rely on.
 
 use attn_tensor::{contract, Matrix};
 
@@ -52,78 +46,6 @@ pub fn row_checksums(a: &Matrix) -> Matrix {
         cs.row_mut(r).copy_from_slice(&[s, ws]);
     }
     cs
-}
-
-/// Naive column-checksum encoder: two independent full passes (one per
-/// weight vector), each with its own temporary — the memory-traffic pattern
-/// of composing two cuBLAS GEMV calls.
-#[allow(clippy::needless_range_loop)] // the two explicit passes are the point
-pub fn col_checksums_naive(a: &Matrix) -> Matrix {
-    let (m, n) = (a.rows(), a.cols());
-    // Pass 1: unweighted.
-    let mut sum = vec![0.0f32; n];
-    for r in 0..m {
-        for (acc, &v) in sum.iter_mut().zip(a.row(r)) {
-            *acc += v;
-        }
-    }
-    // Pass 2: weighted — reads A again from scratch.
-    let mut wsum = vec![0.0f32; n];
-    for r in 0..m {
-        let w = weight(r);
-        for (acc, &v) in wsum.iter_mut().zip(a.row(r)) {
-            *acc += w * v;
-        }
-    }
-    let mut cs = Matrix::zeros(2, n);
-    cs.row_mut(0).copy_from_slice(&sum);
-    cs.row_mut(1).copy_from_slice(&wsum);
-    cs
-}
-
-/// Batched column-checksum encoding over a [`attn_tensor::Batch3`]: one `2 × cols`
-/// checksum block per slot, computed with a single fused pass per slot and
-/// the slots fanned out in parallel — the CPU analogue of the paper's
-/// custom encoder that "parallelizes along the SMs by number of heads ×
-/// number of batches" (§4.6).
-pub fn col_checksums_batch(batch: &attn_tensor::Batch3) -> attn_tensor::Batch3 {
-    use rayon::prelude::*;
-    let (n, rows, cols) = (batch.n(), batch.rows(), batch.cols());
-    let mut out = attn_tensor::Batch3::zeros(n, 2, cols);
-    let src = batch.data();
-    let slot_in = rows * cols;
-    out.data_mut()
-        .par_chunks_mut(2 * cols)
-        .enumerate()
-        .for_each(|(i, dst)| {
-            let slot = &src[i * slot_in..(i + 1) * slot_in];
-            let (sum_row, wsum_row) = dst.split_at_mut(cols);
-            for r in 0..rows {
-                let w = weight(r);
-                let row = &slot[r * cols..(r + 1) * cols];
-                for c in 0..cols {
-                    // attn-lint: allow(nondet-reduce) — sequential loop over this slot's disjoint chunk; merge order is fixed
-                    sum_row[c] += row[c];
-                    // attn-lint: allow(nondet-reduce) — sequential loop over this slot's disjoint chunk; merge order is fixed
-                    wsum_row[c] += w * row[c];
-                }
-            }
-        });
-    out
-}
-
-/// Naive batched encoder: two sequential passes per slot with a temporary
-/// per pass (the cuBLAS-composition traffic pattern), no slot parallelism —
-/// the Fig 9 baseline.
-pub fn col_checksums_batch_naive(batch: &attn_tensor::Batch3) -> attn_tensor::Batch3 {
-    let (n, _rows, cols) = (batch.n(), batch.rows(), batch.cols());
-    let mut out = attn_tensor::Batch3::zeros(n, 2, cols);
-    for i in 0..n {
-        let m = batch.slot_matrix(i);
-        let cs = col_checksums_naive(&m);
-        out.set_slot(i, &cs);
-    }
-    out
 }
 
 /// Recompute the (unweighted, weighted, absolute) sums of a vector in one
@@ -168,13 +90,6 @@ mod tests {
         let cs = row_checksums(&a);
         let expect = matmul(&a, &weights_matrix(11).transpose());
         assert!(cs.approx_eq(&expect, 1e-5, 1e-5));
-    }
-
-    #[test]
-    fn naive_and_fused_encoders_agree() {
-        let mut rng = TensorRng::seed_from(3);
-        let a = rng.normal_matrix(13, 8, 2.0);
-        assert!(col_checksums(&a).approx_eq(&col_checksums_naive(&a), 1e-5, 1e-5));
     }
 
     #[test]
@@ -223,26 +138,5 @@ mod tests {
         let cs = col_checksums(&a);
         assert_eq!((cs.rows(), cs.cols()), (2, 4));
         assert!(attn_tensor::float::all_exactly_zero(cs.data()));
-    }
-
-    #[test]
-    fn batched_encoders_match_per_slot_encoding() {
-        use attn_tensor::Batch3;
-        let mut rng = TensorRng::seed_from(8);
-        let mats: Vec<Matrix> = (0..6).map(|_| rng.normal_matrix(16, 8, 1.0)).collect();
-        let batch = Batch3::from_matrices(&mats);
-        let fused = col_checksums_batch(&batch);
-        let naive = col_checksums_batch_naive(&batch);
-        for (i, m) in mats.iter().enumerate() {
-            let expect = col_checksums(m);
-            assert!(
-                fused.slot_matrix(i).approx_eq(&expect, 1e-5, 1e-5),
-                "fused slot {i}"
-            );
-            assert!(
-                naive.slot_matrix(i).approx_eq(&expect, 1e-5, 1e-5),
-                "naive slot {i}"
-            );
-        }
     }
 }

@@ -7,7 +7,7 @@
 use crate::bitflip::{flip_bit, is_near_inf, near_inf_flip};
 use crate::NEAR_INF_THRESHOLD;
 use attn_tensor::rng::TensorRng;
-use attn_tensor::{Batch3, Matrix};
+use attn_tensor::Matrix;
 use std::fmt;
 
 /// Mantissa bit a [`FaultKind::SubThreshold`] injection flips. Bit 10 of
@@ -143,8 +143,6 @@ impl fmt::Display for FaultKind {
 /// Everything needed to reproduce or undo a single injection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionRecord {
-    /// Batch slot (0 for plain matrices).
-    pub slot: usize,
     /// Victim row within the matrix.
     pub row: usize,
     /// Victim column within the matrix.
@@ -192,30 +190,6 @@ impl FaultInjector {
         let injected = kind.apply(original);
         m[(row, col)] = injected;
         InjectionRecord {
-            slot: 0,
-            row,
-            col,
-            original,
-            injected,
-            kind,
-        }
-    }
-
-    /// Inject `kind` at a specific `(slot, row, col)` of a batch.
-    pub fn inject_batch_at(
-        &mut self,
-        b: &mut Batch3,
-        kind: FaultKind,
-        slot: usize,
-        row: usize,
-        col: usize,
-    ) -> InjectionRecord {
-        let mut view = b.slot_mut(slot);
-        let original = view.at(row, col);
-        let injected = kind.apply(original);
-        view.set(row, col, injected);
-        InjectionRecord {
-            slot,
             row,
             col,
             original,
@@ -268,15 +242,6 @@ impl FaultInjector {
         let row = self.rng.index(m.rows());
         let col = self.rng.index(m.cols());
         self.inject_region_at(m, kind, row, col)
-    }
-
-    /// Pick a random ±INF with equal probability (for `∞*` campaigns).
-    pub fn random_signed_inf(&mut self) -> FaultKind {
-        if self.rng.bernoulli(0.5) {
-            FaultKind::Inf
-        } else {
-            FaultKind::NegInf
-        }
     }
 }
 
@@ -336,29 +301,6 @@ mod tests {
         assert!(!m.all_finite());
         m[(rec.row, rec.col)] = rec.original;
         assert_eq!(m.data(), before.data());
-    }
-
-    #[test]
-    fn batch_injection_hits_exactly_one_slot() {
-        let mut b = Batch3::zeros(4, 3, 3);
-        let mut inj = FaultInjector::new(3);
-        let rec = inj.inject_batch_at(&mut b, FaultKind::Inf, 2, 1, 0);
-        let mut dirty = 0;
-        for i in 0..4 {
-            if !b.slot_matrix(i).all_finite() {
-                dirty += 1;
-                assert_eq!(i, rec.slot);
-            }
-        }
-        assert_eq!(dirty, 1);
-    }
-
-    #[test]
-    fn random_signed_inf_mixes_signs() {
-        let mut inj = FaultInjector::new(1);
-        let kinds: Vec<FaultKind> = (0..64).map(|_| inj.random_signed_inf()).collect();
-        assert!(kinds.contains(&FaultKind::Inf));
-        assert!(kinds.contains(&FaultKind::NegInf));
     }
 
     #[test]
@@ -432,17 +374,5 @@ mod tests {
         let mut inj = FaultInjector::new(6);
         let rec = inj.inject_region_at(&mut m, FaultKind::Burst { len: 10 }, 0, 2);
         assert_eq!(rec.originals.len(), 2);
-    }
-
-    #[test]
-    fn batch_injection_reverts() {
-        let mut b = Batch3::zeros(4, 3, 3);
-        let mut inj = FaultInjector::new(9);
-        let rec = inj.inject_batch_at(&mut b, FaultKind::NaN, 3, 0, 2);
-        assert!(!b.slot_matrix(rec.slot).all_finite());
-        b.slot_mut(rec.slot).set(rec.row, rec.col, rec.original);
-        for i in 0..4 {
-            assert!(b.slot_matrix(i).all_finite());
-        }
     }
 }

@@ -4,6 +4,7 @@ use crate::sampling::{sample_token, Sampling};
 use crate::session::DecodeSession;
 use attn_model::model::{InjectionSpec, TransformerModel};
 use attn_tensor::rng::TensorRng;
+use attnchecker::attention::SectionToggles;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::policy::ProtectionPolicy;
 use attnchecker::report::AbftReport;
@@ -152,18 +153,7 @@ impl DecodeEngine {
         inject: Option<&InjectionSpec>,
     ) -> usize {
         let toggles = self.policy.next_toggles(self.model.protection());
-        let op_guard = GuardedSection::guard_step(self.model.protection());
-        let token = sample_token(&session.logits, sampling, &mut session.rng, &op_guard);
-        session.report.absorb_op_guard(op_guard.take_stats());
-        session.tokens.push(token);
-        session.logits = self.model.decode_step(
-            token,
-            &mut session.state,
-            toggles,
-            inject,
-            &mut session.report,
-        );
-        token
+        step_session(&self.model, session, StepOp::Gen, toggles, sampling, inject)
     }
 
     /// Advance every session by one token, fanned over the engine pool.
@@ -201,23 +191,8 @@ impl DecodeEngine {
         }
         let toggles = self.policy.next_toggles(self.model.protection());
         let model = &self.model;
-        let protection = model.protection();
         let run = |(s, op): &mut (&mut DecodeSession, StepOp)| -> usize {
-            let token = match *op {
-                StepOp::Gen => {
-                    let op_guard = GuardedSection::guard_step(protection);
-                    let t = sample_token(&s.logits, sampling, &mut s.rng, &op_guard);
-                    s.report.absorb_op_guard(op_guard.take_stats());
-                    t
-                }
-                StepOp::Feed(t) => {
-                    s.prompt_len += 1;
-                    t
-                }
-            };
-            s.tokens.push(token);
-            s.logits = model.decode_step(token, &mut s.state, toggles, None, &mut s.report); // attn-lint: allow-path(panic-reach) — model boundary: the protected decode step indexes within cache bounds by construction (decode parity + invariant suites pin it)
-            token
+            step_session(model, s, *op, toggles, sampling, None)
         };
         // Each worker writes its token straight into its session's output
         // slot, so no post-step re-read of session state is needed and the
@@ -280,6 +255,36 @@ impl DecodeEngine {
     ) -> Vec<usize> {
         (0..n).map(|_| self.step(session, sampling)).collect()
     }
+}
+
+/// One session's share of an engine step, under the step's `toggles`: a
+/// [`StepOp::Gen`] samples from the armed logits under its own op guard, a
+/// [`StepOp::Feed`] accounts its known token as prompt; either way the
+/// token is appended and decoded (with the optional `inject`) to re-arm
+/// the logits. Returns the token consumed.
+fn step_session(
+    model: &TransformerModel,
+    s: &mut DecodeSession,
+    op: StepOp,
+    toggles: SectionToggles,
+    sampling: Sampling,
+    inject: Option<&InjectionSpec>,
+) -> usize {
+    let token = match op {
+        StepOp::Gen => {
+            let op_guard = GuardedSection::guard_step(model.protection());
+            let t = sample_token(&s.logits, sampling, &mut s.rng, &op_guard);
+            s.report.absorb_op_guard(op_guard.take_stats());
+            t
+        }
+        StepOp::Feed(t) => {
+            s.prompt_len += 1;
+            t
+        }
+    };
+    s.tokens.push(token);
+    s.logits = model.decode_step(token, &mut s.state, toggles, inject, &mut s.report); // attn-lint: allow-path(panic-reach) — model boundary: the protected decode step indexes within cache bounds by construction (decode parity + invariant suites pin it)
+    token
 }
 
 #[cfg(test)]

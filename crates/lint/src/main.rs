@@ -15,7 +15,8 @@ const USAGE: &str = "usage: attn_lint check [--json [PATH]] [--coverage [PATH]] 
   --coverage [PATH]  also walk the forward/decode/train paths, write the\n\
                      protection-coverage artifact (default: BENCH_coverage.json),\n\
                      and enforce the coverage floors\n\
-  --root DIR         workspace root (default: inferred from CARGO_MANIFEST_DIR)\n";
+  --root DIR         workspace root (default: inferred from CARGO_MANIFEST_DIR,\n\
+                     else the current directory)\n";
 
 /// CI floors, enforced whenever `--coverage` runs. `MIN_RESOLUTION_RATE`
 /// keeps the call graph honest (a conservative resolver that gives up
@@ -80,12 +81,13 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    // `CARGO_MANIFEST_DIR` is crates/lint when run via `cargo run`.
+    // `cargo run` sets `CARGO_MANIFEST_DIR` (crates/lint) in the process
+    // environment. Read it at run time, not through `env!`: a binary reused
+    // from a copied `target/` must scan the tree it runs in.
     let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| PathBuf::from("."))
+        std::env::var_os("CARGO_MANIFEST_DIR")
+            .and_then(|dir| PathBuf::from(dir).join("../..").canonicalize().ok())
+            .unwrap_or_else(|| PathBuf::from("."))
     });
 
     // Parse and graph the workspace exactly once; `check` and `--coverage`

@@ -10,7 +10,10 @@
 
 #[test]
 fn the_workspace_tree_is_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = std::path::Path::new(
+        &std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo test sets CARGO_MANIFEST_DIR"),
+    )
+    .join("../..");
     let tree = attn_lint::prepare_tree(&root).expect("workspace scan");
     let report = attn_lint::scan_prepared(&tree);
     assert!(

@@ -8,7 +8,8 @@
 use std::path::Path;
 
 fn fixture_root() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/graph")
+    Path::new(&std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo test sets CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/graph")
 }
 
 fn scan() -> attn_lint::Report {

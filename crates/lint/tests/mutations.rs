@@ -78,7 +78,10 @@ const ROWS: &[Row] = &[
 
 #[test]
 fn every_lint_fires_on_a_seeded_violation_in_the_real_tree() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = std::path::Path::new(
+        &std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo test sets CARGO_MANIFEST_DIR"),
+    )
+    .join("../..");
     let tree = attn_lint::read_tree(&root).expect("workspace read");
     let clean = attn_lint::scan_sources(&tree);
     assert!(

@@ -7,7 +7,8 @@
 use std::path::Path;
 
 fn fixture_root() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tfr")
+    Path::new(&std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo test sets CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/tfr")
 }
 
 const FIXTURE: &str = include_str!("fixtures/tfr/crates/simd/src/lib.rs");

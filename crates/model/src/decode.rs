@@ -20,7 +20,6 @@
 use crate::block::BlockArch;
 use crate::model::{InjectionSpec, ModelArch, TransformerModel};
 use attn_tensor::guard::residual_add_checked;
-use attn_tensor::ops::MASK_NEG;
 use attn_tensor::Matrix;
 use attnchecker::attention::SectionToggles;
 use attnchecker::decode::{self, AttnKvCache};
@@ -129,15 +128,7 @@ impl TransformerModel {
     /// block `layer` — row `row` of [`Self::mask_for_layer`] restricted to
     /// `len` columns, produced without materialising the full matrix.
     fn mask_row_for_layer(&self, layer: usize, row: usize, len: usize) -> Matrix {
-        let local = self.config.arch == ModelArch::GptNeo && !layer.is_multiple_of(2);
-        let w = self.config.local_window;
-        Matrix::from_fn(1, len, |_, c| {
-            if c > row || (local && row >= c + w) {
-                MASK_NEG
-            } else {
-                0.0
-            }
-        })
+        self.causal_mask_rows(layer, row..row + 1, len)
     }
 
     /// Run the full protected forward over `tokens` and seed `state`'s

@@ -29,7 +29,7 @@ use crate::param::{Grads, HasParams, Param};
 use crate::tape::{ExampleTape, HeadTape};
 use attn_fault::FaultKind;
 use attn_tensor::guard::softmax_rows_checked;
-use attn_tensor::ops::{causal_mask, local_causal_mask};
+use attn_tensor::ops::MASK_NEG;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::{AttnOp, FaultSite, SectionToggles};
@@ -37,6 +37,7 @@ use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
 use attnchecker::section::{ForwardCtx, GuardedSection};
+use std::ops::Range;
 
 /// Which of the four studied architectures a model instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,15 +305,26 @@ impl TransformerModel {
     pub fn mask_for_layer(&self, layer: usize, seq: usize) -> Option<Matrix> {
         match self.config.arch {
             ModelArch::Bert | ModelArch::Roberta => None,
-            ModelArch::Gpt2 => Some(causal_mask(seq)),
-            ModelArch::GptNeo => {
-                if layer.is_multiple_of(2) {
-                    Some(causal_mask(seq))
-                } else {
-                    Some(local_causal_mask(seq, self.config.local_window))
-                }
-            }
+            ModelArch::Gpt2 | ModelArch::GptNeo => Some(self.causal_mask_rows(layer, 0..seq, seq)),
         }
+    }
+
+    /// Rows `rows` of block `layer`'s additive causal mask over `len` keys
+    /// — the one statement of the mask rule: query `r` never sees a later
+    /// key, and on GPT-Neo's odd (local) blocks it sees only the
+    /// `local_window` keys ending at itself. [`Self::mask_for_layer`]
+    /// builds every row; decode builds the one row of the token it feeds.
+    pub(crate) fn causal_mask_rows(&self, layer: usize, rows: Range<usize>, len: usize) -> Matrix {
+        let local = self.config.arch == ModelArch::GptNeo && !layer.is_multiple_of(2);
+        let w = self.config.local_window;
+        Matrix::from_fn(rows.len(), len, |i, c| {
+            let r = rows.start + i;
+            if c > r || (local && r >= c + w) {
+                MASK_NEG
+            } else {
+                0.0
+            }
+        })
     }
 
     /// Forward of one example under [`Self::protection`]; returns the

@@ -7,10 +7,8 @@
 //!
 //! * [`Matrix`] — an owned, row-major dense matrix.
 //! * [`MatRef`] / [`MatMut`] — borrowed views over contiguous row-major
-//!   storage, used by every kernel so that batched tensors can share one
-//!   allocation.
-//! * [`Batch3`] — a contiguous `[n, rows, cols]` batch of matrices (one slot
-//!   per `batch × head` in attention).
+//!   storage, used by every kernel so that a whole matrix and a row prefix
+//!   of one feed the same entry points without copies.
 //! * Packed, cache-blocked, register-tiled, [rayon]-parallel GEMM kernels
 //!   in [`gemm`] — including the transposed variants needed by attention
 //!   (`Q·Kᵀ`) and backprop (`Aᵀ·B`), and fused checksum-encoding entry
@@ -42,7 +40,6 @@
 //! Everything is deterministic given a seed, which the fault-injection
 //! campaigns rely on for reproducibility.
 
-pub mod batch;
 pub mod contract;
 pub mod error;
 pub mod float;
@@ -57,7 +54,6 @@ pub mod rng;
 pub mod view;
 pub mod workspace;
 
-pub use batch::Batch3;
 pub use error::ShapeError;
 pub use guard::{GuardStats, OpGuard};
 pub use kv::PagedKv;

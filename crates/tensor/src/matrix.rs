@@ -7,8 +7,7 @@ use std::ops::{Index, IndexMut};
 /// Owned, row-major dense `f32` matrix.
 ///
 /// This is the workhorse container of the reproduction: model parameters,
-/// activations, and ABFT checksums are all `Matrix` values (or views into
-/// [`crate::Batch3`] with the same layout).
+/// activations, and ABFT checksums are all `Matrix` values.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -131,11 +130,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy column `c` into a vector.
-    pub fn col_to_vec(&self, c: usize) -> Vec<f32> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -173,11 +167,6 @@ impl Matrix {
     /// Element-wise difference (`self - other`).
     pub fn sub(&self, other: &Matrix) -> Matrix {
         self.zip(other, |a, b| a - b)
-    }
-
-    /// Element-wise product (Hadamard).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip(other, |a, b| a * b)
     }
 
     /// Element-wise binary zip with shape check.
@@ -405,12 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_sub() {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).data(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]

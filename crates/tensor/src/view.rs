@@ -1,8 +1,9 @@
 //! Borrowed row-major matrix views.
 //!
 //! All compute kernels in this crate are written against [`MatRef`] /
-//! [`MatMut`] so the same code path serves owned [`crate::Matrix`] values and
-//! slices of a contiguous [`crate::Batch3`] without copies.
+//! [`MatMut`] so the same code path serves a whole owned [`crate::Matrix`]
+//! and a row prefix of one ([`MatRef::top_rows`], e.g. the data block of a
+//! column-checksummed buffer) without copies.
 
 /// Immutable view over a `rows × cols` row-major `f32` buffer.
 #[derive(Clone, Copy)]
@@ -58,11 +59,6 @@ impl<'a> MatRef<'a> {
     #[inline]
     pub fn row(&self, r: usize) -> &'a [f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copy column `c` into a fresh vector.
-    pub fn col_to_vec(&self, c: usize) -> Vec<f32> {
-        (0..self.rows).map(|r| self.at(r, c)).collect()
     }
 
     /// Sub-view of the first `rows` rows (a matrix prefix).
@@ -158,7 +154,6 @@ mod tests {
         assert_eq!(m.at(0, 2), 3.0);
         assert_eq!(m.at(1, 0), 4.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col_to_vec(1), vec![2.0, 5.0]);
     }
 
     #[test]

@@ -19,10 +19,13 @@ const EXAMPLES: [&str; 7] = [
 
 #[test]
 fn all_examples_run_cleanly() {
+    // Read at run time, not through `env!`: a test binary reused from a
+    // copied `target/` must build and run the examples of its own tree.
+    let root = std::env::var_os("CARGO_MANIFEST_DIR").expect("cargo test sets CARGO_MANIFEST_DIR");
     for name in EXAMPLES {
         let out = Command::new(env!("CARGO"))
             .args(["run", "--release", "--quiet", "--example", name])
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .current_dir(&root)
             .output()
             .unwrap_or_else(|e| panic!("failed to spawn cargo for example {name}: {e}"));
         assert!(
