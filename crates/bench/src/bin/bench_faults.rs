@@ -361,7 +361,7 @@ fn decode_greedy(
     let mut toks = Vec::with_capacity(n);
     let mut t = first;
     for _ in 0..n {
-        let logits = m.decode_step(t, state, SectionToggles::all(), None, report);
+        let logits = m.extend(&[t], state, SectionToggles::all(), None, report);
         t = argmax(&logits);
         toks.push(t);
     }
@@ -379,7 +379,7 @@ fn kv_trial(
 ) -> Outcome {
     let mut state = m.new_decode_state();
     let mut report = AbftReport::default();
-    let logits = m.prefill(prompt, &mut state, SectionToggles::all(), &mut report);
+    let logits = m.extend(prompt, &mut state, SectionToggles::all(), None, &mut report);
     let first = argmax(&logits);
     let _ = decode_greedy(m, &mut state, first, 3, &mut report);
 
@@ -607,7 +607,13 @@ fn main() {
     let clean_tail = {
         let mut state = kv_model.new_decode_state();
         let mut report = AbftReport::default();
-        let logits = kv_model.prefill(&prompt, &mut state, SectionToggles::all(), &mut report);
+        let logits = kv_model.extend(
+            &prompt,
+            &mut state,
+            SectionToggles::all(),
+            None,
+            &mut report,
+        );
         let first = argmax(&logits);
         let head3 = decode_greedy(&kv_model, &mut state, first, 3, &mut report);
         let resume = *head3.last().expect("decoded 3");

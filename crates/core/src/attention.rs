@@ -349,8 +349,9 @@ impl ProtectedAttention {
 }
 
 /// Run the protected attention pipeline on `x` (`seq × hidden`) over
-/// borrowed weights — the one training/prefill forward, the full-sequence
-/// counterpart of [`crate::decode::decode_step`]. `ctx` carries the mask,
+/// borrowed weights — the one training forward, whose rows
+/// [`crate::decode::extend`] reproduces bit for bit over a KV cache when
+/// serving. `ctx` carries the mask,
 /// per-execution section toggles, the fault-injection hook, and the report;
 /// an unprotected run is `config` = [`ProtectionConfig::off`], not a
 /// different function.

@@ -1,12 +1,13 @@
-//! ABFT-protected autoregressive decode: single-query attention over a
-//! checksummed KV cache.
+//! ABFT-protected attention over a checksummed KV cache: [`extend`] appends
+//! m new rows (a whole prompt, a prefill chunk, or one decoded token) and
+//! attends them to the grown prefix.
 //!
 //! Training protects attention one full `seq × seq` forward at a time;
-//! serving appends one token per step and re-reads the whole prefix. This
-//! module keeps every decode-time GEMM inside the same three guarded
-//! sections as the training forward — `S_AS` (Q/K projections + the
-//! appended `q·Kᵀ` score row), `S_CL` (V projection + `ap·V`), `S_O`
-//! (output projection) — with three decode-specific twists:
+//! serving appends rows and re-reads the whole prefix. This module keeps
+//! every serving-time GEMM inside the same three guarded sections as the
+//! training forward — `S_AS` (Q/K projections + the appended `q·Kᵀ` score
+//! rows), `S_CL` (V projection + `ap·V`), `S_O` (output projection) — at
+//! any row count m, with three cache-specific twists:
 //!
 //! * **Incremental cache encoding.** [`AttnKvCache`] stores per-head K
 //!   rows in fixed-size [`PagedKv`] blocks, each block carrying its own
@@ -14,25 +15,26 @@
 //!   weights — so a block is a self-verifying unit that a parking or
 //!   compaction pass can check where it lies ([`AttnKvCache::verify`]) —
 //!   and per-head V blocks with the two row-checksum columns inline in
-//!   each row. Appending a token updates the current K block's tails in
-//!   place — O(d) per token, not an O(seq·d) re-encode — and derives the
+//!   each row. Appending a row updates the current K block's tails in
+//!   place — O(d) per row, not an O(seq·d) re-encode — and derives the
 //!   V row's inline pair from the verified row, also O(d). The
-//!   score row's riding row checksums are assembled from the per-block
+//!   score rows' riding row checksums are assembled from the per-block
 //!   tails (local weights shifted by each block's start offset), so the
 //!   augmented layout downstream detection consumes is unchanged.
 //! * **Verify-on-append.** The training forward heals `Q`/`K`/`V` lazily,
-//!   at the section's delayed detection point. A decode step instead heals
+//!   at the section's delayed detection point. [`extend`] instead heals
 //!   them *eagerly*, before the K/V rows join the cache: cache rows are
 //!   long-lived state reused by every future step, and a surviving extreme
 //!   value would both poison all later score rows and be folded into the
 //!   incremental checksums, making it permanently invisible. The score,
 //!   context, and output GEMMs keep the delayed-detection shape.
-//! * **The blocked accumulation contract.** Every decode GEMM runs the
+//! * **The blocked accumulation contract.** Every GEMM here runs the
 //!   same packed kernels (and therefore the same per-element accumulation
-//!   order, `attn_tensor::contract`) as the full forward, so a decoded step
-//!   is **bit-identical** to re-running the full protected forward over the
-//!   grown prefix — the parity property `tests/decode_parity.rs` pins —
-//!   and exact replay restores corrected elements to their original bits.
+//!   order, `attn_tensor::contract`, which does not depend on m) as the
+//!   full forward, so each extended row is **bit-identical** to the same
+//!   row of the full protected forward over the grown prefix, whatever the
+//!   chunking — the parity property `tests/decode_parity.rs` pins — and
+//!   exact replay restores corrected elements to their original bits.
 
 use crate::attention::{AttentionWeightsRef, AttnOp, FaultSite, ProtectedAttention};
 use crate::checked::CheckedMatrix;
@@ -172,8 +174,8 @@ impl AttnKvCache {
     /// Append one head's (verified) plain value row. A checksummed cache
     /// stores it followed by its `(Σ, Σw)` pair, derived from the row under
     /// the encoder contract (`contract::row_sums`) — the one way a V row's
-    /// inline pair is ever produced, whether the row arrives from a decode
-    /// step or from [`Self::seed`].
+    /// inline pair is ever produced: by [`extend`], by [`Self::seed`], and
+    /// by the at-rest repair in [`Self::verify`].
     ///
     /// # Panics
     /// Panics on width mismatch or when called with head rows out of sync
@@ -193,9 +195,10 @@ impl AttnKvCache {
         });
     }
 
-    /// Seed the cache from full-forward K/V activations (`seq × hidden`,
-    /// post-correction — e.g. the prefill tape), row by row, so the cache
-    /// state is exactly what `seq` decode appends would have produced.
+    /// Seed the cache from given K/V activations (`seq × hidden`), row by
+    /// row, so the cache state is exactly what [`extend`] would have
+    /// appended for them. Serving never calls it; it stays only because the
+    /// benchmark's probes fill a cache of a chosen length with it.
     pub fn seed(&mut self, k: &Matrix, v: &Matrix) {
         assert_eq!(k.cols(), self.heads * self.d);
         assert_eq!((k.rows(), k.cols()), (v.rows(), v.cols()));
@@ -219,36 +222,36 @@ impl AttnKvCache {
         self.v[head].at(token, c)
     }
 
-    /// The appended score row `q_h · K_hᵀ` over the grown cache, computed
+    /// The appended score rows `q_h · K_hᵀ` over the grown cache, computed
     /// with the packed NT kernel directly over the paged storage (no
     /// gather copy — the kernel reads logical rows through block views).
-    /// `q_h`'s column checksums (3 buffer rows) ride through; the riding
-    /// row checksums are assembled from the per-block tails — block `b`'s
-    /// local weights shift by its start offset, `Σ_r weight(r)·s_r =
+    /// `q_h`'s column checksums (2 more buffer rows) ride through; the
+    /// riding row checksums are assembled from the per-block tails — block
+    /// `b`'s local weights shift by its start offset, `Σ_r weight(r)·s_r =
     /// Σ_b [q·t1_b + start_b·(q·t0_b)]` — so the augmented layout
-    /// downstream detection consumes is the same single-query image of
-    /// `S_AS` acquiring both borders.
+    /// downstream detection consumes is `S_AS` acquiring both borders.
     fn score_row(&self, q_h: &CheckedMatrix, head: usize) -> CheckedMatrix {
-        assert_eq!(q_h.rows(), 1, "score_row: single query");
         assert_eq!(q_h.cols(), self.d, "score_row: head width");
         let kb = &self.k[head];
         let len = kb.rows();
-        assert!(len > 0, "score_row: empty cache");
         let qb = q_h.buf();
         let width = if self.checksummed { len + 2 } else { len };
         let mut buf = Matrix::zeros(qb.rows(), width);
         gemm::matmul_nt_paged_into(qb.view(), kb, buf.view_mut());
         if self.checksummed {
-            // Three buffer rows when `q_h` carries its column checksums
-            // (every guarded step); a bare row rides all three lanes — the
-            // chains are independent, so the pass costs the same.
+            // Three buffer rows per pass; a short last group repeats its
+            // final row — the chains are independent, so the pass costs the
+            // same (a guarded m = 1 step is exactly one pass).
             let last = qb.rows() - 1;
-            let sums = self.tail_sums(head, [0, 1, 2].map(|i| qb.row(i.min(last))));
-            for (i, s) in sums.iter().enumerate().take(qb.rows()) {
-                buf.row_mut(i)[len..].copy_from_slice(s);
+            for i0 in (0..qb.rows()).step_by(3) {
+                let sums = self.tail_sums(head, [0, 1, 2].map(|i| qb.row((i0 + i).min(last))));
+                for (r, s) in (i0..qb.rows()).zip(&sums) {
+                    buf.row_mut(r)[len..].copy_from_slice(s);
+                }
             }
         }
-        CheckedMatrix::from_augmented(1, len, q_h.has_col_checksums(), self.checksummed, buf)
+        let (m, has_cs) = (q_h.rows(), q_h.has_col_checksums());
+        CheckedMatrix::from_augmented(m, len, has_cs, self.checksummed, buf)
     }
 
     /// `(Σ_r s_r, Σ_r weight(r)·s_r)` of the score rows `rows[i] · K_hᵀ`,
@@ -271,23 +274,22 @@ impl AttnKvCache {
         sums
     }
 
-    /// The appended context row `ap · V_h` over the grown cache. When
+    /// The appended context rows `ap · V_h` over the grown cache. When
     /// `active`, `ap`'s column encoding rides inside the GEMM's packing
-    /// pass (the fused §4.6 entry, single-row image) and the cache rows'
-    /// inline row checksums ride through to the product.
+    /// pass (the fused §4.6 entry) and the cache rows' inline row
+    /// checksums ride through to the product.
     fn context_row(&self, ap: &Matrix, head: usize, active: bool) -> CheckedMatrix {
-        assert_eq!(ap.rows(), 1, "context_row: single query");
-        let vb = &self.v[head];
+        let (vb, m) = (&self.v[head], ap.rows());
         assert_eq!(ap.cols(), vb.rows(), "context_row: prefix length");
         if active {
-            let mut buf = Matrix::zeros(3, vb.cols());
+            let mut buf = Matrix::zeros(m + 2, vb.cols());
             gemm::gemm_encode_cols_paged_into(ap.view(), vb, buf.view_mut());
-            CheckedMatrix::from_augmented(1, self.d, true, self.checksummed, buf)
+            CheckedMatrix::from_augmented(m, self.d, true, self.checksummed, buf)
         } else {
             // An unguarded step returns plain data, exactly like the
             // inactive training sections: the data columns only, whether
             // or not the cache rows carry a pair after them.
-            let mut buf = Matrix::zeros(1, self.d);
+            let mut buf = Matrix::zeros(m, self.d);
             gemm::matmul_paged_into(ap.view(), vb, buf.view_mut());
             CheckedMatrix::from_plain_owned(buf)
         }
@@ -359,7 +361,9 @@ fn verify_k_blocks(kb: &mut PagedKv, cfg: &AbftConfig, report: &mut AbftReport, 
 }
 
 /// Verify one V cache's rows in place against their inline checksum
-/// pairs.
+/// pairs. A corrected or checksum-corrupt row gets its pair rebuilt by
+/// the encoder (`contract::row_sums`, what `append_v` stores), so a
+/// repaired row carries exactly the pair of a clean append of its data.
 fn verify_v_rows(
     vb: &mut PagedKv,
     d: usize,
@@ -371,10 +375,12 @@ fn verify_v_rows(
         let (data, cs) = vb.row_mut(r).split_at_mut(d);
         let verdict = eec_correct_vector(data, cs[0], cs[1], cfg);
         apply_vector_verdict(&verdict, report, SectionId::ContextLayer, head, r, 0);
-        if matches!(verdict, VectorVerdict::ChecksumCorrupt) {
-            let (s, ws, _) = vector_sums(data);
-            cs[0] = s;
-            cs[1] = ws;
+        if matches!(
+            verdict,
+            VectorVerdict::Corrected { .. } | VectorVerdict::ChecksumCorrupt
+        ) {
+            let (s, ws) = contract::row_sums(data);
+            cs.copy_from_slice(&[s, ws]);
         }
     }
 }
@@ -425,218 +431,212 @@ fn apply_vector_verdict(
 }
 
 impl ProtectedAttention {
-    /// One protected autoregressive decode step — see the free
-    /// [`decode_step`] this delegates to (borrowing the owned weights).
+    /// [`extend`] over the owned weights — kept only because the benchmark's
+    /// adapter (`benchmark/src/api.rs`) calls it.
     pub fn decode_step(
         &self,
         x: &Matrix,
         cache: &mut AttnKvCache,
         ctx: &mut ForwardCtx<'_, '_>,
     ) -> Matrix {
-        decode_step(&(&self.weights).into(), &self.config, x, cache, ctx)
+        extend(&(&self.weights).into(), &self.config, x, cache, ctx)
     }
 }
 
-/// One protected autoregressive decode step: append token `x`
-/// (`1 × hidden`, the block input row) to `cache` and return the
-/// attention output row (`1 × hidden`).
+/// Protected attention for m ≥ 1 new rows: append the rows of `x`
+/// (`m × hidden`, the block input at positions `len..len+m`) to `cache`
+/// and return their attention output (`m × hidden`). Prefill is `extend`
+/// over an empty cache, a decode step its m = 1 case.
 ///
-/// `ctx.mask`, when present, must be the **single mask row** of the new
-/// token over the grown prefix (`1 × (len+1)`), e.g. row `len` of the
-/// causal or local-banded mask — not the full `seq × seq` matrix the
-/// training forward takes. `ctx.toggles`/`ctx.hook`/`ctx.report` have
-/// their usual meaning; hooks fire at the same [`FaultSite`]s as the
-/// training forward, on the single-row matrices.
+/// `ctx.mask`, when present, must be rows `len..len+m` of the mask over
+/// the grown prefix (`m × (len+m)`), e.g. those rows of the causal or
+/// local-banded mask — causality *inside* the chunk comes only from it.
+/// Hooks fire at the same [`FaultSite`]s as the training forward, on the
+/// m-row matrices.
 ///
-/// Fault-free, the returned row is bit-identical to row `len` of the
-/// training [`forward`](crate::attention::forward) over the grown prefix
-/// (see the module docs for why the contract holds); after an injected extreme
-/// value in any of the six decode GEMMs it is *still* bit-identical, via
-/// checksum correction plus exact replay.
+/// Fault-free, the returned rows are bit-identical to rows `len..len+m` of
+/// the training [`forward`](crate::attention::forward) over the grown
+/// prefix under the same mask (see the module docs for why the contract
+/// holds); after an injected extreme value in any of the six GEMMs they
+/// are *still* bit-identical, via checksum correction plus exact replay.
 ///
 /// # Panics
-/// Panics on shape mismatches (input width, cache geometry, mask row).
+/// Panics on zero rows and on shape mismatches (input width, cache
+/// geometry, mask rows).
 #[allow(clippy::needless_range_loop)] // head index drives several buffers
-pub fn decode_step(
+pub fn extend(
     w: &AttentionWeightsRef<'_>,
     config: &ProtectionConfig,
     x: &Matrix,
     cache: &mut AttnKvCache,
     ctx: &mut ForwardCtx<'_, '_>,
 ) -> Matrix {
-    {
-        assert_eq!(x.rows(), 1, "decode_step: one token per step");
-        assert_eq!(x.cols(), w.hidden, "decode_step: input width");
-        assert_eq!(cache.heads(), w.heads, "decode_step: cache geometry");
-        assert_eq!(
-            cache.head_dim(),
-            w.head_dim(),
-            "decode_step: cache geometry"
-        );
-        let d = w.head_dim();
-        let scale = 1.0 / (d as f32).sqrt();
-        let new_len = cache.len() + 1;
-        let mask = ctx.mask;
-        if let Some(m) = mask {
-            assert_eq!(
-                (m.rows(), m.cols()),
-                (1, new_len),
-                "decode_step: mask must be one row over the grown prefix"
-            );
-        }
+    let (d, shape) = (w.head_dim(), (x.cols(), cache.heads(), cache.head_dim()));
+    assert_eq!(shape, (w.hidden, w.heads, d), "extend: shapes");
+    assert!(x.rows() > 0, "extend: no rows");
+    let scale = 1.0 / (d as f32).sqrt();
+    let mask = ctx.mask;
+    if let Some(m) = mask {
+        let want = (x.rows(), cache.len() + x.rows());
+        assert_eq!((m.rows(), m.cols()), want, "extend: mask rows");
+    }
 
-        let s_as = GuardedSection::begin(
-            SectionId::AttentionScore,
-            config,
-            ctx.toggles.s_as,
-            ctx.report,
-        );
-        let s_cl = GuardedSection::begin(
-            SectionId::ContextLayer,
-            config,
-            ctx.toggles.s_cl,
-            ctx.report,
-        );
-        let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
-        // Non-GEMM scope over the per-head softmax rows; heals recompute
-        // from the pre-softmax row, rebuilt from the live score row.
-        let op_guard = GuardedSection::guard_step(config);
+    let s_as = GuardedSection::begin(
+        SectionId::AttentionScore,
+        config,
+        ctx.toggles.s_as,
+        ctx.report,
+    );
+    let s_cl = GuardedSection::begin(
+        SectionId::ContextLayer,
+        config,
+        ctx.toggles.s_cl,
+        ctx.report,
+    );
+    let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
+    // Non-GEMM scope over the per-head softmax rows; heals recompute
+    // from the pre-softmax rows, rebuilt from the live score rows.
+    let op_guard = GuardedSection::guard_step(config);
 
-        // ------------------------------------------------ section S_AS
-        // Single-query projections through the fused encode entry: the
-        // row's column checksums accumulate inside the GEMM packing pass.
-        let mut q = s_as.gemm(x, w.wq);
-        let mut k = s_as.gemm(x, w.wk);
-        q.add_bias(w.bq);
-        k.add_bias(w.bk);
+    // ------------------------------------------------ section S_AS
+    // The new rows' projections through the fused encode entry: their
+    // column checksums accumulate inside the GEMM packing pass.
+    let mut q = s_as.gemm(x, w.wq);
+    let mut k = s_as.gemm(x, w.wk);
+    q.add_bias(w.bq);
+    k.add_bias(w.bk);
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::Q,
+            head: None,
+        },
+        &mut q,
+    );
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::K,
+            head: None,
+        },
+        &mut k,
+    );
+    // Verify-on-append (see module docs): heal eagerly — K joins
+    // long-lived cache state this step, Q feeds every head's score rows.
+    if s_as.active() {
+        s_as.heal_operand_cols(ctx.report, &mut q, usize::MAX, |r, c| {
+            replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
+        });
+        s_as.heal_operand_cols(ctx.report, &mut k, usize::MAX, |r, c| {
+            replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
+        });
+    }
+    for r in 0..x.rows() {
+        cache.append_k(k.logical_row(r));
+    }
+
+    let mut ap_rows: Vec<Matrix> = Vec::with_capacity(w.heads);
+    for h in 0..w.heads {
+        let qh = q.slice_cols(h * d, (h + 1) * d);
+        let mut as_row = cache.score_row(&qh, h);
+        as_row.scale_inplace(scale);
         ctx.fire(
             FaultSite {
-                op: AttnOp::Q,
-                head: None,
+                op: AttnOp::AS,
+                head: Some(h),
             },
-            &mut q,
+            &mut as_row,
         );
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::K,
-                head: None,
-            },
-            &mut k,
-        );
-        // Verify-on-append (see module docs): heal eagerly — K joins
-        // long-lived cache state this step, Q feeds every head's score row.
-        if s_as.active() {
-            s_as.heal_operand_cols(ctx.report, &mut q, usize::MAX, |_r, c| {
-                replay_nn(x.row(0), |kk| w.wq[(kk, c)]) + w.bq[c]
-            });
-            s_as.heal_operand_cols(ctx.report, &mut k, usize::MAX, |_r, c| {
-                replay_nn(x.row(0), |kk| w.wk[(kk, c)]) + w.bk[c]
-            });
-        }
-        cache.append_k(k.logical_row(0));
-
-        let mut ap_rows: Vec<Matrix> = Vec::with_capacity(w.heads);
-        for h in 0..w.heads {
-            let qh = q.slice_cols(h * d, (h + 1) * d);
-            let mut as_row = cache.score_row(&qh, h);
-            as_row.scale_inplace(scale);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::AS,
-                    head: Some(h),
-                },
-                &mut as_row,
-            );
-            let mut det = s_as.detect(&mut as_row, h);
-            if det.detections() > 0 {
-                det.refine(&mut as_row, |_r, c| {
-                    replay_nn(qh.logical_row(0), |kk| cache.k_at(h, c, kk)) * scale
-                });
-            }
-            det.absorb(ctx.report);
-
-            // Leave the checksummed region: mask + softmax are nonlinear;
-            // the re-encoding rides inside the fused `ap·V` entry below.
-            let ap = s_cl.exit_cols(&as_row, |m| {
-                if let Some(mrow) = mask {
-                    apply_additive_mask(m, mrow);
-                }
-                // The pre-softmax row is `as_row` + mask again, rebuilt
-                // only when the screen fails.
-                softmax_rows_checked_inplace(m, &op_guard, || {
-                    let mut pre = as_row.logical();
-                    if let Some(mrow) = mask {
-                        apply_additive_mask(&mut pre, mrow);
-                    }
-                    pre
-                });
-            });
-            ap_rows.push(ap);
-        }
-
-        // ------------------------------------------------ section S_CL
-        // One V projection for all heads, entered like Q and K: the row's
-        // column checksums restrict exactly to each head's column range.
-        let mut v = s_cl.gemm(x, w.wv);
-        v.add_bias(w.bv);
-        let mut cl_blocks = Vec::with_capacity(w.heads);
-        for h in 0..w.heads {
-            let mut v_h = v.slice_cols(h * d, (h + 1) * d);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::V,
-                    head: Some(h),
-                },
-                &mut v_h,
-            );
-            // Verify-on-append: the V row joins the cache now.
-            if s_cl.active() {
-                s_cl.heal_operand_cols(ctx.report, &mut v_h, h, |_r, c| {
-                    replay_nn(x.row(0), |kk| w.wv[(kk, h * d + c)]) + w.bv[h * d + c]
-                });
-            }
-            cache.append_v(h, v_h.logical_row(0));
-
-            let mut cl_row = cache.context_row(&ap_rows[h], h, s_cl.active());
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::CL,
-                    head: Some(h),
-                },
-                &mut cl_row,
-            );
-            let mut det = s_cl.detect(&mut cl_row, h);
-            if det.detections() > 0 {
-                let ap = &ap_rows[h];
-                det.refine(&mut cl_row, |_r, c| {
-                    replay_nn(ap.row(0), |kk| cache.v_at(h, kk, c))
-                });
-            }
-            det.absorb(ctx.report);
-            cl_blocks.push(cl_row);
-        }
-        let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
-
-        // ------------------------------------------------ section S_O
-        let mut o = s_o.gemm(&cl_merged, w.wo);
-        o.add_bias(w.bo);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::O,
-                head: None,
-            },
-            &mut o,
-        );
-        let mut det = s_o.detect(&mut o, usize::MAX);
-        if det.fixes() > 0 {
-            det.refine(&mut o, |_r, c| {
-                replay_nn(cl_merged.logical_row(0), |kk| w.wo[(kk, c)]) + w.bo[c]
+        let mut det = s_as.detect(&mut as_row, h);
+        if det.detections() > 0 {
+            det.refine(&mut as_row, |r, c| {
+                replay_nn(qh.logical_row(r), |kk| cache.k_at(h, c, kk)) * scale
             });
         }
         det.absorb(ctx.report);
-        ctx.report.absorb_op_guard(op_guard.take_stats());
-        o.logical()
+
+        // Leave the checksummed region: mask + softmax are nonlinear;
+        // the re-encoding rides inside the fused `ap·V` entry below.
+        let ap = s_cl.exit_cols(&as_row, |m| {
+            if let Some(mrows) = mask {
+                apply_additive_mask(m, mrows);
+            }
+            // The pre-softmax rows are `as_row` + mask again, rebuilt
+            // only when the screen fails.
+            softmax_rows_checked_inplace(m, &op_guard, || {
+                let mut pre = as_row.logical();
+                if let Some(mrows) = mask {
+                    apply_additive_mask(&mut pre, mrows);
+                }
+                pre
+            });
+        });
+        ap_rows.push(ap);
     }
+
+    // ------------------------------------------------ section S_CL
+    // One V projection for all heads, entered like Q and K: the rows'
+    // column checksums restrict exactly to each head's column range.
+    let mut v = s_cl.gemm(x, w.wv);
+    v.add_bias(w.bv);
+    let mut cl_blocks = Vec::with_capacity(w.heads);
+    for h in 0..w.heads {
+        let mut v_h = v.slice_cols(h * d, (h + 1) * d);
+        ctx.fire(
+            FaultSite {
+                op: AttnOp::V,
+                head: Some(h),
+            },
+            &mut v_h,
+        );
+        // Verify-on-append: the V rows join the cache now, before any
+        // context row reads it.
+        if s_cl.active() {
+            s_cl.heal_operand_cols(ctx.report, &mut v_h, h, |r, c| {
+                replay_nn(x.row(r), |kk| w.wv[(kk, h * d + c)]) + w.bv[h * d + c]
+            });
+        }
+        for r in 0..x.rows() {
+            cache.append_v(h, v_h.logical_row(r));
+        }
+
+        let mut cl_row = cache.context_row(&ap_rows[h], h, s_cl.active());
+        ctx.fire(
+            FaultSite {
+                op: AttnOp::CL,
+                head: Some(h),
+            },
+            &mut cl_row,
+        );
+        let mut det = s_cl.detect(&mut cl_row, h);
+        if det.detections() > 0 {
+            let ap = &ap_rows[h];
+            det.refine(&mut cl_row, |r, c| {
+                replay_nn(ap.row(r), |kk| cache.v_at(h, kk, c))
+            });
+        }
+        det.absorb(ctx.report);
+        cl_blocks.push(cl_row);
+    }
+    let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
+
+    // ------------------------------------------------ section S_O
+    let mut o = s_o.gemm(&cl_merged, w.wo);
+    o.add_bias(w.bo);
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::O,
+            head: None,
+        },
+        &mut o,
+    );
+    let mut det = s_o.detect(&mut o, usize::MAX);
+    if det.fixes() > 0 {
+        det.refine(&mut o, |r, c| {
+            replay_nn(cl_merged.logical_row(r), |kk| w.wo[(kk, c)]) + w.bo[c]
+        });
+    }
+    det.absorb(ctx.report);
+    ctx.report.absorb_op_guard(op_guard.take_stats());
+    o.logical()
 }
 
 #[cfg(test)]
@@ -891,17 +891,50 @@ mod tests {
         (cache, rows, report)
     }
 
+    /// Extend a fresh cache with `block_rows` paging by the rows of `x` in
+    /// chunks of the given sizes, each chunk causal inside itself through
+    /// its rows of the causal mask; returns the outputs one row at a time.
+    fn extend_chunks(
+        attn: &ProtectedAttention,
+        x: &Matrix,
+        block_rows: usize,
+        chunks: &[usize],
+    ) -> (AttnKvCache, Vec<Matrix>, AbftReport) {
+        let w = &attn.weights;
+        let mut cache = AttnKvCache::with_block_rows(w.hidden, w.heads, true, block_rows);
+        let mut report = AbftReport::default();
+        let mut rows = Vec::new();
+        let mut pos = 0;
+        for &m in chunks {
+            let end = pos + m;
+            let mask = causal_mask(end).submatrix(pos, end, 0, end);
+            let mut ctx = ForwardCtx {
+                mask: Some(&mask),
+                toggles: SectionToggles::all(),
+                hook: None,
+                report: &mut report,
+            };
+            let chunk = x.submatrix(pos, end, 0, x.cols());
+            let out = extend(&w.into(), &attn.config, &chunk, &mut cache, &mut ctx);
+            rows.extend((0..m).map(|r| out.submatrix(r, r + 1, 0, out.cols())));
+            pos = end;
+        }
+        (cache, rows, report)
+    }
+
     #[test]
     fn decode_grown_cache_equals_seeded_cache_bit_for_bit() {
         // One way to produce a V row's inline pair and a K block's tails:
-        // N decode appends and `seed()` over the full forward's K/V tape
-        // leave the same cache, checksums included — at paging granularities
-        // that split, fill and overflow blocks.
+        // N decode appends, `seed()` over the full forward's K/V tape and
+        // chunked `extend`s leave the same cache, checksums included — at
+        // paging granularities that split, fill and overflow blocks, and at
+        // chunk sizes that straddle them. The chunked rows are the decoded
+        // ones too.
         let (x, attn) = setup(21, 32, 4);
         let mut r = AbftReport::default();
         let full = attn.forward(&x, ForwardOptions::default(), &mut r);
         for &block_rows in &[1usize, 4, 16, 64] {
-            let (grown, _, report) = grow_cache(&attn, &x, block_rows, usize::MAX, None);
+            let (grown, grown_rows, report) = grow_cache(&attn, &x, block_rows, usize::MAX, None);
             assert!(report.is_quiet(), "{report}");
             let mut seeded = AttnKvCache::with_block_rows(32, 4, true, block_rows);
             seeded.seed(&full.cache.k, &full.cache.v);
@@ -910,6 +943,18 @@ mod tests {
                 cache_bits(&grown) == cache_bits(&seeded),
                 "block_rows={block_rows}: decode appends and seed() disagree"
             );
+            for chunks in [&[3usize, 1, 5, 2, 10][..], &[21], &[16, 5]] {
+                let (chunked, rows, report) = extend_chunks(&attn, &x, block_rows, chunks);
+                assert!(report.is_quiet(), "{chunks:?}: {report}");
+                assert!(
+                    cache_bits(&chunked) == cache_bits(&grown),
+                    "block_rows={block_rows} chunks={chunks:?}: extend and decode appends disagree"
+                );
+                assert!(
+                    rows == grown_rows,
+                    "block_rows={block_rows} chunks={chunks:?}"
+                );
+            }
         }
     }
 
@@ -1087,9 +1132,9 @@ mod tests {
         assert!(cache_bits(&cache) == cache_bits(&ref_cache));
     }
 
-    /// What the pre-in-place unpark left behind: the cache's K rows
-    /// re-appended in order (every block tail re-accumulated from data)
-    /// and its stored V rows copied verbatim, pairs included.
+    /// The cache appended afresh from its current data: K rows in order
+    /// (every block tail re-accumulated) and V rows through `append_v`
+    /// (every pair re-derived by the encoder).
     fn reappended(cache: &AttnKvCache) -> AttnKvCache {
         let (heads, d) = (cache.heads, cache.d);
         let mut out = AttnKvCache::with_block_rows(heads * d, heads, true, cache.block_rows);
@@ -1099,7 +1144,7 @@ mod tests {
                 .collect();
             out.append_k(&k_row);
             for h in 0..heads {
-                out.v[h].push_row(cache.v[h].row(r));
+                out.append_v(h, &cache.v[h].row(r)[..d]);
             }
         }
         out
@@ -1107,7 +1152,15 @@ mod tests {
 
     #[test]
     fn at_rest_flip_in_parked_kv_is_detected_and_corrected() {
-        let (x, attn) = setup(8, 32, 4);
+        // Head width 8, and 80: past one `NC` = 64 block of the encoder's
+        // row sums, where sequential sums would rebuild a V pair off its bits.
+        for hidden in [32, 320] {
+            at_rest_flip_case(hidden);
+        }
+    }
+
+    fn at_rest_flip_case(hidden: usize) {
+        let (x, attn) = setup(8, hidden, 4);
         let cfg = attn.config.abft;
         let (never_parked, _, _) = grow_cache(&attn, &x, 4, usize::MAX, None);
         let clean_bits = cache_bits(&never_parked);
@@ -1129,7 +1182,10 @@ mod tests {
             ),
             (
                 "V pair",
-                |c| c.v_row_mut(0, 7)[8] = f32::NEG_INFINITY,
+                |c| {
+                    let d = c.head_dim();
+                    c.v_row_mut(0, 7)[d] = f32::NEG_INFINITY
+                },
                 0,
                 true,
             ),

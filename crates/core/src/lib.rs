@@ -8,8 +8,8 @@
 //! ## Layered design (bottom-up)
 //!
 //! * [`checksum`] — dual (unweighted + weighted) checksum encoding for
-//!   matrices, in both a fused single-pass form and a deliberately naive
-//!   two-pass column form (the Fig 9 encoder baseline).
+//!   matrices and vectors, under `attn_tensor::contract`'s accumulation
+//!   order.
 //! * [`checked`] — [`CheckedMatrix`]: a matrix physically augmented with
 //!   checksum rows/columns so checksum *updates* ride along the very same
 //!   GEMM that produces the data (paper §4.6 "Updating") — one
@@ -32,6 +32,10 @@
 //!   Fig 5), built on [`section`], including fault-injection hooks for
 //!   campaigns. One forward ([`attention::forward`]) over borrowed weights;
 //!   callers that batch (trainer, decode engine) fan it out per item.
+//! * [`decode`] — the same three sections over a checksummed KV cache
+//!   ([`AttnKvCache`]): [`decode::extend`] appends m ≥ 1 rows with
+//!   verify-on-append, so a prompt, a prefill chunk and a decoded token are
+//!   one call; the cache verifies itself where it lies when parked.
 //! * [`adaptive`] — Poisson reliability model, fault coverage (FC), fault
 //!   coverage efficiency (FCE), and the greedy detection-frequency
 //!   optimizer of paper Algorithm 1.

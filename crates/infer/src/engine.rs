@@ -108,10 +108,10 @@ impl DecodeEngine {
         self.model.set_protection(protection);
     }
 
-    /// Open a session: prefill `prompt` through the full protected forward
-    /// (seeding the KV caches from its post-correction tape) and arm the
-    /// next-token logits. `seed` initialises the session's private
-    /// sampling RNG.
+    /// Open a session: [`TransformerModel::extend`] a fresh state by the
+    /// whole `prompt` — its K/V rows verified onto the caches as they are
+    /// appended — and arm the next-token logits. `seed` initialises the
+    /// session's private sampling RNG.
     ///
     /// Draws toggles from the prefill gate stream, never the decode
     /// stream: sessions admitted mid-serving leave every live session's
@@ -123,7 +123,9 @@ impl DecodeEngine {
         let toggles = self.prefill_policy.next_toggles(self.model.protection());
         let mut report = AbftReport::default();
         let mut state = self.model.new_decode_state();
-        let logits = self.model.prefill(prompt, &mut state, toggles, &mut report); // attn-lint: allow-path(panic-reach) — model boundary: prefill's documented panics (empty/OOV prompt) are this fn's own contract, enforced before serving admits a trace
+        let logits = self
+            .model
+            .extend(prompt, &mut state, toggles, None, &mut report); // attn-lint: allow-path(panic-reach) — model boundary: extend's documented panics (empty/OOV prompt) are this fn's own contract, enforced before serving admits a trace
         let id = self.next_id;
         self.next_id += 1;
         DecodeSession {
@@ -283,7 +285,7 @@ fn step_session(
         }
     };
     s.tokens.push(token);
-    s.logits = model.decode_step(token, &mut s.state, toggles, inject, &mut s.report); // attn-lint: allow-path(panic-reach) — model boundary: the protected decode step indexes within cache bounds by construction (decode parity + invariant suites pin it)
+    s.logits = model.extend(&[token], &mut s.state, toggles, inject, &mut s.report); // attn-lint: allow-path(panic-reach) — model boundary: the protected extend indexes within cache bounds by construction (decode parity + invariant suites pin it)
     token
 }
 

@@ -17,7 +17,8 @@ pub enum Sampling {
 /// Pick the next token id from a `1 × vocab` logits row.
 ///
 /// Deterministic given the logits and the RNG state: batched engines give
-/// each session its own forked RNG, so scheduling cannot perturb samples.
+/// each session its own RNG, seeded at admission, so scheduling cannot
+/// perturb samples.
 /// Under an active `g` the temperature softmax is guarded — the
 /// probability row is screened (entries in `[0, 1]`, sum ~1) and healed by
 /// exact recompute from the scaled logits on violation, so a struck

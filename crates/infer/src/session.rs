@@ -10,7 +10,8 @@ use attnchecker::report::AbftReport;
 /// accumulated over its lifetime.
 ///
 /// Sessions are created by [`crate::DecodeEngine::open_session`] (which
-/// prefills the prompt) and advanced by the engine's step methods. All
+/// extends a fresh state by the whole prompt) and advanced by the engine's
+/// step methods, each one more `extend` of the same state. All
 /// mutable state is session-local, so a batch of sessions can advance
 /// concurrently with no sharing beyond the read-only model.
 pub struct DecodeSession {
@@ -24,7 +25,7 @@ pub struct DecodeSession {
     pub report: AbftReport,
     pub(crate) state: DecodeState,
     /// Next-token distribution (`1 × vocab` logits) — produced by the
-    /// prefill or the most recent decode step.
+    /// most recent `extend` (the prompt's, or the last step's).
     pub(crate) logits: Matrix,
     pub(crate) rng: TensorRng,
 }

@@ -46,10 +46,9 @@ pub const SERVE_ENTRIES: [(&str, &str); 5] = [
 
 /// Model forward/decode/train entry points for the coverage walk:
 /// `(owner, method, path-kind)`.
-pub const OP_PATH_ENTRIES: [(&str, &str, &str); 8] = [
+pub const OP_PATH_ENTRIES: [(&str, &str, &str); 7] = [
     ("TransformerModel", "forward", "forward"),
-    ("TransformerModel", "prefill", "decode"),
-    ("TransformerModel", "decode_step", "decode"),
+    ("TransformerModel", "extend", "decode"),
     ("DecodeEngine", "step_batch", "decode"),
     ("DecodeEngine", "step_batch_mixed", "decode"),
     ("Gateway", "tick", "decode"),

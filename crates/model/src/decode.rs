@@ -1,21 +1,21 @@
-//! Autoregressive decode front-end for the causal architectures.
+//! Autoregressive serving front-end for the causal architectures.
 //!
 //! [`DecodeState`] holds one session's per-layer [`AttnKvCache`]s;
-//! [`TransformerModel::prefill`] runs the full protected forward over a
-//! prompt and seeds the caches from its (post-correction) K/V tape;
-//! [`TransformerModel::decode_step`] pushes one token through the per-row
-//! image of the block pipeline — row-local layer norms, the single-query
-//! guarded attention of `attnchecker::decode`, the guarded FFN on a
-//! one-row matrix — and returns next-token logits.
+//! [`TransformerModel::extend`] pushes m ≥ 1 tokens through the row image
+//! of the block pipeline — row-local layer norms, the cached guarded
+//! attention of `attnchecker::decode::extend`, the guarded FFN on the m
+//! rows — appending their K/V rows to every layer's cache, and returns the
+//! next-token logits of the last one. A prompt is `extend` on a fresh
+//! state, a prefill chunk or a decoded token one more `extend`.
 //!
 //! **Parity contract.** Every per-row computation follows the same
 //! blocked accumulation contract as its full-forward counterpart, so the
-//! logits of `decode_step` after any prefill/decode split are
-//! bit-identical to [`TransformerModel::forward`] over the grown
-//! prefix with the same protection config — fault-free *and* after a
-//! corrected injection. Decoding is only defined for the causal decoders
-//! (GPT-2 / GPT-Neo): a bidirectional encoder re-reads the whole sequence
-//! at every position, so a KV cache cannot represent it.
+//! logits of `extend` after any chunking of the tokens are bit-identical
+//! to [`TransformerModel::forward`] over the grown prefix with the same
+//! protection config — fault-free *and* after a corrected injection.
+//! Decoding is only defined for the causal decoders (GPT-2 / GPT-Neo): a
+//! bidirectional encoder re-reads the whole sequence at every position,
+//! so a KV cache cannot represent it.
 
 use crate::block::BlockArch;
 use crate::model::{InjectionSpec, ModelArch, TransformerModel};
@@ -124,22 +124,79 @@ impl TransformerModel {
         }
     }
 
-    /// The single mask row of token `row` over a `len`-long prefix for
-    /// block `layer` — row `row` of [`Self::mask_for_layer`] restricted to
-    /// `len` columns, produced without materialising the full matrix.
-    fn mask_row_for_layer(&self, layer: usize, row: usize, len: usize) -> Matrix {
-        self.causal_mask_rows(layer, row..row + 1, len)
-    }
-
-    /// Run the full protected forward over `tokens` and seed `state`'s
-    /// caches from the (post-correction) K/V activations, so subsequent
-    /// [`Self::decode_step`]s continue bit-identically to having decoded
-    /// the prompt token by token. Returns the next-token logits
-    /// (`1 × num_classes`).
+    /// Feed `tokens` (m ≥ 1) at positions `state.pos()..`: append them to
+    /// every layer's KV cache and return the next-token logits of the last
+    /// one (`1 × num_classes`), bit-identical to the full protected forward
+    /// over the grown prefix. Per block: ln1 → `decode::extend` (causal
+    /// inside the chunk through the mask rows `pos..pos+m`) → residual →
+    /// ln2 → FFN → residual, over all m rows; the final LN and the head
+    /// run on the last row only. `inject` optionally plants one fault at a
+    /// GEMM site, exactly like the training forward's injection plumbing.
     ///
     /// # Panics
-    /// Panics when `state` is not fresh, `tokens` is empty, or the
-    /// architecture does not decode.
+    /// Panics on empty `tokens`, out-of-vocabulary tokens, an exhausted
+    /// position table, a parked state, or a non-causal architecture.
+    pub fn extend(
+        &self,
+        tokens: &[usize],
+        state: &mut DecodeState,
+        toggles: SectionToggles,
+        inject: Option<&InjectionSpec>,
+        report: &mut AbftReport,
+    ) -> Matrix {
+        assert!(self.supports_decode(), "extend: non-causal architecture");
+        assert!(!state.is_parked(), "extend: state is parked — unpark first");
+        assert!(!tokens.is_empty(), "extend: no tokens");
+        let (pos, len) = (state.pos, state.pos + tokens.len());
+        let protection = self.protection();
+        // Non-GEMM op guard for the whole call: embedding rows, per-block
+        // LayerNorms and residual adds, final LN.
+        let op_guard = GuardedSection::guard_step(protection);
+
+        // ---- embedding rows (token + position) at positions `pos..len`.
+        let mut h = self.embedding.forward(tokens, pos, &op_guard);
+
+        // ---- blocks: pre-LN row pipeline with cached attention.
+        for (i, (block, cache)) in self.blocks.iter().zip(&mut state.layers).enumerate() {
+            assert_eq!(block.arch, BlockArch::PreLn, "causal blocks are pre-LN");
+            let mask = self.causal_mask_rows(i, pos..len, len);
+
+            let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
+            let mut ctx = ForwardCtx {
+                mask: Some(&mask),
+                toggles,
+                hook: hook.as_mut().map(|h| h as _),
+                report: &mut *report,
+            };
+
+            let (n1, _) = block.ln1.forward(&h, &op_guard);
+            let a = decode::extend(&block.attn.weights(), protection, &n1, cache, &mut ctx);
+            let res = residual_add_checked(&h, &a, &op_guard);
+            let (n2, _) = block.ln2.forward(&res, &op_guard);
+            let (f, _) = block.ffn.forward(&n2, protection, &mut ctx);
+            h = residual_add_checked(&res, &f, &op_guard);
+        }
+
+        // ---- head: the last row moves to the top (a no-op at m = 1), then
+        // the final LN and the classifier on it alone.
+        let last = (h.rows() - 1) * h.cols();
+        h.data_mut().copy_within(last.., 0);
+        let mut h = h.into_top_rows(1);
+        if let Some(ln) = &self.final_ln {
+            let (y, _) = ln.forward(&h, &op_guard);
+            h = y;
+        }
+        let (logits, _) = self.classifier.forward(&h);
+        state.pos = len;
+        report.absorb_op_guard(op_guard.take_stats());
+        logits
+    }
+
+    /// [`Self::extend`] on a fresh state, without injection — kept only
+    /// because the benchmark's probes (`benchmark/src/probes.rs`) call it.
+    ///
+    /// # Panics
+    /// Panics when `state` is not fresh, and as [`Self::extend`].
     pub fn prefill(
         &self,
         tokens: &[usize],
@@ -147,27 +204,15 @@ impl TransformerModel {
         toggles: SectionToggles,
         report: &mut AbftReport,
     ) -> Matrix {
-        assert!(self.supports_decode(), "prefill: non-causal architecture");
         assert_eq!(state.pos, 0, "prefill: state already holds tokens");
-        assert!(!tokens.is_empty(), "prefill: empty prompt");
-        let (logits, tape) = self.forward(tokens, toggles, None, report);
-        for (cache, bt) in state.layers.iter_mut().zip(&tape.blocks) {
-            cache.seed(&bt.attn.k, &bt.attn.v);
-        }
-        state.pos = tokens.len();
-        logits
+        self.extend(tokens, state, toggles, None, report)
     }
 
-    /// Decode one token at position `state.pos()`: append it to every
-    /// layer's KV cache and return the next-token logits
-    /// (`1 × num_classes`), bit-identical to re-running the full protected
-    /// forward over the grown prefix. `inject` optionally plants one fault
-    /// at a decode-time GEMM site, exactly like the training forward's
-    /// injection plumbing.
+    /// [`Self::extend`] with one token — kept only because the benchmark's
+    /// probes (`benchmark/src/probes.rs`) call it.
     ///
     /// # Panics
-    /// Panics on out-of-vocabulary tokens, exhausted position table, or a
-    /// non-causal architecture.
+    /// As [`Self::extend`].
     pub fn decode_step(
         &self,
         token: usize,
@@ -176,53 +221,7 @@ impl TransformerModel {
         inject: Option<&InjectionSpec>,
         report: &mut AbftReport,
     ) -> Matrix {
-        assert!(
-            self.supports_decode(),
-            "decode_step: non-causal architecture"
-        );
-        assert!(
-            !state.is_parked(),
-            "decode_step: state is parked — unpark_state first"
-        );
-        let t = state.pos;
-        let protection = self.protection();
-        // Non-GEMM op guard for the whole decode step: embedding row sum,
-        // per-block LayerNorms and residual adds, final LN.
-        let op_guard = GuardedSection::guard_step(protection);
-
-        // ---- embedding row (token + position) at sequence position `t`.
-        let mut h = self.embedding.forward(&[token], t, &op_guard);
-
-        // ---- blocks: pre-LN row pipeline with cached attention.
-        for (i, (block, cache)) in self.blocks.iter().zip(&mut state.layers).enumerate() {
-            assert_eq!(block.arch, BlockArch::PreLn, "causal blocks are pre-LN");
-            let mask_row = self.mask_row_for_layer(i, t, t + 1);
-
-            let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
-            let mut ctx = ForwardCtx {
-                mask: Some(&mask_row),
-                toggles,
-                hook: hook.as_mut().map(|h| h as _),
-                report: &mut *report,
-            };
-
-            let (n1, _) = block.ln1.forward(&h, &op_guard);
-            let a = decode::decode_step(&block.attn.weights(), protection, &n1, cache, &mut ctx);
-            let res = residual_add_checked(&h, &a, &op_guard);
-            let (n2, _) = block.ln2.forward(&res, &op_guard);
-            let (f, _) = block.ffn.forward(&n2, protection, &mut ctx);
-            h = residual_add_checked(&res, &f, &op_guard);
-        }
-
-        // ---- head: final LN on the single row, then the classifier.
-        if let Some(ln) = &self.final_ln {
-            let (y, _) = ln.forward(&h, &op_guard);
-            h = y;
-        }
-        let (logits, _) = self.classifier.forward(&h);
-        state.pos = t + 1;
-        report.absorb_op_guard(op_guard.take_stats());
-        logits
+        self.extend(&[token], state, toggles, inject, report)
     }
 }
 
@@ -253,11 +252,21 @@ mod tests {
         m.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    fn check_parity(arch: ModelArch, prefill_len: usize) {
+    /// Prefill `chunks[0]` tokens, `extend` by each further chunk, then
+    /// decode token by token: every logits row must be the full forward's.
+    fn check_parity(arch: ModelArch, chunks: &[usize]) {
         let m = gpt(arch, ProtectionConfig::full());
         let tokens: Vec<usize> = (0..10).map(|i| (i * 37 + 5) % m.config.vocab).collect();
+        let full = |n: usize| {
+            let mut r = AbftReport::default();
+            bits(
+                &m.forward(&tokens[..n], SectionToggles::all(), None, &mut r)
+                    .0,
+            )
+        };
         let mut state = m.new_decode_state();
         let mut report = AbftReport::default();
+        let prefill_len = chunks[0];
         let logits0 = m.prefill(
             &tokens[..prefill_len],
             &mut state,
@@ -265,11 +274,20 @@ mod tests {
             &mut report,
         );
         // Prefill logits are the full-forward logits of the prompt.
-        let mut r = AbftReport::default();
-        let (full0, _) = m.forward(&tokens[..prefill_len], SectionToggles::all(), None, &mut r);
-        assert_eq!(bits(&logits0), bits(&full0), "prefill logits");
+        assert_eq!(bits(&logits0), full(prefill_len), "prefill logits");
+        let mut pos = prefill_len;
+        for &n in &chunks[1..] {
+            let chunk = &tokens[pos..pos + n];
+            let logits = m.extend(chunk, &mut state, SectionToggles::all(), None, &mut report);
+            pos += n;
+            assert_eq!(
+                bits(&logits),
+                full(pos),
+                "{arch:?} {chunks:?}: chunk to {pos}"
+            );
+        }
 
-        for t in prefill_len..tokens.len() {
+        for t in pos..tokens.len() {
             let logits = m.decode_step(
                 tokens[t],
                 &mut state,
@@ -277,12 +295,10 @@ mod tests {
                 None,
                 &mut report,
             );
-            let mut r = AbftReport::default();
-            let (full, _) = m.forward(&tokens[..=t], SectionToggles::all(), None, &mut r);
             assert_eq!(
                 bits(&logits),
-                bits(&full),
-                "{arch:?} prefill={prefill_len} t={t}: decode logits diverged from full forward"
+                full(t + 1),
+                "{arch:?} chunks={chunks:?} t={t}: decode logits diverged from full forward"
             );
         }
         assert!(report.is_quiet(), "fault-free decode must be quiet");
@@ -290,33 +306,16 @@ mod tests {
 
     #[test]
     fn gpt2_decode_is_bit_identical_to_full_forward_at_several_prefills() {
-        for prefill in [1, 4, 8] {
-            check_parity(ModelArch::Gpt2, prefill);
+        for chunks in [&[1][..], &[4], &[8], &[2, 3, 1], &[1, 6]] {
+            check_parity(ModelArch::Gpt2, chunks);
         }
     }
 
     #[test]
     fn gpt_neo_local_attention_decode_is_bit_identical() {
-        for prefill in [1, 5] {
-            check_parity(ModelArch::GptNeo, prefill);
-        }
-    }
-
-    #[test]
-    fn mask_row_matches_full_mask_row() {
-        let m = gpt(ModelArch::GptNeo, ProtectionConfig::off());
-        for layer in 0..2 {
-            for len in 1..9 {
-                let full = m.mask_for_layer(layer, len).unwrap();
-                let row = m.mask_row_for_layer(layer, len - 1, len);
-                for c in 0..len {
-                    assert_eq!(
-                        row[(0, c)],
-                        full[(len - 1, c)],
-                        "layer={layer} len={len} c={c}"
-                    );
-                }
-            }
+        // Chunks wider than the local window (3) band inside themselves.
+        for chunks in [&[1][..], &[5], &[2, 5, 1], &[7]] {
+            check_parity(ModelArch::GptNeo, chunks);
         }
     }
 

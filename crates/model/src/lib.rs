@@ -17,8 +17,9 @@
 //! * [`data`] — a synthetic MRPC-style paraphrase corpus.
 //! * [`trainer`] — fine-tuning loop with non-trainable-state detection and
 //!   attention/step timing (Figs 6, 7, 11).
-//! * [`decode`] — KV-cached autoregressive decode front-end for the causal
-//!   architectures, bit-identical to the full protected forward.
+//! * [`decode`] — KV-cached serving front-end for the causal
+//!   architectures: one `extend` by m ≥ 1 tokens serves prefill and
+//!   decode, bit-identical to the full protected forward.
 //! * [`flops`] — paper-scale flop accounting behind Table 3.
 
 #![forbid(unsafe_code)]

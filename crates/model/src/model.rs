@@ -313,7 +313,7 @@ impl TransformerModel {
     /// — the one statement of the mask rule: query `r` never sees a later
     /// key, and on GPT-Neo's odd (local) blocks it sees only the
     /// `local_window` keys ending at itself. [`Self::mask_for_layer`]
-    /// builds every row; decode builds the one row of the token it feeds.
+    /// builds every row; [`Self::extend`] the rows of the tokens it feeds.
     pub(crate) fn causal_mask_rows(&self, layer: usize, rows: Range<usize>, len: usize) -> Matrix {
         let local = self.config.arch == ModelArch::GptNeo && !layer.is_multiple_of(2);
         let w = self.config.local_window;

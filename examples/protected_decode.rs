@@ -25,8 +25,8 @@ fn main() {
     let model = TransformerModel::new(cfg, ProtectionConfig::full(), &mut rng);
     let mut engine = DecodeEngine::new(model);
 
-    // Prefill a prompt; every prompt GEMM runs through the guarded
-    // sections, and the KV caches are seeded from the healed activations.
+    // Prefill a prompt: one `extend` over a fresh state, every prompt GEMM
+    // inside the guarded sections, each K/V row verified as it is cached.
     let prompt = [3usize, 17, 42, 8];
     let mut session = engine.open_session(&prompt, 1234);
     println!("prompt: {:?}", prompt);

@@ -1,8 +1,8 @@
 //! The decode/full-forward parity contract, pinned through the public API:
-//! a KV-cached `decode_step` sequence is **bit-identical** to re-running
-//! the full protected forward over the grown prefix — at any prefill
-//! split, at any engine worker count, and after an injected extreme value
-//! in any decode-time GEMM has been detected and exactly corrected.
+//! a KV-cached sequence of `extend`s is **bit-identical** to re-running
+//! the full protected forward over the grown prefix — at any chunking of
+//! the tokens, at any engine worker count, and after an injected extreme
+//! value in any decode-time GEMM has been detected and exactly corrected.
 
 use attn_fault::FaultKind;
 use attn_infer::{DecodeEngine, DecodeSession, Sampling};
@@ -36,33 +36,50 @@ fn bits(m: &Matrix) -> Vec<u32> {
 #[test]
 fn decode_is_bit_identical_to_full_forward_at_several_prefix_lengths() {
     let m = lm_model(ProtectionConfig::full());
-    // The last case decodes past `KC` = 128 cached tokens — `ap·V` flushes a
-    // second partial, the score row spans nine 16-row K blocks — the context
-    // lengths the benchmark runs at, reached by no other parity case.
-    for (prefill, len) in [(1usize, 12usize), (3, 12), (6, 12), (10, 12), (8, 142)] {
+    // `extend` by each chunk of the schedule, then decode to `len`. The
+    // `8` case decodes past `KC` = 128 cached tokens — `ap·V` flushes a
+    // second partial, the score rows span nine 16-row K blocks — the context
+    // lengths the benchmark runs at; the `140` case reaches them in one
+    // call, whose m > `MC` = 64 rows and `ap·V` run past `KC` at once.
+    let cases: [(&[usize], usize); 9] = [
+        (&[1], 12),
+        (&[3], 12),
+        (&[6], 12),
+        (&[10], 12),
+        (&[8], 142),
+        (&[2, 1, 4], 12),
+        (&[5, 5], 12),
+        (&[1, 3, 2, 3, 1, 2], 12),
+        (&[140], 142),
+    ];
+    for (chunks, len) in cases {
         let tokens: Vec<usize> = (0..len).map(|i| (i * 29 + 7) % 48).collect();
+        let full = |n: usize| {
+            let mut r = AbftReport::default();
+            bits(
+                &m.forward(&tokens[..n], SectionToggles::all(), None, &mut r)
+                    .0,
+            )
+        };
         let mut state = m.new_decode_state();
         let mut report = AbftReport::default();
-        let _ = m.prefill(
-            &tokens[..prefill],
-            &mut state,
-            SectionToggles::all(),
-            &mut report,
-        );
-        for t in prefill..tokens.len() {
-            let dec = m.decode_step(
-                tokens[t],
-                &mut state,
-                SectionToggles::all(),
-                None,
-                &mut report,
+        let mut prefill = 0;
+        for &n in chunks {
+            let chunk = &tokens[prefill..prefill + n];
+            let l = m.extend(chunk, &mut state, SectionToggles::all(), None, &mut report);
+            prefill += n;
+            assert_eq!(
+                bits(&l),
+                full(prefill),
+                "chunks={chunks:?}: extend to {prefill}"
             );
-            let mut r = AbftReport::default();
-            let (full, _) = m.forward(&tokens[..=t], SectionToggles::all(), None, &mut r);
+        }
+        for (t, &token) in tokens.iter().enumerate().skip(prefill) {
+            let dec = m.decode_step(token, &mut state, SectionToggles::all(), None, &mut report);
             assert_eq!(
                 bits(&dec),
-                bits(&full),
-                "prefill={prefill} t={t}: decode logits diverged from full forward"
+                full(t + 1),
+                "chunks={chunks:?} t={t}: decode logits diverged from full forward"
             );
         }
         assert!(report.is_quiet(), "fault-free decode must be quiet");
@@ -99,73 +116,68 @@ fn injected_extreme_in_each_decode_gemm_is_exactly_corrected() {
     let m = lm_model(ProtectionConfig::full());
     let tokens: Vec<usize> = (0..9).map(|i| (i * 13 + 5) % 48).collect();
     let prefill = 4usize;
-
-    // Fault-free reference logits for every decoded position.
-    let mut clean: Vec<Vec<u32>> = Vec::new();
-    {
-        let mut state = m.new_decode_state();
-        let mut r = AbftReport::default();
-        let _ = m.prefill(
-            &tokens[..prefill],
-            &mut state,
-            SectionToggles::all(),
-            &mut r,
-        );
-        for &tok in &tokens[prefill..] {
-            let l = m.decode_step(tok, &mut state, SectionToggles::all(), None, &mut r);
-            clean.push(bits(&l));
-        }
-    }
-
-    const SITES: [AttnOp; 8] = [
-        AttnOp::Q,
-        AttnOp::K,
-        AttnOp::V,
-        AttnOp::AS,
-        AttnOp::CL,
-        AttnOp::O,
-        AttnOp::Ffn1,
-        AttnOp::Ffn2,
-    ];
-    for op in SITES {
-        for kind in [FaultKind::Inf, FaultKind::NaN, FaultKind::NearInf] {
+    // After the prefill, `(chunks, struck chunk, struck row)`: five decode
+    // steps struck mid-generation, with a grown cache behind it; or a 3-row
+    // `extend` struck in its last row — five buffer rows under the score
+    // rows, i.e. two tail-sum passes — then two decode steps.
+    let schedules: [(&[usize], usize, usize); 2] = [(&[1, 1, 1, 1, 1], 2, 0), (&[3, 1, 1], 0, 2)];
+    for (chunks, strike, row) in schedules {
+        // Logits after every chunk, with `inject` planted in the struck one.
+        let run = |inject: Option<&InjectionSpec>, report: &mut AbftReport| {
             let mut state = m.new_decode_state();
-            let mut report = AbftReport::default();
             let _ = m.prefill(
                 &tokens[..prefill],
                 &mut state,
                 SectionToggles::all(),
-                &mut report,
+                report,
             );
-            let spec = InjectionSpec {
-                layer: 1,
-                op,
-                head: 1,
-                row: 0,
-                col: 9,
-                kind,
-            };
-            for (idx, t) in (prefill..tokens.len()).enumerate() {
-                // Strike mid-generation, with a grown cache behind it.
-                let inject = (idx == 2).then_some(&spec);
-                let l = m.decode_step(
-                    tokens[t],
-                    &mut state,
-                    SectionToggles::all(),
-                    inject,
-                    &mut report,
-                );
-                assert_eq!(
-                    bits(&l),
-                    clean[idx],
-                    "{op:?}/{kind:?} step {idx}: corrected decode must match fault-free bits"
-                );
+            let mut pos = prefill;
+            let mut logits = Vec::new();
+            for (idx, &n) in chunks.iter().enumerate() {
+                let inject = inject.filter(|_| idx == strike);
+                let chunk = &tokens[pos..pos + n];
+                let l = m.extend(chunk, &mut state, SectionToggles::all(), inject, report);
+                logits.push(bits(&l));
+                pos += n;
             }
-            assert!(
-                report.correction_count() > 0,
-                "{op:?}/{kind:?}: no corrections recorded"
-            );
-            assert_eq!(report.unrecovered, 0, "{op:?}/{kind:?}");
+            logits
+        };
+        // Fault-free reference logits for every decoded position.
+        let clean = run(None, &mut AbftReport::default());
+
+        const SITES: [AttnOp; 8] = [
+            AttnOp::Q,
+            AttnOp::K,
+            AttnOp::V,
+            AttnOp::AS,
+            AttnOp::CL,
+            AttnOp::O,
+            AttnOp::Ffn1,
+            AttnOp::Ffn2,
+        ];
+        for op in SITES {
+            for kind in [FaultKind::Inf, FaultKind::NaN, FaultKind::NearInf] {
+                let spec = InjectionSpec {
+                    layer: 1,
+                    op,
+                    head: 1,
+                    row,
+                    col: 9,
+                    kind,
+                };
+                let mut report = AbftReport::default();
+                for (idx, l) in run(Some(&spec), &mut report).iter().enumerate() {
+                    assert_eq!(
+                        l, &clean[idx],
+                        "{op:?}/{kind:?} {chunks:?} step {idx}: corrected decode must match fault-free bits"
+                    );
+                }
+                assert!(
+                    report.correction_count() > 0,
+                    "{op:?}/{kind:?} {chunks:?}: no corrections recorded"
+                );
+                assert_eq!(report.unrecovered, 0, "{op:?}/{kind:?} {chunks:?}");
+            }
         }
     }
 }

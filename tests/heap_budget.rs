@@ -173,7 +173,7 @@ const BUDGET: [Path; 3] = [
     (
         "gateway trace with parking",
         warm_gateway_trace,
-        [3893, 3893],
+        [3733, 3733],
     ),
 ];
 
