@@ -46,10 +46,7 @@ fn main() {
 
         // Detection floor: bisect the smallest moderate error magnitude a
         // 64-element checksummed vector still catches.
-        let cfg = AbftConfig {
-            detect_tol: tol,
-            ..AbftConfig::default()
-        };
+        let cfg = AbftConfig { detect_tol: tol };
         let base = rng.normal_matrix(16, 16, 1.0);
         let detect_at = |mag: f32| -> bool {
             let mut m = CheckedMatrix::encode_both(&base, Strategy::Fused);

@@ -42,7 +42,7 @@
 //! shape. Run: `cargo run --release -p attn_bench --bin bench_faults`
 
 use attn_bench::{build_trainer, dataset_for, TextTable};
-use attn_fault::{near_inf_flip, run_campaign, FaultInjector, FaultKind};
+use attn_fault::{run_campaign, FaultKind};
 use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
 use attn_model::{AdamW, DecodeState, Example, HasParams, Param};
 use attn_tensor::guard::{
@@ -82,14 +82,14 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Plant `kind` at a random location of `m` (region kinds corrupt a span).
+/// Plant `kind` at a random location of `m` (region kinds corrupt a span
+/// of the victim row). The victim row is drawn before its column, from a
+/// stream seeded off `rng`.
 fn tamper(m: &mut Matrix, kind: FaultKind, rng: &mut TensorRng) {
-    let mut inj = FaultInjector::new(rng.next_u64());
-    if kind.is_single_cell() {
-        inj.inject_random(m, kind);
-    } else {
-        inj.inject_region_random(m, kind);
-    }
+    let mut pick = TensorRng::seed_from(rng.next_u64());
+    let row = pick.index(m.rows());
+    let col = pick.index(m.cols());
+    kind.strike(m.row_mut(row), col);
 }
 
 /// One trial's verdict. `detected` is the guard's own claim; `corrected`
@@ -311,23 +311,6 @@ fn optim_trial(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
 // KV at rest
 // ---------------------------------------------------------------------------
 
-/// Tamper one slice-level row span the way [`tamper`] does for matrices.
-fn tamper_slice(row: &mut [f32], kind: FaultKind, col: usize) {
-    match kind {
-        FaultKind::StuckRow => {
-            let v = row[col];
-            row.fill(v);
-        }
-        FaultKind::Burst { len } => {
-            let end = (col + len.max(1)).min(row.len());
-            for v in &mut row[col..end] {
-                *v = near_inf_flip(*v);
-            }
-        }
-        k => row[col] = k.apply(row[col]),
-    }
-}
-
 fn lm_config(tiny: bool) -> ModelConfig {
     let mut cfg = ModelConfig::gpt2();
     cfg.hidden = 32;
@@ -392,12 +375,12 @@ fn kv_trial(
         let r = rng.index(cache.len());
         let c = rng.index(d);
         if rng.bernoulli(0.5) {
-            tamper_slice(cache.k_row_mut(head, r), k, c);
+            k.strike(cache.k_row_mut(head, r), c);
         } else {
             // V rows carry their two checksum columns inline at the end;
             // corrupt data cells only (a struck checksum is a rebuild, not
             // a data fault).
-            tamper_slice(&mut cache.v_row_mut(head, r)[..d], k, c);
+            k.strike(&mut cache.v_row_mut(head, r)[..d], c);
         }
     }
     let mut unpark_report = AbftReport::default();

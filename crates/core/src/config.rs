@@ -1,16 +1,11 @@
 //! Configuration for ABFT detection, correction, and protection scheduling.
 
-/// Thresholds governing EEC-ABFT detection and correction (paper §4.2).
+/// The tunable tolerance of EEC-ABFT detection (paper §4.2). The paper's
+/// two fixed thresholds are constants:
+/// `T_near-INF` is [`attn_tensor::float::NEAR_INF_THRESHOLD`] and
+/// `T_correct` is [`crate::eec::CORRECT_THRESHOLD`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbftConfig {
-    /// Finite values with magnitude above this count as near-INF.
-    /// Paper: `T_near-INF = 1e10`.
-    pub near_inf_threshold: f32,
-    /// Corrupted values with magnitude above this are corrected by
-    /// *reconstruction* from the checksum rather than by adding δ1, because
-    /// round-off absorption would otherwise corrupt the recovery.
-    /// Paper: `T_correct = 1e5`.
-    pub correct_threshold: f32,
     /// Relative round-off tolerance `E` for checksum comparison: a checksum
     /// discrepancy counts as an error only when
     /// `|δ1| > detect_tol · (Σ|v| + 1)`.
@@ -19,11 +14,7 @@ pub struct AbftConfig {
 
 impl Default for AbftConfig {
     fn default() -> Self {
-        Self {
-            near_inf_threshold: 1e10,
-            correct_threshold: 1e5,
-            detect_tol: 5e-4,
-        }
+        Self { detect_tol: 5e-4 }
     }
 }
 
@@ -181,9 +172,9 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_thresholds() {
-        let c = AbftConfig::default();
-        assert_eq!(c.near_inf_threshold, 1e10);
-        assert_eq!(c.correct_threshold, 1e5);
+        assert_eq!(attn_tensor::float::NEAR_INF_THRESHOLD, 1e10);
+        assert_eq!(crate::eec::CORRECT_THRESHOLD, 1e5);
+        assert_eq!(AbftConfig::default().detect_tol, 5e-4);
     }
 
     #[test]

@@ -26,6 +26,13 @@
 
 use crate::checksum::{vector_sums, weight};
 use crate::config::AbftConfig;
+use attn_tensor::float::NEAR_INF_THRESHOLD;
+
+/// `T_correct` (paper §4.2): a located error whose corrupted value is
+/// larger in magnitude than this is corrected by *reconstruction* from the
+/// checksum rather than by adding δ1, because round-off absorption would
+/// otherwise corrupt the recovery.
+pub const CORRECT_THRESHOLD: f32 = 1e5;
 
 /// How a correction was performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +94,10 @@ impl VectorVerdict {
     }
 }
 
-/// Count "suspicious" elements: NaN, ±INF, and finite values above the
-/// near-INF threshold; return the count and the index of the strongest
+/// Count "suspicious" elements: NaN, ±INF, and finite values above
+/// [`NEAR_INF_THRESHOLD`]; return the count and the index of the strongest
 /// suspect (NaN ≻ INF ≻ near-INF by scan priority).
-fn census(v: &[f32], near_inf: f32) -> (usize, Option<usize>) {
+fn census(v: &[f32]) -> (usize, Option<usize>) {
     let mut count = 0;
     let mut first_nan = None;
     let mut first_inf = None;
@@ -102,7 +109,7 @@ fn census(v: &[f32], near_inf: f32) -> (usize, Option<usize>) {
         } else if x.is_infinite() {
             count += 1;
             first_inf.get_or_insert(i);
-        } else if x.abs() > near_inf {
+        } else if x.abs() > NEAR_INF_THRESHOLD {
             count += 1;
             match max_near {
                 Some((_, m)) if x.abs() <= m => {}
@@ -157,39 +164,19 @@ pub fn eec_correct_vector(v: &mut [f32], csum: f32, wsum: f32, cfg: &AbftConfig)
     // same way to keep false-positive rates symmetric.
     let bound_w = cfg.detection_bound(sum_abs * n as f32);
 
-    if d1.is_nan() {
-        // ---- Case 3: NaN δ — all three error types possible.
-        let (suspects, strongest) = census(v, cfg.near_inf_threshold);
-        return match suspects {
-            0 => VectorVerdict::ChecksumCorrupt, // data clean, csum is NaN
-            1 => {
-                let i = strongest.expect("census found one suspect");
-                match reconstruct(v, i, csum) {
-                    Some(new) => {
-                        let old = v[i];
-                        v[i] = new;
-                        VectorVerdict::Corrected {
-                            index: i,
-                            old_value: old,
-                            new_value: new,
-                            method: CorrectionMethod::Reconstruct,
-                            case: EecCase::NanDelta,
-                        }
-                    }
-                    None => VectorVerdict::Unrecoverable,
-                }
-            }
-            s => VectorVerdict::Propagated { suspects: s },
-        };
-    }
-
-    if d1.is_infinite() {
-        // ---- Case 2: INF δ — an INF in the data, a near-INF overflow of
+    if !d1.is_finite() {
+        // ---- Case 2, INF δ: an INF in the data, a near-INF overflow of
         // the recomputed sum, or a corrupted (±INF) stored checksum.
-        let (suspects, strongest) = census(v, cfg.near_inf_threshold);
-        return match suspects {
-            0 => VectorVerdict::ChecksumCorrupt, // data clean, csum is ±INF
-            1 => {
+        // ---- Case 3, NaN δ: all three error types possible.
+        // Both locate by census and reconstruct; only the tag differs.
+        let case = if d1.is_nan() {
+            EecCase::NanDelta
+        } else {
+            EecCase::InfDelta
+        };
+        return match census(v) {
+            (0, _) => VectorVerdict::ChecksumCorrupt, // data clean, csum non-finite
+            (1, strongest) => {
                 let i = strongest.expect("census found one suspect");
                 match reconstruct(v, i, csum) {
                     Some(new) => {
@@ -200,13 +187,13 @@ pub fn eec_correct_vector(v: &mut [f32], csum: f32, wsum: f32, cfg: &AbftConfig)
                             old_value: old,
                             new_value: new,
                             method: CorrectionMethod::Reconstruct,
-                            case: EecCase::InfDelta,
+                            case,
                         }
                     }
                     None => VectorVerdict::Unrecoverable,
                 }
             }
-            s => VectorVerdict::Propagated { suspects: s },
+            (s, _) => VectorVerdict::Propagated { suspects: s },
         };
     }
 
@@ -222,7 +209,7 @@ pub fn eec_correct_vector(v: &mut [f32], csum: f32, wsum: f32, cfg: &AbftConfig)
     }
 
     // ---- Case 1: finite δ1 above the detection bound.
-    let (near_count, strongest) = census(v, cfg.near_inf_threshold);
+    let (near_count, strongest) = census(v);
     match near_count {
         0 => {
             // Moderate single error: classic locate via δ2/δ1, but validate
@@ -243,7 +230,7 @@ pub fn eec_correct_vector(v: &mut [f32], csum: f32, wsum: f32, cfg: &AbftConfig)
                 return VectorVerdict::Propagated { suspects: 2 };
             }
             let old = v[i];
-            let (new, method) = if old.abs() > cfg.correct_threshold {
+            let (new, method) = if old.abs() > CORRECT_THRESHOLD {
                 match reconstruct(v, i, csum) {
                     Some(r) => (r, CorrectionMethod::Reconstruct),
                     None => return VectorVerdict::Unrecoverable,

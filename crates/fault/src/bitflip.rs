@@ -54,7 +54,7 @@ pub fn mantissa_field(x: f32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NEAR_INF_THRESHOLD;
+    use attn_tensor::float::NEAR_INF_THRESHOLD;
 
     #[test]
     fn flip_sign_bit_negates() {

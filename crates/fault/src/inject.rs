@@ -1,13 +1,12 @@
-//! Campaign-facing fault injector.
+//! The fault classes and the one way to plant them.
 //!
 //! Reproduces the injection methodology of §3 and §5.1: one fault per trial,
-//! written into the *output* matrix of a GEMM (a 0D origin) at a uniformly
-//! random position, with the value determined by the fault class.
+//! written into the *output* matrix of a GEMM (a 0D origin), with the value
+//! determined by the fault class. [`FaultKind::strike`] plants any class in
+//! one row; the caller picks the row and the victim column.
 
 use crate::bitflip::{flip_bit, is_near_inf, near_inf_flip};
-use crate::NEAR_INF_THRESHOLD;
-use attn_tensor::rng::TensorRng;
-use attn_tensor::Matrix;
+use attn_tensor::float::NEAR_INF_THRESHOLD;
 use std::fmt;
 
 /// Mantissa bit a [`FaultKind::SubThreshold`] injection flips. Bit 10 of
@@ -36,8 +35,7 @@ pub enum FaultKind {
     /// caught only by exact (bitwise/digest) guards.
     SubThreshold,
     /// The whole victim row repeats the struck element's value (a stuck
-    /// line driver replaying one word). Region fault: use
-    /// [`FaultInjector::inject_region_at`].
+    /// line driver replaying one word). Region fault.
     StuckRow,
     /// `len` consecutive cells of the victim row take exponent-MSB flips
     /// (a burst along a cache line). Region fault.
@@ -60,13 +58,6 @@ impl FaultKind {
         FaultKind::NearInf,
     ];
 
-    /// Does this kind corrupt exactly one cell? Single-cell kinds work
-    /// through [`FaultInjector::inject_at`]; region kinds need
-    /// [`FaultInjector::inject_region_at`].
-    pub fn is_single_cell(self) -> bool {
-        !matches!(self, FaultKind::StuckRow | FaultKind::Burst { .. })
-    }
-
     /// Produce the faulty value from the victim's original value.
     ///
     /// For `NearInf` the bit-flip only yields an extreme value when the
@@ -76,8 +67,7 @@ impl FaultKind {
     ///
     /// Region kinds degrade to their per-cell effect here (`StuckRow` is
     /// the identity on the struck element itself; `Burst` is the exponent
-    /// flip) — the full region shape comes from
-    /// [`FaultInjector::inject_region_at`].
+    /// flip) — the full region shape comes from [`FaultKind::strike`].
     pub fn apply(self, original: f32) -> f32 {
         match self {
             FaultKind::Inf => f32::INFINITY,
@@ -100,6 +90,26 @@ impl FaultKind {
             FaultKind::SubThreshold => flip_bit(original, SUB_THRESHOLD_BIT),
             FaultKind::StuckRow => original,
             FaultKind::Burst { .. } => near_inf_flip(original),
+        }
+    }
+
+    /// Plant this fault in `row` with `col` as the victim: single-cell
+    /// kinds [`apply`](Self::apply) at `col`, `StuckRow` fills the row
+    /// with `row[col]`, and `Burst { len }` flips `len` cells from `col`,
+    /// clamped to the row's end.
+    pub fn strike(self, row: &mut [f32], col: usize) {
+        match self {
+            FaultKind::StuckRow => {
+                let stuck = row[col];
+                row.fill(stuck);
+            }
+            FaultKind::Burst { len } => {
+                let end = (col + len.max(1)).min(row.len());
+                for v in &mut row[col..end] {
+                    *v = near_inf_flip(*v);
+                }
+            }
+            single => row[col] = single.apply(row[col]),
         }
     }
 
@@ -140,124 +150,6 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Everything needed to reproduce or undo a single injection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionRecord {
-    /// Victim row within the matrix.
-    pub row: usize,
-    /// Victim column within the matrix.
-    pub col: usize,
-    /// Value before injection.
-    pub original: f32,
-    /// Value after injection.
-    pub injected: f32,
-    /// Fault class injected.
-    pub kind: FaultKind,
-}
-
-/// Deterministic fault injector.
-///
-/// Holds its own RNG stream so campaign trials stay independent of model
-/// RNG consumption.
-pub struct FaultInjector {
-    rng: TensorRng,
-}
-
-impl FaultInjector {
-    /// Create an injector with its own seeded stream.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: TensorRng::seed_from(seed),
-        }
-    }
-
-    /// Inject `kind` at a uniformly random element of `m`.
-    pub fn inject_random(&mut self, m: &mut Matrix, kind: FaultKind) -> InjectionRecord {
-        let row = self.rng.index(m.rows());
-        let col = self.rng.index(m.cols());
-        self.inject_at(m, kind, row, col)
-    }
-
-    /// Inject `kind` at a specific `(row, col)`.
-    pub fn inject_at(
-        &mut self,
-        m: &mut Matrix,
-        kind: FaultKind,
-        row: usize,
-        col: usize,
-    ) -> InjectionRecord {
-        let original = m[(row, col)];
-        let injected = kind.apply(original);
-        m[(row, col)] = injected;
-        InjectionRecord {
-            row,
-            col,
-            original,
-            injected,
-            kind,
-        }
-    }
-
-    /// Inject a region fault (`StuckRow`, `Burst`) at a specific anchor
-    /// cell; single-cell kinds degrade to a one-cell region. Returns the
-    /// record needed to undo the whole region.
-    pub fn inject_region_at(
-        &mut self,
-        m: &mut Matrix,
-        kind: FaultKind,
-        row: usize,
-        col: usize,
-    ) -> RegionRecord {
-        let cols = m.cols();
-        let (start, len) = match kind {
-            FaultKind::StuckRow => (0, cols),
-            FaultKind::Burst { len } => (col, len.max(1).min(cols - col)),
-            _ => (col, 1),
-        };
-        let originals: Vec<f32> = m.row(row)[start..start + len].to_vec();
-        match kind {
-            FaultKind::StuckRow => {
-                let stuck = m[(row, col)];
-                m.row_mut(row).fill(stuck);
-            }
-            FaultKind::Burst { .. } => {
-                for v in &mut m.row_mut(row)[start..start + len] {
-                    *v = near_inf_flip(*v);
-                }
-            }
-            single => {
-                m[(row, col)] = single.apply(originals[0]);
-            }
-        }
-        RegionRecord {
-            row,
-            start,
-            originals,
-            kind,
-        }
-    }
-
-    /// Inject a region fault at a uniformly random anchor.
-    pub fn inject_region_random(&mut self, m: &mut Matrix, kind: FaultKind) -> RegionRecord {
-        let row = self.rng.index(m.rows());
-        let col = self.rng.index(m.cols());
-        self.inject_region_at(m, kind, row, col)
-    }
-}
-
-/// Everything needed to undo a region injection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegionRecord {
-    /// Victim row.
-    pub row: usize,
-    /// First corrupted column.
-    pub start: usize,
-    /// Original values of the corrupted span, in column order.
-    pub originals: Vec<f32>,
-    /// Fault class injected.
-    pub kind: FaultKind,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,28 +171,6 @@ mod tests {
         }
         // Sign preserved for nonzero.
         assert!(FaultKind::NearInf.apply(-5.0) < 0.0);
-    }
-
-    #[test]
-    fn inject_random_is_reproducible() {
-        let base = Matrix::full(8, 8, 0.5);
-        let mut m1 = base.clone();
-        let mut m2 = base.clone();
-        let r1 = FaultInjector::new(99).inject_random(&mut m1, FaultKind::Inf);
-        let r2 = FaultInjector::new(99).inject_random(&mut m2, FaultKind::Inf);
-        assert_eq!(r1, r2);
-        assert_eq!(m1.data(), m2.data());
-    }
-
-    #[test]
-    fn inject_and_revert_roundtrip() {
-        let mut m = Matrix::full(4, 4, 1.25);
-        let before = m.clone();
-        let mut inj = FaultInjector::new(7);
-        let rec = inj.inject_random(&mut m, FaultKind::NaN);
-        assert!(!m.all_finite());
-        m[(rec.row, rec.col)] = rec.original;
-        assert_eq!(m.data(), before.data());
     }
 
     #[test]
@@ -327,52 +197,55 @@ mod tests {
         assert_eq!(FaultKind::SubThreshold.apply(y).to_bits(), x.to_bits());
     }
 
+    /// Cells of `a` and `b` whose bits differ.
+    fn changed(a: &[f32], b: &[f32]) -> Vec<usize> {
+        (0..a.len())
+            .filter(|&j| a[j].to_bits() != b[j].to_bits())
+            .collect()
+    }
+
     #[test]
     fn single_cell_partition() {
-        assert!(FaultKind::Inf.is_single_cell());
-        assert!(FaultKind::SubThreshold.is_single_cell());
-        assert!(!FaultKind::StuckRow.is_single_cell());
-        assert!(!FaultKind::Burst { len: 4 }.is_single_cell());
+        for kind in [FaultKind::Inf, FaultKind::NearInf, FaultKind::SubThreshold] {
+            let before = [0.25f32, 0.75, 1.5, -2.0];
+            let mut row = before;
+            kind.strike(&mut row, 1);
+            assert_eq!(changed(&row, &before), vec![1], "{kind}");
+            assert_eq!(row[1].to_bits(), kind.apply(0.75).to_bits());
+        }
+        for kind in [FaultKind::StuckRow, FaultKind::Burst { len: 4 }] {
+            let before = [0.25f32, 0.75, 1.5, -2.0];
+            let mut row = before;
+            kind.strike(&mut row, 0);
+            assert!(changed(&row, &before).len() > 1, "{kind}");
+        }
     }
 
     #[test]
     fn stuck_row_repeats_anchor_and_reverts() {
-        let mut m = Matrix::from_vec(2, 4, (0..8).map(|i| i as f32).collect());
-        let before = m.clone();
-        let mut inj = FaultInjector::new(5);
-        let rec = inj.inject_region_at(&mut m, FaultKind::StuckRow, 1, 2);
-        // Row 1 stuck at its column-2 value; row 0 untouched.
-        assert!(m.row(1).iter().all(|&v| v == 6.0));
-        assert_eq!(m.row(0), before.row(0));
-        m.row_mut(rec.row)[rec.start..rec.start + rec.originals.len()]
-            .copy_from_slice(&rec.originals);
-        assert_eq!(m.data(), before.data());
+        let mut row: Vec<f32> = (4..8).map(|i| i as f32).collect();
+        FaultKind::StuckRow.strike(&mut row, 2);
+        assert_eq!(row, vec![6.0; 4]);
     }
 
     #[test]
     fn burst_corrupts_exactly_len_cells_and_reverts() {
-        let mut m = Matrix::full(3, 8, 0.5);
-        let before = m.clone();
-        let mut inj = FaultInjector::new(6);
-        let rec = inj.inject_region_at(&mut m, FaultKind::Burst { len: 3 }, 2, 4);
-        let changed = m
-            .row(2)
-            .iter()
-            .zip(before.row(2))
-            .filter(|(a, b)| a.to_bits() != b.to_bits())
-            .count();
-        assert_eq!(changed, 3);
-        assert!(m.row(2)[4].abs() > NEAR_INF_THRESHOLD);
-        m.row_mut(rec.row)[rec.start..rec.start + rec.originals.len()]
-            .copy_from_slice(&rec.originals);
-        assert_eq!(m.data(), before.data());
+        let before = [0.5f32; 8];
+        let mut row = before;
+        FaultKind::Burst { len: 3 }.strike(&mut row, 4);
+        assert_eq!(changed(&row, &before), vec![4, 5, 6]);
+        assert!(row[4].abs() > NEAR_INF_THRESHOLD);
+        for v in &mut row[4..7] {
+            *v = near_inf_flip(*v); // the flip is an involution
+        }
+        assert!(changed(&row, &before).is_empty());
     }
 
     #[test]
     fn burst_clamps_to_row_end() {
-        let mut m = Matrix::full(1, 4, 0.5);
-        let mut inj = FaultInjector::new(6);
-        let rec = inj.inject_region_at(&mut m, FaultKind::Burst { len: 10 }, 0, 2);
-        assert_eq!(rec.originals.len(), 2);
+        let before = [0.5f32; 4];
+        let mut row = before;
+        FaultKind::Burst { len: 10 }.strike(&mut row, 2);
+        assert_eq!(changed(&row, &before), vec![2, 3]);
     }
 }

@@ -13,9 +13,9 @@
 //!   explosions (§2.2).
 //!
 //! [`bitflip`] implements the raw IEEE-754 manipulation, [`inject`] the
-//! campaign-facing injector, [`pattern`] the 0D/1R/1C/2D propagation
-//! classifier behind Table 2, and [`campaign`] a deterministic parallel
-//! trial runner used by the Table 4 and §5.2 reproductions.
+//! fault classes and how each is planted, [`pattern`] the 0D/1R/1C/2D
+//! propagation classifier behind Table 2, and [`campaign`] a deterministic
+//! parallel trial runner used by the Table 4 and §5.2 reproductions.
 
 #![forbid(unsafe_code)]
 
@@ -26,9 +26,5 @@ pub mod pattern;
 
 pub use bitflip::{flip_bit, near_inf_flip};
 pub use campaign::{run_campaign, CampaignStats};
-pub use inject::{FaultInjector, FaultKind, InjectionRecord, RegionRecord};
+pub use inject::FaultKind;
 pub use pattern::{classify, ErrorTypeCensus, PatternClass, PropagationReport, ValueClass};
-
-/// Default magnitude threshold above which a finite value counts as
-/// near-INF. Matches the paper's empirical `T_near-INF = 1e10` (§4.2).
-pub const NEAR_INF_THRESHOLD: f32 = 1e10;

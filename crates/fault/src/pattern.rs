@@ -14,7 +14,7 @@
 //! paper's glyph notation (`1R-Θ`, `1C-∞*`, `2D-M`, …).
 
 use crate::bitflip::is_near_inf;
-use crate::NEAR_INF_THRESHOLD;
+use attn_tensor::float::NEAR_INF_THRESHOLD;
 use attn_tensor::Matrix;
 use std::fmt;
 

@@ -72,9 +72,6 @@ pub struct CallSite {
     pub caller: usize,
     /// Resolved workspace targets (fn indexes).
     pub targets: Vec<usize>,
-    /// Whether the site sits inside an `is_x86_feature_detected!`-gated
-    /// branch.
-    pub gated: bool,
     /// Whether this is a `.name(…)` method call.
     pub is_method: bool,
     /// How the site resolved.
@@ -97,8 +94,6 @@ pub struct FnNode {
     pub is_test: bool,
     /// Parameter count, `self` receiver excluded.
     pub arity: usize,
-    /// Carries a `#[target_feature(…)]` attribute.
-    pub has_target_feature: bool,
     /// Has a `{ … }` body (false for bodiless trait declarations).
     pub has_body: bool,
     /// Call sites in this body (indexes into [`Graph::sites`]).
@@ -194,7 +189,6 @@ pub fn build(files: &[FileInput<'_>]) -> Graph {
                 line: item.line,
                 is_test: item.is_test,
                 arity: item.arity,
-                has_target_feature: item.has_target_feature,
                 has_body: item.body.is_some(),
                 calls: Vec::new(),
                 panic_sites: Vec::new(),
@@ -399,7 +393,6 @@ fn walk_body(
                 if !is_def && !is_macro {
                     let site = resolve_site(
                         toks,
-                        ctx,
                         i,
                         file_idx,
                         caller,
@@ -457,7 +450,6 @@ fn after_turbofish_is_paren(toks: &[Tok], name_idx: usize) -> bool {
 #[allow(clippy::too_many_arguments)] // internal plumbing of one build pass
 fn resolve_site(
     toks: &[Tok],
-    ctx: &Context,
     i: usize,
     file_idx: usize,
     caller: usize,
@@ -480,7 +472,6 @@ fn resolve_site(
         name: name.clone(),
         caller,
         targets: Vec::new(),
-        gated: ctx.in_feature_gate.get(i).copied().unwrap_or(false),
         is_method,
         resolution: Resolution::External,
     };

@@ -4,7 +4,7 @@
 //! decides what lives here: a contract keeps a lint only when neither a
 //! test nor the compiler can observe it, and a lint ships only with a row
 //! in the real-tree mutation table (`tests/mutations.rs`) showing it fires
-//! on a seeded violation. Six lints survive it, over four contracts:
+//! on a seeded violation. Five lints survive it, over four contracts:
 //!
 //! 1. **Determinism** — bit-identical results at any worker count
 //!    (fixed-order reduction): [`lints::NONDET_REDUCE`] flags the shapes
@@ -20,22 +20,24 @@
 //! 4. **Sound `unsafe`** — every `unsafe` site carries a checked
 //!    `// SAFETY:` justification ([`lints::UNSAFE_AUDIT`]; every crate but
 //!    `attn_tensor` is `#![forbid(unsafe_code)]`, so the compiler confines
-//!    what this lint audits), and `#[target_feature]` kernels are only
-//!    callable through `is_x86_feature_detected!`-gated dispatch
-//!    ([`reach::TARGET_FEATURE_REACH`]).
+//!    what this lint audits).
 //!
 //! Two contracts that used to have lints are held by tests instead,
 //! because a test can observe them and a name matcher could not: the
 //! arena-miss-free steady state and its heap-allocation budget
 //! (`tests/heap_budget.rs`, `workspace::thread_alloc_events`), and one
 //! detection point per guarded section (the
-//! `each_section_alone_corrects_its_own_sites` tests).
+//! `each_section_alone_corrects_its_own_sites` tests). One is held by the
+//! compiler: a `#[target_feature]` kernel runs only after CPU detection,
+//! because `attn_tensor::lanes` keeps its kernels private behind a
+//! detection token and target_feature 1.1 makes every call to one
+//! `unsafe`.
 //!
 //! The tool is *interprocedural*: an item-level parser ([`parse`]) over
 //! the hand-written lexer builds a workspace symbol table, [`callgraph`]
 //! resolves a conservative call graph from it (receiver-type hints where
-//! cheap, bounded fan-out where not), and [`reach`] runs the two
-//! reachability lints and the coverage walk over it. The whole workspace
+//! cheap, bounded fan-out where not), and [`reach`] runs the reachability
+//! lint and the coverage walk over it. The whole workspace
 //! is lexed, parsed and graphed exactly once per run ([`prepare_tree`])
 //! and shared between `check` and `--coverage`.
 //! The tool stays self-contained
@@ -83,19 +85,18 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// The six contract lints, in report order: four per-file, two
+/// The five contract lints, in report order: four per-file, one
 /// interprocedural.
-pub const LINT_NAMES: [&str; 6] = [
+pub const LINT_NAMES: [&str; 5] = [
     lints::NONDET_REDUCE,
     lints::UNGUARDED_GEMM,
     lints::FLOAT_EQ,
     lints::UNSAFE_AUDIT,
     reach::PANIC_REACH,
-    reach::TARGET_FEATURE_REACH,
 ];
 
 /// The reachability subset — the only lints `allow-path` may name.
-pub const REACH_NAMES: [&str; 2] = [reach::PANIC_REACH, reach::TARGET_FEATURE_REACH];
+pub const REACH_NAMES: [&str; 1] = [reach::PANIC_REACH];
 
 /// Coverage ratchet: at most this many op instances on the
 /// forward/decode/train paths run without a guard
@@ -353,7 +354,6 @@ pub fn scan_prepared(tree: &PreparedTree) -> Report {
         .collect();
     let cuts = reach::PathAllows::new(&graph.files, &path_allows);
     reach::panic_reach(graph, &cuts, &mut raw);
-    reach::target_feature_reach(graph, &cuts, &mut raw);
 
     // Suppression filtering against each finding's own file.
     let dirs: BTreeMap<&str, &directives::Directives> =

@@ -33,10 +33,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Declared inside `#[cfg(test)]` / under `#[test]`.
     pub is_test: bool,
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
-    /// Carries a `#[target_feature(…)]` attribute.
-    pub has_target_feature: bool,
     /// Parameter name → type last-segment, for receiver hints.
     pub params: Vec<(String, String)>,
     /// Number of parameters, the `self` receiver excluded — what a
@@ -340,7 +336,6 @@ fn parse_fn(
     // Body `{` or trait-decl `;` — return types/where clauses are
     // brace-free in this codebase's grammar subset.
     let body_open = seek(toks, close + 1, &["{", ";"])?;
-    let (is_unsafe, has_target_feature) = fn_prefix_flags(toks, i);
     fns.push(FnItem {
         name: name_tok.text.clone(),
         owner,
@@ -350,58 +345,10 @@ fn parse_fn(
             .is_punct("{")
             .then_some((body_open, body_open)),
         is_test: ctx.in_test.get(name_idx).copied().unwrap_or(false),
-        is_unsafe,
-        has_target_feature,
         params,
         arity,
     });
     Some(body_open)
-}
-
-/// Scan backwards from the `fn` keyword at `i` through its qualifiers
-/// (`pub(crate) const unsafe extern "C"`) and attributes, extracting the
-/// `unsafe` and `#[target_feature(…)]` flags. Stops at the first token
-/// that cannot belong to a fn header prefix.
-fn fn_prefix_flags(toks: &[Tok], i: usize) -> (bool, bool) {
-    let mut is_unsafe = false;
-    let mut has_tf = false;
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        match t.kind {
-            TokKind::LineComment => continue,
-            TokKind::Str => continue, // `extern "C"` ABI string
-            TokKind::Ident => match t.text.as_str() {
-                "unsafe" => is_unsafe = true,
-                "pub" | "const" | "async" | "extern" | "crate" | "super" | "self" | "in" => {}
-                _ => break,
-            },
-            TokKind::Punct if t.text == "(" || t.text == ")" => {} // pub(crate)
-            TokKind::Punct if t.text == "]" => {
-                // Walk back to the matching `[` of an attribute.
-                let mut depth = 1i32;
-                let mut k = j;
-                while depth > 0 && k > 0 {
-                    k -= 1;
-                    if toks[k].is_punct("]") {
-                        depth += 1;
-                    } else if toks[k].is_punct("[") {
-                        depth -= 1;
-                    }
-                }
-                if depth != 0 || k == 0 || !toks[k - 1].is_punct("#") {
-                    break;
-                }
-                if next_code_idx(toks, k + 1).is_some_and(|c| toks[c].is_ident("target_feature")) {
-                    has_tf = true;
-                }
-                j = k - 1; // continue scanning before the `#`
-            }
-            _ => break,
-        }
-    }
-    (is_unsafe, has_tf)
 }
 
 /// Parameter name → type last-segment pairs.
@@ -621,33 +568,6 @@ mod tests {
         assert_eq!(inner.owner, None);
         let outer = p.fns.iter().find(|f| f.name == "outer").unwrap();
         assert_eq!(outer.owner.as_deref(), Some("T"));
-    }
-
-    #[test]
-    fn unsafe_and_target_feature_flags_are_recovered() {
-        let p = parsed(
-            "pub unsafe fn raw(p: *mut f32) {}\n\
-             #[target_feature(enable = \"avx2\")]\n\
-             // SAFETY-adjacent comment between attribute and fn\n\
-             pub unsafe fn simd() {}\n\
-             #[inline]\n\
-             fn plain() {}\n\
-             pub(crate) const unsafe extern \"C\" fn abi() {}\n",
-        );
-        let flags: Vec<(&str, bool, bool)> = p
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.is_unsafe, f.has_target_feature))
-            .collect();
-        assert_eq!(
-            flags,
-            vec![
-                ("raw", true, false),
-                ("simd", true, true),
-                ("plain", false, false),
-                ("abi", true, false),
-            ]
-        );
     }
 
     #[test]

@@ -1,23 +1,16 @@
 //! Reachability analyses over the workspace call graph, plus the
 //! protection-coverage traversal behind `--coverage`.
 //!
-//! Two lints run here:
+//! One lint runs here: **panic-reach** — panic-capable constructs
+//! (unwrap/expect/panic-family macros/expression-position indexing)
+//! transitively reachable from the serving entry points (`Gateway::admit/
+//! tick/run_trace`, `DecodeEngine::step_batch/step_batch_mixed`); findings
+//! carry the shortest entry→violation call path.
 //!
-//! * **panic-reach** — panic-capable constructs (unwrap/expect/
-//!   panic-family macros/expression-position indexing) transitively
-//!   reachable from the serving entry points (`Gateway::admit/tick/
-//!   run_trace`, `DecodeEngine::step_batch/step_batch_mixed`); findings
-//!   carry the shortest entry→violation call path,
-//! * **target-feature-reach** — calls to `#[target_feature]` fns from
-//!   sites not inside an `is_x86_feature_detected!`-gated branch (callers
-//!   that are themselves `#[target_feature]` are already in the gated
-//!   world and exempt).
-//!
-//! Suppression: a regular `allow(<reach-lint>)` on the violating line
-//! kills the sink; `// attn-lint: allow-path(<reach-lint>) —
-//! justification` on a call line cuts that call's outgoing edges for that
-//! analysis, so a reviewed boundary (e.g. engine → model) can be vouched
-//! for once.
+//! Suppression: a regular `allow(panic-reach)` on the violating line
+//! kills the sink; `// attn-lint: allow-path(panic-reach) —
+//! justification` on a call line cuts that call's outgoing edges, so a
+//! reviewed boundary (e.g. engine → model) can be vouched for once.
 
 use crate::callgraph::Graph;
 use crate::directives::Allow;
@@ -32,8 +25,6 @@ type PredMap = BTreeMap<usize, (usize, u32)>;
 
 /// Panic reachability from serving entries.
 pub const PANIC_REACH: &str = "panic-reach";
-/// `#[target_feature]` fns called outside a feature-detected gate.
-pub const TARGET_FEATURE_REACH: &str = "target-feature-reach";
 
 /// Serving entry points for panic reachability: `(owner, method)`.
 pub const SERVE_ENTRIES: [(&str, &str); 5] = [
@@ -199,46 +190,6 @@ pub fn panic_reach(g: &Graph, cuts: &PathAllows<'_>, out: &mut Vec<Finding>) {
                     g.files[f.file]
                 ),
             ));
-        }
-    }
-}
-
-/// target-feature-reach: calls to `#[target_feature]` fns whose call
-/// site is not inside an `is_x86_feature_detected!`-gated branch.
-/// Callers that are themselves `#[target_feature]` run only after some
-/// dispatcher proved the feature, so their internal calls are exempt —
-/// the lint pins the obligation on the dispatch boundary.
-pub fn target_feature_reach(g: &Graph, cuts: &PathAllows<'_>, out: &mut Vec<Finding>) {
-    for f in &g.fns {
-        if f.has_target_feature {
-            continue;
-        }
-        for &si in &f.calls {
-            let site = &g.sites[si];
-            if site.gated || site.targets.is_empty() {
-                continue;
-            }
-            if cuts.cuts(site.file, site.line, TARGET_FEATURE_REACH) {
-                continue;
-            }
-            for &t in &site.targets {
-                let tf = &g.fns[t];
-                if tf.has_target_feature {
-                    out.push(Finding::new(
-                        &g.files[site.file],
-                        site.line,
-                        site.col,
-                        TARGET_FEATURE_REACH,
-                        format!(
-                            "`{}` is `#[target_feature]` but this call site is not inside an \
-                             `is_x86_feature_detected!`-gated branch; dispatch through a \
-                             detected gate or vouch for it with an allow-path",
-                            tf.qualified()
-                        ),
-                    ));
-                    break; // one finding per site, not per candidate
-                }
-            }
         }
     }
 }

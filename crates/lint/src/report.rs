@@ -21,6 +21,10 @@
 //!   two runs over one tree write byte-identical files and CI can
 //!   `git diff --exit-code` the committed artifact. Wall time stays in
 //!   the text summary.
+//! * `attn-lint-report/v5` — five lints: the SIMD-dispatch lint goes,
+//!   its contract now held by the compiler (a private detection token in
+//!   `attn_tensor::lanes`), so its `counts` and `suppression_counts`
+//!   entries go with it.
 //! * `attn-lint-coverage/v2` — the `--coverage` artifact: every op on
 //!   the forward/decode/train paths with guarded/unguarded status; v2
 //!   also sees the allocating `matmul*` trio, so it lists the by-design
@@ -61,11 +65,11 @@ pub fn render_text(report: &Report) -> String {
     out
 }
 
-/// Machine-readable rendering (schema `attn-lint-report/v4`).
+/// Machine-readable rendering (schema `attn-lint-report/v5`).
 pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"attn-lint-report/v4\",\n");
+    out.push_str("  \"schema\": \"attn-lint-report/v5\",\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
     let _ = writeln!(out, "  \"total_findings\": {},", report.findings.len());
     let _ = writeln!(
@@ -307,7 +311,7 @@ mod tests {
             entry_points: vec!["Gateway::tick".into()],
         };
         let json = render_json(&report);
-        assert!(json.contains("\"schema\": \"attn-lint-report/v4\""));
+        assert!(json.contains("\"schema\": \"attn-lint-report/v5\""));
         assert!(json.contains("\"total_findings\": 1"));
         assert!(json.contains("\\\"quotes\\\"\\nand newline"));
         assert!(json.contains("\"float-eq\": 1"));

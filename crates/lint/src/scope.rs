@@ -11,9 +11,6 @@
 //! * **assert-macro extents** — `assert!`/`debug_assert!`-family argument
 //!   lists (diagnostic code; slice indexing there is not a serving-path
 //!   panic distinct from the assert itself),
-//! * **feature-gate extents** — the brace group that follows an
-//!   `is_x86_feature_detected!` check; calls inside it count as gated
-//!   dispatch for the `target-feature-reach` lint,
 //! * **`HashMap`/`HashSet` bindings** — names bound with a hash-map type
 //!   via `let`, field or parameter annotations, so iteration over them
 //!   can be flagged,
@@ -53,9 +50,6 @@ pub struct Context {
     pub in_par_chain: Vec<bool>,
     /// Token index → inside the argument list of an assert-family macro.
     pub in_assert: Vec<bool>,
-    /// Token index → inside the brace group guarded by an
-    /// `is_x86_feature_detected!` check.
-    pub in_feature_gate: Vec<bool>,
     /// Names bound to `HashMap`/`HashSet` values in this file.
     pub hash_bindings: BTreeSet<String>,
     /// Sorted lines that carry at least one non-comment token.
@@ -68,7 +62,6 @@ pub fn analyze(toks: &[Tok]) -> Context {
     let mut in_test = vec![false; n];
     let mut in_par_chain = vec![false; n];
     let mut in_assert = vec![false; n];
-    let mut in_feature_gate = vec![false; n];
     let mut hash_bindings = BTreeSet::new();
     let mut code_line_set = BTreeSet::new();
 
@@ -78,14 +71,6 @@ pub fn analyze(toks: &[Tok]) -> Context {
     // `{` (the item body) and cleared by `;` (attribute on a non-block
     // item such as `use`).
     let mut pending_test_attr = false;
-    // Brace-scope stack for feature gates, parallel to `scopes`: a level
-    // is `true` inside the brace group opened after an
-    // `is_x86_feature_detected!` check (and anything nested in it).
-    let mut gate_scopes: Vec<bool> = Vec::new();
-    // Set by `is_x86_feature_detected`, consumed by the next `{` (the
-    // gated branch body) and cleared by `;` (the check was bound to a
-    // variable instead — conservatively not a gate).
-    let mut pending_gate = false;
 
     let mut brace_depth = 0usize;
     let mut paren_depth = 0usize;
@@ -134,14 +119,10 @@ pub fn analyze(toks: &[Tok]) -> Context {
                     let parent = scopes.last().copied().unwrap_or(false);
                     scopes.push(parent || pending_test_attr);
                     pending_test_attr = false;
-                    let gate_parent = gate_scopes.last().copied().unwrap_or(false);
-                    gate_scopes.push(gate_parent || pending_gate);
-                    pending_gate = false;
                     brace_depth += 1;
                 }
                 "}" => {
                     scopes.pop();
-                    gate_scopes.pop();
                     brace_depth = brace_depth.saturating_sub(1);
                     if let Some((bd, _)) = par_start {
                         if brace_depth < bd {
@@ -173,7 +154,6 @@ pub fn analyze(toks: &[Tok]) -> Context {
                 }
                 ";" => {
                     pending_test_attr = false;
-                    pending_gate = false;
                     if let Some((bd, pd)) = par_start {
                         if brace_depth == bd && paren_depth <= pd {
                             par_start = None;
@@ -205,9 +185,6 @@ pub fn analyze(toks: &[Tok]) -> Context {
                         hash_bindings.insert(name);
                     }
                 }
-                if t.text == "is_x86_feature_detected" {
-                    pending_gate = true;
-                }
             }
             _ => {}
         }
@@ -215,7 +192,6 @@ pub fn analyze(toks: &[Tok]) -> Context {
         in_test[i] = scopes.last().copied().unwrap_or(false) || pending_test_attr;
         in_par_chain[i] = par_start.is_some();
         in_assert[i] = !assert_parens.is_empty();
-        in_feature_gate[i] = gate_scopes.last().copied().unwrap_or(false);
         i += 1;
     }
 
@@ -223,7 +199,6 @@ pub fn analyze(toks: &[Tok]) -> Context {
         in_test,
         in_par_chain,
         in_assert,
-        in_feature_gate,
         hash_bindings,
         code_lines: code_line_set.into_iter().collect(),
     }
@@ -362,22 +337,5 @@ mod tests {
     fn use_statements_do_not_bind() {
         let (_, c) = ctx("use std::collections::HashMap;\n");
         assert!(c.hash_bindings.is_empty());
-    }
-
-    #[test]
-    fn feature_gate_covers_the_guarded_branch_only() {
-        let src = "fn d(xs: &[f32]) -> f32 {\n\
-                   if is_x86_feature_detected!(\"avx2\") { gated(xs) } else { fallback(xs) }\n\
-                   }\n";
-        let (toks, c) = ctx(src);
-        assert!(flag_at(&toks, &c.in_feature_gate, "gated"));
-        assert!(!flag_at(&toks, &c.in_feature_gate, "fallback"));
-    }
-
-    #[test]
-    fn feature_gate_bound_to_a_variable_is_not_a_gate() {
-        let src = "fn d() { let ok = is_x86_feature_detected!(\"avx2\"); if ok { hasty(); } }\n";
-        let (toks, c) = ctx(src);
-        assert!(!flag_at(&toks, &c.in_feature_gate, "hasty"));
     }
 }

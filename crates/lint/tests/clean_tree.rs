@@ -3,10 +3,9 @@
 //! This is what turns the lint from a tool into an invariant — `cargo
 //! test` (tier 1) fails the moment anyone reintroduces a nondeterministic
 //! reduction, an unguarded GEMM, a panic construct reachable from a serving
-//! entry, a raw float compare, an undocumented `unsafe` site or an ungated
-//! `#[target_feature]` call without a justified allow (or allow-path), or
-//! an op on the forward/decode/train paths that pushes the unguarded count
-//! past `MAX_UNGUARDED_OPS`.
+//! entry, a raw float compare or an undocumented `unsafe` site without a
+//! justified allow (or allow-path), or an op on the forward/decode/train
+//! paths that pushes the unguarded count past `MAX_UNGUARDED_OPS`.
 
 #[test]
 fn the_workspace_tree_is_clean() {
@@ -33,7 +32,7 @@ fn the_workspace_tree_is_clean() {
     assert!(
         report.resolution_rate() >= 0.90,
         "call resolution collapsed to {:.3} ({} of {} calls) — the reach \
-         lints are flying blind",
+         lint is flying blind",
         report.resolution_rate(),
         report.calls_resolved,
         report.calls_total

@@ -65,6 +65,29 @@ fn trait_object_calls_fan_out_to_every_impl() {
 }
 
 #[test]
+fn an_allow_path_cuts_the_free_call_and_keeps_the_trait_object_finding() {
+    let mut tree = attn_lint::read_tree(&fixture_root()).expect("fixture read");
+    let (_, gateway) = tree
+        .iter_mut()
+        .find(|(rel, _)| rel == "crates/serve/src/gateway.rs")
+        .expect("gateway fixture");
+    let call = "        let risky = head(items);";
+    assert_eq!(gateway.matches(call).count(), 1, "replacement must hit");
+    let vouched = format!(
+        "        // attn-lint: allow-path(panic-reach) — callers pass non-empty items\n{call}"
+    );
+    *gateway = gateway.replacen(call, &vouched, 1);
+    let report = attn_lint::scan_sources(&tree);
+    let rendered: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
+    assert_eq!(rendered.len(), 1, "{rendered:?}");
+    assert!(
+        rendered[0].contains("Gateway::admit → GpuBackend::exec"),
+        "the trait-object finding survives the cut: {rendered:?}"
+    );
+    assert_eq!(report.suppressions_used, 1);
+}
+
+#[test]
 fn cfg_test_callers_do_not_make_code_reachable() {
     let report = scan();
     assert!(

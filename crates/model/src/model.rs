@@ -202,7 +202,9 @@ pub struct InjectionSpec {
 impl InjectionSpec {
     /// One-shot fault hook: strikes the first GEMM output whose site
     /// matches this spec, then goes inert. Shared by the full forward and
-    /// the decode step, so both plant faults identically.
+    /// the decode step, so both plant faults identically. The strike covers
+    /// the logical cells of the victim row only, never its checksum columns,
+    /// so region kinds (`StuckRow`, `Burst`) plant their whole span.
     pub(crate) fn hook(self) -> impl FnMut(FaultSite, &mut CheckedMatrix) {
         let mut fired = false;
         move |site, m| {
@@ -210,10 +212,9 @@ impl InjectionSpec {
                 return;
             }
             fired = true;
-            let r = self.row % m.rows();
-            let c = self.col % m.cols();
-            let old = m.get(r, c);
-            m.set(r, c, self.kind.apply(old));
+            let (r, cols) = (self.row % m.rows(), m.cols());
+            self.kind
+                .strike(&mut m.buf_mut().row_mut(r)[..cols], self.col % cols);
         }
     }
 }

@@ -365,6 +365,24 @@ mod tests {
     }
 
     #[test]
+    fn region_faults_at_a_gemm_site_are_planted_and_detected() {
+        for kind in [FaultKind::StuckRow, FaultKind::Burst { len: 3 }] {
+            let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::full());
+            let batch: Vec<&Example> = ds.examples.iter().take(4).collect();
+            let spec = InjectionSpec {
+                layer: 0,
+                op: AttnOp::Q,
+                head: 0,
+                row: 2,
+                col: 3,
+                kind,
+            };
+            let out = tr.train_step_injected(&batch, Some((1, spec)));
+            assert!(out.report.detections > 0, "{kind}: nothing detected");
+        }
+    }
+
+    #[test]
     fn protected_and_unprotected_losses_match_when_clean() {
         let (mut a, ds, _) = tiny_trainer(ProtectionConfig::full());
         let (mut b, _, _) = tiny_trainer(ProtectionConfig::off());

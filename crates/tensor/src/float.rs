@@ -10,6 +10,11 @@
 //! which is what the masked-row and gate-off contracts want) and are
 //! `false` for NaN.
 
+/// `T_near-INF` (paper §4.2): a finite value whose magnitude exceeds this
+/// counts as near-INF — in EEC-ABFT's suspect census and in the fault
+/// taxonomy alike.
+pub const NEAR_INF_THRESHOLD: f32 = 1e10;
+
 /// True when `x` is exactly `±0.0` (never true for NaN).
 ///
 /// Use for sentinel tests where zero is produced structurally — an empty

@@ -16,10 +16,13 @@
 //!
 //! **Tiers.** Each reduction has one scalar definition (`*_def`) and an
 //! AVX2 form (`mod arch`, `std::arch`, one intrinsic per line of the
-//! definition) that its dispatcher enters only behind
-//! `is_x86_feature_detected!("avx2")`. Written by hand because the
-//! optimiser does not keep eight-lane accumulator arrays in vector
-//! registers on its own (measured 0.9 ns per cell against 0.22). Same IEEE
+//! definition). The AVX2 forms are private to `arch` and reached only
+//! through the methods of its `Avx2` token, whose one constructor,
+//! `Avx2::detect`, holds the tree's one CPU feature check: so the
+//! compiler, not a lint, keeps an AVX2 kernel from running on a CPU that
+//! lacks it. Written by hand because the optimiser does not keep
+//! eight-lane accumulator arrays in vector registers on its own
+//! (measured 0.9 ns per cell against 0.22). Same IEEE
 //! operations in the same order per lane, multiplies and adds as separate
 //! instructions — FMA is never enabled, so a product is rounded before it
 //! is added in both tiers — and the module's proptest holds every
@@ -31,16 +34,13 @@
 //! output) are zipped slices at their own sites and carry no tier:
 //! [`crate::gemm`]'s module docs record what one measured.
 
-#[cfg(target_arch = "x86_64")]
-use arch::{digest_avx2, moments_avx2, sums_avx2};
-
 /// Lane count of every lane-ordered reduction in this module.
 pub const LANES: usize = 8;
 
 /// Name of the tier the dispatchers below select on this CPU.
 pub fn tier() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
+    if arch::Avx2::detect().is_some() {
         return "avx2";
     }
     "scalar"
@@ -116,9 +116,8 @@ fn sums_def(row: &[f32]) -> (f32, f32, f32) {
 /// and the XOR of the `f32` bit patterns (the AdamW moment digest).
 pub fn digest(row: &[f32]) -> (f64, f64, u32) {
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU reported AVX2 on the line above.
-        return unsafe { digest_avx2(row) };
+    if let Some(t) = arch::Avx2::detect() {
+        return t.digest(row);
     }
     digest_def(row)
 }
@@ -128,9 +127,8 @@ pub fn digest(row: &[f32]) -> (f64, f64, u32) {
 /// when every element is.
 pub fn moments(row: &[f32]) -> (f64, f64, f64) {
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU reported AVX2 on the line above.
-        return unsafe { moments_avx2(row) };
+    if let Some(t) = arch::Avx2::detect() {
+        return t.moments(row);
     }
     moments_def(row)
 }
@@ -141,9 +139,8 @@ pub fn moments(row: &[f32]) -> (f64, f64, f64) {
 pub fn sums(row: &[f32]) -> (f32, f32, f32) {
     debug_assert!(row.len() < 1 << 24, "lane weights are exact integers");
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU reported AVX2 on the line above.
-        return unsafe { sums_avx2(row) };
+    if let Some(t) = arch::Avx2::detect() {
+        return t.sums(row);
     }
     sums_def(row)
 }
@@ -151,11 +148,43 @@ pub fn sums(row: &[f32]) -> (f32, f32, f32) {
 /// The lane-ordered reductions written with `std::arch`. Each statement
 /// below is one line of the matching `*_def`, eight lanes at a time;
 /// pointer-free intrinsics are safe inside an AVX2-enabled function, so
-/// nothing here is `unsafe`.
+/// the only `unsafe` is the call into one, in the [`Avx2`] methods.
 #[cfg(target_arch = "x86_64")]
 mod arch {
     use super::{for_chunks, LANES};
     use std::arch::x86_64::*;
+
+    /// Proof that this CPU runs AVX2. The private field makes
+    /// [`Avx2::detect`] the only way to build one, so holding an `Avx2` is
+    /// what licenses a call into the kernels below — detect once, then
+    /// pass the token down.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        /// `Some` exactly when the CPU reports AVX2.
+        pub(super) fn detect() -> Option<Self> {
+            is_x86_feature_detected!("avx2").then_some(Self(()))
+        }
+
+        #[inline]
+        pub(super) fn digest(self, row: &[f32]) -> (f64, f64, u32) {
+            // SAFETY: an Avx2 exists only after detect() saw AVX2.
+            unsafe { digest_avx2(row) }
+        }
+
+        #[inline]
+        pub(super) fn moments(self, row: &[f32]) -> (f64, f64, f64) {
+            // SAFETY: an Avx2 exists only after detect() saw AVX2.
+            unsafe { moments_avx2(row) }
+        }
+
+        #[inline]
+        pub(super) fn sums(self, row: &[f32]) -> (f32, f32, f32) {
+            // SAFETY: an Avx2 exists only after detect() saw AVX2.
+            unsafe { sums_avx2(row) }
+        }
+    }
 
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -201,7 +230,7 @@ mod arch {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn digest_avx2(row: &[f32]) -> (f64, f64, u32) {
+    fn digest_avx2(row: &[f32]) -> (f64, f64, u32) {
         let zero = _mm256_setzero_pd();
         let (mut s, mut ws, mut x) = ([zero; 2], [zero; 2], _mm256_setzero_si256());
         let mut w = [
@@ -227,7 +256,7 @@ mod arch {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn moments_avx2(row: &[f32]) -> (f64, f64, f64) {
+    fn moments_avx2(row: &[f32]) -> (f64, f64, f64) {
         let zero = _mm256_setzero_pd();
         let (mut s, mut a, mut q) = ([zero; 2], [zero; 2], [zero; 2]);
         let sign = _mm256_set1_pd(-0.0);
@@ -247,7 +276,7 @@ mod arch {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn sums_avx2(row: &[f32]) -> (f32, f32, f32) {
+    fn sums_avx2(row: &[f32]) -> (f32, f32, f32) {
         let zero = _mm256_setzero_ps();
         let (mut s, mut ws, mut a) = (zero, zero, zero);
         let mut w = _mm256_setr_ps(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0);
