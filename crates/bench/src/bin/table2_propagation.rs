@@ -21,7 +21,7 @@ use attnchecker::attention::{
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const SEQ: usize = 24;
 const HIDDEN: usize = 32;
@@ -112,8 +112,8 @@ fn main() {
         println!("-- Inject {kind_label} --");
         let mut table = TextTable::new(&["FI site", "Q", "K", "V", "AS", "AP", "CL", "O"]);
         for site in sites {
-            let mut cell_votes: Vec<HashMap<String, usize>> =
-                (0..7).map(|_| HashMap::new()).collect();
+            let mut cell_votes: Vec<BTreeMap<String, usize>> =
+                (0..7).map(|_| BTreeMap::new()).collect();
             for &(r, c) in &positions {
                 let faulty = run_once(&attn, &x, Some((site, kind, r, c)));
                 let cells = [

@@ -108,8 +108,10 @@ impl CheckpointManager {
         Ok((path, data.len(), t0.elapsed()))
     }
 
-    /// Restore trainer state from the most recent checkpoint; returns
-    /// elapsed time.
+    /// Restore trainer state from the most recent checkpoint — params,
+    /// moments and the step counter — and re-capture the optimizer's
+    /// at-rest moment digests from the restored moments; returns elapsed
+    /// time.
     ///
     /// # Errors
     /// Fails when no checkpoint exists or the file is invalid.
@@ -123,6 +125,7 @@ impl CheckpointManager {
         let t = restore_model(&mut trainer.model, &data)
             .map_err(|e: SnapshotError| io::Error::new(io::ErrorKind::InvalidData, e))?;
         trainer.optim.t = t;
+        trainer.optim.recapture_digests(&mut trainer.model);
         Ok(t0.elapsed())
     }
 
@@ -176,14 +179,29 @@ mod tests {
     use attnchecker::config::ProtectionConfig;
 
     fn tiny_trainer() -> (Trainer, SyntheticMrpc) {
+        trainer_with(ProtectionConfig::off())
+    }
+
+    fn trainer_with(protection: ProtectionConfig) -> (Trainer, SyntheticMrpc) {
         let mut rng = TensorRng::seed_from(5);
         let mut cfg = ModelConfig::bert_small();
         cfg.hidden = 16;
         cfg.heads = 2;
         cfg.layers = 1;
-        let model = TransformerModel::new(cfg, ProtectionConfig::off(), &mut rng);
+        let model = TransformerModel::new(cfg, protection, &mut rng);
         let ds = SyntheticMrpc::generate(8, 256, 16, 2);
         (Trainer::new(model, 1e-3), ds)
+    }
+
+    /// Every parameter's value, first and second moment, as bits.
+    fn state_bits(tr: &mut Trainer) -> Vec<u32> {
+        let mut bits = Vec::new();
+        tr.model.visit_params(&mut |p| {
+            for m in [&p.value, &p.m, &p.v] {
+                bits.extend(m.data().iter().map(|x| x.to_bits()));
+            }
+        });
+        bits
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -252,6 +270,35 @@ mod tests {
         for (a, b) in va.iter().zip(&vb) {
             assert!(a.approx_eq(b, 1e-6, 1e-6));
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_into_a_protected_trainer_recaptures_moment_digests() {
+        // step → save → step on another batch → load → step lands exactly
+        // where a trainer that never took the detour lands, and the moment
+        // guard stays quiet: the restored moments are the state, not a fault.
+        let (mut detour, ds) = trainer_with(ProtectionConfig::full());
+        let (mut straight, _) = trainer_with(ProtectionConfig::full());
+        let first: Vec<_> = ds.examples.iter().take(4).collect();
+        let other: Vec<_> = ds.examples.iter().skip(4).collect();
+        let dir = tmp_dir("recapture");
+        let mut mgr = CheckpointManager::new(&dir).unwrap();
+
+        let _ = detour.train_step(&first);
+        mgr.save(&mut detour).unwrap();
+        let _ = detour.train_step(&other);
+        mgr.load_last(&mut detour).unwrap();
+        let out = detour.train_step(&first);
+
+        let _ = straight.train_step(&first);
+        let want = straight.train_step(&first);
+        assert!(out.report.is_quiet(), "{}", out.report);
+        assert_eq!(out.loss.to_bits(), want.loss.to_bits());
+        assert!(
+            state_bits(&mut detour) == state_bits(&mut straight),
+            "params and moments must match the no-detour trainer bit for bit"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -15,15 +15,6 @@
 //!   than per-sink. Unused and unjustified allow-paths are findings like
 //!   any other allow.
 //!
-//! * A **SAFETY justification** — a *plain* `//` comment of the form
-//!   `SAFETY: <justification>`, either trailing the `unsafe` it vouches
-//!   for or on its own line directly above it (after any attributes).
-//!   The `unsafe-audit` lint requires one adjacent to every `unsafe`
-//!   block/fn/impl; an empty justification is a `missing-justification`
-//!   finding and a SAFETY comment attached to a line with no `unsafe`
-//!   on it is an `unused-safety` finding, so the documented-unsafety
-//!   inventory stays exact just like the allow inventory.
-//!
 //! Directives are only read from plain `//` comments (never `///`/`//!`),
 //! so documentation can quote the grammar without registering any.
 
@@ -48,20 +39,6 @@ pub struct Allow {
     pub used: std::cell::Cell<bool>,
 }
 
-/// One parsed `// SAFETY: …` justification.
-#[derive(Debug)]
-pub struct Safety {
-    /// Line the comment sits on.
-    pub line: u32,
-    /// Column of the comment.
-    pub col: u32,
-    /// The source line this justification vouches for: the comment's own
-    /// line for a trailing comment, else the next line holding code.
-    pub target_line: u32,
-    /// Set when the justification covered at least one `unsafe` site.
-    pub used: std::cell::Cell<bool>,
-}
-
 /// All directives of one file.
 #[derive(Debug, Default)]
 pub struct Directives {
@@ -69,17 +46,12 @@ pub struct Directives {
     pub allows: Vec<Allow>,
     /// Parsed allow-paths (call-graph edge cuts), in source order.
     pub allow_paths: Vec<Allow>,
-    /// Parsed `// SAFETY:` justifications, in source order.
-    pub safeties: Vec<Safety>,
     /// Malformed/unknown directives, reported as findings directly.
     pub errors: Vec<Finding>,
 }
 
 /// The marker every directive starts with (after the comment prefix).
 const MARKER: &str = "attn-lint:";
-
-/// The marker a SAFETY justification starts with (after `//`).
-const SAFETY_MARKER: &str = "SAFETY:";
 
 /// Attach a standalone directive to the next code line (its own line when
 /// code shares it — the trailing form).
@@ -109,25 +81,6 @@ pub fn parse(rel_path: &str, toks: &[Tok], code_lines: &[u32]) -> Directives {
             continue;
         }
         let body = t.text.strip_prefix("//").unwrap_or(&t.text).trim();
-        if let Some(just) = body.strip_prefix(SAFETY_MARKER) {
-            if just.trim().is_empty() {
-                out.errors.push(Finding::new(
-                    rel_path,
-                    t.line,
-                    t.col,
-                    "missing-justification",
-                    "`// SAFETY:` requires a non-empty justification".to_string(),
-                ));
-            } else {
-                out.safeties.push(Safety {
-                    line: t.line,
-                    col: t.col,
-                    target_line: attach_line(code_lines, t.line),
-                    used: std::cell::Cell::new(false),
-                });
-            }
-            continue;
-        }
         let Some(rest) = body.strip_prefix(MARKER) else {
             continue;
         };
@@ -302,35 +255,5 @@ mod tests {
         let d = directives("// attn-lint: allow-path(panic-reach)\nf();\n");
         assert!(d.allow_paths.is_empty());
         assert_eq!(d.errors[0].lint, "missing-justification");
-    }
-
-    #[test]
-    fn trailing_safety_targets_its_own_line() {
-        let d = directives("unsafe impl Send for P {} // SAFETY: disjoint per task\n");
-        assert_eq!(d.safeties.len(), 1);
-        assert_eq!(d.safeties[0].target_line, 1);
-        assert!(d.errors.is_empty());
-    }
-
-    #[test]
-    fn standalone_safety_targets_next_code_line() {
-        let d = directives("// SAFETY: region bounds asserted above\nlet s = unsafe { f() };\n");
-        assert_eq!(d.safeties.len(), 1);
-        assert_eq!(d.safeties[0].target_line, 2);
-    }
-
-    #[test]
-    fn empty_safety_is_a_missing_justification() {
-        let d = directives("// SAFETY:\nunsafe fn f() {}\n");
-        assert!(d.safeties.is_empty());
-        assert_eq!(d.errors.len(), 1);
-        assert_eq!(d.errors[0].lint, "missing-justification");
-    }
-
-    #[test]
-    fn doc_comments_never_register_safeties() {
-        let d = directives("/// SAFETY: quoted in docs\nlet x = 1;\n");
-        assert!(d.safeties.is_empty());
-        assert!(d.errors.is_empty());
     }
 }

@@ -4,34 +4,40 @@
 //! decides what lives here: a contract keeps a lint only when neither a
 //! test nor the compiler can observe it, and a lint ships only with a row
 //! in the real-tree mutation table (`tests/mutations.rs`) showing it fires
-//! on a seeded violation. Five lints survive it, over four contracts:
+//! on a seeded violation. Three lints survive it, over two contracts:
 //!
-//! 1. **Determinism** — bit-identical results at any worker count
-//!    (fixed-order reduction): [`lints::NONDET_REDUCE`] flags the shapes
-//!    that break it where they are written; `parallel_parity` and the CI
-//!    determinism job measure the property itself.
-//! 2. **Total ABFT coverage** — every model-layer GEMM flows through
+//! 1. **Total ABFT coverage** — every model-layer GEMM flows through
 //!    `GuardedSection`/`ProtectedLinear`: [`lints::UNGUARDED_GEMM`], plus
 //!    the guarded-op ratchet on the `--coverage` walk.
-//! 3. **No-panic serving** — nothing transitively reachable from the
+//! 2. **No-panic serving** — nothing transitively reachable from the
 //!    gateway/engine entry points may panic: [`reach::PANIC_REACH`]
 //!    (plus [`lints::FLOAT_EQ`] for the sentinel-comparison hygiene the
 //!    gates depend on).
-//! 4. **Sound `unsafe`** — every `unsafe` site carries a checked
-//!    `// SAFETY:` justification ([`lints::UNSAFE_AUDIT`]; every crate but
-//!    `attn_tensor` is `#![forbid(unsafe_code)]`, so the compiler confines
-//!    what this lint audits).
 //!
-//! Two contracts that used to have lints are held by tests instead,
-//! because a test can observe them and a name matcher could not: the
-//! arena-miss-free steady state and its heap-allocation budget
-//! (`tests/heap_budget.rs`, `workspace::thread_alloc_events`), and one
+//! The other contracts are held where they can be observed. Tests hold
+//! the arena-miss-free steady state and its heap-allocation budget
+//! (`tests/heap_budget.rs`, `workspace::thread_alloc_events`), one
 //! detection point per guarded section (the
-//! `each_section_alone_corrects_its_own_sites` tests). One is held by the
-//! compiler: a `#[target_feature]` kernel runs only after CPU detection,
-//! because `attn_tensor::lanes` keeps its kernels private behind a
-//! detection token and target_feature 1.1 makes every call to one
-//! `unsafe`.
+//! `each_section_alone_corrects_its_own_sites` tests) and bit-identical
+//! results at any worker count (`parallel_parity`). The toolchain holds
+//! the rest:
+//!
+//! * **Fixed-order reduction** — the vendored rayon shim has no `sum`,
+//!   `reduce`, `fold` or `product` and takes `Fn` closures, so an
+//!   order-sensitive reducer or a captured float accumulator in a
+//!   parallel chain does not compile (its `compile_fail` doctests pin
+//!   both); the root `clippy.toml` disallows `HashMap`, `HashSet`,
+//!   `Mutex` and `RwLock`, the containers whose iteration or lock order
+//!   could reorder a float merge.
+//! * **Sound `unsafe`** — every crate but `attn_tensor` is
+//!   `#![forbid(unsafe_code)]`; `attn_tensor` denies
+//!   `unsafe_op_in_unsafe_fn` (rustc) and
+//!   `clippy::undocumented_unsafe_blocks`, so every `unsafe` block and
+//!   impl carries a `// SAFETY:` comment.
+//! * **SIMD dispatch** — a `#[target_feature]` kernel runs only after CPU
+//!   detection, because `attn_tensor::lanes` keeps its kernels private
+//!   behind a detection token and target_feature 1.1 makes every call to
+//!   one `unsafe`.
 //!
 //! The tool is *interprocedural*: an item-level parser ([`parse`]) over
 //! the hand-written lexer builds a workspace symbol table, [`callgraph`]
@@ -85,15 +91,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// The five contract lints, in report order: four per-file, one
+/// The three contract lints, in report order: two per-file, one
 /// interprocedural.
-pub const LINT_NAMES: [&str; 5] = [
-    lints::NONDET_REDUCE,
-    lints::UNGUARDED_GEMM,
-    lints::FLOAT_EQ,
-    lints::UNSAFE_AUDIT,
-    reach::PANIC_REACH,
-];
+pub const LINT_NAMES: [&str; 3] = [lints::UNGUARDED_GEMM, lints::FLOAT_EQ, reach::PANIC_REACH];
 
 /// The reachability subset — the only lints `allow-path` may name.
 pub const REACH_NAMES: [&str; 1] = [reach::PANIC_REACH];
@@ -110,12 +110,7 @@ pub const REACH_NAMES: [&str; 1] = [reach::PANIC_REACH];
 pub const MAX_UNGUARDED_OPS: usize = 15;
 
 /// Meta diagnostics about the suppression inventory itself.
-pub const META_NAMES: [&str; 4] = [
-    "unknown-allow",
-    "missing-justification",
-    "unused-allow",
-    "unused-safety",
-];
+pub const META_NAMES: [&str; 3] = ["unknown-allow", "missing-justification", "unused-allow"];
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,10 +188,6 @@ pub struct Report {
     pub calls_resolved: usize,
     /// Sites the conservative resolver gave up on.
     pub calls_unresolved: usize,
-    /// Non-test `unsafe` sites in Full-profile code.
-    pub unsafe_sites: usize,
-    /// Of those, sites carrying a checked `// SAFETY:` justification.
-    pub unsafe_documented: usize,
     /// Serving entry points found in this tree, qualified.
     pub entry_points: Vec<String>,
 }
@@ -232,16 +223,6 @@ impl Report {
         }
     }
 
-    /// Fraction of non-test `unsafe` sites carrying a checked
-    /// `// SAFETY:` justification (1.0 when there are no sites).
-    pub fn safety_coverage(&self) -> f64 {
-        if self.unsafe_sites == 0 {
-            1.0
-        } else {
-            self.unsafe_documented as f64 / self.unsafe_sites as f64
-        }
-    }
-
     /// Suppressions honoured per lint name (zero entries included).
     pub fn suppression_counts(&self) -> Vec<(&'static str, usize)> {
         LINT_NAMES
@@ -269,7 +250,6 @@ pub fn profile_for(rel_path: &str) -> Profile {
 /// One file prepared for the per-file lints and graph construction.
 struct Prepared {
     rel: String,
-    profile: Profile,
     toks: Vec<lexer::Tok>,
     ctx: scope::Context,
     dir: directives::Directives,
@@ -295,11 +275,9 @@ pub fn prepare_sources(files: &[(String, String)]) -> PreparedTree {
         let toks = lexer::lex(src);
         let ctx = scope::analyze(&toks);
         let dir = directives::parse(rel, &toks, &ctx.code_lines);
-        let profile = profile_for(rel);
-        let parsed = (profile == Profile::Full).then(|| parse::parse_file(&toks, &ctx));
+        let parsed = (profile_for(rel) == Profile::Full).then(|| parse::parse_file(&toks, &ctx));
         prepared.push(Prepared {
             rel: rel.clone(),
-            profile,
             toks,
             ctx,
             dir,
@@ -331,20 +309,14 @@ pub fn prepare_sources(files: &[(String, String)]) -> PreparedTree {
 pub fn scan_prepared(tree: &PreparedTree) -> Report {
     let (prepared, graph) = (&tree.prepared, &tree.graph);
     let mut raw: Vec<Finding> = Vec::new();
-    let mut unsafe_sites = 0usize;
-    let mut unsafe_documented = 0usize;
     for p in prepared {
         let rel = p.rel.as_str();
         let (toks, ctx) = (&p.toks, &p.ctx);
-        lints::nondet_reduce(rel, toks, ctx, &mut raw);
         lints::float_eq(rel, toks, ctx, &mut raw);
         if let Some(parsed) = &p.parsed {
             if !lints::unguarded_gemm_whitelisted(rel) {
                 lints::unguarded_gemm(rel, toks, ctx, parsed, &mut raw);
             }
-            let tally = lints::unsafe_audit(rel, toks, ctx, &p.dir, parsed, &mut raw);
-            unsafe_sites += tally.sites;
-            unsafe_documented += tally.documented;
         }
     }
 
@@ -381,8 +353,8 @@ pub fn scan_prepared(tree: &PreparedTree) -> Report {
             None => findings.push(f),
         }
     }
-    // Directive errors, unused allows, and unused SAFETY comments are
-    // findings too — the suppression inventory must stay exact.
+    // Directive errors and unused allows are findings too — the
+    // suppression inventory must stay exact.
     for p in prepared {
         findings.extend(p.dir.errors.iter().cloned());
         for a in &p.dir.allows {
@@ -423,24 +395,6 @@ pub fn scan_prepared(tree: &PreparedTree) -> Report {
                 ));
             }
         }
-        if p.profile == Profile::Full {
-            for s in &p.dir.safeties {
-                if !s.used.get() {
-                    findings.push(Finding::new(
-                        &p.rel,
-                        s.line,
-                        s.col,
-                        "unused-safety",
-                        format!(
-                            "`// SAFETY:` on line {} documents no unsafe site; move it \
-                             directly above (or onto) the `unsafe` line, after any \
-                             attributes",
-                            s.line
-                        ),
-                    ));
-                }
-            }
-        }
     }
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint)));
@@ -456,8 +410,6 @@ pub fn scan_prepared(tree: &PreparedTree) -> Report {
         calls_total: graph.calls_total,
         calls_resolved: graph.calls_resolved,
         calls_unresolved: graph.calls_unresolved,
-        unsafe_sites,
-        unsafe_documented,
         entry_points: reach::entry_points(graph),
     }
 }

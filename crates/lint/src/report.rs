@@ -25,6 +25,11 @@
 //!   its contract now held by the compiler (a private detection token in
 //!   `attn_tensor::lanes`), so its `counts` and `suppression_counts`
 //!   entries go with it.
+//! * `attn-lint-report/v6` — three lints: `nondet-reduce` and
+//!   `unsafe-audit` go, their contracts held by rustc and clippy (the
+//!   rayon shim's reducer-free API, `clippy.toml`'s disallowed types,
+//!   `attn_tensor`'s `unsafe` lint levels), so their counts, the
+//!   `unused-safety` meta count and the `unsafe` inventory object go.
 //! * `attn-lint-coverage/v2` — the `--coverage` artifact: every op on
 //!   the forward/decode/train paths with guarded/unguarded status; v2
 //!   also sees the allocating `matmul*` trio, so it lists the by-design
@@ -45,7 +50,7 @@ pub fn render_text(report: &Report) -> String {
     let _ = writeln!(
         out,
         "attn_lint: {} files scanned, {} finding{}, {} suppression{} honoured, \
-         {}/{} calls resolved ({:.1}%), {}/{} unsafe sites documented, {} ms",
+         {}/{} calls resolved ({:.1}%), {} ms",
         report.files_scanned,
         report.findings.len(),
         if report.findings.len() == 1 { "" } else { "s" },
@@ -58,18 +63,16 @@ pub fn render_text(report: &Report) -> String {
         report.calls_resolved,
         report.calls_total,
         report.resolution_rate() * 100.0,
-        report.unsafe_documented,
-        report.unsafe_sites,
         report.wall_ms
     );
     out
 }
 
-/// Machine-readable rendering (schema `attn-lint-report/v5`).
+/// Machine-readable rendering (schema `attn-lint-report/v6`).
 pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"attn-lint-report/v5\",\n");
+    out.push_str("  \"schema\": \"attn-lint-report/v6\",\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
     let _ = writeln!(out, "  \"total_findings\": {},", report.findings.len());
     let _ = writeln!(
@@ -85,13 +88,6 @@ pub fn render_json(report: &Report) -> String {
         report.calls_resolved,
         report.calls_unresolved,
         report.resolution_rate()
-    );
-    let _ = writeln!(
-        out,
-        "  \"unsafe\": {{\"sites\": {}, \"documented\": {}, \"safety_coverage\": {:.4}}},",
-        report.unsafe_sites,
-        report.unsafe_documented,
-        report.safety_coverage()
     );
     out.push_str("  \"entry_points\": [");
     for (i, e) in report.entry_points.iter().enumerate() {
@@ -306,12 +302,10 @@ mod tests {
             calls_total: 10,
             calls_resolved: 9,
             calls_unresolved: 1,
-            unsafe_sites: 4,
-            unsafe_documented: 4,
             entry_points: vec!["Gateway::tick".into()],
         };
         let json = render_json(&report);
-        assert!(json.contains("\"schema\": \"attn-lint-report/v5\""));
+        assert!(json.contains("\"schema\": \"attn-lint-report/v6\""));
         assert!(json.contains("\"total_findings\": 1"));
         assert!(json.contains("\\\"quotes\\\"\\nand newline"));
         assert!(json.contains("\"float-eq\": 1"));
@@ -320,7 +314,10 @@ mod tests {
             !json.contains("wall_ms"),
             "timings stay out of the artifact"
         );
-        assert!(json.contains("\"safety_coverage\": 1.0000"));
+        assert!(
+            !json.contains("\"unsafe\""),
+            "v6 carries no unsafe inventory"
+        );
         assert!(json.contains("\"panic-reach\": 1")); // suppression_counts
         assert!(json.contains("\"Gateway::tick\""));
         // Balanced braces/brackets (cheap well-formedness check).

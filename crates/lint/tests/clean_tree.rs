@@ -1,11 +1,11 @@
 //! The contract gate: the workspace's own tree must scan clean.
 //!
 //! This is what turns the lint from a tool into an invariant — `cargo
-//! test` (tier 1) fails the moment anyone reintroduces a nondeterministic
-//! reduction, an unguarded GEMM, a panic construct reachable from a serving
-//! entry, a raw float compare or an undocumented `unsafe` site without a
-//! justified allow (or allow-path), or an op on the forward/decode/train
-//! paths that pushes the unguarded count past `MAX_UNGUARDED_OPS`.
+//! test` (tier 1) fails the moment anyone reintroduces an unguarded GEMM,
+//! a panic construct reachable from a serving entry or a raw float
+//! compare without a justified allow (or allow-path), or an op on the
+//! forward/decode/train paths that pushes the unguarded count past
+//! `MAX_UNGUARDED_OPS`.
 
 #[test]
 fn the_workspace_tree_is_clean() {
@@ -40,18 +40,6 @@ fn the_workspace_tree_is_clean() {
     assert!(
         !report.entry_points.is_empty(),
         "no serving entries found — panic-reach has nothing to anchor on"
-    );
-    // Every non-test unsafe site must carry a checked justification.
-    assert!(
-        report.unsafe_sites > 0,
-        "the GEMM kernel carries unsafe sites; zero means the audit went blind"
-    );
-    assert_eq!(
-        report.safety_coverage(),
-        1.0,
-        "FLOOR: {}/{} unsafe sites documented",
-        report.unsafe_documented,
-        report.unsafe_sites
     );
     // The coverage ratchet the binary enforces under `--coverage`, over the
     // same prepared tree.

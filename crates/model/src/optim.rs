@@ -26,7 +26,7 @@
 
 use crate::param::{Grads, HasParams, Param};
 use attn_tensor::{lanes, Matrix, OpGuard};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Bit-exact digest of one moment-matrix row. The `f64` accumulators are
 /// stored as bit patterns so comparison is exact even when a poisoned
@@ -412,7 +412,7 @@ pub struct AdamW {
     /// At-rest moment digests by parameter name, maintained only by
     /// steps taken under an active guard (unguarded steps stay
     /// digest-free).
-    guards: HashMap<String, MomentGuard>,
+    guards: BTreeMap<String, MomentGuard>,
 }
 
 impl AdamW {
@@ -425,7 +425,7 @@ impl AdamW {
             eps: 1e-8,
             weight_decay: 0.01,
             t: 0,
-            guards: HashMap::new(),
+            guards: BTreeMap::new(),
         }
     }
 
@@ -463,16 +463,32 @@ impl AdamW {
         }
         self.update(model);
         if g.active() {
-            let mut guards = std::mem::take(&mut self.guards);
-            model.visit_params(&mut |p: &mut Param| {
-                if let Some(slot) = guards.get_mut(&p.name) {
-                    *slot = MomentGuard::capture(p);
-                } else {
-                    guards.insert(p.name.clone(), MomentGuard::capture(p));
-                }
-            });
-            self.guards = guards;
+            self.capture(model);
         }
+    }
+
+    /// Re-capture the at-rest moment digests from the moments `model`
+    /// holds now. A checkpoint restore replaces the moments the digests
+    /// describe; without this the next guarded step would verify the
+    /// restored moments against the discarded ones and "heal" them back.
+    /// A no-op when nothing was ever captured, so unprotected trainers
+    /// stay digest-free.
+    pub fn recapture_digests(&mut self, model: &mut dyn HasParams) {
+        if !self.guards.is_empty() {
+            self.capture(model);
+        }
+    }
+
+    /// Capture every parameter's moment digests, reusing existing slots.
+    fn capture(&mut self, model: &mut dyn HasParams) {
+        let guards = &mut self.guards;
+        model.visit_params(&mut |p: &mut Param| {
+            if let Some(slot) = guards.get_mut(&p.name) {
+                *slot = MomentGuard::capture(p);
+            } else {
+                guards.insert(p.name.clone(), MomentGuard::capture(p));
+            }
+        });
     }
 
     fn update(&mut self, model: &mut dyn HasParams) {

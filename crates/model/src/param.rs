@@ -2,7 +2,6 @@
 //! detached [`Grads`] buffer that tape-based backward passes write into.
 
 use attn_tensor::Matrix;
-use std::collections::HashMap;
 
 /// A learnable tensor: value, accumulated gradient, and AdamW moments.
 ///
@@ -87,7 +86,13 @@ impl Param {
 /// is independent of how items were scheduled across threads.
 #[derive(Debug, Clone, Default)]
 pub struct Grads {
-    map: HashMap<String, Matrix>,
+    // Lookup-only: `merge_into` walks the model's parameter order and
+    // looks each name up, so hash order never reaches a float (only the
+    // unknown-name panic message lists keys). A `BTreeMap` would cost one
+    // allocation per batch item per step against `tests/heap_budget.rs`'
+    // ceilings.
+    #[allow(clippy::disallowed_types)]
+    map: std::collections::HashMap<String, Matrix>,
 }
 
 impl Grads {

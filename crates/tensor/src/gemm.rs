@@ -101,6 +101,13 @@
 //! Packing panels and checksum staging come from the thread-local
 //! [`crate::workspace`] arena, so a steady-state caller performs no heap
 //! allocation inside these kernels.
+//!
+//! Tile tasks share the output and the checksum staging through two raw
+//! cursors (`DstPtr`, `StagePtr`), the crate's only `unsafe` besides
+//! [`crate::lanes`]' detection token. Every `unsafe` block and impl states
+//! its bound in a `// SAFETY:` comment, which the crate's
+//! `clippy::undocumented_unsafe_blocks` level requires, and each raw
+//! slice's bound is also a `debug_assert!` beside it.
 
 use crate::contract::{self, accum_col_cs, ColCsAccum};
 use crate::kv::PagedKv;
@@ -499,8 +506,10 @@ struct DstPtr {
     ldc: usize,
 }
 
-unsafe impl Send for DstPtr {} // SAFETY: plain pointer+stride pair; every tile writes a disjoint region.
-unsafe impl Sync for DstPtr {} // SAFETY: fields are only read; the pointed-to writes are disjoint per tile.
+// SAFETY: plain pointer+stride pair; every tile writes a disjoint region.
+unsafe impl Send for DstPtr {}
+// SAFETY: fields are only read; the pointed-to writes are disjoint per tile.
+unsafe impl Sync for DstPtr {}
 
 /// Raw staging cursor for per-block checksum partials (disjoint block
 /// slices per tile task). `len` is the checked-out capacity in floats,
@@ -511,8 +520,10 @@ struct StagePtr {
     len: usize,
 }
 
-unsafe impl Send for StagePtr {} // SAFETY: plain pointer+len pair; every block owns a disjoint slice.
-unsafe impl Sync for StagePtr {} // SAFETY: fields are only read; block slices never overlap across tiles.
+// SAFETY: plain pointer+len pair; every block owns a disjoint slice.
+unsafe impl Send for StagePtr {}
+// SAFETY: fields are only read; block slices never overlap across tiles.
+unsafe impl Sync for StagePtr {}
 
 /// The tile grid of one driver call: `m × n` cut at [`MC`] / [`NC`].
 #[derive(Clone, Copy)]
@@ -748,8 +759,6 @@ fn microkernel(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// The caller must guarantee the addressed region lies within the output
 /// buffer and is not written by any other concurrent tile (the 2D grid
 /// gives every tile a disjoint region).
-// SAFETY: per the contract above — callers pass tile-owned
-// `(i0, j0, mr, nr)` regions clipped to the output shape.
 unsafe fn writeback_add(
     dst: DstPtr,
     i0: usize,
@@ -760,7 +769,12 @@ unsafe fn writeback_add(
 ) {
     debug_assert!(mr <= MR && nr <= NR);
     for (r, accr) in acc.iter().enumerate().take(mr) {
-        let row = std::slice::from_raw_parts_mut(dst.ptr.add((i0 + r) * dst.ldc + j0), nr);
+        // SAFETY: per the `# Safety` contract the calling tile owns rows
+        // `i0..i0 + mr` × columns `j0..j0 + nr` of the output, clipped to
+        // its shape, so this `nr`-long row lies in bounds and no other
+        // task writes it.
+        let row =
+            unsafe { std::slice::from_raw_parts_mut(dst.ptr.add((i0 + r) * dst.ldc + j0), nr) };
         for (cv, &v) in row.iter_mut().zip(&accr[..nr]) {
             *cv += v;
         }

@@ -39,6 +39,16 @@
 //!
 //! Everything is deterministic given a seed, which the fault-injection
 //! campaigns rely on for reproducibility.
+//!
+//! This is the workspace's one crate with `unsafe` (every other one is
+//! `#![forbid(unsafe_code)]`): the GEMM tile cursors in [`gemm`] and the
+//! AVX2 entries in [`lanes`]. The toolchain audits it. rustc denies
+//! `unsafe_op_in_unsafe_fn`, so an `unsafe fn` body is not one big
+//! `unsafe` block, and clippy denies `undocumented_unsafe_blocks`, so
+//! every `unsafe` block and impl carries a `// SAFETY:` comment.
+
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod contract;
 pub mod error;

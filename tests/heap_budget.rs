@@ -11,6 +11,12 @@
 //! path, each pinned by a ceiling that may only be lowered. Everything runs
 //! on the test thread at parallelism 1 with fixed seeds, so the counts are
 //! exact and a single new allocation per step shows.
+//!
+//! The counting allocator is the one `unsafe` outside `attn_tensor`, so it
+//! takes the same lint levels: rustc's `unsafe_op_in_unsafe_fn` and
+//! clippy's `undocumented_unsafe_blocks`.
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 use attnchecker_repro::abft::config::ProtectionConfig;
 use attnchecker_repro::infer::{DecodeEngine, Sampling};
