@@ -1,37 +1,41 @@
 //! Protected multi-head attention: the three ABFT sections with checksum
 //! passing (paper §4.4, Fig 5), composed from the reusable
-//! [`GuardedSection`] pipeline in [`crate::section`].
+//! [`GuardedSection`](crate::section::GuardedSection) pipeline. This module
+//! holds the attention's types and entry points; the one body lives in
+//! [`crate::decode`], and the training [`forward`] is its `extend` over an
+//! empty KV cache with the backward tape recorded — training, prefill and
+//! decode run the same sections.
 //!
 //! The six attention GEMMs are grouped into sections so that every section
 //! tolerates one fault, wherever it strikes:
 //!
 //! * **S_AS** `{X·W_Q, X·W_K, Q·Kᵀ}` — `X`'s column encoding rides inside
-//!   the projection GEMMs' packing pass (fused entry, §4.6); `Q` and
-//!   `K` inherit column checksums through the fused GEMMs; `AS = Q·Kᵀ`
-//!   arrives with *both* borders (K's column checksums transpose into AS's
-//!   row checksums). Detection is **delayed** to AS: a 0D fault in `Q`
-//!   surfaces as a deterministic 1R there, a 0D fault in `K` as a 1C with
-//!   poisoned column checksums — both healed by [`crate::detect::full_correct`].
-//! * **S_CL** `{X·W_V, AP·V}` — each head's slice of `W_V` is row-encoded,
-//!   so `V` inherits row checksums; `AP` (re-encoded after the nonlinear
-//!   softmax) carries column checksums; `CL = AP·V` has both borders.
+//!   the projection GEMMs' packing pass (fused entry, §4.6); `Q` and `K`
+//!   inherit column checksums through the fused GEMMs and are verified
+//!   where they leave their projection. `AS = Q·Kᵀ` arrives with *both*
+//!   borders (`Q`'s column checksums ride through, the row checksums come
+//!   from the cached keys' checksum tails) and is checked at the section's
+//!   delayed detection point.
+//! * **S_CL** `{X·W_V, AP·V}` — one `V` projection for all heads, entered
+//!   like `Q` and `K`, each head's rows verified before they join the cache
+//!   with their inline row-checksum pair; `AP` (re-encoded after the
+//!   nonlinear softmax, inside the fused `AP·V`) carries column checksums;
+//!   `CL = AP·V` has both borders.
 //! * **S_O** `{CL·W_O}` — `CL`'s column checksums ride through the output
 //!   GEMM; `O` is protected column-side (1R residue from CL plus 0D faults).
 //!
-//! When a section's detection fires, the *source* operand matrices (`Q`,
-//! `K`, `V`) are also healed through their own inherited checksums — they
-//! are reused by the backward pass, where a surviving extreme value would
-//! re-poison training.
+//! `Q`, `K` and `V` are healed eagerly through their own column checksums:
+//! the cache and the backward pass reuse them, where a surviving extreme
+//! value would re-poison every later row or the gradients.
 //!
 //! Fault-injection campaigns hook into the pipeline between every GEMM and
 //! its detection point via [`FaultSite`] callbacks.
 
 use crate::checked::CheckedMatrix;
 use crate::config::ProtectionConfig;
-use crate::report::{AbftReport, SectionId};
-use crate::section::{replay_nn, ForwardCtx, GuardedSection};
-use attn_tensor::guard::softmax_rows_checked;
-use attn_tensor::ops::apply_additive_mask;
+use crate::decode::{attend, AttnKvCache};
+use crate::report::AbftReport;
+use crate::section::ForwardCtx;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 
@@ -349,213 +353,25 @@ impl ProtectedAttention {
 }
 
 /// Run the protected attention pipeline on `x` (`seq × hidden`) over
-/// borrowed weights — the one training forward, whose rows
-/// [`crate::decode::extend`] reproduces bit for bit over a KV cache when
-/// serving. `ctx` carries the mask,
-/// per-execution section toggles, the fault-injection hook, and the report;
-/// an unprotected run is `config` = [`ProtectionConfig::off`], not a
-/// different function.
+/// borrowed weights — the training forward: [`crate::decode::extend`]
+/// over an empty KV cache, recording the backward tape. `ctx` carries the
+/// mask (`seq × seq`; `None` is bidirectional), per-execution section
+/// toggles, the fault-injection hook, and the report; an unprotected run
+/// is `config` = [`ProtectionConfig::off`], not a different function.
 ///
 /// # Panics
 /// Panics if `x.cols() != hidden`.
-#[allow(clippy::needless_range_loop)] // head index drives several buffers
 pub fn forward(
     w: &AttentionWeightsRef<'_>,
     config: &ProtectionConfig,
     x: &Matrix,
     ctx: &mut ForwardCtx<'_, '_>,
 ) -> AttnForward {
-    assert_eq!(x.cols(), w.hidden, "input width mismatch");
-    let seq = x.rows();
-    let heads = w.heads;
-    let d = w.head_dim();
-    let scale = 1.0 / (d as f32).sqrt();
-    let mask = ctx.mask;
-
-    let s_as = GuardedSection::begin(
-        SectionId::AttentionScore,
-        config,
-        ctx.toggles.s_as,
-        ctx.report,
-    );
-    let s_cl = GuardedSection::begin(
-        SectionId::ContextLayer,
-        config,
-        ctx.toggles.s_cl,
-        ctx.report,
-    );
-    let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
-    // Non-GEMM scope: screens the per-head softmax outputs (the one
-    // nonlinearity inside attention) and heals from the cached scores.
-    let op_guard = GuardedSection::guard_step(config);
-
-    // ------------------------------------------------ section S_AS
-    // X enters the section through fused encode-and-multiply: its
-    // column-checksum projections accumulate inside each projection
-    // GEMM's packing pass, and Q and K inherit the riding checksums —
-    // no standalone encode sweep over X, no augmented copy.
-    let mut q = s_as.gemm(x, w.wq);
-    let mut k = s_as.gemm(x, w.wk);
-    q.add_bias(w.bq);
-    k.add_bias(w.bk);
-    ctx.fire(
-        FaultSite {
-            op: AttnOp::Q,
-            head: None,
-        },
-        &mut q,
-    );
-    ctx.fire(
-        FaultSite {
-            op: AttnOp::K,
-            head: None,
-        },
-        &mut k,
-    );
-
-    // Heal the source operands lazily at the first delayed detection: Q
-    // and K are cached for backward, where an uncorrected 0D extreme
-    // value would re-poison the gradients — and the exact refinement of
-    // AS below needs clean operands to replay against.
-    let mut qk_healed = false;
-
-    let mut scores_cache = Vec::with_capacity(heads);
-    let mut ap_mats: Vec<Matrix> = Vec::with_capacity(heads);
-    for h in 0..heads {
-        let qh = q.slice_cols(h * d, (h + 1) * d);
-        let kh = k.slice_cols(h * d, (h + 1) * d);
-        let mut as_h = s_as.gemm_nt(&qh, &kh);
-        as_h.scale_inplace(scale);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::AS,
-                head: Some(h),
-            },
-            &mut as_h,
-        );
-
-        let mut det = s_as.detect(&mut as_h, h);
-        if det.detections() > 0 {
-            if !qk_healed {
-                qk_healed = true;
-                s_as.heal_operand_cols(ctx.report, &mut q, usize::MAX, |r, c| {
-                    replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
-                });
-                s_as.heal_operand_cols(ctx.report, &mut k, usize::MAX, |r, c| {
-                    replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
-                });
-            }
-            let lo = h * d;
-            det.refine(&mut as_h, |r, c| {
-                replay_nn(&q.logical_row(r)[lo..lo + d], |kk| {
-                    k.logical_row(c)[lo + kk]
-                }) * scale
-            });
-        }
-        det.absorb(ctx.report);
-
-        // Leave the checksummed region: mask + softmax are nonlinear.
-        // AP stays plain here; its re-encoding rides inside the fused
-        // `AP·V` GEMM that re-enters S_CL below. The cached post-mask
-        // scores double as the op guard's preserved input: rows whose
-        // probabilities fail the sum-to-one screen recompute from them.
-        let scores = s_cl.exit_cols(&as_h, |as_mat| {
-            if let Some(m) = mask {
-                apply_additive_mask(as_mat, m);
-            }
-        });
-        ap_mats.push(softmax_rows_checked(&scores, &op_guard));
-        scores_cache.push(scores);
-    }
-
-    // ------------------------------------------------ section S_CL
-    let mut cl_blocks = Vec::with_capacity(heads);
-    let mut v_cols: Vec<Matrix> = Vec::with_capacity(heads);
-    for h in 0..heads {
-        let wv_h = w.wv.submatrix(0, w.hidden, h * d, (h + 1) * d);
-        let bv_h = &w.bv[h * d..(h + 1) * d];
-        // W_V's per-head slice enters through the row-side fused
-        // encode: its row-checksum projections accumulate inside the
-        // `X·W_V` packing pass and ride into V.
-        let mut v_h = s_cl.gemm_encode_rows(x, &wv_h);
-        v_h.add_bias(bv_h);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::V,
-                head: Some(h),
-            },
-            &mut v_h,
-        );
-
-        // AP re-enters the checksummed region inside the fused GEMM:
-        // its column encoding (the old standalone re-encode sweep
-        // after softmax) accumulates in this product's packing pass.
-        let mut cl_h = s_cl.gemm(&ap_mats[h], &v_h);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::CL,
-                head: Some(h),
-            },
-            &mut cl_h,
-        );
-        let mut det = s_cl.detect(&mut cl_h, h);
-        if det.detections() > 0 {
-            if v_h.has_row_checksums() {
-                // Heal the cached V the same way Q/K are healed.
-                s_cl.heal_operand_rows(ctx.report, &mut v_h, h, |r, c| {
-                    replay_nn(x.row(r), |kk| wv_h[(kk, c)]) + bv_h[c]
-                });
-            }
-            let ap = &ap_mats[h];
-            det.refine(&mut cl_h, |r, c| replay_nn(ap.row(r), |kk| v_h.get(kk, c)));
-        }
-        det.absorb(ctx.report);
-        v_cols.push(v_h.logical());
-        cl_blocks.push(cl_h);
-    }
-    let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
-
-    // ------------------------------------------------ section S_O
-    // CL is inherited from S_CL: ride its checksums when present,
-    // fused-encode on entry when S_O is active but S_CL was skipped.
-    let mut o = s_o.gemm(&cl_merged, w.wo);
-    o.add_bias(w.bo);
-    ctx.fire(
-        FaultSite {
-            op: AttnOp::O,
-            head: None,
-        },
-        &mut o,
-    );
-    let mut det = s_o.detect(&mut o, usize::MAX);
-    if det.fixes() > 0 {
-        det.refine(&mut o, |r, c| {
-            replay_nn(cl_merged.logical_row(r), |kk| w.wo[(kk, c)]) + w.bo[c]
-        });
-    }
-    det.absorb(ctx.report);
-    ctx.report.absorb_op_guard(op_guard.take_stats());
-
-    // Assemble caches (all post-correction).
-    let q_mat = q.logical();
-    let k_mat = k.logical();
-    let mut v_mat = Matrix::zeros(seq, w.hidden);
-    for (h, vh) in v_cols.iter().enumerate() {
-        for r in 0..seq {
-            v_mat.row_mut(r)[h * d..(h + 1) * d].copy_from_slice(vh.row(r));
-        }
-    }
+    let mut kv = AttnKvCache::new(w.hidden, w.heads, !config.is_off());
+    let (output, tape) = attend(w, config, x, &mut kv, ctx, true);
     AttnForward {
-        output: o.logical(),
-        cache: AttnCache {
-            x: x.clone(),
-            q: q_mat,
-            k: k_mat,
-            v: v_mat,
-            scores: scores_cache,
-            ap: ap_mats,
-            cl: cl_merged.logical(),
-        },
+        output,
+        cache: tape.expect("a taped attend returns its tape"),
     }
 }
 
@@ -744,28 +560,45 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cached_q_is_healed_after_delayed_detection() {
+    fn eager_heal_reaches_the_tape() {
+        // Q, K and each head's V are healed where they leave their
+        // projection; the backward pass reads the tape, so its copies must
+        // be the healed bits — a `v` taken before the per-head heal fails.
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (x, attn) = setup(10, 32, 4);
         let mut quiet = AbftReport::default();
         let clean = attn.forward_simple(&x, &mut quiet);
-        let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
-            if site.op == AttnOp::Q {
-                m.set(3, 7, f32::INFINITY);
+        let sites = [(AttnOp::Q, 0), (AttnOp::K, 0)]
+            .into_iter()
+            .chain((0..4).map(|h| (AttnOp::V, h)));
+        for (op, head) in sites {
+            let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
+                if site.op == op && site.head.unwrap_or(head) == head {
+                    m.set(3, 7, f32::INFINITY);
+                }
+            };
+            let mut report = AbftReport::default();
+            let out = attn.forward(
+                &x,
+                ForwardOptions {
+                    mask: None,
+                    toggles: SectionToggles::all(),
+                    hook: Some(&mut hook),
+                },
+                &mut report,
+            );
+            assert_eq!(report.correction_count(), 1, "{op:?} head {head}: {report}");
+            let tape = [&out.cache.q, &out.cache.k, &out.cache.v, &out.output];
+            let want = [
+                &clean.cache.q,
+                &clean.cache.k,
+                &clean.cache.v,
+                &clean.output,
+            ];
+            for (i, (got, want)) in tape.into_iter().zip(want).enumerate() {
+                assert!(bits(got) == bits(want), "{op:?} head {head}: tape[{i}]");
             }
-        };
-        let mut report = AbftReport::default();
-        let out = attn.forward(
-            &x,
-            ForwardOptions {
-                mask: None,
-                toggles: SectionToggles::all(),
-                hook: Some(&mut hook),
-            },
-            &mut report,
-        );
-        // The cached Q (used by backward) must be finite and match clean.
-        assert!(out.cache.q.all_finite());
-        assert!(out.cache.q.approx_eq(&clean.cache.q, 1e-2, 1e-2));
+        }
     }
 
     #[test]

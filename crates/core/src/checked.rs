@@ -115,8 +115,8 @@ pub enum ProductKind {
     /// through to the product.
     Nn,
     /// `A · Bᵀ`: `B`'s *column* checksums become the product's row
-    /// checksums under the transpose — how `AS = Q·Kᵀ` acquires both
-    /// borders in `S_AS` from column-encoded `Q` and `K`.
+    /// checksums under the transpose. No section issues it: `AS = Q·Kᵀ`
+    /// takes its row checksums from the KV cache's per-block tails.
     Nt,
     /// `[A; v1ᵀA; v2ᵀA] · B` over *plain* `A`: the column encoding
     /// accumulates inside the GEMM's packing pass
@@ -125,7 +125,8 @@ pub enum ProductKind {
     /// the standalone encode sweep or the augmented copy.
     EncodeCols,
     /// `A · [B | B·v1 | B·v2]` over *plain* `B`: the row-side image of
-    /// [`ProductKind::EncodeCols`] (`gemm_encode_rows_into`).
+    /// [`ProductKind::EncodeCols`] (`gemm_encode_rows_into`). No section
+    /// issues it: every guarded projection enters column-side.
     EncodeRows,
 }
 

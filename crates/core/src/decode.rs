@@ -1,13 +1,15 @@
-//! ABFT-protected attention over a checksummed KV cache: [`extend`] appends
-//! m new rows (a whole prompt, a prefill chunk, or one decoded token) and
-//! attends them to the grown prefix.
+//! The one ABFT-protected attention, over a checksummed KV cache:
+//! [`extend`] appends m new rows (a whole training sequence, a whole
+//! prompt, a prefill chunk, or one decoded token) and attends them to the
+//! grown prefix.
 //!
-//! Training protects attention one full `seq × seq` forward at a time;
-//! serving appends rows and re-reads the whole prefix. This module keeps
-//! every serving-time GEMM inside the same three guarded sections as the
-//! training forward — `S_AS` (Q/K projections + the appended `q·Kᵀ` score
-//! rows), `S_CL` (V projection + `ap·V`), `S_O` (output projection) — at
-//! any row count m, with three cache-specific twists:
+//! Training, prefill and decode all run it: the training forward
+//! ([`crate::attention::forward`]) is `extend` over an empty cache that
+//! also records the backward tape, serving is `extend` over a session's
+//! cache without one. Its GEMMs sit in the three guarded sections —
+//! `S_AS` (Q/K projections + the appended `q·Kᵀ` score rows), `S_CL` (V
+//! projection + `ap·V`), `S_O` (output projection) — at any row count m,
+//! with three cache-specific twists:
 //!
 //! * **Incremental cache encoding.** [`AttnKvCache`] stores per-head K
 //!   rows in fixed-size [`PagedKv`] blocks, each block carrying its own
@@ -21,22 +23,22 @@
 //!   score rows' riding row checksums are assembled from the per-block
 //!   tails (local weights shifted by each block's start offset), so the
 //!   augmented layout downstream detection consumes is unchanged.
-//! * **Verify-on-append.** The training forward heals `Q`/`K`/`V` lazily,
-//!   at the section's delayed detection point. [`extend`] instead heals
-//!   them *eagerly*, before the K/V rows join the cache: cache rows are
-//!   long-lived state reused by every future step, and a surviving extreme
-//!   value would both poison all later score rows and be folded into the
-//!   incremental checksums, making it permanently invisible. The score,
-//!   context, and output GEMMs keep the delayed-detection shape.
+//! * **Verify-on-append.** [`extend`] heals `Q`/`K`/`V` *eagerly*, where
+//!   they leave their projection and before the K/V rows join the cache:
+//!   cache rows are long-lived state reused by every future step, and a
+//!   surviving extreme value would both poison all later score rows and be
+//!   folded into the incremental checksums, making it permanently
+//!   invisible (training's backward pass reuses them from the tape too).
+//!   The score, context, and output GEMMs keep the delayed-detection shape.
 //! * **The blocked accumulation contract.** Every GEMM here runs the
-//!   same packed kernels (and therefore the same per-element accumulation
-//!   order, `attn_tensor::contract`, which does not depend on m) as the
-//!   full forward, so each extended row is **bit-identical** to the same
-//!   row of the full protected forward over the grown prefix, whatever the
-//!   chunking — the parity property `tests/decode_parity.rs` pins — and
-//!   exact replay restores corrected elements to their original bits.
+//!   packed kernels, whose per-element accumulation order
+//!   (`attn_tensor::contract`) does not depend on m, so each extended row
+//!   is **bit-identical** to the same row of one `extend` over the whole
+//!   grown prefix, whatever the chunking — the parity property
+//!   `tests/decode_parity.rs` pins — and exact replay restores corrected
+//!   elements to their original bits.
 
-use crate::attention::{AttentionWeightsRef, AttnOp, FaultSite, ProtectedAttention};
+use crate::attention::{AttentionWeightsRef, AttnCache, AttnOp, FaultSite, ProtectedAttention};
 use crate::checked::CheckedMatrix;
 use crate::checksum::{vector_sums, weight};
 use crate::config::{AbftConfig, ProtectionConfig};
@@ -446,24 +448,26 @@ impl ProtectedAttention {
 /// Protected attention for m ≥ 1 new rows: append the rows of `x`
 /// (`m × hidden`, the block input at positions `len..len+m`) to `cache`
 /// and return their attention output (`m × hidden`). Prefill is `extend`
-/// over an empty cache, a decode step its m = 1 case.
+/// over an empty cache, a decode step its m = 1 case, and the training
+/// [`forward`](crate::attention::forward) the same empty-cache call with
+/// the backward tape recorded.
 ///
 /// `ctx.mask`, when present, must be rows `len..len+m` of the mask over
 /// the grown prefix (`m × (len+m)`), e.g. those rows of the causal or
-/// local-banded mask — causality *inside* the chunk comes only from it.
-/// Hooks fire at the same [`FaultSite`]s as the training forward, on the
-/// m-row matrices.
+/// local-banded mask — causality *inside* the chunk comes only from it;
+/// without one every row sees the whole grown prefix (bidirectional
+/// attention over an empty cache). Hooks fire at every [`FaultSite`] on
+/// the m-row matrices.
 ///
 /// Fault-free, the returned rows are bit-identical to rows `len..len+m` of
-/// the training [`forward`](crate::attention::forward) over the grown
-/// prefix under the same mask (see the module docs for why the contract
-/// holds); after an injected extreme value in any of the six GEMMs they
-/// are *still* bit-identical, via checksum correction plus exact replay.
+/// one `extend` of the whole grown prefix under the same mask, whatever
+/// the chunking (see the module docs for why the contract holds); after
+/// an injected extreme value in any of the six GEMMs they are *still*
+/// bit-identical, via checksum correction plus exact replay.
 ///
 /// # Panics
 /// Panics on zero rows and on shape mismatches (input width, cache
 /// geometry, mask rows).
-#[allow(clippy::needless_range_loop)] // head index drives several buffers
 pub fn extend(
     w: &AttentionWeightsRef<'_>,
     config: &ProtectionConfig,
@@ -471,6 +475,22 @@ pub fn extend(
     cache: &mut AttnKvCache,
     ctx: &mut ForwardCtx<'_, '_>,
 ) -> Matrix {
+    attend(w, config, x, cache, ctx, false).0
+}
+
+/// The one protected attention: [`extend`], plus — when `taped` — the
+/// backward tape of the new rows (post-correction: `q`/`k`/`v` are the
+/// healed rows that joined the cache). Serving asks for no tape and pays
+/// for none.
+#[allow(clippy::needless_range_loop)] // head index drives several buffers
+pub(crate) fn attend(
+    w: &AttentionWeightsRef<'_>,
+    config: &ProtectionConfig,
+    x: &Matrix,
+    cache: &mut AttnKvCache,
+    ctx: &mut ForwardCtx<'_, '_>,
+    taped: bool,
+) -> (Matrix, Option<AttnCache>) {
     let (d, shape) = (w.head_dim(), (x.cols(), cache.heads(), cache.head_dim()));
     assert_eq!(shape, (w.hidden, w.heads, d), "extend: shapes");
     assert!(x.rows() > 0, "extend: no rows");
@@ -534,6 +554,8 @@ pub fn extend(
     }
 
     let mut ap_rows: Vec<Matrix> = Vec::with_capacity(w.heads);
+    // The masked pre-softmax rows, copied only for a tape.
+    let mut scores = Vec::with_capacity(if taped { w.heads } else { 0 });
     for h in 0..w.heads {
         let qh = q.slice_cols(h * d, (h + 1) * d);
         let mut as_row = cache.score_row(&qh, h);
@@ -559,6 +581,9 @@ pub fn extend(
             if let Some(mrows) = mask {
                 apply_additive_mask(m, mrows);
             }
+            if taped {
+                scores.push(m.clone());
+            }
             // The pre-softmax rows are `as_row` + mask again, rebuilt
             // only when the screen fails.
             softmax_rows_checked_inplace(m, &op_guard, || {
@@ -577,6 +602,9 @@ pub fn extend(
     // column checksums restrict exactly to each head's column range.
     let mut v = s_cl.gemm(x, w.wv);
     v.add_bias(w.bv);
+    // The tape's V is assembled from the healed per-head rows: the slices
+    // below are copies, so `v` itself keeps any struck value.
+    let mut v_tape = taped.then(|| Matrix::zeros(x.rows(), w.hidden));
     let mut cl_blocks = Vec::with_capacity(w.heads);
     for h in 0..w.heads {
         let mut v_h = v.slice_cols(h * d, (h + 1) * d);
@@ -596,6 +624,9 @@ pub fn extend(
         }
         for r in 0..x.rows() {
             cache.append_v(h, v_h.logical_row(r));
+            if let Some(t) = v_tape.as_mut() {
+                t.row_mut(r)[h * d..(h + 1) * d].copy_from_slice(v_h.logical_row(r));
+            }
         }
 
         let mut cl_row = cache.context_row(&ap_rows[h], h, s_cl.active());
@@ -636,7 +667,16 @@ pub fn extend(
     }
     det.absorb(ctx.report);
     ctx.report.absorb_op_guard(op_guard.take_stats());
-    o.logical()
+    let tape = v_tape.map(|v_healed| AttnCache {
+        x: x.clone(),
+        q: q.into_logical(),
+        k: k.into_logical(),
+        v: v_healed,
+        scores,
+        ap: ap_rows,
+        cl: cl_merged.into_logical(),
+    });
+    (o.into_logical(), tape)
 }
 
 #[cfg(test)]

@@ -27,15 +27,18 @@
 //! * [`policy`] — [`ProtectionPolicy`]: single owner of the per-section
 //!   frequency gates (paper §4.5), handing out per-execution
 //!   [`attention::SectionToggles`].
-//! * [`attention`] — the three protection sections `S_AS`, `S_CL`, `S_O`
-//!   with checksum passing across the six attention GEMMs (paper §4.4,
-//!   Fig 5), built on [`section`], including fault-injection hooks for
-//!   campaigns. One forward ([`attention::forward`]) over borrowed weights;
-//!   callers that batch (trainer, decode engine) fan it out per item.
-//! * [`decode`] — the same three sections over a checksummed KV cache
-//!   ([`AttnKvCache`]): [`decode::extend`] appends m ≥ 1 rows with
-//!   verify-on-append, so a prompt, a prefill chunk and a decoded token are
-//!   one call; the cache verifies itself where it lies when parked.
+//! * [`attention`] — the attention's weights, tape, section toggles and
+//!   fault-injection sites, and the training forward
+//!   ([`attention::forward`]): [`decode::extend`] over an empty KV cache,
+//!   recording the backward tape. Callers that batch (trainer, decode
+//!   engine) fan it out per item.
+//! * [`decode`] — the one protected attention: the three sections `S_AS`,
+//!   `S_CL`, `S_O` with checksum passing across the six attention GEMMs
+//!   (paper §4.4, Fig 5), built on [`section`], over a checksummed KV
+//!   cache ([`AttnKvCache`]). [`decode::extend`] appends m ≥ 1 rows with
+//!   verify-on-append, so a training sequence, a prompt, a prefill chunk
+//!   and a decoded token are one call; the cache verifies itself where it
+//!   lies when parked.
 //! * [`adaptive`] — Poisson reliability model, fault coverage (FC), fault
 //!   coverage efficiency (FCE), and the greedy detection-frequency
 //!   optimizer of paper Algorithm 1.

@@ -3,8 +3,9 @@
 //!
 //! A *section* is a group of GEMMs whose checksums ride from operand to
 //! product so that one **delayed detection point** covers every kernel in
-//! the group. [`ProtectedAttention`](crate::attention::ProtectedAttention)
-//! builds its three sections (`S_AS`, `S_CL`, `S_O`) on this API, and the
+//! the group. The one protected attention ([`crate::decode::extend`], which
+//! the training forward runs too) opens its three sections (`S_AS`,
+//! `S_CL`, `S_O`) on this API, and the
 //! same building blocks protect the transformer FFN GEMMs end-to-end
 //! (`attn_model`), in the spirit of extending attention ABFT across the
 //! whole model (FT-Transformer, arXiv 2504.02211).
@@ -27,11 +28,10 @@
 //!   plain, its encoding accumulates inside the kernel's packing pass
 //!   (paper §4.6) — bit-identical to encode-then-multiply without the
 //!   standalone sweep; when the section is inactive, inherited checksums
-//!   are dropped (a prefix view) and the plain product runs.
-//!   [`GuardedSection::gemm_nt`] is `A · Bᵀ`, and
-//!   [`GuardedSection::gemm_encode_rows`] the row-side entry (`B` plain,
-//!   row-encoded in the packing pass). This is how `S_AS`, `S_CL`, `S_O`
-//!   and `S_FFN` run on the hot path.
+//!   are dropped (a prefix view) and the plain product runs. This is how
+//!   every projection of `S_AS`, `S_CL`, `S_O` and `S_FFN` runs on the hot
+//!   path; the score and context products read the KV cache's paged
+//!   blocks, so [`crate::decode`] builds their checked products itself.
 //! * standalone encode — [`GuardedSection::encode_cols`] column-encodes a
 //!   section input eagerly, for callers that need the encoded matrix
 //!   itself (and as the reference the fused entry is tested against).
@@ -42,10 +42,10 @@
 //!   protocol and returns a [`Detection`] that the caller refines to exact
 //!   bits ([`Detection::refine`]) and folds into the report
 //!   ([`Detection::absorb`]).
-//! * operand healing — [`GuardedSection::heal_operand_cols`] /
-//!   [`GuardedSection::heal_operand_rows`] repair *source* matrices (`Q`,
-//!   `K`, `V`) through their inherited checksums once a delayed detection
-//!   fires, because the backward pass reuses them.
+//! * operand healing — [`GuardedSection::heal_operand_cols`] repairs
+//!   *source* matrices (`Q`, `K`, `V`) through their inherited column
+//!   checksums as they leave their projection, because the KV cache and
+//!   the backward pass reuse them.
 //! * [`ForwardCtx`] — the per-execution state (mask, section toggles, fault
 //!   hook, report) threaded through every layer of one execution.
 //!
@@ -83,9 +83,7 @@
 use crate::attention::{FaultHook, FaultSite, SectionToggles};
 use crate::checked::{CheckedMatrix, Operand, ProductKind};
 use crate::config::{AbftConfig, ProtectionConfig, Strategy};
-use crate::detect::{
-    correct_columns, correct_rows, full_correct, CorrectionSummary, ElementFix, PassOutcome,
-};
+use crate::detect::{correct_columns, full_correct, CorrectionSummary, ElementFix, PassOutcome};
 use crate::report::{AbftReport, CorrectionRecord, SectionId};
 use attn_tensor::Matrix;
 
@@ -207,39 +205,14 @@ impl GuardedSection {
         a: impl Into<Operand<'a>>,
         b: impl Into<Operand<'b>>,
     ) -> CheckedMatrix {
-        self.product(a.into(), b.into(), ProductKind::Nn)
-    }
-
-    /// Guarded product `A · Bᵀ` (`B`'s column checksums transpose into the
-    /// product's row checksums — how `AS = Q·Kᵀ` acquires both borders).
-    pub fn gemm_nt<'a, 'b>(
-        &self,
-        a: impl Into<Operand<'a>>,
-        b: impl Into<Operand<'b>>,
-    ) -> CheckedMatrix {
-        self.product(a.into(), b.into(), ProductKind::Nt)
-    }
-
-    /// Row-side entry: `A · B` with plain `b` row-encoded inside the
-    /// GEMM's packing pass — how each per-head `W_V` slice enters `S_CL`
-    /// without its own encoding sweep. `a` is taken as it comes (its
-    /// column checksums ride, a plain `a` stays plain).
-    pub fn gemm_encode_rows<'a>(&self, a: impl Into<Operand<'a>>, b: &Matrix) -> CheckedMatrix {
-        self.product(a.into(), b.into(), ProductKind::EncodeRows)
-    }
-
-    /// The one place a section decides how a product runs, from
-    /// `active × what the left operand already carries`.
-    fn product(&self, a: Operand<'_>, b: Operand<'_>, kind: ProductKind) -> CheckedMatrix {
-        use ProductKind::*;
+        let (a, b) = (a.into(), b.into());
         if !self.active {
-            let plain = if kind == Nt { Nt } else { Nn };
-            return CheckedMatrix::product(a.without_col_checksums(), b, plain);
+            return CheckedMatrix::product(a.without_col_checksums(), b, ProductKind::Nn);
         }
-        let kind = if kind == Nn && !a.has_col_checksums() {
-            EncodeCols
+        let kind = if a.has_col_checksums() {
+            ProductKind::Nn
         } else {
-            kind
+            ProductKind::EncodeCols
         };
         CheckedMatrix::product(a, b, kind)
     }
@@ -274,8 +247,9 @@ impl GuardedSection {
 
     /// Heal a source operand through its inherited *column* checksums, then
     /// refine the fixes to exact bits with `exact` (the producing dot
-    /// product). Used for matrices the backward pass will reuse (`Q`, `K`),
-    /// where a surviving extreme value would re-poison training.
+    /// product). Used for `Q`, `K` and each head's `V` as they leave their
+    /// projection: the KV cache and the backward pass reuse them, where a
+    /// surviving extreme value would re-poison every later step.
     pub fn heal_operand_cols(
         &self,
         report: &mut AbftReport,
@@ -284,20 +258,6 @@ impl GuardedSection {
         exact: impl Fn(usize, usize) -> f32,
     ) {
         let mut pass = correct_columns(m, &self.abft);
-        apply_exact_fixes(m, &self.abft, pass.fixes.iter_mut(), exact);
-        record_pass(report, &pass, self.id, head);
-    }
-
-    /// Row-checksum counterpart of [`Self::heal_operand_cols`] (the
-    /// per-head `V` blocks inherit row checksums from `W_V`).
-    pub fn heal_operand_rows(
-        &self,
-        report: &mut AbftReport,
-        m: &mut CheckedMatrix,
-        head: usize,
-        exact: impl Fn(usize, usize) -> f32,
-    ) {
-        let mut pass = correct_rows(m, &self.abft);
         apply_exact_fixes(m, &self.abft, pass.fixes.iter_mut(), exact);
         record_pass(report, &pass, self.id, head);
     }

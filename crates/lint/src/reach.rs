@@ -48,7 +48,7 @@ pub const OP_PATH_ENTRIES: [(&str, &str, &str); 7] = [
 ];
 
 /// The `GuardedSection` methods that constitute the guarded GEMM API.
-const GUARDED_GEMM_METHODS: [&str; 3] = ["gemm", "gemm_nt", "gemm_encode_rows"];
+const GUARDED_GEMM_METHODS: [&str; 1] = ["gemm"];
 
 /// Edge-cut suppressions, indexed by `(file, line)` per lint name.
 pub struct PathAllows<'a> {

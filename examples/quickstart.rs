@@ -47,8 +47,8 @@ fn main() {
     );
     println!("faulty run: {report}");
 
-    // 4. The delayed detection at the attention-score section caught the
-    //    propagated 1R pattern and reconstructed every element.
+    // 4. S_AS verified Q as it left its projection, corrected the struck
+    //    element from Q's column checksums and replayed its exact bits.
     assert!(recovered.output.all_finite());
     assert!(recovered.output.approx_eq(&clean.output, 1e-3, 1e-3));
     assert!(report.correction_count() > 0);
