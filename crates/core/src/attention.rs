@@ -599,6 +599,28 @@ pub(crate) mod tests {
                 assert!(bits(got) == bits(want), "{op:?} head {head}: tape[{i}]");
             }
         }
+        // Two extreme cells in one column of one head's V: column checksums
+        // locate neither, and the struck rows join the cache with a pair
+        // derived from the corrupt data, so `CL`'s borders agree with them.
+        // The heal is the last point that can tell, and it must report it.
+        let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
+            if site.op == AttnOp::V && site.head == Some(2) {
+                for r in [2, 6] {
+                    m.set(r, 5, FaultKind::NearInf.apply(m.get(r, 5)));
+                }
+            }
+        };
+        let mut report = AbftReport::default();
+        let _ = attn.forward(
+            &x,
+            ForwardOptions {
+                mask: None,
+                toggles: SectionToggles::all(),
+                hook: Some(&mut hook),
+            },
+            &mut report,
+        );
+        assert!(report.unrecovered >= 1, "two-cell V column: {report}");
     }
 
     #[test]

@@ -114,20 +114,12 @@ pub enum ProductKind {
     /// `A · B`: `A`'s column checksums and `B`'s row checksums ride
     /// through to the product.
     Nn,
-    /// `A · Bᵀ`: `B`'s *column* checksums become the product's row
-    /// checksums under the transpose. No section issues it: `AS = Q·Kᵀ`
-    /// takes its row checksums from the KV cache's per-block tails.
-    Nt,
     /// `[A; v1ᵀA; v2ᵀA] · B` over *plain* `A`: the column encoding
     /// accumulates inside the GEMM's packing pass
     /// (`attn_tensor::gemm::gemm_encode_cols_into`), bit-identical to
     /// `encode_cols(A, Fused)` followed by [`ProductKind::Nn`] but without
     /// the standalone encode sweep or the augmented copy.
     EncodeCols,
-    /// `A · [B | B·v1 | B·v2]` over *plain* `B`: the row-side image of
-    /// [`ProductKind::EncodeCols`] (`gemm_encode_rows_into`). No section
-    /// issues it: every guarded projection enters column-side.
-    EncodeRows,
 }
 
 impl CheckedMatrix {
@@ -297,45 +289,41 @@ impl CheckedMatrix {
     /// The one fused product over the augmented buffers: a single kernel
     /// call updates data and checksums together (paper §4.6). Checksum
     /// flags compose — the left operand's column checksums and the right
-    /// operand's outer-dimension checksums ride through, the encode kinds
-    /// add the missing border on entry, the corner comes for free.
+    /// operand's row checksums ride through, [`ProductKind::EncodeCols`]
+    /// adds the missing column border on entry, the corner comes for free.
     ///
     /// # Panics
     /// Panics when an operand carries checksums along the inner dimension
     /// (they would corrupt the product) and, in the kernel, on dimension
     /// mismatch — which an entry encode over an already encoded side is.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "this is the guarded product: the kernel call updates data and checksums together"
+    )]
     pub fn product<'a, 'b>(
         a: impl Into<Operand<'a>>,
         b: impl Into<Operand<'b>>,
         kind: ProductKind,
     ) -> CheckedMatrix {
-        use ProductKind::*;
         let (a, b) = (a.into(), b.into());
-        let (b_outer, b_inner_cs, b_outer_cs) = match kind {
-            Nt => (b.rows, b.has_row_cs, b.has_col_cs),
-            _ => (b.cols, b.has_col_cs, b.has_row_cs),
-        };
         assert!(
-            !a.has_row_cs && !b_inner_cs,
+            !a.has_row_cs && !b.has_col_cs,
             "product: checksums along the inner dimension"
         );
-        let has_col_cs = a.has_col_cs || kind == EncodeCols;
-        let has_row_cs = b_outer_cs || kind == EncodeRows;
+        let has_col_cs = a.has_col_cs || kind == ProductKind::EncodeCols;
         let mut buf = Matrix::zeros(
             a.rows + 2 * usize::from(has_col_cs),
-            b_outer + 2 * usize::from(has_row_cs),
+            b.cols + 2 * usize::from(b.has_row_cs),
         );
         match kind {
-            Nn => gemm::matmul_into(a.buf, b.buf, buf.view_mut()),
-            Nt => gemm::matmul_nt_into(a.buf, b.buf, buf.view_mut()),
-            EncodeCols => gemm::gemm_encode_cols_into(a.buf, b.buf, buf.view_mut()),
-            EncodeRows => gemm::gemm_encode_rows_into(a.buf, b.buf, buf.view_mut()),
+            ProductKind::Nn => gemm::matmul_into(a.buf, b.buf, buf.view_mut()),
+            ProductKind::EncodeCols => gemm::gemm_encode_cols_into(a.buf, b.buf, buf.view_mut()),
         }
         CheckedMatrix {
             rows: a.rows,
-            cols: b_outer,
+            cols: b.cols,
             has_col_cs,
-            has_row_cs,
+            has_row_cs: b.has_row_cs,
             buf,
         }
     }
@@ -489,6 +477,10 @@ impl CheckedMatrix {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests check guarded products against the raw kernels"
+)]
 mod tests {
     use super::*;
     use attn_tensor::rng::TensorRng;
@@ -538,20 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_matmul_nt_transposes_checksum_side() {
-        let mut rng = TensorRng::seed_from(4);
-        let q = rand(&mut rng, 7, 4);
-        let k = rand(&mut rng, 9, 4);
-        let cq = CheckedMatrix::encode_cols(&q, Strategy::Fused);
-        let ck = CheckedMatrix::encode_cols(&k, Strategy::Fused);
-        let cs = CheckedMatrix::product(&cq, &ck, ProductKind::Nt);
-        assert_eq!((cs.rows(), cs.cols()), (7, 9));
-        assert!(cs.has_col_checksums() && cs.has_row_checksums());
-        assert!(cs.logical().approx_eq(&gemm::matmul_nt(&q, &k), 1e-4, 1e-4));
-        assert!(cs.max_checksum_discrepancy() < 1e-2);
-    }
-
-    #[test]
     fn fused_encode_cols_is_bit_identical_to_encode_then_gemm() {
         let mut rng = TensorRng::seed_from(31);
         // Sizes straddling the MC row-block and KC k-block edges, plus a
@@ -567,24 +545,6 @@ mod tests {
                 assert_eq!(fused.buf(), staged.buf(), "{m}x{k}x{n}");
                 assert_eq!(fused.has_row_checksums(), staged.has_row_checksums());
                 assert!(fused.has_col_checksums());
-            }
-        }
-    }
-
-    #[test]
-    fn fused_encode_rows_is_bit_identical_to_encode_then_gemm() {
-        let mut rng = TensorRng::seed_from(37);
-        for &(m, k, n) in &[(1, 1, 1), (5, 9, 6), (9, 140, 80), (33, 70, 130)] {
-            let a = rand(&mut rng, m, k);
-            let b = rand(&mut rng, k, n);
-            let ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
-            for lhs in [Operand::from(&a), Operand::from(&ca)] {
-                let fused = CheckedMatrix::product(lhs, &b, ProductKind::EncodeRows);
-                let cb = CheckedMatrix::encode_rows(&b, Strategy::Fused);
-                let staged = CheckedMatrix::product(lhs, &cb, ProductKind::Nn);
-                assert_eq!(fused.buf(), staged.buf(), "{m}x{k}x{n}");
-                assert_eq!(fused.has_col_checksums(), staged.has_col_checksums());
-                assert!(fused.has_row_checksums());
             }
         }
     }

@@ -7,13 +7,14 @@
 //! checksum) pair both *detects* an error (δ1 ≠ 0) and *locates* it
 //! (δ2/δ1 = weighted index).
 //!
-//! Guarded products never call these encoders: the packed GEMM kernels
-//! produce both projections *inside their packing pass*
-//! (`attn_tensor::gemm::gemm_encode_cols_into` / `gemm_encode_rows_into`),
-//! one read of `A` for both sums — the paper's §4.6 fused encoder.
-//! [`col_checksums`] / [`row_checksums`] are the standalone references
-//! those fused entries are tested against, and the encoders behind
-//! `CheckedMatrix::encode_*` for operands encoded outside a product.
+//! Guarded products never call these encoders: the packed GEMM kernel
+//! produces both column projections *inside its packing pass*
+//! (`attn_tensor::gemm::gemm_encode_cols_into` and its paged twin), one
+//! read of `A` for both sums — the paper's §4.6 fused encoder; row
+//! borders come from the KV cache. [`col_checksums`] is the standalone
+//! reference the fused entries are tested against; it and
+//! [`row_checksums`] are the encoders behind `CheckedMatrix::encode_*`
+//! for operands encoded outside a product.
 //!
 //! **Accumulation-order contract.** Both standalone encoders call the one
 //! statement of the kernels' blocked order, [`attn_tensor::contract`], so a
@@ -64,6 +65,10 @@ pub fn vector_sums(v: &[f32]) -> (f32, f32, f32) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests check guarded products against the raw kernels"
+)]
 mod tests {
     use super::*;
     use attn_tensor::gemm::matmul;

@@ -45,7 +45,9 @@
 //! * operand healing — [`GuardedSection::heal_operand_cols`] repairs
 //!   *source* matrices (`Q`, `K`, `V`) through their inherited column
 //!   checksums as they leave their projection, because the KV cache and
-//!   the backward pass reuse them.
+//!   the backward pass reuse them. It reports through the same
+//!   [`Detection::absorb`], so a column it cannot heal counts as
+//!   unrecovered.
 //! * [`ForwardCtx`] — the per-execution state (mask, section toggles, fault
 //!   hook, report) threaded through every layer of one execution.
 //!
@@ -83,7 +85,7 @@
 use crate::attention::{FaultHook, FaultSite, SectionToggles};
 use crate::checked::{CheckedMatrix, Operand, ProductKind};
 use crate::config::{AbftConfig, ProtectionConfig, Strategy};
-use crate::detect::{correct_columns, full_correct, CorrectionSummary, ElementFix, PassOutcome};
+use crate::detect::{correct_columns, full_correct, CorrectionSummary, ElementFix};
 use crate::report::{AbftReport, CorrectionRecord, SectionId};
 use attn_tensor::Matrix;
 
@@ -257,9 +259,22 @@ impl GuardedSection {
         head: usize,
         exact: impl Fn(usize, usize) -> f32,
     ) {
-        let mut pass = correct_columns(m, &self.abft);
-        apply_exact_fixes(m, &self.abft, pass.fixes.iter_mut(), exact);
-        record_pass(report, &pass, self.id, head);
+        let mut col_pass = correct_columns(m, &self.abft);
+        apply_exact_fixes(m, &self.abft, col_pass.fixes.iter_mut(), exact);
+        // A one-sided pass heals nothing it cannot locate: propagated and
+        // unrecoverable columns stay corrupt, and the report must say so.
+        let unrecovered = col_pass.propagated.len() + col_pass.unrecoverable.len();
+        Detection {
+            summary: CorrectionSummary {
+                col_pass,
+                unrecovered,
+                ..CorrectionSummary::default()
+            },
+            id: self.id,
+            head,
+            abft: self.abft,
+        }
+        .absorb(report);
     }
 }
 
@@ -396,23 +411,11 @@ fn apply_exact_fixes<'a>(
     }
 }
 
-/// Fold a single-pass outcome (source-operand healing) into the report.
-fn record_pass(report: &mut AbftReport, pass: &PassOutcome, section: SectionId, head: usize) {
-    report.detections += pass.fixes.len();
-    report.checksum_rebuilds += pass.rebuilt.len();
-    for fix in &pass.fixes {
-        report.corrections.push(CorrectionRecord {
-            section,
-            head,
-            row: fix.row,
-            col: fix.col,
-            old_value: fix.old_value,
-            new_value: fix.new_value,
-        });
-    }
-}
-
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests check guarded products against the raw kernels"
+)]
 mod tests {
     use super::*;
     use attn_tensor::gemm;

@@ -1,9 +1,8 @@
-//! Text and JSON rendering of a [`crate::Report`] and a
-//! [`crate::reach::Coverage`].
+//! Text and JSON rendering of a [`crate::Report`].
 //!
-//! The JSON writers are hand-rolled (vendored-only environment); both
-//! schemas are flat and append-friendly so `BENCH_lint.json` and
-//! `BENCH_coverage.json` can be tracked like the other bench artifacts.
+//! The JSON writer is hand-rolled (vendored-only environment); the schema
+//! is flat and append-friendly so `BENCH_lint.json` can be tracked like
+//! the other bench artifacts.
 //!
 //! Schema history:
 //!
@@ -30,13 +29,11 @@
 //!   rayon shim's reducer-free API, `clippy.toml`'s disallowed types,
 //!   `attn_tensor`'s `unsafe` lint levels), so their counts, the
 //!   `unused-safety` meta count and the `unsafe` inventory object go.
-//! * `attn-lint-coverage/v2` — the `--coverage` artifact: every op on
-//!   the forward/decode/train paths with guarded/unguarded status; v2
-//!   also sees the allocating `matmul*` trio, so it lists the by-design
-//!   unguarded GEMMs (`by_design`, `by_design_exemption`,
-//!   `unguarded_gemms_outside_exemption`).
+//! * `attn-lint-report/v7` — two lints: the GEMM-coverage lint goes, its
+//!   contract now held by clippy (`clippy.toml`'s disallowed methods), so
+//!   its `counts` and `suppression_counts` entries go with it. The
+//!   separate op-coverage artifact and its schema are retired too.
 
-use crate::reach::Coverage;
 use crate::Report;
 use std::fmt::Write as _;
 
@@ -68,11 +65,11 @@ pub fn render_text(report: &Report) -> String {
     out
 }
 
-/// Machine-readable rendering (schema `attn-lint-report/v6`).
+/// Machine-readable rendering (schema `attn-lint-report/v7`).
 pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"attn-lint-report/v6\",\n");
+    out.push_str("  \"schema\": \"attn-lint-report/v7\",\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
     let _ = writeln!(out, "  \"total_findings\": {},", report.findings.len());
     let _ = writeln!(
@@ -151,109 +148,6 @@ pub fn render_json(report: &Report) -> String {
     out
 }
 
-/// Human-readable coverage summary (the `--coverage` stdout).
-pub fn render_coverage_text(cov: &Coverage) -> String {
-    let mut out = String::new();
-    let guarded = cov.ops.len() - cov.ops_unguarded();
-    let _ = writeln!(
-        out,
-        "attn_lint coverage: {} ops on forward/decode/train paths, {} guarded \
-         ({:.1}%), {} unguarded GEMMs ({} outside the by-design exemption), \
-         {}/{} calls resolved ({:.1}%)",
-        cov.ops.len(),
-        guarded,
-        cov.coverage_rate() * 100.0,
-        cov.unguarded_gemms(),
-        cov.unguarded_gemms_outside_exemption(),
-        cov.calls_resolved,
-        cov.calls_total,
-        cov.resolution_rate() * 100.0
-    );
-    for op in &cov.ops {
-        let _ = writeln!(
-            out,
-            "  {} {} `{}` at {}:{} [{}] via {}",
-            match (op.guarded, op.by_design) {
-                (true, _) => "✓",
-                (false, true) => "·",
-                (false, false) => "✗",
-            },
-            op.kind,
-            op.name,
-            op.file,
-            op.line,
-            op.paths.join("+"),
-            op.via
-        );
-    }
-    out
-}
-
-/// Machine-readable coverage artifact (schema `attn-lint-coverage/v2`).
-pub fn render_coverage_json(cov: &Coverage) -> String {
-    let mut out = String::new();
-    let unguarded = cov.ops_unguarded();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"attn-lint-coverage/v2\",\n");
-    let _ = writeln!(out, "  \"ops_total\": {},", cov.ops.len());
-    let _ = writeln!(out, "  \"ops_guarded\": {},", cov.ops.len() - unguarded);
-    let _ = writeln!(out, "  \"ops_unguarded\": {unguarded},");
-    let _ = writeln!(out, "  \"coverage_rate\": {:.4},", cov.coverage_rate());
-    let _ = writeln!(out, "  \"unguarded_gemms\": {},", cov.unguarded_gemms());
-    let _ = writeln!(
-        out,
-        "  \"unguarded_gemms_outside_exemption\": {},",
-        cov.unguarded_gemms_outside_exemption()
-    );
-    let exempt: Vec<String> = crate::lints::UNGUARDED_GEMM_BY_DESIGN
-        .iter()
-        .map(|(owner, name)| json_str(&format!("{owner}::{name}")))
-        .collect();
-    let _ = writeln!(out, "  \"by_design_exemption\": [{}],", exempt.join(", "));
-    let _ = writeln!(
-        out,
-        "  \"calls\": {{\"total\": {}, \"resolved\": {}, \"resolution_rate\": {:.4}}},",
-        cov.calls_total,
-        cov.calls_resolved,
-        cov.resolution_rate()
-    );
-    out.push_str("  \"entries\": [");
-    for (i, (path, name)) in cov.entries.iter().enumerate() {
-        let sep = if i + 1 == cov.entries.len() {
-            "\n  "
-        } else {
-            ","
-        };
-        let _ = write!(
-            out,
-            "\n    {{\"path\": {}, \"fn\": {}}}{sep}",
-            json_str(path),
-            json_str(name)
-        );
-    }
-    out.push_str("],\n");
-    out.push_str("  \"ops\": [");
-    for (i, op) in cov.ops.iter().enumerate() {
-        let sep = if i + 1 == cov.ops.len() { "\n  " } else { "," };
-        let paths: Vec<String> = op.paths.iter().map(|p| json_str(p)).collect();
-        let _ = write!(
-            out,
-            "\n    {{\"kind\": {}, \"name\": {}, \"file\": {}, \"line\": {}, \
-             \"guarded\": {}, \"by_design\": {}, \"paths\": [{}], \"via\": {}}}{sep}",
-            json_str(op.kind),
-            json_str(&op.name),
-            json_str(&op.file),
-            op.line,
-            op.guarded,
-            op.by_design,
-            paths.join(", "),
-            json_str(&op.via)
-        );
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
 /// Minimal JSON string escaping.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -305,7 +199,7 @@ mod tests {
             entry_points: vec!["Gateway::tick".into()],
         };
         let json = render_json(&report);
-        assert!(json.contains("\"schema\": \"attn-lint-report/v6\""));
+        assert!(json.contains("\"schema\": \"attn-lint-report/v7\""));
         assert!(json.contains("\"total_findings\": 1"));
         assert!(json.contains("\\\"quotes\\\"\\nand newline"));
         assert!(json.contains("\"float-eq\": 1"));
@@ -316,7 +210,7 @@ mod tests {
         );
         assert!(
             !json.contains("\"unsafe\""),
-            "v6 carries no unsafe inventory"
+            "v7 carries no unsafe inventory"
         );
         assert!(json.contains("\"panic-reach\": 1")); // suppression_counts
         assert!(json.contains("\"Gateway::tick\""));
@@ -335,30 +229,5 @@ mod tests {
         };
         let text = render_text(&report);
         assert!(text.contains("4 files scanned, 0 findings, 1 suppression honoured"));
-    }
-
-    #[test]
-    fn coverage_json_is_well_formed() {
-        let cov = Coverage {
-            ops: vec![crate::reach::CoverageOp {
-                kind: "gemm",
-                name: "gemm".into(),
-                file: "crates/core/src/section.rs".into(),
-                line: 40,
-                guarded: true,
-                by_design: false,
-                paths: vec!["decode", "forward"],
-                via: "Gateway::tick → GuardedSection::gemm".into(),
-            }],
-            entries: vec![("decode".into(), "Gateway::tick".into())],
-            calls_total: 100,
-            calls_resolved: 95,
-        };
-        let json = render_coverage_json(&cov);
-        assert!(json.contains("\"schema\": \"attn-lint-coverage/v2\""));
-        assert!(json.contains("\"coverage_rate\": 1.0000"));
-        assert!(json.contains("\"unguarded_gemms\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -4,8 +4,9 @@
 //! proves the contract is held where it matters. Each row edits one file
 //! of the tree in memory (nothing is written or compiled) and names the
 //! lints that must fire in that file; any other finding fails the row.
-//! Determinism and `unsafe` hygiene have no rows: their violations are
-//! compile errors or clippy findings (DESIGN.md, the contract table).
+//! ABFT coverage, determinism and `unsafe` hygiene have no rows: their
+//! violations are compile errors or clippy findings (DESIGN.md, the
+//! contract table).
 
 /// One seeded violation.
 struct Row {
@@ -20,13 +21,6 @@ struct Row {
 }
 
 const ROWS: &[Row] = &[
-    Row {
-        file: "crates/model/src/ffn.rs",
-        needle: "        let (pre, x_tape) = self.lin1.forward(x, &sec, ctx);",
-        replacement: "        let (pre, x_tape) = self.lin1.forward(x, &sec, ctx);\n        \
-                      let _raw = attn_tensor::gemm::matmul(x, x);",
-        expect: &["unguarded-gemm"],
-    },
     Row {
         file: "crates/serve/src/gateway.rs",
         needle: "        self.step_hot();\n        self.now += 1;",

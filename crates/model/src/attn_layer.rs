@@ -97,6 +97,10 @@ impl AttentionLayer {
     /// gradients into `grads`. Each per-head softmax Jacobian product is
     /// screened under `g` (its rows sum to ~0) and healed by exact
     /// recompute on violation.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "unguarded by design: the backward GEMMs consume a healed tape (ROADMAP item 6b)"
+    )]
     pub fn backward(
         &self,
         dy: &Matrix,

@@ -47,35 +47,20 @@ pub fn weight(i: usize) -> f32 {
     (i + 1) as f32
 }
 
-/// `N` product elements sharing one left row, under the element contract:
-/// a fresh partial per [`KC`] block, `kk` ascending, partials combined in
-/// block order on top of zero. `b(kk)` yields the `N` right-hand values at
-/// inner index `kk`; the lanes are independent add chains over one pass.
-#[inline]
-fn dot_lanes<const N: usize>(a: &[f32], b: impl Fn(usize) -> [f32; N]) -> [f32; N] {
-    let mut acc = [0.0f32; N];
-    for (blk, ab) in a.chunks(KC).enumerate() {
-        let p0 = blk * KC;
-        let mut part = [0.0f32; N];
-        for (kk, &av) in ab.iter().enumerate() {
-            let bv = b(p0 + kk);
-            for (p, &v) in part.iter_mut().zip(&bv) {
-                *p += av * v;
-            }
-        }
-        for (o, &p) in acc.iter_mut().zip(&part) {
-            *o += p;
-        }
-    }
-    acc
-}
-
 /// One element of an `op(A)·op(B)` product, replayed bit-for-bit: `a` is
 /// the element's row of `op(A)`, `b(kk)` its column of `op(B)`. This is
 /// exact post-correction replay (`attnchecker::section::replay_nn`).
 #[inline]
 pub fn dot_with(a: &[f32], b: impl Fn(usize) -> f32) -> f32 {
-    dot_lanes(a, |kk| [b(kk)])[0]
+    let mut acc = 0.0f32;
+    for (blk, ab) in a.chunks(KC).enumerate() {
+        let mut part = 0.0f32;
+        for (kk, &av) in ab.iter().enumerate() {
+            part += av * b(blk * KC + kk);
+        }
+        acc += part;
+    }
+    acc
 }
 
 /// [`dot_with`] over two slices of equal length — the same order, zipped
@@ -93,14 +78,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         acc += part;
     }
     acc
-}
-
-/// `(dot(a, b0), dot(a, b1))` in one pass over `a` — the two checksum
-/// columns of a row-side border share their left row.
-#[inline]
-pub(crate) fn dot2(a: &[f32], b0: &[f32], b1: &[f32]) -> (f32, f32) {
-    let [s0, s1] = dot_lanes(a, |kk| [b0[kk], b1[kk]]);
-    (s0, s1)
 }
 
 /// `R` left rows against one *pair* of right columns in a single pass:
@@ -274,8 +251,6 @@ mod tests {
             let want = longhand_dot(ar, bc).to_bits();
             assert_eq!(dot(ar, bc).to_bits(), want, "k={k}");
             assert_eq!(dot_with(ar, |kk| bc[kk]).to_bits(), want, "k={k}");
-            let (d0, d1) = dot2(ar, bc, bc);
-            assert_eq!((d0.to_bits(), d1.to_bits()), (want, want), "k={k}");
             if k > 0 {
                 assert_eq!(matmul(&a, &b)[(0, 0)].to_bits(), want, "k={k}: kernel");
             }

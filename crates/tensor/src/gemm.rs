@@ -16,13 +16,12 @@
 //!
 //! # Fused checksum encoding
 //!
-//! [`gemm_encode_cols_into`] and [`gemm_encode_rows_into`] produce an
+//! [`gemm_encode_cols_into`] (and its paged twin) produces an
 //! ABFT-augmented product in one call: the left operand's column-checksum
 //! projections accumulate *inside the packing loop* (the packing already
-//! streams every element through registers; the right operand's row sums
-//! are one [`contract::row_sums`] per row), and the checksum border of
-//! the product is then a 2-row (2-column) product under the same
-//! per-element contract — bit-identical to encoding the operand first and
+//! streams every element through registers), and the checksum border of
+//! the product is then a 2-row product under the same per-element
+//! contract — bit-identical to encoding the operand first and
 //! multiplying the augmented matrix, without the standalone encode sweep
 //! or the augmented-copy allocation. This is the paper's §4.6 fusion:
 //! "pack the checksum with the operand matrix such that the checksum can
@@ -64,9 +63,9 @@
 //! the driver and takes the two pair columns of all three augmented rows as
 //! six contract elements in one walk over the block slices
 //! ([`contract::dots_pair`]) — `ap·V` 14.5 → 9–11 µs of a decode step.
-//! Measured and rejected there: a per-row `dot2` over `PagedKv::row(kk)`
-//! (three walks, an `r / block_rows` per element) — no gain over the
-//! 34-wide product.
+//! Measured and rejected there: a per-row two-column dot over
+//! `PagedKv::row(kk)` (three walks, an `r / block_rows` per element) — no
+//! gain over the 34-wide product.
 //!
 //! Measured and rejected since (train shape, external harness, protected −
 //! twin ms per step): riding the column border at m = 64 *without* the
@@ -75,7 +74,8 @@
 //! predicate stays as written; the row border as two more columns of one
 //! packed source (`[B | B·v1 | B·v2]`) — V's entry 0.75 → 0.95 at head
 //! width 32, where the pair opens an `NR` panel that is three-quarters
-//! padding, so it stays a `dot2` per row; and an AVX2 instantiation of
+//! padding (V's entry has since left the section: the KV cache carries its
+//! row pairs); and an AVX2 instantiation of
 //! the two across-output sweeps behind a run-time dispatch — for the
 //! in-packing column sweep a dispatch per 64-float row costs more than
 //! the wider lanes save (FFN entries 0.67 → 0.90), for the streaming
@@ -443,40 +443,6 @@ fn encode_border_cols<B: SrcRead>(cs: &[f32], b: B, k: usize, out: [&mut [f32]; 
         for (o, &p) in out1.iter_mut().zip(part1.iter()) {
             *o += p;
         }
-    }
-}
-
-/// Fused encode-and-multiply, row side: writes the augmented product
-/// `A · [B | B·v1 | B·v2]` into the `m × (n+2)` output `c`.
-///
-/// Columns `0..n` are the plain product; columns `n..n+2` are the riding
-/// row checksums `A·(B·v1)` / `A·(B·v2)`. `B`'s row-checksum projections
-/// are [`contract::row_sums`] of its rows, hence bit-identical to
-/// `attnchecker::checksum::row_checksums(B)`.
-///
-/// # Panics
-/// Panics unless `c.rows() == a.rows()`, `c.cols() == b.cols() + 2`, and
-/// `a.cols() == b.rows()`.
-pub fn gemm_encode_rows_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    assert_eq!(k, b.rows(), "gemm_encode_rows: inner dims");
-    assert_eq!(m, c.rows(), "gemm_encode_rows: output rows");
-    assert_eq!(n + 2, c.cols(), "gemm_encode_rows: output cols");
-    let ldc = n + 2;
-    let cd = c.data();
-    gemm_driver(src_n(a), src_n(b), m, n, k, cd, ldc, None);
-    // B's row-checksum projections under the row contract, then the
-    // checksum border A · RS_B (m × 2) as a lean streaming product under
-    // the per-element contract — bit-identical to two extra augmented
-    // columns, with A's rows read once.
-    let mut rs = workspace::take(2 * k);
-    for kk in 0..k {
-        (rs[kk], rs[k + kk]) = contract::row_sums(b.row(kk));
-    }
-    let (rs0, rs1) = rs.split_at(k);
-    for i in 0..m {
-        (cd[i * ldc + n], cd[i * ldc + n + 1]) = contract::dot2(a.row(i), rs0, rs1);
     }
 }
 
@@ -1014,30 +980,6 @@ mod tests {
                     (c[(m, j)] - col_sum).abs() <= 1e-3 + 1e-3 * col_sum.abs(),
                     "{m}x{k}x{n} col {j}: {} vs {col_sum}",
                     c[(m, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn encode_rows_matches_manual_composition() {
-        let mut rng = TensorRng::seed_from(43);
-        for &(m, k, n) in &[(1, 1, 1), (6, 9, 5), (80, 140, 70)] {
-            let a = rand_mat(&mut rng, m, k);
-            let b = rand_mat(&mut rng, k, n);
-            let mut c = Matrix::zeros(m, n + 2);
-            gemm_encode_rows_into(a.view(), b.view(), c.view_mut());
-            let plain = matmul(&a, &b);
-            for i in 0..m {
-                for j in 0..n {
-                    assert_eq!(c[(i, j)].to_bits(), plain[(i, j)].to_bits(), "{m}x{k}x{n}");
-                }
-            }
-            for i in 0..m {
-                let row_sum: f32 = (0..n).map(|j| plain[(i, j)]).sum();
-                assert!(
-                    (c[(i, n)] - row_sum).abs() <= 1e-3 + 1e-3 * row_sum.abs(),
-                    "{m}x{k}x{n} row {i}"
                 );
             }
         }

@@ -11,9 +11,9 @@
 //!   of one feed the same entry points without copies.
 //! * Packed, cache-blocked, register-tiled, [rayon]-parallel GEMM kernels
 //!   in [`gemm`] — including the transposed variants needed by attention
-//!   (`Q·Kᵀ`) and backprop (`Aᵀ·B`), and fused checksum-encoding entry
-//!   points (`gemm_encode_cols_into` / `gemm_encode_rows_into`) whose
-//!   encoding rides inside the packing pass ([`pack`]).
+//!   (`Q·Kᵀ`) and backprop (`Aᵀ·B`), and the fused column-encoding entry
+//!   points (`gemm_encode_cols_into` and its paged twin) whose encoding
+//!   rides inside the packing pass ([`pack`]).
 //! * The blocked accumulation-order contract in [`contract`] — the one
 //!   statement of how a product element, a row checksum and a column
 //!   checksum are summed, which replay and every standalone encoder call.
@@ -49,6 +49,11 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this crate defines the raw GEMM and op entries the workspace clippy.toml \
+              disallows elsewhere, and composes its guarded variants from them"
+)]
 
 pub mod contract;
 pub mod error;

@@ -1,5 +1,10 @@
 //! Property-based tests (proptest) over the core ABFT invariants.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "invariants are checked against the raw kernels and ops"
+)]
+
 use attn_fault::pattern::{classify, shape_of, PatternClass};
 use attn_fault::FaultKind;
 use attn_tensor::gemm;

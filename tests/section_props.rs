@@ -15,6 +15,11 @@
 //!    checksums into an inactive section), the logical output bits are the
 //!    same and the report stays quiet.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "guarded chains are checked against the raw kernels"
+)]
+
 use attn_fault::FaultKind;
 use attn_tensor::gemm;
 use attn_tensor::ops::add_bias_inplace;

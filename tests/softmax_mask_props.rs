@@ -2,6 +2,11 @@
 //! even one that fully masks rows with literal `-INF` — may fabricate
 //! NaNs, while the documented NaN-poisoning fault contract is preserved.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the plain softmax is this suite's subject"
+)]
+
 use attn_tensor::ops::{apply_additive_mask, softmax_rows, softmax_rows_backward, MASK_NEG};
 use attn_tensor::Matrix;
 use proptest::prelude::*;
