@@ -25,6 +25,7 @@
 //! plus `ablation_tolerance` (the detection-tolerance sweep) and
 //! `bench_faults` (the taxonomy-driven fault campaign, `BENCH_faults.json`).
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub mod kernels;

@@ -10,6 +10,7 @@
 //! binary wire format; [`manager`] adds on-disk storage and a
 //! restore-and-replay driver with phase timings.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub mod manager;

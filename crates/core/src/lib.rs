@@ -63,6 +63,7 @@
 //! assert!(report.is_quiet()); // fault-free run: nothing detected
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub mod adaptive;

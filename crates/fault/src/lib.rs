@@ -17,6 +17,7 @@
 //! propagation classifier behind Table 2, and [`campaign`] a deterministic
 //! parallel trial runner used by the Table 4 and §5.2 reproductions.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub mod bitflip;

@@ -180,7 +180,9 @@ pub fn classify(reference: &Matrix, corrupted: &Matrix, rel_tol: f32) -> Propaga
             let differs = if a.is_nan() || b.is_nan() {
                 a.is_nan() != b.is_nan()
             } else if a.is_infinite() || b.is_infinite() {
-                a != b
+                // One side is ±inf and neither is NaN: bit inequality is
+                // exactly `a != b`, without a float compare.
+                a.to_bits() != b.to_bits()
             } else {
                 (a - b).abs() > rel_tol * a.abs().max(1.0)
             };

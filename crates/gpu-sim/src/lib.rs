@@ -15,6 +15,7 @@
 //! [`device`] holds the machine constants, [`kernel`] the roofline kernel
 //! cost model.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub mod abft_cost;

@@ -125,7 +125,7 @@ impl DecodeEngine {
         let mut state = self.model.new_decode_state();
         let logits = self
             .model
-            .extend(prompt, &mut state, toggles, None, &mut report); // attn-lint: allow-path(panic-reach) — model boundary: extend's documented panics (empty/OOV prompt) are this fn's own contract, enforced before serving admits a trace
+            .extend(prompt, &mut state, toggles, None, &mut report);
         let id = self.next_id;
         self.next_id += 1;
         DecodeSession {
@@ -226,14 +226,14 @@ impl DecodeEngine {
     /// session cannot step until unparked.
     pub fn park_session(&self, session: &mut DecodeSession) {
         self.model
-            .park_state(&mut session.state, &mut session.report); // attn-lint: allow-path(panic-reach) — model boundary: verify-on-move walks blocks the cache itself reports
+            .park_state(&mut session.state, &mut session.report);
     }
 
     /// Restore a parked session to live, decodable state; fault-free
     /// round trips are bit-identical. See [`Self::park_session`].
     pub fn unpark_session(&self, session: &mut DecodeSession) {
         self.model
-            .unpark_state(&mut session.state, &mut session.report); // attn-lint: allow-path(panic-reach) — model boundary: verify-on-move walks blocks the cache itself reports
+            .unpark_state(&mut session.state, &mut session.report);
     }
 
     /// How many more tokens `session` can decode before the model's
@@ -285,7 +285,7 @@ fn step_session(
         }
     };
     s.tokens.push(token);
-    s.logits = model.extend(&[token], &mut s.state, toggles, inject, &mut s.report); // attn-lint: allow-path(panic-reach) — model boundary: the protected extend indexes within cache bounds by construction (decode parity + invariant suites pin it)
+    s.logits = model.extend(&[token], &mut s.state, toggles, inject, &mut s.report);
     token
 }
 

@@ -17,6 +17,22 @@
 //!   and owns the `ProtectionPolicy` that paces section checks across
 //!   steps.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+// No-panic serving: no panic construct in non-test code of this crate.
+// `assert!` stays legal for caller-contract checks; a vouched-for index
+// carries an `#[expect(clippy::indexing_slicing, reason = …)]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 #![forbid(unsafe_code)]
 
 pub mod engine;

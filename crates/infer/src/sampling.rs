@@ -35,13 +35,13 @@ pub fn sample_token(
 ) -> usize {
     assert_eq!(logits.rows(), 1, "sample_token: one logits row");
     assert!(logits.cols() > 0, "sample_token: empty logits");
-    let row = logits.row(0); // attn-lint: allow-path(panic-reach) — row 0 of the 1×V matrix asserted above
+    let row = logits.row(0);
     match sampling {
         Sampling::Greedy => argmax(row),
         Sampling::Temperature(t) if t > 0.0 => {
             let scaled = logits.map(|v| v / t);
-            let p = softmax_rows_checked(&scaled, g); // attn-lint: allow-path(panic-reach) — softmax over the shape-asserted 1×V row; row iteration stays in bounds by construction
-            let prow = p.row(0); // attn-lint: allow-path(panic-reach) — softmax preserves the asserted 1×V shape
+            let p = softmax_rows_checked(&scaled, g);
+            let prow = p.row(0);
 
             // A poisoned row (NaN logits, the non-trainable-state signal)
             // has no distribution to sample; fall back to argmax, which

@@ -22,6 +22,7 @@
 //!   decode, bit-identical to the full protected forward.
 //! * [`flops`] — paper-scale flop accounting behind Table 3.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub mod attn_layer;

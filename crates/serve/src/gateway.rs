@@ -241,7 +241,7 @@ impl Gateway {
     /// submission.
     pub fn run_trace(&mut self, trace: &[TraceEvent]) -> TraceOutcome {
         debug_assert!(
-            trace.windows(2).all(|w| w[0].at_tick <= w[1].at_tick),
+            trace.is_sorted_by_key(|e| e.at_tick),
             "trace must be sorted by at_tick"
         );
         let mut rejected = Vec::new();
@@ -322,7 +322,10 @@ impl Gateway {
                 break;
             };
             let chunk = self.cfg.prefill_chunk.min(q.req.prompt.len());
-            // attn-lint: allow(panic-reach) — chunk = min(prefill_chunk, prompt.len()) is in range by construction
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "chunk = min(prefill_chunk, prompt.len()) is in range by construction"
+            )]
             let session = self.engine.open_session(&q.req.prompt[..chunk], q.req.seed);
             self.live.push(Live {
                 id: q.id,

@@ -47,6 +47,22 @@
 //! assert!(out.completions[0].report.is_quiet());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+// No-panic serving: no panic construct in non-test code of this crate.
+// `assert!` stays legal for caller-contract checks; a vouched-for index
+// carries an `#[expect(clippy::indexing_slicing, reason = …)]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 #![forbid(unsafe_code)]
 
 pub mod gateway;

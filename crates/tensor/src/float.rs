@@ -3,8 +3,10 @@
 //! A raw `x == 0.0` in the middle of numeric code is ambiguous: is it a
 //! tolerance bug, or a deliberate sentinel/short-circuit test? These
 //! helpers give the deliberate cases a name — "this value is *bit-for-bit*
-//! the result of summing nothing / an all-zero row / a disabled gate" —
-//! and the `float-eq` lint points every other raw comparison here.
+//! the result of summing nothing / an all-zero row / a disabled gate".
+//! They are a naming convention, not a gate: clippy's `float_cmp`
+//! (denied in every library crate) rejects float-to-float and non-zero
+//! constant comparisons, but exempts `x == 0.0`, which is IEEE-exact.
 //!
 //! All helpers treat `+0.0` and `-0.0` as zero (IEEE-754 `==` semantics,
 //! which is what the masked-row and gate-off contracts want) and are
@@ -23,7 +25,6 @@ pub const NEAR_INF_THRESHOLD: f32 = 1e10;
 #[inline]
 #[must_use]
 pub fn exactly_zero(x: f32) -> bool {
-    // attn-lint: allow(float-eq) — this is the named helper the lint points to
     x == 0.0
 }
 
@@ -31,7 +32,6 @@ pub fn exactly_zero(x: f32) -> bool {
 #[inline]
 #[must_use]
 pub fn exactly_zero_f64(x: f64) -> bool {
-    // attn-lint: allow(float-eq) — this is the named helper the lint points to
     x == 0.0
 }
 

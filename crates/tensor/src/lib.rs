@@ -32,8 +32,7 @@
 //!   with exact recompute-from-inputs healing, since exact checksum
 //!   transport stops at a nonlinearity.
 //! * Named exact-float comparisons in [`float`] (`exactly_zero` & co.) —
-//!   the helpers the workspace `float-eq` lint points raw `== 0.0` sites
-//!   to.
+//!   names for the deliberate sentinel tests; no lint enforces them.
 //! * Deterministic RNG helpers in [`rng`] (Box–Muller normal sampling,
 //!   Xavier/He initialisation).
 //!
@@ -47,6 +46,7 @@
 //! `unsafe` block, and clippy denies `undocumented_unsafe_blocks`, so
 //! every `unsafe` block and impl carries a `// SAFETY:` comment.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![allow(

@@ -4,6 +4,7 @@
 //! cross-crate integration tests in `tests/` have one import root. See
 //! `README.md` for the tour and `DESIGN.md` for the paper → module map.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![forbid(unsafe_code)]
 
 pub use attn_ckpt as ckpt;

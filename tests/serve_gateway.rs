@@ -127,17 +127,21 @@ fn every_request_returns_exactly_once_with_its_budget() {
         })
         .collect();
 
-    for workers in [1, 2] {
+    // Budget 0 keeps only the oldest session hot, so every other one is
+    // parked and unparked (verify-on-move) at the extreme budget.
+    for (workers, kv_row_budget) in [(1, usize::MAX), (2, usize::MAX), (1, 0), (2, 0)] {
         let cfg = GatewayConfig {
             queue_depth: 3,
             max_live: 3,
             prefill_chunk: 4,
             sampling: Sampling::Temperature(0.9),
             workers,
+            kv_row_budget,
             ..GatewayConfig::default()
         };
         let mut gw = Gateway::new(lm_model(), cfg);
         let out = gw.run_trace(&trace);
+        let ctx = format!("workers={workers} budget={kv_row_budget}");
 
         // Malformed input is a typed reject and the gateway keeps serving;
         // every other reject is backpressure.
@@ -174,8 +178,11 @@ fn every_request_returns_exactly_once_with_its_budget() {
             generated += req.max_new as u64;
             fed += req.prompt.len().saturating_sub(cfg.prefill_chunk) as u64;
         }
-        assert_eq!(gw.stats().generated_tokens, generated);
-        assert_eq!(gw.stats().fed_tokens, fed);
+        assert_eq!(gw.stats().generated_tokens, generated, "{ctx}");
+        assert_eq!(gw.stats().fed_tokens, fed, "{ctx}");
+        let parked = gw.stats().park_events;
+        assert_eq!(parked, gw.stats().unpark_events, "{ctx}");
+        assert_eq!(parked > 0, kv_row_budget == 0, "{ctx}: {parked} parks");
     }
 }
 
