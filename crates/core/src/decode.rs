@@ -1049,9 +1049,9 @@ mod tests {
     #[test]
     fn warm_decode_steps_do_not_touch_the_allocator() {
         // A session replayed over a warm arena (the first one's KV blocks
-        // and scratch are back in the pool) must not miss it once — the
-        // parent commit's count over the same replay is 0 as well.
-        let (x, attn) = setup(40, 32, 4);
+        // and scratch are back in it) must not miss it once. 144 rows at 4
+        // heads hold 72 K + V blocks: every one of them must be retained.
+        let (x, attn) = setup(144, 32, 4);
         drop(grow_cache(&attn, &x, KV_BLOCK_ROWS, usize::MAX, None));
         let before = workspace::thread_alloc_events();
         drop(grow_cache(&attn, &x, KV_BLOCK_ROWS, usize::MAX, None));

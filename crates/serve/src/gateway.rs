@@ -118,6 +118,9 @@ pub struct Gateway {
     stats: GatewayStats,
     now: u64,
     next_id: RequestId,
+    /// This tick's step per live session, cleared and refilled each tick
+    /// so the plan reuses one allocation.
+    ops: Vec<Option<StepOp>>,
 }
 
 impl Gateway {
@@ -145,6 +148,7 @@ impl Gateway {
             stats: GatewayStats::default(),
             now: 0,
             next_id: 0,
+            ops: Vec::new(),
         }
     }
 
@@ -359,26 +363,23 @@ impl Gateway {
 
     fn step_hot(&mut self) {
         let (engine, eos) = (&self.engine, self.cfg.eos);
-        let ops: Vec<Option<StepOp>> = self
-            .live
-            .iter()
-            .map(|l| {
-                // Only a session admitted this tick can already be finished
-                // here (`max_new: 0`, prompt within the prefill chunk); it
-                // takes no step and the next tick's drain returns it.
-                if l.session.is_parked() || finish_reason(l, engine, eos).is_some() {
-                    None
-                } else if let Some(&tok) = l.feed.get(l.fed) {
-                    Some(StepOp::Feed(tok))
-                } else {
-                    Some(StepOp::Gen)
-                }
-            })
-            .collect();
+        self.ops.clear();
+        self.ops.extend(self.live.iter().map(|l| {
+            // Only a session admitted this tick can already be finished
+            // here (`max_new: 0`, prompt within the prefill chunk); it
+            // takes no step and the next tick's drain returns it.
+            if l.session.is_parked() || finish_reason(l, engine, eos).is_some() {
+                None
+            } else if let Some(&tok) = l.feed.get(l.fed) {
+                Some(StepOp::Feed(tok))
+            } else {
+                Some(StepOp::Gen)
+            }
+        }));
         let mut items: Vec<(&mut DecodeSession, StepOp)> = self
             .live
             .iter_mut()
-            .zip(&ops)
+            .zip(&self.ops)
             .filter_map(|(l, op)| op.map(|o| (&mut l.session, o)))
             .collect();
         if items.is_empty() {
@@ -386,7 +387,7 @@ impl Gateway {
         }
         self.engine.step_batch_mixed(&mut items, self.cfg.sampling);
         self.stats.engine_steps += 1;
-        for (l, op) in self.live.iter_mut().zip(&ops) {
+        for (l, op) in self.live.iter_mut().zip(&self.ops) {
             match op {
                 Some(StepOp::Feed(_)) => {
                     l.fed += 1;
@@ -533,6 +534,51 @@ mod tests {
         );
         for workers in [2, 4] {
             assert_eq!(run(workers), (base.clone(), stats), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn multi_worker_serving_keeps_the_gateway_arena_bounded() {
+        // At workers 2 a mixed batch steps its sessions on worker threads,
+        // so the KV blocks a session grows past its first 16 rows come
+        // from those threads' arenas, while the retired session is dropped
+        // on the gateway thread. Serving the same load again and again
+        // must not grow what that thread pools.
+        let mut rng = TensorRng::seed_from(17);
+        let mut cfg = ModelConfig::gpt2();
+        cfg.hidden = 32;
+        cfg.heads = 2;
+        cfg.layers = 2;
+        cfg.vocab = 48;
+        cfg.num_classes = 48;
+        cfg.max_seq = 64;
+        let model = TransformerModel::new(cfg, ProtectionConfig::full(), &mut rng);
+        let mut gw = Gateway::new(
+            model,
+            GatewayConfig {
+                max_live: 3,
+                workers: 2,
+                ..GatewayConfig::default()
+            },
+        );
+        let trace: Vec<TraceEvent> = (0..3)
+            .map(|i| TraceEvent {
+                at_tick: 0,
+                request: req(&[3 + i, 11, 7, 29], 40, i as u64),
+            })
+            .collect();
+        let mut pooled_after_round = || {
+            let out = gw.run_trace(&trace);
+            assert_eq!(out.completions.len(), 3);
+            attn_tensor::workspace::thread_pooled_buffers()
+        };
+        let warm = pooled_after_round();
+        for round in 2..=6 {
+            assert_eq!(
+                pooled_after_round(),
+                warm,
+                "round {round}: the gateway thread's arena grew"
+            );
         }
     }
 

@@ -8,9 +8,13 @@
 //! (where a checksummed cache keeps its per-block column-checksum tails).
 //! Appending a row never moves existing data — when the current block
 //! fills, a fresh block is checked out of the arena — so growth is O(cols)
-//! per row with no grow-and-copy, blocks are stable addresses a serving
-//! gateway can verify-on-move during eviction/compaction, and a retired
-//! session's blocks return to the pool for the next session to reuse.
+//! per row with no grow-and-copy, and blocks are stable addresses a serving
+//! gateway can verify-on-move during eviction/compaction. A block comes
+//! from the smallest arena size class that fits it, so it occupies less
+//! than 1.25× its length and never pins a packing-sized buffer; a retired
+//! session's blocks all return to that class, which keeps every one up to
+//! the thread's high-water count, so the next session no longer than it
+//! grows without an arena miss.
 //!
 //! GEMM interop does not require contiguity: the crate-internal
 //! `PagedKv::src` view exposes the logical data matrix through the
@@ -300,16 +304,19 @@ mod tests {
 
     #[test]
     fn arena_reuse_after_drop() {
+        // 80 blocks: the arena keeps every returned block, however many.
+        let rows = 80 * 16;
         {
             let mut kv = PagedKv::new(8, 2, 16);
-            for _ in 0..32 {
+            for _ in 0..rows {
                 kv.push_row(&[1.0; 8]);
             }
+            assert_eq!(kv.num_blocks(), 80);
         }
         let before = crate::workspace::thread_alloc_events();
         // A same-shaped successor replays against the pooled blocks.
         let mut kv = PagedKv::new(8, 2, 16);
-        for _ in 0..32 {
+        for _ in 0..rows {
             kv.push_row(&[2.0; 8]);
         }
         let after = crate::workspace::thread_alloc_events();
