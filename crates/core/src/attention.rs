@@ -1,10 +1,10 @@
 //! Protected multi-head attention: the three ABFT sections with checksum
 //! passing (paper §4.4, Fig 5), composed from the reusable
-//! [`GuardedSection`](crate::section::GuardedSection) pipeline. This module
-//! holds the attention's types and entry points; the one body lives in
-//! [`crate::decode`], and the training [`forward`] is its `extend` over an
-//! empty KV cache with the backward tape recorded — training, prefill and
-//! decode run the same sections.
+//! [`GuardedSection`] pipeline. This module holds the attention's types
+//! and entry points; the one body lives in [`crate::decode`], and the
+//! training [`ProtectedAttention::forward`] is its `extend` over an empty
+//! KV cache with the backward tape recorded — training, prefill and decode
+//! run the same sections.
 //!
 //! The six attention GEMMs are grouped into sections so that every section
 //! tolerates one fault, wherever it strikes:
@@ -33,9 +33,9 @@
 
 use crate::checked::CheckedMatrix;
 use crate::config::ProtectionConfig;
-use crate::decode::{attend, AttnKvCache};
+use crate::decode::{extend, AttnKvCache};
 use crate::report::AbftReport;
-use crate::section::ForwardCtx;
+use crate::section::{ForwardCtx, GuardedSection};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 
@@ -330,9 +330,12 @@ impl ProtectedAttention {
         self.forward(x, ForwardOptions::default(), report)
     }
 
-    /// Run the protected attention pipeline on `x` (`seq × hidden`): the
-    /// free [`forward`] over the owned weights, with `opts` and `report`
-    /// as its [`ForwardCtx`].
+    /// Run the protected attention pipeline on `x` (`seq × hidden`) — the
+    /// training forward: [`crate::decode::extend`] over an empty KV cache,
+    /// recording the backward tape. `opts` carries the mask (`seq × seq`;
+    /// `None` is bidirectional), per-execution section toggles and the
+    /// fault-injection hook; an unprotected run is a config of
+    /// [`ProtectionConfig::off`], not a different function.
     ///
     /// # Panics
     /// Panics if `x.cols() != hidden`.
@@ -348,30 +351,15 @@ impl ProtectedAttention {
             hook: opts.hook,
             report,
         };
-        forward(&(&self.weights).into(), &self.config, x, &mut ctx)
-    }
-}
-
-/// Run the protected attention pipeline on `x` (`seq × hidden`) over
-/// borrowed weights — the training forward: [`crate::decode::extend`]
-/// over an empty KV cache, recording the backward tape. `ctx` carries the
-/// mask (`seq × seq`; `None` is bidirectional), per-execution section
-/// toggles, the fault-injection hook, and the report; an unprotected run
-/// is `config` = [`ProtectionConfig::off`], not a different function.
-///
-/// # Panics
-/// Panics if `x.cols() != hidden`.
-pub fn forward(
-    w: &AttentionWeightsRef<'_>,
-    config: &ProtectionConfig,
-    x: &Matrix,
-    ctx: &mut ForwardCtx<'_, '_>,
-) -> AttnForward {
-    let mut kv = AttnKvCache::new(w.hidden, w.heads, !config.is_off());
-    let (output, tape) = attend(w, config, x, &mut kv, ctx, true);
-    AttnForward {
-        output,
-        cache: tape.expect("a taped attend returns its tape"),
+        let g = GuardedSection::guard_step(&self.config);
+        let mut kv = AttnKvCache::for_attention(self);
+        let w = (&self.weights).into();
+        let (output, tape) = extend(&w, &self.config, x, &mut kv, &mut ctx, &g, true);
+        ctx.report.absorb_op_guard(g.take_stats());
+        AttnForward {
+            output,
+            cache: tape.expect("a taped extend returns its tape"),
+        }
     }
 }
 

@@ -97,14 +97,10 @@ impl<'a> Operand<'a> {
         }
     }
 
-    /// Copy of the logical data region.
-    pub fn logical(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)
-                .copy_from_slice(&self.buf.row(r)[..self.cols]);
-        }
-        out
+    /// Logical row `r`, read in place (no checksum cell).
+    #[inline]
+    pub fn logical_row(&self, r: usize) -> &'a [f32] {
+        &self.buf.row(r)[..self.cols]
     }
 }
 

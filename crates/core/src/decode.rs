@@ -3,13 +3,12 @@
 //! prompt, a prefill chunk, or one decoded token) and attends them to the
 //! grown prefix.
 //!
-//! Training, prefill and decode all run it: the training forward
-//! ([`crate::attention::forward`]) is `extend` over an empty cache that
-//! also records the backward tape, serving is `extend` over a session's
-//! cache without one. Its GEMMs sit in the three guarded sections —
-//! `S_AS` (Q/K projections + the appended `q·Kᵀ` score rows), `S_CL` (V
-//! projection + `ap·V`), `S_O` (output projection) — at any row count m,
-//! with three cache-specific twists:
+//! Training, prefill and decode all run it: the training forward is
+//! `extend` over an empty cache that also records the backward tape,
+//! serving is `extend` over a session's cache without one. Its GEMMs sit
+//! in the three guarded sections — `S_AS` (Q/K projections + the appended
+//! `q·Kᵀ` score rows), `S_CL` (V projection + `ap·V`), `S_O` (output
+//! projection) — at any row count m, with three cache-specific twists:
 //!
 //! * **Incremental cache encoding.** [`AttnKvCache`] stores per-head K
 //!   rows in fixed-size [`PagedKv`] blocks, each block carrying its own
@@ -48,7 +47,7 @@ use crate::section::{replay_nn, ForwardCtx, GuardedSection};
 use attn_tensor::guard::softmax_rows_checked_inplace;
 use attn_tensor::kv::PagedKv;
 use attn_tensor::ops::apply_additive_mask;
-use attn_tensor::{contract, gemm, workspace, Matrix};
+use attn_tensor::{contract, gemm, workspace, Matrix, OpGuard};
 
 /// Default data rows per KV block — the verify-on-move granularity.
 pub const KV_BLOCK_ROWS: usize = 16;
@@ -441,24 +440,32 @@ fn apply_vector_verdict(
 }
 
 impl ProtectedAttention {
-    /// [`extend`] over the owned weights — kept only because the benchmark's
-    /// adapter (`benchmark/src/api.rs`) calls it.
+    /// [`extend`] over the owned weights, without a tape, under its own op
+    /// guard — kept only because the benchmark's adapter
+    /// (`benchmark/src/api.rs`) calls it.
     pub fn decode_step(
         &self,
         x: &Matrix,
         cache: &mut AttnKvCache,
         ctx: &mut ForwardCtx<'_, '_>,
     ) -> Matrix {
-        extend(&(&self.weights).into(), &self.config, x, cache, ctx)
+        let g = GuardedSection::guard_step(&self.config);
+        let w = (&self.weights).into();
+        let out = extend(&w, &self.config, x, cache, ctx, &g, false).0;
+        ctx.report.absorb_op_guard(g.take_stats());
+        out
     }
 }
 
-/// Protected attention for m ≥ 1 new rows: append the rows of `x`
-/// (`m × hidden`, the block input at positions `len..len+m`) to `cache`
-/// and return their attention output (`m × hidden`). Prefill is `extend`
-/// over an empty cache, a decode step its m = 1 case, and the training
-/// [`forward`](crate::attention::forward) the same empty-cache call with
-/// the backward tape recorded.
+/// The one protected attention, for m ≥ 1 new rows: append the rows of
+/// `x` (`m × hidden`, the block input at positions `len..len+m`) to `cache`
+/// and return their attention output (`m × hidden`) plus — when `taped` —
+/// their backward tape (post-correction: `q`/`k`/`v` are the healed rows
+/// that joined the cache). Prefill is `extend` over an empty cache, a
+/// decode step its m = 1 case, and the training forward the same
+/// empty-cache call with the tape recorded; serving asks for no tape and
+/// pays for none. The per-head softmax rows run under the caller's op
+/// guard `g`, so a model forward screens all its non-GEMM ops in one scope.
 ///
 /// `ctx.mask`, when present, must be rows `len..len+m` of the mask over
 /// the grown prefix (`m × (len+m)`), e.g. those rows of the causal or
@@ -476,27 +483,14 @@ impl ProtectedAttention {
 /// # Panics
 /// Panics on zero rows and on shape mismatches (input width, cache
 /// geometry, mask rows).
+#[allow(clippy::needless_range_loop)] // head index drives several buffers
 pub fn extend(
     w: &AttentionWeightsRef<'_>,
     config: &ProtectionConfig,
     x: &Matrix,
     cache: &mut AttnKvCache,
     ctx: &mut ForwardCtx<'_, '_>,
-) -> Matrix {
-    attend(w, config, x, cache, ctx, false).0
-}
-
-/// The one protected attention: [`extend`], plus — when `taped` — the
-/// backward tape of the new rows (post-correction: `q`/`k`/`v` are the
-/// healed rows that joined the cache). Serving asks for no tape and pays
-/// for none.
-#[allow(clippy::needless_range_loop)] // head index drives several buffers
-pub(crate) fn attend(
-    w: &AttentionWeightsRef<'_>,
-    config: &ProtectionConfig,
-    x: &Matrix,
-    cache: &mut AttnKvCache,
-    ctx: &mut ForwardCtx<'_, '_>,
+    g: &OpGuard,
     taped: bool,
 ) -> (Matrix, Option<AttnCache>) {
     let (d, shape) = (w.head_dim(), (x.cols(), cache.heads(), cache.head_dim()));
@@ -522,9 +516,6 @@ pub(crate) fn attend(
         ctx.report,
     );
     let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
-    // Non-GEMM scope over the per-head softmax rows; heals recompute
-    // from the pre-softmax rows, rebuilt from the live score rows.
-    let op_guard = GuardedSection::guard_step(config);
 
     // ------------------------------------------------ section S_AS
     // The new rows' projections through the fused encode entry: their
@@ -592,9 +583,9 @@ pub(crate) fn attend(
             if taped {
                 scores.push(m.clone());
             }
-            // The pre-softmax rows are `as_row` + mask again, rebuilt
-            // only when the screen fails.
-            softmax_rows_checked_inplace(m, &op_guard, || {
+            // A softmax heal recomputes from the pre-softmax rows:
+            // `as_row` + mask again, rebuilt only when the screen fails.
+            softmax_rows_checked_inplace(m, g, || {
                 let mut pre = as_row.logical();
                 if let Some(mrows) = mask {
                     apply_additive_mask(&mut pre, mrows);
@@ -674,7 +665,6 @@ pub(crate) fn attend(
         });
     }
     det.absorb(ctx.report);
-    ctx.report.absorb_op_guard(op_guard.take_stats());
     let tape = v_tape.map(|v_healed| AttnCache {
         x: x.clone(),
         q: q.into_logical(),
@@ -963,7 +953,7 @@ mod tests {
                 report: &mut report,
             };
             let chunk = x.submatrix(pos, end, 0, x.cols());
-            let out = extend(&w.into(), &attn.config, &chunk, &mut cache, &mut ctx);
+            let out = attn.decode_step(&chunk, &mut cache, &mut ctx);
             rows.extend((0..m).map(|r| out.submatrix(r, r + 1, 0, out.cols())));
             pos = end;
         }

@@ -29,8 +29,8 @@
 //!   [`attention::SectionToggles`].
 //! * [`attention`] — the attention's weights, tape, section toggles and
 //!   fault-injection sites, and the training forward
-//!   ([`attention::forward`]): [`decode::extend`] over an empty KV cache,
-//!   recording the backward tape. Callers that batch (trainer, decode
+//!   ([`attention::ProtectedAttention::forward`]): [`decode::extend`] over
+//!   an empty KV cache, recording the backward tape. Callers that batch (trainer, decode
 //!   engine) fan it out per item.
 //! * [`decode`] — the one protected attention: the three sections `S_AS`,
 //!   `S_CL`, `S_O` with checksum passing across the six attention GEMMs

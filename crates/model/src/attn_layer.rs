@@ -1,5 +1,6 @@
-//! Multi-head attention layer: ATTNChecker-protected forward (from the
-//! `attnchecker` crate) plus a hand-written backward pass.
+//! Multi-head attention layer: ATTNChecker-protected forward (the one
+//! attention of the `attnchecker` crate, over a KV cache) plus a
+//! hand-written backward pass.
 //!
 //! The paper integrates ATTNChecker into the *forward* attention GEMMs; the
 //! backward pass consumes the cached `Q`/`K`/`V`/`AP`/`CL` activations —
@@ -12,8 +13,9 @@ use attn_tensor::guard::softmax_rows_backward_checked;
 use attn_tensor::ops::col_sums;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
-use attnchecker::attention::{self, AttentionWeightsRef, AttnCache};
+use attnchecker::attention::{AttentionWeightsRef, AttnCache};
 use attnchecker::config::ProtectionConfig;
+use attnchecker::decode::{self, AttnKvCache};
 use attnchecker::section::ForwardCtx;
 
 /// Attention layer owning its parameters; the protection policy is the
@@ -79,18 +81,19 @@ impl AttentionLayer {
         }
     }
 
-    /// Protected forward under `config`: returns the output and the
-    /// activation tape (post-correction when protection ran). `ctx`
-    /// carries the mask, per-execution section toggles, the
-    /// fault-injection hook, and the report.
+    /// Protected forward under `config`: the one attention
+    /// ([`decode::extend`]) over `cache`, returning the output and, when
+    /// `taped`, the activation tape (post-correction when protection ran).
     pub fn forward(
         &self,
         x: &Matrix,
         config: &ProtectionConfig,
+        cache: &mut AttnKvCache,
         ctx: &mut ForwardCtx<'_, '_>,
-    ) -> (Matrix, AttnCache) {
-        let out = attention::forward(&self.weights(), config, x, ctx);
-        (out.output, out.cache)
+        g: &OpGuard,
+        taped: bool,
+    ) -> (Matrix, Option<AttnCache>) {
+        decode::extend(&self.weights(), config, x, cache, ctx, g, taped)
     }
 
     /// Backward over a tape; returns `dx` and writes all eight parameter
@@ -184,6 +187,7 @@ mod tests {
     use attn_tensor::ops::causal_mask;
     use attnchecker::attention::SectionToggles;
     use attnchecker::report::AbftReport;
+    use attnchecker::section::GuardedSection;
 
     fn fwd(
         layer: &AttentionLayer,
@@ -199,7 +203,10 @@ mod tests {
             hook: None,
             report,
         };
-        layer.forward(x, config, &mut ctx)
+        let mut kv = AttnKvCache::new(layer.hidden(), layer.heads, !config.is_off());
+        let g = GuardedSection::guard_step(config);
+        let (y, tape) = layer.forward(x, config, &mut kv, &mut ctx, &g, true);
+        (y, tape.expect("a taped forward returns its tape"))
     }
 
     /// Backward over `cache` with gradients merged into the layer; returns `dx`.

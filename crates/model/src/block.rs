@@ -1,11 +1,15 @@
 //! Transformer block: attention + FFN with residuals, in post-LN
 //! (BERT/RoBERTa) or pre-LN (GPT-2/GPT-Neo) arrangement.
 //!
+//! [`TransformerBlock::forward`] is the one block pipeline, for both
+//! arrangements and for training and serving alike: the attention reads and
+//! grows the KV cache it is handed (a fresh one per training sequence, the
+//! session's when serving), and the tape is recorded only when asked for.
 //! One [`ForwardCtx`] flows through the whole block: the attention
 //! sub-layer consumes the mask/toggles/hook for its three sections, and the
-//! FFN sub-layer runs its own `S_FFN` guarded section off the same context,
-//! so the entire block is protected end-to-end with a single threaded
-//! state.
+//! FFN sub-layer runs its own `S_FFN` guarded section off the same context;
+//! the non-GEMM ops run under the caller's op guard, so a model forward has
+//! one guard scope.
 
 use crate::attn_layer::AttentionLayer;
 use crate::ffn::FeedForward;
@@ -16,7 +20,8 @@ use attn_tensor::guard::residual_add_checked;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::config::ProtectionConfig;
-use attnchecker::section::{ForwardCtx, GuardedSection};
+use attnchecker::decode::AttnKvCache;
+use attnchecker::section::ForwardCtx;
 use std::time::Instant;
 
 /// Residual/normalisation arrangement.
@@ -63,66 +68,59 @@ impl TransformerBlock {
         }
     }
 
-    /// Forward pass under the model's `protection`: returns the output and
-    /// the block's activation tape (sub-layer wall times included). `ctx`
-    /// flows through both protected sub-layers; the LayerNorms and residual
-    /// adds run under one op guard scoped to the block.
+    /// Forward pass under the model's `protection`, attending over `cache`
+    /// (a fresh one for a training sequence, a session's for serving):
+    /// returns the output and, when `taped`, the block's activation tape
+    /// (sub-layer wall times included). Both arrangements run this one body:
+    /// pre-LN normalises each sub-layer's input, post-LN its residual sum.
+    /// `ctx` flows through both protected sub-layers; the LayerNorms,
+    /// residual adds, softmax and GELU run under the caller's op guard `g`.
     pub fn forward(
         &self,
         x: &Matrix,
         protection: &ProtectionConfig,
+        cache: &mut AttnKvCache,
         ctx: &mut ForwardCtx<'_, '_>,
-    ) -> (Matrix, BlockTape) {
-        let op_guard = GuardedSection::guard_step(protection);
-        let out = match self.arch {
-            BlockArch::PostLn => {
-                let t0 = Instant::now();
-                let (a, attn) = self.attn.forward(x, protection, ctx);
-                let attn_time = t0.elapsed();
-                let sum1 = residual_add_checked(x, &a, &op_guard);
-                let (h, ln1) = self.ln1.forward(&sum1, &op_guard);
-                let t1 = Instant::now();
-                let (f, ffn) = self.ffn.forward(&h, protection, ctx);
-                let ffn_time = t1.elapsed();
-                let sum2 = residual_add_checked(&h, &f, &op_guard);
-                let (y, ln2) = self.ln2.forward(&sum2, &op_guard);
-                (
-                    y,
-                    BlockTape {
-                        attn,
-                        ffn,
-                        ln1,
-                        ln2,
-                        attn_time,
-                        ffn_time,
-                    },
-                )
-            }
-            BlockArch::PreLn => {
-                let (n1, ln1) = self.ln1.forward(x, &op_guard);
-                let t0 = Instant::now();
-                let (a, attn) = self.attn.forward(&n1, protection, ctx);
-                let attn_time = t0.elapsed();
-                let h = residual_add_checked(x, &a, &op_guard);
-                let (n2, ln2) = self.ln2.forward(&h, &op_guard);
-                let t1 = Instant::now();
-                let (f, ffn) = self.ffn.forward(&n2, protection, ctx);
-                let ffn_time = t1.elapsed();
-                (
-                    residual_add_checked(&h, &f, &op_guard),
-                    BlockTape {
-                        attn,
-                        ffn,
-                        ln1,
-                        ln2,
-                        attn_time,
-                        ffn_time,
-                    },
-                )
-            }
+        g: &OpGuard,
+        taped: bool,
+    ) -> (Matrix, Option<BlockTape>) {
+        let pre = self.arch == BlockArch::PreLn;
+        let n1 = pre.then(|| self.ln1.forward(x, g));
+        let t0 = Instant::now();
+        let attn_in = n1.as_ref().map_or(x, |(n, _)| n);
+        let (a, attn) = self.attn.forward(attn_in, protection, cache, ctx, g, taped);
+        let attn_time = t0.elapsed();
+        let sum1 = residual_add_checked(x, &a, g);
+        let (h, ln1) = match n1 {
+            Some((_, stats)) => (sum1, stats),
+            None => self.ln1.forward(&sum1, g),
         };
-        ctx.report.absorb_op_guard(op_guard.take_stats());
-        out
+
+        // Pre-LN: the FFN reads LN2(h) and `h` stays the residual base;
+        // post-LN: the FFN reads `h` itself, and its tape hands it back.
+        let (ffn_in, ln2_stats, base) = if pre {
+            let (n2, stats) = self.ln2.forward(&h, g);
+            (n2, Some(stats), Some(h))
+        } else {
+            (h, None, None)
+        };
+        let t1 = Instant::now();
+        let (f, ffn) = self.ffn.forward(ffn_in, protection, ctx, g);
+        let ffn_time = t1.elapsed();
+        let sum2 = residual_add_checked(base.as_ref().unwrap_or(&ffn.x), &f, g);
+        let (y, ln2) = match ln2_stats {
+            Some(stats) => (sum2, stats),
+            None => self.ln2.forward(&sum2, g),
+        };
+        let tape = attn.map(|attn| BlockTape {
+            attn,
+            ffn,
+            ln1,
+            ln2,
+            attn_time,
+            ffn_time,
+        });
+        (y, tape)
     }
 
     /// Backward over a tape; returns `dx`. The non-GEMM ops run under `g`:
@@ -177,18 +175,40 @@ mod tests {
         TransformerBlock::new("b", 8, 2, 16, arch, rng)
     }
 
+    /// Taped forward over a fresh cache, the op guard folded into `report`.
+    fn run(
+        b: &TransformerBlock,
+        x: &Matrix,
+        protection: &ProtectionConfig,
+        toggles: SectionToggles,
+        report: &mut AbftReport,
+    ) -> (Matrix, BlockTape) {
+        let mut ctx = ForwardCtx {
+            mask: None,
+            toggles,
+            hook: None,
+            report,
+        };
+        let mut kv = AttnKvCache::new(x.cols(), b.attn.heads, !protection.is_off());
+        // The op guard a model forward opens under this config.
+        let g = OpGuard::new(!protection.is_off(), protection.abft.detect_tol);
+        let (y, tape) = b.forward(x, protection, &mut kv, &mut ctx, &g, true);
+        ctx.report.absorb_op_guard(g.take_stats());
+        (y, tape.expect("a taped forward returns its tape"))
+    }
+
     fn forward_unprotected(
         b: &TransformerBlock,
         x: &Matrix,
         report: &mut AbftReport,
     ) -> (Matrix, BlockTape) {
-        let mut ctx = ForwardCtx {
-            mask: None,
-            toggles: SectionToggles::none(),
-            hook: None,
+        run(
+            b,
+            x,
+            &ProtectionConfig::off(),
+            SectionToggles::none(),
             report,
-        };
-        b.forward(x, &ProtectionConfig::off(), &mut ctx)
+        )
     }
 
     fn run_loss(b: &TransformerBlock, x: &Matrix, dy: &Matrix) -> f32 {
@@ -271,13 +291,8 @@ mod tests {
             let mut r_off = AbftReport::default();
             let (y_off, _) = forward_unprotected(&b, &x, &mut r_off);
             let mut r_on = AbftReport::default();
-            let mut ctx = ForwardCtx {
-                mask: None,
-                toggles: SectionToggles::all(),
-                hook: None,
-                report: &mut r_on,
-            };
-            let (y_on, _) = b.forward(&x, &ProtectionConfig::full(), &mut ctx);
+            let full = ProtectionConfig::full();
+            let (y_on, _) = run(&b, &x, &full, SectionToggles::all(), &mut r_on);
             assert_eq!(y_on, y_off, "{arch:?}: protection must be transparent");
             assert!(r_on.is_quiet());
             // 3 attention sections + 1 FFN section ran.

@@ -1,30 +1,28 @@
 //! Autoregressive serving front-end for the causal architectures.
 //!
 //! [`DecodeState`] holds one session's per-layer [`AttnKvCache`]s;
-//! [`TransformerModel::extend`] pushes m ≥ 1 tokens through the row image
-//! of the block pipeline — row-local layer norms, the cached guarded
-//! attention of `attnchecker::decode::extend`, the guarded FFN on the m
-//! rows — appending their K/V rows to every layer's cache, and returns the
-//! next-token logits of the last one. A prompt is `extend` on a fresh
-//! state, a prefill chunk or a decoded token one more `extend`.
+//! [`TransformerModel::extend`] pushes m ≥ 1 tokens through the training
+//! forward's own pipeline — the same embedding, blocks and head, over the
+//! session's caches instead of fresh ones and without a tape — appending
+//! their K/V rows to every layer's cache, and returns the next-token logits
+//! of the last one. A prompt is `extend` on a fresh state, a prefill chunk
+//! or a decoded token one more `extend`.
 //!
-//! **Parity contract.** Every per-row computation follows the same
-//! blocked accumulation contract as its full-forward counterpart, so the
-//! logits of `extend` after any chunking of the tokens are bit-identical
-//! to [`TransformerModel::forward`] over the grown prefix with the same
+//! **Parity contract.** `extend` and [`TransformerModel::forward`] run the
+//! same code, and every per-row computation in it follows the blocked
+//! accumulation contract, whose order does not depend on the row count; so
+//! the logits of `extend` after any chunking of the tokens are
+//! bit-identical to the forward over the grown prefix with the same
 //! protection config — fault-free *and* after a corrected injection.
 //! Decoding is only defined for the causal decoders (GPT-2 / GPT-Neo): a
 //! bidirectional encoder re-reads the whole sequence at every position,
 //! so a KV cache cannot represent it.
 
-use crate::block::BlockArch;
 use crate::model::{InjectionSpec, ModelArch, TransformerModel};
-use attn_tensor::guard::residual_add_checked;
 use attn_tensor::Matrix;
 use attnchecker::attention::SectionToggles;
-use attnchecker::decode::{self, AttnKvCache};
+use attnchecker::decode::AttnKvCache;
 use attnchecker::report::AbftReport;
-use attnchecker::section::{ForwardCtx, GuardedSection};
 
 /// One decode session's model-side state: per-layer KV caches plus the
 /// number of consumed tokens. A state is either **live** or **parked**
@@ -82,13 +80,8 @@ impl TransformerModel {
             self.supports_decode(),
             "KV-cached decode requires a causal architecture (GPT-2 / GPT-Neo)"
         );
-        let checksummed = !self.protection().is_off();
         DecodeState {
-            layers: self
-                .blocks
-                .iter()
-                .map(|_| AttnKvCache::new(self.config.hidden, self.config.heads, checksummed))
-                .collect(),
+            layers: self.blocks.iter().map(|_| self.new_kv_cache()).collect(),
             parked: false,
             pos: 0,
         }
@@ -127,11 +120,12 @@ impl TransformerModel {
     /// Feed `tokens` (m ≥ 1) at positions `state.pos()..`: append them to
     /// every layer's KV cache and return the next-token logits of the last
     /// one (`1 × num_classes`), bit-identical to the full protected forward
-    /// over the grown prefix. Per block: ln1 → `decode::extend` (causal
-    /// inside the chunk through the mask rows `pos..pos+m`) → residual →
-    /// ln2 → FFN → residual, over all m rows; the final LN and the head
-    /// run on the last row only. `inject` optionally plants one fault at a
-    /// GEMM site, exactly like the training forward's injection plumbing.
+    /// over the grown prefix. It is the pipeline of [`Self::forward`] over
+    /// the session's caches, without a tape: the blocks see the mask rows
+    /// `pos..pos+m` (causal inside the chunk), and the final LN and the
+    /// head run on the last row only. `inject` optionally plants one fault
+    /// at a GEMM site, exactly like the training forward's injection
+    /// plumbing.
     ///
     /// # Panics
     /// Panics on empty `tokens`, out-of-vocabulary tokens, an exhausted
@@ -147,48 +141,9 @@ impl TransformerModel {
         assert!(self.supports_decode(), "extend: non-causal architecture");
         assert!(!state.is_parked(), "extend: state is parked — unpark first");
         assert!(!tokens.is_empty(), "extend: no tokens");
-        let (pos, len) = (state.pos, state.pos + tokens.len());
-        let protection = self.protection();
-        // Non-GEMM op guard for the whole call: embedding rows, per-block
-        // LayerNorms and residual adds, final LN.
-        let op_guard = GuardedSection::guard_step(protection);
-
-        // ---- embedding rows (token + position) at positions `pos..len`.
-        let mut h = self.embedding.forward(tokens, pos, &op_guard);
-
-        // ---- blocks: pre-LN row pipeline with cached attention.
-        for (i, (block, cache)) in self.blocks.iter().zip(&mut state.layers).enumerate() {
-            assert_eq!(block.arch, BlockArch::PreLn, "causal blocks are pre-LN");
-            let mask = self.causal_mask_rows(i, pos..len, len);
-
-            let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
-            let mut ctx = ForwardCtx {
-                mask: Some(&mask),
-                toggles,
-                hook: hook.as_mut().map(|h| h as _),
-                report: &mut *report,
-            };
-
-            let (n1, _) = block.ln1.forward(&h, &op_guard);
-            let a = decode::extend(&block.attn.weights(), protection, &n1, cache, &mut ctx);
-            let res = residual_add_checked(&h, &a, &op_guard);
-            let (n2, _) = block.ln2.forward(&res, &op_guard);
-            let (f, _) = block.ffn.forward(&n2, protection, &mut ctx);
-            h = residual_add_checked(&res, &f, &op_guard);
-        }
-
-        // ---- head: the last row moves to the top (a no-op at m = 1), then
-        // the final LN and the classifier on it alone.
-        let last = (h.rows() - 1) * h.cols();
-        h.data_mut().copy_within(last.., 0);
-        let mut h = h.into_top_rows(1);
-        if let Some(ln) = &self.final_ln {
-            let (y, _) = ln.forward(&h, &op_guard);
-            h = y;
-        }
-        let (logits, _) = self.classifier.forward(&h);
-        state.pos = len;
-        report.absorb_op_guard(op_guard.take_stats());
+        let layers = Some(&mut state.layers[..]);
+        let (logits, _) = self.run(tokens, state.pos, layers, toggles, inject, report);
+        state.pos += tokens.len();
         logits
     }
 

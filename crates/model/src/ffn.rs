@@ -9,10 +9,12 @@
 //! softmax in `S_CL`), which gets its own delayed detection point. There is
 //! one pipeline: a skipped gate, a fault hook or [`ProtectionConfig::off`]
 //! are values passed in, and an inactive section costs the same copies as
-//! a hand-written plain `Linear → GELU → Linear`. Corrections are refined
-//! to exact bits by replaying the producing dot product, so a corrected
-//! step is bit-identical to the fault-free step — rollback-free, end-to-end
-//! through training.
+//! a hand-written plain `Linear → GELU → Linear`. GELU runs under the
+//! caller's op guard (one scope per model forward), and the tape takes the
+//! input and both activations by move, so serving, which drops it, copies
+//! nothing for it. Corrections are refined to exact bits by replaying the
+//! producing dot product, so a corrected step is bit-identical to the
+//! fault-free step — rollback-free, end-to-end through training.
 
 use crate::linear::ProtectedLinear;
 use crate::param::{Grads, HasParams, Param};
@@ -46,15 +48,18 @@ impl FeedForward {
     /// Forward: both GEMMs run inside one `S_FFN` section under `config`,
     /// gated by `ctx.toggles.s_ffn`, with fault taps at
     /// [`AttnOp::Ffn1`]/[`AttnOp::Ffn2`] and in-place (rollback-free)
-    /// correction; GELU runs under the step's element-wise op guard
+    /// correction; GELU runs under the caller's element-wise op guard `g`
     /// whether or not the section fires. Degrades to the exact unprotected
-    /// computation under [`ProtectionConfig::off`]. The returned tape holds
-    /// the healed activations, so backward proceeds exactly as fault-free.
+    /// computation under [`ProtectionConfig::off`]. The returned tape is
+    /// built by move — the input, and the healed activations the pass
+    /// computed anyway — so backward proceeds exactly as fault-free, and a
+    /// caller that does not train drops it without having copied a row.
     pub fn forward(
         &self,
-        x: &Matrix,
+        x: Matrix,
         config: &ProtectionConfig,
         ctx: &mut ForwardCtx<'_, '_>,
+        g: &OpGuard,
     ) -> (Matrix, FfnTape) {
         let sec = GuardedSection::begin(
             SectionId::FeedForward,
@@ -62,10 +67,9 @@ impl FeedForward {
             ctx.toggles.s_ffn,
             ctx.report,
         );
-        let op_guard = GuardedSection::guard_step(config);
         // The block input enters S_FFN inside the expansion GEMM's packing
         // pass: no standalone encode sweep over `x`, no wrap.
-        let (pre, x_tape) = self.lin1.forward(x, &sec, ctx);
+        let pre = self.lin1.forward(&x, &sec, ctx);
         // GELU is nonlinear: exit the checksummed region (dropping the
         // border is a truncate, not a copy); the result's re-encoding rides
         // inside the contraction GEMM's packing pass. The nonlinearity
@@ -73,23 +77,17 @@ impl FeedForward {
         // exact recompute from the healed `pre`, which the tape keeps
         // anyway) whether or not the S_FFN gate fired.
         let pre = pre.into_logical();
-        let act = gelu_matrix_checked(&pre, &op_guard);
-        let (y, act_tape) = self.lin2.forward(&act, &sec, ctx);
-        let tape = FfnTape {
-            x: x_tape,
-            pre,
-            act: act_tape,
-        };
-        ctx.report.absorb_op_guard(op_guard.take_stats());
-        (y.into_logical(), tape)
+        let act = gelu_matrix_checked(&pre, g);
+        let y = self.lin2.forward(&act, &sec, ctx);
+        (y.into_logical(), FfnTape { x, pre, act })
     }
 
     /// Backward over a tape with the GELU derivative under `g` (see
     /// [`attn_tensor::guard::verify_gelu_backward`]); returns `dx`.
     pub fn backward(&self, dy: &Matrix, tape: &FfnTape, grads: &mut Grads, g: &OpGuard) -> Matrix {
-        let dact = self.lin2.backward(dy, &tape.act, grads);
+        let dact = self.lin2.inner.backward(dy, &tape.act, grads);
         let dpre = gelu_backward_checked(&tape.pre, &dact, g);
-        self.lin1.backward(&dpre, &tape.x, grads)
+        self.lin1.inner.backward(&dpre, &tape.x, grads)
     }
 }
 
@@ -217,7 +215,11 @@ mod tests {
                 hook,
                 report: &mut report,
             };
-            ffn.forward(x, config, &mut ctx)
+            // The op guard a model forward opens under this config.
+            let g = OpGuard::new(!config.is_off(), config.abft.detect_tol);
+            let out = ffn.forward(x.clone(), config, &mut ctx, &g);
+            ctx.report.absorb_op_guard(g.take_stats());
+            out
         };
         (out, tape, report)
     }

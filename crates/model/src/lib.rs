@@ -6,20 +6,20 @@
 //! * [`param`] / [`optim`] — parameters with gradients and AdamW.
 //! * [`linear`], [`embedding`], [`layernorm`], [`ffn`] — layers with
 //!   hand-written backprop, each finite-difference-tested. Every layer has
-//!   one stateless `forward(&self, …) -> (y, tape)` and one `backward` over
-//!   that [`tape`]; protection is a `ProtectionConfig` / `OpGuard` value
-//!   passed in, never a different method.
+//!   one stateless `forward(&self, …)` and one `backward` over the [`tape`]
+//!   its caller builds by move; protection is a `ProtectionConfig` /
+//!   `OpGuard` value passed in, never a different method.
 //! * [`attn_layer`] — multi-head attention wrapping the ATTNChecker
 //!   protected forward, plus its backward pass.
-//! * [`block`] — pre-LN / post-LN transformer blocks.
+//! * [`block`] — pre-LN / post-LN transformer blocks, one pipeline.
 //! * [`model`] — the four studied architectures (BERT, RoBERTa, GPT-2,
 //!   GPT-Neo) as sequence classifiers, with fault-injection plumbing.
 //! * [`data`] — a synthetic MRPC-style paraphrase corpus.
 //! * [`trainer`] — fine-tuning loop with non-trainable-state detection and
 //!   attention/step timing (Figs 6, 7, 11).
 //! * [`decode`] — KV-cached serving front-end for the causal
-//!   architectures: one `extend` by m ≥ 1 tokens serves prefill and
-//!   decode, bit-identical to the full protected forward.
+//!   architectures: one `extend` by m ≥ 1 tokens — the training forward
+//!   over the session's caches — serves prefill and decode.
 //! * [`flops`] — paper-scale flop accounting behind Table 3.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]

@@ -28,19 +28,19 @@ impl Linear {
         }
     }
 
-    /// Forward: returns the output and the input tape (the activation
-    /// backward needs).
+    /// Forward `x·W + b`. Backward needs `x` again: a caller that trains
+    /// tapes the input it owns, nothing is copied here.
     #[allow(
         clippy::disallowed_methods,
         reason = "unguarded by design: the pooler / classifier / LM head (ROADMAP item 5)"
     )]
-    pub fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {
+    pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut y = matmul(x, &self.w.value);
         add_bias_inplace(&mut y, self.b.bias());
-        (y, x.clone())
+        y
     }
 
-    /// Backward over the input tape: writes `dW = xᵀ·dy`, `db = Σrows(dy)`
+    /// Backward over the taped input `x`: writes `dW = xᵀ·dy`, `db = Σrows(dy)`
     /// into `grads`, returns `dx = dy·Wᵀ`.
     #[allow(
         clippy::disallowed_methods,
@@ -65,12 +65,13 @@ impl HasParams for Linear {
 /// (entering inside the GEMM when `x` arrives plain), the output is exposed
 /// to fault hooks at `site`, and the section's detection point corrects any
 /// extreme value in place — refined to exact bits by replaying the producing
-/// dot product — before the activation is taped for backward. Backward is
-/// untouched: by the time gradients flow, the taped activations are already
+/// dot product over the input's rows where they lie. Backward is untouched:
+/// by the time gradients flow, the activations the caller taped are already
 /// healed.
 #[derive(Debug, Clone)]
 pub struct ProtectedLinear {
-    /// The wrapped affine layer (parameters, gradients, backward).
+    /// The wrapped affine layer (parameters, gradients, and the backward
+    /// the guarded layer runs as is).
     pub inner: Linear,
     /// Tap site this GEMM output exposes to fault hooks.
     pub site: AttnOp,
@@ -96,14 +97,14 @@ impl ProtectedLinear {
     /// checksums `x` already carries ride through, a plain `x` *enters* an
     /// active section inside the GEMM's packing pass, and an inactive `sec`
     /// computes the identical bits without detection. Returns the checked
-    /// output — post-detection, post-correction — for the next chain step,
-    /// plus the logical input tape for backward.
+    /// output — post-detection, post-correction — for the next chain step;
+    /// the caller tapes `x` for backward.
     pub fn forward<'a>(
         &self,
         x: impl Into<Operand<'a>>,
         sec: &GuardedSection,
         ctx: &mut ForwardCtx<'_, '_>,
-    ) -> (CheckedMatrix, Matrix) {
+    ) -> CheckedMatrix {
         let x = x.into();
         let w = &self.inner.w.value;
         let bias = self.inner.b.bias();
@@ -116,20 +117,14 @@ impl ProtectedLinear {
             },
             &mut y,
         );
-        let tape = x.logical();
         let mut det = sec.detect(&mut y, usize::MAX);
         if det.detections() > 0 {
             det.refine(&mut y, |r, c| {
-                replay_nn(tape.row(r), |kk| w[(kk, c)]) + bias[c]
+                replay_nn(x.logical_row(r), |kk| w[(kk, c)]) + bias[c]
             });
         }
         det.absorb(ctx.report);
-        (y, tape)
-    }
-
-    /// Backward over the input tape (delegates to the inner layer).
-    pub fn backward(&self, dy: &Matrix, x: &Matrix, grads: &mut Grads) -> Matrix {
-        self.inner.backward(dy, x, grads)
+        y
     }
 }
 
@@ -151,13 +146,12 @@ mod tests {
         let x = rng.normal_matrix(3, 5, 1.0);
         let dy = rng.normal_matrix(3, 4, 1.0);
 
-        let (_y, tape) = lin.forward(&x);
         let mut grads = Grads::new();
-        let dx = lin.backward(&dy, &tape, &mut grads);
+        let dx = lin.backward(&dy, &x, &mut grads);
         grads.merge_into(&mut lin);
 
         let loss = |l: &Linear, xx: &Matrix| -> f32 {
-            let (y, _) = l.forward(xx);
+            let y = l.forward(xx);
             y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
         };
 
@@ -205,7 +199,7 @@ mod tests {
         let mut lin = Linear::new("t", 3, 2, &mut rng);
         lin.b.value[(0, 0)] = 10.0;
         let x = Matrix::zeros(4, 3);
-        let (y, _) = lin.forward(&x);
+        let y = lin.forward(&x);
         assert_eq!((y.rows(), y.cols()), (4, 2));
         assert!((y[(0, 0)] - 10.0).abs() < 1e-6);
         assert!((y[(0, 1)]).abs() < 1e-6);
@@ -218,9 +212,8 @@ mod tests {
         let x = rng.normal_matrix(2, 3, 1.0);
         let dy = rng.normal_matrix(2, 3, 1.0);
         let step = |lin: &mut Linear| {
-            let (_, tape) = lin.forward(&x);
             let mut grads = Grads::new();
-            let _ = lin.backward(&dy, &tape, &mut grads);
+            let _ = lin.backward(&dy, &x, &mut grads);
             grads.merge_into(lin);
         };
         step(&mut lin);
@@ -235,15 +228,15 @@ mod tests {
         use attnchecker::config::ProtectionConfig;
         use attnchecker::report::{AbftReport, SectionId};
 
-        /// Returns `(output, input tape, report)`.
+        /// Returns `(output, report)`.
         fn guarded_forward(
             lin: &ProtectedLinear,
             x: &Matrix,
             active: bool,
             hook: Option<attnchecker::attention::FaultHook<'_>>,
-        ) -> (Matrix, Matrix, AbftReport) {
+        ) -> (Matrix, AbftReport) {
             let mut report = AbftReport::default();
-            let (out, tape) = {
+            let out = {
                 let mut ctx = ForwardCtx {
                     mask: None,
                     toggles: SectionToggles::all(),
@@ -257,10 +250,9 @@ mod tests {
                     ctx.report,
                 );
                 let xc = sec.encode_cols(x);
-                let (y, tape) = lin.forward(&xc, &sec, &mut ctx);
-                (y.logical(), tape)
+                lin.forward(&xc, &sec, &mut ctx).logical()
             };
-            (out, tape, report)
+            (out, report)
         }
 
         #[test]
@@ -268,9 +260,9 @@ mod tests {
             let mut rng = TensorRng::seed_from(11);
             let lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
             let x = rng.normal_matrix(4, 6, 1.0);
-            let (plain, _) = lin.inner.forward(&x);
+            let plain = lin.inner.forward(&x);
             for active in [false, true] {
-                let (y, _, report) = guarded_forward(&lin, &x, active, None);
+                let (y, report) = guarded_forward(&lin, &x, active, None);
                 assert_eq!(y, plain, "active={active}");
                 assert!(report.is_quiet());
             }
@@ -281,19 +273,19 @@ mod tests {
             let mut rng = TensorRng::seed_from(12);
             let lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
             let x = rng.normal_matrix(4, 6, 1.0);
-            let (plain, _) = lin.inner.forward(&x);
+            let plain = lin.inner.forward(&x);
             let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
                 assert_eq!(site.op, AttnOp::Ffn1);
                 m.set(1, 3, f32::NEG_INFINITY);
             };
-            let (y, tape, report) = guarded_forward(&lin, &x, true, Some(&mut hook));
+            let (y, report) = guarded_forward(&lin, &x, true, Some(&mut hook));
             assert_eq!(y, plain, "exact replay must restore original bits");
             assert_eq!(report.correction_count(), 1);
             assert_eq!(report.corrections[0].section, SectionId::FeedForward);
             assert_eq!(report.unrecovered, 0);
-            // The healed activation is what backward consumes.
+            // Backward runs over the input the caller keeps.
             let dy = rng.normal_matrix(4, 8, 1.0);
-            let dx = lin.backward(&dy, &tape, &mut Grads::new());
+            let dx = lin.inner.backward(&dy, &x, &mut Grads::new());
             assert!(dx.all_finite());
         }
 
@@ -303,7 +295,7 @@ mod tests {
             let lin = ProtectedLinear::new("p", 5, 5, AttnOp::Ffn2, &mut rng);
             let x = rng.normal_matrix(3, 5, 1.0);
             let mut hook = |_: FaultSite, m: &mut CheckedMatrix| m.set(0, 0, f32::NAN);
-            let (y, _, report) = guarded_forward(&lin, &x, false, Some(&mut hook));
+            let (y, report) = guarded_forward(&lin, &x, false, Some(&mut hook));
             assert!(!y.all_finite(), "no detection when the section is off");
             assert_eq!(report.correction_count(), 0);
         }

@@ -17,6 +17,8 @@
 //! and the example's activation tape, [`TransformerModel::backward`]
 //! consumes it — both by `&self`, under the single [`ProtectionConfig`] the
 //! model owns ([`TransformerModel::protection`]) and hands to every block.
+//! Serving's [`TransformerModel::extend`] is the same pipeline over a
+//! session's KV caches, without the tape.
 //! Unprotected and attention-only runs are that config's value
 //! ([`ProtectionConfig::off`] / [`ProtectionConfig::attention_only`]), not
 //! another method.
@@ -35,6 +37,7 @@ use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::{AttnOp, FaultSite, SectionToggles};
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
+use attnchecker::decode::AttnKvCache;
 use attnchecker::report::AbftReport;
 use attnchecker::section::{ForwardCtx, GuardedSection};
 use std::ops::Range;
@@ -201,10 +204,9 @@ pub struct InjectionSpec {
 
 impl InjectionSpec {
     /// One-shot fault hook: strikes the first GEMM output whose site
-    /// matches this spec, then goes inert. Shared by the full forward and
-    /// the decode step, so both plant faults identically. The strike covers
-    /// the logical cells of the victim row only, never its checksum columns,
-    /// so region kinds (`StuckRow`, `Burst`) plant their whole span.
+    /// matches this spec, then goes inert. The strike covers the logical
+    /// cells of the victim row only, never its checksum columns, so region
+    /// kinds (`StuckRow`, `Burst`) plant their whole span.
     pub(crate) fn hook(self) -> impl FnMut(FaultSite, &mut CheckedMatrix) {
         let mut fired = false;
         move |site, m| {
@@ -302,19 +304,18 @@ impl TransformerModel {
         self.protection = protection;
     }
 
-    /// Attention mask for block `layer` at sequence length `seq`.
-    pub fn mask_for_layer(&self, layer: usize, seq: usize) -> Option<Matrix> {
-        match self.config.arch {
-            ModelArch::Bert | ModelArch::Roberta => None,
-            ModelArch::Gpt2 | ModelArch::GptNeo => Some(self.causal_mask_rows(layer, 0..seq, seq)),
-        }
+    /// A fresh KV cache for one block: checksummed unless protection is
+    /// hard-off.
+    pub(crate) fn new_kv_cache(&self) -> AttnKvCache {
+        let c = &self.config;
+        AttnKvCache::new(c.hidden, c.heads, !self.protection.is_off())
     }
 
     /// Rows `rows` of block `layer`'s additive causal mask over `len` keys
     /// — the one statement of the mask rule: query `r` never sees a later
     /// key, and on GPT-Neo's odd (local) blocks it sees only the
-    /// `local_window` keys ending at itself. [`Self::mask_for_layer`]
-    /// builds every row; [`Self::extend`] the rows of the tokens it feeds.
+    /// `local_window` keys ending at itself. [`Self::run`] builds the rows
+    /// of the tokens it feeds.
     pub(crate) fn causal_mask_rows(&self, layer: usize, rows: Range<usize>, len: usize) -> Matrix {
         let local = self.config.arch == ModelArch::GptNeo && !layer.is_multiple_of(2);
         let w = self.config.local_window;
@@ -329,7 +330,8 @@ impl TransformerModel {
     }
 
     /// Forward of one example under [`Self::protection`]; returns the
-    /// `1 × num_classes` logits and the full activation tape.
+    /// `1 × num_classes` logits and the full activation tape: the pipeline
+    /// of [`Self::extend`] over fresh KV caches, recording the tape.
     ///
     /// Takes the model by `&self`, so a whole batch can forward
     /// concurrently against shared parameters — each item owns its tape,
@@ -344,69 +346,90 @@ impl TransformerModel {
         inject: Option<&InjectionSpec>,
         report: &mut AbftReport,
     ) -> (Matrix, ExampleTape) {
-        let seq = tokens.len();
-        let masks: Vec<Option<Matrix>> = (0..self.blocks.len())
-            .map(|i| self.mask_for_layer(i, seq))
-            .collect();
+        let (logits, tape) = self.run(tokens, 0, None, toggles, inject, report);
+        (logits, tape.expect("a training run records its tape"))
+    }
 
-        let mut block_tapes = Vec::with_capacity(self.blocks.len());
+    /// The one model pipeline, behind [`Self::forward`] and
+    /// [`Self::extend`]: the embedding at positions `pos..`, every block
+    /// (causal models with the mask rows of those positions), and the head
+    /// on the selected row — `[CLS]`, or the last token. With a decode
+    /// `session`'s per-layer caches they grow and no tape is recorded;
+    /// without (training) each block gets a fresh cache and the tape is
+    /// recorded. One op guard covers every non-GEMM op of the pass.
+    pub(crate) fn run(
+        &self,
+        tokens: &[usize],
+        pos: usize,
+        mut session: Option<&mut [AttnKvCache]>,
+        toggles: SectionToggles,
+        inject: Option<&InjectionSpec>,
+        report: &mut AbftReport,
+    ) -> (Matrix, Option<ExampleTape>) {
+        let (taped, len) = (session.is_none(), pos + tokens.len());
+        let causal = self.supports_decode();
+        let g = GuardedSection::guard_step(&self.protection);
 
-        // Blocks run their own op guards internally; this one covers the
-        // model-level non-GEMM ops (embedding gather, outer LayerNorms).
-        let op_guard = GuardedSection::guard_step(&self.protection);
-
-        let mut h = self.embedding.forward(tokens, 0, &op_guard);
+        let mut h = self.embedding.forward(tokens, pos, &g);
         let emb_ln = self.emb_ln.as_ref().map(|ln| {
-            let (y, cache) = ln.forward(&h, &op_guard);
+            let (y, stats) = ln.forward(&h, &g);
             h = y;
-            cache
+            stats
         });
+        let mut block_tapes = Vec::with_capacity(if taped { self.blocks.len() } else { 0 });
         for (i, block) in self.blocks.iter().enumerate() {
+            let mask = causal.then(|| self.causal_mask_rows(i, pos..len, len));
             let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
             let mut ctx = ForwardCtx {
-                mask: masks[i].as_ref(),
+                mask: mask.as_ref(),
                 toggles,
                 hook: hook.as_mut().map(|h| h as _),
                 report: &mut *report,
             };
-            let (y, tape) = block.forward(&h, &self.protection, &mut ctx);
+            // A training block's fresh cache lives only as long as it runs.
+            let mut fresh = None;
+            let cache = match session.as_deref_mut() {
+                Some(layers) => &mut layers[i],
+                None => fresh.insert(self.new_kv_cache()),
+            };
+            let (y, tape) = block.forward(&h, &self.protection, cache, &mut ctx, &g, taped);
             h = y;
-            block_tapes.push(tape);
+            block_tapes.extend(tape);
         }
+
+        // The selected row moves to the top (a no-op for `[CLS]` and at
+        // m = 1); the head reads it alone.
+        let select_row = if causal { tokens.len() - 1 } else { 0 };
+        let cols = h.cols();
+        let start = select_row * cols;
+        h.data_mut().copy_within(start..start + cols, 0);
+        let mut row = h.into_top_rows(1);
         let final_ln = self.final_ln.as_ref().map(|ln| {
-            let (y, cache) = ln.forward(&h, &op_guard);
-            h = y;
-            cache
+            let (y, stats) = ln.forward(&row, &g);
+            row = y;
+            stats
         });
-        report.absorb_op_guard(op_guard.take_stats());
-
-        let select_row = match self.config.arch {
-            ModelArch::Bert | ModelArch::Roberta => 0,
-            ModelArch::Gpt2 | ModelArch::GptNeo => seq - 1,
+        let (pooler_x, classifier_x) = match &self.pooler {
+            Some(pooler) => {
+                let mut pooled = pooler.forward(&row);
+                pooled.data_mut().iter_mut().for_each(|v| *v = v.tanh());
+                (Some(row), pooled)
+            }
+            None => (None, row),
         };
-        let hrow = h.submatrix(select_row, select_row + 1, 0, self.config.hidden);
-
-        let (head_in, pooled, pooler_x) = if let Some(pooler) = &self.pooler {
-            let (lin, px) = pooler.forward(&hrow);
-            let tanh = lin.map(|x| x.tanh());
-            (tanh.clone(), Some(tanh), Some(px))
-        } else {
-            (hrow, None, None)
-        };
-        let (logits, classifier_x) = self.classifier.forward(&head_in);
-        let tape = ExampleTape {
+        let logits = self.classifier.forward(&classifier_x);
+        report.absorb_op_guard(g.take_stats());
+        let tape = taped.then(|| ExampleTape {
             tokens: tokens.to_vec(),
             emb_ln,
             blocks: block_tapes,
-            final_ln,
             head: HeadTape {
-                seq,
                 select_row,
-                pooled,
+                final_ln,
                 pooler_x,
                 classifier_x,
             },
-        };
+        });
         (logits, tape)
     }
 
@@ -415,23 +438,21 @@ impl TransformerModel {
     /// ops (softmax Jacobian, LayerNorm backward, GELU derivative, residual
     /// gradient sums) run under the one `g` scope.
     pub fn backward(&self, dlogits: &Matrix, tape: &ExampleTape, grads: &mut Grads, g: &OpGuard) {
-        let mut d = self
-            .classifier
-            .backward(dlogits, &tape.head.classifier_x, grads);
+        let head = &tape.head;
+        let mut d = self.classifier.backward(dlogits, &head.classifier_x, grads);
         if let Some(pooler) = &self.pooler {
-            let pooled = tape.head.pooled.as_ref().expect("pooler tape");
-            // d(tanh(u)) = (1 - tanh²(u)) du
-            d = d.zip(pooled, |g, t| g * (1.0 - t * t));
-            let px = tape.head.pooler_x.as_ref().expect("pooler input tape");
+            // d(tanh(u)) = (1 - tanh²(u)) du, tanh(u) being the classifier input
+            d = d.zip(&head.classifier_x, |g, t| g * (1.0 - t * t));
+            let px = head.pooler_x.as_ref().expect("pooler input tape");
             d = pooler.backward(&d, px, grads);
         }
-        let mut dh = Matrix::zeros(tape.head.seq, self.config.hidden);
-        dh.row_mut(tape.head.select_row).copy_from_slice(d.row(0));
-
         if let Some(ln) = &self.final_ln {
-            let cache = tape.final_ln.as_ref().expect("final LN tape");
-            dh = ln.backward(&dh, cache, grads, g);
+            let stats = head.final_ln.as_ref().expect("final LN tape");
+            d = ln.backward(&d, stats, grads, g);
         }
+        let mut dh = Matrix::zeros(tape.tokens.len(), self.config.hidden);
+        dh.row_mut(head.select_row).copy_from_slice(d.row(0));
+
         for (block, bt) in self.blocks.iter().zip(&tape.blocks).rev() {
             dh = block.backward(&dh, bt, grads, g);
         }
@@ -526,12 +547,11 @@ mod tests {
         assert!(loss.is_nan());
     }
 
-    #[test]
-    fn full_model_gradient_check_bert() {
-        let mut cfg = ModelConfig::bert_small();
+    /// Finite-difference check of the whole model's backward on `cfg` at
+    /// width 16, at parameters spread across its depth.
+    fn full_model_gradient_check(mut cfg: ModelConfig, spots: &[&str]) {
         cfg.hidden = 16;
         cfg.heads = 2;
-        cfg.layers = 1;
         let (mut m, _) = tiny(cfg);
         let tokens = vec![1usize, 5, 9, 3];
         let label = 1usize;
@@ -542,20 +562,13 @@ mod tests {
         m.backward(&dlogits, &tape, &mut grads, &OpGuard::off());
         grads.merge_into(&mut m);
 
-        // FD check on a handful of parameters spread across the model.
         let loss_fn = |mm: &TransformerModel| -> f32 {
             let mut r = AbftReport::default();
             let (lg, _) = mm.forward(&tokens, SectionToggles::none(), None, &mut r);
             cross_entropy(&lg, label, &OpGuard::off()).0
         };
         let eps = 1e-2;
-        // Spot-check gradients on parameters spread across the model depth.
-        let spots = [
-            ("classifier.w", 0usize),
-            ("block0.attn.wq", 1),
-            ("pooler.w", 2),
-        ];
-        for (name, _) in spots {
+        for &name in spots {
             let mut grad_val = None;
             let mut pos = (0usize, 0usize);
             m.visit_params(&mut |p| {
@@ -586,10 +599,42 @@ mod tests {
     }
 
     #[test]
+    fn full_model_gradient_check_bert() {
+        let cfg = ModelConfig {
+            layers: 1,
+            ..ModelConfig::bert_small()
+        };
+        full_model_gradient_check(cfg, &["classifier.w", "block0.attn.wq", "pooler.w"]);
+    }
+
+    #[test]
+    fn full_model_gradient_check_causal() {
+        // The final LN runs on the last row only; everything below it is
+        // checked through its backward. Two blocks with a 2-key window, so
+        // GPT-Neo's local block is covered too.
+        let spots = [
+            "classifier.w",
+            "final.ln.gamma",
+            "block1.attn.wq",
+            "block1.ffn.lin1.w",
+            "block0.attn.wk",
+            "block0.ln1.gamma",
+        ];
+        for base in [ModelConfig::gpt2(), ModelConfig::gpt_neo()] {
+            let cfg = ModelConfig {
+                layers: 2,
+                local_window: 2,
+                ..base
+            };
+            full_model_gradient_check(cfg, &spots);
+        }
+    }
+
+    #[test]
     fn gpt_neo_alternates_masks() {
         let (m, _) = tiny(ModelConfig::gpt_neo());
-        let m0 = m.mask_for_layer(0, 16).unwrap();
-        let m1 = m.mask_for_layer(1, 16).unwrap();
+        let m0 = m.causal_mask_rows(0, 0..16, 16);
+        let m1 = m.causal_mask_rows(1, 0..16, 16);
         assert_ne!(m0.data(), m1.data());
         // Layer 1 is local: position 15 cannot attend to position 0.
         assert!(m1[(15, 0)] < -1e8);

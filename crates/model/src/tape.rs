@@ -1,7 +1,8 @@
 //! Per-example activation tapes.
 //!
 //! Every layer's `forward` takes the layer by `&self` and *returns* its
-//! activation record; `backward` consumes it and writes parameter
+//! activation record, built by moving in the matrices the pass computed
+//! anyway (no layer copies its input for a tape); `backward` consumes it and writes parameter
 //! gradients into a detached [`crate::param::Grads`] buffer. No layer
 //! holds activations of its own, so a whole batch can run forward +
 //! backward concurrently — one tape, one report, one gradient buffer per
@@ -16,12 +17,13 @@ use std::time::Duration;
 /// Activation record of one [`crate::ffn::FeedForward`] forward pass.
 #[derive(Debug, Clone)]
 pub struct FfnTape {
-    /// Input to the expansion GEMM (`lin1`).
+    /// Input to the expansion GEMM (`lin1`), moved in.
     pub x: Matrix,
     /// Pre-GELU activation (the expansion output), needed for the GELU
     /// backward.
     pub pre: Matrix,
-    /// Post-GELU activation — the contraction GEMM's (`lin2`) input.
+    /// Post-GELU activation — the contraction GEMM's (`lin2`) input, moved
+    /// in.
     pub act: Matrix,
 }
 
@@ -42,18 +44,18 @@ pub struct BlockTape {
     pub ffn_time: Duration,
 }
 
-/// Activation record of the classification head.
+/// Activation record of the classification head, which runs on the
+/// selected row only.
 #[derive(Debug, Clone)]
 pub struct HeadTape {
-    /// Sequence length of the forwarded example.
-    pub seq: usize,
     /// Row selected for classification (`[CLS]` or last token).
     pub select_row: usize,
-    /// Post-tanh pooled vector (BERT family only).
-    pub pooled: Option<Matrix>,
-    /// Pooler input (BERT family only).
+    /// Final LayerNorm statistics of the selected row (GPT family).
+    pub final_ln: Option<LayerNormCache>,
+    /// Pooler input, the selected row (BERT family only).
     pub pooler_x: Option<Matrix>,
-    /// Classifier input.
+    /// Classifier input — with a pooler, its post-tanh output, whose
+    /// derivative backward reads from here.
     pub classifier_x: Matrix,
 }
 
@@ -68,8 +70,6 @@ pub struct ExampleTape {
     pub emb_ln: Option<LayerNormCache>,
     /// Per-block activation records, input order.
     pub blocks: Vec<BlockTape>,
-    /// Final LayerNorm statistics (GPT family).
-    pub final_ln: Option<LayerNormCache>,
     /// Classification-head record.
     pub head: HeadTape,
 }

@@ -7,7 +7,8 @@
 //! ([`Trainer::set_parallelism`]). The per-item results are then reduced
 //! in **fixed batch order** — losses summed, reports merged, gradient
 //! buffers folded into the model — so a step's loss and every post-step
-//! parameter bit are identical at any worker count.
+//! parameter bit are identical at any worker count. The forward is
+//! serving's `extend` over fresh KV caches, with the tape recorded.
 
 use crate::data::{Example, SyntheticMrpc};
 use crate::model::{cross_entropy, InjectionSpec, TransformerModel};
@@ -167,7 +168,7 @@ impl Trainer {
             };
             let mut report = AbftReport::default();
             // One op-guard scope per item covers the loss softmax and the
-            // whole backward pass (the forward ops run their own scopes).
+            // whole backward pass (the forward opens one of its own).
             let op_guard = GuardedSection::guard_step(&protection);
             let (logits, tape) = model.forward(&ex.tokens, toggles, spec.as_ref(), &mut report);
             let (loss, dlogits) = cross_entropy(&logits, ex.label, &op_guard);
