@@ -20,7 +20,6 @@
 //! full training state.
 
 use attn_model::param::HasParams;
-use attn_tensor::Matrix;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
@@ -53,44 +52,52 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Serialise the full training state (`t` is the optimizer step counter).
+/// Serialise the full training state (`t` is the optimizer step counter),
+/// encoding straight from the parameters.
 pub fn snapshot_model(model: &mut dyn HasParams, t: u64) -> Bytes {
-    let mut entries: Vec<(String, Matrix, Matrix, Matrix)> = Vec::new();
+    let mut nparams = 0u64;
+    let mut payload = 0usize;
     model.visit_params(&mut |p| {
-        entries.push((p.name.clone(), p.value.clone(), p.m.clone(), p.v.clone()));
+        nparams += 1;
+        payload += ENTRY_HEADER + p.name.len() + 3 * 4 * p.len();
     });
-
-    let payload: usize = entries
-        .iter()
-        .map(|(n, v, _, _)| 4 + n.len() + 16 + 3 * 4 * v.len())
-        .sum();
-    let mut buf = BytesMut::with_capacity(4 + 4 + 8 + 8 + payload);
+    let mut buf = BytesMut::with_capacity(HEADER + payload);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u64_le(t);
-    buf.put_u64_le(entries.len() as u64);
-    for (name, value, m, v) in &entries {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        buf.put_u64_le(value.rows() as u64);
-        buf.put_u64_le(value.cols() as u64);
-        for mat in [value, m, v] {
+    buf.put_u64_le(nparams);
+    model.visit_params(&mut |p| {
+        buf.put_u32_le(p.name.len() as u32);
+        buf.put_slice(p.name.as_bytes());
+        buf.put_u64_le(p.value.rows() as u64);
+        buf.put_u64_le(p.value.cols() as u64);
+        for mat in [&p.value, &p.m, &p.v] {
             for &x in mat.data() {
                 buf.put_f32_le(x);
             }
         }
-    }
+    });
     buf.freeze()
 }
+
+/// Bytes before the first entry: magic, version, `t`, `nparams`.
+const HEADER: usize = 4 + 4 + 8 + 8;
+/// Fixed bytes of one entry besides its name and data: `name_len`, `rows`,
+/// `cols`.
+const ENTRY_HEADER: usize = 4 + 8 + 8;
 
 /// Restore training state from [`snapshot_model`] output. Returns the saved
 /// optimizer step counter.
 ///
 /// Parameters are matched by visit order and verified by name and shape, so
-/// a checkpoint can only be restored into the model that produced it.
+/// a checkpoint can only be restored into the model that produced it. The
+/// restore takes two passes over the model: the first checks the count,
+/// every name, shape and length against the buffer, the second decodes
+/// straight into the existing matrices — so a failed restore mutates
+/// nothing, and a successful one allocates nothing.
 pub fn restore_model(model: &mut dyn HasParams, data: &[u8]) -> Result<u64, SnapshotError> {
     let mut buf = data;
-    if buf.remaining() < 24 {
+    if buf.remaining() < HEADER {
         return Err(SnapshotError::Truncated);
     }
     let mut magic = [0u8; 4];
@@ -103,88 +110,97 @@ pub fn restore_model(model: &mut dyn HasParams, data: &[u8]) -> Result<u64, Snap
         return Err(SnapshotError::BadVersion(version));
     }
     let t = buf.get_u64_le();
-    let nparams = buf.get_u64_le() as usize;
-
-    // Decode into a list first so a half-applied restore cannot corrupt the
-    // model on error.
-    let mut decoded: Vec<(String, Matrix, Matrix, Matrix)> = Vec::with_capacity(nparams);
-    for _ in 0..nparams {
-        if buf.remaining() < 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let name_len = buf.get_u32_le() as usize;
-        if buf.remaining() < name_len + 16 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| SnapshotError::Mismatch("non-utf8 name".into()))?;
-        let rows = buf.get_u64_le() as usize;
-        let cols = buf.get_u64_le() as usize;
-        let n = rows * cols;
-        if buf.remaining() < 3 * 4 * n {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut mats = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(buf.get_f32_le());
-            }
-            mats.push(Matrix::from_vec(rows, cols, v));
-        }
-        let vv = mats.pop().expect("3 matrices");
-        let mm = mats.pop().expect("2 matrices");
-        let val = mats.pop().expect("1 matrix");
-        decoded.push((name, val, mm, vv));
+    let nparams = buf.get_u64_le();
+    // Every entry takes at least its fixed header, so a count the rest of
+    // the buffer cannot hold is a truncation, whatever the model says.
+    if nparams > (buf.remaining() / ENTRY_HEADER) as u64 {
+        return Err(SnapshotError::Truncated);
     }
+    let entries = buf;
 
-    let mut idx = 0usize;
+    // Pass 1: validate every entry against the model; touch nothing.
+    let mut idx = 0u64;
     let mut err: Option<SnapshotError> = None;
     model.visit_params(&mut |p| {
         if err.is_some() {
             return;
         }
-        let Some((name, val, m, v)) = decoded.get(idx) else {
+        if idx == nparams {
             err = Some(SnapshotError::Mismatch(
                 "too few params in checkpoint".into(),
             ));
             return;
-        };
-        if *name != p.name {
-            err = Some(SnapshotError::Mismatch(format!(
-                "param {idx}: checkpoint has `{name}`, model has `{}`",
-                p.name
-            )));
-            return;
         }
-        if (val.rows(), val.cols()) != (p.value.rows(), p.value.cols()) {
-            err = Some(SnapshotError::Mismatch(format!(
-                "shape mismatch for `{name}`"
-            )));
-            return;
+        match read_entry_header(&mut buf) {
+            Err(e) => err = Some(e),
+            Ok((name, rows, cols)) => {
+                if name != p.name.as_bytes() {
+                    err = Some(SnapshotError::Mismatch(format!(
+                        "param {idx}: checkpoint has `{}`, model has `{}`",
+                        String::from_utf8_lossy(name),
+                        p.name
+                    )));
+                } else if (rows, cols) != (p.value.rows() as u64, p.value.cols() as u64) {
+                    err = Some(SnapshotError::Mismatch(format!(
+                        "shape mismatch for `{}`",
+                        p.name
+                    )));
+                } else if buf.remaining() < 3 * 4 * p.len() {
+                    err = Some(SnapshotError::Truncated);
+                } else {
+                    buf.advance(3 * 4 * p.len());
+                    idx += 1;
+                }
+            }
         }
-        p.value = val.clone();
-        p.m = m.clone();
-        p.v = v.clone();
-        idx += 1;
     });
     if let Some(e) = err {
         return Err(e);
     }
-    if idx != decoded.len() {
+    if idx != nparams {
         return Err(SnapshotError::Mismatch(
             "checkpoint has more params than model".into(),
         ));
     }
+
+    // Pass 2: the layout is known good; decode in place.
+    let mut buf = entries;
+    model.visit_params(&mut |p| {
+        let name_len = buf.get_u32_le() as usize;
+        buf.advance(name_len + 16);
+        for mat in [&mut p.value, &mut p.m, &mut p.v] {
+            for x in mat.data_mut() {
+                *x = buf.get_f32_le();
+            }
+        }
+    });
     Ok(t)
+}
+
+/// Read one entry's `name_len`, name and shape, leaving `buf` at its data.
+/// The shape is returned as stored: comparing it with the receiving
+/// parameter's is the caller's check, and a shape whose element count
+/// overflows cannot match one.
+fn read_entry_header<'a>(buf: &mut &'a [u8]) -> Result<(&'a [u8], u64, u64), SnapshotError> {
+    if buf.remaining() < 4 {
+        return Err(SnapshotError::Truncated);
+    }
+    let name_len = buf.get_u32_le() as usize;
+    if buf.remaining() < name_len.saturating_add(16) {
+        return Err(SnapshotError::Truncated);
+    }
+    let (name, rest) = buf.split_at(name_len);
+    *buf = rest;
+    let rows = buf.get_u64_le();
+    let cols = buf.get_u64_le();
+    Ok((name, rows, cols))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use attn_model::param::Param;
+    use attn_tensor::Matrix;
 
     struct Toy {
         a: Param,
@@ -251,6 +267,96 @@ mod tests {
             restore_model(&mut other, &snap),
             Err(SnapshotError::Mismatch(_))
         ));
+    }
+
+    /// The wire format of a two-parameter model, byte for byte.
+    #[rustfmt::skip]
+    const GOLDEN: [u8; 102] = [
+        b'A', b'T', b'N', b'C', // magic
+        1, 0, 0, 0, // version
+        7, 0, 0, 0, 0, 0, 0, 0, // t
+        2, 0, 0, 0, 0, 0, 0, 0, // nparams
+        1, 0, 0, 0, b'a', // name
+        1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // rows, cols
+        0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0, // value 1.0, -2.0
+        0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x00, 0x3f, // m 0.5, 0.5
+        0x00, 0x00, 0x80, 0x3e, 0x00, 0x00, 0x80, 0x3e, // v 0.25, 0.25
+        1, 0, 0, 0, b'b', // name
+        1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, // rows, cols
+        0x00, 0x00, 0x80, 0xbf, // value -1.0
+        0x00, 0x00, 0x00, 0x00, // m 0.0
+        0x00, 0x00, 0x40, 0x40, // v 3.0
+    ];
+
+    fn golden_toy() -> Toy {
+        let mut a = Param::new("a", Matrix::from_vec(1, 2, vec![1.0, -2.0]));
+        a.m = Matrix::full(1, 2, 0.5);
+        a.v = Matrix::full(1, 2, 0.25);
+        let mut b = Param::new("b", Matrix::full(1, 1, -1.0));
+        b.v = Matrix::full(1, 1, 3.0);
+        Toy { a, b }
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_golden_encoding() {
+        let mut t = golden_toy();
+        assert_eq!(&snapshot_model(&mut t, 7)[..], &GOLDEN[..]);
+        let mut zeroed = Toy {
+            a: Param::zeros("a", 1, 2),
+            b: Param::zeros("b", 1, 1),
+        };
+        assert_eq!(restore_model(&mut zeroed, &GOLDEN), Ok(7));
+        assert_eq!(zeroed.a, t.a);
+        assert_eq!(zeroed.b, t.b);
+    }
+
+    #[test]
+    fn huge_param_count_is_an_error_not_a_panic() {
+        let mut t = toy();
+        let mut snap = snapshot_model(&mut t, 0).to_vec();
+        let before = t.a.value.clone();
+        for n in [u64::MAX, u64::MAX / 2, 3] {
+            snap[16..24].copy_from_slice(&n.to_le_bytes());
+            assert!(restore_model(&mut t, &snap).is_err(), "nparams = {n}");
+        }
+        snap[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(restore_model(&mut t, &snap), Err(SnapshotError::Truncated));
+        assert_eq!(t.a.value, before, "failed restore must not mutate");
+    }
+
+    #[test]
+    fn overflowing_shape_is_an_error_not_a_panic() {
+        // The first entry's rows and cols sit after the 24-byte header,
+        // `name_len` and the one-byte name "a".
+        let mut t = toy();
+        let mut snap = snapshot_model(&mut t, 0).to_vec();
+        let before = t.a.value.clone();
+        for (rows, cols) in [(1u64 << 32, 1u64 << 32), (u64::MAX, 2), (2, 3 << 61)] {
+            snap[29..37].copy_from_slice(&rows.to_le_bytes());
+            snap[37..45].copy_from_slice(&cols.to_le_bytes());
+            assert!(
+                matches!(
+                    restore_model(&mut t, &snap),
+                    Err(SnapshotError::Mismatch(_))
+                ),
+                "{rows} × {cols}"
+            );
+        }
+        assert_eq!(t.a.value, before, "failed restore must not mutate");
+    }
+
+    #[test]
+    fn count_mismatch_rejected_without_partial_apply() {
+        let mut t = toy();
+        let mut snap = snapshot_model(&mut t, 0).to_vec();
+        snap[16..24].copy_from_slice(&1u64.to_le_bytes());
+        t.a.value.data_mut().fill(9.0);
+        let before = t.a.value.clone();
+        assert!(matches!(
+            restore_model(&mut t, &snap),
+            Err(SnapshotError::Mismatch(_))
+        ));
+        assert_eq!(t.a.value, before, "failed restore must not mutate");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! surfaced as `unrecovered`; every heal, from any path, is accepted only
 //! when the affected rows *and* columns re-digest to their stored bits.
 
-use crate::param::{Grads, HasParams, Param};
+use crate::param::{HasParams, Param};
 use attn_tensor::{lanes, Matrix, OpGuard};
 use std::collections::BTreeMap;
 
@@ -72,30 +72,36 @@ fn digest_col(mat: &Matrix, c: usize) -> RowDigest {
     }
 }
 
-/// All column digests in one row-major sweep: each column is its own
-/// accumulator, rows ascending — [`digest_col`]'s bits, zipped so the
-/// columns are vector lanes.
-fn digest_cols(mat: &Matrix) -> Vec<RowDigest> {
-    let mut sum = vec![0.0f64; mat.cols()];
-    let mut wsum = vec![0.0f64; mat.cols()];
-    let mut xor = vec![0u32; mat.cols()];
-    for r in 0..mat.rows() {
-        let w = (r + 1) as f64;
-        let acc = sum.iter_mut().zip(wsum.iter_mut()).zip(xor.iter_mut());
-        for (((s, ws), x), &v) in acc.zip(mat.row(r)) {
-            let xf = f64::from(v);
-            *s += xf;
-            *ws += w * xf;
-            *x ^= v.to_bits();
+/// Columns per stack-resident accumulator block of [`digest_cols_into`].
+const COL_BLOCK: usize = 64;
+
+/// All column digests, written into `out`: each column is its own
+/// accumulator, rows ascending — [`digest_col`]'s bits, swept row-major
+/// over blocks of [`COL_BLOCK`] columns so the columns are vector lanes and
+/// the accumulators live on the stack.
+fn digest_cols_into(mat: &Matrix, out: &mut Vec<RowDigest>) {
+    out.clear();
+    for c0 in (0..mat.cols()).step_by(COL_BLOCK) {
+        let n = COL_BLOCK.min(mat.cols() - c0);
+        let mut sum = [0.0f64; COL_BLOCK];
+        let mut wsum = [0.0f64; COL_BLOCK];
+        let mut xor = [0u32; COL_BLOCK];
+        for r in 0..mat.rows() {
+            let w = (r + 1) as f64;
+            let lanes = sum[..n].iter_mut().zip(&mut wsum[..n]).zip(&mut xor[..n]);
+            for (((s, ws), x), &v) in lanes.zip(&mat.row(r)[c0..c0 + n]) {
+                let xf = f64::from(v);
+                *s += xf;
+                *ws += w * xf;
+                *x ^= v.to_bits();
+            }
         }
+        out.extend((0..n).map(|j| RowDigest {
+            sum: sum[j].to_bits(),
+            wsum: wsum[j].to_bits(),
+            xor: xor[j],
+        }));
     }
-    (0..mat.cols())
-        .map(|c| RowDigest {
-            sum: sum[c].to_bits(),
-            wsum: wsum[c].to_bits(),
-            xor: xor[c],
-        })
-        .collect()
 }
 
 /// Restore candidate: flip column `j` of `row` by the XOR delta and keep
@@ -357,10 +363,20 @@ struct MomentDigests {
 
 impl MomentDigests {
     fn capture(mat: &Matrix) -> Self {
-        Self {
-            rows: (0..mat.rows()).map(|r| digest_row(mat.row(r))).collect(),
-            cols: digest_cols(mat),
-        }
+        let mut d = Self {
+            rows: Vec::new(),
+            cols: Vec::new(),
+        };
+        d.recapture(mat);
+        d
+    }
+
+    /// Re-derive both axes from `mat` into the existing slot vectors.
+    fn recapture(&mut self, mat: &Matrix) {
+        self.rows.clear();
+        self.rows
+            .extend((0..mat.rows()).map(|r| digest_row(mat.row(r))));
+        digest_cols_into(mat, &mut self.cols);
     }
 
     fn matches_shape(&self, mat: &Matrix) -> bool {
@@ -384,12 +400,27 @@ impl MomentGuard {
         }
     }
 
+    fn recapture(&mut self, p: &Param) {
+        self.m.recapture(&p.m);
+        self.v.recapture(&p.v);
+    }
+
     fn verify_heal(&self, p: &mut Param, g: &OpGuard) {
         if !self.m.matches_shape(&p.m) || !self.v.matches_shape(&p.v) {
             return; // stale guard after a shape change; re-captured below
         }
         verify_moment(&self.m, &mut p.m, g);
         verify_moment(&self.v, &mut p.v, g);
+    }
+}
+
+/// Record `p`'s moment digests in its slot, reusing the slot's vectors.
+fn capture_into(guards: &mut BTreeMap<String, MomentGuard>, p: &Param) {
+    match guards.get_mut(p.name.as_str()) {
+        Some(slot) => slot.recapture(p),
+        None => {
+            guards.insert(p.name.clone(), MomentGuard::capture(p));
+        }
     }
 }
 
@@ -429,75 +460,21 @@ impl AdamW {
         }
     }
 
-    /// Merge per-item gradient buffers into the model **in the order
-    /// given** — the deterministic reduction that makes parallel training
-    /// steps bit-identical to sequential ones — then apply one
-    /// [`Self::step`] under `g`.
-    pub fn step_batched(
-        &mut self,
-        model: &mut dyn HasParams,
-        buffers: impl IntoIterator<Item = Grads>,
-        g: &OpGuard,
-    ) {
-        for grads in buffers {
-            grads.merge_into(model);
-        }
-        self.step(model, g);
-    }
-
-    /// Apply one optimizer step over every parameter of `model`, then zero
-    /// the gradients. Under an active `g` the moment state is guarded:
-    /// the at-rest digests are verified (and corruption healed) before the
-    /// update consumes the moments, and re-captured after it — the first
-    /// guarded step has nothing captured yet and only captures. An
-    /// unprotected step is [`OpGuard::off`], not another method.
+    /// Apply one optimizer step over every parameter of `model`, consuming
+    /// (and zeroing) the gradients merged into [`Param::grad`]. Under an
+    /// active `g` the moment state is guarded: each parameter's at-rest
+    /// digests are verified (and corruption healed) before the update
+    /// consumes its moments, and re-captured into the same slot after it —
+    /// one visit per parameter. The first guarded step has nothing
+    /// captured yet and only captures. An unprotected step is
+    /// [`OpGuard::off`], not another method.
     pub fn step(&mut self, model: &mut dyn HasParams, g: &OpGuard) {
-        if g.active() {
-            let guards = std::mem::take(&mut self.guards);
-            model.visit_params(&mut |p: &mut Param| {
-                if let Some(mg) = guards.get(&p.name) {
-                    mg.verify_heal(p, g);
-                }
-            });
-            self.guards = guards;
-        }
-        self.update(model);
-        if g.active() {
-            self.capture(model);
-        }
-    }
-
-    /// Re-capture the at-rest moment digests from the moments `model`
-    /// holds now. A checkpoint restore replaces the moments the digests
-    /// describe; without this the next guarded step would verify the
-    /// restored moments against the discarded ones and "heal" them back.
-    /// A no-op when nothing was ever captured, so unprotected trainers
-    /// stay digest-free.
-    pub fn recapture_digests(&mut self, model: &mut dyn HasParams) {
-        if !self.guards.is_empty() {
-            self.capture(model);
-        }
-    }
-
-    /// Capture every parameter's moment digests, reusing existing slots.
-    fn capture(&mut self, model: &mut dyn HasParams) {
-        let guards = &mut self.guards;
-        model.visit_params(&mut |p: &mut Param| {
-            if let Some(slot) = guards.get_mut(&p.name) {
-                *slot = MomentGuard::capture(p);
-            } else {
-                guards.insert(p.name.clone(), MomentGuard::capture(p));
-            }
-        });
-    }
-
-    fn update(&mut self, model: &mut dyn HasParams) {
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        model.visit_params(&mut |p: &mut Param| {
+        let update = |p: &mut Param| {
             let n = p.value.len();
             let value = p.value.data_mut();
             let grad = p.grad.data_mut();
@@ -512,13 +489,37 @@ impl AdamW {
                 value[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * value[i]);
                 grad[i] = 0.0;
             }
+        };
+        let guards = &mut self.guards;
+        model.visit_params(&mut |p: &mut Param| {
+            if let Some(mg) = guards.get(p.name.as_str()).filter(|_| g.active()) {
+                mg.verify_heal(p, g);
+            }
+            update(p);
+            if g.active() {
+                capture_into(guards, p);
+            }
         });
+    }
+
+    /// Re-capture the at-rest moment digests from the moments `model`
+    /// holds now. A checkpoint restore replaces the moments the digests
+    /// describe; without this the next guarded step would verify the
+    /// restored moments against the discarded ones and "heal" them back.
+    /// A no-op when nothing was ever captured, so unprotected trainers
+    /// stay digest-free.
+    pub fn recapture_digests(&mut self, model: &mut dyn HasParams) {
+        if !self.guards.is_empty() {
+            let guards = &mut self.guards;
+            model.visit_params(&mut |p: &mut Param| capture_into(guards, p));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Grads;
     use attn_tensor::Matrix;
 
     struct One {
@@ -586,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn step_batched_equals_manual_merge_then_step() {
+    fn merged_buffers_step_like_their_summed_gradient() {
         let mut a = One {
             p: Param::new("w", Matrix::full(1, 1, 1.0)),
         };
@@ -599,7 +600,9 @@ mod tests {
         g1.accumulate("w", &Matrix::full(1, 1, 0.5));
 
         let mut oa = AdamW::new(0.01);
-        oa.step_batched(&mut a, [g0, g1], &OpGuard::off());
+        g0.merge_into(&mut a);
+        g1.merge_into(&mut a);
+        oa.step(&mut a, &OpGuard::off());
 
         b.p.grad = Matrix::full(1, 1, 0.25 + 0.5);
         let mut ob = AdamW::new(0.01);
@@ -632,8 +635,10 @@ mod tests {
         let mut oc = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
         for gr in [&G1, &G2] {
-            op.step_batched(&mut plain, [grads_of(gr)], &OpGuard::off());
-            oc.step_batched(&mut checked, [grads_of(gr)], &g);
+            grads_of(gr).merge_into(&mut plain);
+            op.step(&mut plain, &OpGuard::off());
+            grads_of(gr).merge_into(&mut checked);
+            oc.step(&mut checked, &g);
         }
         assert_eq!(plain.p.value, checked.p.value);
         assert_eq!(plain.p.m, checked.p.m);

@@ -2,6 +2,7 @@
 //! detached [`Grads`] buffer that tape-based backward passes write into.
 
 use attn_tensor::Matrix;
+use std::collections::BTreeMap;
 
 /// A learnable tensor: value, accumulated gradient, and AdamW moments.
 ///
@@ -80,19 +81,15 @@ impl Param {
 /// Tape-based backward passes take the model by `&self` and accumulate
 /// their parameter gradients here instead of mutating [`Param::grad`] in
 /// place. That is what makes a training step data-parallel: each batch
-/// item backpropagates into its own `Grads`, and the per-item buffers are
-/// merged into the model afterwards in **fixed batch order**, so the
-/// floating-point reduction sequence — and therefore every parameter bit —
-/// is independent of how items were scheduled across threads.
+/// item backpropagates into a buffer of its own, and each buffer is folded
+/// into the model in **fixed batch order** as soon as its item finishes,
+/// so the floating-point reduction sequence — and therefore every
+/// parameter bit — is independent of how items were scheduled across
+/// threads. Folding zeroes the buffer, so one buffer serves item after
+/// item without reallocating its slots.
 #[derive(Debug, Clone, Default)]
 pub struct Grads {
-    // Lookup-only: `merge_into` walks the model's parameter order and
-    // looks each name up, so hash order never reaches a float (only the
-    // unknown-name panic message lists keys). A `BTreeMap` would cost one
-    // allocation per batch item per step against `tests/heap_budget.rs`'
-    // ceilings.
-    #[allow(clippy::disallowed_types)]
-    map: std::collections::HashMap<String, Matrix>,
+    map: BTreeMap<String, Matrix>,
 }
 
 impl Grads {
@@ -118,9 +115,10 @@ impl Grads {
     /// use — for scatter-style accumulation (embedding tables) that writes
     /// individual rows rather than whole matrices.
     pub fn matrix_mut(&mut self, name: &str, rows: usize, cols: usize) -> &mut Matrix {
-        self.map
-            .entry(name.to_string())
-            .or_insert_with(|| Matrix::zeros(rows, cols))
+        if !self.map.contains_key(name) {
+            self.map.insert(name.to_string(), Matrix::zeros(rows, cols));
+        }
+        self.map.get_mut(name).expect("slot inserted above")
     }
 
     /// Read a gradient slot (mainly for tests).
@@ -134,23 +132,31 @@ impl Grads {
     }
 
     /// Add every buffered gradient into the owning model's [`Param::grad`]
-    /// storage. Parameters are visited in the model's stable order, so
-    /// merging several buffers one after another is a deterministic
-    /// reduction.
+    /// storage, then zero the buffer's slots for the next item. Parameters
+    /// are visited in the model's stable order, so merging several buffers
+    /// one after another is a deterministic reduction. A reused buffer
+    /// folds the same bits a fresh one would: its zeroed slots can differ
+    /// from fresh ones only in the sign of a zero, and `Param::grad` never
+    /// holds `-0.0` (it starts at `+0.0`, and only `-0.0 + -0.0` sums to
+    /// `-0.0`), so adding either zero leaves it unchanged.
     ///
     /// # Panics
     /// Panics if the buffer holds a name the model does not own (a
     /// misspelled parameter name in a backward pass).
-    pub fn merge_into<M: HasParams + ?Sized>(mut self, model: &mut M) {
+    pub fn merge_into<M: HasParams + ?Sized>(&mut self, model: &mut M) {
+        let mut merged = 0usize;
         model.visit_params(&mut |p| {
-            if let Some(g) = self.map.remove(&p.name) {
-                p.accumulate(&g);
+            if let Some(g) = self.map.get_mut(p.name.as_str()) {
+                p.accumulate(g);
+                g.data_mut().fill(0.0);
+                merged += 1;
             }
         });
-        assert!(
-            self.map.is_empty(),
-            "gradients for unknown parameters: {:?}",
-            self.map.keys().collect::<Vec<_>>()
+        assert_eq!(
+            merged,
+            self.map.len(),
+            "gradients for parameters the model does not own, among {:?}",
+            self.map.keys()
         );
     }
 }

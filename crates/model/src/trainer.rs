@@ -4,11 +4,14 @@
 //! [`TransformerModel::forward`] + [`TransformerModel::backward`] against
 //! the shared model (`&TransformerModel`) with its own tape, report, and
 //! gradient buffer, fanned out over a sized rayon pool
-//! ([`Trainer::set_parallelism`]). The per-item results are then reduced
-//! in **fixed batch order** — losses summed, reports merged, gradient
-//! buffers folded into the model — so a step's loss and every post-step
-//! parameter bit are identical at any worker count. The forward is
-//! serving's `extend` over fresh KV caches, with the tape recorded.
+//! ([`Trainer::set_parallelism`]) in waves of `workers` items. After each
+//! wave its results are reduced in **fixed batch order** — losses summed,
+//! reports merged, gradient buffers folded into [`crate::param::Param::grad`]
+//! and zeroed for the next wave — so a step's loss and every post-step
+//! parameter bit are identical at any worker count, and a step holds
+//! `workers` gradient buffers, not one per item. The optimizer then
+//! consumes the folded gradients. The forward is serving's `extend` over
+//! fresh KV caches, with the tape recorded.
 
 use crate::data::{Example, SyntheticMrpc};
 use crate::model::{cross_entropy, InjectionSpec, TransformerModel};
@@ -63,11 +66,10 @@ pub struct StepOutcome {
     pub ws_allocs: u64,
 }
 
-/// One batch item's contribution to a training step, produced on whichever
-/// worker ran the item and reduced in batch order afterwards.
+/// One batch item's contribution to a training step besides its gradients,
+/// produced on whichever worker ran the item and reduced in batch order.
 struct ItemOutcome {
     loss: f32,
-    grads: Grads,
     report: AbftReport,
     attn_time: Duration,
     ffn_time: Duration,
@@ -106,9 +108,9 @@ impl Trainer {
 
     /// Fan batch items of every training step over `workers` threads
     /// (clamped to ≥ 1). Any setting produces bit-identical losses and
-    /// parameter updates — the per-item gradient buffers are reduced in
-    /// batch order regardless of scheduling — so this is purely a
-    /// throughput knob.
+    /// parameter updates — the per-item gradient buffers are folded in
+    /// batch order regardless of scheduling — so this is a throughput knob
+    /// whose memory cost is one gradient buffer per worker.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
         self.pool = (self.parallelism > 1).then(|| {
@@ -142,8 +144,9 @@ impl Trainer {
     /// each item forwards and backwards against the shared model with its
     /// own activation tape, ABFT report, and gradient buffer, so an
     /// injection strikes only its target item. Per-item results are
-    /// reduced in batch order, making the step bit-identical to the
-    /// sequential schedule at any worker count.
+    /// reduced in batch order after each wave of `workers` items, making
+    /// the step bit-identical to the sequential schedule at any worker
+    /// count.
     pub fn train_step_injected(
         &mut self,
         batch: &[&Example],
@@ -158,9 +161,8 @@ impl Trainer {
         let t0 = Instant::now();
 
         let inv = 1.0 / batch.len() as f32;
-        let model = &self.model;
-        let protection = *model.protection();
-        let run_item = |bi: usize| -> ItemOutcome {
+        let protection = *self.model.protection();
+        let run_item = |model: &TransformerModel, bi: usize, grads: &mut Grads| -> ItemOutcome {
             let ex = batch[bi];
             let spec = match &inject {
                 Some((target, spec)) if *target == bi => Some(*spec),
@@ -172,47 +174,55 @@ impl Trainer {
             let op_guard = GuardedSection::guard_step(&protection);
             let (logits, tape) = model.forward(&ex.tokens, toggles, spec.as_ref(), &mut report);
             let (loss, dlogits) = cross_entropy(&logits, ex.label, &op_guard);
-            let mut grads = Grads::new();
-            model.backward(&dlogits.scaled(inv), &tape, &mut grads, &op_guard);
+            model.backward(&dlogits.scaled(inv), &tape, grads, &op_guard);
             report.absorb_op_guard(op_guard.take_stats());
             ItemOutcome {
                 loss,
-                grads,
                 report,
                 attn_time: tape.blocks.iter().map(|b| b.attn_time).sum(),
                 ffn_time: tape.blocks.iter().map(|b| b.ffn_time).sum(),
             }
         };
-        let items: Vec<ItemOutcome> = if workers <= 1 {
-            (0..batch.len()).map(run_item).collect()
-        } else {
-            // The shim's `collect` reassembles results in input order, so
-            // scheduling cannot reorder the reduction below.
-            let pool = self.pool.as_ref().expect("pool built by set_parallelism");
-            pool.install(|| (0..batch.len()).into_par_iter().map(run_item).collect())
-        };
 
-        // Deterministic fixed-order reduction: batch order, always.
+        // Waves of `workers` items, each item into a buffer of its own;
+        // every wave is folded in batch order before the next one starts,
+        // so at most `workers` gradient buffers are live, and they are
+        // freed before the optimizer runs.
+        let pool = self.pool.as_ref().filter(|_| workers > 1);
+        let mut buffers: Vec<Grads> = (0..workers).map(|_| Grads::new()).collect();
         let mut report = AbftReport::default();
-        let mut item_reports = Vec::with_capacity(items.len());
+        let mut item_reports = Vec::with_capacity(batch.len());
         let mut loss_sum = 0.0f32;
         let mut attention_time = Duration::ZERO;
         let mut ffn_time = Duration::ZERO;
-        for item in &items {
-            loss_sum += item.loss;
-            report.merge(&item.report);
-            item_reports.push(item.report.clone());
-            attention_time += item.attn_time;
-            ffn_time += item.ffn_time;
+        for start in (0..batch.len()).step_by(workers) {
+            // A ragged last wave drops its spare buffers with the drain.
+            let wave: Vec<(usize, Grads)> = (start..batch.len()).zip(buffers.drain(..)).collect();
+            let model = &self.model;
+            let run = |(bi, mut grads): (usize, Grads)| (run_item(model, bi, &mut grads), grads);
+            let done: Vec<(ItemOutcome, Grads)> = match pool {
+                // The shim's `collect` reassembles results in input order,
+                // so scheduling cannot reorder the fold below.
+                Some(pool) => pool.install(|| wave.into_par_iter().map(run).collect()),
+                None => wave.into_iter().map(run).collect(),
+            };
+            // Deterministic fixed-order reduction: batch order, always.
+            for (item, mut grads) in done {
+                grads.merge_into(&mut self.model);
+                buffers.push(grads);
+                loss_sum += item.loss;
+                report.merge(&item.report);
+                item_reports.push(item.report);
+                attention_time += item.attn_time;
+                ffn_time += item.ffn_time;
+            }
         }
-        // The optimizer's at-rest moment digests verify-and-heal inside
-        // the same guarded scope; its activity lands in the step report.
+        drop(buffers);
+        // The optimizer consumes the folded gradients; its at-rest moment
+        // digests verify-and-heal inside the same guarded scope, and its
+        // activity lands in the step report.
         let step_guard = GuardedSection::guard_step(&protection);
-        self.optim.step_batched(
-            &mut self.model,
-            items.into_iter().map(|i| i.grads),
-            &step_guard,
-        );
+        self.optim.step(&mut self.model, &step_guard);
         report.absorb_op_guard(step_guard.take_stats());
 
         let loss = loss_sum * inv;

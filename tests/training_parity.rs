@@ -5,10 +5,12 @@
 
 use attn_fault::FaultKind;
 use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
-use attn_model::{HasParams, SyntheticMrpc, Trainer};
+use attn_model::{cross_entropy, Example, Grads, HasParams, SyntheticMrpc, Trainer};
 use attn_tensor::rng::TensorRng;
-use attnchecker::attention::AttnOp;
+use attnchecker::attention::{AttnOp, SectionToggles};
 use attnchecker::config::ProtectionConfig;
+use attnchecker::report::AbftReport;
+use attnchecker::section::GuardedSection;
 
 fn build(config: &ModelConfig, protection: ProtectionConfig, seed: u64) -> Trainer {
     let mut rng = TensorRng::seed_from(seed);
@@ -116,5 +118,110 @@ fn frequency_gated_protection_still_converges_cleanly() {
         let a = clean.train_step(&batch);
         let b = gated.train_step(&batch);
         assert!((a.loss - b.loss).abs() < 1e-4);
+    }
+}
+
+/// The reduction a training step must equal: every item forwards and
+/// backwards into a fresh `Grads`, all buffers fold into the model in batch
+/// order, then one `AdamW::step` under the step's guard. Valid for
+/// `full()` and `off()` protection, whose sections are all on or all off
+/// at every step.
+fn reference_step(
+    tr: &mut Trainer,
+    batch: &[&Example],
+    inject: Option<(usize, InjectionSpec)>,
+) -> f32 {
+    let protection = *tr.model.protection();
+    let toggles = if protection.is_off() {
+        SectionToggles::none()
+    } else {
+        SectionToggles::all()
+    };
+    let inv = 1.0 / batch.len() as f32;
+    let mut buffers = Vec::new();
+    let mut loss_sum = 0.0f32;
+    for (bi, ex) in batch.iter().enumerate() {
+        let spec = inject.filter(|(target, _)| *target == bi).map(|(_, s)| s);
+        let g = GuardedSection::guard_step(&protection);
+        let (logits, tape) = tr.model.forward(
+            &ex.tokens,
+            toggles,
+            spec.as_ref(),
+            &mut AbftReport::default(),
+        );
+        let (loss, dlogits) = cross_entropy(&logits, ex.label, &g);
+        let mut grads = Grads::new();
+        tr.model
+            .backward(&dlogits.scaled(inv), &tape, &mut grads, &g);
+        buffers.push(grads);
+        loss_sum += loss;
+    }
+    for mut grads in buffers {
+        grads.merge_into(&mut tr.model);
+    }
+    tr.optim
+        .step(&mut tr.model, &GuardedSection::guard_step(&protection));
+    loss_sum * inv
+}
+
+/// Every bit of the training state: value, gradient and both moments of
+/// every parameter.
+fn state_bits(tr: &mut Trainer) -> Vec<u32> {
+    let mut out = Vec::new();
+    tr.model.visit_params(&mut |p| {
+        for mat in [&p.value, &p.grad, &p.m, &p.v] {
+            out.extend(mat.data().iter().map(|x| x.to_bits()));
+        }
+    });
+    out
+}
+
+#[test]
+fn train_step_equals_the_reference_reduction_at_any_parallelism() {
+    let config = tiny();
+    let ds = SyntheticMrpc::generate(16, config.vocab, 16, 5);
+    let batch: Vec<_> = ds.examples.iter().take(8).collect();
+    let injected = |step: usize| {
+        let spec = InjectionSpec {
+            layer: step % config.layers,
+            op: AttnOp::STUDY[step % AttnOp::STUDY.len()],
+            head: 1,
+            row: 3,
+            col: 5,
+            kind: FaultKind::Inf,
+        };
+        // Item 7 sits in the ragged last wave at parallelism 3.
+        Some(([7, 0, 4][step % 3], spec))
+    };
+    let cases: [(ProtectionConfig, bool); 3] = [
+        (ProtectionConfig::full(), false),
+        (ProtectionConfig::off(), false),
+        (ProtectionConfig::full(), true),
+    ];
+    for workers in [1, 2, 3] {
+        for (protection, inject) in cases {
+            let mut tr = build(&config, protection, 77);
+            tr.set_parallelism(workers);
+            let mut reference = build(&config, protection, 77);
+            for step in 0..3 {
+                let spec = if inject { injected(step) } else { None };
+                let out = tr.train_step_injected(&batch, spec);
+                let want = reference_step(&mut reference, &batch, spec);
+                if inject {
+                    assert!(out.report.detections > 0, "step {step}: the fault missed");
+                }
+                assert_eq!(
+                    out.loss.to_bits(),
+                    want.to_bits(),
+                    "workers {workers}, inject {inject}, step {step}: loss bits"
+                );
+            }
+            assert!(
+                state_bits(&mut tr) == state_bits(&mut reference),
+                "workers {workers}, protection off {}, inject {inject}: \
+                 parameter or moment bits diverged from the reference",
+                protection.is_off()
+            );
+        }
     }
 }
