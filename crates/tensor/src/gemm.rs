@@ -102,12 +102,11 @@
 //! [`crate::workspace`] arena, so a steady-state caller performs no heap
 //! allocation inside these kernels.
 //!
-//! Tile tasks share the output and the checksum staging through two raw
-//! cursors (`DstPtr`, `StagePtr`), the crate's only `unsafe` besides
-//! [`crate::lanes`]' detection token. Every `unsafe` block and impl states
-//! its bound in a `// SAFETY:` comment, which the crate's
-//! `clippy::undocumented_unsafe_blocks` level requires, and each raw
-//! slice's bound is also a `debug_assert!` beside it.
+//! The tiles of one product run in order on the calling thread and write
+//! the output through bounds-checked row slices: this module has no
+//! `unsafe`. Parallelism lives a level up, across independent batch items
+//! (the trainer, the decode engine, the gateway), where a task is
+//! milliseconds of work rather than one tile's microseconds.
 
 use crate::contract::{self, accum_col_cs, ColCsAccum};
 use crate::kv::PagedKv;
@@ -115,39 +114,18 @@ use crate::matrix::Matrix;
 use crate::pack::{pack_a_block, pack_a_panel, pack_b_block, ColsAugmented, Src, SrcRead};
 use crate::view::{MatMut, MatRef};
 use crate::workspace;
-use rayon::prelude::*;
 
 /// Rows of one register tile (micro-panel height of packed `op(A)`).
 pub const MR: usize = 4;
 /// Columns of one register tile (micro-panel width of packed `op(B)`).
 pub const NR: usize = 8;
-/// Row-block edge: rows of `op(A)` packed (and parallelised) per tile.
+/// Row-block edge: rows of `op(A)` packed per tile.
 pub const MC: usize = 64;
 /// Column-block edge: columns of `op(B)` packed per tile.
 pub const NC: usize = 64;
 /// Cache-block edge for the k dimension — also the partial-sum block size
 /// of the accumulation-order contract ([`crate::contract`]).
 pub const KC: usize = 128;
-
-/// Minimum `m*n*k` before the kernels split work across threads.
-///
-/// Deliberately high: on the few-core hosts this reproduction targets,
-/// splitting sub-millisecond GEMMs across rayon workers produces bimodal
-/// timings (thread park/unpark latency rivals the arithmetic) that swamp
-/// the ABFT overheads being measured. Parallelism is instead applied at
-/// the batch/campaign level, where tasks are tens of milliseconds.
-pub const PAR_FLOP_THRESHOLD: usize = 256 * 256 * 256;
-
-/// Shared threshold decision for all kernels. The product is formed in
-/// `u128` so pathological shapes (huge `k` times huge `n`) cannot wrap
-/// `usize` and silently serialise — or worse, parallelise a tiny GEMM.
-#[inline]
-pub fn exceeds_par_threshold(m: usize, n: usize, k: usize) -> bool {
-    (m as u128)
-        .saturating_mul(n as u128)
-        .saturating_mul(k as u128)
-        >= PAR_FLOP_THRESHOLD as u128
-}
 
 /// `C = A · B` into a fresh matrix.
 ///
@@ -464,33 +442,6 @@ fn src_t(v: MatRef<'_>) -> Src<'_> {
     }
 }
 
-/// Raw output cursor shared across tile tasks. Tiles write disjoint
-/// `(row, col)` regions, so concurrent use is sound.
-#[derive(Clone, Copy)]
-struct DstPtr {
-    ptr: *mut f32,
-    ldc: usize,
-}
-
-// SAFETY: plain pointer+stride pair; every tile writes a disjoint region.
-unsafe impl Send for DstPtr {}
-// SAFETY: fields are only read; the pointed-to writes are disjoint per tile.
-unsafe impl Sync for DstPtr {}
-
-/// Raw staging cursor for per-block checksum partials (disjoint block
-/// slices per tile task). `len` is the checked-out capacity in floats,
-/// asserted against before any block slice is reconstructed.
-#[derive(Clone, Copy)]
-struct StagePtr {
-    ptr: *mut f32,
-    len: usize,
-}
-
-// SAFETY: plain pointer+len pair; every block owns a disjoint slice.
-unsafe impl Send for StagePtr {}
-// SAFETY: fields are only read; block slices never overlap across tiles.
-unsafe impl Sync for StagePtr {}
-
 /// The tile grid of one driver call: `m × n` cut at [`MC`] / [`NC`].
 #[derive(Clone, Copy)]
 struct Grid {
@@ -523,12 +474,12 @@ impl Grid {
 /// `col_cs`, the column checksums of `op(A)` (`[Σ | Σw]`, length `2·k`)
 /// accumulate in the packing pass.
 ///
-/// Work is split over a deterministic 2D grid of `MC × NC` output tiles;
-/// each tile packs its own operand panels and owns a disjoint output
-/// region, so results are bit-identical at any worker count. A plain
-/// product lets a ≤ 2 remainder join the last tile ([`Grid::blocks`]); the
-/// fused one keeps the strict grid, because its staging is per [`MC`]
-/// block by contract.
+/// The output is cut into a deterministic 2D grid of `MC × NC` tiles, run
+/// in order: row blocks outer, column tiles inner. Each tile packs its own
+/// operand panels and adds into its own output region, so which tile an
+/// element lands in never enters its add order. A plain product lets a ≤ 2
+/// remainder join the last tile ([`Grid::blocks`]); the fused one keeps the
+/// strict grid, because its staging is per [`MC`] block by contract.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
 fn gemm_driver<A: SrcRead, B: SrcRead>(
     a: A,
@@ -562,25 +513,10 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
         n_ib: Grid::blocks(m, MC, plain),
         n_jb: Grid::blocks(n, NC, plain),
     };
-    // Per-block checksum staging: one `[Σ(k) | Σw(k)]` pair per row-block,
-    // reduced in block order afterwards so the combination order never
-    // depends on scheduling.
-    let stage_blocks = if plain { 0 } else { grid.n_ib };
-    // No staging checkout at all for plain products — the common case
-    // stays off the arena entirely.
-    let mut stage = (stage_blocks > 0).then(|| workspace::take(stage_blocks * 2 * k));
-    let dst = DstPtr {
-        ptr: c.as_mut_ptr(),
-        ldc,
-    };
-    let stage_ptr = StagePtr {
-        ptr: stage
-            .as_mut()
-            .map_or(std::ptr::NonNull::<f32>::dangling().as_ptr(), |s| {
-                s.as_mut_slice().as_mut_ptr()
-            }),
-        len: stage_blocks * 2 * k,
-    };
+    // Per-block checksum staging: one `[Σ(k) | Σw(k)]` pair per row block,
+    // reduced in block order afterwards. No checkout at all for plain
+    // products — the common case stays off the arena entirely.
+    let mut stage = (!plain).then(|| workspace::take(grid.n_ib * 2 * k));
 
     // One micro-panel of `op(A)` — a decode row, alone or with its two
     // riding rows — is packed once for the call, not once per column tile.
@@ -591,29 +527,23 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
     });
     let a_once = a_once.as_deref();
 
-    let tiles = grid.n_ib * grid.n_jb;
-    let run_tile = |t: usize| {
-        let (ib, jb) = (t / grid.n_jb, t % grid.n_jb);
-        compute_tile(a, a_once, b, grid, k, dst, ib, jb, stage_ptr);
-    };
-    if exceeds_par_threshold(m, n, k) && tiles > 1 {
-        (0..tiles).into_par_iter().for_each(run_tile);
-    } else {
-        for t in 0..tiles {
-            run_tile(t);
+    for ib in 0..grid.n_ib {
+        // Only the first column tile of a row block feeds its checksum
+        // partial: op(A)'s checksum is fed once, not once per column tile.
+        let mut block_cs = stage
+            .as_deref_mut()
+            .map(|s| &mut s[ib * 2 * k..(ib + 1) * 2 * k]);
+        for jb in 0..grid.n_jb {
+            compute_tile(a, a_once, b, grid, k, c, ldc, ib, jb, block_cs.take());
         }
     }
 
     // Deterministic reduction of the per-block partials, block order
     // ascending — the other half of the encoder block contract.
-    if let Some(o) = col_cs {
-        let stage = stage
-            .as_ref()
-            .expect("staging exists whenever fuse is requested");
+    if let (Some(o), Some(stage)) = (col_cs, &stage) {
         o.fill(0.0);
         let (sum, wsum) = o.split_at_mut(k);
-        for blk in 0..stage_blocks {
-            let part = &stage[blk * 2 * k..(blk + 1) * 2 * k];
+        for part in (0..grid.n_ib).map(|blk| &stage[blk * 2 * k..(blk + 1) * 2 * k]) {
             for kk in 0..k {
                 sum[kk] += part[kk];
                 wsum[kk] += part[k + kk];
@@ -624,20 +554,29 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
 
 /// Compute one `MC × NC` output tile: pack the operand panels per
 /// [`KC`]-block and run the register microkernel over the tile's
-/// micro-panel grid, accumulating straight into the output region.
-/// `stage.len > 0` asks for the fused column checksums of `op(A)`; `a_once`
-/// is the whole of `op(A)` already packed ([`pack_a_panel`]).
+/// micro-panel grid, adding straight into `c` (row stride `ldc`).
+/// `block_cs` is the row block's `[Σ | Σw]` staging slice, handed to the
+/// block's first column tile when the fused column checksums of `op(A)` are
+/// asked for; `a_once` is the whole of `op(A)` already packed
+/// ([`pack_a_panel`]).
+///
+/// `inline(never)` is measured: inlined into every driver instance, the
+/// tile body raised `decode_offline`'s `protected_ratio` by ≈ 0.004
+/// (medians 1.058 against 1.054 out of line, 14 alternating runs each on a
+/// 2-vCPU Xeon host).
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
+#[inline(never)]
 fn compute_tile<A: SrcRead, B: SrcRead>(
     a: A,
     a_once: Option<&[f32]>,
     b: B,
     grid: Grid,
     k: usize,
-    dst: DstPtr,
+    c: &mut [f32],
+    ldc: usize,
     ib: usize,
     jb: usize,
-    stage: StagePtr,
+    block_cs: Option<&mut [f32]>,
 ) {
     let (i0, mc) = Grid::span(ib, grid.n_ib, grid.m, MC);
     let (j0, nc) = Grid::span(jb, grid.n_jb, grid.n, NC);
@@ -648,17 +587,7 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
         .is_none()
         .then(|| workspace::take(a_panels * MR * kc_cap));
     let mut bp = workspace::take(b_panels * NR * kc_cap);
-
-    // Fused checksum partials for this tile's block. Only the first tile
-    // along the non-encoded dimension accumulates (the checksum of op(A)
-    // must be fed once, not once per column tile) — regions are disjoint
-    // per block index, so the raw slice reconstruction is sound.
-    let mut col_cs = (stage.len > 0 && jb == 0).then(|| {
-        debug_assert!((ib + 1) * 2 * k <= stage.len);
-        // SAFETY: the staging checkout holds `stage.len` live floats and
-        // row block `ib` owns the disjoint `[ib·2k, (ib+1)·2k)` slice —
-        // only the `jb == 0` tile of each block row reconstructs it.
-        let s = unsafe { std::slice::from_raw_parts_mut(stage.ptr.add(ib * 2 * k), 2 * k) };
+    let mut col_cs = block_cs.map(|s| {
         let (sum, wsum) = s.split_at_mut(k);
         ColCsAccum { sum, wsum }
     });
@@ -686,12 +615,7 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
                 let apan = &ap[ipan * kc * MR..(ipan + 1) * kc * MR];
                 let mut acc = [[0.0f32; NR]; MR];
                 microkernel(apan, bpan, &mut acc);
-                // SAFETY: the 2D tile grid gives this task exclusive
-                // ownership of the `(i0.., j0..)` output region, and
-                // `mr`/`nr` are clipped to the tile edges above.
-                unsafe {
-                    writeback_add(dst, i0 + ipan * MR, j0 + jp * NR, mr, nr, &acc);
-                }
+                writeback_add(c, ldc, i0 + ipan * MR, j0 + jp * NR, mr, nr, &acc);
             }
         }
         p0 += kc;
@@ -719,29 +643,20 @@ fn microkernel(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Add the valid region of a register tile into the output.
-///
-/// # Safety
-/// The caller must guarantee the addressed region lies within the output
-/// buffer and is not written by any other concurrent tile (the 2D grid
-/// gives every tile a disjoint region).
-unsafe fn writeback_add(
-    dst: DstPtr,
+/// Add the valid `mr × nr` region of a register tile into `c` at
+/// `(i0, j0)`, row stride `ldc`.
+fn writeback_add(
+    c: &mut [f32],
+    ldc: usize,
     i0: usize,
     j0: usize,
     mr: usize,
     nr: usize,
     acc: &[[f32; NR]; MR],
 ) {
-    debug_assert!(mr <= MR && nr <= NR);
     for (r, accr) in acc.iter().enumerate().take(mr) {
-        // SAFETY: per the `# Safety` contract the calling tile owns rows
-        // `i0..i0 + mr` × columns `j0..j0 + nr` of the output, clipped to
-        // its shape, so this `nr`-long row lies in bounds and no other
-        // task writes it.
-        let row =
-            unsafe { std::slice::from_raw_parts_mut(dst.ptr.add((i0 + r) * dst.ldc + j0), nr) };
-        for (cv, &v) in row.iter_mut().zip(&accr[..nr]) {
+        let row = &mut c[(i0 + r) * ldc + j0..][..nr];
+        for (cv, &v) in row.iter_mut().zip(accr) {
             *cv += v;
         }
     }
@@ -795,9 +710,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_parallel_path() {
+    fn matmul_matches_naive_multi_tile() {
         let mut rng = TensorRng::seed_from(12);
-        // 288·256·256 exceeds PAR_FLOP_THRESHOLD so the rayon path runs.
+        // 288 rows and 256 columns: a 5 × 4 tile grid with a ragged last
+        // row block, and two KC blocks.
         let a = rand_mat(&mut rng, 288, 256);
         let b = rand_mat(&mut rng, 256, 256);
         let c = matmul(&a, &b);
@@ -1176,17 +1092,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn par_threshold_helper_does_not_overflow() {
-        // usize::MAX³ wraps any fixed-width product; the helper must
-        // saturate instead of panicking (debug) or wrapping to a tiny
-        // value (release).
-        assert!(exceeds_par_threshold(usize::MAX, usize::MAX, usize::MAX));
-        assert!(exceeds_par_threshold(usize::MAX, 1, usize::MAX));
-        assert!(!exceeds_par_threshold(2, 2, 2));
-        assert!(exceeds_par_threshold(256, 256, 256));
-        assert!(!exceeds_par_threshold(256, 256, 255));
     }
 }

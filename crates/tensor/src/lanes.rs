@@ -150,6 +150,10 @@ pub fn sums(row: &[f32]) -> (f32, f32, f32) {
 /// pointer-free intrinsics are safe inside an AVX2-enabled function, so
 /// the only `unsafe` is the call into one, in the [`Avx2`] methods.
 #[cfg(target_arch = "x86_64")]
+#[allow(
+    unsafe_code,
+    reason = "calling a `#[target_feature]` fn is `unsafe`; the `Avx2` token makes each call sound"
+)]
 mod arch {
     use super::{for_chunks, LANES};
     use std::arch::x86_64::*;

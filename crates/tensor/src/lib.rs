@@ -9,8 +9,7 @@
 //! * [`MatRef`] / [`MatMut`] — borrowed views over contiguous row-major
 //!   storage, used by every kernel so that a whole matrix and a row prefix
 //!   of one feed the same entry points without copies.
-//! * Packed, cache-blocked, register-tiled, [rayon]-parallel GEMM kernels
-//!   in [`gemm`] — including the transposed variants needed by attention
+//! * Packed, cache-blocked, register-tiled GEMM kernels in [`gemm`] — including the transposed variants needed by attention
 //!   (`Q·Kᵀ`) and backprop (`Aᵀ·B`), and the fused column-encoding entry
 //!   points (`gemm_encode_cols_into` and its paged twin) whose encoding
 //!   rides inside the packing pass ([`pack`]).
@@ -40,13 +39,16 @@
 //! campaigns rely on for reproducibility.
 //!
 //! This is the workspace's one crate with `unsafe` (every other one is
-//! `#![forbid(unsafe_code)]`): the GEMM tile cursors in [`gemm`] and the
-//! AVX2 entries in [`lanes`]. The toolchain audits it. rustc denies
-//! `unsafe_op_in_unsafe_fn`, so an `unsafe fn` body is not one big
-//! `unsafe` block, and clippy denies `undocumented_unsafe_blocks`, so
-//! every `unsafe` block and impl carries a `// SAFETY:` comment.
+//! `#![forbid(unsafe_code)]`), and it has three sites: the calls into the
+//! AVX2 kernels in [`lanes`]' private `arch` module. The toolchain audits
+//! them. rustc denies `unsafe_code` crate-wide and only `arch` allows it,
+//! so an `unsafe` block anywhere else is a build error. rustc also denies
+//! `unsafe_op_in_unsafe_fn`, so the body of an unsafe function is not one
+//! big `unsafe` block, and clippy denies `undocumented_unsafe_blocks`, so
+//! every `unsafe` block carries a `// SAFETY:` comment.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![allow(

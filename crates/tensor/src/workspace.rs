@@ -41,8 +41,8 @@
 //! lock-free and contention cannot exist. The warm-arena property therefore
 //! holds per *persistent* thread — the sequential trainer's calling thread
 //! in particular. The vendored rayon shim spawns fresh scoped threads per
-//! parallel region, so arenas on its workers (parallel-grid GEMM tiles,
-//! `set_parallelism > 1` batch items) are rebuilt each region; with real
+//! parallel region, so arenas on its workers (the batch items of a trainer
+//! or engine at `set_parallelism > 1`) are rebuilt each region; with real
 //! rayon's persistent pool threads the same code is warm there too.
 //! Buffers are `f32` vectors zero-filled on checkout (`resize` within
 //! capacity — no allocation) so callers never observe stale scratch.

@@ -4,8 +4,10 @@
 //! workspace contracts: total ABFT coverage (`disallowed-methods` in the
 //! root `clippy.toml`), no-panic serving (restriction lints denied in the
 //! `attn_serve` and `attn_infer` roots) and float hygiene (`float_cmp`
-//! denied in every library root). clippy cannot tell when its own
-//! configuration falls behind the code, so these tests fail when a new
+//! denied in every library root). rustc holds a fourth: `unsafe` lives in
+//! one module of `attn_tensor` (`unsafe_code` forbidden in every other
+//! library root, denied in `attn_tensor`'s). Neither tool can tell when its
+//! own configuration falls behind the code, so these tests fail when a new
 //! kernel entry is missing from the list or a lint level is dropped from
 //! a root.
 
@@ -77,9 +79,9 @@ fn clippy_disallows_every_raw_kernel_entry() {
     );
 }
 
-/// The lints a crate root denies in `#![cfg_attr(not(test), deny(...))]`
-/// inner attributes, comments dropped.
-fn non_test_denies(lib_rs: &Path) -> Vec<String> {
+/// The inner attributes of a crate root, whitespace and comments dropped:
+/// `#![deny(unsafe_code)]` reads `deny(unsafe_code)`.
+fn inner_attrs(lib_rs: &Path) -> Vec<String> {
     let src = std::fs::read_to_string(lib_rs).expect("library root");
     let code: String = src
         .lines()
@@ -88,10 +90,18 @@ fn non_test_denies(lib_rs: &Path) -> Vec<String> {
         .collect();
     code.split("#![")
         .skip(1)
-        .filter_map(|attr| attr.split_once(")]").map(|(a, _)| a))
+        .filter_map(|attr| attr.split_once(")]").map(|(a, _)| format!("{a})")))
+        .collect()
+}
+
+/// The lints a crate root denies in `#![cfg_attr(not(test), deny(...))]`
+/// inner attributes.
+fn non_test_denies(lib_rs: &Path) -> Vec<String> {
+    inner_attrs(lib_rs)
+        .iter()
         .filter_map(|attr| {
             attr.strip_prefix("cfg_attr(not(test),deny(")?
-                .strip_suffix(')')
+                .strip_suffix("))")
         })
         .flat_map(|lints| lints.split(',').map(str::to_string).collect::<Vec<_>>())
         .collect()
@@ -117,6 +127,18 @@ fn every_library_root_carries_its_lint_levels() {
                 .iter()
                 .any(|l| l == "clippy::float_cmp"),
             "{} must deny clippy::float_cmp outside tests",
+            lib.display()
+        );
+        // `attn_tensor` allows `unsafe` in its `lanes::arch` module alone,
+        // which `forbid` would not let it do.
+        let level = if lib.ends_with("crates/tensor/src/lib.rs") {
+            "deny(unsafe_code)"
+        } else {
+            "forbid(unsafe_code)"
+        };
+        assert!(
+            inner_attrs(lib).iter().any(|a| a == level),
+            "{} must carry #![{level}]",
             lib.display()
         );
     }

@@ -1,10 +1,9 @@
 //! Property tests for the packed register-tiled GEMM kernels: numerical
-//! agreement with the naive reference, bit-determinism at any rayon worker
-//! count, IEEE-754 propagation faithfulness (no zero-skipping shortcuts),
-//! the fused-encoding ≡ encode-then-GEMM bit identity, and the
-//! accumulation-order contract (`attn_tensor::contract`) that exact
-//! post-correction replay (`attnchecker::section::replay_nn`) and every
-//! checksum border depend on.
+//! agreement with the naive reference, IEEE-754 propagation faithfulness
+//! (no zero-skipping shortcuts), the fused-encoding ≡ encode-then-GEMM bit
+//! identity, and the accumulation-order contract (`attn_tensor::contract`)
+//! that exact post-correction replay (`attnchecker::section::replay_nn`)
+//! and every checksum border depend on.
 
 #![allow(
     clippy::disallowed_methods,
@@ -100,15 +99,6 @@ fn fused_cols_vs_encode_then_matmul(a: &Matrix, b: &Matrix, block_rows: usize) -
         && bits_equal_mod_nan_payload(&paged, staged.buf())
 }
 
-/// Run `f` inside a rayon pool of `threads` workers.
-fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("test pool")
-        .install(f)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -148,19 +138,7 @@ proptest! {
         prop_assert!(c2.approx_eq(&r2, 1e-4, 1e-4 * (k as f32)));
     }
 
-    /// (b) Small-size determinism: worker count can never change bits
-    /// (below the parallel threshold the grid is sequential, so this is
-    /// the trivial half of the property — the load-bearing half is the
-    /// dedicated large-matrix test below).
-    #[test]
-    fn pool_size_is_invisible_small(a in matrix(1..20, 1..20), n in 1usize..20) {
-        let b = Matrix::from_fn(a.cols(), n, |r, c| ((r * 5 + c) % 9) as f32 / 3.0 - 1.0);
-        let c1 = with_pool(1, || matmul(&a, &b));
-        let c3 = with_pool(3, || matmul(&a, &b));
-        prop_assert!(bits_equal(&c1, &c3));
-    }
-
-    /// (c) IEEE propagation faithfulness: a NaN anywhere in A poisons
+    /// (b) IEEE propagation faithfulness: a NaN anywhere in A poisons
     /// exactly its output row — and a *zero* in A multiplied by a NaN in B
     /// still produces NaN (`0 × NaN = NaN`), which a sparsity shortcut
     /// would silently skip.
@@ -318,52 +296,26 @@ proptest! {
     }
 }
 
-/// (b), load-bearing half: a GEMM large enough to cross
-/// [`gemm::PAR_FLOP_THRESHOLD`] runs on the parallel 2D tile grid, and its
-/// every output bit is identical at 1, 3, and 8 workers (the tile
-/// partition is deterministic and tiles never interact). Covers all three
-/// layouts plus the fused encode.
+/// A product many tiles wide and tall — `m × k × n` = 272×256×252, ragged
+/// at [`MC`] and [`NC`], two [`KC`] blocks deep — has the same bits in all
+/// three layouts: the packing absorbs the transposes, and the tile an
+/// element lands in never enters its add order.
 #[test]
-fn parallel_grid_is_bit_deterministic_across_worker_counts() {
-    assert!(gemm::exceeds_par_threshold(272, 252, 256));
+fn multi_tile_layouts_are_bit_identical() {
+    let (m, k, n) = (272, 256, 252);
+    assert!(m % MC != 0 && n % NC != 0 && k > KC);
     let mut rng = TensorRng::seed_from(99);
-    let a = rng.uniform_matrix(272, 256, -1.0, 1.0);
-    let b = rng.uniform_matrix(256, 252, -1.0, 1.0);
-    let bt = b.transpose();
-    let at = a.transpose();
-
-    let reference = with_pool(1, || matmul(&a, &b));
-    let reference_enc = with_pool(1, || {
-        let mut c = Matrix::zeros(274, 252);
-        gemm_encode_cols_into(a.view(), b.view(), c.view_mut());
-        c
-    });
-    for threads in [3usize, 8] {
-        let c = with_pool(threads, || matmul(&a, &b));
-        assert!(
-            bits_equal(&c, &reference),
-            "matmul bits differ at {threads} workers"
-        );
-        let cnt = with_pool(threads, || matmul_nt(&a, &bt));
-        assert!(
-            bits_equal(&cnt, &reference),
-            "matmul_nt bits differ at {threads} workers"
-        );
-        let ctn = with_pool(threads, || matmul_tn(&at, &b));
-        assert!(
-            bits_equal(&ctn, &reference),
-            "matmul_tn bits differ at {threads} workers"
-        );
-        let enc = with_pool(threads, || {
-            let mut c = Matrix::zeros(274, 252);
-            gemm_encode_cols_into(a.view(), b.view(), c.view_mut());
-            c
-        });
-        assert!(
-            bits_equal(&enc, &reference_enc),
-            "fused encode bits differ at {threads} workers"
-        );
-    }
+    let a = rng.uniform_matrix(m, k, -1.0, 1.0);
+    let b = rng.uniform_matrix(k, n, -1.0, 1.0);
+    let reference = matmul(&a, &b);
+    assert!(
+        bits_equal(&matmul_nt(&a, &b.transpose()), &reference),
+        "matmul_nt bits differ from matmul"
+    );
+    assert!(
+        bits_equal(&matmul_tn(&a.transpose(), &b), &reference),
+        "matmul_tn bits differ from matmul"
+    );
 }
 
 /// An `op(A)` of at most `MR` rows is packed once per call; a taller one is

@@ -187,19 +187,13 @@ const BUDGET: [Path; 3] = [
 
 #[test]
 fn steady_state_paths_stay_within_their_heap_budget() {
-    // One worker: every parallel region runs inline on this thread, so the
-    // thread-local counter sees all of it at any `RAYON_NUM_THREADS`.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("the shim's build never fails");
     let mut off = Vec::new();
     for (path, measure, ceilings) in BUDGET {
         for (protection, ceiling) in [ProtectionConfig::full(), ProtectionConfig::off()]
             .into_iter()
             .zip(ceilings)
         {
-            let n = pool.install(|| measure(protection));
+            let n = measure(protection);
             let mode = if protection.is_off() { "off" } else { "on" };
             println!("heap_budget: {path}, protection {mode}: {n} allocations (ceiling {ceiling})");
             if n > ceiling {
