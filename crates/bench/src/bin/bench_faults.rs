@@ -38,8 +38,9 @@
 //! design to tolerance screens (the exact tiers — moment digests — still
 //! catch it), and the artifact documents exactly that boundary.
 //!
-//! Writes `BENCH_faults.json`. Set `BENCH_FAULTS_TINY=1` for the CI smoke
-//! shape. Run: `cargo run --release -p attn_bench --bin bench_faults`
+//! Writes `BENCH_faults.json`; CI regenerates it and fails on any byte
+//! that differs from the committed file. Run:
+//! `cargo run --release -p attn_bench --bin bench_faults`
 
 use attn_bench::{build_trainer, dataset_for, TextTable};
 use attn_fault::{run_campaign, FaultKind};
@@ -311,11 +312,11 @@ fn optim_trial(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
 // KV at rest
 // ---------------------------------------------------------------------------
 
-fn lm_config(tiny: bool) -> ModelConfig {
+fn lm_config() -> ModelConfig {
     let mut cfg = ModelConfig::gpt2();
     cfg.hidden = 32;
     cfg.heads = 2;
-    cfg.layers = if tiny { 1 } else { 2 };
+    cfg.layers = 2;
     cfg.vocab = 64;
     cfg.max_seq = 32;
     cfg.num_classes = cfg.vocab;
@@ -405,11 +406,11 @@ fn kv_trial(
 // end-to-end train step (GEMM sites)
 // ---------------------------------------------------------------------------
 
-fn train_config(tiny: bool) -> ModelConfig {
+fn train_config() -> ModelConfig {
     let mut cfg = ModelConfig::bert_base();
     cfg.hidden = 32;
     cfg.heads = 2;
-    cfg.layers = if tiny { 1 } else { 2 };
+    cfg.layers = 2;
     cfg.vocab = 64;
     cfg.max_seq = 16;
     cfg
@@ -465,16 +466,14 @@ fn pct(x: f64) -> String {
 }
 
 fn main() {
-    let tiny = std::env::var("BENCH_FAULTS_TINY").is_ok_and(|v| v != "0" && !v.is_empty());
-    let trials = if tiny { 6 } else { 48 };
-    let fp_trials = if tiny { 12 } else { 200 };
+    let trials = 48;
+    let fp_trials = 200;
     let extreme = FaultKind::EXTREME_SET;
     let mut failures: Vec<String> = Vec::new();
     let mut json_sections: Vec<String> = Vec::new();
 
     // ---- verify-level campaign -------------------------------------------
-    let shape_note = if tiny { ", tiny smoke shape" } else { "" };
-    println!("== guarded-op fault campaign ({trials} trials/cell{shape_note}) ==");
+    println!("== guarded-op fault campaign ({trials} trials/cell) ==");
     let mut table = TextTable::new(&[
         "site \\ class",
         "INF",
@@ -582,7 +581,7 @@ fn main() {
     );
 
     // ---- KV at rest -------------------------------------------------------
-    let kv_cfg = lm_config(tiny);
+    let kv_cfg = lm_config();
     let mut mrng = TensorRng::seed_from(4242);
     let kv_model = TransformerModel::new(kv_cfg.clone(), ProtectionConfig::full(), &mut mrng);
     let prompt: Vec<usize> = (0..6).map(|i| (i * 67 + 11) % kv_cfg.vocab).collect();
@@ -604,7 +603,7 @@ fn main() {
         tail.extend(decode_greedy(&kv_model, &mut state, resume, 4, &mut report));
         tail
     };
-    let kv_trials = if tiny { 4 } else { 24 };
+    let kv_trials = 24;
     let mut table = TextTable::new(&["class", "detection", "healed stream"]);
     let mut kv_json = String::from("  \"kv_at_rest\": {");
     for (ki, kind) in CLASSES.into_iter().enumerate() {
@@ -636,10 +635,10 @@ fn main() {
     );
 
     // ---- end-to-end train step (GEMM sites) ------------------------------
-    let t_cfg = train_config(tiny);
+    let t_cfg = train_config();
     let ds = dataset_for(&t_cfg, 4, 99);
     let batch: Vec<&Example> = ds.examples.iter().collect();
-    let e2e_trials = if tiny { 2 } else { 4 };
+    let e2e_trials = 4;
     let sites = [AttnOp::Q, AttnOp::AS, AttnOp::CL];
     let mut table = TextTable::new(&["site \\ class", "INF", "-INF", "NaN", "nINF"]);
     let mut e2e_json = String::from("  \"e2e_train_gemm\": {\n");
@@ -730,7 +729,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"tiny\": {tiny}, \"trials_per_cell\": {trials}, \"kv_trials\": {kv_trials},"
+        "  \"trials_per_cell\": {trials}, \"kv_trials\": {kv_trials},"
     );
     for s in &json_sections {
         json.push_str(s);

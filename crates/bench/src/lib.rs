@@ -35,7 +35,7 @@ pub mod table;
 pub mod timing;
 
 pub use kernels::{measure_encode_overhead, EncodeOverhead};
-pub use setup::{build_trainer, dataset_for, dataset_full_seq, trials_from_env};
+pub use setup::{build_trainer, dataset_for, dataset_full_seq};
 pub use stepbench::{measure_interleaved, StepTimes};
 pub use table::TextTable;
 pub use timing::{measure, MeasuredTime};

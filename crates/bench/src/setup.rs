@@ -28,15 +28,6 @@ pub fn dataset_full_seq(config: &ModelConfig, n: usize, seed: u64) -> SyntheticM
     SyntheticMrpc::generate(n, config.vocab, config.max_seq, seed)
 }
 
-/// Trial-count override: honours `ATTN_TRIALS` so CI can run the campaign
-/// binaries quickly while full runs use the default.
-pub fn trials_from_env(default: usize) -> usize {
-    std::env::var("ATTN_TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,11 +54,5 @@ mod tests {
             .examples
             .iter()
             .all(|e| e.tokens.iter().all(|&t| t < cfg.vocab)));
-    }
-
-    #[test]
-    fn trials_env_default() {
-        std::env::remove_var("ATTN_TRIALS");
-        assert_eq!(trials_from_env(42), 42);
     }
 }

@@ -35,7 +35,7 @@ use crate::checked::CheckedMatrix;
 use crate::config::ProtectionConfig;
 use crate::decode::{extend, AttnKvCache};
 use crate::report::AbftReport;
-use crate::section::{ForwardCtx, GuardedSection};
+use crate::section::{Ctx, GuardedSection};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 
@@ -289,8 +289,8 @@ pub struct AttnForward {
     pub cache: AttnCache,
 }
 
-/// Per-call options for [`ProtectedAttention::forward`] — the borrowed
-/// pieces of a [`ForwardCtx`] minus the report.
+/// Per-call options for [`ProtectedAttention::forward`]: the borrowed
+/// per-execution pieces of a [`Ctx`], minus the report.
 pub struct ForwardOptions<'a> {
     /// Additive attention mask (`seq × seq`), e.g. causal or local-banded.
     pub mask: Option<&'a Matrix>,
@@ -308,6 +308,19 @@ impl Default for ForwardOptions<'_> {
             hook: None,
         }
     }
+}
+
+/// The argument of [`ProtectedAttention::decode_step`]: [`ForwardOptions`]
+/// plus the report. The layers themselves take a [`Ctx`].
+pub struct ForwardCtx<'a, 'h> {
+    /// Additive attention mask, the rows of the tokens this step feeds.
+    pub mask: Option<&'a Matrix>,
+    /// Per-execution section toggles (from the frequency gates).
+    pub toggles: SectionToggles,
+    /// Optional fault-injection hook.
+    pub hook: Option<FaultHook<'h>>,
+    /// Where ABFT activity is recorded.
+    pub report: &'a mut AbftReport,
 }
 
 /// A multi-head attention block wrapped with ATTNChecker protection.
@@ -345,16 +358,18 @@ impl ProtectedAttention {
         opts: ForwardOptions<'_>,
         report: &mut AbftReport,
     ) -> AttnForward {
-        let mut ctx = ForwardCtx {
-            mask: opts.mask,
-            toggles: opts.toggles,
-            hook: opts.hook,
-            report,
-        };
         let g = GuardedSection::guard_step(&self.config);
+        let mut ctx = Ctx {
+            config: &self.config,
+            toggles: opts.toggles,
+            mask: opts.mask,
+            hook: opts.hook,
+            guard: &g,
+            report,
+            taped: true,
+        };
         let mut kv = AttnKvCache::for_attention(self);
-        let w = (&self.weights).into();
-        let (output, tape) = extend(&w, &self.config, x, &mut kv, &mut ctx, &g, true);
+        let (output, tape) = extend(&(&self.weights).into(), x, &mut kv, &mut ctx);
         ctx.report.absorb_op_guard(g.take_stats());
         AttnForward {
             output,

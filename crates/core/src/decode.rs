@@ -37,17 +37,19 @@
 //!   `tests/decode_parity.rs` pins — and exact replay restores corrected
 //!   elements to their original bits.
 
-use crate::attention::{AttentionWeightsRef, AttnCache, AttnOp, FaultSite, ProtectedAttention};
+use crate::attention::{
+    AttentionWeightsRef, AttnCache, AttnOp, FaultSite, ForwardCtx, ProtectedAttention,
+};
 use crate::checked::CheckedMatrix;
 use crate::checksum::{vector_sums, weight};
-use crate::config::{AbftConfig, ProtectionConfig};
+use crate::config::AbftConfig;
 use crate::eec::{eec_correct_vector, VectorVerdict};
 use crate::report::{AbftReport, CorrectionRecord, SectionId};
-use crate::section::{replay_nn, ForwardCtx, GuardedSection};
+use crate::section::{replay_nn, Ctx, GuardedSection};
 use attn_tensor::guard::softmax_rows_checked_inplace;
 use attn_tensor::kv::PagedKv;
 use attn_tensor::ops::apply_additive_mask;
-use attn_tensor::{contract, gemm, workspace, Matrix, OpGuard};
+use attn_tensor::{contract, gemm, workspace, Matrix};
 
 /// Default data rows per KV block — the verify-on-move granularity.
 pub const KV_BLOCK_ROWS: usize = 16;
@@ -450,8 +452,16 @@ impl ProtectedAttention {
         ctx: &mut ForwardCtx<'_, '_>,
     ) -> Matrix {
         let g = GuardedSection::guard_step(&self.config);
-        let w = (&self.weights).into();
-        let out = extend(&w, &self.config, x, cache, ctx, &g, false).0;
+        let mut ctx = Ctx {
+            config: &self.config,
+            toggles: ctx.toggles,
+            mask: ctx.mask,
+            hook: ctx.hook.as_mut().map(|h| &mut **h as _),
+            guard: &g,
+            report: &mut *ctx.report,
+            taped: false,
+        };
+        let out = extend(&(&self.weights).into(), x, cache, &mut ctx).0;
         ctx.report.absorb_op_guard(g.take_stats());
         out
     }
@@ -459,20 +469,20 @@ impl ProtectedAttention {
 
 /// The one protected attention, for m ≥ 1 new rows: append the rows of
 /// `x` (`m × hidden`, the block input at positions `len..len+m`) to `cache`
-/// and return their attention output (`m × hidden`) plus — when `taped` —
-/// their backward tape (post-correction: `q`/`k`/`v` are the healed rows
-/// that joined the cache). Prefill is `extend` over an empty cache, a
-/// decode step its m = 1 case, and the training forward the same
+/// and return their attention output (`m × hidden`) plus — when
+/// `ctx.taped` — their backward tape (post-correction: `q`/`k`/`v` are the
+/// healed rows that joined the cache). Prefill is `extend` over an empty
+/// cache, a decode step its m = 1 case, and the training forward the same
 /// empty-cache call with the tape recorded; serving asks for no tape and
-/// pays for none. The per-head softmax rows run under the caller's op
-/// guard `g`, so a model forward screens all its non-GEMM ops in one scope.
+/// pays for none. The per-head softmax rows run under `ctx.guard`, so a
+/// model forward screens all its non-GEMM ops in one scope.
 ///
 /// `ctx.mask`, when present, must be rows `len..len+m` of the mask over
 /// the grown prefix (`m × (len+m)`), e.g. those rows of the causal or
 /// local-banded mask — causality *inside* the chunk comes only from it;
 /// without one every row sees the whole grown prefix (bidirectional
-/// attention over an empty cache). Hooks fire at every [`FaultSite`] on
-/// the m-row matrices.
+/// attention over an empty cache). Hooks fire once at every [`FaultSite`]
+/// on the m-row matrices, whether or not its section is active.
 ///
 /// Fault-free, the returned rows are bit-identical to rows `len..len+m` of
 /// one `extend` of the whole grown prefix under the same mask, whatever
@@ -486,36 +496,24 @@ impl ProtectedAttention {
 #[allow(clippy::needless_range_loop)] // head index drives several buffers
 pub fn extend(
     w: &AttentionWeightsRef<'_>,
-    config: &ProtectionConfig,
     x: &Matrix,
     cache: &mut AttnKvCache,
-    ctx: &mut ForwardCtx<'_, '_>,
-    g: &OpGuard,
-    taped: bool,
+    ctx: &mut Ctx<'_, '_>,
 ) -> (Matrix, Option<AttnCache>) {
     let (d, shape) = (w.head_dim(), (x.cols(), cache.heads(), cache.head_dim()));
     assert_eq!(shape, (w.hidden, w.heads, d), "extend: shapes");
     assert!(x.rows() > 0, "extend: no rows");
     let scale = 1.0 / (d as f32).sqrt();
-    let mask = ctx.mask;
+    let (mask, g, taped) = (ctx.mask, ctx.guard, ctx.taped);
     if let Some(m) = mask {
         let want = (x.rows(), cache.len() + x.rows());
         assert_eq!((m.rows(), m.cols()), want, "extend: mask rows");
     }
+    let site = |op, head| FaultSite { op, head };
 
-    let s_as = GuardedSection::begin(
-        SectionId::AttentionScore,
-        config,
-        ctx.toggles.s_as,
-        ctx.report,
-    );
-    let s_cl = GuardedSection::begin(
-        SectionId::ContextLayer,
-        config,
-        ctx.toggles.s_cl,
-        ctx.report,
-    );
-    let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
+    let s_as = ctx.section(SectionId::AttentionScore);
+    let s_cl = ctx.section(SectionId::ContextLayer);
+    let s_o = ctx.section(SectionId::Output);
 
     // ------------------------------------------------ section S_AS
     // The new rows' projections through the fused encode entry: their
@@ -524,30 +522,14 @@ pub fn extend(
     let mut k = s_as.gemm(x, w.wk);
     q.add_bias(w.bq);
     k.add_bias(w.bk);
-    ctx.fire(
-        FaultSite {
-            op: AttnOp::Q,
-            head: None,
-        },
-        &mut q,
-    );
-    ctx.fire(
-        FaultSite {
-            op: AttnOp::K,
-            head: None,
-        },
-        &mut k,
-    );
     // Verify-on-append (see module docs): heal eagerly — K joins
     // long-lived cache state this step, Q feeds every head's score rows.
-    if s_as.active() {
-        s_as.heal_operand_cols(ctx.report, &mut q, usize::MAX, |r, c| {
-            replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
-        });
-        s_as.heal_operand_cols(ctx.report, &mut k, usize::MAX, |r, c| {
-            replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
-        });
-    }
+    s_as.heal_operand_cols(&mut q, site(AttnOp::Q, None), ctx, |r, c| {
+        replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
+    });
+    s_as.heal_operand_cols(&mut k, site(AttnOp::K, None), ctx, |r, c| {
+        replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
+    });
     for r in 0..x.rows() {
         cache.append_k(k.logical_row(r));
     }
@@ -559,20 +541,9 @@ pub fn extend(
         let qh = q.slice_cols(h * d, (h + 1) * d);
         let mut as_row = cache.score_row(&qh, h);
         as_row.scale_inplace(scale);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::AS,
-                head: Some(h),
-            },
-            &mut as_row,
-        );
-        let mut det = s_as.detect(&mut as_row, h);
-        if det.detections() > 0 {
-            det.refine(&mut as_row, |r, c| {
-                replay_nn(qh.logical_row(r), |kk| cache.k_at(h, c, kk)) * scale
-            });
-        }
-        det.absorb(ctx.report);
+        s_as.check(&mut as_row, site(AttnOp::AS, Some(h)), ctx, |r, c| {
+            replay_nn(qh.logical_row(r), |kk| cache.k_at(h, c, kk)) * scale
+        });
 
         // Leave the checksummed region: mask + softmax are nonlinear;
         // the re-encoding rides inside the fused `ap·V` entry below.
@@ -607,20 +578,11 @@ pub fn extend(
     let mut cl_blocks = Vec::with_capacity(w.heads);
     for h in 0..w.heads {
         let mut v_h = v.slice_cols(h * d, (h + 1) * d);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::V,
-                head: Some(h),
-            },
-            &mut v_h,
-        );
         // Verify-on-append: the V rows join the cache now, before any
         // context row reads it.
-        if s_cl.active() {
-            s_cl.heal_operand_cols(ctx.report, &mut v_h, h, |r, c| {
-                replay_nn(x.row(r), |kk| w.wv[(kk, h * d + c)]) + w.bv[h * d + c]
-            });
-        }
+        s_cl.heal_operand_cols(&mut v_h, site(AttnOp::V, Some(h)), ctx, |r, c| {
+            replay_nn(x.row(r), |kk| w.wv[(kk, h * d + c)]) + w.bv[h * d + c]
+        });
         for r in 0..x.rows() {
             cache.append_v(h, v_h.logical_row(r));
             if let Some(t) = v_tape.as_mut() {
@@ -628,43 +590,17 @@ pub fn extend(
             }
         }
 
-        let mut cl_row = cache.context_row(&ap_rows[h], h, s_cl.active());
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::CL,
-                head: Some(h),
-            },
-            &mut cl_row,
-        );
-        let mut det = s_cl.detect(&mut cl_row, h);
-        if det.detections() > 0 {
-            let ap = &ap_rows[h];
-            det.refine(&mut cl_row, |r, c| {
-                replay_nn(ap.row(r), |kk| cache.v_at(h, kk, c))
-            });
-        }
-        det.absorb(ctx.report);
+        let ap = &ap_rows[h];
+        let mut cl_row = cache.context_row(ap, h, s_cl.active());
+        s_cl.check(&mut cl_row, site(AttnOp::CL, Some(h)), ctx, |r, c| {
+            replay_nn(ap.row(r), |kk| cache.v_at(h, kk, c))
+        });
         cl_blocks.push(cl_row);
     }
     let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
 
     // ------------------------------------------------ section S_O
-    let mut o = s_o.gemm(&cl_merged, w.wo);
-    o.add_bias(w.bo);
-    ctx.fire(
-        FaultSite {
-            op: AttnOp::O,
-            head: None,
-        },
-        &mut o,
-    );
-    let mut det = s_o.detect(&mut o, usize::MAX);
-    if det.fixes() > 0 {
-        det.refine(&mut o, |r, c| {
-            replay_nn(cl_merged.logical_row(r), |kk| w.wo[(kk, c)]) + w.bo[c]
-        });
-    }
-    det.absorb(ctx.report);
+    let o = s_o.project(&cl_merged, w.wo, w.bo, AttnOp::O, ctx);
     let tape = v_tape.map(|v_healed| AttnCache {
         x: x.clone(),
         q: q.into_logical(),
@@ -865,6 +801,52 @@ mod tests {
     fn decode_corrects_near_inf_at_every_site() {
         for op in AttnOp::ALL {
             inject_then_check(op, FaultKind::NearInf, SectionToggles::all());
+        }
+    }
+
+    #[test]
+    fn every_site_fires_exactly_once_per_extend() {
+        // Q, K and O fire once per `extend`, V, AS and CL once per head — at
+        // m = 1 and m > 1, over a grown cache, and on inactive sections too
+        // (the unprotected-propagation tests strike through them). A site
+        // fired by both a section step and its caller fails here.
+        let (x, attn) = setup(7, 32, 4);
+        let heads = attn.weights.heads;
+        for toggles in [SectionToggles::all(), SectionToggles::none()] {
+            for m in [1usize, 4] {
+                let mut cache = AttnKvCache::for_attention(&attn);
+                let mut report = AbftReport::default();
+                let prefix = x.submatrix(0, 3, 0, x.cols());
+                let mut ctx = ForwardCtx {
+                    mask: None,
+                    toggles,
+                    hook: None,
+                    report: &mut report,
+                };
+                attn.decode_step(&prefix, &mut cache, &mut ctx);
+                let mut fired: Vec<FaultSite> = Vec::new();
+                let mut hook = |site: FaultSite, _: &mut CheckedMatrix| fired.push(site);
+                let mut ctx = ForwardCtx {
+                    mask: None,
+                    toggles,
+                    hook: Some(&mut hook),
+                    report: &mut report,
+                };
+                attn.decode_step(&x.submatrix(3, 3 + m, 0, x.cols()), &mut cache, &mut ctx);
+                let count = |op, head| {
+                    let site = FaultSite { op, head };
+                    fired.iter().filter(|&&s| s == site).count()
+                };
+                for op in [AttnOp::Q, AttnOp::K, AttnOp::O] {
+                    assert_eq!(count(op, None), 1, "{op:?} m={m} {toggles:?}");
+                }
+                for op in [AttnOp::V, AttnOp::AS, AttnOp::CL] {
+                    for h in 0..heads {
+                        assert_eq!(count(op, Some(h)), 1, "{op:?}/{h} m={m} {toggles:?}");
+                    }
+                }
+                assert_eq!(fired.len(), 3 + 3 * heads, "m={m} {toggles:?}: {fired:?}");
+            }
         }
     }
 

@@ -22,8 +22,11 @@
 //! * [`section`] — the composable guarded-GEMM pipeline: [`GuardedSection`]
 //!   strings guarded GEMMs (encoding on entry, inside the kernel),
 //!   nonlinear exits, fault-hook taps, delayed detection points, and
-//!   exact-replay refinement into reusable protection sections; [`ForwardCtx`] threads the per-execution state
-//!   (mask, toggles, hook, report) through every layer of one execution.
+//!   exact-replay refinement into reusable protection sections, and
+//!   [`section::Ctx`] threads one execution's state (policy, toggles,
+//!   mask, hook, op guard, report, tape mode) through every layer;
+//!   [`GuardedSection::check`] and [`GuardedSection::project`] are the one
+//!   way a layer guards a product.
 //! * [`policy`] — [`ProtectionPolicy`]: single owner of the per-section
 //!   frequency gates (paper §4.5), handing out per-execution
 //!   [`attention::SectionToggles`].
@@ -78,10 +81,11 @@ pub mod policy;
 pub mod report;
 pub mod section;
 
+pub use attention::ForwardCtx;
 pub use checked::CheckedMatrix;
 pub use config::{AbftConfig, FrequencyGate, ProtectionConfig, Strategy};
 pub use decode::{AttnKvCache, KV_BLOCK_ROWS};
 pub use eec::{eec_correct_vector, VectorVerdict};
 pub use policy::ProtectionPolicy;
 pub use report::AbftReport;
-pub use section::{ForwardCtx, GuardedSection};
+pub use section::GuardedSection;

@@ -38,18 +38,27 @@
 //! * exit — [`GuardedSection::exit_cols`] leaves the checksummed region
 //!   for a nonlinear step (softmax, GELU, masking), returning plain data
 //!   whose re-encoding rides in the next [`GuardedSection::gemm`].
+//! * guarded steps — one execution's GEMM outputs meet the section through
+//!   three steps, each of which exposes the output to the fault hook first:
+//!   [`GuardedSection::check`] is the delayed detection point (detect,
+//!   refine corrections to exact bits with the producing dot product,
+//!   report); [`GuardedSection::project`] is an affine projection `x·W + b`
+//!   ending in that check; [`GuardedSection::heal_operand_cols`] repairs
+//!   *source* matrices (`Q`, `K`, `V`) through their inherited column
+//!   checksums as they leave their projection, because the KV cache and
+//!   the backward pass reuse them — a column it cannot heal counts as
+//!   unrecovered. Hooks fire whether or not the section is active, so an
+//!   unprotected run lets a struck value through.
 //! * detection — [`GuardedSection::detect`] runs the two-sided correction
 //!   protocol and returns a [`Detection`] that the caller refines to exact
 //!   bits ([`Detection::refine`]) and folds into the report
-//!   ([`Detection::absorb`]).
-//! * operand healing — [`GuardedSection::heal_operand_cols`] repairs
-//!   *source* matrices (`Q`, `K`, `V`) through their inherited column
-//!   checksums as they leave their projection, because the KV cache and
-//!   the backward pass reuse them. It reports through the same
-//!   [`Detection::absorb`], so a column it cannot heal counts as
-//!   unrecovered.
-//! * [`ForwardCtx`] — the per-execution state (mask, section toggles, fault
-//!   hook, report) threaded through every layer of one execution.
+//!   ([`Detection::absorb`]); [`GuardedSection::check`] is these three in
+//!   order, and what every protected layer calls.
+//! * [`Ctx`] — everything one execution threads through its layers: the
+//!   protection policy, this execution's section toggles, the mask, the
+//!   fault hook, the op guard of the non-GEMM ops, the report and whether
+//!   a backward tape is recorded. [`Ctx::section`] opens a section under
+//!   its toggle.
 //!
 //! # Example: one section over a two-GEMM chain
 //!
@@ -73,50 +82,73 @@
 //!
 //! // One delayed detection point covers the whole chain; exact replay
 //! // restores the corrected element to its original bits.
+//! // (`GuardedSection::check` is these three steps behind the fault hook.)
 //! let mut det = sec.detect(&mut y, usize::MAX);
-//! if det.detections() > 0 {
-//!     det.refine(&mut y, |r, c| replay_nn(h.logical_row(r), |k| w2[(k, c)]));
-//! }
+//! det.refine(&mut y, |r, c| replay_nn(h.logical_row(r), |k| w2[(k, c)]));
 //! det.absorb(&mut report);
 //! assert_eq!(report.correction_count(), 1);
 //! assert!(y.logical().all_finite());
 //! ```
 
-use crate::attention::{FaultHook, FaultSite, SectionToggles};
+use crate::attention::{AttnOp, FaultHook, FaultSite, SectionToggles};
 use crate::checked::{CheckedMatrix, Operand, ProductKind};
 use crate::config::{AbftConfig, ProtectionConfig, Strategy};
 use crate::detect::{correct_columns, full_correct, CorrectionSummary, ElementFix};
 use crate::report::{AbftReport, CorrectionRecord, SectionId};
-use attn_tensor::Matrix;
+use attn_tensor::{Matrix, OpGuard};
 
-/// Per-execution context threaded through a protected forward pass.
+/// Everything one protected execution threads through its layers.
 ///
-/// One `ForwardCtx` carries everything that varies per call — the additive
-/// attention mask, the per-execution [`SectionToggles`] handed out by a
-/// [`ProtectionPolicy`](crate::policy::ProtectionPolicy), the optional
-/// fault-injection hook, and the report the run writes into — so layer code
-/// threads a single `&mut ForwardCtx` instead of a parameter list. Callers
-/// that fan a batch out (trainer, decode engine) build one per item, which
-/// is what keeps hooks and reports local to their item.
-pub struct ForwardCtx<'a, 'h> {
-    /// Additive attention mask (`seq × seq`), e.g. causal or local-banded.
-    pub mask: Option<&'a Matrix>,
+/// A layer takes its inputs, its weights or cache, and one `&mut Ctx`:
+/// the policy, the per-execution [`SectionToggles`] handed out by a
+/// [`ProtectionPolicy`](crate::policy::ProtectionPolicy), the additive
+/// attention mask, the optional fault-injection hook, the op guard every
+/// non-GEMM op of the pass runs under, the report the run writes into,
+/// and whether a backward tape is recorded. Callers that fan a batch out
+/// (trainer, decode engine) build one per item, which is what keeps hooks
+/// and reports local to their item.
+pub struct Ctx<'a, 'h> {
+    /// The protection policy (hard-off kills every section).
+    pub config: &'a ProtectionConfig,
     /// Per-execution section toggles (from the frequency gates).
     pub toggles: SectionToggles,
+    /// Additive attention mask, the rows of the tokens this execution
+    /// feeds (e.g. causal or local-banded).
+    pub mask: Option<&'a Matrix>,
     /// Optional fault-injection hook (its own lifetime: `&mut dyn` is
     /// invariant, so tying it to the report's borrow would force callers to
     /// keep hook and report alive equally long).
     pub hook: Option<FaultHook<'h>>,
+    /// The guard scope of the non-GEMM ops (softmax, LayerNorm, GELU,
+    /// residual adds); its counters are folded into the report by whoever
+    /// opened it.
+    pub guard: &'a OpGuard,
     /// Where ABFT activity is recorded.
     pub report: &'a mut AbftReport,
+    /// Whether the layers record their backward tape.
+    pub taped: bool,
 }
 
-impl ForwardCtx<'_, '_> {
-    /// Expose a GEMM output to the fault hook, if one is installed.
-    pub fn fire(&mut self, site: FaultSite, m: &mut CheckedMatrix) {
+impl Ctx<'_, '_> {
+    /// Expose a GEMM output to the fault hook, if one is installed. Private:
+    /// the section steps fire it, so no layer fires a site by hand.
+    fn fire(&mut self, site: FaultSite, m: &mut CheckedMatrix) {
         if let Some(h) = self.hook.as_mut() {
             h(site, m);
         }
+    }
+
+    /// Open section `id` for this execution under its toggle (see
+    /// [`GuardedSection::begin`]).
+    pub fn section(&mut self, id: SectionId) -> GuardedSection {
+        let t = &self.toggles;
+        let active = match id {
+            SectionId::AttentionScore => t.s_as,
+            SectionId::ContextLayer => t.s_cl,
+            SectionId::Output => t.s_o,
+            SectionId::FeedForward => t.s_ffn,
+        };
+        GuardedSection::begin(id, self.config, active, self.report)
     }
 }
 
@@ -163,7 +195,7 @@ impl GuardedSection {
     /// (softmax, LayerNorm, GELU, residual adds, embedding, loss,
     /// sampler, optimizer moments).
     ///
-    /// The returned [`OpGuard`](attn_tensor::OpGuard) is shared by
+    /// The returned [`OpGuard`] is shared by
     /// reference across every `*_checked` op inside the step; its
     /// accumulated [`GuardStats`](attn_tensor::GuardStats) are folded
     /// into the step report with
@@ -171,8 +203,8 @@ impl GuardedSection {
     /// A disabled config yields an inactive guard — every checked op
     /// degenerates to its plain form, mirroring how an inactive section
     /// degrades its GEMMs.
-    pub fn guard_step(config: &ProtectionConfig) -> attn_tensor::OpGuard {
-        attn_tensor::OpGuard::new(!config.is_off(), config.abft.detect_tol)
+    pub fn guard_step(config: &ProtectionConfig) -> OpGuard {
+        OpGuard::new(!config.is_off(), config.abft.detect_tol)
     }
 
     /// Does this section perform detection this execution?
@@ -229,10 +261,11 @@ impl GuardedSection {
         data
     }
 
-    /// The section's delayed detection point: run the two-sided correction
-    /// protocol on `m` (no-op when inactive) and hand back a [`Detection`]
-    /// for refinement and reporting. `head` attributes corrections to a
-    /// per-head matrix (`usize::MAX` for model-wide ones).
+    /// The two-sided correction protocol on `m` (no-op when inactive),
+    /// handed back as a [`Detection`] for refinement and reporting. `head`
+    /// attributes corrections to a per-head matrix (`usize::MAX` for
+    /// model-wide ones). Layers call [`Self::check`], which is this step
+    /// between the hook and the report.
     pub fn detect(&self, m: &mut CheckedMatrix, head: usize) -> Detection {
         let summary = if self.active {
             full_correct(m, &self.abft)
@@ -247,18 +280,65 @@ impl GuardedSection {
         }
     }
 
-    /// Heal a source operand through its inherited *column* checksums, then
-    /// refine the fixes to exact bits with `exact` (the producing dot
-    /// product). Used for `Q`, `K` and each head's `V` as they leave their
-    /// projection: the KV cache and the backward pass reuse them, where a
-    /// surviving extreme value would re-poison every later step.
-    pub fn heal_operand_cols(
+    /// The section's delayed detection point for the GEMM output `m` at
+    /// `site`: expose `m` to the fault hook, detect, restore every
+    /// corrected element to exact bits with `exact` (the producing dot
+    /// product) and fold the outcome into the report, attributed to
+    /// `site`'s head. An inactive section only fires the hook.
+    pub fn check(
         &self,
-        report: &mut AbftReport,
         m: &mut CheckedMatrix,
-        head: usize,
+        site: FaultSite,
+        ctx: &mut Ctx<'_, '_>,
         exact: impl Fn(usize, usize) -> f32,
     ) {
+        ctx.fire(site, m);
+        let mut det = self.detect(m, site.head.unwrap_or(usize::MAX));
+        det.refine(m, exact);
+        det.absorb(ctx.report);
+    }
+
+    /// A guarded affine projection `x·W + b` tapped at `op`: one
+    /// [`Self::gemm`] step (the checksums `x` carries ride through, a plain
+    /// `x` enters an active section inside the GEMM's packing pass), the
+    /// bias, then [`Self::check`] with the producing dot over `x`'s rows
+    /// where they lie as the replay. Returns the checked output —
+    /// post-correction — for the next step; a caller that trains tapes `x`.
+    pub fn project<'x>(
+        &self,
+        x: impl Into<Operand<'x>>,
+        w: &Matrix,
+        bias: &[f32],
+        op: AttnOp,
+        ctx: &mut Ctx<'_, '_>,
+    ) -> CheckedMatrix {
+        let x = x.into();
+        let mut y = self.gemm(x, w);
+        y.add_bias(bias);
+        self.check(&mut y, FaultSite { op, head: None }, ctx, |r, c| {
+            replay_nn(x.logical_row(r), |kk| w[(kk, c)]) + bias[c]
+        });
+        y
+    }
+
+    /// Heal a source operand at `site` through its inherited *column*
+    /// checksums, after exposing it to the fault hook, and refine the
+    /// fixes to exact bits with `exact` (the producing dot product). Used
+    /// for `Q`, `K` and each head's `V` as they leave their projection: the
+    /// KV cache and the backward pass reuse them, where a surviving extreme
+    /// value would re-poison every later step. An inactive section only
+    /// fires the hook.
+    pub fn heal_operand_cols(
+        &self,
+        m: &mut CheckedMatrix,
+        site: FaultSite,
+        ctx: &mut Ctx<'_, '_>,
+        exact: impl Fn(usize, usize) -> f32,
+    ) {
+        ctx.fire(site, m);
+        if !self.active {
+            return;
+        }
         let mut col_pass = correct_columns(m, &self.abft);
         apply_exact_fixes(m, &self.abft, col_pass.fixes.iter_mut(), exact);
         // A one-sided pass heals nothing it cannot locate: propagated and
@@ -271,10 +351,10 @@ impl GuardedSection {
                 ..CorrectionSummary::default()
             },
             id: self.id,
-            head,
+            head: site.head.unwrap_or(usize::MAX),
             abft: self.abft,
         }
-        .absorb(report);
+        .absorb(ctx.report);
     }
 }
 
@@ -290,21 +370,15 @@ pub struct Detection {
 
 impl Detection {
     /// Total detections of any kind (corrections, propagations, rebuilds,
-    /// unrecoverables). Sections heal their source operands when this is
-    /// non-zero.
+    /// unrecoverables).
     pub fn detections(&self) -> usize {
         self.summary.total_detections()
-    }
-
-    /// Corrected elements across both passes.
-    pub fn fixes(&self) -> usize {
-        self.summary.total_fixes()
     }
 
     /// Exact-replay refinement: restore each corrected element to its
     /// original bits by replaying the producing dot product (`exact`),
     /// trusted only when the replay lands within detection-bound noise of
-    /// the checksum reconstruction.
+    /// the checksum reconstruction. A no-op when nothing was corrected.
     pub fn refine(&mut self, m: &mut CheckedMatrix, exact: impl Fn(usize, usize) -> f32) {
         let fixes = self.summary.col_pass.fixes.iter_mut().chain(
             self.summary
@@ -527,6 +601,24 @@ mod tests {
         }
     }
 
+    /// A fresh context over `report` (no mask, no tape, the guard off).
+    fn test_ctx<'a, 'h>(
+        config: &'a ProtectionConfig,
+        guard: &'a OpGuard,
+        hook: Option<FaultHook<'h>>,
+        report: &'a mut AbftReport,
+    ) -> Ctx<'a, 'h> {
+        Ctx {
+            config,
+            toggles: SectionToggles::all(),
+            mask: None,
+            hook,
+            guard,
+            report,
+            taped: false,
+        }
+    }
+
     #[test]
     fn heal_operand_cols_restores_source_matrix() {
         let mut rng = TensorRng::seed_from(7);
@@ -536,10 +628,84 @@ mod tests {
         let (sec, mut report) = section(true);
         let mut q = sec.gemm(&sec.encode_cols(&x), &w);
         q.set(1, 2, f32::NAN);
-        sec.heal_operand_cols(&mut report, &mut q, usize::MAX, |r, c| {
+        let (config, guard) = (ProtectionConfig::full(), OpGuard::off());
+        let site = FaultSite {
+            op: AttnOp::Q,
+            head: None,
+        };
+        let mut ctx = test_ctx(&config, &guard, None, &mut report);
+        sec.heal_operand_cols(&mut q, site, &mut ctx, |r, c| {
             replay_nn(x.row(r), |kk| w[(kk, c)])
         });
         assert_eq!(q.logical(), clean);
         assert_eq!(report.correction_count(), 1);
+    }
+
+    /// `in_dim → out_dim` affine weights drawn like a fresh layer's
+    /// (Xavier weight, zero bias), and the input.
+    fn affine(seed: u64, in_dim: usize, out_dim: usize, rows: usize) -> (Matrix, Vec<f32>, Matrix) {
+        let mut rng = TensorRng::seed_from(seed);
+        let w = rng.xavier_matrix(in_dim, out_dim);
+        let x = rng.normal_matrix(rows, in_dim, 1.0);
+        (w, vec![0.0; out_dim], x)
+    }
+
+    /// The unguarded `x·W + b`.
+    fn plain_affine(x: &Matrix, w: &Matrix, b: &[f32]) -> Matrix {
+        let mut y = gemm::matmul(x, w);
+        attn_tensor::ops::add_bias_inplace(&mut y, b);
+        y
+    }
+
+    /// [`GuardedSection::project`] over an encoded `x` in an `S_FFN`
+    /// section; returns `(output, report)`.
+    fn guarded_project(
+        (w, b, x): (&Matrix, &[f32], &Matrix),
+        op: AttnOp,
+        active: bool,
+        hook: Option<FaultHook<'_>>,
+    ) -> (Matrix, AbftReport) {
+        let (config, guard) = (ProtectionConfig::full(), OpGuard::off());
+        let mut report = AbftReport::default();
+        let sec = GuardedSection::begin(SectionId::FeedForward, &config, active, &mut report);
+        let xc = sec.encode_cols(x);
+        let mut ctx = test_ctx(&config, &guard, hook, &mut report);
+        let y = sec.project(&xc, w, b, op, &mut ctx).logical();
+        (y, report)
+    }
+
+    #[test]
+    fn fault_free_project_is_bit_identical() {
+        let (w, b, x) = affine(11, 6, 8, 4);
+        let plain = plain_affine(&x, &w, &b);
+        for active in [false, true] {
+            let (y, report) = guarded_project((&w, &b, &x), AttnOp::Ffn1, active, None);
+            assert_eq!(y, plain, "active={active}");
+            assert!(report.is_quiet());
+        }
+    }
+
+    #[test]
+    fn project_corrects_injected_extreme_to_exact_bits() {
+        let (w, b, x) = affine(12, 6, 8, 4);
+        let plain = plain_affine(&x, &w, &b);
+        let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
+            assert_eq!(site.op, AttnOp::Ffn1);
+            m.set(1, 3, f32::NEG_INFINITY);
+        };
+        let (y, report) = guarded_project((&w, &b, &x), AttnOp::Ffn1, true, Some(&mut hook));
+        assert_eq!(y, plain, "exact replay must restore original bits");
+        assert_eq!(report.correction_count(), 1);
+        assert_eq!(report.corrections[0].section, SectionId::FeedForward);
+        assert_eq!(report.unrecovered, 0);
+    }
+
+    #[test]
+    fn inactive_project_lets_fault_through() {
+        let (w, b, x) = affine(13, 5, 5, 3);
+        let mut hook = |_: FaultSite, m: &mut CheckedMatrix| m.set(0, 0, f32::NAN);
+        let (y, report) = guarded_project((&w, &b, &x), AttnOp::Ffn2, false, Some(&mut hook));
+        assert!(!y.all_finite(), "no detection when the section is off");
+        assert_eq!(report.correction_count(), 0);
     }
 }

@@ -1,6 +1,7 @@
-//! Multi-head attention layer: ATTNChecker-protected forward (the one
-//! attention of the `attnchecker` crate, over a KV cache) plus a
-//! hand-written backward pass.
+//! Multi-head attention layer: its parameters, whose borrowed view
+//! ([`AttentionLayer::weights`]) the one protected attention of the
+//! `attnchecker` crate ([`attnchecker::decode::extend`], over a KV cache)
+//! runs forward, plus a hand-written backward pass.
 //!
 //! The paper integrates ATTNChecker into the *forward* attention GEMMs; the
 //! backward pass consumes the cached `Q`/`K`/`V`/`AP`/`CL` activations —
@@ -14,12 +15,10 @@ use attn_tensor::ops::col_sums;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::{AttentionWeightsRef, AttnCache};
-use attnchecker::config::ProtectionConfig;
-use attnchecker::decode::{self, AttnKvCache};
-use attnchecker::section::ForwardCtx;
 
-/// Attention layer owning its parameters; the protection policy is the
-/// model's, passed into [`Self::forward`].
+/// Attention layer owning its parameters. Its forward is
+/// [`attnchecker::decode::extend`] over [`Self::weights`], under the
+/// model's protection policy.
 #[derive(Debug, Clone)]
 pub struct AttentionLayer {
     /// Query projection parameter (`hidden × hidden`).
@@ -79,21 +78,6 @@ impl AttentionLayer {
             bv: self.bv.bias(),
             bo: self.bo.bias(),
         }
-    }
-
-    /// Protected forward under `config`: the one attention
-    /// ([`decode::extend`]) over `cache`, returning the output and, when
-    /// `taped`, the activation tape (post-correction when protection ran).
-    pub fn forward(
-        &self,
-        x: &Matrix,
-        config: &ProtectionConfig,
-        cache: &mut AttnKvCache,
-        ctx: &mut ForwardCtx<'_, '_>,
-        g: &OpGuard,
-        taped: bool,
-    ) -> (Matrix, Option<AttnCache>) {
-        decode::extend(&self.weights(), config, x, cache, ctx, g, taped)
     }
 
     /// Backward over a tape; returns `dx` and writes all eight parameter
@@ -186,8 +170,10 @@ mod tests {
     use super::*;
     use attn_tensor::ops::causal_mask;
     use attnchecker::attention::SectionToggles;
+    use attnchecker::config::ProtectionConfig;
+    use attnchecker::decode::{extend, AttnKvCache};
     use attnchecker::report::AbftReport;
-    use attnchecker::section::GuardedSection;
+    use attnchecker::section::{Ctx, GuardedSection};
 
     fn fwd(
         layer: &AttentionLayer,
@@ -197,15 +183,18 @@ mod tests {
         mask: Option<&Matrix>,
         report: &mut AbftReport,
     ) -> (Matrix, AttnCache) {
-        let mut ctx = ForwardCtx {
-            mask,
+        let g = GuardedSection::guard_step(config);
+        let mut ctx = Ctx {
+            config,
             toggles,
+            mask,
             hook: None,
+            guard: &g,
             report,
+            taped: true,
         };
         let mut kv = AttnKvCache::new(layer.hidden(), layer.heads, !config.is_off());
-        let g = GuardedSection::guard_step(config);
-        let (y, tape) = layer.forward(x, config, &mut kv, &mut ctx, &g, true);
+        let (y, tape) = extend(&layer.weights(), x, &mut kv, &mut ctx);
         (y, tape.expect("a taped forward returns its tape"))
     }
 

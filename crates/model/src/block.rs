@@ -5,11 +5,11 @@
 //! arrangements and for training and serving alike: the attention reads and
 //! grows the KV cache it is handed (a fresh one per training sequence, the
 //! session's when serving), and the tape is recorded only when asked for.
-//! One [`ForwardCtx`] flows through the whole block: the attention
-//! sub-layer consumes the mask/toggles/hook for its three sections, and the
-//! FFN sub-layer runs its own `S_FFN` guarded section off the same context;
-//! the non-GEMM ops run under the caller's op guard, so a model forward has
-//! one guard scope.
+//! One [`Ctx`] flows through the whole block: the attention
+//! ([`decode::extend`]) opens its three sections off its policy, toggles,
+//! mask and hook, the FFN sub-layer its own `S_FFN` section off the same
+//! context, and the non-GEMM ops run under its op guard, so a model
+//! forward has one guard scope.
 
 use crate::attn_layer::AttentionLayer;
 use crate::ffn::FeedForward;
@@ -19,9 +19,8 @@ use crate::tape::BlockTape;
 use attn_tensor::guard::residual_add_checked;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
-use attnchecker::config::ProtectionConfig;
-use attnchecker::decode::AttnKvCache;
-use attnchecker::section::ForwardCtx;
+use attnchecker::decode::{self, AttnKvCache};
+use attnchecker::section::Ctx;
 use std::time::Instant;
 
 /// Residual/normalisation arrangement.
@@ -68,27 +67,25 @@ impl TransformerBlock {
         }
     }
 
-    /// Forward pass under the model's `protection`, attending over `cache`
-    /// (a fresh one for a training sequence, a session's for serving):
-    /// returns the output and, when `taped`, the block's activation tape
-    /// (sub-layer wall times included). Both arrangements run this one body:
-    /// pre-LN normalises each sub-layer's input, post-LN its residual sum.
-    /// `ctx` flows through both protected sub-layers; the LayerNorms,
-    /// residual adds, softmax and GELU run under the caller's op guard `g`.
+    /// Forward pass attending over `cache` (a fresh one for a training
+    /// sequence, a session's for serving): returns the output and, when
+    /// `ctx.taped`, the block's activation tape (sub-layer wall times
+    /// included). Both arrangements run this one body: pre-LN normalises
+    /// each sub-layer's input, post-LN its residual sum. `ctx` flows
+    /// through both protected sub-layers; the LayerNorms, residual adds,
+    /// softmax and GELU run under `ctx.guard`.
     pub fn forward(
         &self,
         x: &Matrix,
-        protection: &ProtectionConfig,
         cache: &mut AttnKvCache,
-        ctx: &mut ForwardCtx<'_, '_>,
-        g: &OpGuard,
-        taped: bool,
+        ctx: &mut Ctx<'_, '_>,
     ) -> (Matrix, Option<BlockTape>) {
+        let g = ctx.guard;
         let pre = self.arch == BlockArch::PreLn;
         let n1 = pre.then(|| self.ln1.forward(x, g));
         let t0 = Instant::now();
         let attn_in = n1.as_ref().map_or(x, |(n, _)| n);
-        let (a, attn) = self.attn.forward(attn_in, protection, cache, ctx, g, taped);
+        let (a, attn) = decode::extend(&self.attn.weights(), attn_in, cache, ctx);
         let attn_time = t0.elapsed();
         let sum1 = residual_add_checked(x, &a, g);
         let (h, ln1) = match n1 {
@@ -105,7 +102,7 @@ impl TransformerBlock {
             (h, None, None)
         };
         let t1 = Instant::now();
-        let (f, ffn) = self.ffn.forward(ffn_in, protection, ctx, g);
+        let (f, ffn) = self.ffn.forward(ffn_in, ctx);
         let ffn_time = t1.elapsed();
         let sum2 = residual_add_checked(base.as_ref().unwrap_or(&ffn.x), &f, g);
         let (y, ln2) = match ln2_stats {
@@ -169,6 +166,7 @@ impl HasParams for TransformerBlock {
 mod tests {
     use super::*;
     use attnchecker::attention::SectionToggles;
+    use attnchecker::config::ProtectionConfig;
     use attnchecker::report::AbftReport;
 
     fn block(arch: BlockArch, rng: &mut TensorRng) -> TransformerBlock {
@@ -183,16 +181,19 @@ mod tests {
         toggles: SectionToggles,
         report: &mut AbftReport,
     ) -> (Matrix, BlockTape) {
-        let mut ctx = ForwardCtx {
-            mask: None,
-            toggles,
-            hook: None,
-            report,
-        };
-        let mut kv = AttnKvCache::new(x.cols(), b.attn.heads, !protection.is_off());
         // The op guard a model forward opens under this config.
         let g = OpGuard::new(!protection.is_off(), protection.abft.detect_tol);
-        let (y, tape) = b.forward(x, protection, &mut kv, &mut ctx, &g, true);
+        let mut ctx = Ctx {
+            config: protection,
+            toggles,
+            mask: None,
+            hook: None,
+            guard: &g,
+            report,
+            taped: true,
+        };
+        let mut kv = AttnKvCache::new(x.cols(), b.attn.heads, !protection.is_off());
+        let (y, tape) = b.forward(x, &mut kv, &mut ctx);
         ctx.report.absorb_op_guard(g.take_stats());
         (y, tape.expect("a taped forward returns its tape"))
     }

@@ -1,75 +1,67 @@
 //! Position-wise feed-forward network: `Linear → GELU → Linear`, with an
 //! ATTNChecker-guarded forward that protects both GEMMs end-to-end.
 //!
-//! The FFN is the section `S_FFN = {H·W_1, GELU(·)·W_2}` built on
-//! [`GuardedSection`]: the block input is column-encoded inside the
-//! expansion GEMM's packing pass and its checksums ride to a detection
-//! point at the pre-GELU activation; GELU is a nonlinearity, so the
-//! pipeline exits and re-encodes inside the contraction GEMM (exactly like
-//! softmax in `S_CL`), which gets its own delayed detection point. There is
-//! one pipeline: a skipped gate, a fault hook or [`ProtectionConfig::off`]
-//! are values passed in, and an inactive section costs the same copies as
-//! a hand-written plain `Linear → GELU → Linear`. GELU runs under the
-//! caller's op guard (one scope per model forward), and the tape takes the
-//! input and both activations by move, so serving, which drops it, copies
-//! nothing for it. Corrections are refined to exact bits by replaying the
-//! producing dot product, so a corrected step is bit-identical to the
-//! fault-free step — rollback-free, end-to-end through training.
+//! The FFN is the section `S_FFN = {H·W_1, GELU(·)·W_2}`: two
+//! [`GuardedSection::project`](attnchecker::section::GuardedSection::project)
+//! steps over plain [`Linear`] layers. The block input is column-encoded
+//! inside the expansion GEMM's packing pass and its checksums ride to a
+//! detection point at the pre-GELU activation; GELU is a nonlinearity, so
+//! the pipeline exits and re-encodes inside the contraction GEMM (exactly
+//! like softmax in `S_CL`), which gets its own delayed detection point.
+//! There is one pipeline: a skipped gate, a fault hook or
+//! [`ProtectionConfig::off`](attnchecker::config::ProtectionConfig::off)
+//! are values of the [`Ctx`], and an inactive section costs the same
+//! copies as a hand-written plain `Linear → GELU → Linear`. GELU runs under
+//! the context's op guard (one scope per model forward), and the tape takes
+//! the input and both activations by move, so serving, which drops it,
+//! copies nothing for it. Corrections are refined to exact bits by
+//! replaying the producing dot product, so a corrected step is
+//! bit-identical to the fault-free step — rollback-free, end-to-end
+//! through training.
 
-use crate::linear::ProtectedLinear;
+use crate::linear::Linear;
 use crate::param::{Grads, HasParams, Param};
 use crate::tape::FfnTape;
 use attn_tensor::guard::{gelu_backward_checked, gelu_matrix_checked};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::AttnOp;
-use attnchecker::config::ProtectionConfig;
 use attnchecker::report::SectionId;
-use attnchecker::section::{ForwardCtx, GuardedSection};
+use attnchecker::section::Ctx;
 
 /// Transformer FFN block (expansion factor configurable, 4× by default).
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     /// Expansion projection (tap site [`AttnOp::Ffn1`]).
-    pub lin1: ProtectedLinear,
+    pub lin1: Linear,
     /// Contraction projection (tap site [`AttnOp::Ffn2`]).
-    pub lin2: ProtectedLinear,
+    pub lin2: Linear,
 }
 
 impl FeedForward {
     /// Build with the given inner width.
     pub fn new(name: &str, hidden: usize, inner: usize, rng: &mut TensorRng) -> Self {
         Self {
-            lin1: ProtectedLinear::new(&format!("{name}.lin1"), hidden, inner, AttnOp::Ffn1, rng),
-            lin2: ProtectedLinear::new(&format!("{name}.lin2"), inner, hidden, AttnOp::Ffn2, rng),
+            lin1: Linear::new(&format!("{name}.lin1"), hidden, inner, rng),
+            lin2: Linear::new(&format!("{name}.lin2"), inner, hidden, rng),
         }
     }
 
-    /// Forward: both GEMMs run inside one `S_FFN` section under `config`,
-    /// gated by `ctx.toggles.s_ffn`, with fault taps at
+    /// Forward: both GEMMs run inside one `S_FFN` section, gated by
+    /// `ctx.toggles.s_ffn`, with fault taps at
     /// [`AttnOp::Ffn1`]/[`AttnOp::Ffn2`] and in-place (rollback-free)
-    /// correction; GELU runs under the caller's element-wise op guard `g`
-    /// whether or not the section fires. Degrades to the exact unprotected
-    /// computation under [`ProtectionConfig::off`]. The returned tape is
-    /// built by move — the input, and the healed activations the pass
-    /// computed anyway — so backward proceeds exactly as fault-free, and a
-    /// caller that does not train drops it without having copied a row.
-    pub fn forward(
-        &self,
-        x: Matrix,
-        config: &ProtectionConfig,
-        ctx: &mut ForwardCtx<'_, '_>,
-        g: &OpGuard,
-    ) -> (Matrix, FfnTape) {
-        let sec = GuardedSection::begin(
-            SectionId::FeedForward,
-            config,
-            ctx.toggles.s_ffn,
-            ctx.report,
-        );
+    /// correction; GELU runs under `ctx.guard` whether or not the section
+    /// fires. Degrades to the exact unprotected computation under a
+    /// hard-off `ctx.config`. The returned tape is built by move — the
+    /// input, and the healed activations the pass computed anyway — so
+    /// backward proceeds exactly as fault-free, and a caller that does not
+    /// train drops it without having copied a row.
+    pub fn forward(&self, x: Matrix, ctx: &mut Ctx<'_, '_>) -> (Matrix, FfnTape) {
+        let sec = ctx.section(SectionId::FeedForward);
+        let (l1, l2) = (&self.lin1, &self.lin2);
         // The block input enters S_FFN inside the expansion GEMM's packing
         // pass: no standalone encode sweep over `x`, no wrap.
-        let pre = self.lin1.forward(&x, &sec, ctx);
+        let pre = sec.project(&x, &l1.w.value, l1.b.bias(), AttnOp::Ffn1, ctx);
         // GELU is nonlinear: exit the checksummed region (dropping the
         // border is a truncate, not a copy); the result's re-encoding rides
         // inside the contraction GEMM's packing pass. The nonlinearity
@@ -77,17 +69,17 @@ impl FeedForward {
         // exact recompute from the healed `pre`, which the tape keeps
         // anyway) whether or not the S_FFN gate fired.
         let pre = pre.into_logical();
-        let act = gelu_matrix_checked(&pre, g);
-        let y = self.lin2.forward(&act, &sec, ctx);
+        let act = gelu_matrix_checked(&pre, ctx.guard);
+        let y = sec.project(&act, &l2.w.value, l2.b.bias(), AttnOp::Ffn2, ctx);
         (y.into_logical(), FfnTape { x, pre, act })
     }
 
     /// Backward over a tape with the GELU derivative under `g` (see
     /// [`attn_tensor::guard::verify_gelu_backward`]); returns `dx`.
     pub fn backward(&self, dy: &Matrix, tape: &FfnTape, grads: &mut Grads, g: &OpGuard) -> Matrix {
-        let dact = self.lin2.inner.backward(dy, &tape.act, grads);
+        let dact = self.lin2.backward(dy, &tape.act, grads);
         let dpre = gelu_backward_checked(&tape.pre, &dact, g);
-        self.lin1.inner.backward(&dpre, &tape.x, grads)
+        self.lin1.backward(&dpre, &tape.x, grads)
     }
 }
 
@@ -104,6 +96,7 @@ mod tests {
     use attn_fault::FaultKind;
     use attnchecker::attention::{FaultSite, SectionToggles};
     use attnchecker::checked::CheckedMatrix;
+    use attnchecker::config::ProtectionConfig;
     use attnchecker::report::AbftReport;
 
     /// Unprotected forward: `off()` config, no sections, no hook.
@@ -176,14 +169,11 @@ mod tests {
         for r in 0..3 {
             for c in 0..6 {
                 let mut fp = ffn.clone();
-                fp.lin1.inner.w.value[(r, c)] += eps;
+                fp.lin1.w.value[(r, c)] += eps;
                 let mut fm = ffn.clone();
-                fm.lin1.inner.w.value[(r, c)] -= eps;
+                fm.lin1.w.value[(r, c)] -= eps;
                 let fd = (loss(&fp, &x) - loss(&fm, &x)) / (2.0 * eps);
-                assert!(
-                    (fd - ffn.lin1.inner.w.grad[(r, c)]).abs() < 3e-2,
-                    "dW1 ({r},{c})"
-                );
+                assert!((fd - ffn.lin1.w.grad[(r, c)]).abs() < 3e-2, "dW1 ({r},{c})");
             }
         }
     }
@@ -205,22 +195,24 @@ mod tests {
         hook: Option<attnchecker::attention::FaultHook<'_>>,
     ) -> (Matrix, FfnTape, AbftReport) {
         let mut report = AbftReport::default();
-        let (out, tape) = {
-            let mut ctx = ForwardCtx {
-                mask: None,
+        // The op guard a model forward opens under this config.
+        let g = OpGuard::new(!config.is_off(), config.abft.detect_tol);
+        let (out, tape) = ffn.forward(
+            x.clone(),
+            &mut Ctx {
+                config,
                 toggles: SectionToggles {
                     s_ffn,
                     ..SectionToggles::none()
                 },
+                mask: None,
                 hook,
+                guard: &g,
                 report: &mut report,
-            };
-            // The op guard a model forward opens under this config.
-            let g = OpGuard::new(!config.is_off(), config.abft.detect_tol);
-            let out = ffn.forward(x.clone(), config, &mut ctx, &g);
-            ctx.report.absorb_op_guard(g.take_stats());
-            out
-        };
+                taped: true,
+            },
+        );
+        report.absorb_op_guard(g.take_stats());
         (out, tape, report)
     }
 
@@ -292,7 +284,7 @@ mod tests {
         assert!(report.correction_count() > 0);
         let dx_faulty = backprop(&mut faulty, &tape, &dy);
         assert_eq!(dx_clean, dx_faulty, "backward must see healed activations");
-        assert_eq!(clean.lin1.inner.w.grad, faulty.lin1.inner.w.grad);
+        assert_eq!(clean.lin1.w.grad, faulty.lin1.w.grad);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Affine layer `y = x·W + b` with manual backprop, plus its
-//! ATTNChecker-guarded counterpart [`ProtectedLinear`].
+//! Affine layer `y = x·W + b` with manual backprop. Its guarded forward
+//! is [`GuardedSection::project`](attnchecker::section::GuardedSection::project)
+//! over the layer's weight and bias, as the FFN runs it; [`Linear::forward`]
+//! is the unguarded form of the pooler, classifier and LM head.
 
 use crate::param::{Grads, HasParams, Param};
 use attn_tensor::gemm::{matmul, matmul_nt, matmul_tn};
 use attn_tensor::ops::{add_bias_inplace, col_sums};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
-use attnchecker::attention::{AttnOp, FaultSite};
-use attnchecker::checked::{CheckedMatrix, Operand};
-use attnchecker::section::{replay_nn, ForwardCtx, GuardedSection};
 
 /// Dense affine layer.
 #[derive(Debug, Clone)]
@@ -57,80 +56,6 @@ impl HasParams for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.w);
         f(&mut self.b);
-    }
-}
-
-/// A [`Linear`] layer whose forward runs as one guarded GEMM step inside a
-/// [`GuardedSection`] chain: the input's checksums ride through `x·W`
-/// (entering inside the GEMM when `x` arrives plain), the output is exposed
-/// to fault hooks at `site`, and the section's detection point corrects any
-/// extreme value in place — refined to exact bits by replaying the producing
-/// dot product over the input's rows where they lie. Backward is untouched:
-/// by the time gradients flow, the activations the caller taped are already
-/// healed.
-#[derive(Debug, Clone)]
-pub struct ProtectedLinear {
-    /// The wrapped affine layer (parameters, gradients, and the backward
-    /// the guarded layer runs as is).
-    pub inner: Linear,
-    /// Tap site this GEMM output exposes to fault hooks.
-    pub site: AttnOp,
-}
-
-impl ProtectedLinear {
-    /// Xavier-initialised guarded layer tapping `site`.
-    pub fn new(
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        site: AttnOp,
-        rng: &mut TensorRng,
-    ) -> Self {
-        Self {
-            inner: Linear::new(name, in_dim, out_dim, rng),
-            site,
-        }
-    }
-
-    /// Guarded forward over `x` — a plain matrix or an upstream checked
-    /// product, borrowed either way. One [`GuardedSection::gemm`] step:
-    /// checksums `x` already carries ride through, a plain `x` *enters* an
-    /// active section inside the GEMM's packing pass, and an inactive `sec`
-    /// computes the identical bits without detection. Returns the checked
-    /// output — post-detection, post-correction — for the next chain step;
-    /// the caller tapes `x` for backward.
-    pub fn forward<'a>(
-        &self,
-        x: impl Into<Operand<'a>>,
-        sec: &GuardedSection,
-        ctx: &mut ForwardCtx<'_, '_>,
-    ) -> CheckedMatrix {
-        let x = x.into();
-        let w = &self.inner.w.value;
-        let bias = self.inner.b.bias();
-        let mut y = sec.gemm(x, w);
-        y.add_bias(bias);
-        ctx.fire(
-            FaultSite {
-                op: self.site,
-                head: None,
-            },
-            &mut y,
-        );
-        let mut det = sec.detect(&mut y, usize::MAX);
-        if det.detections() > 0 {
-            det.refine(&mut y, |r, c| {
-                replay_nn(x.logical_row(r), |kk| w[(kk, c)]) + bias[c]
-            });
-        }
-        det.absorb(ctx.report);
-        y
-    }
-}
-
-impl HasParams for ProtectedLinear {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.inner.visit_params(f);
     }
 }
 
@@ -220,84 +145,5 @@ mod tests {
         let g1 = lin.w.grad.clone();
         step(&mut lin);
         assert!(lin.w.grad.approx_eq(&g1.scaled(2.0), 1e-5, 1e-5));
-    }
-
-    mod protected {
-        use super::*;
-        use attnchecker::attention::SectionToggles;
-        use attnchecker::config::ProtectionConfig;
-        use attnchecker::report::{AbftReport, SectionId};
-
-        /// Returns `(output, report)`.
-        fn guarded_forward(
-            lin: &ProtectedLinear,
-            x: &Matrix,
-            active: bool,
-            hook: Option<attnchecker::attention::FaultHook<'_>>,
-        ) -> (Matrix, AbftReport) {
-            let mut report = AbftReport::default();
-            let out = {
-                let mut ctx = ForwardCtx {
-                    mask: None,
-                    toggles: SectionToggles::all(),
-                    hook,
-                    report: &mut report,
-                };
-                let sec = GuardedSection::begin(
-                    SectionId::FeedForward,
-                    &ProtectionConfig::full(),
-                    active,
-                    ctx.report,
-                );
-                let xc = sec.encode_cols(x);
-                lin.forward(&xc, &sec, &mut ctx).logical()
-            };
-            (out, report)
-        }
-
-        #[test]
-        fn fault_free_guarded_forward_is_bit_identical() {
-            let mut rng = TensorRng::seed_from(11);
-            let lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
-            let x = rng.normal_matrix(4, 6, 1.0);
-            let plain = lin.inner.forward(&x);
-            for active in [false, true] {
-                let (y, report) = guarded_forward(&lin, &x, active, None);
-                assert_eq!(y, plain, "active={active}");
-                assert!(report.is_quiet());
-            }
-        }
-
-        #[test]
-        fn injected_extreme_is_corrected_to_exact_bits() {
-            let mut rng = TensorRng::seed_from(12);
-            let lin = ProtectedLinear::new("p", 6, 8, AttnOp::Ffn1, &mut rng);
-            let x = rng.normal_matrix(4, 6, 1.0);
-            let plain = lin.inner.forward(&x);
-            let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
-                assert_eq!(site.op, AttnOp::Ffn1);
-                m.set(1, 3, f32::NEG_INFINITY);
-            };
-            let (y, report) = guarded_forward(&lin, &x, true, Some(&mut hook));
-            assert_eq!(y, plain, "exact replay must restore original bits");
-            assert_eq!(report.correction_count(), 1);
-            assert_eq!(report.corrections[0].section, SectionId::FeedForward);
-            assert_eq!(report.unrecovered, 0);
-            // Backward runs over the input the caller keeps.
-            let dy = rng.normal_matrix(4, 8, 1.0);
-            let dx = lin.inner.backward(&dy, &x, &mut Grads::new());
-            assert!(dx.all_finite());
-        }
-
-        #[test]
-        fn inactive_section_lets_fault_through() {
-            let mut rng = TensorRng::seed_from(13);
-            let lin = ProtectedLinear::new("p", 5, 5, AttnOp::Ffn2, &mut rng);
-            let x = rng.normal_matrix(3, 5, 1.0);
-            let mut hook = |_: FaultSite, m: &mut CheckedMatrix| m.set(0, 0, f32::NAN);
-            let (y, report) = guarded_forward(&lin, &x, false, Some(&mut hook));
-            assert!(!y.all_finite(), "no detection when the section is off");
-            assert_eq!(report.correction_count(), 0);
-        }
     }
 }

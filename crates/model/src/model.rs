@@ -39,7 +39,7 @@ use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::decode::AttnKvCache;
 use attnchecker::report::AbftReport;
-use attnchecker::section::{ForwardCtx, GuardedSection};
+use attnchecker::section::{Ctx, GuardedSection};
 use std::ops::Range;
 
 /// Which of the four studied architectures a model instantiates.
@@ -380,11 +380,14 @@ impl TransformerModel {
         for (i, block) in self.blocks.iter().enumerate() {
             let mask = causal.then(|| self.causal_mask_rows(i, pos..len, len));
             let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
-            let mut ctx = ForwardCtx {
-                mask: mask.as_ref(),
+            let mut ctx = Ctx {
+                config: &self.protection,
                 toggles,
+                mask: mask.as_ref(),
                 hook: hook.as_mut().map(|h| h as _),
+                guard: &g,
                 report: &mut *report,
+                taped,
             };
             // A training block's fresh cache lives only as long as it runs.
             let mut fresh = None;
@@ -392,7 +395,7 @@ impl TransformerModel {
                 Some(layers) => &mut layers[i],
                 None => fresh.insert(self.new_kv_cache()),
             };
-            let (y, tape) = block.forward(&h, &self.protection, cache, &mut ctx, &g, taped);
+            let (y, tape) = block.forward(&h, cache, &mut ctx);
             h = y;
             block_tapes.extend(tape);
         }
