@@ -466,6 +466,7 @@ fn pct(x: f64) -> String {
 }
 
 fn main() {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let trials = 48;
     let fp_trials = 200;
     let extreme = FaultKind::EXTREME_SET;
@@ -489,9 +490,12 @@ fn main() {
         let mut row = vec![name.to_string()];
         let mut cells = Vec::new();
         for (ki, kind) in CLASSES.into_iter().enumerate() {
-            let outcomes = run_campaign(0xFA01 + (si * 101 + ki) as u64, trials, |_, rng| {
-                site(rng, Some(kind))
-            });
+            let outcomes = run_campaign(
+                workers,
+                0xFA01 + (si * 101 + ki) as u64,
+                trials,
+                |_, rng| site(rng, Some(kind)),
+            );
             let c = rates(&outcomes);
             if extreme.contains(&kind) {
                 if c.detection < 1.0 {
@@ -543,7 +547,7 @@ fn main() {
     let mut table = TextTable::new(&["class", "detection", "bit-exact heal"]);
     let mut optim_json = String::from("  \"optimizer_moments\": {");
     for (ki, kind) in CLASSES.into_iter().enumerate() {
-        let outcomes = run_campaign(0x0AD0 + ki as u64, trials, |_, rng| {
+        let outcomes = run_campaign(workers, 0x0AD0 + ki as u64, trials, |_, rng| {
             optim_trial(rng, Some(kind))
         });
         let c = rates(&outcomes);
@@ -607,7 +611,7 @@ fn main() {
     let mut table = TextTable::new(&["class", "detection", "healed stream"]);
     let mut kv_json = String::from("  \"kv_at_rest\": {");
     for (ki, kind) in CLASSES.into_iter().enumerate() {
-        let outcomes = run_campaign(0x4B50 + ki as u64, kv_trials, |_, rng| {
+        let outcomes = run_campaign(workers, 0x4B50 + ki as u64, kv_trials, |_, rng| {
             kv_trial(&kv_model, &prompt, &clean_tail, rng, Some(kind))
         });
         let c = rates(&outcomes);
@@ -694,14 +698,16 @@ fn main() {
     let mut fp_detections = 0usize;
     let mut fp_total = 0usize;
     for (si, (_, site)) in VERIFY_SITES.iter().enumerate() {
-        let outcomes = run_campaign(0xFF00 + si as u64, fp_trials, |_, rng| site(rng, None));
+        let outcomes = run_campaign(workers, 0xFF00 + si as u64, fp_trials, |_, rng| {
+            site(rng, None)
+        });
         fp_detections += outcomes.iter().filter(|o| o.detected).count();
         fp_total += outcomes.len();
     }
-    let outcomes = run_campaign(0xFF80, fp_trials, |_, rng| optim_trial(rng, None));
+    let outcomes = run_campaign(workers, 0xFF80, fp_trials, |_, rng| optim_trial(rng, None));
     fp_detections += outcomes.iter().filter(|o| o.detected).count();
     fp_total += outcomes.len();
-    let outcomes = run_campaign(0xFF90, kv_trials, |_, rng| {
+    let outcomes = run_campaign(workers, 0xFF90, kv_trials, |_, rng| {
         kv_trial(&kv_model, &prompt, &clean_tail, rng, None)
     });
     fp_detections += outcomes.iter().filter(|o| o.detected).count();

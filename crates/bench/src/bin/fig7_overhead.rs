@@ -34,7 +34,7 @@ const WARMUP: usize = 2;
 const STEPS: usize = 13;
 
 fn main() {
-    let workers = rayon::current_num_threads();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("== Fig 7: ATTNChecker overhead on 6 LLMs (batch {BATCH}) ==\n");
     let mut attn_table = TextTable::new(&[
         "Model",

@@ -2,35 +2,35 @@
 //!
 //! The paper's Tables 2 and 4 aggregate thousands of single-fault trials
 //! ("we randomly select 10% (~5,000) elements of each output matrix").
-//! [`run_campaign`] executes `trials` independent closures in parallel, each
-//! with a deterministically forked RNG, so results are reproducible and
-//! independent of thread scheduling.
+//! [`run_campaign`] executes `trials` independent closures over an explicit
+//! worker count ([`attn_tensor::par::map`]), each with a deterministically
+//! forked RNG, so results are reproducible and independent of the worker
+//! count and of thread scheduling.
 
+use attn_tensor::par;
 use attn_tensor::rng::TensorRng;
-use rayon::prelude::*;
 
-/// Run `trials` independent trials in parallel.
+/// Run `trials` independent trials over `workers` threads, results in
+/// trial order.
 ///
 /// Each trial receives `(trial_index, its own TensorRng)`; the RNG seed is
 /// derived from `base_seed` and the trial index, so results do not depend on
-/// rayon's scheduling order.
+/// `workers` or on scheduling order.
 pub fn run_campaign<T: Send>(
+    workers: usize,
     base_seed: u64,
     trials: usize,
     trial: impl Fn(usize, &mut TensorRng) -> T + Sync,
 ) -> Vec<T> {
-    (0..trials)
-        .into_par_iter()
-        .map(|i| {
-            // SplitMix-style per-trial seed derivation keeps streams apart.
-            let seed = base_seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((i as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                .rotate_left(17);
-            let mut rng = TensorRng::seed_from(seed);
-            trial(i, &mut rng)
-        })
-        .collect()
+    par::map(workers, &mut vec![(); trials], |i, _| {
+        // SplitMix-style per-trial seed derivation keeps streams apart.
+        let seed = base_seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((i as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .rotate_left(17);
+        let mut rng = TensorRng::seed_from(seed);
+        trial(i, &mut rng)
+    })
 }
 
 /// Boolean-outcome campaign statistics with a Wilson confidence interval.
@@ -99,17 +99,58 @@ impl CampaignStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultKind;
+    use attn_tensor::guard::{softmax_rows_checked, verify_softmax_rows};
+    use attn_tensor::OpGuard;
 
     #[test]
     fn campaign_is_deterministic_across_runs() {
-        let a = run_campaign(42, 64, |_, rng| rng.next_u64());
-        let b = run_campaign(42, 64, |_, rng| rng.next_u64());
+        let a = run_campaign(4, 42, 64, |_, rng| rng.next_u64());
+        let b = run_campaign(4, 42, 64, |_, rng| rng.next_u64());
         assert_eq!(a, b);
     }
 
     #[test]
+    fn a_guarded_trial_is_identical_at_any_worker_count() {
+        // One real guarded op per trial: a softmax output struck by a fault
+        // class, then screened and healed. The guard's verdict and every
+        // healed bit must not depend on how many threads ran the trials.
+        const KINDS: [FaultKind; 7] = [
+            FaultKind::Inf,
+            FaultKind::NegInf,
+            FaultKind::NaN,
+            FaultKind::NearInf,
+            FaultKind::SubThreshold,
+            FaultKind::StuckRow,
+            FaultKind::Burst { len: 3 },
+        ];
+        let trial = |i: usize, rng: &mut TensorRng| {
+            let x = rng.uniform_matrix(4, 12, -4.0, 4.0);
+            let g = OpGuard::new(true, 1e-3);
+            let mut y = softmax_rows_checked(&x, &g);
+            let (row, col) = (rng.index(4), rng.index(12));
+            KINDS[i % KINDS.len()].strike(y.row_mut(row), col);
+            verify_softmax_rows(&x, &mut y, &g);
+            let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+            (g.stats(), bits)
+        };
+        let base = run_campaign(1, 0x5EED, 28, trial);
+        assert!(
+            base.iter().any(|(s, _)| s.detections > 0),
+            "no fault was seen"
+        );
+        for workers in [2, 4, 7] {
+            assert_eq!(
+                run_campaign(workers, 0x5EED, 28, trial),
+                base,
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
     fn campaign_trials_have_distinct_streams() {
-        let vals = run_campaign(1, 32, |_, rng| rng.next_u64());
+        let vals = run_campaign(2, 1, 32, |_, rng| rng.next_u64());
         let mut uniq = vals.clone();
         uniq.sort();
         uniq.dedup();
@@ -118,8 +159,7 @@ mod tests {
 
     #[test]
     fn campaign_indices_cover_range() {
-        let mut idx = run_campaign(5, 100, |i, _| i);
-        idx.sort();
+        let idx = run_campaign(3, 5, 100, |i, _| i);
         assert_eq!(idx, (0..100).collect::<Vec<_>>());
     }
 

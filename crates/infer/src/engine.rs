@@ -3,13 +3,13 @@
 use crate::sampling::{sample_token, Sampling};
 use crate::session::DecodeSession;
 use attn_model::model::{InjectionSpec, TransformerModel};
+use attn_tensor::par;
 use attn_tensor::rng::TensorRng;
 use attnchecker::attention::SectionToggles;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::policy::ProtectionPolicy;
 use attnchecker::report::AbftReport;
 use attnchecker::section::GuardedSection;
-use rayon::prelude::*;
 
 /// ABFT-protected autoregressive decoding engine.
 ///
@@ -17,9 +17,10 @@ use rayon::prelude::*;
 /// section checks across decode steps (one toggle set per engine step,
 /// shared by every session in a batch — the serving image of the trainer's
 /// per-step gating). Sessions are isolated: each carries its own KV
-/// caches, sampling RNG, and report, so a batch step fans them over a
-/// sized rayon pool and reduces in fixed order — generated tokens, logits,
-/// and reports are bit-identical at any worker count.
+/// caches, sampling RNG, and report, so a batch step fans them over
+/// [`attn_tensor::par::map`] and reads results back in input order —
+/// generated tokens, logits, and reports are bit-identical at any worker
+/// count.
 ///
 /// Prefills (session admission) draw their toggles from a **separate**
 /// gate stream (`prefill_policy`): admitting a session between batch steps
@@ -30,7 +31,6 @@ pub struct DecodeEngine {
     policy: ProtectionPolicy,
     prefill_policy: ProtectionPolicy,
     parallelism: usize,
-    pool: Option<rayon::ThreadPool>,
     next_id: u64,
 }
 
@@ -66,7 +66,6 @@ impl DecodeEngine {
             policy: ProtectionPolicy::default(),
             prefill_policy: ProtectionPolicy::default(),
             parallelism: 1,
-            pool: None,
             next_id: 0,
         }
     }
@@ -81,18 +80,6 @@ impl DecodeEngine {
     /// keep every result bit-identical at any setting.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
-        // A pool that fails to build (impossible with the vendored shim,
-        // but the serving path may not bank on that) demotes the engine
-        // to sequential stepping — bit-identical by the determinism
-        // contract, just slower.
-        self.pool = (self.parallelism > 1)
-            .then(|| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.parallelism)
-                    .build()
-                    .ok()
-            })
-            .flatten();
     }
 
     /// Worker threads batch steps fan out over.
@@ -158,7 +145,7 @@ impl DecodeEngine {
         step_session(&self.model, session, StepOp::Gen, toggles, sampling, inject)
     }
 
-    /// Advance every session by one token, fanned over the engine pool.
+    /// Advance every session by one token, fanned over the engine's workers.
     /// One toggle set is drawn for the whole batch step; results are read
     /// back in input order, so the outcome is bit-identical to stepping
     /// the sessions sequentially. Returns the sampled token per session,
@@ -193,30 +180,9 @@ impl DecodeEngine {
         }
         let toggles = self.policy.next_toggles(self.model.protection());
         let model = &self.model;
-        let run = |(s, op): &mut (&mut DecodeSession, StepOp)| -> usize {
+        par::map(self.parallelism, items, |_, (s, op)| {
             step_session(model, s, *op, toggles, sampling, None)
-        };
-        // Each worker writes its token straight into its session's output
-        // slot, so no post-step re-read of session state is needed and the
-        // result order is the input order by construction.
-        let mut out = vec![0usize; items.len()];
-        match self.pool.as_ref().filter(|_| items.len() > 1) {
-            Some(pool) => {
-                let slots: Vec<(&mut (&mut DecodeSession, StepOp), &mut usize)> =
-                    items.iter_mut().zip(out.iter_mut()).collect();
-                pool.install(|| {
-                    slots
-                        .into_par_iter()
-                        .for_each(|(item, slot)| *slot = run(item));
-                });
-            }
-            None => {
-                for (item, slot) in items.iter_mut().zip(out.iter_mut()) {
-                    *slot = run(item);
-                }
-            }
-        }
-        out
+        })
     }
 
     /// Park a session: its KV blocks are checksum-verified where they lie
@@ -365,9 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn single_session_batch_bypasses_the_pool_and_matches_sequential() {
-        // A one-item batch takes the sequential arm even when a pool is
-        // live; it must be bit-identical to the same step at workers=1.
+    fn single_session_batch_runs_inline_and_matches_sequential() {
+        // A one-item batch runs on the calling thread at any worker count;
+        // it must be bit-identical to the same step at workers=1.
         let run = |workers: usize| {
             let mut engine = DecodeEngine::new(lm_model(ProtectionConfig::full()));
             engine.set_parallelism(workers);
@@ -479,7 +445,8 @@ mod tests {
             FaultKind::NaN,
             FaultKind::NearInf,
         ];
-        let outcomes = run_campaign(2024, 48, |_, rng| {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let outcomes = run_campaign(workers, 2024, 48, |_, rng| {
             let spec = InjectionSpec {
                 layer: rng.index(model.config.layers),
                 op: SITES[rng.index(SITES.len())],

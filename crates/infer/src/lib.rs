@@ -12,8 +12,8 @@
 //!   RNG and ABFT report.
 //! * [`sampling`] — greedy and temperature sampling off `TensorRng`.
 //! * [`engine`] — [`DecodeEngine`]: opens sessions (prefill), advances
-//!   them singly or as a batch fanned over a sized rayon pool with
-//!   fixed-order reduction (bit-identical results at any worker count),
+//!   them singly or as a batch fanned over `attn_tensor::par::map` with
+//!   results in input order (bit-identical at any worker count),
 //!   and owns the `ProtectionPolicy` that paces section checks across
 //!   steps.
 

@@ -3,8 +3,8 @@
 //! A training step is data-parallel: each batch item runs
 //! [`TransformerModel::forward`] + [`TransformerModel::backward`] against
 //! the shared model (`&TransformerModel`) with its own tape, report, and
-//! gradient buffer, fanned out over a sized rayon pool
-//! ([`Trainer::set_parallelism`]) in waves of `workers` items. After each
+//! gradient buffer, fanned out by [`attn_tensor::par::map`] over
+//! [`Trainer::set_parallelism`] workers in waves of `workers` items. After each
 //! wave its results are reduced in **fixed batch order** — losses summed,
 //! reports merged, gradient buffers folded into [`crate::param::Param::grad`]
 //! and zeroed for the next wave — so a step's loss and every post-step
@@ -17,6 +17,7 @@ use crate::data::{Example, SyntheticMrpc};
 use crate::model::{cross_entropy, InjectionSpec, TransformerModel};
 use crate::optim::AdamW;
 use crate::param::{Grads, HasParams};
+use attn_tensor::par;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::OpGuard;
 use attnchecker::attention::SectionToggles;
@@ -24,7 +25,6 @@ use attnchecker::config::ProtectionConfig;
 use attnchecker::policy::ProtectionPolicy;
 use attnchecker::report::AbftReport;
 use attnchecker::section::GuardedSection;
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Result of one training step.
@@ -86,10 +86,6 @@ pub struct Trainer {
     policy: ProtectionPolicy,
     /// Worker threads `train_step*` fans batch items over (1 = sequential).
     parallelism: usize,
-    /// Pool sized to `parallelism`, built once per knob change (real rayon
-    /// spawns OS threads at build time — rebuilding per step would pay
-    /// spawn/join on every training step).
-    pool: Option<rayon::ThreadPool>,
 }
 
 impl Trainer {
@@ -102,7 +98,6 @@ impl Trainer {
             optim: AdamW::new(lr),
             policy: ProtectionPolicy::default(),
             parallelism: 1,
-            pool: None,
         }
     }
 
@@ -113,12 +108,6 @@ impl Trainer {
     /// whose memory cost is one gradient buffer per worker.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
-        self.pool = (self.parallelism > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.parallelism)
-                .build()
-                .expect("train-step thread pool")
-        });
     }
 
     /// Worker threads training steps fan out over.
@@ -188,7 +177,6 @@ impl Trainer {
         // every wave is folded in batch order before the next one starts,
         // so at most `workers` gradient buffers are live, and they are
         // freed before the optimizer runs.
-        let pool = self.pool.as_ref().filter(|_| workers > 1);
         let mut buffers: Vec<Grads> = (0..workers).map(|_| Grads::new()).collect();
         let mut report = AbftReport::default();
         let mut item_reports = Vec::with_capacity(batch.len());
@@ -196,20 +184,13 @@ impl Trainer {
         let mut attention_time = Duration::ZERO;
         let mut ffn_time = Duration::ZERO;
         for start in (0..batch.len()).step_by(workers) {
-            // A ragged last wave drops its spare buffers with the drain.
-            let wave: Vec<(usize, Grads)> = (start..batch.len()).zip(buffers.drain(..)).collect();
+            // A ragged last wave leaves its spare buffers idle.
+            let wave = &mut buffers[..workers.min(batch.len() - start)];
             let model = &self.model;
-            let run = |(bi, mut grads): (usize, Grads)| (run_item(model, bi, &mut grads), grads);
-            let done: Vec<(ItemOutcome, Grads)> = match pool {
-                // The shim's `collect` reassembles results in input order,
-                // so scheduling cannot reorder the fold below.
-                Some(pool) => pool.install(|| wave.into_par_iter().map(run).collect()),
-                None => wave.into_iter().map(run).collect(),
-            };
+            let done = par::map(workers, wave, |j, grads| run_item(model, start + j, grads));
             // Deterministic fixed-order reduction: batch order, always.
-            for (item, mut grads) in done {
+            for (item, grads) in done.into_iter().zip(wave.iter_mut()) {
                 grads.merge_into(&mut self.model);
-                buffers.push(grads);
                 loss_sum += item.loss;
                 report.merge(&item.report);
                 item_reports.push(item.report);

@@ -34,6 +34,8 @@
 //!   names for the deliberate sentinel tests; no lint enforces them.
 //! * Deterministic RNG helpers in [`rng`] (Box–Muller normal sampling,
 //!   Xavier/He initialisation).
+//! * The workspace's one parallel primitive, [`par::map`]: an explicit
+//!   worker count over a mutable slice, results in input order.
 //!
 //! Everything is deterministic given a seed, which the fault-injection
 //! campaigns rely on for reproducibility.
@@ -67,6 +69,7 @@ pub mod lanes;
 pub mod matrix;
 pub mod ops;
 pub mod pack;
+pub mod par;
 pub mod rng;
 pub mod view;
 pub mod workspace;

@@ -40,10 +40,11 @@
 //! The arena is deliberately thread-local rather than shared: checkouts are
 //! lock-free and contention cannot exist. The warm-arena property therefore
 //! holds per *persistent* thread — the sequential trainer's calling thread
-//! in particular. The vendored rayon shim spawns fresh scoped threads per
-//! parallel region, so arenas on its workers (the batch items of a trainer
-//! or engine at `set_parallelism > 1`) are rebuilt each region; with real
-//! rayon's persistent pool threads the same code is warm there too.
+//! in particular. [`crate::par::map`] spawns fresh scoped threads per call,
+//! so arenas on its workers (the batch items of a trainer or engine at
+//! `set_parallelism > 1`) start cold on every call. Keeping them warm needs
+//! a persistent pool, which waits for a measurement above one worker to
+//! show that it pays.
 //! Buffers are `f32` vectors zero-filled on checkout (`resize` within
 //! capacity — no allocation) so callers never observe stale scratch.
 
@@ -109,20 +110,6 @@ thread_local! {
 /// requested length, zero-filled.
 pub struct WsBuf {
     data: Vec<f32>,
-}
-
-impl WsBuf {
-    /// The checked-out scratch as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// The checked-out scratch as a mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
 }
 
 impl std::ops::Deref for WsBuf {

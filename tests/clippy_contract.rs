@@ -1,15 +1,16 @@
 //! The contracts clippy holds, pinned to the source they cover.
 //!
-//! `cargo clippy --workspace --all-targets -- -D warnings` enforces three
-//! workspace contracts: total ABFT coverage (`disallowed-methods` in the
-//! root `clippy.toml`), no-panic serving (restriction lints denied in the
-//! `attn_serve` and `attn_infer` roots) and float hygiene (`float_cmp`
-//! denied in every library root). rustc holds a fourth: `unsafe` lives in
-//! one module of `attn_tensor` (`unsafe_code` forbidden in every other
-//! library root, denied in `attn_tensor`'s). Neither tool can tell when its
-//! own configuration falls behind the code, so these tests fail when a new
-//! kernel entry is missing from the list or a lint level is dropped from
-//! a root.
+//! `cargo clippy --workspace --all-targets -- -D warnings` enforces four
+//! workspace contracts: determinism (`disallowed-types` in the root
+//! `clippy.toml`), total ABFT coverage (`disallowed-methods` there), no-panic
+//! serving (restriction lints denied in the `attn_serve` and `attn_infer`
+//! roots) and float hygiene (`float_cmp` denied in every library root).
+//! rustc holds a fifth: `unsafe` lives in one module of `attn_tensor`
+//! (`unsafe_code` forbidden in every other library root, denied in
+//! `attn_tensor`'s). Neither tool can tell when its own configuration falls
+//! behind the code, so these tests fail when a new kernel entry is missing
+//! from the list, a lint level is dropped from a root, or a file opts out
+//! of the disallowed types.
 
 use std::path::{Path, PathBuf};
 
@@ -163,4 +164,52 @@ fn every_library_root_carries_its_lint_levels() {
             "attn_{krate} must deny every panic construct outside tests; missing {missing:?}"
         );
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The determinism contract has no exemptions: no source file may `allow`
+/// or `expect` the disallowed-types lint, on an item or crate-wide, bare
+/// or inside `cfg_attr`.
+#[test]
+fn nothing_opts_out_of_the_disallowed_types() {
+    // Spelled in two halves so this file does not match its own scan.
+    let lint = ["clippy::", "disallowed_types"].concat();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "vendor"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(
+        files.len() >= 100,
+        "found only {} source files",
+        files.len()
+    );
+    let opted_out: Vec<String> = files
+        .iter()
+        .filter(|file| {
+            let src: String = std::fs::read_to_string(file)
+                .expect("source file")
+                .chars()
+                .filter(|c| !c.is_whitespace())
+                .collect();
+            src.split('#')
+                .filter_map(|attr| attr.split_once(")]").map(|(a, _)| a))
+                .any(|a| (a.contains("allow(") || a.contains("expect(")) && a.contains(&lint))
+        })
+        .map(|file| file.display().to_string())
+        .collect();
+    assert!(
+        opted_out.is_empty(),
+        "{lint} must not be allowed or expected anywhere: {opted_out:?}"
+    );
 }
