@@ -1,10 +1,11 @@
 //! Protected multi-head attention: the three ABFT sections with checksum
 //! passing (paper §4.4, Fig 5), composed from the reusable
-//! [`GuardedSection`] pipeline. This module holds the attention's types
-//! and entry points; the one body lives in [`crate::decode`], and the
-//! training [`ProtectedAttention::forward`] is its `extend` over an empty
-//! KV cache with the backward tape recorded — training, prefill and decode
-//! run the same sections.
+//! [`GuardedSection`](crate::section::GuardedSection) pipeline. This
+//! module holds the attention's types and entry points; the one body
+//! lives in [`crate::decode`], and the training
+//! [`ProtectedAttention::forward`] is its `extend` over an empty KV cache
+//! with the backward tape recorded — training, prefill and decode run the
+//! same sections.
 //!
 //! The six attention GEMMs are grouped into sections so that every section
 //! tolerates one fault, wherever it strikes:
@@ -35,7 +36,7 @@ use crate::checked::CheckedMatrix;
 use crate::config::ProtectionConfig;
 use crate::decode::{extend, AttnKvCache};
 use crate::report::AbftReport;
-use crate::section::{Ctx, GuardedSection};
+use crate::section::Ctx;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 
@@ -358,19 +359,10 @@ impl ProtectedAttention {
         opts: ForwardOptions<'_>,
         report: &mut AbftReport,
     ) -> AttnForward {
-        let g = GuardedSection::guard_step(&self.config);
-        let mut ctx = Ctx {
-            config: &self.config,
-            toggles: opts.toggles,
-            mask: opts.mask,
-            hook: opts.hook,
-            guard: &g,
-            report,
-            taped: true,
-        };
+        let mut ctx = Ctx::new(&self.config, opts.toggles, report);
+        (ctx.mask, ctx.hook, ctx.taped) = (opts.mask, opts.hook, true);
         let mut kv = AttnKvCache::for_attention(self);
         let (output, tape) = extend(&(&self.weights).into(), x, &mut kv, &mut ctx);
-        ctx.report.absorb_op_guard(g.take_stats());
         AttnForward {
             output,
             cache: tape.expect("a taped extend returns its tape"),

@@ -45,7 +45,7 @@ use crate::checksum::{vector_sums, weight};
 use crate::config::AbftConfig;
 use crate::eec::{eec_correct_vector, VectorVerdict};
 use crate::report::{AbftReport, CorrectionRecord, SectionId};
-use crate::section::{replay_nn, Ctx, GuardedSection};
+use crate::section::{replay_nn, Ctx};
 use attn_tensor::guard::softmax_rows_checked_inplace;
 use attn_tensor::kv::PagedKv;
 use attn_tensor::ops::apply_additive_mask;
@@ -451,19 +451,10 @@ impl ProtectedAttention {
         cache: &mut AttnKvCache,
         ctx: &mut ForwardCtx<'_, '_>,
     ) -> Matrix {
-        let g = GuardedSection::guard_step(&self.config);
-        let mut ctx = Ctx {
-            config: &self.config,
-            toggles: ctx.toggles,
-            mask: ctx.mask,
-            hook: ctx.hook.as_mut().map(|h| &mut **h as _),
-            guard: &g,
-            report: &mut *ctx.report,
-            taped: false,
-        };
-        let out = extend(&(&self.weights).into(), x, cache, &mut ctx).0;
-        ctx.report.absorb_op_guard(g.take_stats());
-        out
+        let hook = ctx.hook.as_mut().map(|h| &mut **h as _);
+        let mut step = Ctx::new(&self.config, ctx.toggles, &mut *ctx.report);
+        (step.mask, step.hook) = (ctx.mask, hook);
+        extend(&(&self.weights).into(), x, cache, &mut step).0
     }
 }
 
@@ -474,7 +465,7 @@ impl ProtectedAttention {
 /// healed rows that joined the cache). Prefill is `extend` over an empty
 /// cache, a decode step its m = 1 case, and the training forward the same
 /// empty-cache call with the tape recorded; serving asks for no tape and
-/// pays for none. The per-head softmax rows run under `ctx.guard`, so a
+/// pays for none. The per-head softmax rows run under `ctx.guard()`, so a
 /// model forward screens all its non-GEMM ops in one scope.
 ///
 /// `ctx.mask`, when present, must be rows `len..len+m` of the mask over
@@ -504,7 +495,7 @@ pub fn extend(
     assert_eq!(shape, (w.hidden, w.heads, d), "extend: shapes");
     assert!(x.rows() > 0, "extend: no rows");
     let scale = 1.0 / (d as f32).sqrt();
-    let (mask, g, taped) = (ctx.mask, ctx.guard, ctx.taped);
+    let (mask, taped) = (ctx.mask, ctx.taped);
     if let Some(m) = mask {
         let want = (x.rows(), cache.len() + x.rows());
         assert_eq!((m.rows(), m.cols()), want, "extend: mask rows");
@@ -556,7 +547,7 @@ pub fn extend(
             }
             // A softmax heal recomputes from the pre-softmax rows:
             // `as_row` + mask again, rebuilt only when the screen fails.
-            softmax_rows_checked_inplace(m, g, || {
+            softmax_rows_checked_inplace(m, ctx.guard(), || {
                 let mut pre = as_row.logical();
                 if let Some(mrows) = mask {
                     apply_additive_mask(&mut pre, mrows);

@@ -94,10 +94,11 @@ impl AbftReport {
         self.op_heals += other.op_heals;
     }
 
-    /// Fold one non-GEMM op guard's counters into this report. Guard
-    /// detections that could not be healed join the shared
+    /// Fold one non-GEMM op guard's counters into this report — done
+    /// where a [`Ctx`](crate::section::Ctx) closes, and nowhere else.
+    /// Guard detections that could not be healed join the shared
     /// `unrecovered` pool.
-    pub fn absorb_op_guard(&mut self, s: attn_tensor::GuardStats) {
+    pub(crate) fn absorb_op_guard(&mut self, s: attn_tensor::GuardStats) {
         self.op_checks += s.checks;
         self.op_detections += s.detections;
         self.op_heals += s.heals;

@@ -58,7 +58,7 @@
 //!   protection policy, this execution's section toggles, the mask, the
 //!   fault hook, the op guard of the non-GEMM ops, the report and whether
 //!   a backward tape is recorded. [`Ctx::section`] opens a section under
-//!   its toggle.
+//!   its toggle; closing the `Ctx` folds its op guard into the report.
 //!
 //! # Example: one section over a two-GEMM chain
 //!
@@ -102,11 +102,12 @@ use attn_tensor::{Matrix, OpGuard};
 /// A layer takes its inputs, its weights or cache, and one `&mut Ctx`:
 /// the policy, the per-execution [`SectionToggles`] handed out by a
 /// [`ProtectionPolicy`](crate::policy::ProtectionPolicy), the additive
-/// attention mask, the optional fault-injection hook, the op guard every
-/// non-GEMM op of the pass runs under, the report the run writes into,
-/// and whether a backward tape is recorded. Callers that fan a batch out
-/// (trainer, decode engine) build one per item, which is what keeps hooks
-/// and reports local to their item.
+/// attention mask, the optional fault-injection hook, the report the run
+/// writes into, and whether a backward tape is recorded. It owns the op
+/// guard of the execution's non-GEMM ops, and its `Drop` is the one place
+/// that guard's counters are folded into the report. Callers that fan a
+/// batch out (trainer, decode engine) open one per item, which is what
+/// keeps hooks and reports local to their item.
 pub struct Ctx<'a, 'h> {
     /// The protection policy (hard-off kills every section).
     pub config: &'a ProtectionConfig,
@@ -119,17 +120,38 @@ pub struct Ctx<'a, 'h> {
     /// invariant, so tying it to the report's borrow would force callers to
     /// keep hook and report alive equally long).
     pub hook: Option<FaultHook<'h>>,
-    /// The guard scope of the non-GEMM ops (softmax, LayerNorm, GELU,
-    /// residual adds); its counters are folded into the report by whoever
-    /// opened it.
-    pub guard: &'a OpGuard,
     /// Where ABFT activity is recorded.
     pub report: &'a mut AbftReport,
     /// Whether the layers record their backward tape.
     pub taped: bool,
+    guard: OpGuard,
 }
 
-impl Ctx<'_, '_> {
+impl<'a> Ctx<'a, '_> {
+    /// Open an execution writing into `report`, with no mask, hook or
+    /// tape. Its op guard screens at `config.abft.detect_tol` unless
+    /// `config` is hard-off, which makes every checked op plain.
+    pub fn new(
+        config: &'a ProtectionConfig,
+        toggles: SectionToggles,
+        report: &'a mut AbftReport,
+    ) -> Self {
+        Self {
+            config,
+            toggles,
+            mask: None,
+            hook: None,
+            report,
+            taped: false,
+            guard: OpGuard::new(!config.is_off(), config.abft.detect_tol),
+        }
+    }
+
+    /// The op guard every non-GEMM op of the execution runs under.
+    pub fn guard(&self) -> &OpGuard {
+        &self.guard
+    }
+
     /// Expose a GEMM output to the fault hook, if one is installed. Private:
     /// the section steps fire it, so no layer fires a site by hand.
     fn fire(&mut self, site: FaultSite, m: &mut CheckedMatrix) {
@@ -149,6 +171,13 @@ impl Ctx<'_, '_> {
             SectionId::FeedForward => t.s_ffn,
         };
         GuardedSection::begin(id, self.config, active, self.report)
+    }
+}
+
+impl Drop for Ctx<'_, '_> {
+    /// Closing the execution folds its op guard into the report.
+    fn drop(&mut self) {
+        self.report.absorb_op_guard(self.guard.take_stats());
     }
 }
 
@@ -189,22 +218,6 @@ impl GuardedSection {
             abft: config.abft,
             active,
         }
-    }
-
-    /// Open a whole-step guard scope for the non-GEMM operators
-    /// (softmax, LayerNorm, GELU, residual adds, embedding, loss,
-    /// sampler, optimizer moments).
-    ///
-    /// The returned [`OpGuard`] is shared by
-    /// reference across every `*_checked` op inside the step; its
-    /// accumulated [`GuardStats`](attn_tensor::GuardStats) are folded
-    /// into the step report with
-    /// [`AbftReport::absorb_op_guard`](crate::report::AbftReport::absorb_op_guard).
-    /// A disabled config yields an inactive guard — every checked op
-    /// degenerates to its plain form, mirroring how an inactive section
-    /// degrades its GEMMs.
-    pub fn guard_step(config: &ProtectionConfig) -> OpGuard {
-        OpGuard::new(!config.is_off(), config.abft.detect_tol)
     }
 
     /// Does this section perform detection this execution?
@@ -601,22 +614,44 @@ mod tests {
         }
     }
 
-    /// A fresh context over `report` (no mask, no tape, the guard off).
+    /// A fresh context over `report` (no mask, no tape).
     fn test_ctx<'a, 'h>(
         config: &'a ProtectionConfig,
-        guard: &'a OpGuard,
         hook: Option<FaultHook<'h>>,
         report: &'a mut AbftReport,
     ) -> Ctx<'a, 'h> {
-        Ctx {
-            config,
-            toggles: SectionToggles::all(),
-            mask: None,
-            hook,
-            guard,
-            report,
-            taped: false,
+        let mut ctx = Ctx::new(config, SectionToggles::all(), report);
+        ctx.hook = hook;
+        ctx
+    }
+
+    #[test]
+    fn each_ctx_folds_its_own_guard_exactly_once() {
+        let config = ProtectionConfig::full();
+        let mut report = AbftReport::default();
+        // Two executions write one report in turn.
+        for (checks, heals, total) in [(3, 1, 3), (4, 0, 7)] {
+            let mut ctx = test_ctx(&config, None, &mut report);
+            assert!(ctx.guard().active());
+            assert_eq!(ctx.guard().tol(), config.abft.detect_tol);
+            let _ = ctx.section(SectionId::Output);
+            for _ in 0..checks {
+                ctx.guard().record_external_check();
+            }
+            for _ in 0..heals {
+                ctx.guard().record_external_heal();
+            }
+            drop(ctx);
+            assert_eq!(report.op_checks, total);
         }
+        assert_eq!((report.op_detections, report.op_heals), (1, 1));
+        assert_eq!((report.sections_checked, report.sections_skipped), (2, 0));
+        let off = ProtectionConfig::off();
+        let ctx = test_ctx(&off, None, &mut report);
+        assert!(
+            !ctx.guard().active(),
+            "a hard-off policy opens an inactive guard"
+        );
     }
 
     #[test]
@@ -628,15 +663,16 @@ mod tests {
         let (sec, mut report) = section(true);
         let mut q = sec.gemm(&sec.encode_cols(&x), &w);
         q.set(1, 2, f32::NAN);
-        let (config, guard) = (ProtectionConfig::full(), OpGuard::off());
+        let config = ProtectionConfig::full();
         let site = FaultSite {
             op: AttnOp::Q,
             head: None,
         };
-        let mut ctx = test_ctx(&config, &guard, None, &mut report);
+        let mut ctx = test_ctx(&config, None, &mut report);
         sec.heal_operand_cols(&mut q, site, &mut ctx, |r, c| {
             replay_nn(x.row(r), |kk| w[(kk, c)])
         });
+        drop(ctx);
         assert_eq!(q.logical(), clean);
         assert_eq!(report.correction_count(), 1);
     }
@@ -665,12 +701,13 @@ mod tests {
         active: bool,
         hook: Option<FaultHook<'_>>,
     ) -> (Matrix, AbftReport) {
-        let (config, guard) = (ProtectionConfig::full(), OpGuard::off());
+        let config = ProtectionConfig::full();
         let mut report = AbftReport::default();
         let sec = GuardedSection::begin(SectionId::FeedForward, &config, active, &mut report);
         let xc = sec.encode_cols(x);
-        let mut ctx = test_ctx(&config, &guard, hook, &mut report);
+        let mut ctx = test_ctx(&config, hook, &mut report);
         let y = sec.project(&xc, w, b, op, &mut ctx).logical();
+        drop(ctx);
         (y, report)
     }
 

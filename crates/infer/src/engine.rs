@@ -9,7 +9,7 @@ use attnchecker::attention::SectionToggles;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::policy::ProtectionPolicy;
 use attnchecker::report::AbftReport;
-use attnchecker::section::GuardedSection;
+use attnchecker::section::Ctx;
 
 /// ABFT-protected autoregressive decoding engine.
 ///
@@ -226,10 +226,10 @@ impl DecodeEngine {
 }
 
 /// One session's share of an engine step, under the step's `toggles`: a
-/// [`StepOp::Gen`] samples from the armed logits under its own op guard, a
-/// [`StepOp::Feed`] accounts its known token as prompt; either way the
-/// token is appended and decoded (with the optional `inject`) to re-arm
-/// the logits. Returns the token consumed.
+/// [`StepOp::Gen`] samples from the armed logits in an execution of its
+/// own, a [`StepOp::Feed`] accounts its known token as prompt; either way
+/// the token is appended and decoded (with the optional `inject`) to
+/// re-arm the logits. Returns the token consumed.
 fn step_session(
     model: &TransformerModel,
     s: &mut DecodeSession,
@@ -240,10 +240,8 @@ fn step_session(
 ) -> usize {
     let token = match op {
         StepOp::Gen => {
-            let op_guard = GuardedSection::guard_step(model.protection());
-            let t = sample_token(&s.logits, sampling, &mut s.rng, &op_guard);
-            s.report.absorb_op_guard(op_guard.take_stats());
-            t
+            let ctx = Ctx::new(model.protection(), toggles, &mut s.report);
+            sample_token(&s.logits, sampling, &mut s.rng, ctx.guard())
         }
         StepOp::Feed(t) => {
             s.prompt_len += 1;
@@ -303,6 +301,28 @@ mod tests {
         }
         assert_eq!(session.generated().len(), 8);
         assert!(session.report.is_quiet());
+    }
+
+    #[test]
+    fn decode_step_report_folds_every_guard_exactly_once() {
+        // Exact counters of one seeded `full()` decode step (the guarded
+        // temperature sampler, then extend): a guard scope folded twice,
+        // or not at all, moves them.
+        let mut engine = DecodeEngine::new(lm_model(ProtectionConfig::full()));
+        let mut session = engine.open_session(&[3, 11, 7, 29], 1);
+        session.report = AbftReport::default();
+        let _ = engine.step(&mut session, Sampling::Temperature(0.9));
+        let r = &session.report;
+        assert_eq!(
+            [
+                r.op_checks,
+                r.op_detections,
+                r.sections_checked,
+                r.sections_skipped,
+                r.detections
+            ],
+            [17, 0, 8, 0, 0]
+        );
     }
 
     #[test]

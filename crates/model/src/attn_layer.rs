@@ -86,7 +86,7 @@ impl AttentionLayer {
     /// recompute on violation.
     #[allow(
         clippy::disallowed_methods,
-        reason = "unguarded by design: the backward GEMMs consume a healed tape (ROADMAP item 6b)"
+        reason = "unguarded by design: the backward GEMMs consume a healed tape (ROADMAP item 9(b))"
     )]
     pub fn backward(
         &self,
@@ -173,7 +173,7 @@ mod tests {
     use attnchecker::config::ProtectionConfig;
     use attnchecker::decode::{extend, AttnKvCache};
     use attnchecker::report::AbftReport;
-    use attnchecker::section::{Ctx, GuardedSection};
+    use attnchecker::section::Ctx;
 
     fn fwd(
         layer: &AttentionLayer,
@@ -183,16 +183,8 @@ mod tests {
         mask: Option<&Matrix>,
         report: &mut AbftReport,
     ) -> (Matrix, AttnCache) {
-        let g = GuardedSection::guard_step(config);
-        let mut ctx = Ctx {
-            config,
-            toggles,
-            mask,
-            hook: None,
-            guard: &g,
-            report,
-            taped: true,
-        };
+        let mut ctx = Ctx::new(config, toggles, report);
+        (ctx.mask, ctx.taped) = (mask, true);
         let mut kv = AttnKvCache::new(layer.hidden(), layer.heads, !config.is_off());
         let (y, tape) = extend(&layer.weights(), x, &mut kv, &mut ctx);
         (y, tape.expect("a taped forward returns its tape"))

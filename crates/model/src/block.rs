@@ -73,30 +73,29 @@ impl TransformerBlock {
     /// included). Both arrangements run this one body: pre-LN normalises
     /// each sub-layer's input, post-LN its residual sum. `ctx` flows
     /// through both protected sub-layers; the LayerNorms, residual adds,
-    /// softmax and GELU run under `ctx.guard`.
+    /// softmax and GELU run under `ctx.guard()`.
     pub fn forward(
         &self,
         x: &Matrix,
         cache: &mut AttnKvCache,
         ctx: &mut Ctx<'_, '_>,
     ) -> (Matrix, Option<BlockTape>) {
-        let g = ctx.guard;
         let pre = self.arch == BlockArch::PreLn;
-        let n1 = pre.then(|| self.ln1.forward(x, g));
+        let n1 = pre.then(|| self.ln1.forward(x, ctx.guard()));
         let t0 = Instant::now();
         let attn_in = n1.as_ref().map_or(x, |(n, _)| n);
         let (a, attn) = decode::extend(&self.attn.weights(), attn_in, cache, ctx);
         let attn_time = t0.elapsed();
-        let sum1 = residual_add_checked(x, &a, g);
+        let sum1 = residual_add_checked(x, &a, ctx.guard());
         let (h, ln1) = match n1 {
             Some((_, stats)) => (sum1, stats),
-            None => self.ln1.forward(&sum1, g),
+            None => self.ln1.forward(&sum1, ctx.guard()),
         };
 
         // Pre-LN: the FFN reads LN2(h) and `h` stays the residual base;
         // post-LN: the FFN reads `h` itself, and its tape hands it back.
         let (ffn_in, ln2_stats, base) = if pre {
-            let (n2, stats) = self.ln2.forward(&h, g);
+            let (n2, stats) = self.ln2.forward(&h, ctx.guard());
             (n2, Some(stats), Some(h))
         } else {
             (h, None, None)
@@ -104,10 +103,10 @@ impl TransformerBlock {
         let t1 = Instant::now();
         let (f, ffn) = self.ffn.forward(ffn_in, ctx);
         let ffn_time = t1.elapsed();
-        let sum2 = residual_add_checked(base.as_ref().unwrap_or(&ffn.x), &f, g);
+        let sum2 = residual_add_checked(base.as_ref().unwrap_or(&ffn.x), &f, ctx.guard());
         let (y, ln2) = match ln2_stats {
             Some(stats) => (sum2, stats),
-            None => self.ln2.forward(&sum2, g),
+            None => self.ln2.forward(&sum2, ctx.guard()),
         };
         let tape = attn.map(|attn| BlockTape {
             attn,
@@ -181,20 +180,10 @@ mod tests {
         toggles: SectionToggles,
         report: &mut AbftReport,
     ) -> (Matrix, BlockTape) {
-        // The op guard a model forward opens under this config.
-        let g = OpGuard::new(!protection.is_off(), protection.abft.detect_tol);
-        let mut ctx = Ctx {
-            config: protection,
-            toggles,
-            mask: None,
-            hook: None,
-            guard: &g,
-            report,
-            taped: true,
-        };
+        let mut ctx = Ctx::new(protection, toggles, report);
+        ctx.taped = true;
         let mut kv = AttnKvCache::new(x.cols(), b.attn.heads, !protection.is_off());
         let (y, tape) = b.forward(x, &mut kv, &mut ctx);
-        ctx.report.absorb_op_guard(g.take_stats());
         (y, tape.expect("a taped forward returns its tape"))
     }
 

@@ -50,7 +50,7 @@ impl FeedForward {
     /// Forward: both GEMMs run inside one `S_FFN` section, gated by
     /// `ctx.toggles.s_ffn`, with fault taps at
     /// [`AttnOp::Ffn1`]/[`AttnOp::Ffn2`] and in-place (rollback-free)
-    /// correction; GELU runs under `ctx.guard` whether or not the section
+    /// correction; GELU runs under `ctx.guard()` whether or not the section
     /// fires. Degrades to the exact unprotected computation under a
     /// hard-off `ctx.config`. The returned tape is built by move — the
     /// input, and the healed activations the pass computed anyway — so
@@ -69,7 +69,7 @@ impl FeedForward {
         // exact recompute from the healed `pre`, which the tape keeps
         // anyway) whether or not the S_FFN gate fired.
         let pre = pre.into_logical();
-        let act = gelu_matrix_checked(&pre, ctx.guard);
+        let act = gelu_matrix_checked(&pre, ctx.guard());
         let y = sec.project(&act, &l2.w.value, l2.b.bias(), AttnOp::Ffn2, ctx);
         (y.into_logical(), FfnTape { x, pre, act })
     }
@@ -195,24 +195,14 @@ mod tests {
         hook: Option<attnchecker::attention::FaultHook<'_>>,
     ) -> (Matrix, FfnTape, AbftReport) {
         let mut report = AbftReport::default();
-        // The op guard a model forward opens under this config.
-        let g = OpGuard::new(!config.is_off(), config.abft.detect_tol);
-        let (out, tape) = ffn.forward(
-            x.clone(),
-            &mut Ctx {
-                config,
-                toggles: SectionToggles {
-                    s_ffn,
-                    ..SectionToggles::none()
-                },
-                mask: None,
-                hook,
-                guard: &g,
-                report: &mut report,
-                taped: true,
-            },
-        );
-        report.absorb_op_guard(g.take_stats());
+        let toggles = SectionToggles {
+            s_ffn,
+            ..SectionToggles::none()
+        };
+        let mut ctx = Ctx::new(config, toggles, &mut report);
+        (ctx.hook, ctx.taped) = (hook, true);
+        let (out, tape) = ffn.forward(x.clone(), &mut ctx);
+        drop(ctx);
         (out, tape, report)
     }
 

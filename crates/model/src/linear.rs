@@ -31,7 +31,7 @@ impl Linear {
     /// tapes the input it owns, nothing is copied here.
     #[allow(
         clippy::disallowed_methods,
-        reason = "unguarded by design: the pooler / classifier / LM head (ROADMAP item 5)"
+        reason = "unguarded by design: the pooler / classifier / LM head (ROADMAP item 9(b))"
     )]
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut y = matmul(x, &self.w.value);

@@ -34,12 +34,12 @@ use attn_tensor::guard::softmax_rows_checked;
 use attn_tensor::ops::MASK_NEG;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
-use attnchecker::attention::{AttnOp, FaultSite, SectionToggles};
+use attnchecker::attention::{AttnOp, FaultHook, FaultSite, SectionToggles};
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::decode::AttnKvCache;
 use attnchecker::report::AbftReport;
-use attnchecker::section::{Ctx, GuardedSection};
+use attnchecker::section::Ctx;
 use std::ops::Range;
 
 /// Which of the four studied architectures a model instantiates.
@@ -311,13 +311,19 @@ impl TransformerModel {
         AttnKvCache::new(c.hidden, c.heads, !self.protection.is_off())
     }
 
+    /// How many distinct causal masks a pass applies: block `layer` applies
+    /// kind `layer % kinds`, and kind 1 — GPT-Neo's odd blocks — is local.
+    fn mask_kinds(&self) -> usize {
+        1 + usize::from(self.config.arch == ModelArch::GptNeo)
+    }
+
     /// Rows `rows` of block `layer`'s additive causal mask over `len` keys
     /// — the one statement of the mask rule: query `r` never sees a later
-    /// key, and on GPT-Neo's odd (local) blocks it sees only the
-    /// `local_window` keys ending at itself. [`Self::run`] builds the rows
-    /// of the tokens it feeds.
+    /// key, and on a local block (see [`Self::mask_kinds`]) it sees only
+    /// the `local_window` keys ending at itself. [`Self::run`] builds the
+    /// rows of the tokens it feeds.
     pub(crate) fn causal_mask_rows(&self, layer: usize, rows: Range<usize>, len: usize) -> Matrix {
-        let local = self.config.arch == ModelArch::GptNeo && !layer.is_multiple_of(2);
+        let local = layer % self.mask_kinds() == 1;
         let w = self.config.local_window;
         Matrix::from_fn(rows.len(), len, |i, c| {
             let r = rows.start + i;
@@ -356,7 +362,8 @@ impl TransformerModel {
     /// on the selected row — `[CLS]`, or the last token. With a decode
     /// `session`'s per-layer caches they grow and no tape is recorded;
     /// without (training) each block gets a fresh cache and the tape is
-    /// recorded. One op guard covers every non-GEMM op of the pass.
+    /// recorded. One [`Ctx`] covers the whole pass; each block reads its
+    /// mask kind and, at the injected layer only, the hook from it.
     pub(crate) fn run(
         &self,
         tokens: &[usize],
@@ -368,27 +375,27 @@ impl TransformerModel {
     ) -> (Matrix, Option<ExampleTape>) {
         let (taped, len) = (session.is_none(), pos + tokens.len());
         let causal = self.supports_decode();
-        let g = GuardedSection::guard_step(&self.protection);
+        // Each mask kind in use is built once per pass.
+        let kinds = self.mask_kinds().min(self.blocks.len());
+        let masks: [Option<Matrix>; 2] = std::array::from_fn(|kind| {
+            (causal && kind < kinds).then(|| self.causal_mask_rows(kind, pos..len, len))
+        });
+        let mut strike = inject.map(|s| s.hook());
+        let mut hook: Option<FaultHook> = strike.as_mut().map(|h| h as _);
+        let mut ctx = Ctx::new(&self.protection, toggles, report);
+        ctx.taped = taped;
 
-        let mut h = self.embedding.forward(tokens, pos, &g);
+        let mut h = self.embedding.forward(tokens, pos, ctx.guard());
         let emb_ln = self.emb_ln.as_ref().map(|ln| {
-            let (y, stats) = ln.forward(&h, &g);
+            let (y, stats) = ln.forward(&h, ctx.guard());
             h = y;
             stats
         });
         let mut block_tapes = Vec::with_capacity(if taped { self.blocks.len() } else { 0 });
         for (i, block) in self.blocks.iter().enumerate() {
-            let mask = causal.then(|| self.causal_mask_rows(i, pos..len, len));
-            let mut hook = inject.filter(|s| s.layer == i).map(|s| s.hook());
-            let mut ctx = Ctx {
-                config: &self.protection,
-                toggles,
-                mask: mask.as_ref(),
-                hook: hook.as_mut().map(|h| h as _),
-                guard: &g,
-                report: &mut *report,
-                taped,
-            };
+            ctx.mask = masks[i % kinds].as_ref();
+            // The one-shot hook strikes only its own block.
+            ctx.hook = inject.filter(|s| s.layer == i).and_then(|_| hook.take());
             // A training block's fresh cache lives only as long as it runs.
             let mut fresh = None;
             let cache = match session.as_deref_mut() {
@@ -408,7 +415,7 @@ impl TransformerModel {
         h.data_mut().copy_within(start..start + cols, 0);
         let mut row = h.into_top_rows(1);
         let final_ln = self.final_ln.as_ref().map(|ln| {
-            let (y, stats) = ln.forward(&row, &g);
+            let (y, stats) = ln.forward(&row, ctx.guard());
             row = y;
             stats
         });
@@ -421,7 +428,6 @@ impl TransformerModel {
             None => (None, row),
         };
         let logits = self.classifier.forward(&classifier_x);
-        report.absorb_op_guard(g.take_stats());
         let tape = taped.then(|| ExampleTape {
             tokens: tokens.to_vec(),
             emb_ln,
@@ -642,6 +648,73 @@ mod tests {
         // Layer 1 is local: position 15 cannot attend to position 0.
         assert!(m1[(15, 0)] < -1e8);
         assert_eq!(m0[(15, 0)], 0.0);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn each_block_of_a_pass_applies_its_own_mask() {
+        // Global, local, global blocks under a window shorter than the
+        // sequence: one pass must match a block-by-block run in which
+        // block `i` gets `causal_mask_rows(i, …)`.
+        let mut rng = TensorRng::seed_from(14);
+        let cfg = ModelConfig {
+            hidden: 16,
+            heads: 2,
+            layers: 3,
+            local_window: 3,
+            ..ModelConfig::gpt_neo()
+        };
+        let m = TransformerModel::new(cfg, ProtectionConfig::full(), &mut rng);
+        let tokens: Vec<usize> = (0..8).collect();
+        let n = tokens.len();
+        let mut report = AbftReport::default();
+        let (logits, _) = m.forward(&tokens, SectionToggles::all(), None, &mut report);
+
+        // Fault-free, a guarded op has its plain op's bits, so the
+        // reference runs the embedding and final LN unguarded.
+        let block_by_block = |mask_layer: fn(usize) -> usize| {
+            let mut r = AbftReport::default();
+            let mut h = m.embedding.forward(&tokens, 0, &OpGuard::off());
+            for (i, block) in m.blocks.iter().enumerate() {
+                let mask = m.causal_mask_rows(mask_layer(i), 0..n, n);
+                let mut ctx = Ctx::new(m.protection(), SectionToggles::all(), &mut r);
+                ctx.mask = Some(&mask);
+                h = block.forward(&h, &mut m.new_kv_cache(), &mut ctx).0;
+            }
+            let last = Matrix::from_vec(1, h.cols(), h.row(n - 1).to_vec());
+            let ln = m.final_ln.as_ref().expect("GPT-Neo has a final LN");
+            m.classifier.forward(&ln.forward(&last, &OpGuard::off()).0)
+        };
+        assert_eq!(bits(&logits), bits(&block_by_block(|i| i)));
+        // The window binds: every block under the global mask differs.
+        assert_ne!(bits(&logits), bits(&block_by_block(|_| 0)));
+    }
+
+    #[test]
+    fn the_injection_hook_reaches_only_its_own_block() {
+        let mut cfg = ModelConfig::gpt2();
+        cfg.layers = 2;
+        let (m, _) = tiny(cfg);
+        let tokens: Vec<usize> = (0..8).collect();
+        let logits = |layer: Option<usize>| {
+            let spec = layer.map(|layer| InjectionSpec {
+                layer,
+                op: AttnOp::Q,
+                head: 0,
+                row: 7, // the last token, which the head reads
+                col: 5,
+                kind: FaultKind::Inf,
+            });
+            let mut report = AbftReport::default();
+            let toggles = SectionToggles::none();
+            bits(&m.forward(&tokens, toggles, spec.as_ref(), &mut report).0)
+        };
+        let clean = logits(None);
+        assert_ne!(logits(Some(1)), clean, "a strike at the last block is lost");
+        assert_eq!(logits(Some(2)), clean, "no block 2: nothing may fire");
     }
 
     #[test]

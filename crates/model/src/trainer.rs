@@ -24,7 +24,7 @@ use attnchecker::attention::SectionToggles;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::policy::ProtectionPolicy;
 use attnchecker::report::AbftReport;
-use attnchecker::section::GuardedSection;
+use attnchecker::section::Ctx;
 use std::time::{Duration, Instant};
 
 /// Result of one training step.
@@ -32,8 +32,9 @@ use std::time::{Duration, Instant};
 pub struct StepOutcome {
     /// Mean cross-entropy loss over the batch (NaN signals corruption).
     pub loss: f32,
-    /// Aggregated ABFT activity during the step (the merge of
-    /// `item_reports`, in batch order).
+    /// Aggregated ABFT activity during the step: the merge of
+    /// `item_reports`, in batch order, plus the optimizer's moment-guard
+    /// screens.
     pub report: AbftReport,
     /// Per-item ABFT reports, in batch order — an injection into one item
     /// shows up only in that item's report.
@@ -158,13 +159,12 @@ impl Trainer {
                 _ => None,
             };
             let mut report = AbftReport::default();
-            // One op-guard scope per item covers the loss softmax and the
-            // whole backward pass (the forward opens one of its own).
-            let op_guard = GuardedSection::guard_step(&protection);
             let (logits, tape) = model.forward(&ex.tokens, toggles, spec.as_ref(), &mut report);
-            let (loss, dlogits) = cross_entropy(&logits, ex.label, &op_guard);
-            model.backward(&dlogits.scaled(inv), &tape, grads, &op_guard);
-            report.absorb_op_guard(op_guard.take_stats());
+            // The loss and the whole backward pass: an execution of its own.
+            let ctx = Ctx::new(&protection, toggles, &mut report);
+            let (loss, dlogits) = cross_entropy(&logits, ex.label, ctx.guard());
+            model.backward(&dlogits.scaled(inv), &tape, grads, ctx.guard());
+            drop(ctx);
             ItemOutcome {
                 loss,
                 report,
@@ -199,12 +199,11 @@ impl Trainer {
             }
         }
         drop(buffers);
-        // The optimizer consumes the folded gradients; its at-rest moment
-        // digests verify-and-heal inside the same guarded scope, and its
-        // activity lands in the step report.
-        let step_guard = GuardedSection::guard_step(&protection);
-        self.optim.step(&mut self.model, &step_guard);
-        report.absorb_op_guard(step_guard.take_stats());
+        // The optimizer consumes the folded gradients, its moment digests
+        // verified and healed in an execution of its own.
+        let ctx = Ctx::new(&protection, toggles, &mut report);
+        self.optim.step(&mut self.model, ctx.guard());
+        drop(ctx);
 
         let loss = loss_sum * inv;
         let params_ok = self.model.params_finite();
@@ -440,6 +439,44 @@ mod tests {
         let out = tr.train_step(&batch);
         assert!(!out.non_trainable);
         assert!(out.report.op_checks > 0, "guards ran off on a full() model");
+    }
+
+    /// `[op_checks, op_detections, sections_checked, sections_skipped,
+    /// detections]` of a report.
+    fn counters(r: &AbftReport) -> [usize; 5] {
+        [
+            r.op_checks,
+            r.op_detections,
+            r.sections_checked,
+            r.sections_skipped,
+            r.detections,
+        ]
+    }
+
+    #[test]
+    fn step_report_folds_every_guard_exactly_once() {
+        // Exact counters of two seeded `full()` steps at batch 2: a guard
+        // scope folded twice, or not at all, moves them.
+        let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::full());
+        let batch: Vec<&Example> = ds.examples.iter().take(2).collect();
+        let mut moment_rows = 0;
+        tr.model
+            .visit_params(&mut |p| moment_rows += p.m.rows() + p.v.rows());
+        // The first step only captures the moment digests; later steps
+        // screen every moment row once.
+        for (step, screens, pin) in [
+            (0, 0, [994, 0, 16, 0, 0]),
+            (1, moment_rows, [2258, 0, 16, 0, 0]),
+        ] {
+            let out = tr.train_step(&batch);
+            assert_eq!(counters(&out.report), pin, "step {step}");
+            let mut merged = AbftReport::default();
+            for item in &out.item_reports {
+                merged.merge(item);
+            }
+            merged.op_checks += screens;
+            assert_eq!(out.report, merged, "step {step}");
+        }
     }
 
     #[test]

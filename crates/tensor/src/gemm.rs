@@ -80,7 +80,7 @@
 //! in-packing column sweep a dispatch per 64-float row costs more than
 //! the wider lanes save (FFN entries 0.67 → 0.90), for the streaming
 //! border it buys 0.15 of a 104 ms step, which is the microkernel tier's
-//! to collect once the dispatch sits in the driver (ROADMAP item 3).
+//! to collect once the dispatch sits in the driver (ROADMAP item 5).
 //!
 //! # The accumulation-order contract
 //!

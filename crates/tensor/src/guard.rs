@@ -46,8 +46,8 @@ const GELU_MIN_OUT: f32 = -0.2;
 /// the GELU backward can never exceed this multiple of `|dy|`.
 const GELU_GRAD_BOUND: f32 = 1.13;
 
-/// Activity counters one [`OpGuard`] accumulates; folded into the step
-/// report via `AbftReport::absorb_op_guard`.
+/// Activity counters one [`OpGuard`] accumulates; folded into the report
+/// where the execution context that owns the guard closes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Invariant screens evaluated (one per guarded row).
@@ -64,25 +64,16 @@ pub struct GuardStats {
 }
 
 impl GuardStats {
-    /// Accumulate another guard's counters.
-    pub fn merge(&mut self, other: GuardStats) {
-        self.checks += other.checks;
-        self.detections += other.detections;
-        self.heals += other.heals;
-        self.unrecovered += other.unrecovered;
-    }
-
     /// True when no screen ever found a bitwise deviation.
     pub fn is_quiet(&self) -> bool {
         self.detections == 0 && self.unrecovered == 0
     }
 }
 
-/// A whole-step guard scope for the non-GEMM operators.
+/// The guard scope of one execution's non-GEMM operators.
 ///
-/// One `OpGuard` is opened per step (or per layer/item where a step does
-/// not thread one through) and shared by reference across every checked
-/// wrapper; stats accumulate through a [`Cell`] so the guard can be
+/// The execution context opens one and shares it by reference across
+/// every checked wrapper; stats accumulate through a [`Cell`] so the guard can be
 /// borrowed immutably alongside the tensors it protects. An inactive
 /// guard makes every wrapper a pass-through of the plain op — the same
 /// convention as an inactive `GuardedSection` around a GEMM.
@@ -986,13 +977,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_and_drain() {
+    fn stats_drain() {
         let g = guard();
         g.record_external_check();
         g.record_external_heal();
         g.record_unrecovered();
-        let mut total = GuardStats::default();
-        total.merge(g.take_stats());
+        let total = g.take_stats();
         assert_eq!(total.checks, 1);
         assert_eq!(total.detections, 2);
         assert_eq!(total.heals, 1);

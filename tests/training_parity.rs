@@ -7,10 +7,10 @@ use attn_fault::FaultKind;
 use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
 use attn_model::{cross_entropy, Example, Grads, HasParams, SyntheticMrpc, Trainer};
 use attn_tensor::rng::TensorRng;
+use attn_tensor::OpGuard;
 use attnchecker::attention::{AttnOp, SectionToggles};
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
-use attnchecker::section::GuardedSection;
 
 fn build(config: &ModelConfig, protection: ProtectionConfig, seed: u64) -> Trainer {
     let mut rng = TensorRng::seed_from(seed);
@@ -121,6 +121,11 @@ fn frequency_gated_protection_still_converges_cleanly() {
     }
 }
 
+/// The op guard a `Ctx` opens under `protection`.
+fn ctx_guard(protection: &ProtectionConfig) -> OpGuard {
+    OpGuard::new(!protection.is_off(), protection.abft.detect_tol)
+}
+
 /// The reduction a training step must equal: every item forwards and
 /// backwards into a fresh `Grads`, all buffers fold into the model in batch
 /// order, then one `AdamW::step` under the step's guard. Valid for
@@ -142,7 +147,7 @@ fn reference_step(
     let mut loss_sum = 0.0f32;
     for (bi, ex) in batch.iter().enumerate() {
         let spec = inject.filter(|(target, _)| *target == bi).map(|(_, s)| s);
-        let g = GuardedSection::guard_step(&protection);
+        let g = ctx_guard(&protection);
         let (logits, tape) = tr.model.forward(
             &ex.tokens,
             toggles,
@@ -159,8 +164,7 @@ fn reference_step(
     for mut grads in buffers {
         grads.merge_into(&mut tr.model);
     }
-    tr.optim
-        .step(&mut tr.model, &GuardedSection::guard_step(&protection));
+    tr.optim.step(&mut tr.model, &ctx_guard(&protection));
     loss_sum * inv
 }
 
