@@ -47,13 +47,12 @@ use attn_fault::{run_campaign, FaultKind};
 use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
 use attn_model::{AdamW, DecodeState, Example, HasParams, Param};
 use attn_tensor::guard::{
-    verify_gelu, verify_gelu_backward, verify_layer_norm, verify_layer_norm_backward,
-    verify_rowsum_add, verify_softmax_backward, verify_softmax_rows,
+    gelu_backward_checked, gelu_matrix_checked, layer_norm_backward_checked, layer_norm_checked,
+    residual_add_checked, softmax_rows_backward_checked, softmax_rows_checked, verify_gelu,
+    verify_gelu_backward, verify_layer_norm, verify_layer_norm_backward, verify_rowsum_add,
+    verify_softmax_backward, verify_softmax_rows,
 };
-use attn_tensor::ops::{
-    gelu_backward, gelu_matrix, layer_norm, layer_norm_backward, softmax_rows,
-    softmax_rows_backward,
-};
+use attn_tensor::ops::argmax;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::{AttnOp, SectionToggles};
@@ -117,7 +116,7 @@ type SiteFn = fn(&mut TensorRng, Option<FaultKind>) -> Outcome;
 
 fn site_softmax(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     let x = rng.uniform_matrix(4, 12, -4.0, 4.0);
-    let clean = softmax_rows(&x);
+    let clean = softmax_rows_checked(&x, &OpGuard::off());
     let mut y = clean.clone();
     if let Some(k) = fault {
         tamper(&mut y, k, rng);
@@ -129,9 +128,9 @@ fn site_softmax(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
 
 fn site_softmax_backward(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     let x = rng.uniform_matrix(4, 12, -4.0, 4.0);
-    let y = softmax_rows(&x);
+    let y = softmax_rows_checked(&x, &OpGuard::off());
     let dy = rng.uniform_matrix(4, 12, -2.0, 2.0);
-    let clean = softmax_rows_backward(&y, &dy);
+    let clean = softmax_rows_backward_checked(&y, &dy, &OpGuard::off());
     let mut dx = clean.clone();
     if let Some(k) = fault {
         tamper(&mut dx, k, rng);
@@ -151,8 +150,8 @@ fn site_layer_norm(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     let x = rng.uniform_matrix(4, 16, -3.0, 3.0);
     let (gamma, beta) = ln_params(rng, 16);
     let eps = 1e-5;
-    let (clean, _) = layer_norm(&x, &gamma, &beta, eps);
-    let (mut out, mut cache) = layer_norm(&x, &gamma, &beta, eps);
+    let (clean, _) = layer_norm_checked(&x, &gamma, &beta, eps, &OpGuard::off());
+    let (mut out, mut cache) = layer_norm_checked(&x, &gamma, &beta, eps, &OpGuard::off());
     if let Some(k) = fault {
         tamper(&mut out, k, rng);
     }
@@ -164,10 +163,12 @@ fn site_layer_norm(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
 fn site_layer_norm_backward(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     let x = rng.uniform_matrix(4, 16, -3.0, 3.0);
     let (gamma, beta) = ln_params(rng, 16);
-    let (_, cache) = layer_norm(&x, &gamma, &beta, 1e-5);
+    let (_, cache) = layer_norm_checked(&x, &gamma, &beta, 1e-5, &OpGuard::off());
     let dy = rng.uniform_matrix(4, 16, -2.0, 2.0);
-    let (clean_dx, clean_dg, clean_db) = layer_norm_backward(&dy, &cache, &gamma);
-    let (mut dx, mut dgamma, mut dbeta) = layer_norm_backward(&dy, &cache, &gamma);
+    let (clean_dx, clean_dg, clean_db) =
+        layer_norm_backward_checked(&dy, &cache, &gamma, &OpGuard::off());
+    let (mut dx, mut dgamma, mut dbeta) =
+        layer_norm_backward_checked(&dy, &cache, &gamma, &OpGuard::off());
     if let Some(k) = fault {
         tamper(&mut dx, k, rng);
     }
@@ -181,7 +182,7 @@ fn site_layer_norm_backward(rng: &mut TensorRng, fault: Option<FaultKind>) -> Ou
 
 fn site_gelu(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     let x = rng.uniform_matrix(4, 16, -4.0, 4.0);
-    let clean = gelu_matrix(&x);
+    let clean = gelu_matrix_checked(&x, &OpGuard::off());
     let mut y = clean.clone();
     if let Some(k) = fault {
         tamper(&mut y, k, rng);
@@ -194,7 +195,7 @@ fn site_gelu(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
 fn site_gelu_backward(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     let x = rng.uniform_matrix(4, 16, -4.0, 4.0);
     let dy = rng.uniform_matrix(4, 16, -2.0, 2.0);
-    let clean = gelu_backward(&x, &dy);
+    let clean = gelu_backward_checked(&x, &dy, &OpGuard::off());
     let mut dx = clean.clone();
     if let Some(k) = fault {
         tamper(&mut dx, k, rng);
@@ -207,7 +208,7 @@ fn site_gelu_backward(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome 
 fn site_residual_add(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     let a = rng.uniform_matrix(4, 16, -2.0, 2.0);
     let b = rng.uniform_matrix(4, 16, -2.0, 2.0);
-    let clean = a.add(&b);
+    let clean = residual_add_checked(&a, &b, &OpGuard::off());
     let mut out = clean.clone();
     if let Some(k) = fault {
         tamper(&mut out, k, rng);
@@ -323,17 +324,6 @@ fn lm_config() -> ModelConfig {
     cfg
 }
 
-fn argmax(logits: &Matrix) -> usize {
-    let row = logits.row(0);
-    let mut best = 0;
-    for (i, &v) in row.iter().enumerate() {
-        if v > row[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 /// Decode `n` greedy tokens from the model-level API, returning them.
 fn decode_greedy(
     m: &TransformerModel,
@@ -346,7 +336,7 @@ fn decode_greedy(
     let mut t = first;
     for _ in 0..n {
         let logits = m.extend(&[t], state, SectionToggles::all(), None, report);
-        t = argmax(&logits);
+        t = argmax(logits.row(0));
         toks.push(t);
     }
     toks
@@ -364,7 +354,7 @@ fn kv_trial(
     let mut state = m.new_decode_state();
     let mut report = AbftReport::default();
     let logits = m.extend(prompt, &mut state, SectionToggles::all(), None, &mut report);
-    let first = argmax(&logits);
+    let first = argmax(logits.row(0));
     let _ = decode_greedy(m, &mut state, first, 3, &mut report);
 
     m.park_state(&mut state, &mut report);
@@ -600,7 +590,7 @@ fn main() {
             None,
             &mut report,
         );
-        let first = argmax(&logits);
+        let first = argmax(logits.row(0));
         let head3 = decode_greedy(&kv_model, &mut state, first, 3, &mut report);
         let resume = *head3.last().expect("decoded 3");
         let mut tail = vec![resume];

@@ -30,6 +30,10 @@ const WARMUP: usize = 2;
 /// statistics over `trials` measured rounds). The three variants run
 /// interleaved, one of each per round, so a slow window on a shared host
 /// lands on all three rather than on whichever was being timed.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "times the raw GEMM and fused-encode kernels that the guarded sections are built from"
+)]
 pub fn measure_encode_overhead(
     m: usize,
     k: usize,

@@ -355,7 +355,8 @@ fn verify_k_blocks(kb: &mut PagedKv, cfg: &AbftConfig, report: &mut AbftReport, 
             }
             let (t0, t1) = (kb.tail_row(b, 0)[c], kb.tail_row(b, 1)[c]);
             let verdict = eec_correct_vector(col, t0, t1, cfg);
-            apply_vector_verdict(&verdict, report, SectionId::AttentionScore, head, start, c);
+            let at = |i| (start + i, c);
+            apply_vector_verdict(&verdict, report, SectionId::AttentionScore, head, at);
             if let VectorVerdict::Corrected { index, .. } = verdict {
                 kb.row_mut(start + index)[c] = col[index];
             }
@@ -385,7 +386,7 @@ fn verify_v_rows(
     for r in 0..vb.rows() {
         let (data, cs) = vb.row_mut(r).split_at_mut(d);
         let verdict = eec_correct_vector(data, cs[0], cs[1], cfg);
-        apply_vector_verdict(&verdict, report, SectionId::ContextLayer, head, r, 0);
+        apply_vector_verdict(&verdict, report, SectionId::ContextLayer, head, |i| (r, i));
         if matches!(
             verdict,
             VectorVerdict::Corrected { .. } | VectorVerdict::ChecksumCorrupt
@@ -396,16 +397,16 @@ fn verify_v_rows(
     }
 }
 
-/// Fold one at-rest verification verdict into the report. `row0` is the
-/// global token index of the vector's first element (K columns) or the
-/// row itself (V rows); `col` the element column.
+/// Fold one at-rest verification verdict into the report. `at` maps the
+/// index of a corrected element within the verified vector to its
+/// `(token row, column)` cell: down a column for K (`(start + i, c)`),
+/// along a row for V (`(r, i)`).
 fn apply_vector_verdict(
     verdict: &VectorVerdict,
     report: &mut AbftReport,
     section: SectionId,
     head: usize,
-    row0: usize,
-    col: usize,
+    at: impl Fn(usize) -> (usize, usize),
 ) {
     match verdict {
         VectorVerdict::Clean => {}
@@ -415,11 +416,12 @@ fn apply_vector_verdict(
             new_value,
             ..
         } => {
+            let (row, col) = at(*index);
             report.detections += 1;
             report.corrections.push(CorrectionRecord {
                 section,
                 head,
-                row: row0 + index,
+                row,
                 col,
                 old_value: *old_value,
                 new_value: *new_value,
@@ -1176,32 +1178,36 @@ mod tests {
         let (never_parked, _, _) = grow_cache(&attn, &x, 4, usize::MAX, None);
         let clean_bits = cache_bits(&never_parked);
 
-        // (strike, expected corrections, does the repair land on the
-        // never-parked bits?) — a struck checksum cell is rebuilt from
-        // intact data, so it must; a struck data cell is reconstructed
-        // from its checksums, so it lands on the re-appended state instead.
+        // (strike, the `(section, head, row, col)` cell its correction must
+        // record, if any). A struck checksum cell is rebuilt from intact
+        // data, so the repair lands on the never-parked bits; a struck data
+        // cell is reconstructed from its checksums, so it lands on the
+        // re-appended state instead.
         type Strike = fn(&mut AttnKvCache);
-        let strikes: [(&str, Strike, usize, bool); 5] = [
-            ("clean", |_| {}, 0, true),
-            ("K data", |c| c.k_row_mut(1, 5)[3] = f32::NAN, 1, false),
-            ("V data", |c| c.v_row_mut(2, 4)[6] = f32::INFINITY, 1, false),
+        type Cell = (SectionId, usize, usize, usize);
+        let strikes: [(&str, Strike, Option<Cell>); 5] = [
+            ("clean", |_| {}, None),
             (
-                "K tail",
-                |c| c.k[3].tail_row_mut(1, 1)[2] = f32::NAN,
-                0,
-                true,
+                "K data",
+                |c| c.k_row_mut(1, 5)[3] = f32::NAN,
+                Some((SectionId::AttentionScore, 1, 5, 3)),
             ),
+            (
+                "V data",
+                |c| c.v_row_mut(2, 4)[6] = f32::INFINITY,
+                Some((SectionId::ContextLayer, 2, 4, 6)),
+            ),
+            ("K tail", |c| c.k[3].tail_row_mut(1, 1)[2] = f32::NAN, None),
             (
                 "V pair",
                 |c| {
                     let d = c.head_dim();
                     c.v_row_mut(0, 7)[d] = f32::NEG_INFINITY
                 },
-                0,
-                true,
+                None,
             ),
         ];
-        for (name, strike, corrections, lands_on_clean) in strikes {
+        for (name, strike, corrected) in strikes {
             let (mut cache, _, mut report) = grow_cache(&attn, &x, 4, usize::MAX, None);
             cache.verify(&cfg, &mut report); // park
             assert_eq!(report.detections, 0, "{name}: clean park must be quiet");
@@ -1210,13 +1216,18 @@ mod tests {
             let struck = name != "clean";
             assert_eq!(report.detections, usize::from(struck), "{name}: {report}");
             assert_eq!(report.unrecovered, 0, "{name}: {report}");
-            assert_eq!(report.correction_count(), corrections, "{name}: {report}");
-            assert_eq!(report.checksum_rebuilds, usize::from(struck) - corrections);
+            let cells: Vec<Cell> = report
+                .corrections
+                .iter()
+                .map(|c| (c.section, c.head, c.row, c.col))
+                .collect();
+            assert_eq!(cells, Vec::from_iter(corrected), "{name}: {report}");
+            assert_eq!(report.checksum_rebuilds, usize::from(struck) - cells.len());
             assert!(
                 cache_bits(&cache) == cache_bits(&reappended(&cache)),
                 "{name}: repaired blocks must carry append-order tails"
             );
-            if lands_on_clean {
+            if corrected.is_none() {
                 assert!(cache_bits(&cache) == clean_bits, "{name}");
             } else {
                 assert!(cache.k[1].row(5).iter().all(|v| v.is_finite()), "{name}");

@@ -1,6 +1,7 @@
 //! Next-token selection from a logits row.
 
 use attn_tensor::guard::softmax_rows_checked;
+use attn_tensor::ops::argmax;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 
@@ -71,22 +72,6 @@ pub fn sample_token(
 /// mass actually belongs. An all-zero row (degenerate input) maps to 0.
 fn last_positive(row: &[f32]) -> usize {
     row.iter().rposition(|&p| p > 0.0).unwrap_or(0)
-}
-
-/// First index of the row maximum; NaNs never win — including on an
-/// all-NaN row, which has no maximum and returns 0 by convention (the
-/// caller sees a poisoned distribution either way, and index 0 keeps the
-/// result independent of the vocab size).
-fn argmax(row: &[f32]) -> usize {
-    let mut best = 0usize;
-    let mut best_v = row.first().copied().unwrap_or(f32::NAN);
-    for (i, &v) in row.iter().enumerate().skip(1) {
-        if v > best_v || (best_v.is_nan() && !v.is_nan()) {
-            best = i;
-            best_v = v;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -168,12 +153,6 @@ mod tests {
             sample_token(&logits, Sampling::Greedy, &mut rng, &OpGuard::off()),
             0
         );
-    }
-
-    #[test]
-    fn argmax_recovers_after_leading_nans() {
-        assert_eq!(argmax(&[f32::NAN, f32::NAN, 0.25, 0.5]), 3);
-        assert_eq!(argmax(&[f32::NAN, -1.0, f32::NAN]), 1);
     }
 
     #[test]

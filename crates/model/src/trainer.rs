@@ -17,6 +17,7 @@ use crate::data::{Example, SyntheticMrpc};
 use crate::model::{cross_entropy, InjectionSpec, TransformerModel};
 use crate::optim::AdamW;
 use crate::param::{Grads, HasParams};
+use attn_tensor::ops::argmax;
 use attn_tensor::par;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::OpGuard;
@@ -254,7 +255,7 @@ impl Trainer {
                     .forward(&ex.tokens, SectionToggles::none(), None, &mut report);
             let (loss, _) = cross_entropy(&logits, ex.label, &OpGuard::off());
             loss_sum += loss;
-            if argmax_row(logits.row(0)) == ex.label {
+            if argmax(logits.row(0)) == ex.label {
                 correct += 1;
             }
         }
@@ -263,19 +264,6 @@ impl Trainer {
             correct as f32 / dataset.len() as f32,
         )
     }
-}
-
-/// Index of the row maximum (first occurrence wins; NaNs never win). Works
-/// for any class count — the prediction rule for `num_classes != 2` models
-/// as well as the binary MRPC head.
-fn argmax_row(row: &[f32]) -> usize {
-    let mut best = 0usize;
-    for (i, &v) in row.iter().enumerate().skip(1) {
-        if v > row[best] || row[best].is_nan() {
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -610,18 +598,6 @@ mod tests {
         }
         assert_eq!(n, ds.len());
         assert_eq!(epoch.to_bits(), (sum / n as f32).to_bits());
-    }
-
-    #[test]
-    fn argmax_row_picks_maximum_not_hardcoded_class() {
-        assert_eq!(argmax_row(&[0.1, 0.9]), 1);
-        assert_eq!(argmax_row(&[0.9, 0.1]), 0);
-        assert_eq!(argmax_row(&[-3.0, -1.0, -2.0]), 1);
-        assert_eq!(argmax_row(&[1.0, 2.0, 5.0, 0.0]), 2);
-        // Ties keep the earliest index (the old 2-class rule's behaviour).
-        assert_eq!(argmax_row(&[2.0, 2.0]), 0);
-        // NaN never wins over a finite value.
-        assert_eq!(argmax_row(&[f32::NAN, 1.0, 0.5]), 1);
     }
 
     #[test]

@@ -179,7 +179,7 @@ pub fn matmul_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
 ///
 /// # Panics
 /// Panics on any dimension mismatch.
-pub fn matmul_nt_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
+pub(crate) fn matmul_nt_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     let (m, k) = (a.rows(), a.cols());
     let n = b.rows();
     assert_eq!(k, b.cols(), "matmul_nt: inner dims {} vs {}", k, b.cols());
@@ -193,7 +193,7 @@ pub fn matmul_nt_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
 ///
 /// # Panics
 /// Panics on any dimension mismatch.
-pub fn matmul_tn_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
+pub(crate) fn matmul_tn_into(a: MatRef<'_>, b: MatRef<'_>, mut c: MatMut<'_>) {
     let (r, m) = (a.rows(), a.cols());
     let n = b.cols();
     assert_eq!(r, b.rows(), "matmul_tn: inner dims {} vs {}", r, b.rows());
@@ -259,7 +259,7 @@ pub fn matmul_paged_into(a: MatRef<'_>, b: &PagedKv, mut c: MatMut<'_>) {
 /// `c.cols() >= b.rows()` is required, the product lands in columns
 /// `0..b.rows()` at row stride `c.cols()`, and the extra columns are left
 /// untouched — a caller appending checksum columns fills them itself.
-/// The written region is bit-identical to [`matmul_nt_into`] over a
+/// The written region is bit-identical to [`matmul_nt`] over a
 /// contiguous copy of `B`.
 ///
 /// # Panics

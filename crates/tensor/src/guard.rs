@@ -28,7 +28,9 @@
 //! Every op ships as a `verify_*` entry (screen + heal an existing
 //! output against its preserved inputs — what the fault campaigns drive
 //! directly) plus a `*_checked` wrapper (compute + verify — what the
-//! model paths call).
+//! model paths call). The plain ops they wrap are crate-private: outside
+//! this crate the `*_checked` wrapper is the op, and the wrapper under
+//! [`OpGuard::off`] is its unguarded form (see [`OpGuard`]).
 
 use crate::lanes;
 use crate::matrix::Matrix;
@@ -77,6 +79,36 @@ impl GuardStats {
 /// borrowed immutably alongside the tensors it protects. An inactive
 /// guard makes every wrapper a pass-through of the plain op — the same
 /// convention as an inactive `GuardedSection` around a GEMM.
+///
+/// The guarded op is the public op. The plain ops are crate-private, so a
+/// call from outside this crate does not compile —
+///
+/// ```compile_fail,E0603
+/// use attn_tensor::Matrix;
+/// let x = Matrix::full(2, 4, 1.0);
+/// let (y, _) = attn_tensor::ops::layer_norm(&x, &[1.0; 4], &[0.0; 4], 1e-5);
+/// ```
+///
+/// — and neither does the unguarded residual add:
+///
+/// ```compile_fail,E0624
+/// use attn_tensor::Matrix;
+/// let sum = Matrix::full(2, 4, 1.0).add(&Matrix::full(2, 4, 2.0));
+/// ```
+///
+/// The unguarded form of a guarded op is its `*_checked` call under
+/// [`OpGuard::off`], which returns before it screens anything:
+///
+/// ```
+/// use attn_tensor::guard::{layer_norm_checked, residual_add_checked};
+/// use attn_tensor::{Matrix, OpGuard};
+/// let off = OpGuard::off();
+/// let x = Matrix::full(2, 4, 1.0);
+/// let (y, _) = layer_norm_checked(&x, &[1.0; 4], &[0.0; 4], 1e-5, &off);
+/// let sum = residual_add_checked(&x, &y, &off);
+/// assert_eq!(sum.data(), x.data());
+/// assert_eq!(off.stats().checks, 0);
+/// ```
 #[derive(Debug, Default)]
 pub struct OpGuard {
     active: bool,
@@ -96,7 +128,8 @@ impl OpGuard {
     }
 
     /// A disabled guard: every checked wrapper degenerates to the plain
-    /// op (used by baseline paths and delegating plain APIs).
+    /// op, bit for bit. This is the one public spelling of an unguarded
+    /// non-GEMM op (baseline paths, clean references).
     pub fn off() -> Self {
         Self::new(false, 0.0)
     }

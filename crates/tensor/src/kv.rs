@@ -176,7 +176,7 @@ impl PagedKv {
 
     /// Columns `c` and `c + 1` of every data row, rows ascending — block
     /// slices walked directly, no `r / block_rows` per element.
-    pub fn col_pairs(&self, c: usize) -> impl Iterator<Item = (f32, f32)> + '_ {
+    pub(crate) fn col_pairs(&self, c: usize) -> impl Iterator<Item = (f32, f32)> + '_ {
         assert!(c + 1 < self.cols, "col_pairs: column range");
         (0..self.blocks.len()).flat_map(move |b| {
             self.block_data(b)

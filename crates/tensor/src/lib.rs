@@ -29,7 +29,10 @@
 //! * Invariant-screened guarded variants of the non-GEMM ops in [`guard`]
 //!   ([`OpGuard`], `softmax_rows_checked` & co.) — cheap invariant screens
 //!   with exact recompute-from-inputs healing, since exact checksum
-//!   transport stops at a nonlinearity.
+//!   transport stops at a nonlinearity. The guarded op is the public op:
+//!   the plain softmax, layer norm, GELU (forward and backward) and
+//!   `Matrix::add` are crate-private, and their public unguarded form is
+//!   the `*_checked` call under [`OpGuard::off`].
 //! * Named exact-float comparisons in [`float`] (`exactly_zero` & co.) —
 //!   names for the deliberate sentinel tests; no lint enforces them.
 //! * Deterministic RNG helpers in [`rng`] (Box–Muller normal sampling,
@@ -55,12 +58,11 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![allow(
     clippy::disallowed_methods,
-    reason = "this crate defines the raw GEMM and op entries the workspace clippy.toml \
-              disallows elsewhere, and composes its guarded variants from them"
+    reason = "this crate defines the raw GEMM entries the workspace clippy.toml \
+              disallows elsewhere, and composes its guarded products from them"
 )]
 
 pub mod contract;
-pub mod error;
 pub mod float;
 pub mod gemm;
 pub mod guard;
@@ -74,11 +76,7 @@ pub mod rng;
 pub mod view;
 pub mod workspace;
 
-pub use error::ShapeError;
 pub use guard::{GuardStats, OpGuard};
 pub use kv::PagedKv;
 pub use matrix::Matrix;
 pub use view::{MatMut, MatRef};
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, ShapeError>;

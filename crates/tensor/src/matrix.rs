@@ -160,7 +160,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn add(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn add(&self, other: &Matrix) -> Matrix {
         self.zip(other, |a, b| a + b)
     }
 

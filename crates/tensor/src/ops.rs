@@ -4,22 +4,23 @@
 //! surrounding transformer blocks need layer norm, GELU, and bias
 //! broadcasting. Backward-pass helpers live here too so the hand-written
 //! autodiff in `attn-model` stays thin.
+//!
+//! The ops with a `*_checked` twin in [`crate::guard`] (softmax, layer
+//! norm, GELU, each with its backward) are crate-private, so rustc keeps
+//! other crates on the twin; the twin under
+//! [`OpGuard::off`](crate::OpGuard::off) is their unguarded form, with the
+//! same bits. What stays public has no twin: bias, column sums, masks and
+//! `argmax`.
 
 use crate::matrix::Matrix;
 
-/// Row-wise numerically-stable softmax: `y[i,:] = softmax(x[i,:])`.
+/// In-place row-wise numerically-stable softmax:
+/// `x[i,:] = softmax(x[i,:])`.
 ///
 /// Uses the max-subtraction trick. IEEE special values behave as on GPU:
 /// a `+INF` entry saturates its row to a one-hot; `NaN` poisons its row —
 /// exactly the transitions catalogued in the paper's Table 2 (`1R-∞* → 1R-Θ`
 /// through softmax).
-pub fn softmax_rows(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    softmax_rows_inplace(&mut y);
-    y
-}
-
-/// In-place row softmax; see [`softmax_rows`].
 ///
 /// A *fully-masked* row — every entry `-INF`, as causal/padding masks
 /// produce for padded positions during batched decode — yields a
@@ -30,7 +31,7 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
 /// propagation is preserved: a NaN entry still poisons its row even when
 /// every other entry is `-INF`, and `+INF` still saturates through
 /// `INF − INF = NaN` (the Table 2 transitions).
-pub fn softmax_rows_inplace(x: &mut Matrix) {
+pub(crate) fn softmax_rows_inplace(x: &mut Matrix) {
     let cols = x.cols();
     if cols == 0 {
         return;
@@ -83,7 +84,7 @@ pub fn softmax_rows_inplace(x: &mut Matrix) {
 /// [`softmax_rows_inplace`]) is a constant function of its inputs, so its
 /// gradient is exactly zero — even against a non-finite `dy`, where the
 /// naive `0 · NaN` product would smuggle NaNs into `dx`.
-pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
+pub(crate) fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
     assert_eq!((y.rows(), y.cols()), (dy.rows(), dy.cols()));
     let mut dx = Matrix::zeros(y.rows(), y.cols());
     for r in 0..y.rows() {
@@ -103,7 +104,7 @@ pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
 /// Exact GELU activation `x · Φ(x)` using the erf-free tanh approximation
 /// employed by Bert/GPT-2.
 #[inline]
-pub fn gelu(x: f32) -> f32 {
+pub(crate) fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/π)
     0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
 }
@@ -119,13 +120,8 @@ fn gelu_grad(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
 }
 
-/// Apply GELU element-wise.
-pub fn gelu_matrix(x: &Matrix) -> Matrix {
-    x.map(gelu)
-}
-
 /// Element-wise GELU backward: `dx = dy ⊙ gelu'(x)`.
-pub fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
+pub(crate) fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
     x.zip(dy, |xi, di| gelu_grad(xi) * di)
 }
 
@@ -167,7 +163,12 @@ pub struct LayerNormCache {
 /// Layer normalisation over the last dimension with learnable `gamma`/`beta`.
 ///
 /// Returns the output and the cache required for [`layer_norm_backward`].
-pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> (Matrix, LayerNormCache) {
+pub(crate) fn layer_norm(
+    x: &Matrix,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+) -> (Matrix, LayerNormCache) {
     let d = x.cols();
     assert_eq!(gamma.len(), d);
     assert_eq!(beta.len(), d);
@@ -202,7 +203,7 @@ pub fn layer_norm(x: &Matrix, gamma: &[f32], beta: &[f32], eps: f32) -> (Matrix,
 /// Backward of [`layer_norm`].
 ///
 /// Returns `(dx, dgamma, dbeta)`.
-pub fn layer_norm_backward(
+pub(crate) fn layer_norm_backward(
     dy: &Matrix,
     cache: &LayerNormCache,
     gamma: &[f32],
@@ -238,13 +239,33 @@ pub fn layer_norm_backward(
 /// Add an additive attention mask in place: `x[i,j] += mask[i,j]`.
 ///
 /// Masks here use `-INF`-style large negatives (`MASK_NEG`), but literal
-/// `-INF` masks are safe too: [`softmax_rows_inplace`] maps a fully-masked
-/// row to a well-defined all-zero probability row instead of NaNs.
+/// `-INF` masks are safe too: the row softmax
+/// ([`softmax_rows_checked`](crate::guard::softmax_rows_checked)) maps a
+/// fully-masked row to a well-defined all-zero probability row instead of
+/// NaNs.
 pub fn apply_additive_mask(x: &mut Matrix, mask: &Matrix) {
     assert_eq!((x.rows(), x.cols()), (mask.rows(), mask.cols()));
     for (v, &m) in x.data_mut().iter_mut().zip(mask.data()) {
         *v += m;
     }
+}
+
+/// First index of the row maximum; NaNs never win — including on an
+/// all-NaN row, which has no maximum and returns 0 by convention (the
+/// caller sees a poisoned distribution either way, and index 0 keeps the
+/// result independent of the row length). The one prediction rule of the
+/// workspace: the trainer's accuracy and the sampler's greedy pick.
+#[inline]
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0usize;
+    let mut best_v = row.first().copied().unwrap_or(f32::NAN);
+    for (i, &v) in row.iter().enumerate().skip(1) {
+        if v > best_v || (best_v.is_nan() && !v.is_nan()) {
+            best = i;
+            best_v = v;
+        }
+    }
+    best
 }
 
 /// Large negative used for masked attention logits.
@@ -255,20 +276,19 @@ pub fn causal_mask(n: usize) -> Matrix {
     Matrix::from_fn(n, n, |r, c| if c > r { MASK_NEG } else { 0.0 })
 }
 
-/// Local banded causal mask with attention window `w` (GPT-Neo local layers):
-/// position `i` may attend to `j` iff `i - w < j <= i`.
-pub fn local_causal_mask(n: usize, w: usize) -> Matrix {
-    Matrix::from_fn(
-        n,
-        n,
-        |r, c| {
-            if c > r || r >= c + w {
-                MASK_NEG
-            } else {
-                0.0
-            }
-        },
-    )
+/// Out-of-place row softmax: the reference the unit tests compare
+/// against.
+#[cfg(test)]
+pub(crate) fn softmax_rows(x: &Matrix) -> Matrix {
+    let mut y = x.clone();
+    softmax_rows_inplace(&mut y);
+    y
+}
+
+/// Element-wise GELU: the reference the unit tests compare against.
+#[cfg(test)]
+pub(crate) fn gelu_matrix(x: &Matrix) -> Matrix {
+    x.map(gelu)
 }
 
 #[cfg(test)]
@@ -559,16 +579,28 @@ mod tests {
     }
 
     #[test]
-    fn local_mask_is_banded() {
-        let m = local_causal_mask(6, 2);
-        // row 4 may attend to columns 3 and 4 only.
-        for c in 0..6 {
-            let open = crate::float::exactly_zero(m[(4, c)]);
-            assert_eq!(open, c == 3 || c == 4, "col {c}");
-        }
-        // Window covering everything degenerates to the causal mask.
-        let full = local_causal_mask(5, 5);
-        assert_eq!(full.data(), causal_mask(5).data());
+    fn argmax_picks_maximum_not_hardcoded_class() {
+        assert_eq!(argmax(&[0.1, 0.9]), 1);
+        assert_eq!(argmax(&[0.9, 0.1]), 0);
+        assert_eq!(argmax(&[-3.0, -1.0, -2.0]), 1);
+        assert_eq!(argmax(&[1.0, 2.0, 5.0, 0.0]), 2);
+        // Ties keep the earliest index (the old 2-class rule's behaviour).
+        assert_eq!(argmax(&[2.0, 2.0]), 0);
+        // NaN never wins over a finite value.
+        assert_eq!(argmax(&[f32::NAN, 1.0, 0.5]), 1);
+    }
+
+    #[test]
+    fn argmax_recovers_after_leading_nans() {
+        assert_eq!(argmax(&[f32::NAN, f32::NAN, 0.25, 0.5]), 3);
+        assert_eq!(argmax(&[f32::NAN, -1.0, f32::NAN]), 1);
+    }
+
+    #[test]
+    fn argmax_of_an_all_nan_row_is_zero() {
+        assert_eq!(argmax(&[f32::NAN; 5]), 0);
+        assert_eq!(argmax(&[f32::NAN]), 0);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]

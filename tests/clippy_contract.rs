@@ -2,15 +2,17 @@
 //!
 //! `cargo clippy --workspace --all-targets -- -D warnings` enforces four
 //! workspace contracts: determinism (`disallowed-types` in the root
-//! `clippy.toml`), total ABFT coverage (`disallowed-methods` there), no-panic
-//! serving (restriction lints denied in the `attn_serve` and `attn_infer`
-//! roots) and float hygiene (`float_cmp` denied in every library root).
-//! rustc holds a fifth: `unsafe` lives in one module of `attn_tensor`
+//! `clippy.toml`), the GEMM half of total ABFT coverage
+//! (`disallowed-methods` there), no-panic serving (restriction lints
+//! denied in the `attn_serve` and `attn_infer` roots) and float hygiene
+//! (`float_cmp` denied in every library root). rustc holds two more: the
+//! non-GEMM half of total ABFT coverage (the plain ops are crate-private
+//! in `attn_tensor`) and `unsafe` in one module of `attn_tensor`
 //! (`unsafe_code` forbidden in every other library root, denied in
 //! `attn_tensor`'s). Neither tool can tell when its own configuration falls
 //! behind the code, so these tests fail when a new kernel entry is missing
-//! from the list, a lint level is dropped from a root, or a file opts out
-//! of the disallowed types.
+//! from the list, a plain op is made public again, a lint level is dropped
+//! from a root, or a file opts out of the disallowed types.
 
 use std::path::{Path, PathBuf};
 
@@ -18,11 +20,12 @@ fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Names of the top-level `pub fn`s of one source file.
-fn pub_fns(rel: &str) -> Vec<String> {
+/// Names of the fns of one source file declared with the line prefix
+/// `vis` (`"pub fn "`, `"    pub(crate) fn "`, …).
+fn fns(rel: &str, vis: &str) -> Vec<String> {
     let src = std::fs::read_to_string(root().join(rel)).expect("kernel source");
     src.lines()
-        .filter_map(|l| l.strip_prefix("pub fn "))
+        .filter_map(|l| l.strip_prefix(vis))
         .map(|rest| {
             rest.split(['(', '<'])
                 .next()
@@ -32,10 +35,14 @@ fn pub_fns(rel: &str) -> Vec<String> {
         .collect()
 }
 
-/// A written list does not follow new kernels the way a name pattern did:
-/// every raw GEMM entry (`matmul*`, `gemm_encode_*`, less the
-/// `matmul_naive` reference) and every plain op with a `*_checked` twin in
-/// `guard.rs` must be one of `clippy.toml`'s disallowed methods.
+/// Total ABFT coverage is held by two tools. rustc's privacy check holds
+/// the non-GEMM half: every `ops.rs` op with a `*_checked` twin in
+/// `guard.rs` (or that `guard.rs` wraps) and `Matrix::add` are
+/// `pub(crate)`, so no other crate can call them. Clippy holds the GEMM
+/// half: `clippy.toml`'s `disallowed-methods` is exactly the public raw
+/// GEMM entries of `gemm.rs` (`matmul*` less the `matmul_naive`
+/// reference, `gemm_encode_*`), so a new public kernel fails here until
+/// it is listed, and a plain op made `pub` again fails here too.
 #[test]
 fn clippy_disallows_every_raw_kernel_entry() {
     let toml = std::fs::read_to_string(root().join("clippy.toml")).expect("clippy.toml");
@@ -43,40 +50,81 @@ fn clippy_disallows_every_raw_kernel_entry() {
         .split_once("disallowed-methods")
         .expect("clippy.toml has a disallowed-methods list")
         .1;
-    let listed: Vec<&str> = methods
+    let mut listed: Vec<String> = methods
         .split("path = \"")
         .skip(1)
         .filter_map(|s| s.split('"').next())
+        .map(str::to_string)
         .collect();
+    listed.sort();
 
-    let gemm = pub_fns("crates/tensor/src/gemm.rs")
+    let mut gemm: Vec<String> = fns("crates/tensor/src/gemm.rs", "pub fn ")
         .into_iter()
         .filter(|f| {
             (f.starts_with("matmul") && f != "matmul_naive") || f.starts_with("gemm_encode_")
         })
-        .map(|f| format!("attn_tensor::gemm::{f}"));
-    let guarded = pub_fns("crates/tensor/src/guard.rs");
-    let ops = pub_fns("crates/tensor/src/ops.rs")
-        .into_iter()
-        .filter(|op| {
-            guarded
-                .iter()
-                .any(|g| g.contains("_checked") && g.replace("_checked", "") == *op)
-        })
-        .map(|f| format!("attn_tensor::ops::{f}"));
-    let required: Vec<String> = gemm.chain(ops).collect();
-    assert!(
-        required.len() >= 15,
-        "found only {} kernel entries — the source scan is broken: {required:?}",
-        required.len()
-    );
-    let missing: Vec<&String> = required
-        .iter()
-        .filter(|r| !listed.contains(&r.as_str()))
+        .map(|f| format!("attn_tensor::gemm::{f}"))
         .collect();
+    gemm.sort();
+    let mut expected: Vec<String> = [
+        "matmul",
+        "matmul_nt",
+        "matmul_tn",
+        "matmul_into",
+        "matmul_paged_into",
+        "matmul_nt_paged_into",
+        "gemm_encode_cols_into",
+        "gemm_encode_cols_paged_into",
+    ]
+    .iter()
+    .map(|f| format!("attn_tensor::gemm::{f}"))
+    .collect();
+    expected.sort();
+    assert_eq!(gemm, expected, "gemm.rs's public raw entries changed");
+    assert_eq!(
+        listed, expected,
+        "clippy.toml's disallowed-methods must be exactly the public GEMM entries"
+    );
+
+    // The plain ops: every `ops.rs` fn a guarded twin names (strip
+    // `_checked`) or `guard.rs` imports from `crate::ops`.
+    let read = |rel: &str| std::fs::read_to_string(root().join(rel)).expect("tensor source");
+    let (ops_src, guard_src) = (
+        read("crates/tensor/src/ops.rs"),
+        read("crates/tensor/src/guard.rs"),
+    );
+    let twins: Vec<String> = fns("crates/tensor/src/guard.rs", "pub fn ")
+        .into_iter()
+        .filter(|g| g.contains("_checked"))
+        .map(|g| g.replace("_checked", ""))
+        .collect();
+    let wrapped: String = guard_src
+        .split_once("use crate::ops::{")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .map(|(names, _)| names.to_string())
+        .unwrap_or_default();
+    let mut plain: Vec<String> = twins
+        .into_iter()
+        .chain(wrapped.split(',').map(|n| n.trim().to_string()))
+        .filter(|n| !n.is_empty() && ops_src.contains(&format!("fn {n}(")))
+        .collect();
+    plain.sort();
+    plain.dedup();
     assert!(
-        missing.is_empty(),
-        "raw entries missing from clippy.toml's disallowed-methods: {missing:?}"
+        plain.len() >= 6,
+        "found only {} guarded plain ops — the source scan is broken: {plain:?}",
+        plain.len()
+    );
+    let private = fns("crates/tensor/src/ops.rs", "pub(crate) fn ");
+    let exposed: Vec<&String> = plain.iter().filter(|op| !private.contains(op)).collect();
+    assert!(
+        exposed.is_empty(),
+        "plain ops with a guarded twin must be `pub(crate) fn` in ops.rs: {exposed:?}"
+    );
+    let matrix_add = fns("crates/tensor/src/matrix.rs", "    pub(crate) fn ");
+    assert!(
+        matrix_add.iter().any(|f| f == "add"),
+        "Matrix::add must stay pub(crate): residual_add_checked is the public add"
     );
 }
 

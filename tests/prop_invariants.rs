@@ -8,8 +8,8 @@
 use attn_fault::pattern::{classify, shape_of, PatternClass};
 use attn_fault::FaultKind;
 use attn_tensor::gemm;
-use attn_tensor::ops::softmax_rows;
-use attn_tensor::Matrix;
+use attn_tensor::guard::{residual_add_checked, softmax_rows_checked};
+use attn_tensor::{Matrix, OpGuard};
 use attnchecker::checked::{CheckedMatrix, ProductKind};
 use attnchecker::checksum::{col_checksums, vector_sums};
 use attnchecker::config::{AbftConfig, Strategy as AbftStrategy};
@@ -171,7 +171,7 @@ proptest! {
     /// finite inputs.
     #[test]
     fn softmax_rows_are_distributions(m in matrix(1..8, 1..16)) {
-        let y = softmax_rows(&m);
+        let y = softmax_rows_checked(&m, &OpGuard::off());
         for r in 0..y.rows() {
             let s: f32 = y.row(r).iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-4);
@@ -189,8 +189,9 @@ proptest! {
         let mut rng = TensorRng::seed_from(seed);
         let b = rng.normal_matrix(a.rows(), a.cols(), 1.0);
         let c = rng.normal_matrix(a.cols(), 5, 1.0);
-        let lhs = gemm::matmul(&a.add(&b), &c);
-        let rhs = gemm::matmul(&a, &c).add(&gemm::matmul(&b, &c));
+        let off = OpGuard::off();
+        let lhs = gemm::matmul(&residual_add_checked(&a, &b, &off), &c);
+        let rhs = residual_add_checked(&gemm::matmul(&a, &c), &gemm::matmul(&b, &c), &off);
         prop_assert!(lhs.approx_eq(&rhs, 1e-3, 1e-3));
     }
 }

@@ -1,14 +1,13 @@
 //! Property tests for the masked-softmax contract: no additive mask — not
 //! even one that fully masks rows with literal `-INF` — may fabricate
 //! NaNs, while the documented NaN-poisoning fault contract is preserved.
+//! The plain softmax is private to `attn_tensor`; its public unguarded
+//! form, and this suite's subject, is `softmax_rows_checked` under
+//! `OpGuard::off()`.
 
-#![allow(
-    clippy::disallowed_methods,
-    reason = "the plain softmax is this suite's subject"
-)]
-
-use attn_tensor::ops::{apply_additive_mask, softmax_rows, softmax_rows_backward, MASK_NEG};
-use attn_tensor::Matrix;
+use attn_tensor::guard::{softmax_rows_backward_checked, softmax_rows_checked};
+use attn_tensor::ops::{apply_additive_mask, MASK_NEG};
+use attn_tensor::{Matrix, OpGuard};
 use proptest::prelude::*;
 
 /// A finite logits matrix and an additive mask over it whose entries are
@@ -52,7 +51,7 @@ proptest! {
     fn masked_softmax_never_yields_nan((logits, mask) in logits_and_mask()) {
         let mut x = logits;
         apply_additive_mask(&mut x, &mask);
-        let y = softmax_rows(&x);
+        let y = softmax_rows_checked(&x, &OpGuard::off());
         prop_assert!(y.all_finite(), "masked softmax fabricated non-finite values");
         for r in 0..y.rows() {
             let row = y.row(r);
@@ -74,9 +73,9 @@ proptest! {
     fn masked_softmax_backward_stays_finite((logits, mask) in logits_and_mask()) {
         let mut x = logits;
         apply_additive_mask(&mut x, &mask);
-        let y = softmax_rows(&x);
+        let y = softmax_rows_checked(&x, &OpGuard::off());
         let dy = Matrix::from_fn(y.rows(), y.cols(), |r, c| ((r * 7 + c * 3) as f32).sin());
-        let dx = softmax_rows_backward(&y, &dy);
+        let dx = softmax_rows_backward_checked(&y, &dy, &OpGuard::off());
         prop_assert!(dx.all_finite());
         for r in 0..y.rows() {
             if y.row(r).iter().all(|&v| v == 0.0) {
@@ -99,7 +98,7 @@ proptest! {
         apply_additive_mask(&mut x, &mask);
         let victim = ((victim_frac * x.rows() as f64) as usize).min(x.rows() - 1);
         x[(victim, 0)] = f32::NAN;
-        let y = softmax_rows(&x);
+        let y = softmax_rows_checked(&x, &OpGuard::off());
         prop_assert!(y.row(victim).iter().all(|v| v.is_nan()), "NaN must poison its row");
         for r in 0..y.rows() {
             if r != victim {
