@@ -10,7 +10,7 @@
 //! * false-positive detections across fault-free protected forwards;
 //! * the smallest injected error magnitude that is still detected.
 //!
-//! Run: `cargo run --release -p attn-bench --bin ablation_tolerance`
+//! Run: `cargo run --release -p attn_bench --bin ablation_tolerance`
 
 use attn_bench::TextTable;
 use attn_tensor::rng::TensorRng;

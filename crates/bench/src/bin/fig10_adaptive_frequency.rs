@@ -14,7 +14,7 @@
 //! unprotected failure probability crosses the target inside the swept
 //! range, which reproduces the figure's rising-staircase shape.
 //!
-//! Run: `cargo run --release -p attn-bench --bin fig10_adaptive_frequency`
+//! Run: `cargo run --release -p attn_bench --bin fig10_adaptive_frequency`
 
 use attn_bench::TextTable;
 use attnchecker::adaptive::{

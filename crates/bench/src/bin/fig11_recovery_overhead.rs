@@ -16,7 +16,7 @@
 //! measurement floor (0.5%), the reduction factor is reported against the
 //! floor (a conservative lower bound).
 //!
-//! Run: `cargo run --release -p attn-bench --bin fig11_recovery_overhead`
+//! Run: `cargo run --release -p attn_bench --bin fig11_recovery_overhead`
 
 use attn_bench::timing::{median, pct};
 use attn_bench::{build_trainer, dataset_for, TextTable};

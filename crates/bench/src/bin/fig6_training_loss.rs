@@ -11,7 +11,7 @@
 //! The paper's claim (its Fig 6): the recovered loss curve is
 //! indistinguishable from the fault-free one.
 //!
-//! Run: `cargo run --release -p attn-bench --bin fig6_training_loss`
+//! Run: `cargo run --release -p attn_bench --bin fig6_training_loss`
 
 use attn_bench::{build_trainer, dataset_for, TextTable};
 use attn_fault::FaultKind;

@@ -21,7 +21,7 @@
 //! The paper reports ≈11% overhead on the attention block and ≈7% on the
 //! end-to-end step, averaged over models.
 //!
-//! Run: `cargo run --release -p attn-bench --bin fig7_overhead`
+//! Run: `cargo run --release -p attn_bench --bin fig7_overhead`
 
 use attn_bench::timing::pct;
 use attn_bench::{build_trainer, dataset_full_seq, measure_interleaved, TextTable};

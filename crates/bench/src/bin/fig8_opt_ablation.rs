@@ -24,7 +24,7 @@
 //! The paper measures the non-optimized variant at 62–93% attention
 //! overhead vs 7–13% optimized (up to 8.6× reduction).
 //!
-//! Run: `cargo run --release -p attn-bench --bin fig8_opt_ablation`
+//! Run: `cargo run --release -p attn_bench --bin fig8_opt_ablation`
 
 use attn_bench::timing::pct;
 use attn_bench::{

@@ -9,7 +9,7 @@
 //! This binary measures the protected step time with a fault of each class
 //! against the protected fault-free step, isolating pure correction cost.
 //!
-//! Run: `cargo run --release -p attn-bench --bin sec55_correction_cost`
+//! Run: `cargo run --release -p attn_bench --bin sec55_correction_cost`
 
 use attn_bench::timing::pct;
 use attn_bench::{build_trainer, dataset_for, TextTable};

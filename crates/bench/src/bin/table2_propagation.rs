@@ -8,7 +8,10 @@
 //! reference run, in the paper's `pattern-type` glyph notation
 //! (`1R-Θ`, `1C-∞*`, `2D-M`, …).
 //!
-//! Run: `cargo run --release -p attn-bench --bin table2_propagation`
+//! Its stdout is pinned in `crates/bench/golden/table2_propagation.txt`,
+//! which CI diffs a fresh run against.
+//!
+//! Run: `cargo run --release -p attn_bench --bin table2_propagation`
 
 use attn_bench::TextTable;
 use attn_fault::pattern::{classify, PropagationReport};
@@ -43,22 +46,22 @@ fn run_once(
     inject: Option<(AttnOp, FaultKind, usize, usize)>,
 ) -> Snapshot {
     let mut fired = false;
+    // Head 0's scores as the hook sees them (pre-softmax, post-strike):
+    // the run is unmasked and unprotected, so nothing changes them after.
+    let mut asc = None;
     let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
-        let Some((op, kind, r, c)) = inject else {
-            return;
-        };
-        if fired || site.op != op {
-            return;
-        }
-        if let Some(h) = site.head {
-            if h != 0 {
-                return;
+        let head0 = site.head.is_none_or(|h| h == 0);
+        if let Some((op, kind, r, c)) = inject {
+            if !fired && site.op == op && head0 {
+                fired = true;
+                let (r, c) = (r % m.rows(), c % m.cols());
+                let old = m.get(r, c);
+                m.set(r, c, kind.apply(old));
             }
         }
-        fired = true;
-        let (r, c) = (r % m.rows(), c % m.cols());
-        let old = m.get(r, c);
-        m.set(r, c, kind.apply(old));
+        if site.op == AttnOp::AS && head0 {
+            asc = Some(m.logical());
+        }
     };
     let mut report = AbftReport::default();
     let out = attn.forward(
@@ -66,7 +69,7 @@ fn run_once(
         ForwardOptions {
             mask: None,
             toggles: SectionToggles::none(),
-            hook: inject.is_some().then_some(&mut hook as _),
+            hook: Some(&mut hook),
         },
         &mut report,
     );
@@ -74,7 +77,7 @@ fn run_once(
         q: out.cache.q.clone(),
         k: out.cache.k.clone(),
         v: out.cache.v.clone(),
-        asc: out.cache.scores[0].clone(),
+        asc: asc.expect("the AS site fires for head 0"),
         ap: out.cache.ap[0].clone(),
         cl: out.cache.cl.clone(),
         o: out.output,

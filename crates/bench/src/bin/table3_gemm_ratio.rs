@@ -5,7 +5,7 @@
 //! in the six GEMMs. The paper reports 99.3%–99.7% across the four models,
 //! which justifies protecting only the GEMMs.
 //!
-//! Run: `cargo run --release -p attn-bench --bin table3_gemm_ratio`
+//! Run: `cargo run --release -p attn_bench --bin table3_gemm_ratio`
 
 use attn_bench::TextTable;
 use attn_model::flops::table3_rows;

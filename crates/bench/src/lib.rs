@@ -1,4 +1,4 @@
-//! # attn-bench
+//! # attn_bench
 //!
 //! Experiment harness for the reproduction: shared setup, timing, and
 //! table-formatting utilities used by the per-table/per-figure regeneration

@@ -272,9 +272,6 @@ pub struct AttnCache {
     pub k: Matrix,
     /// Value activations, `seq × hidden`.
     pub v: Matrix,
-    /// Pre-softmax scaled (and masked) attention scores per head,
-    /// `seq × seq` each.
-    pub scores: Vec<Matrix>,
     /// Post-softmax attention probabilities per head, `seq × seq` each.
     pub ap: Vec<Matrix>,
     /// Merged context layer, `seq × hidden`.

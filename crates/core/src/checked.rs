@@ -24,7 +24,8 @@
 
 use crate::checksum::{col_checksums, row_checksums, weight};
 use crate::config::Strategy;
-use attn_tensor::{contract, gemm};
+use crate::detect::Bordered;
+use attn_tensor::gemm;
 use attn_tensor::{MatRef, Matrix};
 
 /// A dense matrix whose buffer physically carries dual checksums.
@@ -258,25 +259,6 @@ impl CheckedMatrix {
         }
     }
 
-    /// Stored `(checksum, weighted checksum)` for logical column `c`.
-    #[inline]
-    pub fn col_checksum(&self, c: usize) -> (f32, f32) {
-        debug_assert!(self.has_col_cs);
-        (self.buf[(self.rows, c)], self.buf[(self.rows + 1, c)])
-    }
-
-    /// Stored `(checksum, weighted checksum)` for logical row `r`.
-    #[inline]
-    pub fn row_checksum(&self, r: usize) -> (f32, f32) {
-        debug_assert!(self.has_row_cs);
-        (self.buf[(r, self.cols)], self.buf[(r, self.cols + 1)])
-    }
-
-    /// Logical column `c` copied into a vector (data region only).
-    pub fn logical_col(&self, c: usize) -> Vec<f32> {
-        (0..self.rows).map(|r| self.buf[(r, c)]).collect()
-    }
-
     /// Logical row `r` as a slice (data region only).
     pub fn logical_row(&self, r: usize) -> &[f32] {
         &self.buf.row(r)[..self.cols]
@@ -373,24 +355,21 @@ impl CheckedMatrix {
         }
     }
 
-    /// Rebuild the stored checksums of a single logical column from data,
-    /// under the encoder's contract ([`contract::col_sums`]): the rebuilt
-    /// border equals what `encode_cols` would have stored, at every shape.
-    pub fn recompute_col_checksum(&mut self, c: usize) {
-        debug_assert!(self.has_col_cs && c < self.cols);
-        let mut cs = [0.0f32; 2];
-        contract::col_sums(self.buf.view().top_rows(self.rows), c..c + 1, &mut cs);
-        self.buf[(self.rows, c)] = cs[0];
-        self.buf[(self.rows + 1, c)] = cs[1];
-    }
-
-    /// Rebuild the stored checksums of a single logical row from data,
-    /// under the encoder's contract ([`contract::row_sums`]).
-    pub fn recompute_row_checksum(&mut self, r: usize) {
-        debug_assert!(self.has_row_cs);
-        let (s, ws) = contract::row_sums(self.logical_row(r));
-        self.buf[(r, self.cols)] = s;
-        self.buf[(r, self.cols + 1)] = ws;
+    /// The data and its stored borders as the correction passes see them
+    /// ([`crate::detect::correct_columns`] / `correct_rows`): column sums
+    /// in the buffer row after the data, row pairs after each row's cells.
+    /// Its `recompute_*_checksum` rebuild one border from data, bit-equal to
+    /// what the encoders store.
+    pub fn bordered(&mut self) -> Bordered<'_> {
+        let (rows, cols, stride) = (self.rows, self.cols, self.buf.cols());
+        let mut view = Bordered::new(self.buf.data_mut(), rows, cols, stride);
+        if self.has_col_cs {
+            view = view.col_border(rows);
+        }
+        if self.has_row_cs {
+            view = view.row_border();
+        }
+        view
     }
 
     /// Slice logical columns `[start, end)` keeping column checksums (used
@@ -448,27 +427,25 @@ impl CheckedMatrix {
         }
     }
 
-    /// Verify every stored checksum against a recomputation; returns the
-    /// maximum absolute discrepancy (0 for a perfectly consistent matrix).
-    /// Intended for tests and invariant assertions, not the hot path.
+    /// Verify every stored checksum against a recomputation from data (the
+    /// encoders' contract); returns the maximum absolute discrepancy (0 for
+    /// a perfectly consistent matrix). Intended for tests and invariant
+    /// assertions, not the hot path.
     pub fn max_checksum_discrepancy(&self) -> f32 {
-        let mut worst = 0.0f32;
+        let mut fresh = self.clone();
+        let mut view = fresh.bordered();
         if self.has_col_cs {
             for c in 0..self.cols {
-                let col = self.logical_col(c);
-                let (s, ws, _) = crate::checksum::vector_sums(&col);
-                let (cs, wcs) = self.col_checksum(c);
-                worst = worst.max((cs - s).abs()).max((wcs - ws).abs());
+                view.recompute_col_checksum(c);
             }
         }
         if self.has_row_cs {
             for r in 0..self.rows {
-                let (s, ws, _) = crate::checksum::vector_sums(self.logical_row(r));
-                let (cs, wcs) = self.row_checksum(r);
-                worst = worst.max((cs - s).abs()).max((wcs - ws).abs());
+                view.recompute_row_checksum(r);
             }
         }
-        worst
+        let cells = fresh.buf.data().iter().zip(self.buf.data());
+        cells.fold(0.0f32, |worst, (a, b)| worst.max((a - b).abs()))
     }
 }
 
@@ -626,8 +603,8 @@ mod tests {
         let (rows, cols) = (ca.rows(), ca.cols());
         ca.buf_mut()[(rows, 2)] = f32::NAN;
         ca.buf_mut()[(3, cols + 1)] = f32::INFINITY;
-        ca.recompute_col_checksum(2);
-        ca.recompute_row_checksum(3);
+        ca.bordered().recompute_col_checksum(2);
+        ca.bordered().recompute_row_checksum(3);
         assert!(ca.max_checksum_discrepancy() < 1e-4);
     }
 
@@ -644,12 +621,12 @@ mod tests {
             for c in 0..n {
                 rebuilt.buf_mut()[(m, c)] = f32::NAN;
                 rebuilt.buf_mut()[(m + 1, c)] = f32::NAN;
-                rebuilt.recompute_col_checksum(c);
+                rebuilt.bordered().recompute_col_checksum(c);
             }
             for r in 0..m {
                 rebuilt.buf_mut()[(r, n)] = f32::NAN;
                 rebuilt.buf_mut()[(r, n + 1)] = f32::NAN;
-                rebuilt.recompute_row_checksum(r);
+                rebuilt.bordered().recompute_row_checksum(r);
             }
             assert_eq!(
                 rebuilt.buf(),

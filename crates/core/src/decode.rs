@@ -14,11 +14,12 @@
 //!   rows in fixed-size [`PagedKv`] blocks, each block carrying its own
 //!   two column-checksum tail rows over **local** (position-within-block)
 //!   weights — so a block is a self-verifying unit that a parking or
-//!   compaction pass can check where it lies ([`AttnKvCache::verify`]) —
-//!   and per-head V blocks with the two row-checksum columns inline in
-//!   each row. Appending a row updates the current K block's tails in
-//!   place — O(d) per row, not an O(seq·d) re-encode — and derives the
-//!   V row's inline pair from the verified row, also O(d). The
+//!   compaction pass can check where it lies ([`AttnKvCache::verify`]
+//!   runs the GEMM outputs' column pass over it, and the row pass over a
+//!   V block) — and per-head V blocks with the two row-checksum columns
+//!   inline in each row. Appending a row updates the current K block's
+//!   tails in place — O(d) per row, not an O(seq·d) re-encode — and
+//!   derives the V row's inline pair from the verified row, also O(d). The
 //!   score rows' riding row checksums are assembled from the per-block
 //!   tails (local weights shifted by each block's start offset), so the
 //!   augmented layout downstream detection consumes is unchanged.
@@ -41,15 +42,15 @@ use crate::attention::{
     AttentionWeightsRef, AttnCache, AttnOp, FaultSite, ForwardCtx, ProtectedAttention,
 };
 use crate::checked::CheckedMatrix;
-use crate::checksum::{vector_sums, weight};
+use crate::checksum::weight;
 use crate::config::AbftConfig;
-use crate::eec::{eec_correct_vector, VectorVerdict};
-use crate::report::{AbftReport, CorrectionRecord, SectionId};
-use crate::section::{replay_nn, Ctx};
+use crate::detect::{correct_columns, correct_rows, Bordered};
+use crate::report::{AbftReport, SectionId};
+use crate::section::{replay_nn, Ctx, Detection};
 use attn_tensor::guard::softmax_rows_checked_inplace;
 use attn_tensor::kv::PagedKv;
 use attn_tensor::ops::apply_additive_mask;
-use attn_tensor::{contract, gemm, workspace, Matrix};
+use attn_tensor::{contract, gemm, Matrix};
 
 /// Default data rows per KV block — the verify-on-move granularity.
 pub const KV_BLOCK_ROWS: usize = 16;
@@ -84,11 +85,17 @@ impl AttnKvCache {
 
     /// [`Self::new`] with an explicit paging granularity (tests exercise
     /// awkward block sizes; the result bits never depend on the choice).
+    ///
+    /// # Panics
+    /// Panics past `gemm::MC` rows per block: up to there the contract's
+    /// column sums, which rebuild a repaired K tail, accumulate in
+    /// [`Self::append_k`]'s order.
     fn with_block_rows(hidden: usize, heads: usize, checksummed: bool, block_rows: usize) -> Self {
         assert!(
             heads > 0 && hidden.is_multiple_of(heads),
             "heads must divide hidden"
         );
+        assert!(block_rows <= gemm::MC, "block_rows past gemm::MC");
         let d = hidden / heads;
         let k_tail = if checksummed { 2 } else { 0 };
         let v_width = d + if checksummed { 2 } else { 0 };
@@ -176,9 +183,9 @@ impl AttnKvCache {
 
     /// Append one head's (verified) plain value row. A checksummed cache
     /// stores it followed by its `(Σ, Σw)` pair, derived from the row under
-    /// the encoder contract (`contract::row_sums`) — the one way a V row's
-    /// inline pair is ever produced: by [`extend`], by [`Self::seed`], and
-    /// by the at-rest repair in [`Self::verify`].
+    /// the encoder contract (`contract::row_sums`) — by [`extend`] and by
+    /// [`Self::seed`]; the at-rest repair in [`Self::verify`] rebuilds a
+    /// pair under the same contract.
     ///
     /// # Panics
     /// Panics on width mismatch or when called with head rows out of sync
@@ -318,127 +325,45 @@ impl AttnKvCache {
         self.v[head].row_mut(token)
     }
 
-    /// Verify the cache where it lies: every K block column against its
-    /// local-weight tails, every V row against its inline checksum pair.
-    /// Single corrupted elements are corrected (recorded in `report`),
-    /// corrupted checksums are rebuilt, and multi-element damage is
-    /// counted as unrecovered — the sweep never panics. This is the whole
-    /// of verify-on-move: a parked cache is these same blocks, so parking
-    /// and unparking each run this once. No-op on an unchecksummed cache.
+    /// Verify the cache where it lies, through the same two EEC passes as a
+    /// GEMM output: each K block is a column-bordered matrix (its data rows,
+    /// then its two local-weight tail rows), each V block a row-bordered one
+    /// (each row's `head_dim` cells, then its `(Σ, Σw)` pair). Single
+    /// corrupted elements are corrected (recorded in `report` at their cache
+    /// row), corrupted checksums are rebuilt, and multi-element damage is
+    /// counted as unrecovered — the sweep never panics. A corrected vector's
+    /// border is then rebuilt from its repaired data: the sums `append_k` /
+    /// `append_v` store for it. This is the whole of verify-on-move: a
+    /// parked cache is these same blocks, so parking and unparking each run
+    /// this once. No-op on an unchecksummed cache.
     pub fn verify(&mut self, cfg: &AbftConfig, report: &mut AbftReport) {
         if !self.checksummed {
             return;
         }
+        let (d, n) = (self.d, self.block_rows);
         for h in 0..self.heads {
-            verify_k_blocks(&mut self.k[h], cfg, report, h);
-            verify_v_rows(&mut self.v[h], self.d, cfg, report, h);
-        }
-    }
-}
-
-/// Verify one K cache's blocks in place (columns against local-weight
-/// tails). A corrected or checksum-corrupt column gets both tail cells
-/// rebuilt from its verified data — the sums `append_k` would have
-/// accumulated — so a repaired block carries exactly the tails of a block
-/// that was appended clean with the repaired values.
-fn verify_k_blocks(kb: &mut PagedKv, cfg: &AbftConfig, report: &mut AbftReport, head: usize) {
-    let mut scratch = workspace::take(kb.block_rows());
-    for b in 0..kb.num_blocks() {
-        let start = b * kb.block_rows();
-        let col = &mut scratch[..kb.block_len(b)];
-        for c in 0..kb.cols() {
-            // Column `c` of the block: its slice read once and strided, no
-            // `/ block_rows` per element.
-            let strided = kb.block_data(b)[c..].iter().step_by(kb.cols());
-            for (v, &x) in col.iter_mut().zip(strided) {
-                *v = x;
+            let kb = &mut self.k[h];
+            for b in 0..kb.num_blocks() {
+                let len = kb.block_len(b);
+                let mut block = Bordered::new(kb.block_mut(b), len, d, d).col_border(n);
+                let mut pass = correct_columns(&mut block, cfg);
+                for f in &mut pass.fixes {
+                    block.recompute_col_checksum(f.col);
+                    f.row += b * n;
+                }
+                Detection::one_sided(pass, SectionId::AttentionScore, h, *cfg).absorb(report);
             }
-            let (t0, t1) = (kb.tail_row(b, 0)[c], kb.tail_row(b, 1)[c]);
-            let verdict = eec_correct_vector(col, t0, t1, cfg);
-            let at = |i| (start + i, c);
-            apply_vector_verdict(&verdict, report, SectionId::AttentionScore, head, at);
-            if let VectorVerdict::Corrected { index, .. } = verdict {
-                kb.row_mut(start + index)[c] = col[index];
+            let vb = &mut self.v[h];
+            for b in 0..vb.num_blocks() {
+                let len = vb.block_len(b);
+                let mut block = Bordered::new(vb.block_mut(b), len, d, d + 2).row_border();
+                let mut pass = correct_rows(&mut block, cfg);
+                for f in &mut pass.fixes {
+                    block.recompute_row_checksum(f.row);
+                    f.row += b * n;
+                }
+                Detection::one_sided(pass, SectionId::ContextLayer, h, *cfg).absorb(report);
             }
-            if matches!(
-                verdict,
-                VectorVerdict::Corrected { .. } | VectorVerdict::ChecksumCorrupt
-            ) {
-                let (s, ws, _) = vector_sums(col);
-                kb.tail_row_mut(b, 0)[c] = s;
-                kb.tail_row_mut(b, 1)[c] = ws;
-            }
-        }
-    }
-}
-
-/// Verify one V cache's rows in place against their inline checksum
-/// pairs. A corrected or checksum-corrupt row gets its pair rebuilt by
-/// the encoder (`contract::row_sums`, what `append_v` stores), so a
-/// repaired row carries exactly the pair of a clean append of its data.
-fn verify_v_rows(
-    vb: &mut PagedKv,
-    d: usize,
-    cfg: &AbftConfig,
-    report: &mut AbftReport,
-    head: usize,
-) {
-    for r in 0..vb.rows() {
-        let (data, cs) = vb.row_mut(r).split_at_mut(d);
-        let verdict = eec_correct_vector(data, cs[0], cs[1], cfg);
-        apply_vector_verdict(&verdict, report, SectionId::ContextLayer, head, |i| (r, i));
-        if matches!(
-            verdict,
-            VectorVerdict::Corrected { .. } | VectorVerdict::ChecksumCorrupt
-        ) {
-            let (s, ws) = contract::row_sums(data);
-            cs.copy_from_slice(&[s, ws]);
-        }
-    }
-}
-
-/// Fold one at-rest verification verdict into the report. `at` maps the
-/// index of a corrected element within the verified vector to its
-/// `(token row, column)` cell: down a column for K (`(start + i, c)`),
-/// along a row for V (`(r, i)`).
-fn apply_vector_verdict(
-    verdict: &VectorVerdict,
-    report: &mut AbftReport,
-    section: SectionId,
-    head: usize,
-    at: impl Fn(usize) -> (usize, usize),
-) {
-    match verdict {
-        VectorVerdict::Clean => {}
-        VectorVerdict::Corrected {
-            index,
-            old_value,
-            new_value,
-            ..
-        } => {
-            let (row, col) = at(*index);
-            report.detections += 1;
-            report.corrections.push(CorrectionRecord {
-                section,
-                head,
-                row,
-                col,
-                old_value: *old_value,
-                new_value: *new_value,
-            });
-        }
-        VectorVerdict::ChecksumCorrupt => {
-            report.detections += 1;
-            report.checksum_rebuilds += 1;
-        }
-        VectorVerdict::Propagated { .. } => {
-            report.detections += 1;
-            report.propagations += 1;
-            report.unrecovered += 1;
-        }
-        VectorVerdict::Unrecoverable => {
-            report.detections += 1;
-            report.unrecovered += 1;
         }
     }
 }
@@ -528,8 +453,6 @@ pub fn extend(
     }
 
     let mut ap_rows: Vec<Matrix> = Vec::with_capacity(w.heads);
-    // The masked pre-softmax rows, copied only for a tape.
-    let mut scores = Vec::with_capacity(if taped { w.heads } else { 0 });
     for h in 0..w.heads {
         let qh = q.slice_cols(h * d, (h + 1) * d);
         let mut as_row = cache.score_row(&qh, h);
@@ -543,9 +466,6 @@ pub fn extend(
         let ap = s_cl.exit_cols(&as_row, |m| {
             if let Some(mrows) = mask {
                 apply_additive_mask(m, mrows);
-            }
-            if taped {
-                scores.push(m.clone());
             }
             // A softmax heal recomputes from the pre-softmax rows:
             // `as_row` + mask again, rebuilt only when the screen fails.
@@ -599,7 +519,6 @@ pub fn extend(
         q: q.into_logical(),
         k: k.into_logical(),
         v: v_healed,
-        scores,
         ap: ap_rows,
         cl: cl_merged.into_logical(),
     });
@@ -616,6 +535,7 @@ mod tests {
     use attn_fault::FaultKind;
     use attn_tensor::ops::causal_mask;
     use attn_tensor::rng::TensorRng;
+    use attn_tensor::workspace;
 
     fn setup(seq: usize, hidden: usize, heads: usize) -> (Matrix, ProtectedAttention) {
         let mut rng = TensorRng::seed_from(77);
@@ -1167,15 +1087,17 @@ mod tests {
     fn at_rest_flip_in_parked_kv_is_detected_and_corrected() {
         // Head width 8, and 80: past one `NC` = 64 block of the encoder's
         // row sums, where sequential sums would rebuild a V pair off its bits.
-        for hidden in [32, 320] {
-            at_rest_flip_case(hidden);
+        // At 3 rows per block the 8-row cache ends in a partial 2-row block,
+        // whose border sits past its valid rows; the V-pair strike lands there.
+        for (hidden, block_rows) in [(32, 4), (320, 4), (32, 3), (320, 3)] {
+            at_rest_flip_case(hidden, block_rows);
         }
     }
 
-    fn at_rest_flip_case(hidden: usize) {
+    fn at_rest_flip_case(hidden: usize, block_rows: usize) {
         let (x, attn) = setup(8, hidden, 4);
         let cfg = attn.config.abft;
-        let (never_parked, _, _) = grow_cache(&attn, &x, 4, usize::MAX, None);
+        let (never_parked, _, _) = grow_cache(&attn, &x, block_rows, usize::MAX, None);
         let clean_bits = cache_bits(&never_parked);
 
         // (strike, the `(section, head, row, col)` cell its correction must
@@ -1208,7 +1130,7 @@ mod tests {
             ),
         ];
         for (name, strike, corrected) in strikes {
-            let (mut cache, _, mut report) = grow_cache(&attn, &x, 4, usize::MAX, None);
+            let (mut cache, _, mut report) = grow_cache(&attn, &x, block_rows, usize::MAX, None);
             cache.verify(&cfg, &mut report); // park
             assert_eq!(report.detections, 0, "{name}: clean park must be quiet");
             strike(&mut cache); // at rest

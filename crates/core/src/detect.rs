@@ -1,11 +1,15 @@
 //! Matrix-level detection and correction passes (paper §4.3, Fig 4).
 //!
 //! A column pass runs EEC-ABFT on every logical column against the stored
-//! column checksums; a row pass does the same per row. Deterministic
-//! patterns need only the one matching pass (`1R` → columns, `1C` → rows,
-//! `0D` → either). Nondeterministic patterns — where the fault's origin
-//! decides which side's checksums were poisoned during the fused update —
-//! use [`full_correct`]:
+//! column checksums; a row pass does the same per row. Both run over a
+//! [`Bordered`] view — data rows at a row stride, and where the two stored
+//! checksum rows (or each row's checksum pair) sit — so a GEMM output
+//! ([`CheckedMatrix::bordered`]) and a parked KV block
+//! ([`crate::decode::AttnKvCache::verify`]) are judged, healed and recorded
+//! by the same code. Deterministic patterns need only the one matching
+//! pass (`1R` → columns, `1C` → rows, `0D` → either). Nondeterministic
+//! patterns — where the fault's origin decides which side's checksums were
+//! poisoned during the fused update — use [`full_correct`]:
 //!
 //! 1. try the column checksums;
 //! 2. recompute row checksums of rows healed in step 1 (their stored row
@@ -29,7 +33,7 @@
 use crate::checked::CheckedMatrix;
 use crate::config::AbftConfig;
 use crate::eec::{eec_correct_vector, VectorVerdict};
-use attn_tensor::{lanes, workspace};
+use attn_tensor::{contract, lanes, workspace, MatRef};
 
 /// One corrected element within a pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,6 +60,143 @@ pub struct PassOutcome {
     pub rebuilt: Vec<usize>,
     /// Vector indices that were unrecoverable from this side.
     pub unrecoverable: Vec<usize>,
+}
+
+/// A `rows × cols` data region and its stored checksums where they lie in
+/// one row-major buffer: data row `r` starts at `r * stride`; the column
+/// checksum pair `(Σ, Σw)` occupies two buffer rows, and a row's pair the
+/// two cells after its data. The operand of [`correct_columns`] and
+/// [`correct_rows`].
+pub struct Bordered<'a> {
+    buf: &'a mut [f32],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    /// Buffer row of the column sums; the weighted ones follow it.
+    col_border: Option<usize>,
+    /// Whether each row's `(Σ, Σw)` pair follows its data cells.
+    row_border: bool,
+}
+
+impl<'a> Bordered<'a> {
+    /// `rows × cols` data at row stride `stride` in `buf`, no border yet.
+    pub fn new(buf: &'a mut [f32], rows: usize, cols: usize, stride: usize) -> Self {
+        Self {
+            buf,
+            rows,
+            cols,
+            stride,
+            col_border: None,
+            row_border: false,
+        }
+    }
+
+    /// The column sums sit in buffer row `at`, the weighted ones in
+    /// `at + 1` (for a partly filled block, `at` is past its valid rows).
+    pub fn col_border(mut self, at: usize) -> Self {
+        debug_assert!(at >= self.rows, "column border overlaps the data");
+        self.col_border = Some(at);
+        self
+    }
+
+    /// Each row's `(Σ, Σw)` pair sits in the two cells after its data.
+    pub fn row_border(mut self) -> Self {
+        debug_assert!(self.cols + 2 <= self.stride, "no room for row pairs");
+        self.row_border = true;
+        self
+    }
+
+    /// Data row `r`.
+    fn row(&self, r: usize) -> &[f32] {
+        &self.buf[r * self.stride..][..self.cols]
+    }
+
+    /// Buffer offsets of vector `i`'s stored `(Σ, Σw)`.
+    fn border_at(&self, axis: Axis, i: usize) -> [usize; 2] {
+        match axis {
+            Axis::Cols => {
+                let at = self.col_border.expect("no column checksums");
+                [at * self.stride + i, (at + 1) * self.stride + i]
+            }
+            Axis::Rows => {
+                assert!(self.row_border, "no row checksums");
+                let at = i * self.stride + self.cols;
+                [at, at + 1]
+            }
+        }
+    }
+
+    /// Rebuild column `c`'s stored pair from data, under the encoder's
+    /// contract ([`contract::col_sums`]): the border `encode_cols` — or,
+    /// for blocks of at most `MC` rows, row-by-row appending — stores.
+    pub fn recompute_col_checksum(&mut self, c: usize) {
+        let data = MatRef::new(&self.buf[..self.rows * self.stride], self.rows, self.stride);
+        let mut cs = [0.0f32; 2];
+        contract::col_sums(data, c..c + 1, &mut cs);
+        for (at, v) in self.border_at(Axis::Cols, c).into_iter().zip(cs) {
+            self.buf[at] = v;
+        }
+    }
+
+    /// Rebuild row `r`'s stored pair from data, under the encoder's
+    /// contract ([`contract::row_sums`]).
+    pub fn recompute_row_checksum(&mut self, r: usize) {
+        let (s, ws) = contract::row_sums(self.row(r));
+        for (at, v) in self.border_at(Axis::Rows, r).into_iter().zip([s, ws]) {
+            self.buf[at] = v;
+        }
+    }
+}
+
+/// Which stored checksums a pass judges its vectors against.
+#[derive(Debug, Clone, Copy)]
+enum Axis {
+    Cols,
+    Rows,
+}
+
+impl PassOutcome {
+    /// Run EEC-ABFT on vector `i` along `axis` of `m` and settle its
+    /// verdict: write a corrected element back, rebuild a corrupt border
+    /// from data, or record what this side cannot heal. The one place a
+    /// [`VectorVerdict`] becomes an outcome.
+    fn settle(&mut self, m: &mut Bordered<'_>, axis: Axis, i: usize, cfg: &AbftConfig) {
+        let [cs, wcs] = m.border_at(axis, i).map(|at| m.buf[at]);
+        let mut v: Vec<f32> = match axis {
+            Axis::Cols => (0..m.rows).map(|r| m.buf[r * m.stride + i]).collect(),
+            Axis::Rows => m.row(i).to_vec(),
+        };
+        match eec_correct_vector(&mut v, cs, wcs, cfg) {
+            VectorVerdict::Clean => {}
+            VectorVerdict::Corrected {
+                index,
+                old_value,
+                new_value,
+                ..
+            } => {
+                let (row, col) = match axis {
+                    Axis::Cols => (index, i),
+                    Axis::Rows => (i, index),
+                };
+                m.buf[row * m.stride + col] = new_value;
+                self.fixes.push(ElementFix {
+                    row,
+                    col,
+                    old_value,
+                    new_value,
+                });
+            }
+            VectorVerdict::Propagated { .. } => self.propagated.push(i),
+            VectorVerdict::ChecksumCorrupt => {
+                match axis {
+                    Axis::Cols => m.recompute_col_checksum(i),
+                    Axis::Rows => m.recompute_row_checksum(i),
+                }
+                self.rebuilt.push(i);
+            }
+            VectorVerdict::Unrecoverable => self.unrecoverable.push(i),
+        }
+    }
 }
 
 /// Does a (δ1, δ2) pair indicate a suspect vector, using the same bounds as
@@ -89,26 +230,22 @@ fn any_suspicious(
 ///
 /// Detection is one streaming row-major prepass recomputing all column
 /// accumulators at once (no gathers); only flagged columns take the
-/// correction slow path. Corrections are written back into the matrix, and
-/// checksum-corrupt columns have their checksum borders rebuilt from data.
+/// correction slow path. Corrections are written back into the data, and
+/// checksum-corrupt columns have their borders rebuilt from data.
 ///
 /// # Panics
-/// Panics when the matrix has no column checksums.
-pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
-    assert!(
-        m.has_col_checksums(),
-        "correct_columns: no column checksums"
-    );
-    let (rows, cols) = (m.rows(), m.cols());
+/// Panics when the view has no column border.
+pub fn correct_columns(m: &mut Bordered<'_>, cfg: &AbftConfig) -> PassOutcome {
+    let at = m.col_border.expect("correct_columns: no column checksums");
+    let (rows, cols) = (m.rows, m.cols);
     let mut out = PassOutcome::default();
-    let stored = m.buf().row(rows)[..cols]
-        .iter()
-        .zip(&m.buf().row(rows + 1)[..cols]);
+    let sums = &m.buf[at * m.stride..][..cols];
+    let stored = sums.iter().zip(&m.buf[(at + 1) * m.stride..][..cols]);
 
     // A one-row matrix is its own column sums (`0 + v`, weight 1): judge it
     // straight from the row; only a firing verdict builds the accumulators.
     if rows == 1 {
-        let own = stored.clone().zip(m.logical_row(0));
+        let own = stored.clone().zip(m.row(0));
         if !any_suspicious(own.map(|((cs, wcs), v)| (cs - v, wcs - v, v.abs())), 1, cfg) {
             return out;
         }
@@ -123,7 +260,7 @@ pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
     for r in 0..rows {
         let w = crate::checksum::weight(r);
         let acc = d1.iter_mut().zip(d2.iter_mut()).zip(abs.iter_mut());
-        for (((s, ws), a), &v) in acc.zip(m.logical_row(r)) {
+        for (((s, ws), a), &v) in acc.zip(m.row(r)) {
             *s += v;
             *ws += w * v;
             *a += v.abs();
@@ -140,34 +277,8 @@ pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
     }
 
     for c in 0..cols {
-        if !delta_suspicious(d1[c], d2[c], abs[c], rows, cfg) {
-            continue;
-        }
-        let (cs, wcs) = m.col_checksum(c);
-        // Slow path: gather the column and run the full EEC-ABFT dispatch.
-        let mut v = m.logical_col(c);
-        match eec_correct_vector(&mut v, cs, wcs, cfg) {
-            VectorVerdict::Clean => {}
-            VectorVerdict::Corrected {
-                index,
-                old_value,
-                new_value,
-                ..
-            } => {
-                m.set(index, c, v[index]);
-                out.fixes.push(ElementFix {
-                    row: index,
-                    col: c,
-                    old_value,
-                    new_value,
-                });
-            }
-            VectorVerdict::Propagated { .. } => out.propagated.push(c),
-            VectorVerdict::ChecksumCorrupt => {
-                m.recompute_col_checksum(c);
-                out.rebuilt.push(c);
-            }
-            VectorVerdict::Unrecoverable => out.unrecoverable.push(c),
+        if delta_suspicious(d1[c], d2[c], abs[c], rows, cfg) {
+            out.settle(m, Axis::Cols, c, cfg);
         }
     }
     out
@@ -180,40 +291,15 @@ pub fn correct_columns(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
 /// correction path.
 ///
 /// # Panics
-/// Panics when the matrix has no row checksums.
-pub fn correct_rows(m: &mut CheckedMatrix, cfg: &AbftConfig) -> PassOutcome {
-    assert!(m.has_row_checksums(), "correct_rows: no row checksums");
-    let (rows, cols) = (m.rows(), m.cols());
+/// Panics when the view has no row border.
+pub fn correct_rows(m: &mut Bordered<'_>, cfg: &AbftConfig) -> PassOutcome {
+    assert!(m.row_border, "correct_rows: no row checksums");
     let mut out = PassOutcome::default();
-    for r in 0..rows {
-        let (cs, wcs) = m.row_checksum(r);
-        let (s, ws, abs) = lanes::sums(m.logical_row(r));
-        if !delta_suspicious(cs - s, wcs - ws, abs, cols, cfg) {
-            continue;
-        }
-        let mut v = m.logical_row(r).to_vec();
-        match eec_correct_vector(&mut v, cs, wcs, cfg) {
-            VectorVerdict::Clean => {}
-            VectorVerdict::Corrected {
-                index,
-                old_value,
-                new_value,
-                ..
-            } => {
-                m.set(r, index, v[index]);
-                out.fixes.push(ElementFix {
-                    row: r,
-                    col: index,
-                    old_value,
-                    new_value,
-                });
-            }
-            VectorVerdict::Propagated { .. } => out.propagated.push(r),
-            VectorVerdict::ChecksumCorrupt => {
-                m.recompute_row_checksum(r);
-                out.rebuilt.push(r);
-            }
-            VectorVerdict::Unrecoverable => out.unrecoverable.push(r),
+    for r in 0..m.rows {
+        let [cs, wcs] = m.border_at(Axis::Rows, r).map(|at| m.buf[at]);
+        let (s, ws, abs) = lanes::sums(m.row(r));
+        if delta_suspicious(cs - s, wcs - ws, abs, m.cols, cfg) {
+            out.settle(m, Axis::Rows, r, cfg);
         }
     }
     out
@@ -262,13 +348,14 @@ impl CorrectionSummary {
 /// Handles deterministic one-sided matrices (column checksums only) and
 /// two-sided matrices with nondeterministic patterns.
 pub fn full_correct(m: &mut CheckedMatrix, cfg: &AbftConfig) -> CorrectionSummary {
+    let mut m = m.bordered();
     // Phase 1: column checksums (deterministic 1R / 0D route).
     let mut summary = CorrectionSummary {
-        col_pass: correct_columns(m, cfg),
+        col_pass: correct_columns(&mut m, cfg),
         ..CorrectionSummary::default()
     };
 
-    if !m.has_row_checksums() {
+    if !m.row_border {
         summary.unrecovered =
             summary.col_pass.propagated.len() + summary.col_pass.unrecoverable.len();
         return summary;
@@ -287,7 +374,7 @@ pub fn full_correct(m: &mut CheckedMatrix, cfg: &AbftConfig) -> CorrectionSummar
 
     // Phase 3: row checksums heal 1C patterns whose column checksums were
     // poisoned (nondeterministic route / column-pass false negatives).
-    let row_pass = correct_rows(m, cfg);
+    let row_pass = correct_rows(&mut m, cfg);
 
     // Phase 4: columns healed by the row pass have stale column checksums.
     let mut touched_cols: Vec<usize> = row_pass.fixes.iter().map(|f| f.col).collect();
@@ -329,7 +416,7 @@ mod tests {
         let mut rng = TensorRng::seed_from(1);
         let (a, mut ca) = checked_both(&mut rng, 8, 6);
         ca.set(3, 2, f32::INFINITY);
-        let outcome = correct_columns(&mut ca, &cfg());
+        let outcome = correct_columns(&mut ca.bordered(), &cfg());
         assert_eq!(outcome.fixes.len(), 1);
         assert_eq!((outcome.fixes[0].row, outcome.fixes[0].col), (3, 2));
         assert!(ca.logical().approx_eq(&a, 1e-3, 1e-3));
@@ -343,7 +430,7 @@ mod tests {
         for c in 0..7 {
             ca.set(4, c, f32::NAN);
         }
-        let outcome = correct_columns(&mut ca, &cfg());
+        let outcome = correct_columns(&mut ca.bordered(), &cfg());
         assert_eq!(outcome.fixes.len(), 7);
         assert!(outcome.fixes.iter().all(|f| f.row == 4));
         assert!(ca.logical().approx_eq(&a, 1e-3, 1e-3));
@@ -356,7 +443,7 @@ mod tests {
         for r in 0..10 {
             ca.set(r, 5, f32::INFINITY);
         }
-        let outcome = correct_columns(&mut ca, &cfg());
+        let outcome = correct_columns(&mut ca.bordered(), &cfg());
         assert_eq!(outcome.propagated, vec![5]);
         assert!(outcome.fixes.is_empty());
     }
@@ -470,7 +557,7 @@ mod tests {
         let mut ca = CheckedMatrix::encode_cols(&a, Strategy::Fused);
         ca.set(5, 40, f32::INFINITY);
         ca.set(9, 70, f32::NAN);
-        let outcome = correct_columns(&mut ca, &cfg());
+        let outcome = correct_columns(&mut ca.bordered(), &cfg());
         assert_eq!(outcome.fixes.len(), 2);
         assert!(ca.logical().approx_eq(&a, 1e-2, 1e-2));
     }
@@ -516,7 +603,7 @@ mod tests {
                         let v = m.get(r, c);
                         (s + v, ws + crate::checksum::weight(r) * v, abs + v.abs())
                     });
-                    let (cs, wcs) = m.col_checksum(c);
+                    let (cs, wcs) = (m.buf()[(rows, c)], m.buf()[(rows + 1, c)]);
                     (cs - s, wcs - ws, abs)
                 })
                 .collect();
@@ -526,7 +613,7 @@ mod tests {
             // The pass itself agrees: quiet exactly when nothing fired (at
             // one row this is the verdict taken straight from the row).
             let before = m.clone();
-            let quiet = correct_columns(&mut m, &cfg()) == PassOutcome::default();
+            let quiet = correct_columns(&mut m.bordered(), &cfg()) == PassOutcome::default();
             proptest::prop_assert_eq!(quiet, !want);
             proptest::prop_assert!(want || m == before);
         }

@@ -93,7 +93,7 @@
 use crate::attention::{AttnOp, FaultHook, FaultSite, SectionToggles};
 use crate::checked::{CheckedMatrix, Operand, ProductKind};
 use crate::config::{AbftConfig, ProtectionConfig, Strategy};
-use crate::detect::{correct_columns, full_correct, CorrectionSummary, ElementFix};
+use crate::detect::{correct_columns, full_correct, CorrectionSummary, PassOutcome};
 use crate::report::{AbftReport, CorrectionRecord, SectionId};
 use attn_tensor::{Matrix, OpGuard};
 
@@ -352,22 +352,11 @@ impl GuardedSection {
         if !self.active {
             return;
         }
-        let mut col_pass = correct_columns(m, &self.abft);
-        apply_exact_fixes(m, &self.abft, col_pass.fixes.iter_mut(), exact);
-        // A one-sided pass heals nothing it cannot locate: propagated and
-        // unrecoverable columns stay corrupt, and the report must say so.
-        let unrecovered = col_pass.propagated.len() + col_pass.unrecoverable.len();
-        Detection {
-            summary: CorrectionSummary {
-                col_pass,
-                unrecovered,
-                ..CorrectionSummary::default()
-            },
-            id: self.id,
-            head: site.head.unwrap_or(usize::MAX),
-            abft: self.abft,
-        }
-        .absorb(ctx.report);
+        let col_pass = correct_columns(&mut m.bordered(), &self.abft);
+        let head = site.head.unwrap_or(usize::MAX);
+        let mut det = Detection::one_sided(col_pass, self.id, head, self.abft);
+        det.refine(m, exact);
+        det.absorb(ctx.report);
     }
 }
 
@@ -382,6 +371,30 @@ pub struct Detection {
 }
 
 impl Detection {
+    /// One one-sided pass (either axis) as the whole detection of section
+    /// `id` at `head`: a side heals nothing it cannot locate, so its
+    /// propagated and unrecoverable vectors stay corrupt and the report
+    /// must count them unrecovered. Operand healing and the at-rest KV
+    /// verify fold their passes through it.
+    pub(crate) fn one_sided(
+        pass: PassOutcome,
+        id: SectionId,
+        head: usize,
+        abft: AbftConfig,
+    ) -> Self {
+        let unrecovered = pass.propagated.len() + pass.unrecoverable.len();
+        Self {
+            summary: CorrectionSummary {
+                col_pass: pass,
+                unrecovered,
+                ..CorrectionSummary::default()
+            },
+            id,
+            head,
+            abft,
+        }
+    }
+
     /// Total detections of any kind (corrections, propagations, rebuilds,
     /// unrecoverables).
     pub fn detections(&self) -> usize {
@@ -389,17 +402,59 @@ impl Detection {
     }
 
     /// Exact-replay refinement: restore each corrected element to its
-    /// original bits by replaying the producing dot product (`exact`),
-    /// trusted only when the replay lands within detection-bound noise of
-    /// the checksum reconstruction. A no-op when nothing was corrected.
+    /// original bits by replaying the producing dot product (`exact`). A
+    /// no-op when nothing was corrected.
+    ///
+    /// Checksum reconstruction is only accurate to the ride-along
+    /// checksums' round-off (~1e-6 relative here); Adam's normalised updates
+    /// amplify even that into visible trajectory divergence within a few
+    /// steps. Replaying the single producing dot is O(k) per corrected
+    /// element, keeps recovery rollback-free, and makes a corrected step
+    /// bit-identical to the fault-free step — the Fig 6 parity property.
+    ///
+    /// A replay is trusted only when it lands within detection-bound noise
+    /// of the checksum reconstruction: the reconstruction's own error is
+    /// orders of magnitude below that bound, while a replay against a
+    /// still-corrupt operand (non-finite, or a sub-threshold corruption that
+    /// escaped operand healing) differs by at least a detectable delta — in
+    /// both cases the reconstructed value is kept.
     pub fn refine(&mut self, m: &mut CheckedMatrix, exact: impl Fn(usize, usize) -> f32) {
-        let fixes = self.summary.col_pass.fixes.iter_mut().chain(
-            self.summary
-                .row_pass
-                .iter_mut()
-                .flat_map(|p| p.fixes.iter_mut()),
-        );
-        apply_exact_fixes(m, &self.abft, fixes, exact);
+        let summary = &mut self.summary;
+        let row_fixes = summary.row_pass.iter_mut().flat_map(|p| p.fixes.iter_mut());
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        for fix in summary.col_pass.fixes.iter_mut().chain(row_fixes) {
+            let v = exact(fix.row, fix.col);
+            let row_abs: f32 = m.logical_row(fix.row).iter().map(|x| x.abs()).sum();
+            let col_abs: f32 = (0..m.rows()).map(|r| m.get(r, fix.col).abs()).sum();
+            let tol = self.abft.detection_bound(row_abs.max(col_abs));
+            // NaN fails the comparison, so non-finite replays are rejected too.
+            if (v - fix.new_value).abs() <= tol {
+                m.set(fix.row, fix.col, v);
+                // Keep the record truthful: `new_value` must be what is
+                // actually left in the matrix, not the reconstruction.
+                fix.new_value = v;
+                rows.push(fix.row);
+                cols.push(fix.col);
+            }
+        }
+        // Refreshed values shift the data away from whatever borders the
+        // correction pass rebuilt; re-derive the touched borders from data.
+        rows.sort_unstable();
+        rows.dedup();
+        cols.sort_unstable();
+        cols.dedup();
+        let (has_rows, has_cols) = (m.has_row_checksums(), m.has_col_checksums());
+        let mut m = m.bordered();
+        if has_rows {
+            for &r in &rows {
+                m.recompute_row_checksum(r);
+            }
+        }
+        if has_cols {
+            for &c in &cols {
+                m.recompute_col_checksum(c);
+            }
+        }
     }
 
     /// Fold this detection into the running report.
@@ -440,63 +495,6 @@ impl Detection {
 /// The result is bit-identical to what the original GEMM produced for
 /// that cell.
 pub use attn_tensor::contract::dot_with as replay_nn;
-
-/// Restore corrected elements to their exact original bits by replaying the
-/// dot product that produced each one.
-///
-/// Checksum reconstruction is only accurate to the ride-along checksums'
-/// round-off (~1e-6 relative here); Adam's normalised updates amplify even
-/// that into visible trajectory divergence within a few steps. Replaying
-/// the single producing dot is O(k) per corrected element, keeps recovery
-/// rollback-free, and makes a corrected step bit-identical to the
-/// fault-free step — the Fig 6 parity property.
-///
-/// A replay is trusted only when it lands within detection-bound noise of
-/// the checksum reconstruction: the reconstruction's own error is orders of
-/// magnitude below that bound, while a replay against a still-corrupt
-/// operand (non-finite, or a sub-threshold corruption that escaped operand
-/// healing) differs by at least a detectable delta — in both cases the
-/// reconstructed value is kept.
-fn apply_exact_fixes<'a>(
-    m: &mut CheckedMatrix,
-    cfg: &AbftConfig,
-    fixes: impl Iterator<Item = &'a mut ElementFix>,
-    exact: impl Fn(usize, usize) -> f32,
-) {
-    let mut rows: Vec<usize> = Vec::new();
-    let mut cols: Vec<usize> = Vec::new();
-    for fix in fixes {
-        let v = exact(fix.row, fix.col);
-        let row_abs: f32 = m.logical_row(fix.row).iter().map(|x| x.abs()).sum();
-        let col_abs: f32 = (0..m.rows()).map(|r| m.get(r, fix.col).abs()).sum();
-        let tol = cfg.detection_bound(row_abs.max(col_abs));
-        // NaN fails the comparison, so non-finite replays are rejected too.
-        if (v - fix.new_value).abs() <= tol {
-            m.set(fix.row, fix.col, v);
-            // Keep the record truthful: `new_value` must be what is actually
-            // left in the matrix, not the intermediate reconstruction.
-            fix.new_value = v;
-            rows.push(fix.row);
-            cols.push(fix.col);
-        }
-    }
-    // Refreshed values shift the data away from whatever borders the
-    // correction pass rebuilt; re-derive the touched borders from data.
-    rows.sort_unstable();
-    rows.dedup();
-    cols.sort_unstable();
-    cols.dedup();
-    if m.has_row_checksums() {
-        for &r in &rows {
-            m.recompute_row_checksum(r);
-        }
-    }
-    if m.has_col_checksums() {
-        for &c in &cols {
-            m.recompute_col_checksum(c);
-        }
-    }
-}
 
 #[cfg(test)]
 #[allow(

@@ -174,6 +174,15 @@ impl PagedKv {
         &self.blocks[b][..self.block_len(b) * self.cols]
     }
 
+    /// The whole of block `b` where it lies: its `block_rows` data rows
+    /// (the first `block_len(b)` valid), then its `tail` border rows —
+    /// `(block_rows + tail) * cols` elements. A pass that verifies a block
+    /// in place reads data and border through it.
+    #[inline]
+    pub fn block_mut(&mut self, b: usize) -> &mut [f32] {
+        &mut self.blocks[b][..]
+    }
+
     /// Columns `c` and `c + 1` of every data row, rows ascending — block
     /// slices walked directly, no `r / block_rows` per element.
     pub(crate) fn col_pairs(&self, c: usize) -> impl Iterator<Item = (f32, f32)> + '_ {

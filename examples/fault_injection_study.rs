@@ -20,11 +20,19 @@ fn forward(
     x: &Matrix,
     inject: Option<(AttnOp, FaultKind)>,
 ) -> (Matrix, Matrix, Matrix) {
-    let mut hook = move |site: FaultSite, m: &mut CheckedMatrix| {
-        let Some((op, kind)) = inject else { return };
-        if site.op == op && site.head.unwrap_or(0) == 0 {
-            let old = m.get(2, 3);
-            m.set(2, 3, kind.apply(old));
+    // Head 0's scores as the hook sees them (pre-softmax, post-strike):
+    // the block is unmasked and unprotected, so nothing changes them after.
+    let mut scores = None;
+    let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
+        let head0 = site.head.unwrap_or(0) == 0;
+        if let Some((op, kind)) = inject {
+            if site.op == op && head0 {
+                let old = m.get(2, 3);
+                m.set(2, 3, kind.apply(old));
+            }
+        }
+        if site.op == AttnOp::AS && head0 {
+            scores = Some(m.logical());
         }
     };
     let mut report = AbftReport::default();
@@ -33,12 +41,12 @@ fn forward(
         ForwardOptions {
             mask: None,
             toggles: SectionToggles::none(),
-            hook: inject.is_some().then_some(&mut hook as _),
+            hook: Some(&mut hook),
         },
         &mut report,
     );
     (
-        out.cache.scores[0].clone(),
+        scores.expect("the AS site fires for head 0"),
         out.cache.cl.clone(),
         out.output,
     )

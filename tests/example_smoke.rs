@@ -7,13 +7,12 @@
 
 use std::process::Command;
 
-const EXAMPLES: [&str; 7] = [
+const EXAMPLES: [&str; 6] = [
     "quickstart",
     "adaptive_tuning",
     "fault_injection_study",
     "protected_decode",
     "protected_ffn",
-    "scale_projection",
     "train_with_protection",
 ];
 

@@ -25,14 +25,20 @@ fn run(
     x: &Matrix,
     inject: Option<(AttnOp, FaultKind, usize, usize)>,
 ) -> Traces {
-    let mut hook = move |site: FaultSite, m: &mut CheckedMatrix| {
-        let Some((op, kind, r, c)) = inject else {
-            return;
-        };
-        if site.op == op && site.head.unwrap_or(0) == 0 {
-            let (r, c) = (r % m.rows(), c % m.cols());
-            let old = m.get(r, c);
-            m.set(r, c, kind.apply(old));
+    // Head 0's scores as the hook sees them (pre-softmax, post-strike):
+    // the run is unmasked and unprotected, so nothing changes them after.
+    let mut scores = None;
+    let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
+        let head0 = site.head.unwrap_or(0) == 0;
+        if let Some((op, kind, r, c)) = inject {
+            if site.op == op && head0 {
+                let (r, c) = (r % m.rows(), c % m.cols());
+                let old = m.get(r, c);
+                m.set(r, c, kind.apply(old));
+            }
+        }
+        if site.op == AttnOp::AS && head0 {
+            scores = Some(m.logical());
         }
     };
     let mut report = AbftReport::default();
@@ -41,12 +47,12 @@ fn run(
         ForwardOptions {
             mask: None,
             toggles: SectionToggles::none(),
-            hook: inject.is_some().then_some(&mut hook as _),
+            hook: Some(&mut hook),
         },
         &mut report,
     );
     Traces {
-        scores: out.cache.scores[0].clone(),
+        scores: scores.expect("the AS site fires for head 0"),
         ap: out.cache.ap[0].clone(),
         cl: out.cache.cl.clone(),
         o: out.output,
