@@ -46,7 +46,7 @@ use attn_bench::timing::pct;
 use attn_bench::{build_trainer, dataset_for, TextTable};
 use attn_fault::{run_campaign, FaultKind};
 use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
-use attn_model::{AdamW, DecodeState, Example, HasParams, Param};
+use attn_model::{AdamW, DecodeState, Example, Grads, HasParams, Param};
 use attn_tensor::guard::{
     gelu_backward_checked, gelu_matrix_checked, layer_norm_backward_checked, layer_norm_checked,
     residual_add_checked, softmax_rows_backward_checked, softmax_rows_checked, verify_gelu,
@@ -284,29 +284,32 @@ fn optim_trial(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     };
     let mut oc = AdamW::new(0.01);
     let mut of = AdamW::new(0.01);
+    let grads = |g: &Matrix| {
+        let mut grads = Grads::new();
+        grads.accumulate("w", g);
+        grads
+    };
 
-    clean.p.grad = g1.clone();
-    faulty.p.grad = g1;
-    oc.step(&mut clean, &OpGuard::off());
-    of.step(&mut faulty, &guard()); // captures digests
+    oc.step(&mut clean, &mut grads(&g1), &OpGuard::off());
+    of.step(&mut faulty, &mut grads(&g1), &guard()); // captures digests
 
     if let Some(k) = fault {
+        let slot = &mut of.slots_mut()[0];
         let target = if rng.bernoulli(0.5) {
-            &mut faulty.p.v
+            &mut slot.v
         } else {
-            &mut faulty.p.m
+            &mut slot.m
         };
         tamper(target, k, rng);
     }
 
-    clean.p.grad = g2.clone();
-    faulty.p.grad = g2;
-    oc.step(&mut clean, &OpGuard::off());
+    oc.step(&mut clean, &mut grads(&g2), &OpGuard::off());
     let g = guard();
-    of.step(&mut faulty, &g); // verifies + heals the at-rest moments
+    of.step(&mut faulty, &mut grads(&g2), &g); // verifies + heals the at-rest moments
+    let (c, f) = (&oc.slots()[0], &of.slots()[0]);
     let bits = bits_eq(faulty.p.value.data(), clean.p.value.data())
-        && bits_eq(faulty.p.m.data(), clean.p.m.data())
-        && bits_eq(faulty.p.v.data(), clean.p.v.data());
+        && bits_eq(f.m.data(), c.m.data())
+        && bits_eq(f.v.data(), c.v.data());
     outcome(&g, bits)
 }
 

@@ -88,8 +88,7 @@ impl CheckpointManager {
     /// would load as corrupt model state.
     pub fn save(&mut self, trainer: &mut Trainer) -> io::Result<(PathBuf, usize, Duration)> {
         let t0 = Instant::now();
-        let t = trainer.optim.t;
-        let data = snapshot_model(&mut trainer.model, t);
+        let data = snapshot_model(&mut trainer.model, &trainer.optim);
         let path = self.dir.join(format!("ckpt-{:06}.atnc", self.counter));
         let tmp = self.dir.join(format!("ckpt-{:06}.atnc.tmp", self.counter));
         self.counter += 1;
@@ -109,9 +108,9 @@ impl CheckpointManager {
     }
 
     /// Restore trainer state from the most recent checkpoint — params,
-    /// moments and the step counter — and re-capture the optimizer's
-    /// at-rest moment digests from the restored moments; returns elapsed
-    /// time.
+    /// moments and the step counter, with the optimizer's at-rest moment
+    /// digests re-captured from the restored moments; returns elapsed time.
+    /// The trainer may be a fresh one that has never stepped.
     ///
     /// # Errors
     /// Fails when no checkpoint exists or the file is invalid.
@@ -122,10 +121,8 @@ impl CheckpointManager {
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no checkpoint saved"))?;
         let t0 = Instant::now();
         let data = fs::read(path)?;
-        let t = restore_model(&mut trainer.model, &data)
+        restore_model(&mut trainer.model, &mut trainer.optim, &data)
             .map_err(|e: SnapshotError| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        trainer.optim.t = t;
-        trainer.optim.recapture_digests(&mut trainer.model);
         Ok(t0.elapsed())
     }
 
@@ -196,11 +193,13 @@ mod tests {
     /// Every parameter's value, first and second moment, as bits.
     fn state_bits(tr: &mut Trainer) -> Vec<u32> {
         let mut bits = Vec::new();
-        tr.model.visit_params(&mut |p| {
-            for m in [&p.value, &p.m, &p.v] {
+        tr.model
+            .visit_params(&mut |p| bits.extend(p.value.data().iter().map(|x| x.to_bits())));
+        for slot in tr.optim.slots() {
+            for m in [&slot.m, &slot.v] {
                 bits.extend(m.data().iter().map(|x| x.to_bits()));
             }
-        });
+        }
         bits
     }
 
@@ -300,6 +299,43 @@ mod tests {
             "params and moments must match the no-detour trainer bit for bit"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_into_a_fresh_trainer_steps_like_the_saving_trainer() {
+        // The restart case: a trainer built anew, which has never stepped
+        // and holds no optimizer state, loads the checkpoint; its next step
+        // must equal the saving trainer's next step bit for bit.
+        for protection in [ProtectionConfig::full(), ProtectionConfig::off()] {
+            let (mut saver, ds) = trainer_with(protection);
+            let (mut restarted, _) = trainer_with(protection);
+            let first: Vec<_> = ds.examples.iter().take(4).collect();
+            let next: Vec<_> = ds.examples.iter().skip(4).collect();
+            let tag = if protection.is_off() {
+                "fresh-off"
+            } else {
+                "fresh-full"
+            };
+            let dir = tmp_dir(tag);
+            let mut mgr = CheckpointManager::new(&dir).unwrap();
+
+            let _ = saver.train_step(&first);
+            mgr.save(&mut saver).unwrap();
+            assert!(restarted.optim.slots().is_empty());
+            mgr.load_last(&mut restarted).unwrap();
+            assert_eq!(restarted.optim.t, 1);
+
+            let want = saver.train_step(&next);
+            let got = restarted.train_step(&next);
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+            assert!(got.report.op_detections == 0 && got.report.unrecovered == 0);
+            assert!(
+                state_bits(&mut restarted) == state_bits(&mut saver),
+                "off() = {}: params and moments must match the saving trainer",
+                protection.is_off()
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -17,8 +17,12 @@
 //!
 //! Moments are included because restarting fine-tuning without optimizer
 //! state changes the trajectory — the paper's CR baseline checkpoints the
-//! full training state.
+//! full training state. The values come from the model and `t` and the
+//! moments from the optimizer ([`AdamW::slots`]), which holds them; an
+//! optimizer that has never stepped writes zero moments, and a restore into
+//! one creates its slots.
 
+use attn_model::optim::AdamW;
 use attn_model::param::HasParams;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -52,9 +56,9 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Serialise the full training state (`t` is the optimizer step counter),
-/// encoding straight from the parameters.
-pub fn snapshot_model(model: &mut dyn HasParams, t: u64) -> Bytes {
+/// Serialise the full training state — `model`'s values, `optim`'s step
+/// counter and moments — encoding straight from where they live.
+pub fn snapshot_model(model: &mut dyn HasParams, optim: &AdamW) -> Bytes {
     let mut nparams = 0u64;
     let mut payload = 0usize;
     model.visit_params(&mut |p| {
@@ -64,17 +68,22 @@ pub fn snapshot_model(model: &mut dyn HasParams, t: u64) -> Bytes {
     let mut buf = BytesMut::with_capacity(HEADER + payload);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u64_le(t);
+    buf.put_u64_le(optim.t);
     buf.put_u64_le(nparams);
+    let mut slots = optim.slots().iter();
     model.visit_params(&mut |p| {
         buf.put_u32_le(p.name.len() as u32);
         buf.put_slice(p.name.as_bytes());
         buf.put_u64_le(p.value.rows() as u64);
         buf.put_u64_le(p.value.cols() as u64);
-        for mat in [&p.value, &p.m, &p.v] {
-            for &x in mat.data() {
-                buf.put_f32_le(x);
+        let put = |buf: &mut BytesMut, xs: &[f32]| xs.iter().for_each(|&x| buf.put_f32_le(x));
+        put(&mut buf, p.value.data());
+        match slots.next() {
+            Some(slot) => {
+                put(&mut buf, slot.m.data());
+                put(&mut buf, slot.v.data());
             }
+            None => (0..2 * p.len()).for_each(|_| buf.put_f32_le(0.0)),
         }
     });
     buf.freeze()
@@ -86,16 +95,23 @@ const HEADER: usize = 4 + 4 + 8 + 8;
 /// `cols`.
 const ENTRY_HEADER: usize = 4 + 8 + 8;
 
-/// Restore training state from [`snapshot_model`] output. Returns the saved
-/// optimizer step counter.
+/// Restore training state from [`snapshot_model`] output: the values into
+/// `model`, the step counter and moments into `optim` (through
+/// [`AdamW::load`], which re-captures the moment digests it holds). Returns
+/// the restored step counter.
 ///
 /// Parameters are matched by visit order and verified by name and shape, so
 /// a checkpoint can only be restored into the model that produced it. The
 /// restore takes two passes over the model: the first checks the count,
 /// every name, shape and length against the buffer, the second decodes
 /// straight into the existing matrices — so a failed restore mutates
-/// nothing, and a successful one allocates nothing.
-pub fn restore_model(model: &mut dyn HasParams, data: &[u8]) -> Result<u64, SnapshotError> {
+/// nothing, and a successful one allocates only the slots of an optimizer
+/// that has never stepped.
+pub fn restore_model(
+    model: &mut dyn HasParams,
+    optim: &mut AdamW,
+    data: &[u8],
+) -> Result<u64, SnapshotError> {
     let mut buf = data;
     if buf.remaining() < HEADER {
         return Err(SnapshotError::Truncated);
@@ -165,10 +181,10 @@ pub fn restore_model(model: &mut dyn HasParams, data: &[u8]) -> Result<u64, Snap
 
     // Pass 2: the layout is known good; decode in place.
     let mut buf = entries;
-    model.visit_params(&mut |p| {
+    optim.load(model, t, &mut |p, slot| {
         let name_len = buf.get_u32_le() as usize;
         buf.advance(name_len + 16);
-        for mat in [&mut p.value, &mut p.m, &mut p.v] {
+        for mat in [&mut p.value, &mut slot.m, &mut slot.v] {
             for x in mat.data_mut() {
                 *x = buf.get_f32_le();
             }
@@ -213,58 +229,93 @@ mod tests {
         }
     }
 
-    fn toy() -> Toy {
-        let mut a = Param::new("a", Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32));
-        a.m = Matrix::full(2, 3, 0.5);
-        a.v = Matrix::full(2, 3, 0.25);
-        Toy {
-            a,
+    /// An optimizer at step `t` holding `a`'s moments filled with `(m, v)`
+    /// and `b`'s with `(0, b_v)`.
+    fn optim_for(t: &mut Toy, step: u64, (m, v): (f32, f32), b_v: f32) -> AdamW {
+        let mut opt = AdamW::new(1e-3);
+        opt.load(t, step, &mut |p, slot| {
+            let (m, v) = if p.name == "a" { (m, v) } else { (0.0, b_v) };
+            slot.m.data_mut().fill(m);
+            slot.v.data_mut().fill(v);
+        });
+        opt
+    }
+
+    fn toy() -> (Toy, AdamW) {
+        let mut t = Toy {
+            a: Param::new("a", Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32)),
             b: Param::new("b", Matrix::full(1, 4, -1.0)),
-        }
+        };
+        let opt = optim_for(&mut t, 0, (0.5, 0.25), 0.0);
+        (t, opt)
     }
 
     #[test]
     fn roundtrip_restores_values_and_moments() {
-        let mut t = toy();
-        let snap = snapshot_model(&mut t, 17);
+        let (mut t, mut opt) = toy();
+        opt.t = 17;
+        let snap = snapshot_model(&mut t, &opt);
         // Corrupt everything.
         t.a.value.data_mut().fill(9.0);
-        t.a.m.data_mut().fill(9.0);
         t.b.value.data_mut().fill(9.0);
-        let step = restore_model(&mut t, &snap).unwrap();
+        let mut opt = optim_for(&mut t, 3, (9.0, 9.0), 9.0);
+        let step = restore_model(&mut t, &mut opt, &snap).unwrap();
         assert_eq!(step, 17);
+        assert_eq!(opt.t, 17);
         assert_eq!(t.a.value[(1, 2)], 5.0);
-        assert_eq!(t.a.m[(0, 0)], 0.5);
-        assert_eq!(t.a.v[(0, 0)], 0.25);
+        assert_eq!(opt.slots()[0].m[(0, 0)], 0.5);
+        assert_eq!(opt.slots()[0].v[(0, 0)], 0.25);
+        assert_eq!(opt.slots()[1].v[(0, 0)], 0.0);
         assert_eq!(t.b.value[(0, 0)], -1.0);
     }
 
     #[test]
+    fn a_never_stepped_optimizer_saves_zero_moments_and_restores_into_slots() {
+        let (mut t, opt) = toy();
+        let zeroed = optim_for(&mut t, 0, (0.0, 0.0), 0.0);
+        assert_eq!(
+            snapshot_model(&mut t, &AdamW::new(1e-3)),
+            snapshot_model(&mut t, &zeroed)
+        );
+        let snap = snapshot_model(&mut t, &opt);
+        let mut fresh = AdamW::new(1e-3);
+        assert!(fresh.slots().is_empty());
+        assert_eq!(restore_model(&mut t, &mut fresh, &snap), Ok(0));
+        assert_eq!(fresh.slots(), opt.slots());
+    }
+
+    #[test]
     fn bad_magic_rejected() {
-        let mut t = toy();
-        let mut snap = snapshot_model(&mut t, 0).to_vec();
+        let (mut t, mut opt) = toy();
+        let mut snap = snapshot_model(&mut t, &opt).to_vec();
         snap[0] = b'X';
-        assert_eq!(restore_model(&mut t, &snap), Err(SnapshotError::BadMagic));
+        assert_eq!(
+            restore_model(&mut t, &mut opt, &snap),
+            Err(SnapshotError::BadMagic)
+        );
     }
 
     #[test]
     fn truncation_rejected_without_partial_apply() {
-        let mut t = toy();
-        let snap = snapshot_model(&mut t, 0);
-        let before = t.a.value.clone();
+        let (mut t, mut opt) = toy();
+        let snap = snapshot_model(&mut t, &opt);
+        let before = (t.a.value.clone(), opt.clone());
         let cut = &snap[..snap.len() - 7];
-        assert_eq!(restore_model(&mut t, cut), Err(SnapshotError::Truncated));
-        assert_eq!(t.a.value, before, "failed restore must not mutate");
+        assert_eq!(
+            restore_model(&mut t, &mut opt, cut),
+            Err(SnapshotError::Truncated)
+        );
+        assert_eq!((t.a.value, opt), before, "failed restore must not mutate");
     }
 
     #[test]
     fn name_mismatch_rejected() {
-        let mut t = toy();
-        let snap = snapshot_model(&mut t, 0);
-        let mut other = toy();
+        let (mut t, opt) = toy();
+        let snap = snapshot_model(&mut t, &opt);
+        let (mut other, mut opt) = toy();
         other.a.name = "renamed".into();
         assert!(matches!(
-            restore_model(&mut other, &snap),
+            restore_model(&mut other, &mut opt, &snap),
             Err(SnapshotError::Mismatch(_))
         ));
     }
@@ -288,39 +339,47 @@ mod tests {
         0x00, 0x00, 0x40, 0x40, // v 3.0
     ];
 
-    fn golden_toy() -> Toy {
-        let mut a = Param::new("a", Matrix::from_vec(1, 2, vec![1.0, -2.0]));
-        a.m = Matrix::full(1, 2, 0.5);
-        a.v = Matrix::full(1, 2, 0.25);
-        let mut b = Param::new("b", Matrix::full(1, 1, -1.0));
-        b.v = Matrix::full(1, 1, 3.0);
-        Toy { a, b }
+    fn golden_toy() -> (Toy, AdamW) {
+        let mut t = Toy {
+            a: Param::new("a", Matrix::from_vec(1, 2, vec![1.0, -2.0])),
+            b: Param::new("b", Matrix::full(1, 1, -1.0)),
+        };
+        let opt = optim_for(&mut t, 7, (0.5, 0.25), 3.0);
+        (t, opt)
     }
 
     #[test]
     fn snapshot_bytes_match_the_golden_encoding() {
-        let mut t = golden_toy();
-        assert_eq!(&snapshot_model(&mut t, 7)[..], &GOLDEN[..]);
+        let (mut t, opt) = golden_toy();
+        assert_eq!(&snapshot_model(&mut t, &opt)[..], &GOLDEN[..]);
         let mut zeroed = Toy {
             a: Param::zeros("a", 1, 2),
             b: Param::zeros("b", 1, 1),
         };
-        assert_eq!(restore_model(&mut zeroed, &GOLDEN), Ok(7));
+        let mut fresh = AdamW::new(1e-3);
+        assert_eq!(restore_model(&mut zeroed, &mut fresh, &GOLDEN), Ok(7));
         assert_eq!(zeroed.a, t.a);
         assert_eq!(zeroed.b, t.b);
+        assert_eq!(fresh.slots(), opt.slots());
     }
 
     #[test]
     fn huge_param_count_is_an_error_not_a_panic() {
-        let mut t = toy();
-        let mut snap = snapshot_model(&mut t, 0).to_vec();
+        let (mut t, mut opt) = toy();
+        let mut snap = snapshot_model(&mut t, &opt).to_vec();
         let before = t.a.value.clone();
         for n in [u64::MAX, u64::MAX / 2, 3] {
             snap[16..24].copy_from_slice(&n.to_le_bytes());
-            assert!(restore_model(&mut t, &snap).is_err(), "nparams = {n}");
+            assert!(
+                restore_model(&mut t, &mut opt, &snap).is_err(),
+                "nparams = {n}"
+            );
         }
         snap[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(restore_model(&mut t, &snap), Err(SnapshotError::Truncated));
+        assert_eq!(
+            restore_model(&mut t, &mut opt, &snap),
+            Err(SnapshotError::Truncated)
+        );
         assert_eq!(t.a.value, before, "failed restore must not mutate");
     }
 
@@ -328,15 +387,15 @@ mod tests {
     fn overflowing_shape_is_an_error_not_a_panic() {
         // The first entry's rows and cols sit after the 24-byte header,
         // `name_len` and the one-byte name "a".
-        let mut t = toy();
-        let mut snap = snapshot_model(&mut t, 0).to_vec();
+        let (mut t, mut opt) = toy();
+        let mut snap = snapshot_model(&mut t, &opt).to_vec();
         let before = t.a.value.clone();
         for (rows, cols) in [(1u64 << 32, 1u64 << 32), (u64::MAX, 2), (2, 3 << 61)] {
             snap[29..37].copy_from_slice(&rows.to_le_bytes());
             snap[37..45].copy_from_slice(&cols.to_le_bytes());
             assert!(
                 matches!(
-                    restore_model(&mut t, &snap),
+                    restore_model(&mut t, &mut opt, &snap),
                     Err(SnapshotError::Mismatch(_))
                 ),
                 "{rows} × {cols}"
@@ -347,13 +406,13 @@ mod tests {
 
     #[test]
     fn count_mismatch_rejected_without_partial_apply() {
-        let mut t = toy();
-        let mut snap = snapshot_model(&mut t, 0).to_vec();
+        let (mut t, mut opt) = toy();
+        let mut snap = snapshot_model(&mut t, &opt).to_vec();
         snap[16..24].copy_from_slice(&1u64.to_le_bytes());
         t.a.value.data_mut().fill(9.0);
         let before = t.a.value.clone();
         assert!(matches!(
-            restore_model(&mut t, &snap),
+            restore_model(&mut t, &mut opt, &snap),
             Err(SnapshotError::Mismatch(_))
         ));
         assert_eq!(t.a.value, before, "failed restore must not mutate");
@@ -361,9 +420,10 @@ mod tests {
 
     #[test]
     fn snapshot_size_is_deterministic() {
-        let mut t = toy();
-        let s1 = snapshot_model(&mut t, 1);
-        let s2 = snapshot_model(&mut t, 1);
+        let (mut t, mut opt) = toy();
+        opt.t = 1;
+        let s1 = snapshot_model(&mut t, &opt);
+        let s2 = snapshot_model(&mut t, &opt);
         assert_eq!(s1, s2);
         // 24-byte header + entries.
         assert!(s1.len() > 24 + 3 * 4 * (6 + 4));

@@ -190,12 +190,11 @@ mod tests {
         (y, tape.expect("a taped forward returns its tape"))
     }
 
-    /// Backward over `cache` with gradients merged into the layer; returns `dx`.
-    fn backprop(layer: &mut AttentionLayer, cache: &AttnCache, dy: &Matrix) -> Matrix {
+    /// Backward over `cache`; returns `dx` and the parameter gradients.
+    fn backprop(layer: &AttentionLayer, cache: &AttnCache, dy: &Matrix) -> (Matrix, Grads) {
         let mut grads = Grads::new();
         let dx = layer.backward(dy, cache, &mut grads, &OpGuard::off());
-        grads.merge_into(layer);
-        dx
+        (dx, grads)
     }
 
     fn loss_of(layer: &AttentionLayer, x: &Matrix, dy: &Matrix, mask: Option<&Matrix>) -> f32 {
@@ -220,13 +219,13 @@ mod tests {
     #[test]
     fn gradient_check_input() {
         let mut rng = TensorRng::seed_from(2);
-        let mut layer = AttentionLayer::new("a", 8, 2, &mut rng);
+        let layer = AttentionLayer::new("a", 8, 2, &mut rng);
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
         let mut report = AbftReport::default();
         let off = ProtectionConfig::off();
         let (_, cache) = fwd(&layer, &x, &off, SectionToggles::all(), None, &mut report);
-        let dx = backprop(&mut layer, &cache, &dy);
+        let (dx, _) = backprop(&layer, &cache, &dy);
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -249,18 +248,19 @@ mod tests {
     #[test]
     fn gradient_check_wq_and_wo() {
         let mut rng = TensorRng::seed_from(3);
-        let mut layer = AttentionLayer::new("a", 6, 2, &mut rng);
+        let layer = AttentionLayer::new("a", 6, 2, &mut rng);
         let x = rng.normal_matrix(3, 6, 0.7);
         let dy = rng.normal_matrix(3, 6, 1.0);
         let mut report = AbftReport::default();
         let off = ProtectionConfig::off();
         let (_, cache) = fwd(&layer, &x, &off, SectionToggles::all(), None, &mut report);
-        let _ = backprop(&mut layer, &cache, &dy);
+        let (_, grads) = backprop(&layer, &cache, &dy);
+        let (dwq, dwo) = (grads.get("a.wq").unwrap(), grads.get("a.wo").unwrap());
 
         let eps = 1e-2;
         for r in 0..6 {
             for c in 0..6 {
-                for (pick, grad) in [(0usize, &layer.wq.grad), (1, &layer.wo.grad)] {
+                for (pick, grad) in [(0usize, dwq), (1, dwo)] {
                     let mut lp = layer.clone();
                     let mut lm = layer.clone();
                     match pick {
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn gradient_check_with_causal_mask() {
         let mut rng = TensorRng::seed_from(4);
-        let mut layer = AttentionLayer::new("a", 8, 2, &mut rng);
+        let layer = AttentionLayer::new("a", 8, 2, &mut rng);
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
         let mask = causal_mask(4);
@@ -301,7 +301,7 @@ mod tests {
             Some(&mask),
             &mut report,
         );
-        let dx = backprop(&mut layer, &cache, &dy);
+        let (dx, _) = backprop(&layer, &cache, &dy);
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -325,8 +325,8 @@ mod tests {
     #[test]
     fn protected_and_unprotected_backward_agree_when_fault_free() {
         let mut rng = TensorRng::seed_from(5);
-        let mut a = AttentionLayer::new("a", 8, 2, &mut rng);
-        let mut b = a.clone();
+        let a = AttentionLayer::new("a", 8, 2, &mut rng);
+        let b = a.clone();
         let (full, off) = (ProtectionConfig::full(), ProtectionConfig::off());
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
@@ -334,10 +334,11 @@ mod tests {
         let mut r2 = AbftReport::default();
         let (_, ca) = fwd(&a, &x, &full, SectionToggles::all(), None, &mut r1);
         let (_, cb) = fwd(&b, &x, &off, SectionToggles::none(), None, &mut r2);
-        let dxa = backprop(&mut a, &ca, &dy);
-        let dxb = backprop(&mut b, &cb, &dy);
+        let (dxa, ga) = backprop(&a, &ca, &dy);
+        let (dxb, gb) = backprop(&b, &cb, &dy);
         assert!(dxa.approx_eq(&dxb, 1e-3, 1e-3));
-        assert!(a.wq.grad.approx_eq(&b.wq.grad, 1e-3, 1e-3));
+        let (wqa, wqb) = (ga.get("a.wq").unwrap(), gb.get("a.wq").unwrap());
+        assert!(wqa.approx_eq(wqb, 1e-3, 1e-3));
     }
 
     #[test]

@@ -105,12 +105,11 @@ mod tests {
         (y, tape)
     }
 
-    /// Backward over `tape` with gradients merged into the layer; returns `dx`.
-    fn backprop(ffn: &mut FeedForward, tape: &FfnTape, dy: &Matrix) -> Matrix {
+    /// Backward over `tape`; returns `dx` and the parameter gradients.
+    fn backprop(ffn: &FeedForward, tape: &FfnTape, dy: &Matrix) -> (Matrix, Grads) {
         let mut grads = Grads::new();
         let dx = ffn.backward(dy, tape, &mut grads, &OpGuard::off());
-        grads.merge_into(ffn);
-        dx
+        (dx, grads)
     }
 
     #[test]
@@ -125,11 +124,11 @@ mod tests {
     #[test]
     fn gradient_check_dx() {
         let mut rng = TensorRng::seed_from(2);
-        let mut ffn = FeedForward::new("f", 4, 8, &mut rng);
+        let ffn = FeedForward::new("f", 4, 8, &mut rng);
         let x = rng.normal_matrix(2, 4, 1.0);
         let dy = rng.normal_matrix(2, 4, 1.0);
         let (_, tape) = plain(&ffn, &x);
-        let dx = backprop(&mut ffn, &tape, &dy);
+        let (dx, _) = backprop(&ffn, &tape, &dy);
 
         let loss = |f: &FeedForward, xx: &Matrix| -> f32 {
             let (y, _) = plain(f, xx);
@@ -155,11 +154,12 @@ mod tests {
     #[test]
     fn gradient_check_weights() {
         let mut rng = TensorRng::seed_from(3);
-        let mut ffn = FeedForward::new("f", 3, 6, &mut rng);
+        let ffn = FeedForward::new("f", 3, 6, &mut rng);
         let x = rng.normal_matrix(2, 3, 1.0);
         let dy = rng.normal_matrix(2, 3, 1.0);
         let (_, tape) = plain(&ffn, &x);
-        let _ = backprop(&mut ffn, &tape, &dy);
+        let (_, grads) = backprop(&ffn, &tape, &dy);
+        let dw1 = grads.get(&ffn.lin1.w.name).unwrap();
 
         let loss = |f: &FeedForward, xx: &Matrix| -> f32 {
             let (y, _) = plain(f, xx);
@@ -173,7 +173,7 @@ mod tests {
                 let mut fm = ffn.clone();
                 fm.lin1.w.value[(r, c)] -= eps;
                 let fd = (loss(&fp, &x) - loss(&fm, &x)) / (2.0 * eps);
-                assert!((fd - ffn.lin1.w.grad[(r, c)]).abs() < 3e-2, "dW1 ({r},{c})");
+                assert!((fd - dw1[(r, c)]).abs() < 3e-2, "dW1 ({r},{c})");
             }
         }
     }
@@ -251,13 +251,13 @@ mod tests {
     #[test]
     fn cached_activations_are_healed_for_backward() {
         let mut rng = TensorRng::seed_from(7);
-        let mut clean = FeedForward::new("f", 4, 16, &mut rng);
-        let mut faulty = clean.clone();
+        let clean = FeedForward::new("f", 4, 16, &mut rng);
+        let faulty = clean.clone();
         let x = rng.normal_matrix(3, 4, 1.0);
         let dy = rng.normal_matrix(3, 4, 1.0);
 
         let (_, tape, _) = guarded(&clean, &x, &ProtectionConfig::full(), true, None);
-        let dx_clean = backprop(&mut clean, &tape, &dy);
+        let (dx_clean, g_clean) = backprop(&clean, &tape, &dy);
 
         let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
             if site.op == AttnOp::Ffn1 {
@@ -272,9 +272,10 @@ mod tests {
             Some(&mut hook),
         );
         assert!(report.correction_count() > 0);
-        let dx_faulty = backprop(&mut faulty, &tape, &dy);
+        let (dx_faulty, g_faulty) = backprop(&faulty, &tape, &dy);
         assert_eq!(dx_clean, dx_faulty, "backward must see healed activations");
-        assert_eq!(clean.lin1.w.grad, faulty.lin1.w.grad);
+        assert_eq!(g_clean.get("f.lin1.w"), g_faulty.get("f.lin1.w"));
+        assert!(g_clean.get("f.lin1.w").is_some());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Miniature transformer LLM training stack: the substrate standing in for
 //! the paper's PyTorch + HuggingFace setup (§5.1).
 //!
-//! * [`param`] / [`optim`] — parameters with gradients and AdamW.
+//! * [`param`] / [`optim`] — parameters (a name and a value), gradient
+//!   buffers, and AdamW, which owns the moments.
 //! * [`linear`], [`embedding`], [`layernorm`], [`ffn`] — layers with
 //!   hand-written backprop, each finite-difference-tested. Every layer has
 //!   one stateless `forward(&self, …)` and one `backward` over the [`tape`]

@@ -67,13 +67,13 @@ mod tests {
     #[test]
     fn gradients_match_finite_difference() {
         let mut rng = TensorRng::seed_from(1);
-        let mut lin = Linear::new("t", 5, 4, &mut rng);
+        let lin = Linear::new("t", 5, 4, &mut rng);
         let x = rng.normal_matrix(3, 5, 1.0);
         let dy = rng.normal_matrix(3, 4, 1.0);
 
         let mut grads = Grads::new();
         let dx = lin.backward(&dy, &x, &mut grads);
-        grads.merge_into(&mut lin);
+        let (dw, db) = (grads.get("t.w").unwrap(), grads.get("t.b").unwrap());
 
         let loss = |l: &Linear, xx: &Matrix| -> f32 {
             let y = l.forward(xx);
@@ -101,9 +101,9 @@ mod tests {
                 lm.w.value[(r, c)] -= eps;
                 let fd = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
                 assert!(
-                    (fd - lin.w.grad[(r, c)]).abs() < 2e-2,
+                    (fd - dw[(r, c)]).abs() < 2e-2,
                     "dW ({r},{c}): fd {fd} vs {}",
-                    lin.w.grad[(r, c)]
+                    dw[(r, c)]
                 );
             }
         }
@@ -114,7 +114,7 @@ mod tests {
             let mut lm = lin.clone();
             lm.b.value[(0, c)] -= eps;
             let fd = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
-            assert!((fd - lin.b.grad[(0, c)]).abs() < 2e-2, "db {c}");
+            assert!((fd - db[(0, c)]).abs() < 2e-2, "db {c}");
         }
     }
 
@@ -133,17 +133,23 @@ mod tests {
     #[test]
     fn gradient_accumulates_across_calls() {
         let mut rng = TensorRng::seed_from(3);
-        let mut lin = Linear::new("t", 3, 3, &mut rng);
+        let lin = Linear::new("t", 3, 3, &mut rng);
         let x = rng.normal_matrix(2, 3, 1.0);
         let dy = rng.normal_matrix(2, 3, 1.0);
-        let step = |lin: &mut Linear| {
+        let mut acc = Grads::new();
+        let mut step = || {
             let mut grads = Grads::new();
             let _ = lin.backward(&dy, &x, &mut grads);
-            grads.merge_into(lin);
+            grads.merge_into(&mut acc);
         };
-        step(&mut lin);
-        let g1 = lin.w.grad.clone();
-        step(&mut lin);
-        assert!(lin.w.grad.approx_eq(&g1.scaled(2.0), 1e-5, 1e-5));
+        step();
+        step();
+        let mut once = Grads::new();
+        let _ = lin.backward(&dy, &x, &mut once);
+        let g1 = once.get("t.w").unwrap();
+        assert!(acc
+            .get("t.w")
+            .unwrap()
+            .approx_eq(&g1.scaled(2.0), 1e-5, 1e-5));
     }
 }

@@ -1,17 +1,26 @@
-//! AdamW optimizer, with ridden checksums over its moment state.
+//! AdamW optimizer: the moment state of every parameter, with ridden
+//! checksums over it.
 //!
-//! The `m`/`v` moments are the only training state that persists
-//! *between* steps, so a particle strike while they sit at rest is
-//! invisible to every forward/backward guard and silently steers every
-//! later update. [`MomentGuard`] closes that hole: each row of each
-//! moment matrix carries a triple digest — an `f64` sum, an index-weighted
-//! `f64` sum, and the XOR of the `f32` bit patterns
-//! ([`attn_tensor::lanes::digest`]; DESIGN.md, "The accumulation-order
-//! contract", states its lane order and tiers) — captured after a step and
-//! re-derived before the next one, never persisted. The
-//! recompute is bit-deterministic, so a digest mismatch is always a
-//! genuine corruption (zero false positives), the weighted/plain sum
-//! ratio locates the flipped column, and the XOR delta restores the
+//! The optimizer owns its state. One [`Slot`] per parameter, in the
+//! model's visit order, holds the `m`/`v` moments and their at-rest
+//! digests; the slots are created, zeroed, by the first
+//! [`AdamW::step`] (or by a checkpoint restore), so a model that is only
+//! served never allocates them. [`AdamW::step`] consumes the trainer's
+//! gradient accumulator ([`Grads`]) and zeroes it.
+//!
+//! The moments are the only training state that persists *between* steps,
+//! so a particle strike while they sit at rest is invisible to every
+//! forward/backward guard and silently steers every later update. The
+//! digests close that hole: each row of each moment matrix carries a
+//! triple digest — an `f64` sum, an index-weighted `f64` sum, and the XOR
+//! of the `f32` bit patterns ([`attn_tensor::lanes::digest`]; DESIGN.md,
+//! "The accumulation-order contract", states its lane order and tiers) —
+//! captured after a guarded step and re-derived before the next one, never
+//! persisted. An unguarded step drops its slot's digests (they would
+//! describe moments it has since moved), so the next guarded step only
+//! captures. The recompute is bit-deterministic, so a digest mismatch is
+//! always a genuine corruption (zero false positives), the weighted/plain
+//! sum ratio locates the flipped column, and the XOR delta restores the
 //! original bits exactly.
 //!
 //! A second, *column* digest axis turns single-axis localisation into 2D:
@@ -24,9 +33,8 @@
 //! surfaced as `unrecovered`; every heal, from any path, is accepted only
 //! when the affected rows *and* columns re-digest to their stored bits.
 
-use crate::param::{HasParams, Param};
+use crate::param::{Grads, HasParams, Param};
 use attn_tensor::{lanes, Matrix, OpGuard};
-use std::collections::BTreeMap;
 
 /// Bit-exact digest of one moment-matrix row. The `f64` accumulators are
 /// stored as bit patterns so comparison is exact even when a poisoned
@@ -385,41 +393,68 @@ impl MomentDigests {
 }
 
 /// Ridden checksums over one parameter's AdamW moments, captured after a
-/// step and verified (and healed) before the next one consumes them.
+/// guarded step and verified (and healed) before the next one consumes
+/// them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MomentGuard {
+struct MomentGuard {
     m: MomentDigests,
     v: MomentDigests,
 }
 
 impl MomentGuard {
-    fn capture(p: &Param) -> Self {
+    fn capture(m: &Matrix, v: &Matrix) -> Self {
         Self {
-            m: MomentDigests::capture(&p.m),
-            v: MomentDigests::capture(&p.v),
+            m: MomentDigests::capture(m),
+            v: MomentDigests::capture(v),
         }
     }
 
-    fn recapture(&mut self, p: &Param) {
-        self.m.recapture(&p.m);
-        self.v.recapture(&p.v);
+    fn recapture(&mut self, m: &Matrix, v: &Matrix) {
+        self.m.recapture(m);
+        self.v.recapture(v);
     }
 
-    fn verify_heal(&self, p: &mut Param, g: &OpGuard) {
-        if !self.m.matches_shape(&p.m) || !self.v.matches_shape(&p.v) {
+    fn verify_heal(&self, m: &mut Matrix, v: &mut Matrix, g: &OpGuard) {
+        if !self.m.matches_shape(m) || !self.v.matches_shape(v) {
             return; // stale guard after a shape change; re-captured below
         }
-        verify_moment(&self.m, &mut p.m, g);
-        verify_moment(&self.v, &mut p.v, g);
+        verify_moment(&self.m, m, g);
+        verify_moment(&self.v, v, g);
     }
 }
 
-/// Record `p`'s moment digests in its slot, reusing the slot's vectors.
-fn capture_into(guards: &mut BTreeMap<String, MomentGuard>, p: &Param) {
-    match guards.get_mut(p.name.as_str()) {
-        Some(slot) => slot.recapture(p),
-        None => {
-            guards.insert(p.name.clone(), MomentGuard::capture(p));
+/// One parameter's optimizer state: its AdamW moments and, after a guarded
+/// step, their at-rest digests.
+///
+/// Writing `m` or `v` directly is what a fault does: the next guarded step
+/// verifies them against the digests captured after the last guarded step,
+/// and heals what differs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slot {
+    /// First moment.
+    pub m: Matrix,
+    /// Second moment.
+    pub v: Matrix,
+    /// Digests of `m` and `v` as the last guarded step left them; `None`
+    /// before any guarded step and after an unguarded one.
+    digests: Option<MomentGuard>,
+}
+
+impl Slot {
+    fn zeroed(rows: usize, cols: usize) -> Self {
+        Self {
+            m: Matrix::zeros(rows, cols),
+            v: Matrix::zeros(rows, cols),
+            digests: None,
+        }
+    }
+
+    /// Record the digests of the moments as they are now, reusing the
+    /// slot's vectors.
+    fn capture(&mut self) {
+        match &mut self.digests {
+            Some(d) => d.recapture(&self.m, &self.v),
+            None => self.digests = Some(MomentGuard::capture(&self.m, &self.v)),
         }
     }
 }
@@ -440,10 +475,9 @@ pub struct AdamW {
     pub weight_decay: f32,
     /// Step counter (for bias correction).
     pub t: u64,
-    /// At-rest moment digests by parameter name, maintained only by
-    /// steps taken under an active guard (unguarded steps stay
-    /// digest-free).
-    guards: BTreeMap<String, MomentGuard>,
+    /// One slot per parameter, in the model's visit order; empty until the
+    /// first step or restore.
+    slots: Vec<Slot>,
 }
 
 impl AdamW {
@@ -456,70 +490,138 @@ impl AdamW {
             eps: 1e-8,
             weight_decay: 0.01,
             t: 0,
-            guards: BTreeMap::new(),
+            slots: Vec::new(),
         }
     }
 
+    /// The per-parameter state, in the model's visit order; empty until
+    /// the first step or restore (a never-stepped optimizer's moments are
+    /// zero).
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// Mutable access to the slots. Writes bypass the digests, as a fault
+    /// would; [`Self::load`] is the way to replace the state.
+    pub fn slots_mut(&mut self) -> &mut [Slot] {
+        &mut self.slots
+    }
+
+    /// Visit every parameter of `model` with its slot, in visit order,
+    /// creating one zeroed slot per parameter if this optimizer has none
+    /// yet.
+    ///
+    /// # Panics
+    /// Panics when the slots were made for a model of other shapes.
+    fn visit_slots(&mut self, model: &mut dyn HasParams, f: &mut dyn FnMut(&mut Param, &mut Slot)) {
+        if self.slots.is_empty() {
+            let slots = &mut self.slots;
+            model.visit_params(&mut |p| {
+                slots.push(Slot::zeroed(p.value.rows(), p.value.cols()));
+            });
+        }
+        let mut slots = self.slots.iter_mut();
+        model.visit_params(&mut |p| {
+            let slot = slots.next().expect("one optimizer slot per parameter");
+            assert_eq!(
+                (slot.m.rows(), slot.m.cols()),
+                (p.value.rows(), p.value.cols()),
+                "optimizer slot shape for `{}`",
+                p.name
+            );
+            f(p, slot);
+        });
+    }
+
     /// Apply one optimizer step over every parameter of `model`, consuming
-    /// (and zeroing) the gradients merged into [`Param::grad`]. Under an
-    /// active `g` the moment state is guarded: each parameter's at-rest
+    /// the gradients folded into `grads` and zeroing them. A parameter
+    /// without a gradient slot takes its update with a zero gradient. Under
+    /// an active `g` the moment state is guarded: each slot's at-rest
     /// digests are verified (and corruption healed) before the update
     /// consumes its moments, and re-captured into the same slot after it —
-    /// one visit per parameter. The first guarded step has nothing
-    /// captured yet and only captures. An unprotected step is
-    /// [`OpGuard::off`], not another method.
-    pub fn step(&mut self, model: &mut dyn HasParams, g: &OpGuard) {
+    /// one visit per parameter. A slot with no digests (the first guarded
+    /// step, or the first after unguarded ones) only captures. An
+    /// unprotected step is [`OpGuard::off`], not another method; it drops
+    /// the digests its update makes stale.
+    ///
+    /// # Panics
+    /// Panics if `grads` holds a name the model does not own (a misspelled
+    /// parameter name in a backward pass).
+    pub fn step(&mut self, model: &mut dyn HasParams, grads: &mut Grads, g: &OpGuard) {
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let update = |p: &mut Param| {
-            let n = p.value.len();
-            let value = p.value.data_mut();
-            let grad = p.grad.data_mut();
-            let m = p.m.data_mut();
-            let v = p.v.data_mut();
-            for i in 0..n {
-                let g = grad[i];
+        let update = |value: &mut [f32], grad: Option<&mut Matrix>, slot: &mut Slot| {
+            let n = value.len();
+            let (m, v) = (slot.m.data_mut(), slot.v.data_mut());
+            let mut adam = |i: usize, g: f32| {
                 m[i] = b1 * m[i] + (1.0 - b1) * g;
                 v[i] = b2 * v[i] + (1.0 - b2) * g * g;
                 let mhat = m[i] / bc1;
                 let vhat = v[i] / bc2;
                 value[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * value[i]);
-                grad[i] = 0.0;
+            };
+            match grad {
+                Some(grad) => {
+                    assert_eq!(grad.len(), n, "gradient shape");
+                    for (i, g) in grad.data_mut().iter_mut().enumerate() {
+                        adam(i, *g);
+                        *g = 0.0;
+                    }
+                }
+                None => (0..n).for_each(|i| adam(i, 0.0)),
             }
         };
-        let guards = &mut self.guards;
-        model.visit_params(&mut |p: &mut Param| {
-            if let Some(mg) = guards.get(p.name.as_str()).filter(|_| g.active()) {
-                mg.verify_heal(p, g);
+        let mut consumed = 0usize;
+        self.visit_slots(model, &mut |p, slot| {
+            let grad = grads.get_mut(p.name.as_str());
+            consumed += usize::from(grad.is_some());
+            if let Some(d) = slot.digests.as_ref().filter(|_| g.active()) {
+                d.verify_heal(&mut slot.m, &mut slot.v, g);
             }
-            update(p);
+            update(p.value.data_mut(), grad, slot);
             if g.active() {
-                capture_into(guards, p);
+                slot.capture();
+            } else {
+                slot.digests = None;
             }
         });
+        assert_eq!(
+            consumed,
+            grads.len(),
+            "gradients for parameters the model does not own, among {:?}",
+            grads.names().collect::<Vec<_>>()
+        );
     }
 
-    /// Re-capture the at-rest moment digests from the moments `model`
-    /// holds now. A checkpoint restore replaces the moments the digests
-    /// describe; without this the next guarded step would verify the
-    /// restored moments against the discarded ones and "heal" them back.
-    /// A no-op when nothing was ever captured, so unprotected trainers
-    /// stay digest-free.
-    pub fn recapture_digests(&mut self, model: &mut dyn HasParams) {
-        if !self.guards.is_empty() {
-            let guards = &mut self.guards;
-            model.visit_params(&mut |p: &mut Param| capture_into(guards, p));
-        }
+    /// Replace the optimizer state with a saved one: the step counter
+    /// becomes `t`, and `fill` writes each parameter's value and moments,
+    /// in `model`'s visit order (a never-stepped optimizer gets its slots
+    /// here, zeroed). Slots that hold digests re-capture them from the
+    /// loaded moments: otherwise the next guarded step would verify the
+    /// loaded state against the replaced one and "heal" it back. Slots
+    /// without digests stay without, and the next guarded step captures.
+    pub fn load(
+        &mut self,
+        model: &mut dyn HasParams,
+        t: u64,
+        fill: &mut dyn FnMut(&mut Param, &mut Slot),
+    ) {
+        self.t = t;
+        self.visit_slots(model, &mut |p, slot| {
+            fill(p, slot);
+            if slot.digests.is_some() {
+                slot.capture();
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::Grads;
     use attn_tensor::Matrix;
 
     struct One {
@@ -531,18 +633,34 @@ mod tests {
         }
     }
 
+    fn one(value: Matrix) -> One {
+        One {
+            p: Param::new("w", value),
+        }
+    }
+
+    /// A gradient accumulator holding `g` for `"w"`.
+    fn grad(g: Matrix) -> Grads {
+        let mut grads = Grads::new();
+        grads.accumulate("w", &g);
+        grads
+    }
+
+    /// The one slot's moments.
+    fn moments(opt: &AdamW) -> (&Matrix, &Matrix) {
+        (&opt.slots()[0].m, &opt.slots()[0].v)
+    }
+
     #[test]
     fn step_moves_against_gradient() {
-        let mut m = One {
-            p: Param::new("w", Matrix::full(1, 1, 1.0)),
-        };
-        m.p.grad = Matrix::full(1, 1, 1.0);
+        let mut m = one(Matrix::full(1, 1, 1.0));
+        let mut g = grad(Matrix::full(1, 1, 1.0));
         let mut opt = AdamW::new(0.1);
         opt.weight_decay = 0.0;
-        opt.step(&mut m, &OpGuard::off());
+        opt.step(&mut m, &mut g, &OpGuard::off());
         assert!(m.p.value[(0, 0)] < 1.0);
         // Gradient zeroed after the step.
-        assert_eq!(m.p.grad[(0, 0)], 0.0);
+        assert_eq!(g.get("w").unwrap()[(0, 0)], 0.0);
     }
 
     #[test]
@@ -550,13 +668,10 @@ mod tests {
         // With bias correction, |Δ| ≈ lr on the first step regardless of
         // gradient scale.
         for &g in &[1e-3f32, 1.0, 1e3] {
-            let mut m = One {
-                p: Param::new("w", Matrix::full(1, 1, 0.0)),
-            };
-            m.p.grad = Matrix::full(1, 1, g);
+            let mut m = one(Matrix::full(1, 1, 0.0));
             let mut opt = AdamW::new(0.01);
             opt.weight_decay = 0.0;
-            opt.step(&mut m, &OpGuard::off());
+            opt.step(&mut m, &mut grad(Matrix::full(1, 1, g)), &OpGuard::off());
             let delta = m.p.value[(0, 0)].abs();
             assert!((delta - 0.01).abs() < 1e-3, "g={g}: delta {delta}");
         }
@@ -564,63 +679,82 @@ mod tests {
 
     #[test]
     fn weight_decay_shrinks_params_without_gradient() {
-        let mut m = One {
-            p: Param::new("w", Matrix::full(1, 1, 2.0)),
-        };
+        let mut m = one(Matrix::full(1, 1, 2.0));
         let mut opt = AdamW::new(0.1);
         opt.weight_decay = 0.1;
-        opt.step(&mut m, &OpGuard::off());
+        opt.step(&mut m, &mut Grads::new(), &OpGuard::off());
         assert!(m.p.value[(0, 0)] < 2.0);
+    }
+
+    #[test]
+    fn a_missing_gradient_steps_like_a_zero_one() {
+        let mut a = one(Matrix::from_vec(1, 2, vec![2.0, -1.0]));
+        let mut b = one(Matrix::from_vec(1, 2, vec![2.0, -1.0]));
+        let (mut oa, mut ob) = (AdamW::new(0.1), AdamW::new(0.1));
+        oa.step(&mut a, &mut Grads::new(), &OpGuard::off());
+        ob.step(&mut b, &mut grad(Matrix::zeros(1, 2)), &OpGuard::off());
+        assert_eq!(a.p, b.p);
+        assert_eq!(oa, ob);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not own")]
+    fn step_rejects_gradients_for_unknown_names() {
+        let mut g = Grads::new();
+        g.accumulate("nope", &Matrix::zeros(1, 1));
+        AdamW::new(0.1).step(&mut one(Matrix::zeros(1, 1)), &mut g, &OpGuard::off());
+    }
+
+    #[test]
+    fn slots_are_created_by_the_first_step() {
+        let mut m = one(Matrix::zeros(2, 3));
+        let mut opt = AdamW::new(0.1);
+        assert!(opt.slots().is_empty(), "a new optimizer holds no moments");
+        opt.step(&mut m, &mut Grads::new(), &OpGuard::off());
+        assert_eq!(opt.slots().len(), 1);
+        assert_eq!((opt.slots()[0].m.rows(), opt.slots()[0].v.cols()), (2, 3));
     }
 
     #[test]
     fn inf_gradient_poisons_parameters() {
         // This is the mechanism behind the paper's non-trainable states: an
         // INF gradient drives Adam's moments to INF and the update to NaN.
-        let mut m = One {
-            p: Param::new("w", Matrix::full(1, 1, 1.0)),
-        };
-        m.p.grad = Matrix::full(1, 1, f32::INFINITY);
+        let mut m = one(Matrix::full(1, 1, 1.0));
         let mut opt = AdamW::new(0.01);
-        opt.step(&mut m, &OpGuard::off());
+        let mut g = grad(Matrix::full(1, 1, f32::INFINITY));
+        opt.step(&mut m, &mut g, &OpGuard::off());
         assert!(!m.p.value[(0, 0)].is_finite() || m.p.value[(0, 0)].is_nan());
     }
 
     #[test]
     fn merged_buffers_step_like_their_summed_gradient() {
-        let mut a = One {
-            p: Param::new("w", Matrix::full(1, 1, 1.0)),
-        };
-        let mut b = One {
-            p: Param::new("w", Matrix::full(1, 1, 1.0)),
-        };
-        let mut g0 = Grads::new();
-        g0.accumulate("w", &Matrix::full(1, 1, 0.25));
-        let mut g1 = Grads::new();
-        g1.accumulate("w", &Matrix::full(1, 1, 0.5));
+        let mut a = one(Matrix::full(1, 1, 1.0));
+        let mut b = one(Matrix::full(1, 1, 1.0));
+        let mut g0 = grad(Matrix::full(1, 1, 0.25));
+        let mut g1 = grad(Matrix::full(1, 1, 0.5));
 
         let mut oa = AdamW::new(0.01);
-        g0.merge_into(&mut a);
-        g1.merge_into(&mut a);
-        oa.step(&mut a, &OpGuard::off());
+        let mut acc = Grads::new();
+        g0.merge_into(&mut acc);
+        g1.merge_into(&mut acc);
+        oa.step(&mut a, &mut acc, &OpGuard::off());
 
-        b.p.grad = Matrix::full(1, 1, 0.25 + 0.5);
         let mut ob = AdamW::new(0.01);
-        ob.step(&mut b, &OpGuard::off());
+        ob.step(
+            &mut b,
+            &mut grad(Matrix::full(1, 1, 0.25 + 0.5)),
+            &OpGuard::off(),
+        );
 
         assert_eq!(a.p.value[(0, 0)].to_bits(), b.p.value[(0, 0)].to_bits());
     }
 
     fn batch(vals: &[f32]) -> One {
-        One {
-            p: Param::new("w", Matrix::from_vec(2, vals.len() / 2, vals.to_vec())),
-        }
+        one(Matrix::from_vec(2, vals.len() / 2, vals.to_vec()))
     }
 
     fn grads_of(vals: &[f32]) -> Grads {
-        let mut g = Grads::new();
-        g.accumulate("w", &Matrix::from_vec(2, vals.len() / 2, vals.to_vec()));
-        g
+        grad(Matrix::from_vec(2, vals.len() / 2, vals.to_vec()))
     }
 
     const W0: [f32; 8] = [1.0, -2.0, 0.5, 3.0, -0.25, 4.0, 0.125, -1.5];
@@ -635,14 +769,11 @@ mod tests {
         let mut oc = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
         for gr in [&G1, &G2] {
-            grads_of(gr).merge_into(&mut plain);
-            op.step(&mut plain, &OpGuard::off());
-            grads_of(gr).merge_into(&mut checked);
-            oc.step(&mut checked, &g);
+            op.step(&mut plain, &mut grads_of(gr), &OpGuard::off());
+            oc.step(&mut checked, &mut grads_of(gr), &g);
         }
         assert_eq!(plain.p.value, checked.p.value);
-        assert_eq!(plain.p.m, checked.p.m);
-        assert_eq!(plain.p.v, checked.p.v);
+        assert_eq!(moments(&op), moments(&oc));
         let s = g.take_stats();
         assert!(s.is_quiet(), "fault-free moments must stay quiet: {s:?}");
         // Second step verified 2 rows × 2 moment matrices.
@@ -665,23 +796,20 @@ mod tests {
                 let mut oc = AdamW::new(0.01);
                 let mut of = AdamW::new(0.01);
                 let gq = OpGuard::new(true, 5e-4);
-                clean.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-                oc.step(&mut clean, &gq);
-                clean.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-                oc.step(&mut clean, &gq);
+                oc.step(&mut clean, &mut grads_of(&G1), &gq);
+                oc.step(&mut clean, &mut grads_of(&G2), &gq);
                 assert!(gq.take_stats().is_quiet());
 
                 let gf = OpGuard::new(true, 5e-4);
-                faulty.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-                of.step(&mut faulty, &gf);
+                of.step(&mut faulty, &mut grads_of(&G1), &gf);
+                let slot = &mut of.slots_mut()[0];
                 let target = if second_moment {
-                    &mut faulty.p.v
+                    &mut slot.v
                 } else {
-                    &mut faulty.p.m
+                    &mut slot.m
                 };
                 target[(1, 2)] = fault;
-                faulty.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-                of.step(&mut faulty, &gf);
+                of.step(&mut faulty, &mut grads_of(&G2), &gf);
                 let s = gf.take_stats();
                 assert_eq!(s.detections, 1, "fault {fault} (v={second_moment})");
                 assert_eq!(s.heals, 1, "fault {fault} (v={second_moment})");
@@ -690,8 +818,7 @@ mod tests {
                     faulty.p.value, clean.p.value,
                     "fault {fault}: corrected step must be bit-identical"
                 );
-                assert_eq!(faulty.p.m, clean.p.m);
-                assert_eq!(faulty.p.v, clean.p.v);
+                assert_eq!(moments(&of), moments(&oc));
             }
         }
     }
@@ -699,36 +826,76 @@ mod tests {
     #[test]
     fn first_checked_step_only_captures() {
         let mut m = batch(&W0);
-        m.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
         let mut opt = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
-        opt.step(&mut m, &g);
+        opt.step(&mut m, &mut grads_of(&G1), &g);
         // Nothing captured before the first step → nothing verified.
+        assert_eq!(g.take_stats().checks, 0);
+    }
+
+    #[test]
+    fn unguarded_step_drops_the_digests_it_makes_stale() {
+        // guarded → unguarded → guarded: the third step must not verify
+        // the moments against digests of moments the second step moved.
+        let mut m = batch(&W0);
+        let mut twin = batch(&W0);
+        let (mut opt, mut ot) = (AdamW::new(0.01), AdamW::new(0.01));
+        let on = OpGuard::new(true, 5e-4);
+        for (gr, guard) in [(&G1, &on), (&G2, &OpGuard::off()), (&G1, &on)] {
+            opt.step(&mut m, &mut grads_of(gr), guard);
+            ot.step(&mut twin, &mut grads_of(gr), &OpGuard::off());
+        }
+        let s = on.take_stats();
+        assert_eq!(s.checks, 0, "the third step only captures: {s:?}");
+        assert!(s.is_quiet(), "{s:?}");
+        assert_eq!(m.p.value, twin.p.value);
+        assert_eq!(moments(&opt), moments(&ot));
+    }
+
+    #[test]
+    fn load_recaptures_digests_only_where_they_were_held() {
+        let mut m = batch(&W0);
+        let mut opt = AdamW::new(0.01);
+        let g = OpGuard::new(true, 5e-4);
+        opt.step(&mut m, &mut grads_of(&G1), &g);
+        opt.load(&mut m, 9, &mut |_, slot| slot.m.data_mut().fill(0.5));
+        assert_eq!(opt.t, 9);
+        opt.step(&mut m, &mut grads_of(&G2), &g);
+        let s = g.take_stats();
+        assert_eq!(s.checks, 4, "the loaded moments are verified");
+        assert!(s.is_quiet(), "and they are the state, not a fault: {s:?}");
+
+        // A never-stepped optimizer gets zeroed slots and no digests.
+        let mut fresh = AdamW::new(0.01);
+        fresh.load(&mut m, 3, &mut |_, _| {});
+        assert_eq!(fresh.slots().len(), 1);
+        assert!(attn_tensor::float::all_exactly_zero(
+            fresh.slots()[0].v.data()
+        ));
+        fresh.step(&mut m, &mut grads_of(&G2), &g);
         assert_eq!(g.take_stats().checks, 0);
     }
 
     /// Run the two-step checked flow twice — once clean, once with
     /// `corrupt` applied to the first moment between the steps — and
     /// return the guard stats plus both final states.
-    fn region_fault_flow(corrupt: impl FnOnce(&mut Matrix)) -> (One, One, attn_tensor::GuardStats) {
+    fn region_fault_flow(
+        corrupt: impl FnOnce(&mut Matrix),
+    ) -> ((One, AdamW), (One, AdamW), attn_tensor::GuardStats) {
         let mut clean = batch(&W0);
         let mut faulty = batch(&W0);
         let mut oc = AdamW::new(0.01);
         let mut of = AdamW::new(0.01);
         let gq = OpGuard::new(true, 5e-4);
-        clean.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-        oc.step(&mut clean, &gq);
-        clean.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-        oc.step(&mut clean, &gq);
+        oc.step(&mut clean, &mut grads_of(&G1), &gq);
+        oc.step(&mut clean, &mut grads_of(&G2), &gq);
         assert!(gq.take_stats().is_quiet());
 
         let gf = OpGuard::new(true, 5e-4);
-        faulty.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-        of.step(&mut faulty, &gf);
-        corrupt(&mut faulty.p.m);
-        faulty.p.grad = Matrix::from_vec(2, 4, G2.to_vec());
-        of.step(&mut faulty, &gf);
-        (clean, faulty, gf.take_stats())
+        of.step(&mut faulty, &mut grads_of(&G1), &gf);
+        corrupt(&mut of.slots_mut()[0].m);
+        of.step(&mut faulty, &mut grads_of(&G2), &gf);
+        ((clean, oc), (faulty, of), gf.take_stats())
     }
 
     #[test]
@@ -744,11 +911,10 @@ mod tests {
         assert_eq!(s.heals, 1);
         assert_eq!(s.unrecovered, 0);
         assert_eq!(
-            faulty.p.value, clean.p.value,
+            faulty.0.p.value, clean.0.p.value,
             "healed step must be bit-identical"
         );
-        assert_eq!(faulty.p.m, clean.p.m);
-        assert_eq!(faulty.p.v, clean.p.v);
+        assert_eq!(moments(&faulty.1), moments(&clean.1));
     }
 
     #[test]
@@ -766,11 +932,10 @@ mod tests {
         assert_eq!(s.heals, 2, "both rows healed through the 2D solver");
         assert_eq!(s.unrecovered, 0);
         assert_eq!(
-            faulty.p.value, clean.p.value,
+            faulty.0.p.value, clean.0.p.value,
             "healed step must be bit-identical"
         );
-        assert_eq!(faulty.p.m, clean.p.m);
-        assert_eq!(faulty.p.v, clean.p.v);
+        assert_eq!(moments(&faulty.1), moments(&clean.1));
     }
 
     #[test]
@@ -787,7 +952,7 @@ mod tests {
         assert_eq!(s.detections, 2);
         assert_eq!(s.heals, 0);
         assert_eq!(s.unrecovered, 2);
-        assert!(faulty.p.m.all_finite());
+        assert!(moments(&faulty.1).0.all_finite());
     }
 
     #[test]
@@ -795,12 +960,10 @@ mod tests {
         // An INF gradient legitimately drives the moments non-finite; the
         // captured digests must track that state without false alarms.
         let mut m = batch(&W0);
-        m.p.grad = Matrix::full(2, 4, f32::INFINITY);
         let mut opt = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
-        opt.step(&mut m, &g);
-        m.p.grad = Matrix::from_vec(2, 4, G1.to_vec());
-        opt.step(&mut m, &g);
+        opt.step(&mut m, &mut grad(Matrix::full(2, 4, f32::INFINITY)), &g);
+        opt.step(&mut m, &mut grads_of(&G1), &g);
         let s = g.take_stats();
         assert_eq!(s.detections, 0, "NaN moments re-digest identically");
         assert!(s.checks > 0);
@@ -809,15 +972,16 @@ mod tests {
     #[test]
     fn quadratic_convergence() {
         // Minimise (w - 3)²: AdamW should approach 3.
-        let mut m = One {
-            p: Param::new("w", Matrix::full(1, 1, 0.0)),
-        };
+        let mut m = one(Matrix::full(1, 1, 0.0));
         let mut opt = AdamW::new(0.05);
         opt.weight_decay = 0.0;
         for _ in 0..500 {
             let w = m.p.value[(0, 0)];
-            m.p.grad = Matrix::full(1, 1, 2.0 * (w - 3.0));
-            opt.step(&mut m, &OpGuard::off());
+            opt.step(
+                &mut m,
+                &mut grad(Matrix::full(1, 1, 2.0 * (w - 3.0))),
+                &OpGuard::off(),
+            );
         }
         assert!((m.p.value[(0, 0)] - 3.0).abs() < 0.1);
     }

@@ -1,49 +1,40 @@
-//! Learnable parameters with gradient and Adam-state storage, plus the
-//! detached [`Grads`] buffer that tape-based backward passes write into.
+//! Learnable parameters, and the name-keyed [`Grads`] buffers that
+//! backward passes write into and training steps fold.
+//!
+//! A [`Param`] is a name and a value, nothing else: a model built only to
+//! serve holds its weights once. The training state lives with the two
+//! places that use it — the gradient accumulator is a [`Grads`] owned by
+//! `Trainer`, and the AdamW moments are the optimizer's slots
+//! (`optim::Slot`) — and both are created by the first training step.
 
 use attn_tensor::Matrix;
 use std::collections::BTreeMap;
 
-/// A learnable tensor: value, accumulated gradient, and AdamW moments.
+/// A learnable tensor: a stable name and its current value.
 ///
 /// Biases are stored as `1 × n` matrices so every parameter flows through
 /// the same optimizer and checkpoint paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
-    /// Stable name used by checkpoints and debugging (e.g.
+    /// Stable name used by gradients, checkpoints and debugging (e.g.
     /// `"block0.attn.wq"`).
     pub name: String,
     /// Current value.
     pub value: Matrix,
-    /// Accumulated gradient (zeroed by the optimizer after each step).
-    pub grad: Matrix,
-    /// AdamW first moment.
-    pub m: Matrix,
-    /// AdamW second moment.
-    pub v: Matrix,
 }
 
 impl Param {
-    /// Create a parameter from an initial value with zeroed grad/moments.
+    /// Create a parameter from an initial value.
     pub fn new(name: impl Into<String>, value: Matrix) -> Self {
-        let (r, c) = (value.rows(), value.cols());
         Self {
             name: name.into(),
             value,
-            grad: Matrix::zeros(r, c),
-            m: Matrix::zeros(r, c),
-            v: Matrix::zeros(r, c),
         }
     }
 
     /// Zero-initialised parameter of the given shape (bias convention).
     pub fn zeros(name: impl Into<String>, rows: usize, cols: usize) -> Self {
         Self::new(name, Matrix::zeros(rows, cols))
-    }
-
-    /// Clear the accumulated gradient.
-    fn zero_grad(&mut self) {
-        self.grad.data_mut().fill(0.0);
     }
 
     /// Element count.
@@ -62,31 +53,24 @@ impl Param {
         self.value.all_finite()
     }
 
-    /// Accumulate `g` into the gradient.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, g: &Matrix) {
-        self.grad.axpy(1.0, g);
-    }
-
     /// Bias view: the first row of a `1 × n` parameter as a slice.
     pub fn bias(&self) -> &[f32] {
         self.value.row(0)
     }
 }
 
-/// A detached gradient buffer, keyed by parameter name.
+/// A gradient buffer, keyed by parameter name.
 ///
 /// Tape-based backward passes take the model by `&self` and accumulate
-/// their parameter gradients here instead of mutating [`Param::grad`] in
-/// place. That is what makes a training step data-parallel: each batch
-/// item backpropagates into a buffer of its own, and each buffer is folded
-/// into the model in **fixed batch order** as soon as its item finishes,
-/// so the floating-point reduction sequence — and therefore every
-/// parameter bit — is independent of how items were scheduled across
-/// threads. Folding zeroes the buffer, so one buffer serves item after
-/// item without reallocating its slots.
+/// their parameter gradients into a buffer of their own. That is what makes
+/// a training step data-parallel: each batch item backpropagates into its
+/// own buffer, and each buffer is folded into the trainer's accumulator —
+/// another `Grads` — in **fixed batch order** as soon as its item finishes,
+/// so the floating-point reduction sequence, and therefore every parameter
+/// bit, is independent of how items were scheduled across threads. Folding
+/// zeroes the buffer, so one buffer serves item after item without
+/// reallocating its slots; `AdamW::step` consumes the accumulator and
+/// zeroes it the same way.
 #[derive(Debug, Clone, Default)]
 pub struct Grads {
     map: BTreeMap<String, Matrix>,
@@ -121,9 +105,19 @@ impl Grads {
         self.map.get_mut(name).expect("slot inserted above")
     }
 
-    /// Read a gradient slot (mainly for tests).
+    /// Read a gradient slot.
     pub fn get(&self, name: &str) -> Option<&Matrix> {
         self.map.get(name)
+    }
+
+    /// The named slot, for the optimizer that consumes it.
+    pub(crate) fn get_mut(&mut self, name: &str) -> Option<&mut Matrix> {
+        self.map.get_mut(name)
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.map.len()
     }
 
     /// True when nothing has been accumulated.
@@ -131,33 +125,25 @@ impl Grads {
         self.map.is_empty()
     }
 
-    /// Add every buffered gradient into the owning model's [`Param::grad`]
-    /// storage, then zero the buffer's slots for the next item. Parameters
-    /// are visited in the model's stable order, so merging several buffers
-    /// one after another is a deterministic reduction. A reused buffer
-    /// folds the same bits a fresh one would: its zeroed slots can differ
-    /// from fresh ones only in the sign of a zero, and `Param::grad` never
+    /// The slot names, in order (for diagnostics).
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
+        self.map.keys().map(String::as_str)
+    }
+
+    /// Add every buffered gradient into the accumulator `acc`, then zero
+    /// this buffer's slots for the next item. `acc` creates a slot zeroed
+    /// (`+0.0`) the first time it sees a name, so folding several buffers
+    /// one after another is a deterministic reduction: each element is the
+    /// same sequence of f32 additions, in fold order. A reused buffer folds
+    /// the same bits a fresh one would: its zeroed slots can differ from
+    /// fresh ones only in the sign of a zero, and an accumulator slot never
     /// holds `-0.0` (it starts at `+0.0`, and only `-0.0 + -0.0` sums to
     /// `-0.0`), so adding either zero leaves it unchanged.
-    ///
-    /// # Panics
-    /// Panics if the buffer holds a name the model does not own (a
-    /// misspelled parameter name in a backward pass).
-    pub fn merge_into<M: HasParams + ?Sized>(&mut self, model: &mut M) {
-        let mut merged = 0usize;
-        model.visit_params(&mut |p| {
-            if let Some(g) = self.map.get_mut(p.name.as_str()) {
-                p.accumulate(g);
-                g.data_mut().fill(0.0);
-                merged += 1;
-            }
-        });
-        assert_eq!(
-            merged,
-            self.map.len(),
-            "gradients for parameters the model does not own, among {:?}",
-            self.map.keys()
-        );
+    pub fn merge_into(&mut self, acc: &mut Grads) {
+        for (name, g) in &mut self.map {
+            acc.matrix_mut(name, g.rows(), g.cols()).axpy(1.0, g);
+            g.data_mut().fill(0.0);
+        }
     }
 }
 
@@ -174,11 +160,6 @@ pub trait HasParams {
         n
     }
 
-    /// Zero all gradients.
-    fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
-
     /// True when all parameter values are finite.
     fn params_finite(&mut self) -> bool {
         let mut ok = true;
@@ -193,20 +174,28 @@ mod tests {
 
     #[test]
     fn new_param_zeroed_state() {
-        let p = Param::new("w", Matrix::full(2, 3, 1.5));
+        // A parameter is its name and value: no gradient or moment copies.
+        let p = Param::zeros("b", 2, 3);
         assert_eq!(p.len(), 6);
-        assert!(attn_tensor::float::all_exactly_zero(p.grad.data()));
-        assert!(attn_tensor::float::all_exactly_zero(p.m.data()));
+        assert!(attn_tensor::float::all_exactly_zero(p.value.data()));
+        assert_eq!(
+            std::mem::size_of::<Param>(),
+            std::mem::size_of::<String>() + std::mem::size_of::<Matrix>()
+        );
     }
 
     #[test]
     fn accumulate_and_zero() {
-        let mut p = Param::zeros("b", 1, 4);
-        p.accumulate(&Matrix::full(1, 4, 2.0));
-        p.accumulate(&Matrix::full(1, 4, 3.0));
-        assert!(p.grad.data().iter().all(|&x| x == 5.0));
-        p.zero_grad();
-        assert!(attn_tensor::float::all_exactly_zero(p.grad.data()));
+        let mut item = Grads::new();
+        item.accumulate("b", &Matrix::full(1, 4, 2.0));
+        item.accumulate("b", &Matrix::full(1, 4, 3.0));
+        assert!(item.get("b").unwrap().data().iter().all(|&x| x == 5.0));
+        let mut acc = Grads::new();
+        item.merge_into(&mut acc);
+        assert!(acc.get("b").unwrap().data().iter().all(|&x| x == 5.0));
+        assert!(attn_tensor::float::all_exactly_zero(
+            item.get("b").unwrap().data()
+        ));
     }
 
     #[test]
@@ -236,26 +225,31 @@ mod tests {
         g.accumulate("a", &Matrix::full(2, 2, 2.0));
         g.matrix_mut("b", 1, 3).row_mut(0)[1] = 7.0;
         assert!(g.get("a").unwrap().data().iter().all(|&x| x == 3.0));
-        let mut t = Two {
-            a: Param::zeros("a", 2, 2),
-            b: Param::zeros("b", 1, 3),
-        };
-        g.merge_into(&mut t);
-        assert!(t.a.grad.data().iter().all(|&x| x == 3.0));
-        assert_eq!(t.b.grad[(0, 1)], 7.0);
-        assert_eq!(t.b.grad[(0, 0)], 0.0);
+        let mut acc = Grads::new();
+        g.merge_into(&mut acc);
+        g.accumulate("a", &Matrix::full(2, 2, 0.5));
+        g.merge_into(&mut acc);
+        assert!(acc.get("a").unwrap().data().iter().all(|&x| x == 3.5));
+        assert_eq!(acc.get("b").unwrap()[(0, 1)], 7.0);
+        assert_eq!(acc.get("b").unwrap()[(0, 0)], 0.0);
+        assert_eq!(acc.len(), 2);
     }
 
     #[test]
-    #[should_panic]
-    fn grads_merge_rejects_unknown_names() {
-        let mut g = Grads::new();
-        g.accumulate("nope", &Matrix::zeros(1, 1));
-        let mut t = Two {
-            a: Param::zeros("a", 2, 2),
-            b: Param::zeros("b", 1, 3),
-        };
-        g.merge_into(&mut t);
+    fn accumulator_slots_never_hold_negative_zero() {
+        // A fresh item slot may hold -0.0; folded into a +0.0 accumulator
+        // it reads +0.0, as a reused (zeroed) item slot would.
+        let mut item = Grads::new();
+        item.accumulate("a", &Matrix::full(1, 2, -0.0));
+        let mut acc = Grads::new();
+        item.merge_into(&mut acc);
+        item.merge_into(&mut acc);
+        assert!(acc
+            .get("a")
+            .unwrap()
+            .data()
+            .iter()
+            .all(|x| x.to_bits() == 0));
     }
 
     #[test]
@@ -265,9 +259,6 @@ mod tests {
             b: Param::zeros("b", 1, 3),
         };
         assert_eq!(t.param_count(), 7);
-        t.a.accumulate(&Matrix::full(2, 2, 1.0));
-        t.zero_grads();
-        assert!(attn_tensor::float::all_exactly_zero(t.a.grad.data()));
         assert!(t.params_finite());
         t.b.value[(0, 0)] = f32::INFINITY;
         assert!(!t.params_finite());

@@ -6,12 +6,16 @@
 //! gradient buffer, fanned out by [`attn_tensor::par::map`] over
 //! [`Trainer::set_parallelism`] workers in waves of `workers` items. After each
 //! wave its results are reduced in **fixed batch order** — losses summed,
-//! reports merged, gradient buffers folded into [`crate::param::Param::grad`]
-//! and zeroed for the next wave — so a step's loss and every post-step
-//! parameter bit are identical at any worker count, and a step holds
-//! `workers` gradient buffers, not one per item. The optimizer then
-//! consumes the folded gradients. The forward is serving's `extend` over
-//! fresh KV caches, with the tape recorded.
+//! reports merged, gradient buffers folded into the trainer's gradient
+//! accumulator and zeroed for the next wave — so a step's loss and every
+//! post-step parameter bit are identical at any worker count, and a step
+//! holds `workers` gradient buffers, not one per item. The optimizer then
+//! consumes the accumulator and zeroes it. The forward is serving's
+//! `extend` over fresh KV caches, with the tape recorded.
+//!
+//! The trainer is where training state lives: the accumulator here, the
+//! AdamW moments in [`AdamW`]. Both start empty and are sized by the first
+//! step, so the model itself holds only its weights.
 
 use crate::data::{Example, SyntheticMrpc};
 use crate::model::{cross_entropy, InjectionSpec, TransformerModel};
@@ -81,8 +85,12 @@ struct ItemOutcome {
 pub struct Trainer {
     /// The model being trained.
     pub model: TransformerModel,
-    /// Optimizer.
+    /// Optimizer, owner of the AdamW moments.
     pub optim: AdamW,
+    /// Gradient accumulator: every item buffer folds into it in batch
+    /// order, and the optimizer consumes and zeroes it. Empty until the
+    /// first step.
+    grads: Grads,
     /// Single owner of the per-section frequency gates, driven at the
     /// model's protection config on every step.
     policy: ProtectionPolicy,
@@ -98,6 +106,7 @@ impl Trainer {
         Self {
             model,
             optim: AdamW::new(lr),
+            grads: Grads::new(),
             policy: ProtectionPolicy::default(),
             parallelism: 1,
         }
@@ -191,7 +200,7 @@ impl Trainer {
             let done = par::map(workers, wave, |j, grads| run_item(model, start + j, grads));
             // Deterministic fixed-order reduction: batch order, always.
             for (item, grads) in done.into_iter().zip(wave.iter_mut()) {
-                grads.merge_into(&mut self.model);
+                grads.merge_into(&mut self.grads);
                 loss_sum += item.loss;
                 report.merge(&item.report);
                 item_reports.push(item.report);
@@ -203,7 +212,8 @@ impl Trainer {
         // The optimizer consumes the folded gradients, its moment digests
         // verified and healed in an execution of its own.
         let ctx = Ctx::new(&protection, toggles, &mut report);
-        self.optim.step(&mut self.model, ctx.guard());
+        self.optim
+            .step(&mut self.model, &mut self.grads, ctx.guard());
         drop(ctx);
 
         let loss = loss_sum * inv;
@@ -449,7 +459,7 @@ mod tests {
         let batch: Vec<&Example> = ds.examples.iter().take(2).collect();
         let mut moment_rows = 0;
         tr.model
-            .visit_params(&mut |p| moment_rows += p.m.rows() + p.v.rows());
+            .visit_params(&mut |p| moment_rows += 2 * p.value.rows());
         // The first step only captures the moment digests; later steps
         // screen every moment row once.
         for (step, screens, pin) in [
@@ -465,6 +475,53 @@ mod tests {
             merged.op_checks += screens;
             assert_eq!(out.report, merged, "step {step}");
         }
+    }
+
+    /// Every parameter value and both moments of every parameter, as bits.
+    fn state_bits(tr: &mut Trainer) -> Vec<u32> {
+        let mut bits = Vec::new();
+        tr.model
+            .visit_params(&mut |p| bits.extend(p.value.data().iter().map(|x| x.to_bits())));
+        for slot in tr.optim.slots() {
+            for m in [&slot.m, &slot.v] {
+                bits.extend(m.data().iter().map(|x| x.to_bits()));
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn guarded_step_after_an_unguarded_one_captures_afresh() {
+        // full → off → full: the unguarded step moves the moments past the
+        // digests the first step captured. The third step must capture
+        // anew, not "heal" the moments back toward those digests.
+        let build = || {
+            let mut rng = TensorRng::seed_from(21);
+            let mut cfg = ModelConfig::bert_small();
+            cfg.hidden = 16;
+            cfg.heads = 2;
+            cfg.layers = 1;
+            let model = TransformerModel::new(cfg, ProtectionConfig::off(), &mut rng);
+            Trainer::new(model, 1e-3)
+        };
+        let ds = SyntheticMrpc::generate(16, 256, 16, 3);
+        let batch: Vec<&Example> = ds.examples.iter().take(4).collect();
+        let (mut toggled, mut twin) = (build(), build());
+        let (full, off) = (ProtectionConfig::full(), ProtectionConfig::off());
+        for (step, protection) in [full, off, full].into_iter().enumerate() {
+            toggled.set_protection(protection);
+            let r = toggled.train_step(&batch).report;
+            twin.train_step(&batch);
+            assert_eq!(
+                (r.op_detections, r.detections, r.unrecovered),
+                (0, 0, 0),
+                "step {step}: {r}"
+            );
+        }
+        assert!(
+            state_bits(&mut toggled) == state_bits(&mut twin),
+            "values and moments must equal the always-off twin bit for bit"
+        );
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! other than its ceiling, so a single new allocation per step shows, and a
 //! change that removes one must lower the ceiling with it.
 //!
+//! The same allocator keeps a second per-thread number, the bytes live on
+//! the heap, and a second test pins what a served model holds: the bytes a
+//! freshly built `DecodeEngine` and `Gateway` keep live, exact ceilings
+//! that may only be lowered, and no more than twice the weight bytes
+//! (a model built to serve holds its weights, not the gradient and the two
+//! AdamW moments a trainer keeps beside them).
+//!
 //! The counting allocator is the one `unsafe` outside `attn_tensor`, so it
 //! takes the same lint levels: rustc's `unsafe_op_in_unsafe_fn` and
 //! clippy's `undocumented_unsafe_blocks`.
@@ -23,7 +30,7 @@
 use attnchecker_repro::abft::config::ProtectionConfig;
 use attnchecker_repro::infer::{DecodeEngine, Sampling};
 use attnchecker_repro::model::model::{ModelConfig, TransformerModel};
-use attnchecker_repro::model::{SyntheticMrpc, Trainer};
+use attnchecker_repro::model::{HasParams, SyntheticMrpc, Trainer};
 use attnchecker_repro::serve::{Gateway, GatewayConfig, Request, TraceEvent};
 use attnchecker_repro::tensor::rng::TensorRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -32,6 +39,8 @@ use std::cell::Cell;
 thread_local! {
     /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -41,26 +50,34 @@ fn bump() {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a const-initialised
 // `Cell` with no destructor, so bumping it never allocates or re-enters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
+        live(layout.size() as i64);
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump();
+        live(layout.size() as i64);
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the
         // caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -75,6 +92,15 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.get();
     f();
     ALLOCS.get() - before
+}
+
+/// Heap bytes the value `build` returns holds live on this thread.
+fn bytes_held_by<T>(build: impl FnOnce() -> T) -> i64 {
+    let before = LIVE.get();
+    let built = build();
+    let held = LIVE.get() - before;
+    drop(built);
+    held
 }
 
 fn lm_model(protection: ProtectionConfig) -> TransformerModel {
@@ -208,6 +234,63 @@ fn steady_state_paths_stay_within_their_heap_budget() {
     assert!(
         off.is_empty(),
         "heap budget off its exact count:\n{}",
+        off.join("\n")
+    );
+}
+
+/// Weight bytes of the served model: four per parameter scalar.
+fn weight_bytes() -> i64 {
+    4 * lm_model(ProtectionConfig::full()).param_count() as i64
+}
+
+fn engine_bytes() -> i64 {
+    bytes_held_by(|| DecodeEngine::new(lm_model(ProtectionConfig::full())))
+}
+
+fn gateway_bytes() -> i64 {
+    let cfg = GatewayConfig {
+        workers: 1,
+        ..GatewayConfig::default()
+    };
+    bytes_held_by(|| Gateway::new(lm_model(ProtectionConfig::full()), cfg))
+}
+
+/// `(system, measure, ceiling)`: the heap bytes a freshly built serving
+/// system holds live over `lm_model(full())`. A ceiling is the exact count
+/// measured when it was committed, and may only be lowered.
+type Held = (&'static str, fn() -> i64, i64);
+
+const HELD: [Held; 2] = [
+    ("DecodeEngine::new", engine_bytes, 125_517),
+    ("Gateway::new", gateway_bytes, 125_517),
+];
+
+#[test]
+fn a_served_model_holds_only_its_weights() {
+    let weights = weight_bytes();
+    let mut off = Vec::new();
+    for (system, measure, ceiling) in HELD {
+        let held = measure();
+        println!(
+            "heap_budget: {system} holds {held} B ({:.2}× the {weights} weight bytes, ceiling {ceiling})",
+            held as f64 / weights as f64
+        );
+        if held > 2 * weights {
+            off.push(format!(
+                "{system}: {held} B is more than twice the {weights} weight bytes"
+            ));
+        }
+        if held > ceiling {
+            off.push(format!("{system}: {held} > {ceiling}"));
+        } else if held < ceiling {
+            off.push(format!(
+                "{system}: {held} < {ceiling}, lower the ceiling to {held}"
+            ));
+        }
+    }
+    assert!(
+        off.is_empty(),
+        "served systems off their byte budget:\n{}",
         off.join("\n")
     );
 }

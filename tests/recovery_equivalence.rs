@@ -6,7 +6,7 @@
 use attn_ckpt::{restore_model, snapshot_model, CheckpointManager};
 use attn_fault::FaultKind;
 use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
-use attn_model::{HasParams, SyntheticMrpc, Trainer};
+use attn_model::{AdamW, HasParams, SyntheticMrpc, Trainer};
 use attn_tensor::rng::TensorRng;
 use attnchecker::attention::AttnOp;
 use attnchecker::config::ProtectionConfig;
@@ -54,14 +54,13 @@ fn abft_correction_and_cr_replay_reach_the_same_state() {
 
     // Path B: CR — pre-step checkpoint, (the faulty step is discarded),
     // restore, replay cleanly.
-    let snap = snapshot_model(&mut cr_trainer.model, cr_trainer.optim.t);
+    let snap = snapshot_model(&mut cr_trainer.model, &cr_trainer.optim);
     let broken = cr_trainer.train_step_injected(&batch, Some((2, spec)));
     assert!(
         broken.non_trainable,
         "unprotected fault must break the step"
     );
-    let t = restore_model(&mut cr_trainer.model, &snap).expect("restore");
-    cr_trainer.optim.t = t;
+    restore_model(&mut cr_trainer.model, &mut cr_trainer.optim, &snap).expect("restore");
     let replay = cr_trainer.train_step(&batch);
     assert!(!replay.non_trainable);
 
@@ -82,7 +81,7 @@ fn checkpoint_manager_roundtrip_through_disk_matches_memory_snapshot() {
     let batch: Vec<_> = ds.examples.iter().take(4).collect();
     let _ = trainer.train_step(&batch);
 
-    let mem = snapshot_model(&mut trainer.model, trainer.optim.t);
+    let mem = snapshot_model(&mut trainer.model, &trainer.optim);
 
     let dir = std::env::temp_dir().join(format!("attnchk-it-{}", std::process::id()));
     let mut mgr = CheckpointManager::new(&dir).expect("dir");
@@ -95,7 +94,8 @@ fn checkpoint_manager_roundtrip_through_disk_matches_memory_snapshot() {
     mgr.load_last(&mut trainer).expect("load");
     let after_restore = params_of(&mut trainer);
     let mut reference = trainer.model.clone();
-    let t = restore_model(&mut reference, &mem).expect("mem restore");
+    let mut ref_optim = AdamW::new(trainer.optim.lr);
+    let t = restore_model(&mut reference, &mut ref_optim, &mem).expect("mem restore");
     assert_eq!(t, trainer.optim.t);
     assert_ne!(before_restore, after_restore, "restore must change state");
     let mut ref_params = Vec::new();

@@ -127,8 +127,8 @@ fn ctx_guard(protection: &ProtectionConfig) -> OpGuard {
 }
 
 /// The reduction a training step must equal: every item forwards and
-/// backwards into a fresh `Grads`, all buffers fold into the model in batch
-/// order, then one `AdamW::step` under the step's guard. Valid for
+/// backwards into a fresh `Grads`, all buffers fold into one accumulator in
+/// batch order, then one `AdamW::step` consumes it under the step's guard. Valid for
 /// `full()` and `off()` protection, whose sections are all on or all off
 /// at every step.
 fn reference_step(
@@ -161,22 +161,26 @@ fn reference_step(
         buffers.push(grads);
         loss_sum += loss;
     }
+    let mut acc = Grads::new();
     for mut grads in buffers {
-        grads.merge_into(&mut tr.model);
+        grads.merge_into(&mut acc);
     }
-    tr.optim.step(&mut tr.model, &ctx_guard(&protection));
+    tr.optim
+        .step(&mut tr.model, &mut acc, &ctx_guard(&protection));
     loss_sum * inv
 }
 
-/// Every bit of the training state: value, gradient and both moments of
-/// every parameter.
+/// Every bit of the state a step leaves: the value of every parameter and
+/// both of its moments (the gradient accumulator is zero after a step).
 fn state_bits(tr: &mut Trainer) -> Vec<u32> {
     let mut out = Vec::new();
-    tr.model.visit_params(&mut |p| {
-        for mat in [&p.value, &p.grad, &p.m, &p.v] {
+    tr.model
+        .visit_params(&mut |p| out.extend(p.value.data().iter().map(|x| x.to_bits())));
+    for slot in tr.optim.slots() {
+        for mat in [&slot.m, &slot.v] {
             out.extend(mat.data().iter().map(|x| x.to_bits()));
         }
-    });
+    }
     out
 }
 
