@@ -1,10 +1,10 @@
 //! On-disk checkpointing and restore-and-replay recovery.
 
-use crate::snapshot::{restore_model, snapshot_model, SnapshotError};
+use crate::snapshot::{read_snapshot, write_snapshot, SnapshotError};
 use attn_model::data::Example;
 use attn_model::trainer::{StepOutcome, Trainer};
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -12,9 +12,10 @@ use std::time::{Duration, Instant};
 /// decomposition).
 #[derive(Debug, Clone)]
 pub struct RecoveryTiming {
-    /// Serialise + write the checkpoint.
+    /// Encode the state straight into the checkpoint file, fsync, commit.
     pub save: Duration,
-    /// Read + deserialise the checkpoint.
+    /// Validate the checkpoint file, then decode it straight into the
+    /// trainer.
     pub load: Duration,
     /// Re-execute the lost training step.
     pub replay: Duration,
@@ -80,23 +81,25 @@ impl CheckpointManager {
     /// Serialise the trainer state to a new checkpoint file; returns
     /// `(path, bytes written, elapsed)`.
     ///
-    /// The write is atomic: data goes to `ckpt-*.atnc.tmp`, is fsynced,
-    /// and only then renamed to the final name (followed by a directory
-    /// fsync so the rename itself is durable). A crash at any point leaves
-    /// either the complete previous state or a leftover `.tmp` that
-    /// [`Self::new`] discards on restart — never a torn `.atnc` a restore
-    /// would load as corrupt model state.
+    /// The state is encoded into the file through a `BufWriter`, never
+    /// whole in memory. The write is atomic: data goes to
+    /// `ckpt-*.atnc.tmp`, is flushed (`into_inner`, so a failed flush is an
+    /// error rather than lost in a drop) and fsynced, and only then renamed
+    /// to the final name (followed by a directory fsync so the rename
+    /// itself is durable). A crash at any point leaves either the complete
+    /// previous state or a leftover `.tmp` that [`Self::new`] discards on
+    /// restart — never a torn `.atnc` a restore would load as corrupt model
+    /// state.
     pub fn save(&mut self, trainer: &mut Trainer) -> io::Result<(PathBuf, usize, Duration)> {
         let t0 = Instant::now();
-        let data = snapshot_model(&mut trainer.model, &trainer.optim);
         let path = self.dir.join(format!("ckpt-{:06}.atnc", self.counter));
         let tmp = self.dir.join(format!("ckpt-{:06}.atnc.tmp", self.counter));
         self.counter += 1;
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&data)?;
-            f.sync_all()?;
-        }
+        let mut w = BufWriter::new(fs::File::create(&tmp)?);
+        let bytes = write_snapshot(&mut trainer.model, &trainer.optim, &mut w)?;
+        w.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
         fs::rename(&tmp, &path)?;
         // Persist the rename: fsync the directory entry (best-effort on
         // platforms where directories cannot be opened for sync).
@@ -104,25 +107,33 @@ impl CheckpointManager {
             let _ = d.sync_all();
         }
         self.last = Some(path.clone());
-        Ok((path, data.len(), t0.elapsed()))
+        Ok((path, bytes as usize, t0.elapsed()))
     }
 
     /// Restore trainer state from the most recent checkpoint — params,
     /// moments and the step counter, with the optimizer's at-rest moment
     /// digests re-captured from the restored moments; returns elapsed time.
-    /// The trainer may be a fresh one that has never stepped.
+    /// The trainer may be a fresh one that has never stepped. The file is
+    /// decoded in place by [`read_snapshot`]: one pass validates it, a
+    /// second writes it into the trainer.
     ///
     /// # Errors
-    /// Fails when no checkpoint exists or the file is invalid.
+    /// Fails with [`io::ErrorKind::NotFound`] when no checkpoint exists and
+    /// with [`io::ErrorKind::InvalidData`] when the file is invalid; neither
+    /// touches the trainer. Any other error is the file failing to read,
+    /// which can happen after the restore began to write: the trainer is
+    /// then partly restored, and must be restored again before it trains.
     pub fn load_last(&self, trainer: &mut Trainer) -> io::Result<Duration> {
         let path = self
             .last
             .as_ref()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no checkpoint saved"))?;
         let t0 = Instant::now();
-        let data = fs::read(path)?;
-        restore_model(&mut trainer.model, &mut trainer.optim, &data)
-            .map_err(|e: SnapshotError| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let mut file = fs::File::open(path)?;
+        read_snapshot(&mut trainer.model, &mut trainer.optim, &mut file).map_err(|e| match e {
+            SnapshotError::Io(kind) => io::Error::new(kind, e),
+            e => io::Error::new(io::ErrorKind::InvalidData, e),
+        })?;
         Ok(t0.elapsed())
     }
 
@@ -336,6 +347,28 @@ mod tests {
             );
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_truncated_checkpoint_file_leaves_the_trainer_untouched() {
+        let (mut tr, ds) = trainer_with(ProtectionConfig::full());
+        let dir = tmp_dir("truncated");
+        let mut mgr = CheckpointManager::new(&dir).unwrap();
+        let batch: Vec<_> = ds.examples.iter().take(4).collect();
+        let _ = tr.train_step(&batch);
+        let (path, bytes, _) = mgr.save(&mut tr).unwrap();
+        let _ = tr.train_step(&batch);
+        let before = (state_bits(&mut tr), tr.optim.t);
+
+        let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(bytes as u64 - 7).unwrap();
+        let err = mgr.load_last(&mut tr).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            (state_bits(&mut tr), tr.optim.t) == before,
+            "a failed load must leave params, moments and step counter as they were"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! (a model built to serve holds its weights, not the gradient and the two
 //! AdamW moments a trainer keeps beside them).
 //!
+//! A third per-thread number, the high-water mark of the live bytes, pins
+//! what a checkpoint costs in memory: the peak over the bytes already live
+//! while `CheckpointManager` saves a trained model's state to a file and
+//! loads it back, an exact ceiling that may only be lowered, and a small
+//! fraction of the snapshot's size (both directions stream through the
+//! file; neither holds the snapshot whole).
+//!
 //! The counting allocator is the one `unsafe` outside `attn_tensor`, so it
 //! takes the same lint levels: rustc's `unsafe_op_in_unsafe_fn` and
 //! clippy's `undocumented_unsafe_blocks`.
@@ -28,6 +35,7 @@
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 use attnchecker_repro::abft::config::ProtectionConfig;
+use attnchecker_repro::ckpt::CheckpointManager;
 use attnchecker_repro::infer::{DecodeEngine, Sampling};
 use attnchecker_repro::model::model::{ModelConfig, TransformerModel};
 use attnchecker_repro::model::{HasParams, SyntheticMrpc, Trainer};
@@ -41,6 +49,8 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread allocated minus bytes it freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since `peak_bytes_in` last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -51,12 +61,16 @@ fn bump() {
 }
 
 fn live(delta: i64) {
-    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+    let _ = LIVE.try_with(|c| {
+        let now = c.get() + delta;
+        c.set(now);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(now)));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// `Cell` with no destructor, so bumping it never allocates or re-enters.
+// upholds the `GlobalAlloc` contract; the counters are const-initialised
+// `Cell`s with no destructor, so bumping them never allocates or re-enters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
@@ -101,6 +115,15 @@ fn bytes_held_by<T>(build: impl FnOnce() -> T) -> i64 {
     let held = LIVE.get() - before;
     drop(built);
     held
+}
+
+/// The most heap bytes live on this thread while `f` runs, over those live
+/// when it starts.
+fn peak_bytes_in(f: impl FnOnce()) -> i64 {
+    let base = LIVE.get();
+    PEAK.set(base);
+    f();
+    PEAK.get() - base
 }
 
 fn lm_model(protection: ProtectionConfig) -> TransformerModel {
@@ -292,5 +315,55 @@ fn a_served_model_holds_only_its_weights() {
         off.is_empty(),
         "served systems off their byte budget:\n{}",
         off.join("\n")
+    );
+}
+
+/// A protected trainer after one batch-4 step, saved by a fresh
+/// `CheckpointManager` and loaded back: `(peak bytes live during the save
+/// and the load, checkpoint bytes)`. The checkpoint directory's name has a
+/// fixed length, since the manager's path buffers count towards the peak.
+fn checkpoint_round_trip() -> (i64, usize) {
+    let mut cfg = ModelConfig::bert_base();
+    cfg.hidden = 32;
+    cfg.heads = 2;
+    cfg.layers = 2;
+    let ds = SyntheticMrpc::generate(16, cfg.vocab, 16, 1);
+    let batch: Vec<_> = ds.examples.iter().take(4).collect();
+    let model = TransformerModel::new(cfg, ProtectionConfig::full(), &mut TensorRng::seed_from(77));
+    let mut trainer = Trainer::new(model, 1e-3);
+    trainer.set_parallelism(1);
+    trainer.train_step(&batch);
+    let dir = format!("target/tmp/heap-budget-ckpt-{:010}", std::process::id());
+    let mut mgr = CheckpointManager::new(&dir).expect("checkpoint dir");
+    let mut bytes = 0;
+    let peak = peak_bytes_in(|| {
+        bytes = mgr.save(&mut trainer).expect("save").1;
+        mgr.load_last(&mut trainer).expect("load");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    (peak, bytes)
+}
+
+/// The peak bytes a checkpoint save + load holds live over the trainer, as
+/// measured when committed; may only be lowered.
+const CHECKPOINT_PEAK: i64 = 8_344;
+
+#[test]
+fn a_checkpoint_streams_through_the_file() {
+    let (peak, bytes) = checkpoint_round_trip();
+    println!(
+        "heap_budget: checkpoint save + load peaks at {peak} B over the trainer for a {bytes} B snapshot (ceiling {CHECKPOINT_PEAK})"
+    );
+    assert!(
+        peak * 32 < bytes as i64,
+        "a checkpoint round trip peaked at {peak} B, not far below the {bytes} B snapshot"
+    );
+    assert!(
+        peak <= CHECKPOINT_PEAK,
+        "checkpoint round trip: {peak} > {CHECKPOINT_PEAK}"
+    );
+    assert!(
+        peak >= CHECKPOINT_PEAK,
+        "checkpoint round trip: {peak} < {CHECKPOINT_PEAK}, lower the ceiling to {peak}"
     );
 }

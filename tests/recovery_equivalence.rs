@@ -3,13 +3,14 @@
 //! restore baseline must land the model in the same post-step state — they
 //! are alternative implementations of "the step happened as if fault-free".
 
-use attn_ckpt::{restore_model, snapshot_model, CheckpointManager};
+use attn_ckpt::{read_snapshot, write_snapshot, CheckpointManager};
 use attn_fault::FaultKind;
 use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
 use attn_model::{AdamW, HasParams, SyntheticMrpc, Trainer};
 use attn_tensor::rng::TensorRng;
 use attnchecker::attention::AttnOp;
 use attnchecker::config::ProtectionConfig;
+use std::io::Cursor;
 
 fn build(protection: attnchecker::config::ProtectionConfig, seed: u64) -> (Trainer, ModelConfig) {
     let mut config = ModelConfig::roberta();
@@ -54,13 +55,19 @@ fn abft_correction_and_cr_replay_reach_the_same_state() {
 
     // Path B: CR — pre-step checkpoint, (the faulty step is discarded),
     // restore, replay cleanly.
-    let snap = snapshot_model(&mut cr_trainer.model, &cr_trainer.optim);
+    let mut snap = Vec::new();
+    write_snapshot(&mut cr_trainer.model, &cr_trainer.optim, &mut snap).expect("snapshot");
     let broken = cr_trainer.train_step_injected(&batch, Some((2, spec)));
     assert!(
         broken.non_trainable,
         "unprotected fault must break the step"
     );
-    restore_model(&mut cr_trainer.model, &mut cr_trainer.optim, &snap).expect("restore");
+    read_snapshot(
+        &mut cr_trainer.model,
+        &mut cr_trainer.optim,
+        &mut Cursor::new(&snap),
+    )
+    .expect("restore");
     let replay = cr_trainer.train_step(&batch);
     assert!(!replay.non_trainable);
 
@@ -81,7 +88,8 @@ fn checkpoint_manager_roundtrip_through_disk_matches_memory_snapshot() {
     let batch: Vec<_> = ds.examples.iter().take(4).collect();
     let _ = trainer.train_step(&batch);
 
-    let mem = snapshot_model(&mut trainer.model, &trainer.optim);
+    let mut mem = Vec::new();
+    write_snapshot(&mut trainer.model, &trainer.optim, &mut mem).expect("snapshot");
 
     let dir = std::env::temp_dir().join(format!("attnchk-it-{}", std::process::id()));
     let mut mgr = CheckpointManager::new(&dir).expect("dir");
@@ -95,7 +103,8 @@ fn checkpoint_manager_roundtrip_through_disk_matches_memory_snapshot() {
     let after_restore = params_of(&mut trainer);
     let mut reference = trainer.model.clone();
     let mut ref_optim = AdamW::new(trainer.optim.lr);
-    let t = restore_model(&mut reference, &mut ref_optim, &mem).expect("mem restore");
+    let t =
+        read_snapshot(&mut reference, &mut ref_optim, &mut Cursor::new(&mem)).expect("mem restore");
     assert_eq!(t, trainer.optim.t);
     assert_ne!(before_restore, after_restore, "restore must change state");
     let mut ref_params = Vec::new();
