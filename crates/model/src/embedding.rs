@@ -3,7 +3,7 @@
 use crate::param::{Grads, HasParams, Param};
 use attn_tensor::guard::verify_rowsum_add;
 use attn_tensor::rng::TensorRng;
-use attn_tensor::{Matrix, OpGuard};
+use attn_tensor::{workspace, Matrix, OpGuard};
 
 /// Token and position embedding table (the transformer input layer).
 #[derive(Debug, Clone)]
@@ -79,12 +79,29 @@ impl Embedding {
     /// `dy` rows into the token and position gradient slots of `grads`.
     /// One table at a time, so each gradient slot is looked up once instead
     /// of once per token.
+    ///
+    /// Every slot row takes one add per call: a token that repeats has its
+    /// `dy` rows summed in position order in a workspace row first. So
+    /// backpropagating into a slot that already holds gradients gives the
+    /// same bits as backpropagating into a fresh buffer and folding that
+    /// in, which lets a training step send an item straight into its
+    /// accumulator.
     pub fn backward(&self, dy: &Matrix, tokens: &[usize], grads: &mut Grads) {
         assert_eq!(dy.rows(), tokens.len());
         let dtok = grads.matrix_mut(&self.tok.name, self.tok.value.rows(), self.tok.value.cols());
+        let mut sum = workspace::take(dy.cols());
         for (i, &t) in tokens.iter().enumerate() {
-            for (g, &d) in dtok.row_mut(t).iter_mut().zip(dy.row(i)) {
-                *g += d;
+            if tokens[..i].contains(&t) {
+                continue; // summed with its first occurrence
+            }
+            sum.fill(0.0);
+            for j in (i..tokens.len()).filter(|&j| tokens[j] == t) {
+                for (s, &d) in sum.iter_mut().zip(dy.row(j)) {
+                    *s += d;
+                }
+            }
+            for (g, &s) in dtok.row_mut(t).iter_mut().zip(sum.iter()) {
+                *g += s;
             }
         }
         let dpos = grads.matrix_mut(&self.pos.name, self.pos.value.rows(), self.pos.value.cols());
@@ -146,6 +163,43 @@ mod tests {
         for p in 0..3 {
             assert!(pos.row(p).iter().all(|&g| (g - 1.0).abs() < 1e-6));
         }
+    }
+
+    #[test]
+    fn backward_into_a_held_slot_folds_like_a_fresh_buffer() {
+        // Token 5 repeats with two rows of 2^-24 over a slot holding 1.0.
+        // Added to the slot one by one they round away, (1 + 2^-24) + 2^-24
+        // = 1; a fresh buffer sums them first, 1 + (2^-24 + 2^-24) = 1 +
+        // 2^-23. Backpropagating straight into the slot must read the same.
+        let mut rng = TensorRng::seed_from(5);
+        let emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
+        let tiny = 2f32.powi(-24);
+        let dy = Matrix::full(3, 4, tiny);
+        let tokens = [5, 2, 5];
+        let held = || {
+            let mut acc = Grads::new();
+            acc.matrix_mut(&emb.tok.name, 10, 4).row_mut(5).fill(1.0);
+            acc
+        };
+        let mut direct = held();
+        emb.backward(&dy, &tokens, &mut direct);
+        let mut item = Grads::new();
+        emb.backward(&dy, &tokens, &mut item);
+        let mut folded = held();
+        item.merge_into(&mut folded);
+        for name in [&emb.tok.name, &emb.pos.name] {
+            let bits = |g: &Grads| -> Vec<u32> {
+                g.get(name)
+                    .unwrap()
+                    .data()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&direct), bits(&folded), "{name}");
+        }
+        let row = direct.get(&emb.tok.name).unwrap().row(5);
+        assert!(row.iter().all(|&g| g == 1.0 + 2.0 * tiny), "{row:?}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! model's visit order, holds the `m`/`v` moments and their at-rest
 //! digests; the slots are created, zeroed, by the first
 //! [`AdamW::step`] (or by a checkpoint restore), so a model that is only
-//! served never allocates them. [`AdamW::step`] consumes the trainer's
-//! gradient accumulator ([`Grads`]) and zeroes it.
+//! served never allocates them. [`AdamW::step`] consumes a training
+//! step's gradient accumulator ([`Grads`]) and zeroes it; the step then
+//! drops it, so no gradient outlives the step.
 //!
 //! The moments are the only training state that persists *between* steps,
 //! so a particle strike while they sit at rest is invisible to every

@@ -3,9 +3,9 @@
 //!
 //! A [`Param`] is a name and a value, nothing else: a model built only to
 //! serve holds its weights once. The training state lives with the two
-//! places that use it — the gradient accumulator is a [`Grads`] owned by
-//! `Trainer`, and the AdamW moments are the optimizer's slots
-//! (`optim::Slot`) — and both are created by the first training step.
+//! places that use it — the gradient accumulator is a [`Grads`] local to
+//! one `Trainer` step, and the AdamW moments are the optimizer's slots
+//! (`optim::Slot`), created by the first training step.
 
 use attn_tensor::Matrix;
 use std::collections::BTreeMap;
@@ -64,13 +64,17 @@ impl Param {
 /// Tape-based backward passes take the model by `&self` and accumulate
 /// their parameter gradients into a buffer of their own. That is what makes
 /// a training step data-parallel: each batch item backpropagates into its
-/// own buffer, and each buffer is folded into the trainer's accumulator —
+/// own buffer, and each buffer is folded into the step's accumulator —
 /// another `Grads` — in **fixed batch order** as soon as its item finishes,
 /// so the floating-point reduction sequence, and therefore every parameter
-/// bit, is independent of how items were scheduled across threads. Folding
+/// bit, is independent of how items were scheduled across threads. The
+/// first item of each wave backpropagates straight into the accumulator:
+/// a backward pass adds into each parameter's slot exactly once (the token
+/// table sums a repeated token's rows before its one add), so that is the
+/// same sequence of additions as folding a buffer of its own. Folding
 /// zeroes the buffer, so one buffer serves item after item without
-/// reallocating its slots; `AdamW::step` consumes the accumulator and
-/// zeroes it the same way.
+/// reallocating its slots; `AdamW::step` consumes the accumulator, and the
+/// step then drops it.
 #[derive(Debug, Clone, Default)]
 pub struct Grads {
     map: BTreeMap<String, Matrix>,
@@ -82,17 +86,13 @@ impl Grads {
         Self::default()
     }
 
-    /// Accumulate `g` into the named parameter's gradient slot.
+    /// Accumulate `g` into the named parameter's gradient slot, created
+    /// zeroed (`+0.0`) on first use, so a slot never holds `-0.0`.
     ///
     /// # Panics
     /// Panics if the same name is accumulated with mismatched shapes.
     pub fn accumulate(&mut self, name: &str, g: &Matrix) {
-        match self.map.get_mut(name) {
-            Some(m) => m.axpy(1.0, g),
-            None => {
-                self.map.insert(name.to_string(), g.clone());
-            }
-        }
+        self.matrix_mut(name, g.rows(), g.cols()).axpy(1.0, g);
     }
 
     /// Mutable access to the named gradient slot, created zeroed on first
@@ -134,11 +134,10 @@ impl Grads {
     /// this buffer's slots for the next item. `acc` creates a slot zeroed
     /// (`+0.0`) the first time it sees a name, so folding several buffers
     /// one after another is a deterministic reduction: each element is the
-    /// same sequence of f32 additions, in fold order. A reused buffer folds
-    /// the same bits a fresh one would: its zeroed slots can differ from
-    /// fresh ones only in the sign of a zero, and an accumulator slot never
-    /// holds `-0.0` (it starts at `+0.0`, and only `-0.0 + -0.0` sums to
-    /// `-0.0`), so adding either zero leaves it unchanged.
+    /// same sequence of f32 additions, in fold order. No slot ever holds
+    /// `-0.0` (every slot starts at `+0.0`, and only `-0.0 + -0.0` sums to
+    /// `-0.0`), so a zero that a buffer adds leaves the accumulator as it
+    /// was, whatever its sign.
     pub fn merge_into(&mut self, acc: &mut Grads) {
         for (name, g) in &mut self.map {
             acc.matrix_mut(name, g.rows(), g.cols()).axpy(1.0, g);
@@ -237,8 +236,8 @@ mod tests {
 
     #[test]
     fn accumulator_slots_never_hold_negative_zero() {
-        // A fresh item slot may hold -0.0; folded into a +0.0 accumulator
-        // it reads +0.0, as a reused (zeroed) item slot would.
+        // An item slot starts at +0.0, so accumulating -0.0 leaves it +0.0;
+        // folded into a +0.0 accumulator it reads +0.0 as well.
         let mut item = Grads::new();
         item.accumulate("a", &Matrix::full(1, 2, -0.0));
         let mut acc = Grads::new();

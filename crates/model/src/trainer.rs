@@ -2,20 +2,22 @@
 //!
 //! A training step is data-parallel: each batch item runs
 //! [`TransformerModel::forward`] + [`TransformerModel::backward`] against
-//! the shared model (`&TransformerModel`) with its own tape, report, and
-//! gradient buffer, fanned out by [`attn_tensor::par::map`] over
-//! [`Trainer::set_parallelism`] workers in waves of `workers` items. After each
-//! wave its results are reduced in **fixed batch order** — losses summed,
-//! reports merged, gradient buffers folded into the trainer's gradient
+//! the shared model (`&TransformerModel`) with its own tape and report,
+//! fanned out by [`attn_tensor::par::map`] over [`Trainer::set_parallelism`]
+//! workers in waves of `workers` items. The step's gradient accumulator is
+//! a local: it starts empty, the first item of each wave backpropagates
+//! straight into it, and the other items of the wave into gradient buffers
+//! of their own. After each wave its results are reduced in **fixed batch
+//! order** — losses summed, reports merged, item buffers folded into the
 //! accumulator and zeroed for the next wave — so a step's loss and every
 //! post-step parameter bit are identical at any worker count, and a step
-//! holds `workers` gradient buffers, not one per item. The optimizer then
-//! consumes the accumulator and zeroes it. The forward is serving's
-//! `extend` over fresh KV caches, with the tape recorded.
+//! holds `workers` gradient copies, not one per item. The optimizer then
+//! consumes the accumulator and the step drops it. The forward is
+//! serving's `extend` over fresh KV caches, with the tape recorded.
 //!
-//! The trainer is where training state lives: the accumulator here, the
-//! AdamW moments in [`AdamW`]. Both start empty and are sized by the first
-//! step, so the model itself holds only its weights.
+//! Between steps a trainer holds its model's weights and, in [`AdamW`], the
+//! moments and their digests, which the first step creates. Gradients
+//! exist only inside a step, and the model itself holds only its weights.
 
 use crate::data::{Example, SyntheticMrpc};
 use crate::model::{cross_entropy, InjectionSpec, TransformerModel};
@@ -87,10 +89,6 @@ pub struct Trainer {
     pub model: TransformerModel,
     /// Optimizer, owner of the AdamW moments.
     pub optim: AdamW,
-    /// Gradient accumulator: every item buffer folds into it in batch
-    /// order, and the optimizer consumes and zeroes it. Empty until the
-    /// first step.
-    grads: Grads,
     /// Single owner of the per-section frequency gates, driven at the
     /// model's protection config on every step.
     policy: ProtectionPolicy,
@@ -106,7 +104,6 @@ impl Trainer {
         Self {
             model,
             optim: AdamW::new(lr),
-            grads: Grads::new(),
             policy: ProtectionPolicy::default(),
             parallelism: 1,
         }
@@ -116,7 +113,8 @@ impl Trainer {
     /// (clamped to ≥ 1). Any setting produces bit-identical losses and
     /// parameter updates — the per-item gradient buffers are folded in
     /// batch order regardless of scheduling — so this is a throughput knob
-    /// whose memory cost is one gradient buffer per worker.
+    /// whose memory cost is `workers − 1` gradient buffers beside the
+    /// step's accumulator.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
     }
@@ -142,17 +140,35 @@ impl Trainer {
     ///
     /// Batch items run concurrently over [`Self::parallelism`] workers;
     /// each item forwards and backwards against the shared model with its
-    /// own activation tape, ABFT report, and gradient buffer, so an
-    /// injection strikes only its target item. Per-item results are
-    /// reduced in batch order after each wave of `workers` items, making
-    /// the step bit-identical to the sequential schedule at any worker
-    /// count.
+    /// own activation tape, ABFT report, and gradient buffer (the step's
+    /// accumulator, for the first item of a wave), so an injection strikes
+    /// only its target item. Per-item results are reduced in batch order
+    /// after each wave of `workers` items, making the step bit-identical to
+    /// the sequential schedule at any worker count.
+    ///
+    /// # Panics
+    /// Panics on an empty batch, and on an injection the step cannot
+    /// deliver: a target item past the batch, or a layer past the model's
+    /// blocks.
     pub fn train_step_injected(
         &mut self,
         batch: &[&Example],
         inject: Option<(usize, InjectionSpec)>,
     ) -> StepOutcome {
         assert!(!batch.is_empty());
+        if let Some((item, spec)) = &inject {
+            assert!(
+                *item < batch.len(),
+                "injection targets item {item} of a batch of {}",
+                batch.len()
+            );
+            assert!(
+                spec.layer < self.model.blocks.len(),
+                "injection targets layer {} of a model with {} blocks",
+                spec.layer,
+                self.model.blocks.len()
+            );
+        }
         // The sections to protect this step: the gates advance one step at
         // the model's frequencies (paper §4.5, realised deterministically).
         let toggles = self.policy.next_toggles(self.model.protection());
@@ -183,10 +199,12 @@ impl Trainer {
             }
         };
 
-        // Waves of `workers` items, each item into a buffer of its own;
-        // every wave is folded in batch order before the next one starts,
-        // so at most `workers` gradient buffers are live, and they are
-        // freed before the optimizer runs.
+        // Waves of `workers` items. The step's accumulator rides in slot 0
+        // of each wave, so the wave's first item backpropagates straight
+        // into it; the others fill buffers of their own, which fold into it
+        // in batch order before the next wave starts. At most `workers`
+        // gradient copies are live, and none outlives the step.
+        let mut grads = Grads::new();
         let mut buffers: Vec<Grads> = (0..workers).map(|_| Grads::new()).collect();
         let mut report = AbftReport::default();
         let mut item_reports = Vec::with_capacity(batch.len());
@@ -196,11 +214,14 @@ impl Trainer {
         for start in (0..batch.len()).step_by(workers) {
             // A ragged last wave leaves its spare buffers idle.
             let wave = &mut buffers[..workers.min(batch.len() - start)];
+            wave[0] = std::mem::take(&mut grads);
             let model = &self.model;
             let done = par::map(workers, wave, |j, grads| run_item(model, start + j, grads));
-            // Deterministic fixed-order reduction: batch order, always.
-            for (item, grads) in done.into_iter().zip(wave.iter_mut()) {
-                grads.merge_into(&mut self.grads);
+            grads = std::mem::take(&mut wave[0]);
+            // Deterministic fixed-order reduction: batch order, always. Slot
+            // 0 is empty again after the take, so it folds nothing.
+            for (item, buffer) in done.into_iter().zip(wave.iter_mut()) {
+                buffer.merge_into(&mut grads);
                 loss_sum += item.loss;
                 report.merge(&item.report);
                 item_reports.push(item.report);
@@ -212,8 +233,7 @@ impl Trainer {
         // The optimizer consumes the folded gradients, its moment digests
         // verified and healed in an execution of its own.
         let ctx = Ctx::new(&protection, toggles, &mut report);
-        self.optim
-            .step(&mut self.model, &mut self.grads, ctx.guard());
+        self.optim.step(&mut self.model, &mut grads, ctx.guard());
         drop(ctx);
 
         let loss = loss_sum * inv;
@@ -319,20 +339,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unprotected_nan_injection_is_non_trainable() {
-        let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::off());
-        let batch: Vec<&Example> = ds.examples.iter().take(4).collect();
-        let spec = InjectionSpec {
-            layer: 0,
+    fn q_nan(layer: usize) -> InjectionSpec {
+        InjectionSpec {
+            layer,
             op: AttnOp::Q,
             head: 0,
             row: 2,
             col: 3,
             kind: FaultKind::NaN,
-        };
-        let out = tr.train_step_injected(&batch, Some((1, spec)));
+        }
+    }
+
+    #[test]
+    fn unprotected_nan_injection_is_non_trainable() {
+        let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::off());
+        let batch: Vec<&Example> = ds.examples.iter().take(4).collect();
+        let out = tr.train_step_injected(&batch, Some((1, q_nan(0))));
         assert!(out.non_trainable, "NaN in Q must break training");
+    }
+
+    #[test]
+    #[should_panic(expected = "injection targets item 4 of a batch of 4")]
+    fn injection_past_the_batch_panics() {
+        let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::off());
+        let batch: Vec<&Example> = ds.examples.iter().take(4).collect();
+        tr.train_step_injected(&batch, Some((4, q_nan(0))));
+    }
+
+    #[test]
+    #[should_panic(expected = "injection targets layer 2 of a model with 2 blocks")]
+    fn injection_past_the_blocks_panics() {
+        let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::off());
+        let batch: Vec<&Example> = ds.examples.iter().take(4).collect();
+        tr.train_step_injected(&batch, Some((1, q_nan(2))));
     }
 
     #[test]

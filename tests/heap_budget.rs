@@ -18,8 +18,8 @@
 //! the heap, and a second test pins what a served model holds: the bytes a
 //! freshly built `DecodeEngine` and `Gateway` keep live, exact ceilings
 //! that may only be lowered, and no more than twice the weight bytes
-//! (a model built to serve holds its weights, not the gradient and the two
-//! AdamW moments a trainer keeps beside them).
+//! (a model built to serve holds its weights, not the two AdamW moments a
+//! trainer keeps beside them, nor a gradient).
 //!
 //! A third per-thread number, the high-water mark of the live bytes, pins
 //! what a checkpoint costs in memory: the peak over the bytes already live
@@ -27,6 +27,11 @@
 //! loads it back, an exact ceiling that may only be lowered, and a small
 //! fraction of the snapshot's size (both directions stream through the
 //! file; neither holds the snapshot whole).
+//!
+//! The same two byte numbers pin training: what a warm trainer holds
+//! between steps (its weights, the AdamW moments and their digests; the
+//! gradient accumulator lives only inside a step), and the peak a warm
+//! step holds above that, both exact ceilings that may only be lowered.
 //!
 //! The counting allocator is the one `unsafe` outside `attn_tensor`, so it
 //! takes the same lint levels: rustc's `unsafe_op_in_unsafe_fn` and
@@ -156,17 +161,25 @@ fn warm_decode_steps(protection: ProtectionConfig) -> u64 {
     run(&mut engine)
 }
 
-/// The second of two identical batch-4 training steps.
-fn warm_train_step(protection: ProtectionConfig) -> u64 {
+/// The training shape every training path here runs: a two-block BERT at
+/// hidden 32 stepping at parallelism 1, and the dataset whose first four
+/// examples are its batch.
+fn small_trainer(protection: ProtectionConfig) -> (Trainer, SyntheticMrpc) {
     let mut cfg = ModelConfig::bert_base();
     cfg.hidden = 32;
     cfg.heads = 2;
     cfg.layers = 2;
     let ds = SyntheticMrpc::generate(16, cfg.vocab, 16, 1);
-    let batch: Vec<_> = ds.examples.iter().take(4).collect();
     let model = TransformerModel::new(cfg, protection, &mut TensorRng::seed_from(77));
     let mut trainer = Trainer::new(model, 1e-3);
     trainer.set_parallelism(1);
+    (trainer, ds)
+}
+
+/// The second of two identical batch-4 training steps.
+fn warm_train_step(protection: ProtectionConfig) -> u64 {
+    let (mut trainer, ds) = small_trainer(protection);
+    let batch: Vec<_> = ds.examples.iter().take(4).collect();
     trainer.train_step(&batch);
     allocs_in(|| {
         trainer.train_step(&batch);
@@ -318,20 +331,61 @@ fn a_served_model_holds_only_its_weights() {
     );
 }
 
+/// A protected trainer after two warm batch-4 steps: `(weight bytes,
+/// bytes the trainer frees when dropped, peak bytes live during a third
+/// step over those already live)`. Dropping, not building, measures what
+/// it holds: the workspace arena the steps warmed stays with the thread.
+fn trainer_bytes() -> (i64, i64, i64) {
+    let (mut trainer, ds) = small_trainer(ProtectionConfig::full());
+    let batch: Vec<_> = ds.examples.iter().take(4).collect();
+    trainer.train_step(&batch);
+    trainer.train_step(&batch);
+    let weights = 4 * trainer.model.param_count() as i64;
+    let peak = peak_bytes_in(|| {
+        trainer.train_step(&batch);
+    });
+    let live = LIVE.get();
+    drop(trainer);
+    (weights, live - LIVE.get(), peak)
+}
+
+/// The bytes a warm trainer holds between steps, and the peak a warm step
+/// holds above them, as measured when committed; both may only be lowered.
+const TRAINER_HELD: i64 = 570_297;
+const TRAINER_STEP_PEAK: i64 = 265_249;
+
+#[test]
+fn a_trainer_holds_no_gradient_between_steps() {
+    let (weights, held, peak) = trainer_bytes();
+    println!(
+        "heap_budget: a warm trainer holds {held} B ({:.2}× the {weights} weight bytes, ceiling {TRAINER_HELD}); a warm step peaks {peak} B above that (ceiling {TRAINER_STEP_PEAK})",
+        held as f64 / weights as f64
+    );
+    let mut off = Vec::new();
+    for (what, n, ceiling) in [
+        ("trainer held bytes", held, TRAINER_HELD),
+        ("warm step peak", peak, TRAINER_STEP_PEAK),
+    ] {
+        if n > ceiling {
+            off.push(format!("{what}: {n} > {ceiling}"));
+        } else if n < ceiling {
+            off.push(format!("{what}: {n} < {ceiling}, lower the ceiling to {n}"));
+        }
+    }
+    assert!(
+        off.is_empty(),
+        "training off its byte budget:\n{}",
+        off.join("\n")
+    );
+}
+
 /// A protected trainer after one batch-4 step, saved by a fresh
 /// `CheckpointManager` and loaded back: `(peak bytes live during the save
 /// and the load, checkpoint bytes)`. The checkpoint directory's name has a
 /// fixed length, since the manager's path buffers count towards the peak.
 fn checkpoint_round_trip() -> (i64, usize) {
-    let mut cfg = ModelConfig::bert_base();
-    cfg.hidden = 32;
-    cfg.heads = 2;
-    cfg.layers = 2;
-    let ds = SyntheticMrpc::generate(16, cfg.vocab, 16, 1);
+    let (mut trainer, ds) = small_trainer(ProtectionConfig::full());
     let batch: Vec<_> = ds.examples.iter().take(4).collect();
-    let model = TransformerModel::new(cfg, ProtectionConfig::full(), &mut TensorRng::seed_from(77));
-    let mut trainer = Trainer::new(model, 1e-3);
-    trainer.set_parallelism(1);
     trainer.train_step(&batch);
     let dir = format!("target/tmp/heap-budget-ckpt-{:010}", std::process::id());
     let mut mgr = CheckpointManager::new(&dir).expect("checkpoint dir");
