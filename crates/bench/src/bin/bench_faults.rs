@@ -290,8 +290,8 @@ fn optim_trial(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
         grads
     };
 
-    oc.step(&mut clean, &mut grads(&g1), &OpGuard::off());
-    of.step(&mut faulty, &mut grads(&g1), &guard()); // captures digests
+    oc.step(&mut clean, &grads(&g1), &OpGuard::off());
+    of.step(&mut faulty, &grads(&g1), &guard()); // captures digests
 
     if let Some(k) = fault {
         let slot = &mut of.slots_mut()[0];
@@ -303,9 +303,9 @@ fn optim_trial(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
         tamper(target, k, rng);
     }
 
-    oc.step(&mut clean, &mut grads(&g2), &OpGuard::off());
+    oc.step(&mut clean, &grads(&g2), &OpGuard::off());
     let g = guard();
-    of.step(&mut faulty, &mut grads(&g2), &g); // verifies + heals the at-rest moments
+    of.step(&mut faulty, &grads(&g2), &g); // verifies + heals the at-rest moments
     let (c, f) = (&oc.slots()[0], &of.slots()[0]);
     let bits = bits_eq(faulty.p.value.data(), clean.p.value.data())
         && bits_eq(f.m.data(), c.m.data())

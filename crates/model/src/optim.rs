@@ -5,9 +5,9 @@
 //! model's visit order, holds the `m`/`v` moments and their at-rest
 //! digests; the slots are created, zeroed, by the first
 //! [`AdamW::step`] (or by a checkpoint restore), so a model that is only
-//! served never allocates them. [`AdamW::step`] consumes a training
-//! step's gradient accumulator ([`Grads`]) and zeroes it; the step then
-//! drops it, so no gradient outlives the step.
+//! served never allocates them. [`AdamW::step`] reads a training step's
+//! gradient accumulator ([`Grads`]) and leaves it as it was; the trainer
+//! then drops it, so no gradient outlives the step.
 //!
 //! The moments are the only training state that persists *between* steps,
 //! so a particle strike while they sit at rest is invisible to every
@@ -33,6 +33,10 @@
 //! an exact re-digest gate. Corruption beyond the rectangle solvers is
 //! surfaced as `unrecovered`; every heal, from any path, is accepted only
 //! when the affected rows *and* columns re-digest to their stored bits.
+//!
+//! One row-major capture sweep per moment matrix, after each guarded update
+//! and in [`AdamW::load`], fills both axes: each row is digested whole and
+//! added, rows ascending, into per-column running accumulators.
 
 use crate::param::{Grads, HasParams, Param};
 use attn_tensor::{lanes, Matrix, OpGuard};
@@ -78,38 +82,6 @@ fn digest_col(mat: &Matrix, c: usize) -> RowDigest {
         sum: sum.to_bits(),
         wsum: wsum.to_bits(),
         xor,
-    }
-}
-
-/// Columns per stack-resident accumulator block of [`digest_cols_into`].
-const COL_BLOCK: usize = 64;
-
-/// All column digests, written into `out`: each column is its own
-/// accumulator, rows ascending — [`digest_col`]'s bits, swept row-major
-/// over blocks of [`COL_BLOCK`] columns so the columns are vector lanes and
-/// the accumulators live on the stack.
-fn digest_cols_into(mat: &Matrix, out: &mut Vec<RowDigest>) {
-    out.clear();
-    for c0 in (0..mat.cols()).step_by(COL_BLOCK) {
-        let n = COL_BLOCK.min(mat.cols() - c0);
-        let mut sum = [0.0f64; COL_BLOCK];
-        let mut wsum = [0.0f64; COL_BLOCK];
-        let mut xor = [0u32; COL_BLOCK];
-        for r in 0..mat.rows() {
-            let w = (r + 1) as f64;
-            let lanes = sum[..n].iter_mut().zip(&mut wsum[..n]).zip(&mut xor[..n]);
-            for (((s, ws), x), &v) in lanes.zip(&mat.row(r)[c0..c0 + n]) {
-                let xf = f64::from(v);
-                *s += xf;
-                *ws += w * xf;
-                *x ^= v.to_bits();
-            }
-        }
-        out.extend((0..n).map(|j| RowDigest {
-            sum: sum[j].to_bits(),
-            wsum: wsum[j].to_bits(),
-            xor: xor[j],
-        }));
     }
 }
 
@@ -183,8 +155,8 @@ fn heal_2x2(stored: &MomentDigests, mat: &mut Matrix, rs: [usize; 2], cs: [usize
     let [c0, c1] = cs;
     let x0 = stored.rows[r0].xor ^ digest_row(mat.row(r0)).xor;
     let x1 = stored.rows[r1].xor ^ digest_row(mat.row(r1)).xor;
-    let y0 = stored.cols[c0].xor ^ digest_col(mat, c0).xor;
-    let y1 = stored.cols[c1].xor ^ digest_col(mat, c1).xor;
+    let y0 = stored.col_xor[c0] ^ digest_col(mat, c0).xor;
+    let y1 = stored.col_xor[c1] ^ digest_col(mat, c1).xor;
     if x0 ^ x1 != y0 ^ y1 {
         // Row and column XOR deltas disagree on the rectangle's parity:
         // the corruption is not confined to these four cells.
@@ -231,8 +203,8 @@ fn heal_2x2(stored: &MomentDigests, mat: &mut Matrix, rs: [usize; 2], cs: [usize
         }
         if digest_row(mat.row(r0)) == stored.rows[r0]
             && digest_row(mat.row(r1)) == stored.rows[r1]
-            && digest_col(mat, c0) == stored.cols[c0]
-            && digest_col(mat, c1) == stored.cols[c1]
+            && digest_col(mat, c0) == stored.col(c0)
+            && digest_col(mat, c1) == stored.col(c1)
         {
             return true;
         }
@@ -269,7 +241,7 @@ fn heal_region(
         let cs: Vec<usize> = bad_cols
             .iter()
             .copied()
-            .filter(|&c| digest_col(mat, c) != stored.cols[c])
+            .filter(|&c| digest_col(mat, c) != stored.col(c))
             .collect();
         if rs.is_empty() && cs.is_empty() {
             return true;
@@ -281,7 +253,7 @@ fn heal_region(
         for &c in &cs {
             if rs.len() == 1 {
                 let r = rs[0];
-                let delta = stored.cols[c].xor ^ digest_col(mat, c).xor;
+                let delta = stored.col_xor[c] ^ digest_col(mat, c).xor;
                 if delta != 0 {
                     let v = mat[(r, c)];
                     mat[(r, c)] = f32::from_bits(v.to_bits() ^ delta);
@@ -310,7 +282,7 @@ fn heal_region(
                     .all(|&r| digest_row(mat.row(r)) == stored.rows[r])
                 && bad_cols
                     .iter()
-                    .all(|&c| digest_col(mat, c) == stored.cols[c]);
+                    .all(|&c| digest_col(mat, c) == stored.col(c));
         }
         return false;
     }
@@ -343,7 +315,7 @@ fn verify_moment(stored: &MomentDigests, mat: &mut Matrix, g: &OpGuard) {
     }
     // 2D path: intersect with the column axis and heal the rectangle.
     let bad_cols: Vec<usize> = (0..mat.cols())
-        .filter(|&c| digest_col(mat, c) != stored.cols[c])
+        .filter(|&c| digest_col(mat, c) != stored.col(c))
         .collect();
     let snapshot: Vec<(usize, Vec<f32>)> = region_rows
         .iter()
@@ -363,64 +335,51 @@ fn verify_moment(stored: &MomentDigests, mat: &mut Matrix, g: &OpGuard) {
     }
 }
 
-/// Both digest axes of one moment matrix: per-row and per-column triples.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Both digest axes of one moment matrix: a triple per row, and a triple
+/// per column held as running accumulators.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct MomentDigests {
     rows: Vec<RowDigest>,
-    cols: Vec<RowDigest>,
+    col_sum: Vec<f64>,
+    col_wsum: Vec<f64>,
+    col_xor: Vec<u32>,
 }
 
 impl MomentDigests {
-    fn capture(mat: &Matrix) -> Self {
-        let mut d = Self {
-            rows: Vec::new(),
-            cols: Vec::new(),
-        };
-        d.recapture(mat);
-        d
-    }
-
-    /// Re-derive both axes from `mat` into the existing slot vectors.
-    fn recapture(&mut self, mat: &Matrix) {
+    /// Re-derive both axes from `mat` in one row-major sweep, reusing the
+    /// vectors: each row is digested whole, then each of its cells is added
+    /// into its column's accumulators. Rows are added in ascending order, so
+    /// every column carries [`digest_col`]'s bits.
+    fn capture(&mut self, mat: &Matrix) {
         self.rows.clear();
-        self.rows
-            .extend((0..mat.rows()).map(|r| digest_row(mat.row(r))));
-        digest_cols_into(mat, &mut self.cols);
-    }
-
-    fn matches_shape(&self, mat: &Matrix) -> bool {
-        self.rows.len() == mat.rows() && self.cols.len() == mat.cols()
-    }
-}
-
-/// Ridden checksums over one parameter's AdamW moments, captured after a
-/// guarded step and verified (and healed) before the next one consumes
-/// them.
-#[derive(Debug, Clone, PartialEq)]
-struct MomentGuard {
-    m: MomentDigests,
-    v: MomentDigests,
-}
-
-impl MomentGuard {
-    fn capture(m: &Matrix, v: &Matrix) -> Self {
-        Self {
-            m: MomentDigests::capture(m),
-            v: MomentDigests::capture(v),
+        self.rows.reserve(mat.rows());
+        for col in [&mut self.col_sum, &mut self.col_wsum] {
+            col.clear();
+            col.resize(mat.cols(), 0.0);
+        }
+        self.col_xor.clear();
+        self.col_xor.resize(mat.cols(), 0);
+        for r in 0..mat.rows() {
+            let row = mat.row(r);
+            self.rows.push(digest_row(row));
+            let w = (r + 1) as f64;
+            let cols = self.col_sum.iter_mut().zip(&mut self.col_wsum);
+            for ((s, ws), (x, &v)) in cols.zip(self.col_xor.iter_mut().zip(row)) {
+                let xf = f64::from(v);
+                *s += xf;
+                *ws += w * xf;
+                *x ^= v.to_bits();
+            }
         }
     }
 
-    fn recapture(&mut self, m: &Matrix, v: &Matrix) {
-        self.m.recapture(m);
-        self.v.recapture(v);
-    }
-
-    fn verify_heal(&self, m: &mut Matrix, v: &mut Matrix, g: &OpGuard) {
-        if !self.m.matches_shape(m) || !self.v.matches_shape(v) {
-            return; // stale guard after a shape change; re-captured below
+    /// Column `c`'s triple, as [`digest_col`] derives it.
+    fn col(&self, c: usize) -> RowDigest {
+        RowDigest {
+            sum: self.col_sum[c].to_bits(),
+            wsum: self.col_wsum[c].to_bits(),
+            xor: self.col_xor[c],
         }
-        verify_moment(&self.m, m, g);
-        verify_moment(&self.v, v, g);
     }
 }
 
@@ -436,9 +395,9 @@ pub struct Slot {
     pub m: Matrix,
     /// Second moment.
     pub v: Matrix,
-    /// Digests of `m` and `v` as the last guarded step left them; `None`
-    /// before any guarded step and after an unguarded one.
-    digests: Option<MomentGuard>,
+    /// Digests of `m` and `v`, in that order, as the last guarded step left
+    /// them; `None` before any guarded step and after an unguarded one.
+    digests: Option<[MomentDigests; 2]>,
 }
 
 impl Slot {
@@ -447,15 +406,6 @@ impl Slot {
             m: Matrix::zeros(rows, cols),
             v: Matrix::zeros(rows, cols),
             digests: None,
-        }
-    }
-
-    /// Record the digests of the moments as they are now, reusing the
-    /// slot's vectors.
-    fn capture(&mut self) {
-        match &mut self.digests {
-            Some(d) => d.recapture(&self.m, &self.v),
-            None => self.digests = Some(MomentGuard::capture(&self.m, &self.v)),
         }
     }
 }
@@ -513,7 +463,8 @@ impl AdamW {
     /// yet.
     ///
     /// # Panics
-    /// Panics when the slots were made for a model of other shapes.
+    /// Panics when a slot's `m` or `v` is not its parameter's shape, so a
+    /// verify only reads moments of the shape its digests were captured from.
     fn visit_slots(&mut self, model: &mut dyn HasParams, f: &mut dyn FnMut(&mut Param, &mut Slot)) {
         if self.slots.is_empty() {
             let slots = &mut self.slots;
@@ -524,9 +475,10 @@ impl AdamW {
         let mut slots = self.slots.iter_mut();
         model.visit_params(&mut |p| {
             let slot = slots.next().expect("one optimizer slot per parameter");
+            let shape = |x: &Matrix| (x.rows(), x.cols());
             assert_eq!(
-                (slot.m.rows(), slot.m.cols()),
-                (p.value.rows(), p.value.cols()),
+                [shape(&slot.m), shape(&slot.v)],
+                [shape(&p.value); 2],
                 "optimizer slot shape for `{}`",
                 p.name
             );
@@ -534,27 +486,28 @@ impl AdamW {
         });
     }
 
-    /// Apply one optimizer step over every parameter of `model`, consuming
-    /// the gradients folded into `grads` and zeroing them. A parameter
-    /// without a gradient slot takes its update with a zero gradient. Under
-    /// an active `g` the moment state is guarded: each slot's at-rest
-    /// digests are verified (and corruption healed) before the update
-    /// consumes its moments, and re-captured into the same slot after it —
-    /// one visit per parameter. A slot with no digests (the first guarded
-    /// step, or the first after unguarded ones) only captures. An
-    /// unprotected step is [`OpGuard::off`], not another method; it drops
-    /// the digests its update makes stale.
+    /// Apply one optimizer step over every parameter of `model` with the
+    /// gradients folded into `grads`, which it reads and leaves as they
+    /// were. A parameter without a gradient slot takes its update with a
+    /// zero gradient. Under an active `g` the moment state is guarded: each
+    /// slot's at-rest digests are verified (and corruption healed) before
+    /// the update reads its moments, and one capture sweep per moment
+    /// re-derives both digest axes into the same slot after it — one visit
+    /// per parameter. A slot with no digests (the first guarded step, or
+    /// the first after unguarded ones) only captures. An unprotected step
+    /// is [`OpGuard::off`], not another method; it drops the digests its
+    /// update makes stale.
     ///
     /// # Panics
     /// Panics if `grads` holds a name the model does not own (a misspelled
     /// parameter name in a backward pass).
-    pub fn step(&mut self, model: &mut dyn HasParams, grads: &mut Grads, g: &OpGuard) {
+    pub fn step(&mut self, model: &mut dyn HasParams, grads: &Grads, g: &OpGuard) {
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let update = |value: &mut [f32], grad: Option<&mut Matrix>, slot: &mut Slot| {
+        let update = |value: &mut [f32], grad: Option<&Matrix>, slot: &mut Slot| {
             let n = value.len();
             let (m, v) = (slot.m.data_mut(), slot.v.data_mut());
             let mut adam = |i: usize, g: f32| {
@@ -567,30 +520,32 @@ impl AdamW {
             match grad {
                 Some(grad) => {
                     assert_eq!(grad.len(), n, "gradient shape");
-                    for (i, g) in grad.data_mut().iter_mut().enumerate() {
-                        adam(i, *g);
-                        *g = 0.0;
+                    for (i, &g) in grad.data().iter().enumerate() {
+                        adam(i, g);
                     }
                 }
                 None => (0..n).for_each(|i| adam(i, 0.0)),
             }
         };
-        let mut consumed = 0usize;
+        let mut read = 0usize;
         self.visit_slots(model, &mut |p, slot| {
-            let grad = grads.get_mut(p.name.as_str());
-            consumed += usize::from(grad.is_some());
-            if let Some(d) = slot.digests.as_ref().filter(|_| g.active()) {
-                d.verify_heal(&mut slot.m, &mut slot.v, g);
+            let grad = grads.get(p.name.as_str());
+            read += usize::from(grad.is_some());
+            if let Some([dm, dv]) = slot.digests.as_ref().filter(|_| g.active()) {
+                verify_moment(dm, &mut slot.m, g);
+                verify_moment(dv, &mut slot.v, g);
             }
             update(p.value.data_mut(), grad, slot);
             if g.active() {
-                slot.capture();
+                let [dm, dv] = slot.digests.get_or_insert_with(Default::default);
+                dm.capture(&slot.m);
+                dv.capture(&slot.v);
             } else {
                 slot.digests = None;
             }
         });
         assert_eq!(
-            consumed,
+            read,
             grads.len(),
             "gradients for parameters the model does not own, among {:?}",
             grads.names().collect::<Vec<_>>()
@@ -600,10 +555,11 @@ impl AdamW {
     /// Replace the optimizer state with a saved one: the step counter
     /// becomes `t`, and `fill` writes each parameter's value and moments,
     /// in `model`'s visit order (a never-stepped optimizer gets its slots
-    /// here, zeroed). Slots that hold digests re-capture them from the
-    /// loaded moments: otherwise the next guarded step would verify the
-    /// loaded state against the replaced one and "heal" it back. Slots
-    /// without digests stay without, and the next guarded step captures.
+    /// here, zeroed). Slots that hold digests re-capture both axes from the
+    /// loaded moments, in the step's capture sweep: otherwise the next
+    /// guarded step would verify the loaded state against the replaced one
+    /// and "heal" it back. Slots without digests stay without, and the next
+    /// guarded step captures.
     pub fn load(
         &mut self,
         model: &mut dyn HasParams,
@@ -613,8 +569,9 @@ impl AdamW {
         self.t = t;
         self.visit_slots(model, &mut |p, slot| {
             fill(p, slot);
-            if slot.digests.is_some() {
-                slot.capture();
+            if let Some([dm, dv]) = &mut slot.digests {
+                dm.capture(&slot.m);
+                dv.capture(&slot.v);
             }
         });
     }
@@ -655,13 +612,11 @@ mod tests {
     #[test]
     fn step_moves_against_gradient() {
         let mut m = one(Matrix::full(1, 1, 1.0));
-        let mut g = grad(Matrix::full(1, 1, 1.0));
+        let g = grad(Matrix::full(1, 1, 1.0));
         let mut opt = AdamW::new(0.1);
         opt.weight_decay = 0.0;
-        opt.step(&mut m, &mut g, &OpGuard::off());
+        opt.step(&mut m, &g, &OpGuard::off());
         assert!(m.p.value[(0, 0)] < 1.0);
-        // Gradient zeroed after the step.
-        assert_eq!(g.get("w").unwrap()[(0, 0)], 0.0);
     }
 
     #[test]
@@ -672,7 +627,7 @@ mod tests {
             let mut m = one(Matrix::full(1, 1, 0.0));
             let mut opt = AdamW::new(0.01);
             opt.weight_decay = 0.0;
-            opt.step(&mut m, &mut grad(Matrix::full(1, 1, g)), &OpGuard::off());
+            opt.step(&mut m, &grad(Matrix::full(1, 1, g)), &OpGuard::off());
             let delta = m.p.value[(0, 0)].abs();
             assert!((delta - 0.01).abs() < 1e-3, "g={g}: delta {delta}");
         }
@@ -683,7 +638,7 @@ mod tests {
         let mut m = one(Matrix::full(1, 1, 2.0));
         let mut opt = AdamW::new(0.1);
         opt.weight_decay = 0.1;
-        opt.step(&mut m, &mut Grads::new(), &OpGuard::off());
+        opt.step(&mut m, &Grads::new(), &OpGuard::off());
         assert!(m.p.value[(0, 0)] < 2.0);
     }
 
@@ -692,8 +647,8 @@ mod tests {
         let mut a = one(Matrix::from_vec(1, 2, vec![2.0, -1.0]));
         let mut b = one(Matrix::from_vec(1, 2, vec![2.0, -1.0]));
         let (mut oa, mut ob) = (AdamW::new(0.1), AdamW::new(0.1));
-        oa.step(&mut a, &mut Grads::new(), &OpGuard::off());
-        ob.step(&mut b, &mut grad(Matrix::zeros(1, 2)), &OpGuard::off());
+        oa.step(&mut a, &Grads::new(), &OpGuard::off());
+        ob.step(&mut b, &grad(Matrix::zeros(1, 2)), &OpGuard::off());
         assert_eq!(a.p, b.p);
         assert_eq!(oa, ob);
     }
@@ -703,7 +658,7 @@ mod tests {
     fn step_rejects_gradients_for_unknown_names() {
         let mut g = Grads::new();
         g.accumulate("nope", &Matrix::zeros(1, 1));
-        AdamW::new(0.1).step(&mut one(Matrix::zeros(1, 1)), &mut g, &OpGuard::off());
+        AdamW::new(0.1).step(&mut one(Matrix::zeros(1, 1)), &g, &OpGuard::off());
     }
 
     #[test]
@@ -711,7 +666,7 @@ mod tests {
         let mut m = one(Matrix::zeros(2, 3));
         let mut opt = AdamW::new(0.1);
         assert!(opt.slots().is_empty(), "a new optimizer holds no moments");
-        opt.step(&mut m, &mut Grads::new(), &OpGuard::off());
+        opt.step(&mut m, &Grads::new(), &OpGuard::off());
         assert_eq!(opt.slots().len(), 1);
         assert_eq!((opt.slots()[0].m.rows(), opt.slots()[0].v.cols()), (2, 3));
     }
@@ -722,8 +677,8 @@ mod tests {
         // INF gradient drives Adam's moments to INF and the update to NaN.
         let mut m = one(Matrix::full(1, 1, 1.0));
         let mut opt = AdamW::new(0.01);
-        let mut g = grad(Matrix::full(1, 1, f32::INFINITY));
-        opt.step(&mut m, &mut g, &OpGuard::off());
+        let g = grad(Matrix::full(1, 1, f32::INFINITY));
+        opt.step(&mut m, &g, &OpGuard::off());
         assert!(!m.p.value[(0, 0)].is_finite() || m.p.value[(0, 0)].is_nan());
     }
 
@@ -738,12 +693,12 @@ mod tests {
         let mut acc = Grads::new();
         g0.merge_into(&mut acc);
         g1.merge_into(&mut acc);
-        oa.step(&mut a, &mut acc, &OpGuard::off());
+        oa.step(&mut a, &acc, &OpGuard::off());
 
         let mut ob = AdamW::new(0.01);
         ob.step(
             &mut b,
-            &mut grad(Matrix::full(1, 1, 0.25 + 0.5)),
+            &grad(Matrix::full(1, 1, 0.25 + 0.5)),
             &OpGuard::off(),
         );
 
@@ -770,8 +725,8 @@ mod tests {
         let mut oc = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
         for gr in [&G1, &G2] {
-            op.step(&mut plain, &mut grads_of(gr), &OpGuard::off());
-            oc.step(&mut checked, &mut grads_of(gr), &g);
+            op.step(&mut plain, &grads_of(gr), &OpGuard::off());
+            oc.step(&mut checked, &grads_of(gr), &g);
         }
         assert_eq!(plain.p.value, checked.p.value);
         assert_eq!(moments(&op), moments(&oc));
@@ -797,12 +752,12 @@ mod tests {
                 let mut oc = AdamW::new(0.01);
                 let mut of = AdamW::new(0.01);
                 let gq = OpGuard::new(true, 5e-4);
-                oc.step(&mut clean, &mut grads_of(&G1), &gq);
-                oc.step(&mut clean, &mut grads_of(&G2), &gq);
+                oc.step(&mut clean, &grads_of(&G1), &gq);
+                oc.step(&mut clean, &grads_of(&G2), &gq);
                 assert!(gq.take_stats().is_quiet());
 
                 let gf = OpGuard::new(true, 5e-4);
-                of.step(&mut faulty, &mut grads_of(&G1), &gf);
+                of.step(&mut faulty, &grads_of(&G1), &gf);
                 let slot = &mut of.slots_mut()[0];
                 let target = if second_moment {
                     &mut slot.v
@@ -810,7 +765,7 @@ mod tests {
                     &mut slot.m
                 };
                 target[(1, 2)] = fault;
-                of.step(&mut faulty, &mut grads_of(&G2), &gf);
+                of.step(&mut faulty, &grads_of(&G2), &gf);
                 let s = gf.take_stats();
                 assert_eq!(s.detections, 1, "fault {fault} (v={second_moment})");
                 assert_eq!(s.heals, 1, "fault {fault} (v={second_moment})");
@@ -829,7 +784,7 @@ mod tests {
         let mut m = batch(&W0);
         let mut opt = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
-        opt.step(&mut m, &mut grads_of(&G1), &g);
+        opt.step(&mut m, &grads_of(&G1), &g);
         // Nothing captured before the first step → nothing verified.
         assert_eq!(g.take_stats().checks, 0);
     }
@@ -843,8 +798,8 @@ mod tests {
         let (mut opt, mut ot) = (AdamW::new(0.01), AdamW::new(0.01));
         let on = OpGuard::new(true, 5e-4);
         for (gr, guard) in [(&G1, &on), (&G2, &OpGuard::off()), (&G1, &on)] {
-            opt.step(&mut m, &mut grads_of(gr), guard);
-            ot.step(&mut twin, &mut grads_of(gr), &OpGuard::off());
+            opt.step(&mut m, &grads_of(gr), guard);
+            ot.step(&mut twin, &grads_of(gr), &OpGuard::off());
         }
         let s = on.take_stats();
         assert_eq!(s.checks, 0, "the third step only captures: {s:?}");
@@ -858,10 +813,10 @@ mod tests {
         let mut m = batch(&W0);
         let mut opt = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
-        opt.step(&mut m, &mut grads_of(&G1), &g);
+        opt.step(&mut m, &grads_of(&G1), &g);
         opt.load(&mut m, 9, &mut |_, slot| slot.m.data_mut().fill(0.5));
         assert_eq!(opt.t, 9);
-        opt.step(&mut m, &mut grads_of(&G2), &g);
+        opt.step(&mut m, &grads_of(&G2), &g);
         let s = g.take_stats();
         assert_eq!(s.checks, 4, "the loaded moments are verified");
         assert!(s.is_quiet(), "and they are the state, not a fault: {s:?}");
@@ -873,30 +828,125 @@ mod tests {
         assert!(attn_tensor::float::all_exactly_zero(
             fresh.slots()[0].v.data()
         ));
-        fresh.step(&mut m, &mut grads_of(&G2), &g);
+        fresh.step(&mut m, &grads_of(&G2), &g);
         assert_eq!(g.take_stats().checks, 0);
     }
 
-    /// Run the two-step checked flow twice — once clean, once with
-    /// `corrupt` applied to the first moment between the steps — and
-    /// return the guard stats plus both final states.
+    /// A `rows × cols` matrix cycling through `vals` (`W0`, `G1` and `G2`
+    /// themselves at 2 × 4).
+    fn tiled(rows: usize, cols: usize, vals: &[f32]) -> Matrix {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| vals[i % vals.len()]).collect(),
+        )
+    }
+
+    /// Run the two-step checked flow at `shape` twice — once clean, once
+    /// with `corrupt` applied to the first moment between the steps — and
+    /// return the guard stats plus both final states. With `reload`, both
+    /// optimizers load halved moments between the steps, before the
+    /// corruption, so the heal runs on the digests `load` captured.
     fn region_fault_flow(
+        (rows, cols): (usize, usize),
+        reload: bool,
         corrupt: impl FnOnce(&mut Matrix),
     ) -> ((One, AdamW), (One, AdamW), attn_tensor::GuardStats) {
-        let mut clean = batch(&W0);
-        let mut faulty = batch(&W0);
+        let gs = [grad(tiled(rows, cols, &G1)), grad(tiled(rows, cols, &G2))];
+        let reload = |opt: &mut AdamW, model: &mut One| {
+            if reload {
+                opt.load(model, opt.t, &mut |_, slot| {
+                    for x in slot.m.data_mut().iter_mut().chain(slot.v.data_mut()) {
+                        *x *= 0.5;
+                    }
+                });
+            }
+        };
+        let mut clean = one(tiled(rows, cols, &W0));
+        let mut faulty = one(tiled(rows, cols, &W0));
         let mut oc = AdamW::new(0.01);
         let mut of = AdamW::new(0.01);
         let gq = OpGuard::new(true, 5e-4);
-        oc.step(&mut clean, &mut grads_of(&G1), &gq);
-        oc.step(&mut clean, &mut grads_of(&G2), &gq);
+        oc.step(&mut clean, &gs[0], &gq);
+        reload(&mut oc, &mut clean);
+        oc.step(&mut clean, &gs[1], &gq);
         assert!(gq.take_stats().is_quiet());
 
         let gf = OpGuard::new(true, 5e-4);
-        of.step(&mut faulty, &mut grads_of(&G1), &gf);
+        of.step(&mut faulty, &gs[0], &gf);
+        reload(&mut of, &mut faulty);
         corrupt(&mut of.slots_mut()[0].m);
-        of.step(&mut faulty, &mut grads_of(&G2), &gf);
+        of.step(&mut faulty, &gs[1], &gf);
         ((clean, oc), (faulty, of), gf.take_stats())
+    }
+
+    /// The flow healed `rows` corrupted rows and left the trajectory
+    /// bit-identical to the clean one.
+    fn assert_healed(flow: ((One, AdamW), (One, AdamW), attn_tensor::GuardStats), rows: usize) {
+        let (clean, faulty, s) = flow;
+        assert_eq!(s.detections, rows, "{s:?}");
+        assert_eq!(s.heals, rows, "{s:?}");
+        assert_eq!(s.unrecovered, 0);
+        assert_eq!(
+            faulty.0.p.value, clean.0.p.value,
+            "healed step must be bit-identical"
+        );
+        assert_eq!(moments(&faulty.1), moments(&clean.1));
+    }
+
+    #[test]
+    fn capture_sweep_matches_the_column_walk_bit_for_bit() {
+        // Across the widths around the old 64-column block boundary, and
+        // with one digest reused from shape to shape.
+        let mut d = MomentDigests::default();
+        let mut rng = attn_tensor::rng::TensorRng::seed_from(48);
+        for cols in [1usize, 63, 64, 65, 130] {
+            for rows in 1..=5 {
+                let mut mat = rng.normal_matrix(rows, cols, 1.0);
+                let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+                for (k, x) in specials.into_iter().enumerate() {
+                    mat[(k % rows, (17 * k + rows) % cols)] = x;
+                }
+                d.capture(&mat);
+                assert_eq!(d.rows.len(), rows);
+                for r in 0..rows {
+                    assert_eq!(d.rows[r], digest_row(mat.row(r)), "{rows}×{cols} row {r}");
+                }
+                assert_eq!(d.col_sum.len(), cols);
+                for c in 0..cols {
+                    assert_eq!(d.col(c), digest_col(&mat, c), "{rows}×{cols} col {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_region_across_column_64_heals_bit_exactly() {
+        let flow = region_fault_flow((3, 130), false, |m| {
+            m[(1, 63)] += 1.0;
+            m[(1, 64)] = f32::NEG_INFINITY;
+        });
+        assert_healed(flow, 1);
+    }
+
+    #[test]
+    fn region_fault_after_load_heals_via_the_reloaded_column_digests() {
+        let flow = region_fault_flow((2, 4), true, |m| {
+            m[(0, 0)] += 1.0;
+            m[(0, 3)] -= 2.0;
+        });
+        assert_healed(flow, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "optimizer slot shape")]
+    fn step_rejects_a_second_moment_of_another_shape() {
+        let mut m = batch(&W0);
+        let mut opt = AdamW::new(0.01);
+        let g = OpGuard::new(true, 5e-4);
+        opt.step(&mut m, &grads_of(&G1), &g);
+        opt.slots_mut()[0].v = Matrix::zeros(2, 5);
+        opt.step(&mut m, &grads_of(&G2), &g);
     }
 
     #[test]
@@ -904,18 +954,11 @@ mod tests {
         // Two distinct cells of one row defeat the per-row single-flip
         // model, but each sits alone in its column: the column XOR deltas
         // restore both bit-exactly.
-        let (clean, faulty, s) = region_fault_flow(|m| {
+        let flow = region_fault_flow((2, 4), false, |m| {
             m[(0, 0)] += 1.0;
             m[(0, 3)] -= 2.0;
         });
-        assert_eq!(s.detections, 1);
-        assert_eq!(s.heals, 1);
-        assert_eq!(s.unrecovered, 0);
-        assert_eq!(
-            faulty.0.p.value, clean.0.p.value,
-            "healed step must be bit-identical"
-        );
-        assert_eq!(moments(&faulty.1), moments(&clean.1));
+        assert_healed(flow, 1);
     }
 
     #[test]
@@ -923,27 +966,20 @@ mod tests {
         // A full 2×2 rectangle — two cells in each of two rows, sharing
         // columns — is underdetermined for XOR alone; the sum-channel seed
         // plus the exact re-digest gate recovers all four cells.
-        let (clean, faulty, s) = region_fault_flow(|m| {
+        let flow = region_fault_flow((2, 4), false, |m| {
             m[(0, 1)] = f32::INFINITY;
             m[(0, 3)] += 0.75;
             m[(1, 1)] = f32::NAN;
             m[(1, 3)] *= -3.0;
         });
-        assert_eq!(s.detections, 2, "both rows detected");
-        assert_eq!(s.heals, 2, "both rows healed through the 2D solver");
-        assert_eq!(s.unrecovered, 0);
-        assert_eq!(
-            faulty.0.p.value, clean.0.p.value,
-            "healed step must be bit-identical"
-        );
-        assert_eq!(moments(&faulty.1), moments(&clean.1));
+        assert_healed(flow, 2);
     }
 
     #[test]
     fn region_beyond_2x2_is_unrecovered_and_reverted() {
         // A 2×3 region exceeds the rectangle solvers; the guard must
         // surface it instead of guessing, leaving the rows untouched.
-        let (_, faulty, s) = region_fault_flow(|m| {
+        let (_, faulty, s) = region_fault_flow((2, 4), false, |m| {
             for r in 0..2 {
                 for c in [0usize, 1, 3] {
                     m[(r, c)] += (1 + r + c) as f32;
@@ -963,8 +999,8 @@ mod tests {
         let mut m = batch(&W0);
         let mut opt = AdamW::new(0.01);
         let g = OpGuard::new(true, 5e-4);
-        opt.step(&mut m, &mut grad(Matrix::full(2, 4, f32::INFINITY)), &g);
-        opt.step(&mut m, &mut grads_of(&G1), &g);
+        opt.step(&mut m, &grad(Matrix::full(2, 4, f32::INFINITY)), &g);
+        opt.step(&mut m, &grads_of(&G1), &g);
         let s = g.take_stats();
         assert_eq!(s.detections, 0, "NaN moments re-digest identically");
         assert!(s.checks > 0);
@@ -980,7 +1016,7 @@ mod tests {
             let w = m.p.value[(0, 0)];
             opt.step(
                 &mut m,
-                &mut grad(Matrix::full(1, 1, 2.0 * (w - 3.0))),
+                &grad(Matrix::full(1, 1, 2.0 * (w - 3.0))),
                 &OpGuard::off(),
             );
         }

@@ -73,7 +73,7 @@ impl Param {
 /// table sums a repeated token's rows before its one add), so that is the
 /// same sequence of additions as folding a buffer of its own. Folding
 /// zeroes the buffer, so one buffer serves item after item without
-/// reallocating its slots; `AdamW::step` consumes the accumulator, and the
+/// reallocating its slots; `AdamW::step` reads the accumulator, and the
 /// step then drops it.
 #[derive(Debug, Clone, Default)]
 pub struct Grads {
@@ -108,11 +108,6 @@ impl Grads {
     /// Read a gradient slot.
     pub fn get(&self, name: &str) -> Option<&Matrix> {
         self.map.get(name)
-    }
-
-    /// The named slot, for the optimizer that consumes it.
-    pub(crate) fn get_mut(&mut self, name: &str) -> Option<&mut Matrix> {
-        self.map.get_mut(name)
     }
 
     /// Number of slots.

@@ -12,7 +12,7 @@
 //! accumulator and zeroed for the next wave — so a step's loss and every
 //! post-step parameter bit are identical at any worker count, and a step
 //! holds `workers` gradient copies, not one per item. The optimizer then
-//! consumes the accumulator and the step drops it. The forward is
+//! reads the accumulator and the step drops it. The forward is
 //! serving's `extend` over fresh KV caches, with the tape recorded.
 //!
 //! Between steps a trainer holds its model's weights and, in [`AdamW`], the
@@ -230,10 +230,10 @@ impl Trainer {
             }
         }
         drop(buffers);
-        // The optimizer consumes the folded gradients, its moment digests
+        // The optimizer reads the folded gradients, its moment digests
         // verified and healed in an execution of its own.
         let ctx = Ctx::new(&protection, toggles, &mut report);
-        self.optim.step(&mut self.model, &mut grads, ctx.guard());
+        self.optim.step(&mut self.model, &grads, ctx.guard());
         drop(ctx);
 
         let loss = loss_sum * inv;

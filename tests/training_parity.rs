@@ -165,13 +165,12 @@ fn reference_step(
     for mut grads in buffers {
         grads.merge_into(&mut acc);
     }
-    tr.optim
-        .step(&mut tr.model, &mut acc, &ctx_guard(&protection));
+    tr.optim.step(&mut tr.model, &acc, &ctx_guard(&protection));
     loss_sum * inv
 }
 
 /// Every bit of the state a step leaves: the value of every parameter and
-/// both of its moments (the gradient accumulator is zero after a step).
+/// both of its moments (no gradient outlives a step).
 fn state_bits(tr: &mut Trainer) -> Vec<u32> {
     let mut out = Vec::new();
     tr.model
