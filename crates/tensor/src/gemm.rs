@@ -14,6 +14,24 @@
 //! The packing step absorbs the transposes, which is what gives the NT
 //! path the k-blocking the old row-streaming implementation lacked.
 //!
+//! # Two tiers, one set of bits
+//!
+//! The tile is 4×16. The scalar `microkernel` is its definition; its AVX2
+//! form lives with the other AVX2 kernels in [`crate::lanes`] and is
+//! reached only through the `Avx2` token's `microkernel` method. Each ymm
+//! lane is a different output column, every element still takes its
+//! products `k` ascending, and each product is rounded by the multiply
+//! before the add (FMA is never enabled), so the two tiers give the same
+//! bits and the [`KC`] partial order of [`crate::contract`] is unchanged.
+//! `NR` = 16 is the width that pays: two ymm halves per row give eight
+//! independent accumulators where the 4×8 tile's four left the add
+//! latency exposed. Both tiers share one packing layout. The driver asks
+//! `Avx2::detect` once per call and hands the tier down through every
+//! tile; a private tier-taking entry lets this module's tests run the
+//! scalar tier on an AVX2 host and compare. Traced `train_clean` on a
+//! 2-vCPU Xeon, medians of 3 alternating pairs: `tensor.gemm_gflops.train`
+//! 11.3 → 21.6, the twin's step (`model.step_ms.off`) 169 → 117 ms.
+//!
 //! # Fused checksum encoding
 //!
 //! [`gemm_encode_cols_into`] (and its paged twin) produces an
@@ -62,8 +80,10 @@
 //! `(Σ, Σw)` pair the paged fused entry sends only the data columns through
 //! the driver and takes the two pair columns of all three augmented rows as
 //! six contract elements in one walk over the block slices
-//! ([`contract::dots_pair`]) — `ap·V` 14.5 → 9–11 µs of a decode step.
-//! Measured and rejected there: a per-row two-column dot over
+//! ([`contract::dots_pair`]) — `ap·V` 14.5 → 9–11 µs of a decode step
+//! (measured with the 4×8 tile; at `NR` = 16 the pair's panel at head width
+//! 32 is the third of three and seven-eighths padding, so the pass still
+//! pays). Measured and rejected there: a per-row two-column dot over
 //! `PagedKv::row(kk)` (three walks, an `r / block_rows` per element) — no
 //! gain over the 34-wide product.
 //!
@@ -73,14 +93,20 @@
 //! `Grid::blocks`) — FFN entries 0.65 → 1.72, Q/K 0.31 → 0.47, so the
 //! predicate stays as written; the row border as two more columns of one
 //! packed source (`[B | B·v1 | B·v2]`) — V's entry 0.75 → 0.95 at head
-//! width 32, where the pair opens an `NR` panel that is three-quarters
+//! width 32, where the pair opened an 8-wide panel that was three-quarters
 //! padding (V's entry has since left the section: the KV cache carries its
 //! row pairs); and an AVX2 instantiation of
 //! the two across-output sweeps behind a run-time dispatch — for the
 //! in-packing column sweep a dispatch per 64-float row costs more than
 //! the wider lanes save (FFN entries 0.67 → 0.90), for the streaming
-//! border it buys 0.15 of a 104 ms step, which is the microkernel tier's
-//! to collect once the dispatch sits in the driver (ROADMAP item 5).
+//! border it buys 0.15 of a 104 ms step. With the driver's one detect
+//! handing the tier to both sweeps as their own `#[target_feature]` fns
+//! (traced `train_clean`, 3 alternating pairs, 2-vCPU Xeon):
+//! `tensor.guard_ratio.train` 1.042 → 1.037, about 0.1 ms of a 125 ms
+//! step, while protected − twin per step read 9.6 ms without and 10.2 ms
+//! with them (medians of 4 untraced pairs, noise ± 1.3 ms). Not kept: a
+//! gain the end-to-end walls cannot see does not pay for two more
+//! `unsafe` sites.
 //!
 //! # The accumulation-order contract
 //!
@@ -104,12 +130,14 @@
 //!
 //! The tiles of one product run in order on the calling thread and write
 //! the output through bounds-checked row slices: this module has no
-//! `unsafe`. Parallelism lives a level up, across independent batch items
+//! `unsafe` (the one call into the AVX2 microkernel sits in the token's
+//! method). Parallelism lives a level up, across independent batch items
 //! (the trainer, the decode engine, the gateway), where a task is
 //! milliseconds of work rather than one tile's microseconds.
 
 use crate::contract::{self, accum_col_cs, ColCsAccum};
 use crate::kv::PagedKv;
+use crate::lanes::Avx2;
 use crate::matrix::Matrix;
 use crate::pack::{pack_a_block, pack_a_panel, pack_b_block, ColsAugmented, Src, SrcRead};
 use crate::view::{MatMut, MatRef};
@@ -118,7 +146,7 @@ use crate::workspace;
 /// Rows of one register tile (micro-panel height of packed `op(A)`).
 pub const MR: usize = 4;
 /// Columns of one register tile (micro-panel width of packed `op(B)`).
-pub const NR: usize = 8;
+pub const NR: usize = 16;
 /// Row-block edge: rows of `op(A)` packed per tile.
 pub const MC: usize = 64;
 /// Column-block edge: columns of `op(B)` packed per tile.
@@ -318,7 +346,7 @@ fn border_rides_padding(m: usize) -> bool {
 
 /// Do the last two columns of an `n`-wide single-row product open an [`NR`]
 /// panel of their own? A checksummed V cache stores each row's `(Σ, Σw)`
-/// pair after its `d` data columns: at `d = 32` a fifth panel, three-quarters
+/// pair after its `d` data columns: at `d = 32` a third panel, seven-eighths
 /// padding, on every head of every decode step (see the module docs).
 #[inline]
 fn pair_takes_its_own_pass(m: usize, n: usize) -> bool {
@@ -491,6 +519,23 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
     ldc: usize,
     col_cs: Option<&mut [f32]>,
 ) {
+    gemm_driver_on(Avx2::detect(), a, b, m, n, k, c, ldc, col_cs);
+}
+
+/// [`gemm_driver`] on a chosen microkernel tier: `None` runs the scalar
+/// definition, `Some` its AVX2 form. Both give the same bits.
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
+fn gemm_driver_on<A: SrcRead, B: SrcRead>(
+    tier: Option<Avx2>,
+    a: A,
+    b: B,
+    m: usize,
+    n: usize,
+    k: usize,
+    c: &mut [f32],
+    ldc: usize,
+    col_cs: Option<&mut [f32]>,
+) {
     debug_assert!(m == 0 || c.len() >= (m - 1) * ldc + n);
     // The output is accumulated block-partial by block-partial on top of
     // zero (the documented contract), so clear the owned region first.
@@ -534,7 +579,7 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
             .as_deref_mut()
             .map(|s| &mut s[ib * 2 * k..(ib + 1) * 2 * k]);
         for jb in 0..grid.n_jb {
-            compute_tile(a, a_once, b, grid, k, c, ldc, ib, jb, block_cs.take());
+            compute_tile(tier, a, a_once, b, grid, k, c, ldc, ib, jb, block_cs.take());
         }
     }
 
@@ -558,7 +603,7 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
 /// `block_cs` is the row block's `[Σ | Σw]` staging slice, handed to the
 /// block's first column tile when the fused column checksums of `op(A)` are
 /// asked for; `a_once` is the whole of `op(A)` already packed
-/// ([`pack_a_panel`]).
+/// ([`pack_a_panel`]); `tier` picks the microkernel.
 ///
 /// `inline(never)` is measured: inlined into every driver instance, the
 /// tile body raised `decode_offline`'s `protected_ratio` by ≈ 0.004
@@ -567,6 +612,7 @@ fn gemm_driver<A: SrcRead, B: SrcRead>(
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not API
 #[inline(never)]
 fn compute_tile<A: SrcRead, B: SrcRead>(
+    tier: Option<Avx2>,
     a: A,
     a_once: Option<&[f32]>,
     b: B,
@@ -614,7 +660,10 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
                 let mr = MR.min(mc - ipan * MR);
                 let apan = &ap[ipan * kc * MR..(ipan + 1) * kc * MR];
                 let mut acc = [[0.0f32; NR]; MR];
-                microkernel(apan, bpan, &mut acc);
+                match tier {
+                    Some(t) => t.microkernel(apan, bpan, &mut acc),
+                    None => microkernel(apan, bpan, &mut acc),
+                }
                 writeback_add(c, ldc, i0 + ipan * MR, j0 + jp * NR, mr, nr, &acc);
             }
         }
@@ -631,7 +680,10 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
 /// `inline(never)` is load-bearing: as a standalone function LLVM keeps
 /// the whole `MR × NR` accumulator tile in vector registers; inlined into
 /// the tile loop it spills the tile to the stack every `k` step, costing
-/// ~6× throughput (measured 3.5 vs 20 GFLOP/s at 256³).
+/// ~6× throughput (measured 3.5 vs 20 GFLOP/s at 256³, 4×8 tile). The AVX2
+/// form has the same trap: a build that compiled the whole driver for AVX2
+/// with `inline(always)` helpers inlined it and ran at ≈ 2 GFLOP/s, so it
+/// too is `inline(never)` and `nm` lists it as its own symbol.
 #[inline(never)]
 fn microkernel(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (ak, bk) in apan.chunks_exact(MR).zip(bpan.chunks_exact(NR)) {
@@ -681,6 +733,7 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::tests::{same32, SPECIALS};
     use crate::rng::TensorRng;
 
     fn rand_mat(rng: &mut TensorRng, r: usize, c: usize) -> Matrix {
@@ -1065,14 +1118,17 @@ mod tests {
     fn pair_pass_equals_the_riding_product_at_every_paging_and_length() {
         // Against the general form it stands beside (all `n` columns
         // through the driver): blocks straddling the KC flush, lengths
-        // around a block edge and the KC edge; `n = 14` fails the predicate.
-        assert!(pair_takes_its_own_pass(1, 34) && pair_takes_its_own_pass(1, 10));
-        assert!(!pair_takes_its_own_pass(1, 14) && !pair_takes_its_own_pass(2, 34));
+        // around a block edge and the KC edge. The widths come from NR: the
+        // pair of `NR + 2` opens a panel, that of `NR + 6` does not, and 34
+        // is the head-width V row (d = 32 plus its pair).
+        let (opens, shares) = (NR + 2, NR + 6);
+        assert!(pair_takes_its_own_pass(1, 34) && pair_takes_its_own_pass(1, opens));
+        assert!(!pair_takes_its_own_pass(1, shares) && !pair_takes_its_own_pass(2, 34));
         let mut rng = TensorRng::seed_from(73);
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for &block_rows in &[1usize, 3, 5, 16, 64] {
             for &len in &[1usize, 15, 16, 17, KC - 1, KC, KC + 1, 2 * KC] {
-                for &n in &[34usize, 10, 14] {
+                for &n in &[34, opens, shares] {
                     let ap = rand_mat(&mut rng, 1, len);
                     let kv = paged_copy(&rand_mat(&mut rng, len, n), block_rows, 0);
                     let mut general = Matrix::full(3, n, f32::NAN);
@@ -1089,6 +1145,93 @@ mod tests {
                         bits(&general.row(0)[..n - 2]),
                         "{case}"
                     );
+                }
+            }
+        }
+    }
+
+    // ---------------- the microkernel's two tiers ----------------
+
+    /// Same bits, element by element, or both NaN (`lanes`' comparison).
+    fn same(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| same32(x, y))
+    }
+
+    /// `len` normal values with `plant` special values dropped in at seeded
+    /// places.
+    fn planted(rng: &mut TensorRng, len: usize, plant: usize) -> Vec<f32> {
+        let mut v = rng.normal_matrix(1, len, 2.0).data().to_vec();
+        for _ in 0..plant.min(len) {
+            let at = rng.index(len);
+            v[at] = SPECIALS[rng.index(SPECIALS.len())];
+        }
+        v
+    }
+
+    /// The AVX2 token on this CPU, or `None` after saying that the AVX2
+    /// side of a tier test is skipped.
+    fn avx2_or_skip() -> Option<Avx2> {
+        let t = Avx2::detect();
+        if t.is_none() {
+            println!("this CPU does not report AVX2: the AVX2 side is skipped");
+        }
+        t
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn avx2_microkernel_equals_the_scalar_one_bit_for_bit(
+            kc in 0usize..KC + 1,
+            plant in 0usize..6,
+            seed in 0u64..100_000,
+        ) {
+            let Some(avx2) = avx2_or_skip() else { return };
+            let mut rng = TensorRng::seed_from(seed);
+            let apan = planted(&mut rng, kc * MR, plant);
+            let bpan = planted(&mut rng, kc * NR, plant);
+            let start = planted(&mut rng, MR * NR, plant);
+            let mut acc = [[0.0f32; NR]; MR];
+            for (row, src) in acc.iter_mut().zip(start.chunks_exact(NR)) {
+                row.copy_from_slice(src);
+            }
+            let mut want = acc;
+            microkernel(&apan, &bpan, &mut want);
+            avx2.microkernel(&apan, &bpan, &mut acc);
+            proptest::prop_assert!(same(acc.as_flattened(), want.as_flattened()), "kc={}", kc);
+        }
+    }
+
+    #[test]
+    fn scalar_and_avx2_drivers_agree_at_every_edge_shape() {
+        let Some(avx2) = avx2_or_skip() else { return };
+        let mut rng = TensorRng::seed_from(79);
+        for m in 1..=9 {
+            for n in [1, 15, 16, 17, 63, 64, 65, 130] {
+                for k in [1, KC - 1, KC, KC + 1, 2 * KC + 1] {
+                    let (a, b) = (planted(&mut rng, m * k, 1), planted(&mut rng, k * n, 1));
+                    let (at, bt) = (planted(&mut rng, k * m, 1), planted(&mut rng, n * k, 1));
+                    let (a, b) = (Matrix::from_vec(m, k, a), Matrix::from_vec(k, n, b));
+                    let (at, bt) = (Matrix::from_vec(k, m, at), Matrix::from_vec(n, k, bt));
+                    let layouts = [
+                        ("NN", src_n(a.view()), src_n(b.view())),
+                        ("NT", src_n(a.view()), src_t(bt.view())),
+                        ("TN", src_t(at.view()), src_n(b.view())),
+                    ];
+                    for (fused, (name, av, bv)) in [false, true]
+                        .into_iter()
+                        .flat_map(|f| layouts.map(|l| (f, l)))
+                    {
+                        let run = |tier| {
+                            let mut c = vec![f32::NAN; m * n];
+                            let mut cs = fused.then(|| vec![f32::NAN; 2 * k]);
+                            gemm_driver_on(tier, av, bv, m, n, k, &mut c, n, cs.as_deref_mut());
+                            (c, cs.unwrap_or_default())
+                        };
+                        let ((c0, cs0), (c1, cs1)) = (run(None), run(Some(avx2)));
+                        let case = format!("{name} fused={fused} {m}x{k}x{n}");
+                        assert!(same(&c0, &c1), "{case}: product");
+                        assert!(same(&cs0, &cs1), "{case}: column checksums");
+                    }
                 }
             }
         }

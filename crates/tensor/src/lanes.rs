@@ -1,9 +1,13 @@
-//! Protection-only reductions, stated once each, with an AVX2 tier.
+//! Protection-only reductions, stated once each, with an AVX2 tier — and
+//! the AVX2 token that also licenses the GEMM microkernel.
 //!
-//! Everything here runs only on the protected path — the AdamW moment
+//! The reductions run only on the protected path — the AdamW moment
 //! digests, the `f64` transports of the non-GEMM guard screens, the
-//! row-side detection prepass — so making it faster lowers the protected ÷
-//! unprotected ratio without moving the twin. The element and checksum
+//! row-side detection prepass — so making them faster lowers the protected
+//! ÷ unprotected ratio without moving the twin. The token's one other
+//! kernel runs on both sides: the AVX2 form of [`crate::gemm`]'s register
+//! microkernel, whose definition (and the reason it gives the same bits)
+//! stays in that module. The element and checksum
 //! contracts ([`crate::contract`]) are not restated here and keep their
 //! single scalar statement.
 //!
@@ -36,6 +40,31 @@
 
 /// Lane count of every lane-ordered reduction in this module.
 pub const LANES: usize = 8;
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use arch::Avx2;
+
+/// Where there is no AVX2 the token is uninhabited: `detect` is always
+/// `None`, so a tier-taking caller always runs the scalar definition.
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Clone, Copy)]
+pub(crate) enum Avx2 {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl Avx2 {
+    pub(crate) fn detect() -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn microkernel(
+        self,
+        _: &[f32],
+        _: &[f32],
+        _: &mut [[f32; crate::gemm::NR]; crate::gemm::MR],
+    ) {
+        match self {}
+    }
+}
 
 /// Name of the tier the dispatchers below select on this CPU.
 pub fn tier() -> &'static str {
@@ -145,10 +174,12 @@ pub fn sums(row: &[f32]) -> (f32, f32, f32) {
     sums_def(row)
 }
 
-/// The lane-ordered reductions written with `std::arch`. Each statement
-/// below is one line of the matching `*_def`, eight lanes at a time;
-/// pointer-free intrinsics are safe inside an AVX2-enabled function, so
-/// the only `unsafe` is the call into one, in the [`Avx2`] methods.
+/// The lane-ordered reductions written with `std::arch`, and the GEMM
+/// microkernel's AVX2 form. Each reduction statement below is one line of
+/// the matching `*_def`, eight lanes at a time; pointer-free intrinsics are
+/// safe inside an AVX2-enabled function (loads and stores go through
+/// arrays), so the only `unsafe` is the call into one, in the [`Avx2`]
+/// methods.
 #[cfg(target_arch = "x86_64")]
 #[allow(
     unsafe_code,
@@ -156,6 +187,7 @@ pub fn sums(row: &[f32]) -> (f32, f32, f32) {
 )]
 mod arch {
     use super::{for_chunks, LANES};
+    use crate::gemm::{MR, NR};
     use std::arch::x86_64::*;
 
     /// Proof that this CPU runs AVX2. The private field makes
@@ -163,12 +195,20 @@ mod arch {
     /// what licenses a call into the kernels below — detect once, then
     /// pass the token down.
     #[derive(Clone, Copy)]
-    pub(super) struct Avx2(());
+    pub(crate) struct Avx2(());
 
     impl Avx2 {
         /// `Some` exactly when the CPU reports AVX2.
-        pub(super) fn detect() -> Option<Self> {
+        pub(crate) fn detect() -> Option<Self> {
             is_x86_feature_detected!("avx2").then_some(Self(()))
+        }
+
+        /// [`crate::gemm`]'s register microkernel, [`NR`] output columns as
+        /// two eight-lane halves.
+        #[inline]
+        pub(crate) fn microkernel(self, apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
+            // SAFETY: an Avx2 exists only after detect() saw AVX2.
+            unsafe { microkernel_avx2(apan, bpan, acc) }
         }
 
         #[inline]
@@ -231,6 +271,64 @@ mod arch {
         let quads = _mm256_hadd_ps(pairs, pairs);
         _mm_cvtss_f32(_mm256_castps256_ps128(quads))
             + _mm_cvtss_f32(_mm256_extractf128_ps::<1>(quads))
+    }
+
+    /// Columns `j0..j0 + LANES` of an `NR`-wide tile row.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_cols(r: &[f32; NR], j0: usize) -> __m256 {
+        let c = &r[j0..j0 + LANES];
+        _mm256_setr_ps(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
+    }
+
+    /// Store `v` into columns `j0..j0 + LANES` of an `NR`-wide tile row.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_cols(v: __m256, r: &mut [f32; NR], j0: usize) {
+        let (lo, hi) = (_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
+        let f = |bits: i32| f32::from_bits(bits as u32);
+        r[j0..j0 + LANES].copy_from_slice(&[
+            _mm_cvtss_f32(lo),
+            f(_mm_extract_ps::<1>(lo)),
+            f(_mm_extract_ps::<2>(lo)),
+            f(_mm_extract_ps::<3>(lo)),
+            _mm_cvtss_f32(hi),
+            f(_mm_extract_ps::<1>(hi)),
+            f(_mm_extract_ps::<2>(hi)),
+            f(_mm_extract_ps::<3>(hi)),
+        ]);
+    }
+
+    const _: () = assert!(NR == 2 * LANES, "a tile row is two ymm halves");
+
+    /// `acc[r][j] += Σ_k apan[k·MR+r] · bpan[k·NR+j]`, the scalar
+    /// `gemm::microkernel` with `j` across lanes: every lane is a different
+    /// output element, each takes its products `k` ascending, rounded by the
+    /// multiply before the add. `inline(never)` keeps the eight
+    /// accumulators in ymm registers (inlined into a caller compiled for
+    /// AVX2, the tile ran at ≈ 2 GFLOP/s).
+    #[target_feature(enable = "avx2")]
+    #[inline(never)]
+    fn microkernel_avx2(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
+        let mut c = [[_mm256_setzero_ps(); 2]; MR];
+        for (cr, row) in c.iter_mut().zip(acc.iter()) {
+            *cr = [load_cols(row, 0), load_cols(row, LANES)];
+        }
+        let (ak, bk) = (apan.as_chunks::<MR>().0, bpan.as_chunks::<NR>().0);
+        for (ak, bk) in ak.iter().zip(bk) {
+            let b = [load_cols(bk, 0), load_cols(bk, LANES)];
+            for (cr, &av) in c.iter_mut().zip(ak) {
+                let av = _mm256_set1_ps(av);
+                *cr = [
+                    _mm256_add_ps(cr[0], _mm256_mul_ps(av, b[0])),
+                    _mm256_add_ps(cr[1], _mm256_mul_ps(av, b[1])),
+                ];
+            }
+        }
+        for (row, cr) in acc.iter_mut().zip(c) {
+            store_cols(cr[0], row, 0);
+            store_cols(cr[1], row, LANES);
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -297,7 +395,7 @@ mod arch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::TensorRng;
     use proptest::prelude::*;
@@ -308,12 +406,12 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    fn same32(a: f32, b: f32) -> bool {
+    pub(crate) fn same32(a: f32, b: f32) -> bool {
         same64(f64::from(a), f64::from(b))
     }
 
     const INF: f32 = f32::INFINITY;
-    const SPECIALS: [f32; 7] = [-0.0, INF, -INF, f32::NAN, 1.0e-40, -3.0e-45, 3.0e38];
+    pub(crate) const SPECIALS: [f32; 7] = [-0.0, INF, -INF, f32::NAN, 1.0e-40, -3.0e-45, 3.0e38];
 
     /// `len` values at an arbitrary (unaligned) offset into a buffer, with
     /// `plant` special values dropped in.

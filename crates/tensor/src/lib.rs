@@ -9,7 +9,9 @@
 //! * [`MatRef`] / [`MatMut`] — borrowed views over contiguous row-major
 //!   storage, used by every kernel so that a whole matrix and a row prefix
 //!   of one feed the same entry points without copies.
-//! * Packed, cache-blocked, register-tiled GEMM kernels in [`gemm`] — including the transposed variants needed by attention
+//! * Packed, cache-blocked, register-tiled GEMM kernels in [`gemm`] — a
+//!   4×16 scalar microkernel and its bit-identical AVX2 form, picked once
+//!   per product by CPU detection — including the transposed variants needed by attention
 //!   (`Q·Kᵀ`) and backprop (`Aᵀ·B`), and the fused column-encoding entry
 //!   points (`gemm_encode_cols_into` and its paged twin) whose encoding
 //!   rides inside the packing pass ([`pack`]).
@@ -44,8 +46,9 @@
 //! campaigns rely on for reproducibility.
 //!
 //! This is the workspace's one crate with `unsafe` (every other one is
-//! `#![forbid(unsafe_code)]`), and it has three sites: the calls into the
-//! AVX2 kernels in [`lanes`]' private `arch` module. The toolchain audits
+//! `#![forbid(unsafe_code)]`), and it has four sites: the calls into the
+//! AVX2 kernels in [`lanes`]' private `arch` module — the three
+//! protection reductions and the GEMM microkernel. The toolchain audits
 //! them. rustc denies `unsafe_code` crate-wide and only `arch` allows it,
 //! so an `unsafe` block anywhere else is a build error. rustc also denies
 //! `unsafe_op_in_unsafe_fn`, so the body of an unsafe function is not one
