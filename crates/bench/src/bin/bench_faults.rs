@@ -547,10 +547,11 @@ fn main() {
                 pct(c.detection)
             ));
         }
-        // Every class must heal exactly: single-cell faults restore through
-        // the per-row digest, and the region classes (stuck row, burst) —
-        // single-row spans — restore through the column-digest axis, where
-        // each corrupted cell is the only suspect in its column.
+        // Every class must heal exactly: the per-row digest's integer sums
+        // locate a single-cell fault exactly and its XOR restores it, and
+        // the region classes (stuck row, burst) — single-row spans —
+        // restore through the column-digest axis, where each corrupted cell
+        // is the only suspect in its column.
         if c.correction < 1.0 {
             failures.push(format!(
                 "moments/{kind}: bit-exact heal {} < 100%",

@@ -112,7 +112,7 @@ pub struct SectionProfile {
 /// `flops`.
 fn poisson_pmf(lambda: f64, flops: f64, k: u32) -> f64 {
     let mu = lambda * flops;
-    if attn_tensor::float::exactly_zero_f64(mu) {
+    if mu == 0.0 {
         return if k == 0 { 1.0 } else { 0.0 };
     }
     let mut log_p = -mu + k as f64 * mu.ln();
@@ -428,10 +428,7 @@ mod tests {
         let rates = ErrorRates::uniform_per_1e25(13.0);
         // A target met even unprotected → no time bought.
         let plan = optimize_frequencies(&sections, &rates, 0.5);
-        assert!(plan
-            .freqs
-            .iter()
-            .all(|&f| attn_tensor::float::exactly_zero_f64(f)));
+        assert!(plan.freqs.iter().all(|&f| f == 0.0));
         assert_eq!(plan.expected_time, 0.0);
     }
 

@@ -135,10 +135,9 @@ impl ProtectionConfig {
     /// There is no round-off to absorb: callers either pass the sentinel or
     /// they don't.
     pub fn is_off(&self) -> bool {
-        attn_tensor::float::exactly_zero_f64(self.f_as)
-            && attn_tensor::float::exactly_zero_f64(self.f_cl)
-            && attn_tensor::float::exactly_zero_f64(self.f_o)
-            && attn_tensor::float::exactly_zero_f64(self.f_ffn)
+        [self.f_as, self.f_cl, self.f_o, self.f_ffn]
+            .iter()
+            .all(|&f| f == 0.0)
     }
 }
 

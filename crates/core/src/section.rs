@@ -634,10 +634,10 @@ mod tests {
             assert_eq!(ctx.guard().tol(), config.abft.detect_tol);
             let _ = ctx.section(SectionId::Output);
             for _ in 0..checks {
-                ctx.guard().record_external_check();
+                ctx.guard().record_check();
             }
             for _ in 0..heals {
-                ctx.guard().record_external_heal();
+                ctx.guard().record_heal();
             }
             drop(ctx);
             assert_eq!(report.op_checks, total);

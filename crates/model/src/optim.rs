@@ -13,84 +13,72 @@
 //! so a particle strike while they sit at rest is invisible to every
 //! forward/backward guard and silently steers every later update. The
 //! digests close that hole: each row of each moment matrix carries a
-//! triple digest — an `f64` sum, an index-weighted `f64` sum, and the XOR
-//! of the `f32` bit patterns ([`attn_tensor::lanes::digest`]; DESIGN.md,
-//! "The accumulation-order contract", states its lane order and tiers) —
-//! captured after a guarded step and re-derived before the next one, never
+//! digest over the `f32` bit patterns `b_j` ([`lanes::Digest`]) — the
+//! wrapping `u64` sums `Σ b_j` and `Σ (j+1)·b_j`, the XOR `⊕ b_j`, and a
+//! detection-only check term, a position-keyed sum of squares — captured
+//! after a guarded step and re-derived before the next one, never
 //! persisted. An unguarded step drops its slot's digests (they would
 //! describe moments it has since moved), so the next guarded step only
-//! captures. The recompute is bit-deterministic, so a digest mismatch is
-//! always a genuine corruption (zero false positives), the weighted/plain
-//! sum ratio locates the flipped column, and the XOR delta restores the
-//! original bits exactly.
+//! captures. The digest is exact integer arithmetic, so a mismatch is always
+//! a genuine corruption (zero false positives), a NaN or INF moment digests
+//! like any other bit pattern, and a single changed cell is located
+//! exactly: it moves the sums by `d` and `(j+1)·d`, so `j + 1` is their
+//! quotient, with no remainder. The XOR delta restores the original bits,
+//! and the whole row digest then gates the restore. The check term is what
+//! sees a multi-cell change the linear sums cannot — a balanced run of
+//! flips with zero sum, zero first moment and an even XOR — and sends it
+//! to the column axis.
 //!
 //! A second, *column* digest axis turns single-axis localisation into 2D:
 //! the mismatched rows × mismatched columns form a suspect rectangle, and
 //! region faults that defeat the per-row single-flip model heal through
 //! the other axis — every cell of a corrupted row span is the only suspect
 //! in its column, so the column XOR delta restores it bit-exactly, and a
-//! full 2×2 rectangle is solved from the stored sum/weighted-sum pair with
-//! an exact re-digest gate. Corruption beyond the rectangle solvers is
-//! surfaced as `unrecovered`; every heal, from any path, is accepted only
-//! when the affected rows *and* columns re-digest to their stored bits.
+//! full 2×2 rectangle is solved exactly from each row's sum/weighted-sum
+//! deltas. Corruption beyond the rectangle solvers is surfaced as
+//! `unrecovered`; every heal, from any path, is accepted only when the
+//! affected rows *and* columns re-digest to their stored bits.
 //!
 //! One row-major capture sweep per moment matrix, after each guarded update
 //! and in [`AdamW::load`], fills both axes: each row is digested whole and
-//! added, rows ascending, into per-column running accumulators.
+//! added into per-column running accumulators.
 
 use crate::param::{Grads, HasParams, Param};
-use attn_tensor::{lanes, Matrix, OpGuard};
+use attn_tensor::{lanes, lanes::Digest, Matrix, OpGuard};
 
-/// Bit-exact digest of one moment-matrix row. The `f64` accumulators are
-/// stored as bit patterns so comparison is exact even when a poisoned
-/// (NaN/Inf) moment row makes the sums non-finite — a legitimate
-/// propagation that must not read as a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RowDigest {
-    /// `f64` sum of the row, as bits.
-    sum: u64,
-    /// `Σ (j+1)·x_j` in `f64`, as bits — `δwsum/δsum` locates a single
-    /// flipped column.
-    wsum: u64,
-    /// XOR of the `f32` bit patterns — the restore channel.
-    xor: u32,
+/// `(Σ, Σw)` of `stored − live`, as the signed change they carry.
+fn delta(live: &Digest, stored: &Digest) -> (i64, i64) {
+    let d = |a: u64, b: u64| a.wrapping_sub(b) as i64;
+    (d(stored.sum, live.sum), d(stored.wsum, live.wsum))
 }
 
-fn digest_row(row: &[f32]) -> RowDigest {
-    let (sum, wsum, xor) = lanes::digest(row);
-    RowDigest {
-        sum: sum.to_bits(),
-        wsum: wsum.to_bits(),
-        xor,
-    }
-}
-
-/// Column digest of column `c`: the same (sum, weighted sum, xor) triple
-/// as [`digest_row`] but walked down the rows, weights by `(r+1)`.
-fn digest_col(mat: &Matrix, c: usize) -> RowDigest {
-    let mut sum = 0.0f64;
-    let mut wsum = 0.0f64;
-    let mut xor = 0u32;
+/// Column digest of column `c`: the linear sums of [`lanes::digest`]
+/// walked down the rows, weights `r + 1`; `check` stays 0.
+fn digest_col(mat: &Matrix, c: usize) -> Digest {
+    let mut d = Digest::default();
     for r in 0..mat.rows() {
-        let x = mat[(r, c)];
-        let xf = x as f64;
-        sum += xf;
-        wsum += (r + 1) as f64 * xf;
-        xor ^= x.to_bits();
+        let b = mat[(r, c)].to_bits();
+        lanes::digest_cell(&mut d.sum, &mut d.wsum, &mut d.xor, b, (r + 1) as u32);
     }
-    RowDigest {
-        sum: sum.to_bits(),
-        wsum: wsum.to_bits(),
-        xor,
-    }
+    d
 }
 
-/// Restore candidate: flip column `j` of `row` by the XOR delta and keep
-/// it iff the row then re-digests to exactly `stored`.
-fn try_candidate(stored: &RowDigest, row: &mut [f32], j: usize, xor_delta: u32) -> bool {
+/// Locate-and-restore a single corrupted cell; `false` when no single
+/// change explains the digest (multi-cell corruption).
+fn try_heal_row(stored: &Digest, row: &mut [f32]) -> bool {
+    let live = lanes::digest(row);
+    let (dsum, dwsum) = delta(&live, stored);
+    // One change `d` moves the sums by exactly `d` and `(j+1)·d`.
+    if dwsum.checked_rem(dsum) != Some(0) {
+        return false;
+    }
+    let j = usize::try_from((dwsum / dsum).wrapping_sub(1)).ok();
+    let Some(j) = j.filter(|&j| j < row.len()) else {
+        return false;
+    };
     let old = row[j];
-    row[j] = f32::from_bits(old.to_bits() ^ xor_delta);
-    if digest_row(row) == *stored {
+    row[j] = f32::from_bits(old.to_bits() ^ stored.xor ^ live.xor);
+    if lanes::digest(row) == *stored {
         true
     } else {
         row[j] = old;
@@ -98,122 +86,33 @@ fn try_candidate(stored: &RowDigest, row: &mut [f32], j: usize, xor_delta: u32) 
     }
 }
 
-/// Locate-and-restore a single corrupted cell; `false` when no single
-/// flip explains the digest (multi-cell corruption).
-fn try_heal_row(stored: &RowDigest, row: &mut [f32], live: &RowDigest) -> bool {
-    let xor_delta = stored.xor ^ live.xor;
-    if xor_delta == 0 {
-        // Identical bits XOR-wise but differing sums: at least two cells
-        // changed in a cancelling pattern — beyond the single-fault model.
-        return false;
-    }
-    let dsum = f64::from_bits(stored.sum) - f64::from_bits(live.sum);
-    let dwsum = f64::from_bits(stored.wsum) - f64::from_bits(live.wsum);
-    if dsum.is_finite() && dwsum.is_finite() && !attn_tensor::float::exactly_zero_f64(dsum) {
-        let j = (dwsum / dsum).round() - 1.0;
-        if j >= 0.0 && j < row.len() as f64 && try_candidate(stored, row, j as usize, xor_delta) {
-            return true;
-        }
-    }
-    // Non-finite or ambiguous deltas (e.g. a NaN-flip): scan every
-    // column; the digest re-check keeps the restore exact.
-    (0..row.len()).any(|j| try_candidate(stored, row, j, xor_delta))
-}
-
-/// Step `x` by `steps` ulps in value order (sign-magnitude bit space), the
-/// candidate ladder for the 2×2 rectangle solver's sum-channel seed.
-fn nudge_f32(x: f32, steps: i64) -> f32 {
-    let b = x.to_bits();
-    let key = if b & 0x8000_0000 != 0 {
-        -((b & 0x7fff_ffff) as i64)
-    } else {
-        b as i64
-    };
-    let k = key + steps;
-    let bits = if k < 0 {
-        0x8000_0000u32 | ((-k) as u32 & 0x7fff_ffff)
-    } else {
-        k as u32
-    };
-    f32::from_bits(bits)
-}
-
 /// Heal a full 2×2 suspect rectangle `{r0,r1} × {c0,c1}`.
 ///
-/// The four XOR deltas have one 32-bit degree of freedom (row and column
-/// XORs share a parity constraint), so the sum channel breaks the tie:
-/// the stored (sum, weighted-sum) pair of row `r0`, minus the ordered
-/// partial sum over its *clean* cells, is a 2×2 linear system whose
-/// solution approximates the original value at `(r0, c0)` to well under
-/// an f32 ulp. Each candidate in a small ulp ladder around that seed
-/// determines all four deltas through the XOR equations; a candidate is
-/// adopted only when every affected row and column re-digests to its
-/// stored bits, so an off-by-ulps seed can only cost us the heal, never
-/// corrupt the moments.
+/// Each row's two cell changes `e₀`, `e₁` are its two unknowns, and its
+/// `(Δs, Δw)` pair gives them exactly: `Δs = e₀ + e₁` and
+/// `Δw = (c₀+1)·e₀ + (c₁+1)·e₁`. Returns `false` when they have no exact
+/// solution. The caller keeps the rectangle only when every suspect row
+/// and column then re-digests to its stored bits, and otherwise reverts
+/// the rows.
 fn heal_2x2(stored: &MomentDigests, mat: &mut Matrix, rs: [usize; 2], cs: [usize; 2]) -> bool {
-    let [r0, r1] = rs;
     let [c0, c1] = cs;
-    let x0 = stored.rows[r0].xor ^ digest_row(mat.row(r0)).xor;
-    let x1 = stored.rows[r1].xor ^ digest_row(mat.row(r1)).xor;
-    let y0 = stored.col_xor[c0] ^ digest_col(mat, c0).xor;
-    let y1 = stored.col_xor[c1] ^ digest_col(mat, c1).xor;
-    if x0 ^ x1 != y0 ^ y1 {
-        // Row and column XOR deltas disagree on the rectangle's parity:
-        // the corruption is not confined to these four cells.
-        return false;
-    }
-    // Ordered partial sums of row r0 over the clean (non-suspect) cells.
-    let mut s_known = 0.0f64;
-    let mut w_known = 0.0f64;
-    for (j, &x) in mat.row(r0).iter().enumerate() {
-        if j == c0 || j == c1 {
-            continue;
+    let (w0, span) = ((c0 + 1) as i64, c1 as i64 - c0 as i64);
+    for r in rs {
+        let (ds, dw) = delta(&lanes::digest(mat.row(r)), &stored.rows[r]);
+        let num = dw.wrapping_sub(w0.wrapping_mul(ds));
+        if num.checked_rem(span) != Some(0) {
+            return false;
         }
-        let xf = x as f64;
-        s_known += xf;
-        w_known += (j + 1) as f64 * xf;
-    }
-    let dsum = f64::from_bits(stored.rows[r0].sum) - s_known;
-    let dwsum = f64::from_bits(stored.rows[r0].wsum) - w_known;
-    if !dsum.is_finite() || !dwsum.is_finite() {
-        return false; // poisoned originals: the sum channel carries no seed
-    }
-    let wa = (c0 + 1) as f64;
-    let wb = (c1 + 1) as f64;
-    let ob = (dwsum - wa * dsum) / (wb - wa);
-    let seed = (dsum - ob) as f32;
-    // ±8 ulps is orders of magnitude beyond the solve's rounding error.
-    for step in 0..=16i64 {
-        let off = if step % 2 == 0 {
-            step / 2
-        } else {
-            -(step + 1) / 2
-        };
-        let cand = nudge_f32(seed, off);
-        let d00 = cand.to_bits() ^ mat[(r0, c0)].to_bits();
-        if d00 == 0 && x0 == 0 {
-            continue; // no-op candidate cannot explain a mismatched row
-        }
-        let d01 = x0 ^ d00;
-        let d10 = y0 ^ d00;
-        let d11 = x1 ^ d10;
-        for (r, c, d) in [(r0, c0, d00), (r0, c1, d01), (r1, c0, d10), (r1, c1, d11)] {
-            let v = mat[(r, c)];
-            mat[(r, c)] = f32::from_bits(v.to_bits() ^ d);
-        }
-        if digest_row(mat.row(r0)) == stored.rows[r0]
-            && digest_row(mat.row(r1)) == stored.rows[r1]
-            && digest_col(mat, c0) == stored.col(c0)
-            && digest_col(mat, c1) == stored.col(c1)
-        {
-            return true;
-        }
-        for (r, c, d) in [(r0, c0, d00), (r0, c1, d01), (r1, c0, d10), (r1, c1, d11)] {
-            let v = mat[(r, c)];
-            mat[(r, c)] = f32::from_bits(v.to_bits() ^ d);
+        let e1 = num / span;
+        for (c, e) in [(c0, ds.wrapping_sub(e1)), (c1, e1)] {
+            let bits = i64::from(mat[(r, c)].to_bits()).checked_add(e);
+            let Some(bits) = bits.and_then(|b| u32::try_from(b).ok()) else {
+                return false;
+            };
+            mat[(r, c)] = f32::from_bits(bits);
         }
     }
-    false
+    true
 }
 
 /// 2D region heal over the suspect rectangle `bad_rows × bad_cols`.
@@ -236,7 +135,7 @@ fn heal_region(
         let rs: Vec<usize> = bad_rows
             .iter()
             .copied()
-            .filter(|&r| digest_row(mat.row(r)) != stored.rows[r])
+            .filter(|&r| lanes::digest(mat.row(r)) != stored.rows[r])
             .collect();
         let cs: Vec<usize> = bad_cols
             .iter()
@@ -264,7 +163,7 @@ fn heal_region(
         if !progress && cs.len() == 1 {
             let c = cs[0];
             for &r in &rs {
-                let delta = stored.rows[r].xor ^ digest_row(mat.row(r)).xor;
+                let delta = stored.rows[r].xor ^ lanes::digest(mat.row(r)).xor;
                 if delta != 0 {
                     let v = mat[(r, c)];
                     mat[(r, c)] = f32::from_bits(v.to_bits() ^ delta);
@@ -279,7 +178,7 @@ fn heal_region(
             return heal_2x2(stored, mat, [rs[0], rs[1]], [cs[0], cs[1]])
                 && bad_rows
                     .iter()
-                    .all(|&r| digest_row(mat.row(r)) == stored.rows[r])
+                    .all(|&r| lanes::digest(mat.row(r)) == stored.rows[r])
                 && bad_cols
                     .iter()
                     .all(|&c| digest_col(mat, c) == stored.col(c));
@@ -292,8 +191,8 @@ fn heal_region(
 fn verify_moment(stored: &MomentDigests, mat: &mut Matrix, g: &OpGuard) {
     let mut bad_rows: Vec<usize> = Vec::new();
     for (r, expected) in stored.rows.iter().enumerate().take(mat.rows()) {
-        g.record_external_check();
-        if digest_row(mat.row(r)) != *expected {
+        g.record_check();
+        if lanes::digest(mat.row(r)) != *expected {
             bad_rows.push(r);
         }
     }
@@ -303,9 +202,8 @@ fn verify_moment(stored: &MomentDigests, mat: &mut Matrix, g: &OpGuard) {
     // Single-flip fast path, row by row — the 0D fault model.
     let mut region_rows: Vec<usize> = Vec::new();
     for &r in &bad_rows {
-        let live = digest_row(mat.row(r));
-        if try_heal_row(&stored.rows[r], mat.row_mut(r), &live) {
-            g.record_external_heal();
+        if try_heal_row(&stored.rows[r], mat.row_mut(r)) {
+            g.record_heal();
         } else {
             region_rows.push(r);
         }
@@ -323,7 +221,7 @@ fn verify_moment(stored: &MomentDigests, mat: &mut Matrix, g: &OpGuard) {
         .collect();
     if !bad_cols.is_empty() && heal_region(stored, mat, &region_rows, &bad_cols) {
         for _ in &region_rows {
-            g.record_external_heal();
+            g.record_heal();
         }
     } else {
         for (r, row) in snapshot {
@@ -335,50 +233,44 @@ fn verify_moment(stored: &MomentDigests, mat: &mut Matrix, g: &OpGuard) {
     }
 }
 
-/// Both digest axes of one moment matrix: a triple per row, and a triple
-/// per column held as running accumulators.
+/// Both digest axes of one moment matrix: a [`Digest`] per row, and the
+/// linear sums per column held as running accumulators.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct MomentDigests {
-    rows: Vec<RowDigest>,
-    col_sum: Vec<f64>,
-    col_wsum: Vec<f64>,
+    rows: Vec<Digest>,
+    col_sum: Vec<u64>,
+    col_wsum: Vec<u64>,
     col_xor: Vec<u32>,
 }
 
 impl MomentDigests {
     /// Re-derive both axes from `mat` in one row-major sweep, reusing the
-    /// vectors: each row is digested whole, then each of its cells is added
-    /// into its column's accumulators. Rows are added in ascending order, so
-    /// every column carries [`digest_col`]'s bits.
+    /// vectors: each row is digested whole, then added into the column
+    /// accumulators ([`lanes::digest_columns`], [`digest_col`]'s sums).
     fn capture(&mut self, mat: &Matrix) {
         self.rows.clear();
         self.rows.reserve(mat.rows());
         for col in [&mut self.col_sum, &mut self.col_wsum] {
             col.clear();
-            col.resize(mat.cols(), 0.0);
+            col.resize(mat.cols(), 0);
         }
         self.col_xor.clear();
         self.col_xor.resize(mat.cols(), 0);
         for r in 0..mat.rows() {
             let row = mat.row(r);
-            self.rows.push(digest_row(row));
-            let w = (r + 1) as f64;
-            let cols = self.col_sum.iter_mut().zip(&mut self.col_wsum);
-            for ((s, ws), (x, &v)) in cols.zip(self.col_xor.iter_mut().zip(row)) {
-                let xf = f64::from(v);
-                *s += xf;
-                *ws += w * xf;
-                *x ^= v.to_bits();
-            }
+            self.rows.push(lanes::digest(row));
+            let (s, ws, x) = (&mut self.col_sum, &mut self.col_wsum, &mut self.col_xor);
+            lanes::digest_columns(row, (r + 1) as u32, s, ws, x);
         }
     }
 
-    /// Column `c`'s triple, as [`digest_col`] derives it.
-    fn col(&self, c: usize) -> RowDigest {
-        RowDigest {
-            sum: self.col_sum[c].to_bits(),
-            wsum: self.col_wsum[c].to_bits(),
+    /// Column `c`'s digest, as [`digest_col`] derives it.
+    fn col(&self, c: usize) -> Digest {
+        Digest {
+            sum: self.col_sum[c],
+            wsum: self.col_wsum[c],
             xor: self.col_xor[c],
+            check: 0,
         }
     }
 }
@@ -910,7 +802,11 @@ mod tests {
                 d.capture(&mat);
                 assert_eq!(d.rows.len(), rows);
                 for r in 0..rows {
-                    assert_eq!(d.rows[r], digest_row(mat.row(r)), "{rows}×{cols} row {r}");
+                    assert_eq!(
+                        d.rows[r],
+                        lanes::digest(mat.row(r)),
+                        "{rows}×{cols} row {r}"
+                    );
                 }
                 assert_eq!(d.col_sum.len(), cols);
                 for c in 0..cols {
@@ -964,8 +860,9 @@ mod tests {
     #[test]
     fn rectangular_2x2_region_heals_bit_exactly() {
         // A full 2×2 rectangle — two cells in each of two rows, sharing
-        // columns — is underdetermined for XOR alone; the sum-channel seed
-        // plus the exact re-digest gate recovers all four cells.
+        // columns — is underdetermined for XOR alone; each row's exact
+        // sum/weighted-sum deltas solve its two cells, and the re-digest
+        // gate accepts all four.
         let flow = region_fault_flow((2, 4), false, |m| {
             m[(0, 1)] = f32::INFINITY;
             m[(0, 3)] += 0.75;
@@ -973,6 +870,94 @@ mod tests {
             m[(1, 3)] *= -3.0;
         });
         assert_healed(flow, 2);
+    }
+
+    /// Two guarded steps, `first` then `G2` tiled to its shape, with
+    /// `corrupt` writing the slot between them. Returns the final value,
+    /// `m` and `v` as bits (a poisoned value is NaN, and NaN ≠ NaN) and the
+    /// guard stats.
+    fn guarded_pair(
+        first: &Matrix,
+        corrupt: impl FnOnce(&mut Slot),
+    ) -> ([Vec<u32>; 3], attn_tensor::GuardStats) {
+        let (rows, cols) = (first.rows(), first.cols());
+        let mut model = one(tiled(rows, cols, &W0));
+        let mut opt = AdamW::new(0.01);
+        let g = OpGuard::new(true, 5e-4);
+        opt.step(&mut model, &grad(first.clone()), &g);
+        corrupt(&mut opt.slots_mut()[0]);
+        opt.step(&mut model, &grad(tiled(rows, cols, &G2)), &g);
+        let slot = &opt.slots()[0];
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect();
+        ([&model.p.value, &slot.m, &slot.v].map(bits), g.take_stats())
+    }
+
+    /// [`guarded_pair`] clean and corrupted: the clean run stays quiet, the
+    /// corrupted one ends bit-equal to it. Returns the corrupted run's stats.
+    fn heal_twin(first: &Matrix, corrupt: impl FnOnce(&mut Slot)) -> attn_tensor::GuardStats {
+        let (clean, quiet) = guarded_pair(first, |_| {});
+        assert!(quiet.is_quiet(), "{quiet:?}");
+        let (healed, s) = guarded_pair(first, corrupt);
+        assert_eq!(healed, clean, "healed state must be bit-equal: {s:?}");
+        s
+    }
+
+    #[test]
+    fn rectangle_in_rows_with_a_non_finite_moment_heals() {
+        // An INF gradient legitimately drives m[0][0] and v[0][0] to INF;
+        // the rectangle beside it still solves exactly.
+        let mut first = tiled(2, 4, &G1);
+        first[(0, 0)] = f32::INFINITY;
+        let s = heal_twin(&first, |slot| {
+            for (r, c) in [(0, 1), (0, 3), (1, 1), (1, 3)] {
+                slot.m[(r, c)] += (2 + r + c) as f32;
+            }
+        });
+        assert_eq!((s.detections, s.heals, s.unrecovered), (2, 2, 0));
+    }
+
+    #[test]
+    fn balanced_burst_that_cancels_every_linear_sum_is_detected_and_healed() {
+        // A burst of 4 exponent flips over cells whose bit 30 reads
+        // 0, 1, 1, 0 (|m| < 2, ≥ 2, ≥ 2, < 2) moves the bit patterns by
+        // +2³⁰, −2³⁰, −2³⁰, +2³⁰: the sum, the weighted sum and the XOR all
+        // come out unchanged. Only the check term sees it.
+        let mut first = tiled(2, 4, &G1);
+        (first[(0, 1)], first[(0, 2)]) = (30.0, 30.0);
+        let s = heal_twin(&first, |slot| {
+            let bit30 = slot.m.row(0).iter().map(|x| x.to_bits() >> 30 & 1);
+            assert_eq!(bit30.collect::<Vec<_>>(), [0, 1, 1, 0]);
+            let live = lanes::digest(slot.m.row(0));
+            attn_fault::FaultKind::Burst { len: 4 }.strike(slot.m.row_mut(0), 0);
+            let hit = lanes::digest(slot.m.row(0));
+            assert_eq!(delta(&hit, &live), (0, 0));
+            assert_eq!(hit.xor, live.xor);
+        });
+        assert_eq!((s.detections, s.heals, s.unrecovered), (1, 1, 0));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_single_bit_flip_is_located_and_healed_exactly(
+            rows in 1usize..6,
+            cols in 1usize..131,
+            cell in 0usize..650,
+            second_moment in 0usize..2,
+            bit in 0u32..32,
+        ) {
+            let (r, c) = ((cell / cols) % rows, cell % cols);
+            let flip = |x: &mut f32| *x = f32::from_bits(x.to_bits() ^ (1 << bit));
+            let s = heal_twin(&tiled(rows, cols, &G1), |slot| {
+                flip(&mut [&mut slot.m, &mut slot.v][second_moment][(r, c)]);
+            });
+            proptest::prop_assert_eq!((s.detections, s.heals, s.unrecovered), (1, 1, 0));
+            // The row digest alone locates it: the column axis is not needed.
+            let clean = tiled(1, cols, &W0);
+            let mut row = clean.data().to_vec();
+            flip(&mut row[c]);
+            proptest::prop_assert!(try_heal_row(&lanes::digest(clean.data()), &mut row));
+            proptest::prop_assert_eq!(Matrix::from_vec(1, cols, row), clean);
+        }
     }
 
     #[test]

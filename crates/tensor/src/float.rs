@@ -28,13 +28,6 @@ pub fn exactly_zero(x: f32) -> bool {
     x == 0.0
 }
 
-/// `f64` twin of [`exactly_zero`], for accumulator/telemetry code.
-#[inline]
-#[must_use]
-pub fn exactly_zero_f64(x: f64) -> bool {
-    x == 0.0
-}
-
 /// True when every element of `xs` is exactly `±0.0`.
 ///
 /// The vectorised form of [`exactly_zero`]; used for "was this row fully
@@ -56,10 +49,6 @@ mod tests {
         assert!(!exactly_zero(f32::NAN));
         assert!(!exactly_zero(f32::MIN_POSITIVE));
         assert!(!exactly_zero(1e-45)); // smallest subnormal
-        assert!(exactly_zero_f64(0.0));
-        assert!(exactly_zero_f64(-0.0));
-        assert!(!exactly_zero_f64(f64::NAN));
-        assert!(!exactly_zero_f64(5e-324)); // smallest subnormal
     }
 
     #[test]

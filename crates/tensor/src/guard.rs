@@ -160,26 +160,18 @@ impl OpGuard {
         self.stats.set(s);
     }
 
-    fn record_check(&self) {
+    /// Record one screen evaluation (here or by a guard whose logic lives
+    /// elsewhere, e.g. the optimizer's moment digests).
+    pub fn record_check(&self) {
         self.bump(|s| s.checks += 1);
     }
 
-    fn record_heal(&self) {
+    /// Record one detection healed exactly.
+    pub fn record_heal(&self) {
         self.bump(|s| {
             s.detections += 1;
             s.heals += 1;
         });
-    }
-
-    /// Record one screen evaluation performed by a guard whose logic
-    /// lives outside this module (e.g. the optimizer moment guard).
-    pub fn record_external_check(&self) {
-        self.record_check();
-    }
-
-    /// Record one externally-performed exact heal.
-    pub fn record_external_heal(&self) {
-        self.record_heal();
     }
 
     /// Record a detection the caller could not restore (multi-cell
@@ -1012,8 +1004,8 @@ mod tests {
     #[test]
     fn stats_drain() {
         let g = guard();
-        g.record_external_check();
-        g.record_external_heal();
+        g.record_check();
+        g.record_heal();
         g.record_unrecovered();
         let total = g.take_stats();
         assert_eq!(total.checks, 1);

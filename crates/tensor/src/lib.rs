@@ -18,9 +18,11 @@
 //! * The blocked accumulation-order contract in [`contract`] — the one
 //!   statement of how a product element, a row checksum and a column
 //!   checksum are summed, which replay and every standalone encoder call.
-//! * The protection-only lane-ordered reductions in [`lanes`] (moment
-//!   digests, guard-screen sums, the row-side detection prepass), each a
-//!   scalar definition plus a runtime-dispatched, bit-identical AVX2 form.
+//! * The protection-only reductions in [`lanes`], each a scalar definition
+//!   plus a runtime-dispatched, bit-identical AVX2 form: the moment digest
+//!   and its column form (order-free integer arithmetic; their AVX2 forms
+//!   are the definitions compiled for AVX2) and the lane-ordered
+//!   guard-screen sums and row-side detection prepass.
 //! * A thread-local scratch arena in [`workspace`] that makes the GEMM and
 //!   encoding hot path allocation-free in steady state.
 //! * [`PagedKv`] — fixed-size-block paged row storage for KV caches, with
