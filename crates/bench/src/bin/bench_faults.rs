@@ -26,17 +26,21 @@
 //! * zero detections across all fault-free trials (the bitwise adoption
 //!   gate makes false positives structural, not statistical);
 //! * 100% detection AND bit-exact correction for the extreme classes on
-//!   every verify-level guard;
+//!   every verify-level guard, and for every class on the two add guards
+//!   (`EXACT_SITES`);
 //! * 100% detection + bit-exact heal for single-cell classes on the
 //!   optimizer moments; 100% detection for the region classes;
 //! * 100% detection for extreme classes injected into at-rest K/V data;
 //! * 100% detection, zero non-trainable steps for extreme classes at the
 //!   end-to-end GEMM sites.
 //!
-//! Sub-threshold (`sub`) rates on the invariant screens are *recorded*,
-//! not floored: a perturbation below the screen tolerance is invisible by
-//! design to tolerance screens (the exact tiers — moment digests — still
-//! catch it), and the artifact documents exactly that boundary.
+//! The residual add and the embedding gather are checked exactly (the add
+//! computed again, compared bit for bit), so every class is floored there,
+//! `sub` included. On the invariant screens — softmax, LayerNorm, GELU and
+//! their backwards — sub-threshold (`sub`) rates are *recorded*, not
+//! floored: a perturbation below the screen tolerance is invisible by
+//! design to tolerance screens (the exact tiers — the add checks, moment
+//! digests — still catch it), and the artifact documents that boundary.
 //!
 //! Writes `BENCH_faults.json`; CI regenerates it and fails on any byte
 //! that differs from the committed file. Run:
@@ -49,8 +53,8 @@ use attn_model::model::{InjectionSpec, ModelConfig, TransformerModel};
 use attn_model::{AdamW, DecodeState, Example, Grads, HasParams, Param};
 use attn_tensor::guard::{
     gelu_backward_checked, gelu_matrix_checked, layer_norm_backward_checked, layer_norm_checked,
-    residual_add_checked, softmax_rows_backward_checked, softmax_rows_checked, verify_gelu,
-    verify_gelu_backward, verify_layer_norm, verify_layer_norm_backward, verify_rowsum_add,
+    residual_add_checked, softmax_rows_backward_checked, softmax_rows_checked, verify_add,
+    verify_gelu, verify_gelu_backward, verify_layer_norm, verify_layer_norm_backward,
     verify_softmax_backward, verify_softmax_rows,
 };
 use attn_tensor::ops::argmax;
@@ -216,7 +220,7 @@ fn site_residual_add(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     }
     let g = guard();
     for r in 0..out.rows() {
-        verify_rowsum_add(a.row(r), b.row(r), out.row_mut(r), &g);
+        verify_add(a.row(r), b.row(r), out.row_mut(r), &g);
     }
     outcome(&g, bits_eq(out.data(), clean.data()))
 }
@@ -241,10 +245,13 @@ fn site_embedding(rng: &mut TensorRng, fault: Option<FaultKind>) -> Outcome {
     }
     let g = guard();
     for (r, &t) in tokens.iter().enumerate() {
-        verify_rowsum_add(tok.row(t), pos.row(r), out.row_mut(r), &g);
+        verify_add(tok.row(t), pos.row(r), out.row_mut(r), &g);
     }
     outcome(&g, bits_eq(out.data(), clean.data()))
 }
+
+/// The verify-level sites whose check is exact: floored in every class.
+const EXACT_SITES: [&str; 2] = ["residual_add", "embedding"];
 
 const VERIFY_SITES: [(&str, SiteFn); 8] = [
     ("softmax", site_softmax),
@@ -487,7 +494,7 @@ fn main() {
                 |_, rng| site(rng, Some(kind)),
             );
             let c = rates(&outcomes);
-            if extreme.contains(&kind) {
+            if extreme.contains(&kind) || EXACT_SITES.contains(name) {
                 if c.detection < 1.0 {
                     failures.push(format!(
                         "{name}/{kind}: detection {} < 100%",
@@ -739,7 +746,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"floors\": {{\"fp_detections\": 0, \"extreme_verify_detection\": 1.0, \"extreme_verify_correction\": 1.0, \"moment_detection\": 1.0, \"moment_heal\": 1.0, \"kv_extreme_detection\": 1.0, \"e2e_extreme_detection\": 1.0, \"e2e_extreme_survival\": 1.0}}\n}}"
+        "  \"floors\": {{\"fp_detections\": 0, \"extreme_verify_detection\": 1.0, \"extreme_verify_correction\": 1.0, \"exact_verify_all_classes\": 1.0, \"moment_detection\": 1.0, \"moment_heal\": 1.0, \"kv_extreme_detection\": 1.0, \"e2e_extreme_detection\": 1.0, \"e2e_extreme_survival\": 1.0}}\n}}"
     );
     std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
     println!("wrote BENCH_faults.json");

@@ -120,8 +120,9 @@ impl TransformerBlock {
     }
 
     /// Backward over a tape; returns `dx`. The non-GEMM ops run under `g`:
-    /// LayerNorm, GELU and softmax backward screens plus residual
-    /// gradient-sum transport, all healing by exact recompute on violation.
+    /// LayerNorm, GELU and softmax backward screens, healing by exact
+    /// recompute on violation, and residual gradient adds checked by
+    /// adding them again.
     pub fn backward(
         &self,
         dy: &Matrix,

@@ -1,7 +1,7 @@
 //! Token + learned positional embeddings.
 
 use crate::param::{Grads, HasParams, Param};
-use attn_tensor::guard::verify_rowsum_add;
+use attn_tensor::guard::verify_add;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{workspace, Matrix, OpGuard};
 
@@ -45,9 +45,10 @@ impl Embedding {
     /// (0 for a whole sequence; the decode position for a single appended
     /// token), into a `tokens.len() × hidden` matrix. The "tape" is the
     /// token sequence itself, which the caller already owns, so nothing
-    /// extra is returned. Under an active `g` each gathered row is screened
-    /// against the f64 sum transport `Σ tok_row + Σ pos_row ≈ Σ out_row`
-    /// and healed element-wise from the (at-rest) tables on violation.
+    /// extra is returned. Under an active `g` each gathered row is checked
+    /// by adding `tok_row + pos_row` again and comparing bit patterns
+    /// ([`verify_add`]), and rewritten from the (at-rest) tables when any
+    /// bit differs.
     ///
     /// # Panics
     /// Panics on out-of-vocabulary ids or positions past the position
@@ -70,7 +71,7 @@ impl Embedding {
             {
                 *d = tv + pv;
             }
-            verify_rowsum_add(self.tok.value.row(t), self.pos.value.row(p), dst, g);
+            verify_add(self.tok.value.row(t), self.pos.value.row(p), dst, g);
         }
         out
     }

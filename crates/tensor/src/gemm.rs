@@ -16,13 +16,16 @@
 //!
 //! # Two tiers, one set of bits
 //!
-//! The tile is 4×16. The scalar `microkernel` is its definition; its AVX2
-//! form lives with the other AVX2 kernels in [`crate::lanes`] and is
-//! reached only through the `Avx2` token's `microkernel` method. Each ymm
-//! lane is a different output column, every element still takes its
-//! products `k` ascending, and each product is rounded by the multiply
-//! before the add (FMA is never enabled), so the two tiers give the same
-//! bits and the [`KC`] partial order of [`crate::contract`] is unchanged.
+//! The tile is 4×16, and `microkernel_def` is its one definition: the
+//! scalar tier is that loop as the baseline target compiles it, the AVX2
+//! tier the same loop compiled for AVX2, kept with the other AVX2 kernels
+//! in [`crate::lanes`] and reached only through the `Avx2` token's
+//! `microkernel` method. Each ymm lane is a different output column, every
+//! element still takes its products `k` ascending, and each product is
+//! rounded by the multiply before the add (FMA is never enabled), so the
+//! two tiers give the same bits and the [`KC`] partial order of
+//! [`crate::contract`] is unchanged. Compiled, the loop runs as fast as
+//! hand-written intrinsics (DESIGN.md, "The packed GEMM").
 //! `NR` = 16 is the width that pays: two ymm halves per row give eight
 //! independent accumulators where the 4×8 tile's four left the add
 //! latency exposed. Both tiers share one packing layout. The driver asks
@@ -671,21 +674,27 @@ fn compute_tile<A: SrcRead, B: SrcRead>(
     }
 }
 
-/// The register microkernel: `acc[r][j] += Σ_k apan[k·MR+r] · bpan[k·NR+j]`
-/// over one packed panel pair. One accumulator per element, `k` ascending —
-/// the per-block partial of the accumulation-order contract. ILP comes
-/// from the `MR × NR` independent accumulators, never from splitting a
-/// single element's sum.
+/// The scalar tier of the register microkernel ([`microkernel_def`]).
 ///
 /// `inline(never)` is load-bearing: as a standalone function LLVM keeps
 /// the whole `MR × NR` accumulator tile in vector registers; inlined into
 /// the tile loop it spills the tile to the stack every `k` step, costing
 /// ~6× throughput (measured 3.5 vs 20 GFLOP/s at 256³, 4×8 tile). The AVX2
-/// form has the same trap: a build that compiled the whole driver for AVX2
+/// tier has the same trap: a build that compiled the whole driver for AVX2
 /// with `inline(always)` helpers inlined it and ran at ≈ 2 GFLOP/s, so it
 /// too is `inline(never)` and `nm` lists it as its own symbol.
 #[inline(never)]
 fn microkernel(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
+    microkernel_def(apan, bpan, acc)
+}
+
+/// The register microkernel: `acc[r][j] += Σ_k apan[k·MR+r] · bpan[k·NR+j]`
+/// over one packed panel pair. One accumulator per element, `k` ascending —
+/// the per-block partial of the accumulation-order contract. ILP comes
+/// from the `MR × NR` independent accumulators, never from splitting a
+/// single element's sum. The body of both tiers.
+#[inline(always)]
+pub(crate) fn microkernel_def(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (ak, bk) in apan.chunks_exact(MR).zip(bpan.chunks_exact(NR)) {
         for (accr, &av) in acc.iter_mut().zip(ak) {
             for (cv, &bv) in accr.iter_mut().zip(bk) {

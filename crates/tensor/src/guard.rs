@@ -1,13 +1,12 @@
-//! Invariant-screened guards for the non-GEMM operators.
+//! Guards for the non-GEMM operators.
 //!
 //! Exact checksum transport stops at a nonlinearity: softmax, LayerNorm,
 //! and GELU all destroy the linear relation a ride-along checksum
-//! encodes, so the guarded wrappers here use a two-tier scheme instead:
+//! encodes, so their guarded wrappers use a two-tier scheme instead:
 //!
 //! 1. a **cheap invariant screen** over the op's output — softmax rows
 //!    sum to one, LayerNorm's normalised rows have ~zero mean and unit
-//!    variance, GELU output is bounded by its input, residual adds and
-//!    embedding gathers transport an `f64` row sum;
+//!    variance, GELU output is bounded by its input;
 //! 2. on a screen violation, an **exact recompute from the preserved
 //!    inputs**, adopted only when it differs *bitwise* from the live
 //!    output.
@@ -25,7 +24,12 @@
 //! over the lane-ordered `f64` sums of [`crate::lanes`], whose order and
 //! tiers DESIGN.md states once ("The accumulation-order contract", tiers).
 //!
-//! Every op ships as a `verify_*` entry (screen + heal an existing
+//! The two element-wise adds, the residual add and the embedding gather,
+//! skip the screen: adding a row again costs less than any screen of it,
+//! so their check *is* the recompute, compared bit for bit ([`verify_add`]).
+//! That check is exact — every flipped bit of every cell, no tolerance.
+//!
+//! Every op ships as a `verify_*` entry (check + heal an existing
 //! output against its preserved inputs — what the fault campaigns drive
 //! directly) plus a `*_checked` wrapper (compute + verify — what the
 //! model paths call). The plain ops they wrap are crate-private: outside
@@ -52,13 +56,14 @@ const GELU_GRAD_BOUND: f32 = 1.13;
 /// where the execution context that owns the guard closes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
-    /// Invariant screens evaluated (one per guarded row).
+    /// Checks evaluated (one per guarded row): an invariant screen, or an
+    /// add computed again.
     pub checks: usize,
-    /// Screens whose exact recompute differed bitwise from the live
+    /// Checks whose exact recompute differed bitwise from the live
     /// output — i.e. genuine detections, never tolerance trips.
     pub detections: usize,
-    /// Exact recomputes adopted. Equals `detections` for the invariant
-    /// guards: recomputing from preserved inputs *is* the heal.
+    /// Exact recomputes adopted. Equals `detections` for the op guards:
+    /// recomputing from preserved inputs *is* the heal.
     pub heals: usize,
     /// Detections that could not be healed (multi-cell corruption beyond
     /// the guard's locate-and-restore capability).
@@ -531,47 +536,36 @@ pub fn gelu_backward_checked(x: &Matrix, dy: &Matrix, g: &OpGuard) -> Matrix {
 // residual add / embedding gather
 // ---------------------------------------------------------------------------
 
-/// `Σa + Σb` matches `Σout` within the rounding budget of the row's
-/// absolute mass. A finite `scale` means every `out` element, hence `have`,
-/// is finite.
-fn rowsum_add_screen(a: &[f32], b: &[f32], out: &[f32], tol: f32) -> bool {
-    let want = lanes::moments(a).0 + lanes::moments(b).0;
-    let (have, scale, _) = lanes::moments(out);
-    want.is_finite() && scale.is_finite() && (want - have).abs() <= f64::from(tol) * (1.0 + scale)
-}
-
-/// Screen + heal one row of an element-wise sum `out = a + b` through an
-/// `f64` row-sum transport: `Σ(a) + Σ(b)` must match `Σ(out)` to within
-/// the accumulated rounding budget. Violations recompute element-wise
-/// and heal on bitwise difference. Shared by the residual-add guard and
-/// the embedding gather guard (whose rows are `tok[t] + pos[p]`).
+/// Check one row of an element-wise sum `out = a + b` by computing it
+/// again: one branch-free pass ORs together the bit differences between
+/// each recomputed `a[i] + b[i]` and `out[i]`, so a single flipped bit in
+/// any cell is seen, specials included, with no tolerance. A difference
+/// rewrites the row from the recomputation and records one heal. Shared by
+/// the residual-add guard and the embedding gather guard (whose rows are
+/// `tok[t] + pos[p]`).
 ///
 /// # Panics
 /// Panics on length mismatch.
-pub fn verify_rowsum_add(a: &[f32], b: &[f32], out: &mut [f32], g: &OpGuard) {
+pub fn verify_add(a: &[f32], b: &[f32], out: &mut [f32], g: &OpGuard) {
     if !g.active() {
         return;
     }
-    assert_eq!(a.len(), b.len(), "verify_rowsum_add: length mismatch");
-    assert_eq!(a.len(), out.len(), "verify_rowsum_add: length mismatch");
+    assert_eq!(a.len(), b.len(), "verify_add: length mismatch");
+    assert_eq!(a.len(), out.len(), "verify_add: length mismatch");
     g.record_check();
-    if rowsum_add_screen(a, b, out, g.tol()) {
+    let diff = (a.iter().zip(b).zip(out.iter())).fold(0, |d, ((&ai, &bi), o)| {
+        d | ((ai + bi).to_bits() ^ o.to_bits())
+    });
+    if diff == 0 {
         return;
     }
-    let mut healed = false;
     for ((&ai, &bi), oi) in a.iter().zip(b).zip(out.iter_mut()) {
-        let reference = ai + bi;
-        if reference.to_bits() != oi.to_bits() {
-            *oi = reference;
-            healed = true;
-        }
+        *oi = ai + bi;
     }
-    if healed {
-        g.record_heal();
-    }
+    g.record_heal();
 }
 
-/// Guarded residual add `a + b` with per-row `f64` sum transport.
+/// Guarded residual add `a + b`, each row checked by [`verify_add`].
 ///
 /// # Panics
 /// Panics on shape mismatch.
@@ -581,7 +575,7 @@ pub fn residual_add_checked(a: &Matrix, b: &Matrix, g: &OpGuard) -> Matrix {
         return out;
     }
     for r in 0..a.rows() {
-        verify_rowsum_add(a.row(r), b.row(r), out.row_mut(r), g);
+        verify_add(a.row(r), b.row(r), out.row_mut(r), g);
     }
     out
 }
@@ -589,6 +583,7 @@ pub fn residual_add_checked(a: &Matrix, b: &Matrix, g: &OpGuard) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::tests::SPECIALS;
     use crate::ops::{gelu_matrix, softmax_rows};
     use crate::rng::TensorRng;
 
@@ -833,7 +828,7 @@ mod tests {
             out[(3, 11)] = fault;
             for r in 0..out.rows() {
                 let (ar, br) = (a.row(r), b.row(r));
-                verify_rowsum_add(ar, br, out.row_mut(r), &g);
+                verify_add(ar, br, out.row_mut(r), &g);
             }
             assert_eq!(out.data(), reference.data(), "fault {fault} not healed");
             assert_eq!(g.stats().heals, 1);
@@ -845,9 +840,9 @@ mod tests {
     }
 
     #[test]
-    fn sub_threshold_flip_in_residual_add_is_caught_by_f64_transport() {
-        // A mid-mantissa flip is far below any extremum screen but well
-        // above the f64 row-sum rounding budget.
+    fn sub_threshold_flip_in_residual_add_is_caught_exactly() {
+        // A mid-mantissa flip is far below any extremum screen; the add
+        // computed again differs from it in that bit.
         let a = Matrix::full(1, 8, 0.5);
         let b = Matrix::full(1, 8, 0.25);
         let reference = a.add(&b);
@@ -855,7 +850,7 @@ mod tests {
         let mut out = reference.clone();
         let bits = out[(0, 2)].to_bits() ^ (1 << 18);
         out[(0, 2)] = f32::from_bits(bits);
-        verify_rowsum_add(a.row(0), b.row(0), out.row_mut(0), &g);
+        verify_add(a.row(0), b.row(0), out.row_mut(0), &g);
         assert_eq!(out.data(), reference.data());
         assert_eq!(g.stats().heals, 1);
     }
@@ -909,24 +904,12 @@ mod tests {
                 xi.is_finite() && dyi.is_finite() && di.abs() <= GELU_GRAD_BOUND * dyi.abs() + tol
             })
         }
-
-        pub fn rowsum_add(a: &[f32], b: &[f32], out: &[f32], tol: f32) -> bool {
-            let (mut want, mut have, mut scale) = (0.0f64, 0.0f64, 0.0f64);
-            for ((&ai, &bi), &oi) in a.iter().zip(b).zip(out) {
-                want += f64::from(ai) + f64::from(bi);
-                have += f64::from(oi);
-                scale += f64::from(oi.abs());
-            }
-            want.is_finite()
-                && have.is_finite()
-                && (want - have).abs() <= f64::from(tol) * (1.0 + scale)
-        }
     }
 
     proptest::proptest! {
         /// Every screen returns its sequential predecessor's verdict: on a
-        /// clean row, with an extreme planted in the output, and with the
-        /// residual guard's mid-mantissa flip.
+        /// clean row, with an extreme planted in the output, and with a
+        /// mid-mantissa flip.
         #[test]
         fn branch_free_screens_return_the_sequential_verdicts(
             cols in 1usize..70,
@@ -982,11 +965,61 @@ mod tests {
                 gelu_backward_row_screen(x.row(0), dy.row(0), &dx, tol),
                 sequential::gelu_backward(x.row(0), dy.row(0), &dx, tol)
             );
-            let sum = plant(&x.add(&dy));
-            proptest::prop_assert_eq!(
-                rowsum_add_screen(x.row(0), dy.row(0), &sum, tol),
-                sequential::rowsum_add(x.row(0), dy.row(0), &sum, tol)
-            );
+        }
+
+        /// Any single bit of any cell of an add's output, in the residual
+        /// add and in an embedding-shaped gather (`tok[t] + pos[p]`), gives
+        /// one detection and one heal back to the bits of `a + b`; the
+        /// fault-free output is quiet. Inputs carry IEEE specials.
+        #[test]
+        fn any_single_bit_flip_in_an_add_is_healed_exactly(
+            cols in 1usize..71,
+            row in 0usize..4,
+            at in 0usize..70,
+            bit in 0u32..32,
+            plant in 0usize..6,
+            seed in 0u64..100_000,
+        ) {
+            let mut rng = TensorRng::seed_from(seed);
+            let operand = |rng: &mut TensorRng| {
+                let mut m = rng.normal_matrix(4, cols, 2.0);
+                for _ in 0..plant {
+                    let cell = rng.index(4 * cols);
+                    m.data_mut()[cell] = SPECIALS[rng.index(SPECIALS.len())];
+                }
+                m
+            };
+            let (a, b) = (operand(&mut rng), operand(&mut rng));
+            let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let g = guard();
+            let sum = residual_add_checked(&a, &b, &g);
+            proptest::prop_assert_eq!(bits(sum.data()), bits(a.add(&b).data()));
+            proptest::prop_assert_eq!((g.stats().checks, g.stats().heals), (4, 0));
+            proptest::prop_assert!(g.stats().is_quiet());
+            let residual: Vec<_> = (0..4).map(|r| (a.row(r), b.row(r))).collect();
+            // Token ids drawn with repeats; positions in order.
+            let gather: Vec<_> = (0..4).map(|r| (a.row(rng.index(4)), b.row(r))).collect();
+            for rows in [residual, gather] {
+                let clean: Vec<Vec<f32>> = rows
+                    .iter()
+                    .map(|(x, y)| x.iter().zip(*y).map(|(&u, &v)| u + v).collect())
+                    .collect();
+                for flip in [false, true] {
+                    let mut out = clean.clone();
+                    if flip {
+                        let v = &mut out[row][at % cols];
+                        *v = f32::from_bits(v.to_bits() ^ (1 << bit));
+                    }
+                    let g = guard();
+                    for ((x, y), o) in rows.iter().zip(&mut out) {
+                        verify_add(x, y, o, &g);
+                    }
+                    let s = g.stats();
+                    let n = usize::from(flip);
+                    proptest::prop_assert_eq!((s.checks, s.detections, s.heals), (4, n, n));
+                    proptest::prop_assert_eq!(bits(&out.concat()), bits(&clean.concat()));
+                }
+            }
         }
     }
 

@@ -2,12 +2,12 @@
 //! the AVX2 token that also licenses the GEMM microkernel.
 //!
 //! The reductions run only on the protected path — the AdamW moment
-//! digests, the `f64` transports of the non-GEMM guard screens, the
+//! digests, the `f64` sums of the softmax and LayerNorm guard screens, the
 //! row-side detection prepass — so making them faster lowers the protected
 //! ÷ unprotected ratio without moving the twin. The token's one other
-//! kernel runs on both sides: the AVX2 form of [`crate::gemm`]'s register
-//! microkernel, whose definition (and the reason it gives the same bits)
-//! stays in that module. The element and checksum
+//! kernel runs on both sides: [`crate::gemm`]'s register microkernel,
+//! whose definition (and the reason both tiers give the same bits) stays
+//! in that module and is compiled here for AVX2. The element and checksum
 //! contracts ([`crate::contract`]) are not restated here and keep their
 //! single scalar statement.
 //!
@@ -26,8 +26,9 @@
 //! reached only through the methods of its `Avx2` token, whose one
 //! constructor, `Avx2::detect`, holds the tree's one CPU feature check: so
 //! the compiler, not a lint, keeps an AVX2 kernel from running on a CPU
-//! that lacks it. The AVX2 forms of [`digest`] and [`digest_columns`] are
-//! their definitions compiled for AVX2. The float forms are written by hand (`std::arch`, one intrinsic
+//! that lacks it. The AVX2 forms of [`digest`], [`digest_columns`] and the
+//! GEMM microkernel are their definitions compiled for AVX2. The float
+//! reductions are written by hand (`std::arch`, one intrinsic
 //! per line of the definition) because the optimiser does not keep
 //! eight-lane accumulator arrays in vector registers on its own (measured
 //! 0.9 ns per cell against 0.22). Same IEEE
@@ -208,9 +209,9 @@ pub fn digest_columns(row: &[f32], w: u32, sum: &mut [u64], wsum: &mut [u64], xo
     digest_columns_def(row, w, sum, wsum, xor)
 }
 
-/// `(Σx, Σ|x|, Σx²)` of `row` in `f64`, lane-ordered — the transport and
-/// moment sums of the non-GEMM guard screens. `Σ|x|` is finite exactly
-/// when every element is.
+/// `(Σx, Σ|x|, Σx²)` of `row` in `f64`, lane-ordered — the sums of the
+/// softmax and LayerNorm guard screens, forward and backward. `Σ|x|` is
+/// finite exactly when every element is.
 pub fn moments(row: &[f32]) -> (f64, f64, f64) {
     #[cfg(target_arch = "x86_64")]
     if let Some(t) = arch::Avx2::detect() {
@@ -231,9 +232,10 @@ pub fn sums(row: &[f32]) -> (f32, f32, f32) {
     sums_def(row)
 }
 
-/// The AVX2 forms of the reductions and of the GEMM microkernel. Each
-/// statement of a float reduction below is one line of the matching
-/// `*_def`, eight lanes at a time; pointer-free intrinsics are
+/// The AVX2 forms of the reductions and of the GEMM microkernel. The
+/// integer digests and the microkernel are their definitions compiled for
+/// AVX2. Each statement of a float reduction below is one line of the
+/// matching `*_def`, eight lanes at a time; pointer-free intrinsics are
 /// safe inside an AVX2-enabled function (loads and stores go through
 /// arrays), so the only `unsafe` is the call into one, in the [`Avx2`]
 /// methods.
@@ -244,7 +246,7 @@ pub fn sums(row: &[f32]) -> (f32, f32, f32) {
 )]
 mod arch {
     use super::{digest_columns_def, digest_def, for_chunks, Digest, LANES};
-    use crate::gemm::{MR, NR};
+    use crate::gemm::{microkernel_def, MR, NR};
     use std::arch::x86_64::*;
 
     /// Proof that this CPU runs AVX2. The private field makes
@@ -260,8 +262,7 @@ mod arch {
             is_x86_feature_detected!("avx2").then_some(Self(()))
         }
 
-        /// [`crate::gemm`]'s register microkernel, [`NR`] output columns as
-        /// two eight-lane halves.
+        /// [`crate::gemm`]'s register microkernel, compiled for AVX2.
         #[inline]
         pub(crate) fn microkernel(self, apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
             // SAFETY: an Avx2 exists only after detect() saw AVX2.
@@ -343,62 +344,16 @@ mod arch {
             + _mm_cvtss_f32(_mm256_extractf128_ps::<1>(quads))
     }
 
-    /// Columns `j0..j0 + LANES` of an `NR`-wide tile row.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn load_cols(r: &[f32; NR], j0: usize) -> __m256 {
-        let c = &r[j0..j0 + LANES];
-        _mm256_setr_ps(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
-    }
-
-    /// Store `v` into columns `j0..j0 + LANES` of an `NR`-wide tile row.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store_cols(v: __m256, r: &mut [f32; NR], j0: usize) {
-        let (lo, hi) = (_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
-        let f = |bits: i32| f32::from_bits(bits as u32);
-        r[j0..j0 + LANES].copy_from_slice(&[
-            _mm_cvtss_f32(lo),
-            f(_mm_extract_ps::<1>(lo)),
-            f(_mm_extract_ps::<2>(lo)),
-            f(_mm_extract_ps::<3>(lo)),
-            _mm_cvtss_f32(hi),
-            f(_mm_extract_ps::<1>(hi)),
-            f(_mm_extract_ps::<2>(hi)),
-            f(_mm_extract_ps::<3>(hi)),
-        ]);
-    }
-
-    const _: () = assert!(NR == 2 * LANES, "a tile row is two ymm halves");
-
-    /// `acc[r][j] += Σ_k apan[k·MR+r] · bpan[k·NR+j]`, the scalar
-    /// `gemm::microkernel` with `j` across lanes: every lane is a different
-    /// output element, each takes its products `k` ascending, rounded by the
-    /// multiply before the add. `inline(never)` keeps the eight
-    /// accumulators in ymm registers (inlined into a caller compiled for
-    /// AVX2, the tile ran at ≈ 2 GFLOP/s).
+    /// [`crate::gemm`]'s register microkernel, its definition compiled for
+    /// AVX2: no intrinsics. The optimiser puts `NR` columns of a tile row
+    /// in two ymm registers, so each lane is a different output element, and
+    /// FMA stays off: the bits are the scalar tier's. `inline(never)` keeps
+    /// the eight accumulators in ymm registers (inlined into a caller
+    /// compiled for AVX2, the tile ran at ≈ 2 GFLOP/s).
     #[target_feature(enable = "avx2")]
     #[inline(never)]
     fn microkernel_avx2(apan: &[f32], bpan: &[f32], acc: &mut [[f32; NR]; MR]) {
-        let mut c = [[_mm256_setzero_ps(); 2]; MR];
-        for (cr, row) in c.iter_mut().zip(acc.iter()) {
-            *cr = [load_cols(row, 0), load_cols(row, LANES)];
-        }
-        let (ak, bk) = (apan.as_chunks::<MR>().0, bpan.as_chunks::<NR>().0);
-        for (ak, bk) in ak.iter().zip(bk) {
-            let b = [load_cols(bk, 0), load_cols(bk, LANES)];
-            for (cr, &av) in c.iter_mut().zip(ak) {
-                let av = _mm256_set1_ps(av);
-                *cr = [
-                    _mm256_add_ps(cr[0], _mm256_mul_ps(av, b[0])),
-                    _mm256_add_ps(cr[1], _mm256_mul_ps(av, b[1])),
-                ];
-            }
-        }
-        for (row, cr) in acc.iter_mut().zip(c) {
-            store_cols(cr[0], row, 0);
-            store_cols(cr[1], row, LANES);
-        }
+        microkernel_def(apan, bpan, acc)
     }
 
     /// The definition itself, compiled for AVX2: no intrinsics.

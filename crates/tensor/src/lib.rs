@@ -30,10 +30,11 @@
 //!   [`gemm`] consume it without copying and without changing result bits.
 //! * Neural-network primitive ops in [`ops`] (numerically-stable softmax,
 //!   layer norm, GELU, bias, masking).
-//! * Invariant-screened guarded variants of the non-GEMM ops in [`guard`]
-//!   ([`OpGuard`], `softmax_rows_checked` & co.) — cheap invariant screens
-//!   with exact recompute-from-inputs healing, since exact checksum
-//!   transport stops at a nonlinearity. The guarded op is the public op:
+//! * Guarded variants of the non-GEMM ops in [`guard`] ([`OpGuard`],
+//!   `softmax_rows_checked` & co.) — cheap invariant screens with exact
+//!   recompute-from-inputs healing, since exact checksum transport stops at
+//!   a nonlinearity, and for the element-wise adds the add computed again
+//!   and compared bit for bit. The guarded op is the public op:
 //!   the plain softmax, layer norm, GELU (forward and backward) and
 //!   `Matrix::add` are crate-private, and their public unguarded form is
 //!   the `*_checked` call under [`OpGuard::off`].
