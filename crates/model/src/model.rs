@@ -31,7 +31,7 @@ use crate::param::{Grads, HasParams, Param};
 use crate::tape::{ExampleTape, HeadTape};
 use attn_fault::FaultKind;
 use attn_tensor::guard::softmax_rows_checked;
-use attn_tensor::ops::MASK_NEG;
+use attn_tensor::ops::{self, MASK_NEG};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::{AttnOp, FaultHook, FaultSite, SectionToggles};
@@ -422,7 +422,10 @@ impl TransformerModel {
         let (pooler_x, classifier_x) = match &self.pooler {
             Some(pooler) => {
                 let mut pooled = pooler.forward(&row);
-                pooled.data_mut().iter_mut().for_each(|v| *v = v.tanh());
+                pooled
+                    .data_mut()
+                    .iter_mut()
+                    .for_each(|v| *v = ops::tanh(*v));
                 (Some(row), pooled)
             }
             None => (None, row),

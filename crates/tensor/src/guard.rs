@@ -45,12 +45,15 @@ use crate::ops::{
 use std::cell::Cell;
 
 /// Lower bound of the GELU range (the true minimum is ≈ −0.1700 at
-/// x ≈ −0.7509); anything below it cannot be a GELU output.
-const GELU_MIN_OUT: f32 = -0.2;
+/// x ≈ −0.7509); anything below it cannot be a GELU output. The sweep in
+/// `ops::tests` holds `GELU_MIN_OUT ≤ gelu(x) ≤ max(x, 0)` over every
+/// finite `f32`, so clean data never trips the screen.
+pub(crate) const GELU_MIN_OUT: f32 = -0.2;
 
 /// Upper bound on |gelu′(x)| (the true maximum is ≈ 1.0836); `|dx|` from
-/// the GELU backward can never exceed this multiple of `|dy|`.
-const GELU_GRAD_BOUND: f32 = 1.13;
+/// the GELU backward can never exceed this multiple of `|dy|`. The same
+/// sweep holds it over every finite `f32`.
+pub(crate) const GELU_GRAD_BOUND: f32 = 1.13;
 
 /// Activity counters one [`OpGuard`] accumulates; folded into the report
 /// where the execution context that owns the guard closes.

@@ -29,7 +29,8 @@
 //!   per-block border rows for checksum tails; the paged GEMM entries in
 //!   [`gemm`] consume it without copying and without changing result bits.
 //! * Neural-network primitive ops in [`ops`] (numerically-stable softmax,
-//!   layer norm, GELU, bias, masking).
+//!   layer norm, GELU over the crate's own `f32` [`ops::tanh`], bias,
+//!   masking).
 //! * Guarded variants of the non-GEMM ops in [`guard`] ([`OpGuard`],
 //!   `softmax_rows_checked` & co.) — cheap invariant screens with exact
 //!   recompute-from-inputs healing, since exact checksum transport stops at

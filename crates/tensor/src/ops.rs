@@ -9,8 +9,8 @@
 //! norm, GELU, each with its backward) are crate-private, so rustc keeps
 //! other crates on the twin; the twin under
 //! [`OpGuard::off`](crate::OpGuard::off) is their unguarded form, with the
-//! same bits. What stays public has no twin: bias, column sums, masks and
-//! `argmax`.
+//! same bits. What stays public has no twin: bias, column sums, masks,
+//! `argmax` and [`tanh`].
 
 use crate::matrix::Matrix;
 
@@ -101,23 +101,62 @@ pub(crate) fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
     dx
 }
 
+/// Inputs at or beyond `±TANH_CLAMP` give exactly `±1`: it is the smallest
+/// `f32` whose rational value in [`tanh`] rounds to 1.
+const TANH_CLAMP: f32 = 7.905_311;
+
+/// The workspace's one `tanh`, a fixed sequence of `f32` operations, so its
+/// bits belong to this tree and not to the host's C library: a clamp to
+/// `±TANH_CLAMP` (`f32::clamp`, so NaN stays NaN and `±∞` gives `±1`), then
+/// the odd rational `x·P(x²)/Q(x²)` — Eigen's float `tanh`, 7 numerator and
+/// 4 denominator coefficients — in Horner form with separate multiplies and
+/// adds (no FMA, as in [`crate::contract`]).
+///
+/// Over every `f32` in `[0, TANH_CLAMP]` it is within 4.11e-7 of
+/// `f64::tanh` (6.9 ulp, at x ≈ 5.83), never leaves `[-1, 1]` and is exactly
+/// odd. It is monotone only to within 6e-7 (10 ulp): where the output moves
+/// by less than one ulp per input ulp, rounding noise of a few ulp makes it
+/// dip. A release test, `tanh_and_gelu_sweep`, holds all four.
+#[inline]
+pub fn tanh(x: f32) -> f32 {
+    const P: [f32; 7] = [
+        4.893_524_6e-3,
+        6.372_619_5e-4,
+        1.485_722_35e-5,
+        5.122_297_3e-8,
+        -8.604_672e-11,
+        2.000_188e-13,
+        -2.760_768_4e-16,
+    ];
+    const Q: [f32; 4] = [4.893_525e-3, 2.268_434_7e-3, 1.185_347_1e-4, 1.198_258_4e-6];
+    let x = x.clamp(-TANH_CLAMP, TANH_CLAMP);
+    let x2 = x * x;
+    let p = P[..6].iter().rev().fold(P[6], |p, &c| p * x2 + c);
+    let q = Q[..3].iter().rev().fold(Q[3], |q, &c| q * x2 + c);
+    x * p / q
+}
+
 /// Exact GELU activation `x · Φ(x)` using the erf-free tanh approximation
 /// employed by Bert/GPT-2.
 #[inline]
 pub(crate) fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh(C * (x + 0.044_715 * x * x * x)))
 }
 
-/// Derivative of [`gelu`].
+/// Derivative of [`gelu`]. The slope factor `1 + 3·0.044715·x²` is capped
+/// at `f32::MAX`: past |x| ≈ 5e19 it would overflow and turn the saturated
+/// `0 · ∞` into NaN, so every finite `x` has a finite derivative (±∞ still
+/// gives NaN).
 #[inline]
 fn gelu_grad(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = C * (x + 0.044_715 * x3);
-    let t = inner.tanh();
+    let t = tanh(inner);
     let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
+    let slope = (1.0 + 3.0 * 0.044_715 * x * x).min(f32::MAX);
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * slope
 }
 
 /// Element-wise GELU backward: `dx = dy ⊙ gelu'(x)`.
@@ -468,6 +507,134 @@ mod tests {
             let eps = 1e-3;
             let fd = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
             assert!((fd - gelu_grad(x)).abs() < 1e-3, "x={x}");
+        }
+    }
+
+    #[test]
+    fn gelu_and_tanh_specials() {
+        assert!(gelu(f32::NAN).is_nan());
+        assert_eq!(gelu(f32::INFINITY), f32::INFINITY);
+        assert!(gelu(f32::NEG_INFINITY).is_nan());
+        assert!(gelu(-10.0).abs() < 1e-6);
+        assert_eq!(tanh(TANH_CLAMP).to_bits(), 1.0f32.to_bits());
+        assert_eq!(tanh(-TANH_CLAMP).to_bits(), (-1.0f32).to_bits());
+        let below = f32::from_bits(TANH_CLAMP.to_bits() - 1);
+        assert!(
+            tanh(below) < 1.0,
+            "TANH_CLAMP is not the smallest input giving 1"
+        );
+        assert_eq!(tanh(f32::INFINITY), 1.0);
+        assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+        assert!(tanh(f32::NAN).is_nan());
+    }
+
+    /// The largest `|tanh(x) − f64::tanh(x)|` over every `f32` in
+    /// `[0, TANH_CLAMP]`: measured 4.1022e-7 (6.9 ulp, at x ≈ 5.8279).
+    const TANH_MAX_ERR: f64 = 4.11e-7;
+
+    /// The furthest [`tanh`] falls below an earlier value over the same
+    /// range: measured 5.96e-7 (10 ulp of 2⁻²⁴, at x ≈ 5.4644).
+    const TANH_MAX_DIP: f32 = 6.0e-7;
+
+    /// Every `f32` whose bits lie in `bits`, in ascending blocks; `f` sees
+    /// one block's inputs and the results come back in block order. Two
+    /// workers take alternate blocks: the slow inputs (subnormal results
+    /// and operands) all sit at the low end of a range.
+    fn sweep<R: Send>(
+        bits: std::ops::RangeInclusive<u32>,
+        f: impl Fn(&[f32]) -> R + Sync,
+    ) -> Vec<R> {
+        const BLOCK: u32 = 1 << 13;
+        const WORKERS: usize = 2;
+        let (lo, hi) = bits.into_inner();
+        let starts: Vec<u32> = (lo..=hi).step_by(BLOCK as usize).collect();
+        let mut lanes: Vec<usize> = (0..WORKERS).collect();
+        let per_lane = crate::par::map(WORKERS, &mut lanes, |_, &mut lane| {
+            let run = |&start: &u32| {
+                let end = hi.min(start + (BLOCK - 1));
+                f(&(start..=end).map(f32::from_bits).collect::<Vec<_>>())
+            };
+            starts
+                .iter()
+                .skip(lane)
+                .step_by(WORKERS)
+                .map(run)
+                .collect::<Vec<R>>()
+        });
+        let mut lanes: Vec<_> = per_lane.into_iter().map(Vec::into_iter).collect();
+        (0..starts.len())
+            .filter_map(|i| lanes[i % WORKERS].next())
+            .collect()
+    }
+
+    /// [`tanh`] over every `f32` in `[0, TANH_CLAMP]` (the negative half by
+    /// bit-exact odd symmetry, beyond it the clamp): within
+    /// `TANH_MAX_ERR` of `f64::tanh`, inside `[-1, 1]`, and monotone to
+    /// within `TANH_MAX_DIP`. Then GELU over every finite `f32`: the
+    /// guard's screen constants hold, so clean data never trips a screen.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "sweeps every f32; run optimised: cargo test --release -p attn_tensor --lib ops::"
+    )]
+    fn tanh_and_gelu_sweep() {
+        use crate::guard::{GELU_GRAD_BOUND, GELU_MIN_OUT};
+        struct Block {
+            odd_and_bounded: bool,
+            err: f64,
+            min: f32,
+            max: f32,
+            dip: f32,
+        }
+        let blocks = sweep(0..=TANH_CLAMP.to_bits(), |xs| {
+            let ts: Vec<f32> = xs.iter().map(|&x| tanh(x)).collect();
+            let odd_and_bounded = xs.iter().zip(&ts).fold(true, |ok, (&x, &t)| {
+                ok & (tanh(-x).to_bits() == (-t).to_bits()) & (t.abs() <= 1.0)
+            });
+            let err = xs.iter().zip(&ts).fold(0.0f64, |e, (&x, &t)| {
+                e.max((f64::from(t) - f64::from(x).tanh()).abs())
+            });
+            let (min, max, dip) = ts.iter().fold(
+                (f32::INFINITY, f32::NEG_INFINITY, 0.0f32),
+                |(lo, hi, dip), &t| (lo.min(t), hi.max(t), dip.max(hi - t)),
+            );
+            Block {
+                odd_and_bounded,
+                err,
+                min,
+                max,
+                dip,
+            }
+        });
+        assert!(
+            blocks.iter().all(|b| b.odd_and_bounded),
+            "tanh is not odd or leaves [-1, 1]"
+        );
+        let err = blocks.iter().fold(0.0f64, |e, b| e.max(b.err));
+        assert!(
+            err <= TANH_MAX_ERR,
+            "tanh max error {err:e} > {TANH_MAX_ERR:e}"
+        );
+        let (_, dip) = blocks.iter().fold((0.0f32, 0.0f32), |(hi, dip), b| {
+            (hi.max(b.max), dip.max(b.dip).max(hi - b.min))
+        });
+        assert!(
+            dip <= TANH_MAX_DIP,
+            "tanh falls {dip:e} below an earlier value"
+        );
+
+        let inside = |xs: &[f32]| {
+            let ys: Vec<f32> = xs.iter().map(|&x| gelu(x)).collect();
+            let ds: Vec<f32> = xs.iter().map(|&x| gelu_grad(x)).collect();
+            (xs.iter().zip(&ys).zip(&ds)).fold(true, |ok, ((&x, &y), &d)| {
+                ok & (y >= GELU_MIN_OUT) & (y <= x.max(0.0)) & (d.abs() <= GELU_GRAD_BOUND)
+            })
+        };
+        let finite_max = f32::MAX.to_bits();
+        let sign = (-0.0f32).to_bits();
+        for half in [0..=finite_max, sign..=sign | finite_max] {
+            let bad = sweep(half, inside).iter().filter(|&&ok| !ok).count();
+            assert_eq!(bad, 0, "GELU leaves its screen envelope in {bad} blocks");
         }
     }
 
